@@ -41,10 +41,10 @@ class NoiseSpec:
     mu: float = 1.0
 
     def __post_init__(self):
-        if not self.vartheta > 0:
-            raise ValueError(f"vartheta must be > 0, got {self.vartheta!r}")
-        if not self.mu > 0:
-            raise ValueError(f"mu must be > 0, got {self.mu!r}")
+        if not 0 < self.vartheta < math.inf:
+            raise ValueError(f"vartheta must be finite and > 0, got {self.vartheta!r}")
+        if not 0 < self.mu < math.inf:
+            raise ValueError(f"mu must be finite and > 0, got {self.mu!r}")
 
     @property
     def gamma(self) -> float:

@@ -95,6 +95,24 @@ class _CliError(Exception):
         self.flag = flag
 
 
+def _finite_float(text: str) -> float:
+    """argparse type of every float flag: a finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _table_format(text: str) -> str:
+    """argparse type of --format; unlike ``choices`` it also checks config entries."""
+    if text not in ("csv", "json"):
+        raise argparse.ArgumentTypeError(f"expected csv or json, got {text!r}")
+    return text
+
+
 def _read_config(path: str) -> dict[str, str]:
     """Parse a 'key = value' file; '#' starts a comment."""
     values: dict[str, str] = {}
@@ -113,32 +131,18 @@ def _read_config(path: str) -> dict[str, str]:
     return values
 
 
-_FLOAT_KEYS = ("xi", "theta", "phi", "gamma", "mu", "vartheta", "gamma_t2_max",
-               "xi_max", "theta_max")
-_INT_KEYS = ("points", "nodes", "samples", "seed", "xi_steps", "theta_steps")
+def _apply_config(p: argparse.ArgumentParser, path: str) -> None:
+    """Make the config file's entries the defaults of subcommand ``p``.
 
-
-def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill flag values left at None from the config file, then defaults."""
-    config = _read_config(args.config) if getattr(args, "config", None) else {}
-    for key, raw in config.items():
-        if not hasattr(args, key):
+    The next parse converts and checks them with each flag's own type;
+    explicit flags still win.
+    """
+    entries = _read_config(path)
+    options = {a.dest for a in p._actions if a.option_strings} - {"help", "config"}
+    for key in entries:
+        if key not in options:
             raise _CliError("--config", f"unknown key {key!r}")
-        if getattr(args, key) is not None:
-            continue  # explicit flag wins
-        try:
-            if key in _FLOAT_KEYS:
-                setattr(args, key, float(raw))
-            elif key in _INT_KEYS:
-                setattr(args, key, int(raw))
-            else:
-                setattr(args, key, raw)
-        except ValueError as exc:
-            raise _CliError("--config", f"bad value for {key!r}: {raw!r} ({exc})") from exc
-    for key, default in getattr(args, "_defaults", {}).items():
-        if getattr(args, key) is None:
-            setattr(args, key, default)
-    return args
+    p.set_defaults(**entries)
 
 
 def _require(condition: bool, flag: str, message: str) -> None:
@@ -159,13 +163,11 @@ def _noise_from_args(args) -> NoiseSpec:
     return NoiseSpec.from_gamma(gamma, mu=mu)
 
 
-def _scenario_from_args(args) -> Scenario:
+def _scenario_from_args(args, phi: float) -> Scenario:
     xi = args.xi
-    _require(xi is not None and xi >= 0, "--xi", f"must be >= 0, got {xi}")
+    _require(xi >= 0, "--xi", f"must be >= 0, got {xi}")
     theta = args.theta if args.theta is not None else eta_max(xi).theta_opt
     _require(0.0 <= theta <= math.pi, "--theta", f"must lie in [0, pi], got {theta}")
-    phi = getattr(args, "phi", None)
-    phi = 0.0 if phi is None else phi
     _require(0.0 <= phi < 2.0 * math.pi, "--phi", f"must lie in [0, 2*pi), got {phi}")
     return Scenario(BoostParams(xi=xi, theta=theta, phi=phi), _noise_from_args(args))
 
@@ -184,7 +186,7 @@ def _time_grid(args) -> tuple[np.ndarray, np.ndarray]:
 def _echo_params(args, keys: Sequence[str]) -> list[str]:
     parts = [f"command = {args.command}"]
     parts.extend(f"{k.replace('_', '-')} = {_fmt(getattr(args, k))}" for k in keys
-                 if getattr(args, k, None) is not None)
+                 if getattr(args, k) is not None)
     parts.append(f"seed = {args.seed}")
     return parts
 
@@ -194,12 +196,12 @@ def _cmd_scan_eta(args) -> int:
     _require(args.xi_steps >= 1, "--xi-steps", f"must be >= 1, got {args.xi_steps}")
     _require(args.theta_steps >= 1, "--theta-steps", f"must be >= 1, got {args.theta_steps}")
     _require(0 < args.theta_max <= math.pi, "--theta-max", f"must lie in (0, pi], got {args.theta_max}")
-    xis = np.linspace(0.0, args.xi_max, args.xi_steps)
+    xis = np.linspace(0.0, args.xi_max, args.xi_steps).tolist()
     thetas = np.linspace(0.0, args.theta_max, args.theta_steps)
     rows = [
-        {"xi": float(xi), "theta": float(theta), "eta": eta_profile(float(xi), float(theta))}
+        {"xi": xi, "theta": theta, "eta": eta}
         for xi in xis
-        for theta in thetas
+        for theta, eta in zip(thetas.tolist(), eta_profile(xi, thetas).tolist())
     ]
     comments = _echo_params(args, ("xi_max", "xi_steps", "theta_steps", "theta_max"))
     write_table(rows, args.out, args.format, comments=comments)
@@ -222,7 +224,7 @@ def _cmd_eta_max(args) -> int:
 
 
 def _cmd_offdiag(args) -> int:
-    s = _scenario_from_args(args)
+    s = _scenario_from_args(args, phi=0.0)
     args.theta = s.boost.theta  # echo the resolved angle
     grid, times = _time_grid(args)
     rest = Scenario(BoostParams(xi=0.0), s.noise)
@@ -240,7 +242,7 @@ def _cmd_offdiag(args) -> int:
 
 
 def _cmd_evolve(args) -> int:
-    s = _scenario_from_args(args)
+    s = _scenario_from_args(args, args.phi)
     args.theta = s.boost.theta  # echo the resolved angle
     _require(args.nodes >= 2, "--nodes", f"must be >= 2, got {args.nodes}")
     quad = QuadratureSpec(nodes=args.nodes)
@@ -248,8 +250,8 @@ def _cmd_evolve(args) -> int:
         bloch = [float(x) for x in args.bloch.split(",")]
         if len(bloch) != 3:
             raise ValueError("need exactly three components")
-        if np.linalg.norm(bloch) > 1.0 + 1e-12:
-            raise ValueError("Bloch vector must have norm <= 1")
+        if not np.linalg.norm(bloch) <= 1.0 + 1e-12:
+            raise ValueError("Bloch vector must be finite with norm <= 1")
     except ValueError as exc:
         raise _CliError("--bloch", str(exc)) from exc
     rx, ry, rz = bloch
@@ -280,7 +282,7 @@ def _cmd_evolve(args) -> int:
 
 
 def _cmd_concurrence(args) -> int:
-    s = _scenario_from_args(args)
+    s = _scenario_from_args(args, phi=0.0)
     args.theta = s.boost.theta  # echo the resolved angle
     _require(args.nodes >= 2, "--nodes", f"must be >= 2, got {args.nodes}")
     grid, times = _time_grid(args)
@@ -302,6 +304,7 @@ def _cmd_concurrence(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _require(0 <= args.seed < 2**64, "--seed", f"must lie in [0, 2**64), got {args.seed}")
     results = verify_mod.run_checks(seed=args.seed)
     report = verify_mod.format_report(results, seed=args.seed)
     if args.out is not sys.stdout:
@@ -312,115 +315,93 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-def _add_common(p: argparse.ArgumentParser, defaults: dict) -> None:
-    p.add_argument("--config", help="key = value file; explicit flags override its entries")
-    p.add_argument("--seed", type=int, default=None, help="seed for randomized checks (default 42)")
-    p.add_argument("--out", default=None, help="output path (default: stdout)")
-    p.add_argument("--format", choices=("csv", "json"), default=None, help="table format (default csv)")
-    defaults.update({"seed": 42, "format": "csv"})
+def _add_common(p: argparse.ArgumentParser, func) -> None:
+    p.add_argument("--config", help="key = value file of flag values; explicit flags override it")
+    p.add_argument("--seed", type=int, default=42,
+                   help="seed for randomized checks (default %(default)s)")
+    p.add_argument("--out", help="output path (default: stdout)")
+    p.add_argument("--format", type=_table_format, default="csv", metavar="{csv,json}",
+                   help="table format (default %(default)s)")
+    p.set_defaults(func=func)
 
 
-def _add_noise_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--gamma", type=float, default=None,
+def _add_scenario_flags(p: argparse.ArgumentParser, gamma_t2_max: float, points: int) -> None:
+    p.add_argument("--xi", type=_finite_float, default=2.5)
+    p.add_argument("--theta", type=_finite_float, help="default: theta maximising eta")
+    p.add_argument("--gamma-t2-max", type=_finite_float, default=gamma_t2_max)
+    p.add_argument("--points", type=int, default=points)
+    p.add_argument("--gamma", type=_finite_float,
                    help="dephasing rate 2*vartheta^2*mu^2 (default 1; exclusive with --vartheta)")
-    p.add_argument("--mu", type=float, default=None, help="magnetic moment (default 1)")
-    p.add_argument("--vartheta", type=float, default=None, help="field standard deviation")
+    p.add_argument("--mu", type=_finite_float, help="magnetic moment (default 1)")
+    p.add_argument("--vartheta", type=_finite_float, help="field standard deviation")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and the parser of each subcommand by name.
+
+    Every subcommand declares its own flags: argparse ``parents=`` would
+    share one Action per flag, so a per-command default set on one
+    subcommand would leak into the others.
+    """
     parser = argparse.ArgumentParser(
         prog="spinboost",
         description="Decoherence of a boosted spin-1/2 in Gaussian magnetic noise",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    defaults_by_cmd: dict[str, dict] = {}
 
     p = sub.add_parser("scan-eta", help="eta over a (xi, theta) grid")
-    d = defaults_by_cmd["scan-eta"] = {}
-    p.add_argument("--xi-max", dest="xi_max", type=float, default=None)
-    p.add_argument("--xi-steps", dest="xi_steps", type=int, default=None)
-    p.add_argument("--theta-steps", dest="theta_steps", type=int, default=None)
-    p.add_argument("--theta-max", dest="theta_max", type=float, default=None)
-    _add_common(p, d)
-    d.update({"xi_max": 3.0, "xi_steps": 60, "theta_steps": 90, "theta_max": math.pi / 2})
-    p.set_defaults(func=_cmd_scan_eta)
+    p.add_argument("--xi-max", type=_finite_float, default=3.0)
+    p.add_argument("--xi-steps", type=int, default=60)
+    p.add_argument("--theta-steps", type=int, default=90)
+    p.add_argument("--theta-max", type=_finite_float, default=math.pi / 2)
+    _add_common(p, _cmd_scan_eta)
 
     p = sub.add_parser("eta-max", help="eta_max, theta_opt and chi over a xi grid")
-    d = defaults_by_cmd["eta-max"] = {}
-    p.add_argument("--xi-max", dest="xi_max", type=float, default=None)
-    p.add_argument("--xi-steps", dest="xi_steps", type=int, default=None)
-    _add_common(p, d)
-    d.update({"xi_max": 10.0, "xi_steps": 101})
-    p.set_defaults(func=_cmd_eta_max)
+    p.add_argument("--xi-max", type=_finite_float, default=10.0)
+    p.add_argument("--xi-steps", type=int, default=101)
+    _add_common(p, _cmd_eta_max)
 
     p = sub.add_parser("offdiag", help="rho_ud(t) boosted vs rest (coherent initial state)")
-    d = defaults_by_cmd["offdiag"] = {}
-    p.add_argument("--xi", type=float, default=None)
-    p.add_argument("--theta", type=float, default=None, help="default: theta maximising eta")
-    p.add_argument("--gamma-t2-max", dest="gamma_t2_max", type=float, default=None)
-    p.add_argument("--points", type=int, default=None)
-    _add_noise_flags(p)
-    _add_common(p, d)
-    d.update({"xi": 2.5, "gamma_t2_max": 4.0, "points": 200})
-    p.set_defaults(func=_cmd_offdiag)
+    _add_scenario_flags(p, gamma_t2_max=4.0, points=200)
+    _add_common(p, _cmd_offdiag)
 
     p = sub.add_parser("evolve", help="single-qubit trajectory, analytic + oracle columns")
-    d = defaults_by_cmd["evolve"] = {}
-    p.add_argument("--xi", type=float, default=None)
-    p.add_argument("--theta", type=float, default=None, help="default: theta maximising eta")
-    p.add_argument("--phi", type=float, default=None)
-    p.add_argument("--gamma-t2-max", dest="gamma_t2_max", type=float, default=None)
-    p.add_argument("--points", type=int, default=None)
-    p.add_argument("--nodes", type=int, default=None)
-    p.add_argument("--bloch", default=None, help="initial Bloch vector 'x,y,z' (default 1,0,0)")
-    _add_noise_flags(p)
-    _add_common(p, d)
-    d.update({"xi": 2.5, "phi": 0.0, "gamma_t2_max": 4.0, "points": 200,
-              "nodes": 201, "bloch": "1,0,0"})
-    p.set_defaults(func=_cmd_evolve)
+    _add_scenario_flags(p, gamma_t2_max=4.0, points=200)
+    p.add_argument("--phi", type=_finite_float, default=0.0)
+    p.add_argument("--nodes", type=int, default=201)
+    p.add_argument("--bloch", default="1,0,0",
+                   help="initial Bloch vector 'x,y,z' (default %(default)s)")
+    _add_common(p, _cmd_evolve)
 
     p = sub.add_parser("concurrence", help="two-qubit concurrence under the common bath")
-    d = defaults_by_cmd["concurrence"] = {}
-    p.add_argument("--xi", type=float, default=None)
-    p.add_argument("--theta", type=float, default=None, help="default: theta maximising eta")
-    p.add_argument("--gamma-t2-max", dest="gamma_t2_max", type=float, default=None)
-    p.add_argument("--points", type=int, default=None)
-    p.add_argument("--nodes", type=int, default=None)
-    _add_noise_flags(p)
-    _add_common(p, d)
-    d.update({"xi": 2.5, "gamma_t2_max": 1.0, "points": 50, "nodes": 201})
-    p.set_defaults(func=_cmd_concurrence)
+    _add_scenario_flags(p, gamma_t2_max=1.0, points=50)
+    p.add_argument("--nodes", type=int, default=201)
+    _add_common(p, _cmd_concurrence)
 
     p = sub.add_parser("verify", help="run the verification suite")
-    d = defaults_by_cmd["verify"] = {}
-    _add_common(p, d)
-    p.set_defaults(func=_cmd_verify)
+    _add_common(p, _cmd_verify)
 
-    parser.set_defaults(_defaults_by_cmd=defaults_by_cmd)
-    return parser
+    return parser, sub.choices
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits with 2 on usage errors already; normalize others
-        return USAGE_ERROR if exc.code not in (0,) else 0
-    args._defaults = args._defaults_by_cmd.get(args.command, {})
-    try:
-        args = _merge_config(args)
+        if args.config:
+            _apply_config(commands[args.command], args.config)
+            args = parser.parse_args(argv)
         if args.out is None:
             args.out = sys.stdout
         return args.func(args)
+    except SystemExit as exc:
+        # argparse exits with 0 after --help and 2 on usage errors
+        return 0 if exc.code == 0 else USAGE_ERROR
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except (ValueError,) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, ArithmeticError, OSError) as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

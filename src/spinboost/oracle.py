@@ -8,7 +8,8 @@ Monte Carlo. The quadrature covers one and two qubits (common bath:
 U(B) (x) U(B)).
 
 Determinism contracts: node/weight generation is the Golub-Welsch
-eigen-solve of the symmetric tridiagonal Jacobi matrix; Monte Carlo draws
+eigen-solve of the symmetric tridiagonal Jacobi matrix (numpy's dense
+Hermitian solver); Monte Carlo draws
 come from counter-based Philox streams keyed by (seed, chunk_index) with
 a Box-Muller transform, accumulated in fixed chunk order, so identical
 (seed, samples) produce bit-identical results whether chunks are
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .channel import Scenario
 from .spinalg import DensityMatrix, pauli_rotation, tensor_product
@@ -71,10 +71,7 @@ def gauss_hermite_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     if n < 2:
         raise ValueError(f"need at least 2 quadrature nodes, got {n!r}")
     off_diag = np.sqrt(np.arange(1, n) / 2.0)
-    try:
-        x, vecs = eigh_tridiagonal(np.zeros(n), off_diag)
-    except Exception as exc:  # pragma: no cover - eigensolver failure
-        raise RuntimeError(f"quadrature node generation failed for {n} nodes: {exc}") from exc
+    x, vecs = np.linalg.eigh(np.diag(off_diag, 1) + np.diag(off_diag, -1))
     w = vecs[0] ** 2
     x = 0.5 * (x - x[::-1])
     w = 0.5 * (w + w[::-1])

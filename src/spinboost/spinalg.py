@@ -113,7 +113,7 @@ class DensityMatrix:
 
     The wrapped array is checked to be Hermitian, unit trace and
     positive semidefinite within ``tol`` at construction and stored
-    read-only.
+    read-only. Each check is written so that a NaN residual fails it.
     """
 
     matrix: np.ndarray
@@ -127,15 +127,15 @@ class DensityMatrix:
                 "dimension", 0.0, f"density matrix must be 2x2 or 4x4, got shape {m.shape}"
             )
         herm = float(np.linalg.norm(m - m.conj().T))
-        if herm > self.tol:
+        if not herm <= self.tol:
             raise DensityMatrixError(
                 "hermiticity", herm, f"matrix is not Hermitian (residual {herm:.3e})"
             )
         tr = float(abs(np.trace(m) - 1.0))
-        if tr > self.tol:
+        if not tr <= self.tol:
             raise DensityMatrixError("trace", tr, f"trace differs from 1 (residual {tr:.3e})")
         min_eig = float(np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min())
-        if min_eig < -self.tol:
+        if not min_eig >= -self.tol:
             raise DensityMatrixError(
                 "positivity", -min_eig, f"matrix is not positive (min eigenvalue {min_eig:.3e})"
             )

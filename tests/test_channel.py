@@ -66,7 +66,9 @@ class TestNoiseSpec:
         n = NoiseSpec.from_gamma(2.37, mu=0.8)
         assert abs(n.gamma - 2.37) < 1e-15
 
-    @pytest.mark.parametrize("kw", [dict(vartheta=0.0), dict(vartheta=-1.0), dict(vartheta=1.0, mu=0.0)])
+    @pytest.mark.parametrize("kw", [dict(vartheta=0.0), dict(vartheta=-1.0), dict(vartheta=1.0, mu=0.0),
+                                    dict(vartheta=math.inf), dict(vartheta=math.nan),
+                                    dict(vartheta=1.0, mu=math.inf), dict(vartheta=1.0, mu=math.nan)])
     def test_domain(self, kw):
         with pytest.raises(ValueError):
             NoiseSpec(**kw)

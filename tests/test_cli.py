@@ -4,9 +4,12 @@ import csv
 import io
 import json
 import math
+import subprocess
+import sys
 
 import pytest
 
+from spinboost import cli
 from spinboost.cli import main, write_table
 
 
@@ -176,6 +179,44 @@ class TestConfigFile:
         assert run_cli(["offdiag", "--config", str(cfg)]) == 2
         assert "--config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["command", "func", "config"])
+    def test_non_option_keys_rejected(self, tmp_path, capsys, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = evolve\n")
+        assert run_cli(["offdiag", "--config", str(cfg)]) == 2
+        assert "--config" in capsys.readouterr().err
+
+    def test_bad_value_names_key(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("xi = abc\n")
+        assert run_cli(["offdiag", "--config", str(cfg)]) == 2
+        assert "xi" in capsys.readouterr().err
+
+    def test_typed_entries_match_flags(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("points = 7\ngamma-t2-max = 2.5\nbloch = 0,0.6,0.8\n")
+        from_config, from_flags = tmp_path / "c.csv", tmp_path / "f.csv"
+        assert run_cli(["evolve", "--config", str(cfg), "--out", str(from_config)]) == 0
+        assert run_cli(["evolve", "--points", "7", "--gamma-t2-max", "2.5",
+                        "--bloch", "0,0.6,0.8", "--out", str(from_flags)]) == 0
+        comments, _, rows = read_csv(from_config)
+        assert len(rows) == 7 and "# bloch = 0,0.6,0.8" in comments
+        assert from_config.read_bytes() == from_flags.read_bytes()
+
+
+class TestDefaults:
+    def test_per_command_defaults_do_not_leak(self, tmp_path):
+        counts = []
+        for cmd in ("evolve", "concurrence", "evolve"):
+            out = tmp_path / f"{cmd}.csv"
+            assert run_cli([cmd, "--out", str(out)]) == 0
+            counts.append(len(read_csv(out)[2]))
+        assert counts == [200, 50, 200]
+
+    def test_import_does_not_load_scipy(self):
+        code = "import sys, spinboost.cli; sys.exit('scipy' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
 
 class TestUsageErrors:
     def test_unknown_flag(self, capsys):
@@ -192,6 +233,33 @@ class TestUsageErrors:
 
     def test_missing_subcommand(self):
         assert run_cli([]) == 2
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["offdiag", "--xi", "inf"], "--xi"),
+        (["offdiag", "--vartheta", "inf"], "--vartheta"),
+        (["evolve", "--gamma-t2-max", "inf"], "--gamma-t2-max"),
+        (["evolve", "--bloch=nan,0,0"], "--bloch"),
+        (["verify", "--seed", "-1"], "--seed"),
+    ])
+    def test_bad_value_names_flag(self, capsys, argv, flag):
+        assert run_cli(argv) == 2
+        assert flag in capsys.readouterr().err
+
+
+class TestRuntimeErrors:
+    def test_value_error_exits_one(self, monkeypatch, capsys):
+        def broken(xi, theta):
+            raise ValueError("injected")
+
+        monkeypatch.setattr(cli, "eta_profile", broken)
+        assert run_cli(["scan-eta", "--xi-steps", "2", "--theta-steps", "2"]) == 1
+        assert capsys.readouterr().err == "error: ValueError: injected\n"
+
+    def test_overflow_exits_one_without_traceback(self):
+        proc = subprocess.run([sys.executable, "-m", "spinboost.cli", "offdiag", "--xi", "1000"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
 class TestJsonOutput:

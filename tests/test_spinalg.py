@@ -156,6 +156,12 @@ class TestValidateDensity:
             validate_density(m)
         assert err.value.check == "positivity"
 
+    @pytest.mark.parametrize("m", [np.full((2, 2), np.nan), np.diag([np.nan, 0.5]),
+                                   np.array([[0.5, np.nan], [np.nan, 0.5]])])
+    def test_nan_rejected(self, m):
+        with pytest.raises(DensityMatrixError):
+            validate_density(m)
+
     def test_bad_dimension(self):
         with pytest.raises(DensityMatrixError) as err:
             validate_density(np.eye(3) / 3)
