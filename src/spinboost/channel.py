@@ -87,8 +87,8 @@ class ChannelCoeffs:
     epsilon: float
 
 
-def _require_nonneg_time(t: float) -> None:
-    if t < 0:
+def _require_nonneg_time(t) -> None:
+    if np.any(np.less(t, 0)):
         raise ValueError(f"time must be >= 0, got {t!r}")
 
 
@@ -247,7 +247,7 @@ def dressed_apply(rho: DensityMatrix, s: Scenario, t: float) -> DensityMatrix:
     return DensityMatrix(v.conj().T @ dephased.matrix @ v)
 
 
-def example_trajectory(s: Scenario, t: float) -> tuple[float, complex]:
+def example_trajectory(s: Scenario, t):
     """Trajectory of the fully coherent state (|up> + |down>)/sqrt(2).
 
     Requires phi = 0 (the azimuth that maximises the off-diagonal
@@ -259,17 +259,19 @@ def example_trajectory(s: Scenario, t: float) -> tuple[float, complex]:
     which matches evolve_elementwise on |+><+| exactly; n_x n_z is the
     signed product (-chi for theta < pi/2, +chi beyond), so for
     theta_opt the population drifts down to (1 - chi)/2 while the
-    coherence saturates at eta/2.
+    coherence saturates at eta/2. ``t`` may be an array of times; the
+    result is then a pair of arrays (real and complex) of its shape.
     """
     if s.boost.phi != 0.0:
         raise ValueError(f"trajectory closed form assumes phi = 0, got phi = {s.boost.phi!r}")
     _require_nonneg_time(t)
+    t = np.asarray(t, dtype=float)
     nx, _, nz = s.field.n
     eta = s.field.eta_mod
-    decay = math.exp(-s.gamma_prime * t * t)
+    decay = np.exp(-s.gamma_prime * t * t)
     rho_uu = 0.5 * (1.0 + nx * nz * (1.0 - decay))
-    rho_ud = 0.5 * ((1.0 - eta) * decay + eta)
-    return rho_uu, complex(rho_ud)
+    rho_ud = 0.5 * ((1.0 - eta) * decay + eta) + 0j
+    return rho_uu[()], rho_ud[()]
 
 
 def plus_state() -> DensityMatrix:

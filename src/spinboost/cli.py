@@ -34,45 +34,37 @@ from .relkin import BoostParams, eta_max, eta_profile
 from .spinalg import DensityMatrix
 
 USAGE_ERROR = 2
+# The analytic-vs-quadrature tolerance of ``spinboost verify``.
+ORACLE_TOL = 1e-8
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".12g")
-    return str(value)
+    return format(value, ".12g") if isinstance(value, float) else str(value)
 
 
-def write_table(rows: Sequence[dict], path, fmt: str = "csv",
-                fieldnames: Sequence[str] | None = None,
+def write_table(rows: np.ndarray, path, fmt: str, fieldnames: Sequence[str],
                 comments: Iterable[str] = ()) -> None:
-    """Write homogeneous records as CSV or JSON.
+    """Write a table of float records as CSV or JSON.
 
-    CSV: optional '#' comment lines, a header of field names, one row per
-    record with floats at 12 significant digits and '\\n' line endings.
-    JSON: an array of objects with identical keys. ``path`` may be a
-    filesystem path or an open text stream.
+    ``rows`` is a 2-D float array, one record per row and one column per
+    field name. CSV: optional '#' comment lines, a header of field
+    names, then the records at 12 significant digits with '\\n' line
+    endings. JSON: an array of objects keyed by the field names.
+    ``path`` may be a filesystem path or an open text stream.
     """
-    if fieldnames is None:
-        if not rows:
-            raise ValueError("fieldnames are required for an empty table")
-        fieldnames = list(rows[0].keys())
-    for row in rows:
-        if list(row.keys()) != list(fieldnames):
-            raise ValueError("records are not homogeneous")
+    if not (isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.shape[1] == len(fieldnames)):
+        raise ValueError(f"rows must be a float array of shape (records, {len(fieldnames)}), "
+                         f"got {type(rows).__name__} of shape {np.shape(rows)}")
 
     def _render(stream):
         if fmt == "csv":
             for comment in comments:
                 stream.write(f"# {comment}\n")
             stream.write(",".join(fieldnames) + "\n")
-            for row in rows:
-                stream.write(",".join(_fmt(row[k]) for k in fieldnames) + "\n")
+            line = ",".join(["%.12g"] * len(fieldnames)) + "\n"
+            stream.writelines(line % tuple(row) for row in rows.tolist())
         elif fmt == "json":
-            json.dump([{k: row[k] for k in fieldnames} for row in rows], stream, indent=2)
+            json.dump([dict(zip(fieldnames, row)) for row in rows.tolist()], stream, indent=2)
             stream.write("\n")
         else:
             raise ValueError(f"unknown format {fmt!r}")
@@ -157,10 +149,18 @@ def _noise_from_args(args) -> NoiseSpec:
     _require(mu > 0, "--mu", f"must be > 0, got {mu}")
     if args.vartheta is not None:
         _require(args.vartheta > 0, "--vartheta", f"must be > 0, got {args.vartheta}")
-        return NoiseSpec(vartheta=args.vartheta, mu=mu)
-    gamma = args.gamma if args.gamma is not None else 1.0
-    _require(gamma > 0, "--gamma", f"must be > 0, got {gamma}")
-    return NoiseSpec.from_gamma(gamma, mu=mu)
+        noise = NoiseSpec(vartheta=args.vartheta, mu=mu)
+        flag = "--vartheta" if args.mu is None else "--vartheta/--mu"
+    else:
+        gamma = args.gamma if args.gamma is not None else 1.0
+        _require(gamma > 0, "--gamma", f"must be > 0, got {gamma}")
+        noise = NoiseSpec.from_gamma(gamma, mu=mu)
+        flag = "--gamma"
+    # a subnormal rate carries too few digits, and its times overflow
+    _require(noise.gamma >= sys.float_info.min, flag,
+             f"dephasing rate gamma = {noise.gamma!r} is below the smallest normal "
+             f"float {sys.float_info.min!r}")
+    return noise
 
 
 def _scenario_from_args(args, phi: float) -> Scenario:
@@ -179,6 +179,8 @@ def _time_grid(args) -> tuple[np.ndarray, np.ndarray]:
     _require(g_max > 0, "--gamma-t2-max", f"must be > 0, got {g_max}")
     _require(points >= 2, "--points", f"must be >= 2, got {points}")
     gamma = _noise_from_args(args).gamma
+    _require(g_max / gamma < math.inf, "--gamma-t2-max",
+             f"times sqrt({g_max} / gamma) overflow at gamma = {gamma!r}")
     grid = np.linspace(0.0, g_max, points)
     return grid, np.sqrt(grid / gamma)
 
@@ -196,30 +198,22 @@ def _cmd_scan_eta(args) -> int:
     _require(args.xi_steps >= 1, "--xi-steps", f"must be >= 1, got {args.xi_steps}")
     _require(args.theta_steps >= 1, "--theta-steps", f"must be >= 1, got {args.theta_steps}")
     _require(0 < args.theta_max <= math.pi, "--theta-max", f"must lie in (0, pi], got {args.theta_max}")
-    xis = np.linspace(0.0, args.xi_max, args.xi_steps).tolist()
-    thetas = np.linspace(0.0, args.theta_max, args.theta_steps)
-    rows = [
-        {"xi": xi, "theta": theta, "eta": eta}
-        for xi in xis
-        for theta, eta in zip(thetas.tolist(), eta_profile(xi, thetas).tolist())
-    ]
+    xi, theta = np.meshgrid(np.linspace(0.0, args.xi_max, args.xi_steps),
+                            np.linspace(0.0, args.theta_max, args.theta_steps), indexing="ij")
+    rows = np.stack([xi, theta, eta_profile(xi, theta)], axis=-1).reshape(-1, 3)
     comments = _echo_params(args, ("xi_max", "xi_steps", "theta_steps", "theta_max"))
-    write_table(rows, args.out, args.format, comments=comments)
+    write_table(rows, args.out, args.format, ("xi", "theta", "eta"), comments)
     return 0
 
 
 def _cmd_eta_max(args) -> int:
     _require(args.xi_max > 0, "--xi-max", f"must be > 0, got {args.xi_max}")
     _require(args.xi_steps >= 2, "--xi-steps", f"must be >= 2, got {args.xi_steps}")
-    rows = []
-    for xi in np.linspace(0.0, args.xi_max, args.xi_steps):
-        opt = eta_max(float(xi))
-        rows.append(
-            {"xi": float(xi), "eta_max": opt.eta_max, "theta_opt": opt.theta_opt,
-             "chi_at_opt": opt.chi_at_opt}
-        )
-    write_table(rows, args.out, args.format,
-                comments=_echo_params(args, ("xi_max", "xi_steps")))
+    xi = np.linspace(0.0, args.xi_max, args.xi_steps)
+    opt = eta_max(xi)
+    rows = np.column_stack([xi, opt.eta_max, opt.theta_opt, opt.chi_at_opt])
+    write_table(rows, args.out, args.format, ("xi", "eta_max", "theta_opt", "chi_at_opt"),
+                _echo_params(args, ("xi_max", "xi_steps")))
     return 0
 
 
@@ -227,17 +221,13 @@ def _cmd_offdiag(args) -> int:
     s = _scenario_from_args(args, phi=0.0)
     args.theta = s.boost.theta  # echo the resolved angle
     grid, times = _time_grid(args)
-    rest = Scenario(BoostParams(xi=0.0), s.noise)
-    rows = []
-    for g_t2, t in zip(grid, times):
-        _, boosted = example_trajectory(s, float(t))
-        _, at_rest = example_trajectory(rest, float(t))
-        rows.append(
-            {"gamma_t2": float(g_t2), "rho_ud_boosted": boosted.real, "rho_ud_rest": at_rest.real}
-        )
+    _, boosted = example_trajectory(s, times)
+    _, at_rest = example_trajectory(Scenario(BoostParams(xi=0.0), s.noise), times)
+    rows = np.column_stack([grid, boosted.real, at_rest.real])
     comments = _echo_params(args, ("xi", "theta", "gamma", "mu", "vartheta",
                                    "gamma_t2_max", "points"))
-    write_table(rows, args.out, args.format, comments=comments)
+    write_table(rows, args.out, args.format, ("gamma_t2", "rho_ud_boosted", "rho_ud_rest"),
+                comments)
     return 0
 
 
@@ -257,27 +247,21 @@ def _cmd_evolve(args) -> int:
     rx, ry, rz = bloch
     rho0 = DensityMatrix(0.5 * np.array([[1 + rz, rx - 1j * ry], [rx + 1j * ry, 1 - rz]]))
     grid, times = _time_grid(args)
-    rows = []
-    worst = 0.0
-    for g_t2, t in zip(grid, times):
-        ana = evolve_elementwise(rho0, s, float(t)).matrix
-        num = average_quadrature(rho0, s, float(t), quad).matrix
-        worst = max(worst, float(np.abs(ana - num).max()))
-        rows.append(
-            {
-                "gamma_t2": float(g_t2),
-                "rho_uu_analytic": ana[0, 0].real,
-                "rho_uu_oracle": num[0, 0].real,
-                "re_rho_ud_analytic": ana[0, 1].real,
-                "re_rho_ud_oracle": num[0, 1].real,
-                "im_rho_ud_analytic": ana[0, 1].imag,
-                "im_rho_ud_oracle": num[0, 1].imag,
-            }
-        )
+    ana = np.array([evolve_elementwise(rho0, s, t).matrix for t in times.tolist()])
+    num = np.array([average_quadrature(rho0, s, t, quad).matrix for t in times.tolist()])
+    worst = float(np.abs(ana - num).max())
+    rows = np.column_stack([grid, ana[:, 0, 0].real, num[:, 0, 0].real, ana[:, 0, 1].real,
+                            num[:, 0, 1].real, ana[:, 0, 1].imag, num[:, 0, 1].imag])
     comments = _echo_params(args, ("xi", "theta", "phi", "gamma", "mu", "vartheta",
                                    "gamma_t2_max", "points", "nodes", "bloch"))
     comments.append(f"max_analytic_oracle_diff = {_fmt(worst)}")
-    write_table(rows, args.out, args.format, comments=comments)
+    write_table(rows, args.out, args.format,
+                ("gamma_t2", "rho_uu_analytic", "rho_uu_oracle", "re_rho_ud_analytic",
+                 "re_rho_ud_oracle", "im_rho_ud_analytic", "im_rho_ud_oracle"), comments)
+    if not worst <= ORACLE_TOL:
+        print(f"warning: max_analytic_oracle_diff = {_fmt(worst)} exceeds {ORACLE_TOL:g}; "
+              f"the quadrature oracle may be under-resolved, try a larger --nodes",
+              file=sys.stderr)
     return 0
 
 
@@ -287,19 +271,11 @@ def _cmd_concurrence(args) -> int:
     _require(args.nodes >= 2, "--nodes", f"must be >= 2, got {args.nodes}")
     grid, times = _time_grid(args)
     series = concurrence_trajectory(s, times, QuadratureSpec(nodes=args.nodes))
-    rows = [
-        {
-            "gamma_t2": float(g_t2),
-            "concurrence": float(c),
-            "reference_rest": float(rr),
-            "reference_boosted": float(rb),
-        }
-        for g_t2, c, rr, rb in zip(grid, series.values, series.reference_rest,
-                                   series.reference_boosted)
-    ]
+    rows = np.column_stack([grid, series.values, series.reference_rest, series.reference_boosted])
     comments = _echo_params(args, ("xi", "theta", "gamma", "mu", "vartheta",
                                    "gamma_t2_max", "points", "nodes"))
-    write_table(rows, args.out, args.format, comments=comments)
+    write_table(rows, args.out, args.format,
+                ("gamma_t2", "concurrence", "reference_rest", "reference_boosted"), comments)
     return 0
 
 

@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import Scenario
-from .spinalg import DensityMatrix, pauli_rotation, tensor_product
+from .spinalg import IDENTITY_2, DensityMatrix, pauli_rotation, pauli_vector
 
 _MC_CHUNK = 1 << 16
 
@@ -136,10 +136,10 @@ def two_qubit_average(
         raise ValueError(f"time must be >= 0, got {t!r}")
     z, w = gauss_hermite_nodes(q.nodes)
     u = _unitary_stack(s.noise.vartheta * z, s, t)
-    out = np.zeros((4, 4), dtype=complex)
-    for wi, ui in zip(w, u):
-        u2 = tensor_product(ui, ui)
-        out += wi * (u2 @ rho4.matrix @ u2.conj().T)
+    u2 = (u[:, :, None, :, None] * u[:, None, :, None, :]).reshape(-1, 4, 4)  # U (x) U per node
+    terms = (u2 @ rho4.matrix) @ u2.conj().transpose(0, 2, 1)
+    # summed slice by slice in node order, which no BLAS reduction order can change
+    out = (w[:, None, None] * terms).sum(axis=0)
     return DensityMatrix(_hermitize(out))
 
 
@@ -163,45 +163,38 @@ def average_montecarlo(
     Returns the sample mean of U(B) rho U(B)^dag over
     B ~ N(0, vartheta**2) and a standard-error estimate: per-entry
     sample variances of the mean, aggregated in Frobenius norm.
+
+    Each draw rotates the Bloch vector by d = 2 kappa mu t B about n, so
+    (Rodrigues) U rho U^dag = A + B cos d + C sin d with fixed matrices
+    A, B, C. Only the sample moments of (cos d, sin d) are accumulated;
+    the mean and every entry's sample variance follow from them exactly.
     """
     if rho.dim != 2:
         raise ValueError(f"average_montecarlo needs a 2x2 state, got dim {rho.dim}")
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t!r}")
-    nx, ny, nz = s.field.n
-    scale = s.field.kappa * s.noise.mu * t * s.noise.vartheta
-    m = rho.matrix
-    r00, r01, r10, r11 = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
-    acc = np.zeros(4, dtype=complex)
-    acc_sq = np.zeros(4, dtype=float)
-    done = 0
-    chunk_index = 0
-    while done < mc.samples:
+    scale = 2.0 * s.field.kappa * s.noise.mu * t * s.noise.vartheta
+    sums = np.zeros(5)
+    for chunk_index, done in enumerate(range(0, mc.samples, _MC_CHUNK)):
         count = min(_MC_CHUNK, mc.samples - done)
-        half = scale * _box_muller_normals(mc.seed, chunk_index, count)
-        c, si = np.cos(half), np.sin(half)
-        a = c - 1j * si * nz
-        b = -1j * si * (nx - 1j * ny)
-        g = -1j * si * (nx + 1j * ny)
-        d = c + 1j * si * nz
-        top0 = a * r00 + b * r10
-        top1 = a * r01 + b * r11
-        bot0 = g * r00 + d * r10
-        bot1 = g * r01 + d * r11
-        t00 = top0 * a.conj() + top1 * b.conj()
-        t01 = top0 * g.conj() + top1 * d.conj()
-        t10 = bot0 * a.conj() + bot1 * b.conj()
-        t11 = bot0 * g.conj() + bot1 * d.conj()
-        for k, entry in enumerate((t00, t01, t10, t11)):
-            acc[k] += entry.sum()
-            acc_sq[k] += (entry.real**2 + entry.imag**2).sum()
-        done += count
-        chunk_index += 1
-    mean = acc / mc.samples
+        d = scale * _box_muller_normals(mc.seed, chunk_index, count)
+        c, si = np.cos(d), np.sin(d)
+        sums += (c.sum(), si.sum(), (c * c).sum(), (si * si).sum(), (c * si).sum())
+    mean_c, mean_s, mean_cc, mean_ss, mean_cs = sums / mc.samples
+    # rho = a0 I + a.sigma with complex a; the rotation acts on a:
+    # a -> (n.a) n + cos d (a - (n.a) n) + sin d (n x a)
+    m = rho.matrix
+    n = s.field.n
+    a = 0.5 * np.array([m[0, 1] + m[1, 0], 1j * (m[0, 1] - m[1, 0]), m[0, 0] - m[1, 1]])
+    along = np.dot(n, a) * n
+    fixed = 0.5 * np.trace(m) * IDENTITY_2 + pauli_vector(along)
+    b_mat, c_mat = pauli_vector(a - along), pauli_vector(np.cross(n, a))
+    out = fixed + mean_c * b_mat + mean_s * c_mat
     if mc.samples > 1:
-        var_mean = (acc_sq / mc.samples - (mean.real**2 + mean.imag**2)) / (mc.samples - 1)
-        stderr = float(np.sqrt(np.clip(var_mean, 0.0, None).sum()))
+        var = (np.abs(b_mat) ** 2 * (mean_cc - mean_c**2)
+               + np.abs(c_mat) ** 2 * (mean_ss - mean_s**2)
+               + 2.0 * (b_mat * c_mat.conj()).real * (mean_cs - mean_c * mean_s))
+        stderr = float(np.sqrt(np.clip(var / (mc.samples - 1), 0.0, None).sum()))
     else:
         stderr = float("inf")
-    out = mean.reshape(2, 2)
     return DensityMatrix(_hermitize(out)), stderr

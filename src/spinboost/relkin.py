@@ -15,9 +15,14 @@ together with the closed-form maximum of eta over theta.
 Sign convention: d is fixed by the geometry (independent of the field
 amplitude B); for theta < pi/2 its in-plane part points *opposite* to
 the velocity azimuth, so the signed in-plane component n_perp =
-(1 - cosh xi) cos(theta) sin(theta) / kappa is negative there. chi is
+-2 sinh(xi/2)**2 cos(theta) sin(theta) / kappa is negative there. chi is
 reported non-negative; channel code that needs the signed product reads
 it off the axis vector ``n`` directly.
+
+The excess Lorentz factor is written 2 sinh(xi/2)**2, and eta and its
+maximum on t = tanh(xi/2) and s = sech(xi/2): no difference cancels at
+small rapidity (Higham, *Accuracy and Stability of Numerical
+Algorithms*, ch. 1), and eta stays exact for every finite xi.
 """
 
 from __future__ import annotations
@@ -56,8 +61,12 @@ class BoostParams:
 
     @property
     def cosh_xi(self) -> float:
-        """Lorentz factor 1/sqrt(1 - beta**2)."""
-        return math.cosh(self.xi)
+        """Lorentz factor 1/sqrt(1 - beta**2); it overflows beyond xi ~ 710."""
+        try:
+            return math.cosh(self.xi)
+        except OverflowError:
+            raise ValueError(f"rapidity xi = {self.xi!r} overflows the Lorentz factor "
+                             "cosh(xi); kappa needs xi <= ~710") from None
 
     @property
     def velocity_unit(self) -> np.ndarray:
@@ -108,7 +117,7 @@ def boost_em_field(e_field, b_field, boost: BoostParams) -> tuple[np.ndarray, np
         E'_perp = cosh(xi) * (E + (v/c) x B)_perp
         B'_perp = cosh(xi) * (B - (v/c) x E)_perp
 
-    Written as E + (cosh(xi)-1)*E_perp + ... so that a field exactly
+    Written as E + 2 sinh(xi/2)**2 E_perp + ... so that a field exactly
     parallel to v passes through bit-exact.
     """
     e = np.asarray(e_field, dtype=float)
@@ -117,28 +126,30 @@ def boost_em_field(e_field, b_field, boost: BoostParams) -> tuple[np.ndarray, np
         raise ValueError("field components must be finite")
     v_hat = boost.velocity_unit
     ch = boost.cosh_xi
+    excess = 2.0 * math.sinh(0.5 * boost.xi) ** 2
     beta = boost.beta
     e_perp = e - np.dot(e, v_hat) * v_hat
     b_perp = b - np.dot(b, v_hat) * v_hat
-    e_prime = e + (ch - 1.0) * e_perp + ch * beta * np.cross(v_hat, b)
-    b_prime = b + (ch - 1.0) * b_perp - ch * beta * np.cross(v_hat, e)
+    e_prime = e + excess * e_perp + ch * beta * np.cross(v_hat, b)
+    b_prime = b + excess * b_perp - ch * beta * np.cross(v_hat, e)
     return e_prime, b_prime
 
 
 def effective_field(boost: BoostParams) -> EffectiveField:
     """Geometry of the boosted field direction d = B'/B.
 
-    d_x = (1-cosh xi) cos(theta) sin(theta) cos(phi)
-    d_y = (1-cosh xi) cos(theta) sin(theta) sin(phi)
+    d_x = -2 sinh(xi/2)**2 cos(theta) sin(theta) cos(phi)
+    d_y = -2 sinh(xi/2)**2 cos(theta) sin(theta) sin(phi)
     d_z = cos(theta)**2 + cosh(xi) sin(theta)**2
 
     kappa**2 = cos(theta)**2 + cosh(xi)**2 sin(theta)**2. The scalars
     (kappa, tilt, eta, chi) are computed from (xi, theta) alone, so they
-    are bit-exactly independent of the azimuth.
+    are bit-exactly independent of the azimuth. Beyond xi ~ 710, where
+    cosh(xi) overflows, a ValueError names the rapidity.
     """
     ch = boost.cosh_xi
     ct, st = math.cos(boost.theta), math.sin(boost.theta)
-    d_perp = (1.0 - ch) * ct * st
+    d_perp = -2.0 * math.sinh(0.5 * boost.xi) ** 2 * ct * st
     d_z = ct * ct + ch * st * st
     kappa = math.hypot(d_perp, d_z)
     n_perp = d_perp / kappa
@@ -154,51 +165,59 @@ def effective_field(boost: BoostParams) -> EffectiveField:
     return EffectiveField(d=d, kappa=kappa, n=n, tilt=tilt, eta_mod=eta, chi_mod=chi)
 
 
-def eta_profile(xi: float, theta):
+def _half_rapidity(xi) -> tuple[np.ndarray, np.ndarray]:
+    """(tanh(xi/2), sech(xi/2)) for xi >= 0, finite for every xi."""
+    xi = np.asarray(xi, dtype=float)
+    if not np.all(xi >= 0):
+        raise ValueError(f"rapidity must be >= 0, got {float(np.min(xi))!r}")
+    h = np.exp(-0.5 * xi)
+    return np.tanh(0.5 * xi), 2.0 * h / (1.0 + h * h)
+
+
+def eta_profile(xi, theta):
     """Closed-form eta as a function of rapidity and polar angle.
 
-    eta = (cosh(xi) - 1)**2 (1 - cos(2 theta)**2)
-          / (2 [(cosh(xi)**2 + 1) - (cosh(xi)**2 - 1) cos(2 theta)])
+    With t = tanh(xi/2) and s = sech(xi/2), eta = r**2 where
 
-    Agrees with 1 - n_z**2 of :func:`effective_field` within 1e-12.
-    ``theta`` may be an array; the profile broadcasts over it.
+        r = 2 t**2 sin(theta) cos(theta) / hypot(s**2, 2 t sin(theta)),
+
+    which agrees with 1 - n_z**2 of :func:`effective_field` within 1e-12.
+    The sine and cosine are taken at the distance a = min(theta, pi - theta)
+    to the nearer pole, with cos(a) = sin(pi/2 - a). So nothing cancels or
+    underflows near the poles, where the peak sits at large xi; eta is
+    symmetric about pi/2 and exactly 0 at theta in {0, pi/2, pi}.
+    ``xi`` and ``theta`` broadcast against each other; scalars give a
+    scalar.
     """
-    if xi < 0:
-        raise ValueError(f"rapidity must be >= 0, got {xi!r}")
-    a = math.cosh(xi)
-    c = np.cos(2.0 * np.asarray(theta, dtype=float))
-    num = (a - 1.0) ** 2 * (1.0 - c * c)
-    den = 2.0 * ((a * a + 1.0) - (a * a - 1.0) * c)
-    out = num / den
-    return float(out) if np.isscalar(theta) else out
+    t, s = _half_rapidity(xi)
+    a = np.asarray(theta, dtype=float)
+    a = np.minimum(a, math.pi - a)
+    sin_a = np.sin(a)
+    num = 2.0 * t * t * sin_a * np.sin(0.5 * math.pi - a)
+    r = np.divide(num, np.hypot(s * s, 2.0 * t * sin_a), out=np.zeros(np.shape(num)),
+                  where=num > 0)
+    return (r * r)[()]
 
 
 @dataclass(frozen=True)
 class EtaMax:
-    """Maximum of eta over theta at fixed rapidity, with its location."""
+    """Maximum of eta over theta at fixed rapidity (scalars or arrays), with its location."""
 
-    eta_max: float
-    theta_opt: float
-    chi_at_opt: float
+    eta_max: float | np.ndarray
+    theta_opt: float | np.ndarray
+    chi_at_opt: float | np.ndarray
 
 
-def eta_max(xi: float) -> EtaMax:
-    """Maximise eta over theta for a given rapidity.
+def eta_max(xi) -> EtaMax:
+    """Maximise eta over theta for a given rapidity; broadcasts over ``xi``.
 
-    cos(2 theta_opt) = (cosh xi - 1)/(cosh xi + 1) with theta_opt in
-    (0, pi/4], eta_max = ((cosh xi - 1)/(cosh xi + 1))**2 and the other
-    modulation factor at the optimum is
-    chi = 2 sqrt(cosh xi) (cosh xi - 1)/(cosh xi + 1)**2.
-
-    For xi = 0 the profile is identically zero; theta_opt is reported as
-    pi/4 by convention.
+    With t = tanh(xi/2) and s = sech(xi/2): eta_max = t**4 at
+    cos(2 theta_opt) = t**2, i.e. theta_opt = asin(s/sqrt(2)) in
+    [0, pi/4], and the other modulation factor there is
+    chi = t**2 s sqrt(1 + t**2). At xi = 0 the profile is identically
+    zero and theta_opt = pi/4.
     """
-    if xi < 0:
-        raise ValueError(f"rapidity must be >= 0, got {xi!r}")
-    a = math.cosh(xi)
-    ratio = (a - 1.0) / (a + 1.0)
-    if ratio == 0.0:
-        return EtaMax(eta_max=0.0, theta_opt=math.pi / 4.0, chi_at_opt=0.0)
-    theta_opt = 0.5 * math.acos(ratio)
-    chi = 2.0 * math.sqrt(a) * (a - 1.0) / (a + 1.0) ** 2
-    return EtaMax(eta_max=ratio * ratio, theta_opt=theta_opt, chi_at_opt=chi)
+    t, s = _half_rapidity(xi)
+    t2 = t * t
+    return EtaMax(eta_max=(t2 * t2)[()], theta_opt=np.arcsin(s / math.sqrt(2.0))[()],
+                  chi_at_opt=(t2 * s * np.sqrt(1.0 + t2))[()])

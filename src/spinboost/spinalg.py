@@ -47,8 +47,8 @@ class DensityMatrixError(ValueError):
 
 
 def pauli_vector(v) -> np.ndarray:
-    """Return v . (sigma_x, sigma_y, sigma_z) for a real 3-vector v."""
-    v = np.asarray(v, dtype=float)
+    """Return v . (sigma_x, sigma_y, sigma_z) for a real or complex 3-vector v."""
+    v = np.asarray(v)
     return v[0] * PAULI_X + v[1] * PAULI_Y + v[2] * PAULI_Z
 
 

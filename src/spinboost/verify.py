@@ -113,7 +113,7 @@ def check_coherence_saturation_anchor() -> CheckResult:
 
 def check_eta_max_monotone_limit() -> CheckResult:
     xis = np.arange(0.0, 20.0 + 1e-9, 0.5)
-    values = np.array([eta_max(x).eta_max for x in xis])
+    values = eta_max(xis).eta_max
     strictly_increasing = bool((np.diff(values) > 0).all())
     tail = eta_max(20.0).eta_max
     ok = strictly_increasing and tail > 0.999
@@ -357,7 +357,7 @@ def check_trajectory_monotonicity() -> CheckResult:
     opt = eta_max(2.5)
     s = _scenario(2.5, opt.theta_opt, gamma=1.0)
     g_t2 = np.linspace(0.0, 12.0, 200)
-    values = np.array([example_trajectory(s, math.sqrt(x))[1].real for x in g_t2])
+    values = example_trajectory(s, np.sqrt(g_t2))[1].real
     non_increasing = bool((np.diff(values) <= 1e-12).all())
     floor = s.field.eta_mod / 2.0 - 1e-12
     above_floor = bool((values >= floor).all())

@@ -7,6 +7,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from spinboost import cli
@@ -35,36 +36,45 @@ def read_csv(path):
 class TestWriteTable:
     def test_empty_records_header_only(self):
         buf = io.StringIO()
-        write_table([], buf, "csv", fieldnames=["xi", "eta"])
+        write_table(np.empty((0, 2)), buf, "csv", ("xi", "eta"))
         assert buf.getvalue() == "xi,eta\n"
 
     def test_single_record(self):
         buf = io.StringIO()
-        write_table([{"xi": 0, "eta": 0}], buf, "csv")
+        write_table(np.zeros((1, 2)), buf, "csv", ("xi", "eta"))
         assert buf.getvalue() == "xi,eta\n0,0\n"
 
     def test_round_trip_at_twelve_digits(self):
-        rows = [{"a": math.pi, "b": 1.0 / 3.0}, {"a": 6.132289479663686, "b": 1e-12}]
+        rows = np.array([[math.pi, 1.0 / 3.0], [6.132289479663686, 1e-12]])
         buf = io.StringIO()
-        write_table(rows, buf, "csv")
+        write_table(rows, buf, "csv", ("a", "b"))
         parsed = list(csv.DictReader(io.StringIO(buf.getvalue())))
         for orig, back in zip(rows, parsed):
-            for key in orig:
-                assert abs(float(back[key]) - orig[key]) <= abs(orig[key]) * 1e-11
+            for value, key in zip(orig, ("a", "b")):
+                assert abs(float(back[key]) - value) <= abs(value) * 1e-11
+
+    def test_csv_matches_twelve_digit_format(self):
+        rows = np.array([[-0.0, 5e-324, 1e22], [math.pi, -1.0 / 3.0, 2.5e-310]])
+        buf = io.StringIO()
+        write_table(rows, buf, "csv", ("a", "b", "c"))
+        body = buf.getvalue().splitlines()[1:]
+        assert body == [",".join(format(x, ".12g") for x in row) for row in rows.tolist()]
 
     def test_json_round_trip(self):
-        rows = [{"xi": 0.5, "eta": 0.25}, {"xi": 1.0, "eta": 0.5}]
+        rows = np.array([[0.5, 0.25], [1.0, 0.5]])
         buf = io.StringIO()
-        write_table(rows, buf, "json")
-        assert json.loads(buf.getvalue()) == rows
+        write_table(rows, buf, "json", ("xi", "eta"))
+        assert json.loads(buf.getvalue()) == [{"xi": 0.5, "eta": 0.25}, {"xi": 1.0, "eta": 0.5}]
 
-    def test_inhomogeneous_rejected(self):
-        with pytest.raises(ValueError, match="homogeneous"):
-            write_table([{"a": 1}, {"b": 2}], io.StringIO(), "csv")
+    def test_column_count_mismatch_rejected(self):
+        # one input form only: a 2-D array with one column per field name
+        for rows in (np.zeros((2, 3)), np.zeros(2), np.zeros((2, 2, 2)), [[0.0, 0.0]]):
+            with pytest.raises(ValueError, match="shape"):
+                write_table(rows, io.StringIO(), "csv", ("a", "b"))
 
     def test_unwritable_path(self):
         with pytest.raises(OSError, match="no/such/dir"):
-            write_table([{"a": 1}], "/no/such/dir/table.csv", "csv")
+            write_table(np.ones((1, 1)), "/no/such/dir/table.csv", "csv", ("a",))
 
 
 class TestScanEta:
@@ -240,6 +250,7 @@ class TestUsageErrors:
         (["evolve", "--gamma-t2-max", "inf"], "--gamma-t2-max"),
         (["evolve", "--bloch=nan,0,0"], "--bloch"),
         (["verify", "--seed", "-1"], "--seed"),
+        (["offdiag", "--gamma", "1e-307", "--gamma-t2-max", "100"], "--gamma-t2-max"),
     ])
     def test_bad_value_names_flag(self, capsys, argv, flag):
         assert run_cli(argv) == 2
@@ -260,6 +271,49 @@ class TestRuntimeErrors:
                               capture_output=True, text=True)
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+        assert "rapidity" in proc.stderr
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["offdiag", "--gamma", "1e-320"], "--gamma"),
+        (["offdiag", "--vartheta", "1e-160"], "--vartheta"),
+        (["evolve", "--vartheta", "1e-100", "--mu", "1e-60"], "--mu"),
+    ])
+    def test_subnormal_rate_rejected(self, capsys, argv, flag):
+        assert run_cli(argv + ["--points", "3"]) == 2
+        assert flag in capsys.readouterr().err
+
+
+class TestRapidityRange:
+    def test_eta_max_exact_at_tiny_rapidity(self, tmp_path):
+        out = tmp_path / "etamax.json"
+        assert run_cli(["eta-max", "--xi-max", "1e-7", "--xi-steps", "11", "--format", "json",
+                        "--out", str(out)]) == 0
+        for row in json.loads(out.read_text())[1:]:
+            exact = math.tanh(row["xi"] / 2) ** 4
+            assert abs(row["eta_max"] - exact) <= 1e-12 * exact
+
+    def test_scan_eta_at_huge_rapidity(self, tmp_path):
+        out = tmp_path / "eta.csv"
+        assert run_cli(["scan-eta", "--xi-max", "1000", "--xi-steps", "3", "--theta-steps", "3",
+                        "--out", str(out)]) == 0
+        _, _, rows = read_csv(out)
+        values = [[float(v) for v in row] for row in rows]
+        assert len(values) == 9 and all(math.isfinite(v) for row in values for v in row)
+        assert all(eta == 0.0 for _, theta, eta in values if theta == 0.0)
+
+
+class TestOracleWarning:
+    def test_under_resolved_oracle_warns(self, tmp_path, capsys):
+        out = tmp_path / "evolve.csv"
+        assert run_cli(["evolve", "--xi", "2.9", "--theta", "1.5", "--phi", "1.0",
+                        "--bloch=0.3,-0.5,0.6", "--out", str(out)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("warning: ") and "--nodes" in err[0]
+        assert len(read_csv(out)[2]) == 200
+
+    def test_defaults_do_not_warn(self, tmp_path, capsys):
+        assert run_cli(["evolve", "--out", str(tmp_path / "evolve.csv")]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestJsonOutput:

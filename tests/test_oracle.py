@@ -9,6 +9,7 @@ from spinboost.channel import NoiseSpec, Scenario, evolve_elementwise, plus_stat
 from spinboost.oracle import (
     McSpec,
     QuadratureSpec,
+    _box_muller_normals,
     average_montecarlo,
     average_quadrature,
     gauss_hermite_nodes,
@@ -22,6 +23,7 @@ from spinboost.spinalg import (
     frobenius_distance,
     pauli_rotation,
     random_density,
+    tensor_product,
 )
 
 
@@ -161,6 +163,20 @@ class TestAverageMonteCarlo:
         mean, _ = average_montecarlo(rho, s, t, McSpec(samples=50_000, seed=1))
         assert abs(np.trace(mean.matrix) - 1.0) < 1e-12
 
+    def test_moments_match_per_draw_average(self):
+        # the mean and per-entry variances of U rho U^dag, draw by draw
+        rng = np.random.default_rng(10)
+        for rho, s, t in draw_cases(rng, 3):
+            mc = McSpec(samples=3000, seed=5)  # one chunk
+            mean, stderr = average_montecarlo(rho, s, t, mc)
+            fields = s.noise.vartheta * _box_muller_normals(mc.seed, 0, mc.samples)
+            draws = np.array([u @ rho.matrix @ u.conj().T
+                              for u in (unitary_at_field(b, s, t) for b in fields)])
+            expected = draws.mean(axis=0)
+            variance = (np.abs(draws - expected) ** 2).mean(axis=0) / (mc.samples - 1)
+            assert frobenius_distance(mean.matrix, expected) < 1e-14
+            assert abs(stderr - math.sqrt(variance.sum())) <= 1e-10 * stderr
+
     def test_stderr_scales_with_samples(self):
         rng = np.random.default_rng(7)
         (rho, s, t), = draw_cases(rng, 1)
@@ -193,6 +209,19 @@ class TestTwoQubitAverage:
             pdf = np.exp(-0.5 * b_grid**2) / math.sqrt(2 * math.pi)
             brute = np.trapezoid(pdf * np.cos(4 * s.noise.mu * b_grid * s.noise.vartheta * t), b_grid) / 2
             assert abs(out.matrix[0, 3].real - brute) < 1e-8
+
+    def test_matches_per_node_kronecker_loop(self):
+        rng = np.random.default_rng(10)
+        rho4 = random_density(rng, 4)
+        s = scenario(2.0, 0.7, 0.4)
+        z, w = gauss_hermite_nodes(201)
+        expected = np.zeros((4, 4), dtype=complex)
+        for wi, bi in zip(w, s.noise.vartheta * z):
+            u2 = tensor_product(*[unitary_at_field(bi, s, 0.6)] * 2)
+            expected += wi * (u2 @ rho4.matrix @ u2.conj().T)
+        expected = 0.5 * (expected + expected.conj().T)
+        np.testing.assert_allclose(two_qubit_average(rho4, s, 0.6).matrix, expected,
+                                   rtol=0, atol=1e-15)
 
     def test_trace_one(self):
         rng = np.random.default_rng(9)
