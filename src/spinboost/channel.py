@@ -48,13 +48,21 @@ class NoiseSpec:
 
     @property
     def gamma(self) -> float:
-        return 2.0 * self.vartheta**2 * self.mu**2
+        """The dephasing rate; inf where it overflows, as a product of floats would."""
+        try:
+            return 2.0 * self.vartheta**2 * self.mu**2
+        except OverflowError:
+            return math.inf
 
     @classmethod
     def from_gamma(cls, gamma: float, mu: float = 1.0) -> "NoiseSpec":
         if not gamma > 0:
             raise ValueError(f"gamma must be > 0, got {gamma!r}")
-        return cls(vartheta=math.sqrt(gamma / (2.0 * mu * mu)), mu=mu)
+        try:
+            vartheta = math.sqrt(gamma / (2.0 * mu * mu))
+        except ZeroDivisionError:
+            raise ValueError(f"2 mu**2 underflows to 0 at mu = {mu!r}") from None
+        return cls(vartheta=vartheta, mu=mu)
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,7 +78,15 @@ class Scenario:
 
     @property
     def gamma_prime(self) -> float:
-        return self.field.kappa**2 * self.noise.gamma
+        try:
+            gp = self.field.kappa**2 * self.noise.gamma
+        except OverflowError:
+            gp = math.inf
+        if gp == math.inf:
+            raise ValueError(f"gamma' = kappa**2 gamma overflows at rapidity "
+                             f"xi = {float(self.boost.xi)!r} and angle "
+                             f"theta = {float(self.boost.theta)!r} (kappa = {self.field.kappa!r})")
+        return gp
 
 
 @dataclass(frozen=True)

@@ -42,32 +42,49 @@ def _fmt(value) -> str:
     return format(value, ".12g") if isinstance(value, float) else str(value)
 
 
+# Records per ``%`` call of ``write_table``: one template over a block's
+# flat tuple costs far less than one ``%`` per record, and the block
+# bounds the memory the formatted text takes.
+_BLOCK_ROWS = 4096
+
+
 def write_table(rows: np.ndarray, path, fmt: str, fieldnames: Sequence[str],
                 comments: Iterable[str] = ()) -> None:
-    """Write a table of float records as CSV or JSON.
+    """Write a table of finite float records as CSV or JSON.
 
     ``rows`` is a 2-D float array, one record per row and one column per
     field name. CSV: optional '#' comment lines, a header of field
     names, then the records at 12 significant digits with '\\n' line
-    endings. JSON: an array of objects keyed by the field names.
-    ``path`` may be a filesystem path or an open text stream.
+    endings. JSON: an array of objects keyed by the field names, as
+    ``json.dump(..., indent=2)`` writes it. ``path`` may be a filesystem
+    path or an open text stream. A non-finite entry raises ``ValueError``
+    naming its column before anything is written.
     """
     if not (isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.shape[1] == len(fieldnames)):
         raise ValueError(f"rows must be a float array of shape (records, {len(fieldnames)}), "
                          f"got {type(rows).__name__} of shape {np.shape(rows)}")
+    bad = ~np.isfinite(rows).all(axis=0)
+    if bad.any():
+        raise ValueError(f"column {fieldnames[int(bad.argmax())]!r} has a non-finite entry; "
+                         "tables hold finite numbers only")
+    if fmt == "csv":
+        head = "".join(f"# {comment}\n" for comment in comments) + ",".join(fieldnames) + "\n"
+        record, sep, tail = ",".join(["%.12g"] * len(fieldnames)) + "\n", "", ""
+    elif fmt == "json":
+        # %r of a finite float is float.__repr__, which is what json writes
+        items = ",\n".join(f"    {json.dumps(name).replace('%', '%%')}: %r" for name in fieldnames)
+        record = "  {\n" + items + "\n  }" if fieldnames else "  {}"
+        head, sep, tail = ("[\n", ",\n", "\n]\n") if len(rows) else ("[]\n", "", "")
+    else:
+        raise ValueError(f"unknown format {fmt!r}")
 
     def _render(stream):
-        if fmt == "csv":
-            for comment in comments:
-                stream.write(f"# {comment}\n")
-            stream.write(",".join(fieldnames) + "\n")
-            line = ",".join(["%.12g"] * len(fieldnames)) + "\n"
-            stream.writelines(line % tuple(row) for row in rows.tolist())
-        elif fmt == "json":
-            json.dump([dict(zip(fieldnames, row)) for row in rows.tolist()], stream, indent=2)
-            stream.write("\n")
-        else:
-            raise ValueError(f"unknown format {fmt!r}")
+        stream.write(head)
+        for start in range(0, len(rows), _BLOCK_ROWS):
+            block = rows[start:start + _BLOCK_ROWS]
+            stream.write((sep if start else "") + sep.join([record] * len(block))
+                         % tuple(block.ravel().tolist()))
+        stream.write(tail)
 
     if hasattr(path, "write"):
         _render(path)
@@ -154,12 +171,18 @@ def _noise_from_args(args) -> NoiseSpec:
     else:
         gamma = args.gamma if args.gamma is not None else 1.0
         _require(gamma > 0, "--gamma", f"must be > 0, got {gamma}")
-        noise = NoiseSpec.from_gamma(gamma, mu=mu)
+        try:
+            noise = NoiseSpec.from_gamma(gamma, mu=mu)
+        except ValueError:
+            # gamma and mu are finite and > 0: gamma / (2 mu**2) under- or overflowed
+            raise _CliError("--gamma" if args.mu is None else "--mu",
+                            f"vartheta = sqrt(gamma / (2 mu**2)) is not a finite normal float "
+                            f"at gamma = {gamma!r}, mu = {mu!r}") from None
         flag = "--gamma"
     # a subnormal rate carries too few digits, and its times overflow
-    _require(noise.gamma >= sys.float_info.min, flag,
-             f"dephasing rate gamma = {noise.gamma!r} is below the smallest normal "
-             f"float {sys.float_info.min!r}")
+    _require(sys.float_info.min <= noise.gamma < math.inf, flag,
+             f"dephasing rate gamma = {noise.gamma!r} must be finite and at least the "
+             f"smallest normal float {sys.float_info.min!r}")
     return noise
 
 

@@ -77,6 +77,83 @@ class TestWriteTable:
             write_table(np.ones((1, 1)), "/no/such/dir/table.csv", "csv", ("a",))
 
 
+def _reference_csv(rows, fieldnames):
+    lines = [",".join(fieldnames)] + [",".join(format(x, ".12g") for x in row)
+                                      for row in rows.tolist()]
+    return "".join(line + "\n" for line in lines)
+
+
+def _reference_json(rows, fieldnames):
+    buf = io.StringIO()
+    json.dump([dict(zip(fieldnames, row)) for row in rows.tolist()], buf, indent=2)
+    return buf.getvalue() + "\n"
+
+
+class TestWriteTableBlocks:
+    """The block formatter against per-record reference encoders."""
+
+    SPECIAL = [-0.0, 0.0, 5e-324, 1e-320, 2.2250738585072014e-308, 1.7976931348623157e308,
+               -1.7e308, 1e22, 1e16, 0.1, -1.0 / 3.0, math.pi, 123456789012.5]
+    NAMES = ("a%b", 'q"u', "\u00e9", "%s")
+
+    @classmethod
+    def _rows(cls, n, k):
+        """n random records over magnitudes 1e-320..1e300, led by the special floats."""
+        rng = np.random.default_rng(n)
+        sign = np.where(rng.random((n, k)) < 0.5, -1.0, 1.0)
+        rows = sign * 10.0 ** rng.uniform(-320.0, 300.0, size=(n, k))
+        flat = rows.reshape(-1)
+        count = min(flat.size, len(cls.SPECIAL))
+        flat[:count] = cls.SPECIAL[:count]
+        return rows
+
+    @pytest.mark.parametrize("fmt, reference", [("csv", _reference_csv),
+                                                ("json", _reference_json)])
+    @pytest.mark.parametrize("blocks, extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 3)])
+    def test_matches_reference_at_block_edges(self, fmt, reference, blocks, extra):
+        rows = self._rows(blocks * cli._BLOCK_ROWS + extra, len(self.NAMES))
+        buf = io.StringIO()
+        write_table(rows, buf, fmt, self.NAMES)
+        assert buf.getvalue() == reference(rows, self.NAMES)
+
+    @pytest.mark.parametrize("fmt, reference", [("csv", _reference_csv),
+                                                ("json", _reference_json)])
+    def test_zero_columns_match_reference(self, fmt, reference):
+        buf = io.StringIO()
+        write_table(np.empty((3, 0)), buf, fmt, ())
+        assert buf.getvalue() == reference(np.empty((3, 0)), ())
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_comments_precede_csv_header_only(self, fmt):
+        buf = io.StringIO()
+        write_table(np.ones((2, 1)), buf, fmt, ("a",), ["seed = 1", "100% done"])
+        expected = "# seed = 1\n# 100% done\na\n1\n1\n" if fmt == "csv" else \
+            _reference_json(np.ones((2, 1)), ("a",))
+        assert buf.getvalue() == expected
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected_before_writing(self, tmp_path, fmt, bad):
+        rows = np.zeros((cli._BLOCK_ROWS + 5, 3))
+        rows[-1, 2] = bad
+        rows[cli._BLOCK_ROWS + 1, 1] = bad
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match="'theta'"):
+            write_table(rows, buf, fmt, ("xi", "theta", "eta"))
+        assert buf.getvalue() == ""
+        path = tmp_path / f"table.{fmt}"
+        with pytest.raises(ValueError, match="non-finite"):
+            write_table(rows, path, fmt, ("xi", "theta", "eta"))
+        assert not path.exists()
+
+    def test_non_finite_table_exits_one(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "eta_profile", lambda xi, theta: np.full(np.shape(xi), np.nan))
+        assert run_cli(["scan-eta", "--xi-steps", "2", "--theta-steps", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ValueError: column 'eta'")
+
+
 class TestScanEta:
     def test_row_count_and_header(self, tmp_path):
         out = tmp_path / "eta.csv"
@@ -273,10 +350,29 @@ class TestRuntimeErrors:
         assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
         assert "rapidity" in proc.stderr
 
+    def test_gamma_prime_overflow_named(self, capsys):
+        assert run_cli(["offdiag", "--xi", "400", "--theta", "0.5", "--points", "3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError: gamma'")
+        assert "rapidity xi = 400.0" in err and "angle theta = 0.5" in err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["offdiag", "--mu", "1e-200"], "--mu"),
+        (["offdiag", "--mu", "1e200"], "--mu"),
+        (["offdiag", "--gamma", "1e300", "--mu", "1e-100"], "--mu"),
+        (["offdiag", "--gamma", "5e-324"], "--gamma"),
+    ])
+    def test_vartheta_out_of_range_names_flag(self, capsys, argv, flag):
+        assert run_cli(argv + ["--points", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag}: vartheta")
+
     @pytest.mark.parametrize("argv, flag", [
         (["offdiag", "--gamma", "1e-320"], "--gamma"),
         (["offdiag", "--vartheta", "1e-160"], "--vartheta"),
         (["evolve", "--vartheta", "1e-100", "--mu", "1e-60"], "--mu"),
+        (["offdiag", "--vartheta", "1e200"], "--vartheta"),
+        (["offdiag", "--vartheta", "1e100", "--mu", "1e300"], "--vartheta/--mu"),
     ])
     def test_subnormal_rate_rejected(self, capsys, argv, flag):
         assert run_cli(argv + ["--points", "3"]) == 2
