@@ -133,8 +133,9 @@ def channel_coeffs(s: Scenario, t: float) -> ChannelCoeffs:
     """Coefficients (gamma', p0, p1, epsilon) of the boosted channel at time t."""
     _require_nonneg_time(t)
     gp = s.gamma_prime
-    decay = math.exp(-gp * t * t)
-    p1 = 0.5 * (1.0 - decay)
+    g = gp * t * t
+    decay = math.exp(-g)
+    p1 = -0.5 * math.expm1(-g)  # (1 - decay)/2 without its cancellation at small g
     return ChannelCoeffs(
         gamma_prime=gp,
         decay=decay,
@@ -165,7 +166,9 @@ def evolve_elementwise(rho: DensityMatrix, s: Scenario, t: float) -> DensityMatr
     _require_qubit(rho)
     m = rho.matrix
     nx, ny, nz = s.field.n
-    decay = math.exp(-s.gamma_prime * t * t)
+    g = s.gamma_prime * t * t
+    decay = math.exp(-g)
+    lost = -math.expm1(-g)  # 1 - decay
     r01 = m[0, 1]
     r10 = m[1, 0]
     rz = (m[0, 0] - m[1, 1]).real
@@ -173,8 +176,8 @@ def evolve_elementwise(rho: DensityMatrix, s: Scenario, t: float) -> DensityMatr
     d_uu = 0.5 * (rz - n_dot_r * nz)
     d_ud = 0.5 * n_dot_r * (nx - 1j * ny)
     out = np.empty((2, 2), dtype=complex)
-    out[0, 0] = m[0, 0].real - d_uu * (1.0 - decay)
-    out[0, 1] = r01 * decay + d_ud * (1.0 - decay)
+    out[0, 0] = m[0, 0].real - d_uu * lost
+    out[0, 1] = r01 * decay + d_ud * lost
     out[1, 0] = np.conj(out[0, 1])
     out[1, 1] = 1.0 - out[0, 0].real
     return DensityMatrix(out)
@@ -284,8 +287,9 @@ def example_trajectory(s: Scenario, t):
     t = np.asarray(t, dtype=float)
     nx, _, nz = s.field.n
     eta = s.field.eta_mod
-    decay = np.exp(-s.gamma_prime * t * t)
-    rho_uu = 0.5 * (1.0 + nx * nz * (1.0 - decay))
+    g = s.gamma_prime * t * t
+    decay = np.exp(-g)
+    rho_uu = 0.5 * (1.0 - nx * nz * np.expm1(-g))
     rho_ud = 0.5 * ((1.0 - eta) * decay + eta) + 0j
     return rho_uu[()], rho_ud[()]
 

@@ -9,6 +9,7 @@ functions are safe to call from concurrent workers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +27,7 @@ PAULI_Z = _const([[1, 0], [0, -1]])
 IDENTITY_2 = _const([[1, 0], [0, 1]])
 
 _VALID_DIMS = (2, 4)
+_SQRT2 = math.sqrt(2.0)
 
 
 class DensityMatrixError(ValueError):
@@ -107,6 +109,31 @@ def eigh_descending(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals[::-1].copy(), vecs[:, ::-1].copy()
 
 
+def _residuals(m: np.ndarray) -> tuple[float, float, float]:
+    """Hermiticity residual, trace residual and least eigenvalue of a square ``m``.
+
+    ``|m - m^dag|`` (Frobenius), ``|tr m - 1|`` and the smallest
+    eigenvalue of the Hermitian part ``(m + m^dag)/2``. A NaN or infinite
+    entry makes the first or second residual NaN or infinite. A 2x2
+    matrix [[a, b], [c, d]] is done in closed form: the first residual is
+    |(2 Im a, 2 Im d, sqrt2 (b - conj c))|, and the Hermitian part has
+    eigenvalues (Re a + Re d)/2 -+ |((Re a - Re d)/2, b')| with
+    b' = (b + conj c)/2.
+    """
+    if m.shape == (2, 2):
+        # math.hypot, unlike abs of a complex, gives inf rather than raising on overflow
+        a, b, c, d = m.ravel().tolist()
+        skew, off, tr = b - c.conjugate(), 0.5 * (b + c.conjugate()), a + d - 1.0
+        herm = math.hypot(2.0 * a.imag, 2.0 * d.imag, _SQRT2 * skew.real, _SQRT2 * skew.imag)
+        min_eig = 0.5 * (a.real + d.real) - math.hypot(0.5 * (a.real - d.real), off.real, off.imag)
+        return herm, math.hypot(tr.real, tr.imag), min_eig
+    herm = float(np.linalg.norm(m - m.conj().T))
+    tr = float(abs(np.trace(m) - 1.0))
+    if not math.isfinite(herm + tr):
+        return herm, tr, math.nan  # a non-finite entry; LAPACK is not asked
+    return herm, tr, float(np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min())
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A validated 2x2 or 4x4 density matrix.
@@ -126,15 +153,13 @@ class DensityMatrix:
             raise DensityMatrixError(
                 "dimension", 0.0, f"density matrix must be 2x2 or 4x4, got shape {m.shape}"
             )
-        herm = float(np.linalg.norm(m - m.conj().T))
+        herm, tr, min_eig = _residuals(m)
         if not herm <= self.tol:
             raise DensityMatrixError(
                 "hermiticity", herm, f"matrix is not Hermitian (residual {herm:.3e})"
             )
-        tr = float(abs(np.trace(m) - 1.0))
         if not tr <= self.tol:
             raise DensityMatrixError("trace", tr, f"trace differs from 1 (residual {tr:.3e})")
-        min_eig = float(np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min())
         if not min_eig >= -self.tol:
             raise DensityMatrixError(
                 "positivity", -min_eig, f"matrix is not positive (min eigenvalue {min_eig:.3e})"

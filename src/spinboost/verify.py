@@ -8,6 +8,7 @@ reports; the acceptance tests assert the same checks one by one.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -414,3 +415,15 @@ def format_report(results: list[CheckResult], seed: int) -> str:
     passed = sum(r.passed for r in results)
     lines.append(f"verify: {passed}/{len(results)} checks passed")
     return "\n".join(lines) + "\n"
+
+
+def format_json(results: list[CheckResult], seed: int) -> str:
+    """The report as one JSON object: seed, pass count, total and each check."""
+    checks = [{"name": r.name, "passed": bool(r.passed), "detail": r.detail} for r in results]
+    report = {
+        "seed": seed,
+        "passed": sum(c["passed"] for c in checks),
+        "total": len(checks),
+        "checks": checks,
+    }
+    return json.dumps(report, indent=2) + "\n"

@@ -1,6 +1,7 @@
 """Tests for the closed-form channel and its equivalent decompositions."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -39,6 +40,19 @@ RHO_UU_SATURATION = 0.250158519474361
 
 def scenario(xi, theta, phi=0.0, gamma=1.0):
     return Scenario(BoostParams(xi=xi, theta=theta, phi=phi), NoiseSpec.from_gamma(gamma))
+
+
+def lost_fraction(g):
+    """1 - exp(-g) for 0 < g <= 1, summed as g - g^2/2! + ... to 50 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        x = Decimal(g)
+        term, total, k = x, Decimal(0), 1
+        while abs(term) > total * Decimal("1e-45"):
+            total += term
+            k += 1
+            term = -term * x / k
+        return float(total)
 
 
 def draw_cases(rng, count, xi_range=(0.0, 3.0)):
@@ -136,6 +150,16 @@ class TestChannelCoeffs:
         c = channel_coeffs(s, 1.0)
         assert abs(c.gamma_prime / s.noise.gamma - 6.13229) < 5e-5
 
+    @pytest.mark.parametrize("g", [1e-300, 1e-16, 1e-12, 1e-8, 1e-4])
+    def test_p1_full_relative_accuracy_at_small_exponent(self, g):
+        # p1 = (1 - exp(-gamma' t^2))/2; 1 - exp(-g) cancels at small g
+        s = scenario(1.3, 0.6)
+        t = math.sqrt(g / s.gamma_prime)
+        exponent = s.gamma_prime * t * t
+        c = channel_coeffs(s, t)
+        assert abs(c.p1 - lost_fraction(exponent) / 2) <= 2e-16 * c.p1
+        assert abs(c.epsilon - c.p1 * (s.field.eta_mod + s.field.chi_mod)) <= 4e-16 * c.epsilon
+
 
 class TestEvolveElementwise:
     def test_reduces_to_rest_dephasing_exactly(self):
@@ -179,6 +203,17 @@ class TestEvolveElementwise:
         for rho, s, t in draw_cases(rng, 50):
             out = evolve_elementwise(rho, s, t)  # constructor validates
             assert abs(np.trace(out.matrix) - 1.0) < 1e-14
+
+    @pytest.mark.parametrize("g", [1e-300, 1e-16, 1e-12, 1e-8])
+    def test_coherence_from_populations_accurate_at_small_exponent(self, g):
+        # |up><up| gains the coherence (n.r)(n_x - i n_y)(1 - exp(-g))/2
+        # with n.r = n_z: no other term hides the relative error of 1 - exp(-g)
+        s = scenario(1.3, 0.6, phi=0.4)
+        t = math.sqrt(g / s.gamma_prime)
+        nx, ny, nz = s.field.n
+        out = evolve_elementwise(DensityMatrix(np.diag([1.0, 0.0])), s, t).matrix
+        expected = 0.5 * nz * (nx - 1j * ny) * lost_fraction(s.gamma_prime * t * t)
+        assert abs(out[0, 1] - expected) <= 1e-15 * abs(expected)
 
 
 class TestOperatorSum:

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from spinboost import cli
+from spinboost import cli, verify
 from spinboost.cli import main, write_table
 
 
@@ -410,6 +410,50 @@ class TestOracleWarning:
     def test_defaults_do_not_warn(self, tmp_path, capsys):
         assert run_cli(["evolve", "--out", str(tmp_path / "evolve.csv")]) == 0
         assert capsys.readouterr().err == ""
+
+    def test_under_resolved_concurrence_warns(self, tmp_path, capsys):
+        # at gamma_t2 = 10, kappa^2 ~ 100 puts gamma' t^2 beyond 201 nodes;
+        # exp(-4 gamma' t^2) is 0 there, and the oracle writes 6.28e-05
+        out = tmp_path / "conc.csv"
+        assert run_cli(["concurrence", "--xi", "3", "--theta", "1.5", "--gamma-t2-max", "40",
+                        "--points", "5", "--out", str(out)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("warning: ") and "--nodes" in err[0]
+        assert "reference_boosted" in err[0]
+        rows = read_csv(out)[2]
+        assert len(rows) == 5 and float(rows[1][1]) > 1e-5  # the table is not altered
+
+    def test_concurrence_defaults_do_not_warn(self, tmp_path, capsys):
+        assert run_cli(["concurrence", "--out", str(tmp_path / "conc.csv")]) == 0
+        assert capsys.readouterr().err == ""
+
+
+class TestVerifyFormat:
+    RESULTS = [verify.CheckResult("first_check", np.True_, "x=1 (tol 2)"),
+               verify.CheckResult("second_check", False, "y=3 (tol 2)")]
+
+    @pytest.fixture(autouse=True)
+    def _stub_checks(self, monkeypatch):
+        monkeypatch.setattr(verify, "run_checks", lambda seed: self.RESULTS)
+
+    def test_json_report(self, tmp_path):
+        out = tmp_path / "verify.json"
+        assert run_cli(["verify", "--seed", "7", "--format", "json", "--out", str(out)]) == 1
+        assert json.loads(out.read_text()) == {
+            "seed": 7, "passed": 1, "total": 2,
+            "checks": [{"name": "first_check", "passed": True, "detail": "x=1 (tol 2)"},
+                       {"name": "second_check", "passed": False, "detail": "y=3 (tol 2)"}],
+        }
+        assert out.read_text().endswith("}\n")
+
+    @pytest.mark.parametrize("argv", [[], ["--format", "csv"]])
+    def test_text_report_otherwise(self, capsys, argv):
+        assert run_cli(["verify", "--seed", "7", *argv]) == 1
+        assert capsys.readouterr().out == (
+            "# verification suite, seed = 7\n"
+            "PASS first_check: x=1 (tol 2)\n"
+            "FAIL second_check: y=3 (tol 2)\n"
+            "verify: 1/2 checks passed\n")
 
 
 class TestJsonOutput:

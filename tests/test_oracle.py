@@ -7,9 +7,11 @@ import pytest
 
 from spinboost.channel import NoiseSpec, Scenario, evolve_elementwise, plus_state
 from spinboost.oracle import (
+    _MC_CHUNK,
     McSpec,
     QuadratureSpec,
     _box_muller_normals,
+    _cos_sin_double,
     average_montecarlo,
     average_quadrature,
     gauss_hermite_nodes,
@@ -22,6 +24,7 @@ from spinboost.spinalg import (
     DensityMatrix,
     frobenius_distance,
     pauli_rotation,
+    pauli_vector,
     random_density,
     tensor_product,
 )
@@ -140,7 +143,82 @@ class TestAverageQuadrature:
             assert abs(np.trace(out.matrix) - 1.0) < 1e-14
 
 
+def cos_sin_double(x):
+    x = np.array(x, dtype=float)
+    c, scratch = np.empty_like(x), np.empty_like(x)
+    _cos_sin_double(x, c, scratch)
+    return c, x
+
+
+def philox(seed, chunk_index):
+    return np.random.Generator(np.random.Philox(key=np.array([seed, chunk_index], dtype=np.uint64)))
+
+
+def reference_montecarlo(rho, s, t, mc):
+    """Per-chunk Box-Muller with np.cos/np.sin, then U rho U^dag draw by draw."""
+    normals = []
+    for chunk_index, done in enumerate(range(0, mc.samples, _MC_CHUNK)):
+        count = min(_MC_CHUNK, mc.samples - done)
+        gen = philox(mc.seed, chunk_index)
+        half = (count + 1) // 2
+        u1, u2 = gen.random(half), gen.random(half)
+        r = np.sqrt(-2.0 * np.log1p(-u1))
+        angle = 2.0 * np.pi * u2
+        normals.append(np.concatenate([r * np.cos(angle), r * np.sin(angle)])[:count])
+    half_angle = s.field.kappa * s.noise.mu * t * s.noise.vartheta * np.concatenate(normals)
+    u = (np.cos(half_angle)[:, None, None] * IDENTITY_2
+         - 1j * np.sin(half_angle)[:, None, None] * pauli_vector(s.field.n))
+    # draws on the last, contiguous axis, so that each sum is pairwise
+    draws = np.ascontiguousarray(((u @ rho.matrix) @ u.conj().transpose(0, 2, 1)).reshape(-1, 4).T)
+    mean = draws.sum(axis=1) / mc.samples
+    if mc.samples == 1:
+        return mean.reshape(2, 2), math.inf
+    variance = (np.abs(draws - mean[:, None]) ** 2).sum(axis=1) / mc.samples / (mc.samples - 1)
+    return mean.reshape(2, 2), math.sqrt(variance.sum())
+
+
+class TestHalfAngleCosSin:
+    @pytest.mark.parametrize("x", [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+                                   math.pi / 2, -math.pi / 2, math.pi / 4, math.pi, 1e6, -1e6])
+    def test_special_arguments(self, x):
+        c, s = cos_sin_double([x])
+        assert abs(c[0] - np.cos(2.0 * x)) <= 4.5e-16
+        assert abs(s[0] - np.sin(2.0 * x)) <= 4.5e-16
+
+    def test_zero_and_subnormals_exact(self):
+        x = np.array([0.0, 5e-324, -1e-310])
+        c, s = cos_sin_double(x)
+        np.testing.assert_array_equal(c, 1.0)
+        np.testing.assert_array_equal(s, 2.0 * x)
+
+    @pytest.mark.parametrize("scale", [1e-8, 1e-4, 1e-2, 0.3, 1.0, 3.0, 10.0, 100.0])
+    def test_random_normals(self, scale):
+        x = scale * np.random.default_rng(int(1e4 * scale)).normal(size=200_000)
+        c, s = cos_sin_double(x)
+        assert np.abs(c - np.cos(2.0 * x)).max() <= 4.5e-16
+        assert np.abs(s - np.sin(2.0 * x)).max() <= 4.5e-16
+
+    def test_one_draw_of_2n_is_two_draws_of_n(self):
+        for n in (1, 7, _MC_CHUNK // 2):
+            one = philox(42, 3).random(2 * n)
+            gen = philox(42, 3)
+            np.testing.assert_array_equal(one, np.concatenate([gen.random(n), gen.random(n)]))
+            out = np.empty(2 * n)
+            philox(42, 3).random(out=out)
+            np.testing.assert_array_equal(out, one)
+
+
 class TestAverageMonteCarlo:
+    @pytest.mark.parametrize("samples", [1, 2, 3001, 2 * _MC_CHUNK + 12345])
+    def test_matches_per_chunk_cos_sin_reference(self, samples):
+        rng = np.random.default_rng(11)
+        for k, (rho, s, t) in enumerate(draw_cases(rng, 4)):
+            mc = McSpec(samples=samples, seed=9 + k)
+            mean, stderr = average_montecarlo(rho, s, t, mc)
+            ref_mean, ref_stderr = reference_montecarlo(rho, s, t, mc)
+            assert frobenius_distance(mean.matrix, ref_mean) <= 1e-15
+            assert abs(stderr - ref_stderr) <= 1e-10 * ref_stderr or stderr == ref_stderr
+
     def test_seed_determinism(self):
         rng = np.random.default_rng(4)
         (rho, s, t), = draw_cases(rng, 1)

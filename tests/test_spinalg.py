@@ -7,7 +7,9 @@ from spinboost.spinalg import (
     IDENTITY_2,
     PAULI_X,
     PAULI_Z,
+    DensityMatrix,
     DensityMatrixError,
+    _residuals,
     eigh_descending,
     frobenius_distance,
     pauli_rotation,
@@ -171,6 +173,80 @@ class TestValidateDensity:
         dm = validate_density(np.eye(2) / 2)
         with pytest.raises(ValueError):
             dm.matrix[0, 0] = 5.0
+
+
+def reference_residuals(m):
+    hermitian_part = 0.5 * (m + m.conj().T)
+    return (np.linalg.norm(m - m.conj().T), abs(np.trace(m) - 1.0),
+            np.linalg.eigvalsh(hermitian_part).min())
+
+
+def random_2x2(rng, kind):
+    """A 2x2 complex matrix with entries of a density matrix's size."""
+    if kind == "general":  # neither Hermitian nor of unit trace
+        return 0.3 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    if kind == "density":
+        return random_density(rng, 2).matrix
+    if kind == "off_trace":
+        return rng.uniform(0.5, 1.5) * random_density(rng, 2).matrix
+    # unit trace, Hermitian, one negative eigenvalue
+    x = rng.uniform(1e-3, 0.5)
+    vecs = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+    return (vecs * [-x, 1.0 + x]) @ vecs.conj().T
+
+
+class TestClosedFormResiduals:
+    @pytest.mark.parametrize("kind", ["general", "density", "off_trace", "non_psd"])
+    def test_matches_eigvalsh_reference(self, kind):
+        rng = np.random.default_rng(12)
+        for _ in range(500):
+            m = random_2x2(rng, kind)
+            got = _residuals(m)
+            want = reference_residuals(m)
+            assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-15
+
+    def test_non_psd_case_is_negative(self):
+        m = random_2x2(np.random.default_rng(13), "non_psd")
+        assert _residuals(m)[2] < -1e-3
+
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan),
+                                     complex(0, np.inf), complex(np.inf, np.inf)])
+    def test_non_finite_entry_rejected(self, entry, bad):
+        m = np.full((2, 2), 0.5, dtype=complex)
+        m[entry] = bad
+        with pytest.raises(DensityMatrixError):
+            DensityMatrix(m)
+
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    def test_huge_finite_entry_rejected_not_overflowing(self, entry):
+        m = np.full((2, 2), 0.5, dtype=complex)
+        m[entry] = complex(1.5e308, -1.5e308)
+        with pytest.raises(DensityMatrixError):
+            DensityMatrix(m)
+
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 3), (3, 0), (2, 1)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected_4x4(self, entry, bad):
+        m = np.eye(4, dtype=complex) / 4
+        m[entry] = bad
+        with pytest.raises(DensityMatrixError):
+            DensityMatrix(m)
+
+    def test_failing_check_and_residual_match_reference(self):
+        rng = np.random.default_rng(14)
+        for kind, check in (("general", "hermiticity"), ("off_trace", "trace"),
+                            ("non_psd", "positivity")):
+            for _ in range(50):
+                m = random_2x2(rng, kind)
+                herm, tr, min_eig = reference_residuals(m)
+                if kind == "off_trace" and tr <= 1e-10:
+                    continue
+                with pytest.raises(DensityMatrixError) as err:
+                    DensityMatrix(m)
+                assert err.value.check == check
+                want = {"hermiticity": herm, "trace": tr, "positivity": -min_eig}[check]
+                assert abs(err.value.residual - want) <= 1e-15
 
 
 class TestEighDescending:
