@@ -8,7 +8,6 @@ common bath, and a CLI for figure data and cross-validation.
 from .analysis import (
     ChoiMatrix,
     CPTPReport,
-    channel_distance,
     choi_of,
     kraus_from_choi,
     kraus_to_choi,
@@ -35,7 +34,6 @@ from .oracle import (
     average_quadrature,
     gauss_hermite_nodes,
     two_qubit_average,
-    unitary_at_field,
 )
 from .relkin import (
     BoostParams,
@@ -55,7 +53,6 @@ from .spinalg import (
     pauli_rotation,
     random_density,
     tensor_product,
-    validate_density,
 )
 
 __version__ = "0.1.0"
@@ -79,7 +76,6 @@ __all__ = [
     "bell_phi_plus",
     "boost_em_field",
     "channel_coeffs",
-    "channel_distance",
     "choi_of",
     "concurrence",
     "concurrence_trajectory",
@@ -103,7 +99,5 @@ __all__ = [
     "rest_dephasing",
     "tensor_product",
     "two_qubit_average",
-    "unitary_at_field",
-    "validate_density",
     "verify_cptp",
 ]

@@ -49,10 +49,9 @@ class CompletePositivityError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class ChoiMatrix:
-    """4x4 Choi matrix of a single-qubit map, plus a provenance tag."""
+    """4x4 Choi matrix of a single-qubit map."""
 
     matrix: np.ndarray
-    source: str = ""
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
@@ -84,7 +83,7 @@ class CPTPReport:
         )
 
 
-def choi_of(map_fn: MapFn, source: str = "", linearity_tol: float = 1e-10) -> ChoiMatrix:
+def choi_of(map_fn: MapFn, linearity_tol: float = 1e-10) -> ChoiMatrix:
     """Build the Choi matrix of a map evaluated on probe states.
 
     ``map_fn`` is called on the four spanning density matrices; the
@@ -119,7 +118,7 @@ def choi_of(map_fn: MapFn, source: str = "", linearity_tol: float = 1e-10) -> Ch
         unit = np.zeros((2, 2), dtype=complex)
         unit[i, j] = 1.0
         c += np.kron(image, unit)
-    return ChoiMatrix(c, source)
+    return ChoiMatrix(c)
 
 
 def kraus_to_choi(kraus_ops: Sequence[np.ndarray]) -> np.ndarray:
@@ -176,8 +175,3 @@ def kraus_from_choi(
         if lam > cutoff:
             ops.append(np.sqrt(lam) * v.reshape(2, 2))
     return ops
-
-
-def channel_distance(a: ChoiMatrix, b: ChoiMatrix) -> float:
-    """Frobenius distance between two Choi matrices; zero iff same map."""
-    return frobenius_distance(a.matrix, b.matrix)

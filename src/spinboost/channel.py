@@ -78,15 +78,11 @@ class Scenario:
 
     @property
     def gamma_prime(self) -> float:
+        """The amplified rate kappa**2 gamma; inf where it overflows."""
         try:
-            gp = self.field.kappa**2 * self.noise.gamma
+            return self.field.kappa**2 * self.noise.gamma
         except OverflowError:
-            gp = math.inf
-        if gp == math.inf:
-            raise ValueError(f"gamma' = kappa**2 gamma overflows at rapidity "
-                             f"xi = {float(self.boost.xi)!r} and angle "
-                             f"theta = {float(self.boost.theta)!r} (kappa = {self.field.kappa!r})")
-        return gp
+            return math.inf
 
 
 @dataclass(frozen=True)
@@ -101,6 +97,18 @@ class ChannelCoeffs:
     p0: float
     p1: float
     epsilon: float
+
+
+def decay_exponent(rate: float, t):
+    """The dephasing exponent rate * t**2, evaluated as ``rate * t * t``.
+
+    inf where it overflows and 0 at t = 0, also for an infinite rate, so
+    exp(-exponent) is never NaN. ``t`` may be an array of times.
+    """
+    if rate == math.inf:
+        return np.where(np.greater(t, 0), math.inf, 0.0)[()]
+    with np.errstate(over="ignore"):
+        return rate * t * t
 
 
 def _require_nonneg_time(t) -> None:
@@ -121,7 +129,7 @@ def rest_dephasing(rho: DensityMatrix, gamma: float, t: float) -> DensityMatrix:
     """
     _require_nonneg_time(t)
     _require_qubit(rho)
-    decay = math.exp(-gamma * t * t)
+    decay = math.exp(-decay_exponent(gamma, t))
     m = rho.matrix
     out = np.array(m)
     out[0, 1] = m[0, 1] * decay
@@ -133,7 +141,7 @@ def channel_coeffs(s: Scenario, t: float) -> ChannelCoeffs:
     """Coefficients (gamma', p0, p1, epsilon) of the boosted channel at time t."""
     _require_nonneg_time(t)
     gp = s.gamma_prime
-    g = gp * t * t
+    g = decay_exponent(gp, t)
     decay = math.exp(-g)
     p1 = -0.5 * math.expm1(-g)  # (1 - decay)/2 without its cancellation at small g
     return ChannelCoeffs(
@@ -166,7 +174,7 @@ def evolve_elementwise(rho: DensityMatrix, s: Scenario, t: float) -> DensityMatr
     _require_qubit(rho)
     m = rho.matrix
     nx, ny, nz = s.field.n
-    g = s.gamma_prime * t * t
+    g = decay_exponent(s.gamma_prime, t)
     decay = math.exp(-g)
     lost = -math.expm1(-g)  # 1 - decay
     r01 = m[0, 1]
@@ -238,16 +246,14 @@ def dressing_transform(f: EffectiveField) -> np.ndarray:
     n_perp = math.hypot(float(f.n[0]), float(f.n[1]))
     if f.tilt == 0.0 or n_perp < 1e-300:
         return np.array(IDENTITY_2)
-    m = np.cross(f.n, [0.0, 0.0, 1.0])
-    m /= np.linalg.norm(m)
+    # m = (n x ez)/|n x ez| = (n_y, -n_x, 0)/n_perp; hypot does not underflow
+    mx, my = float(f.n[1]) / n_perp, -float(f.n[0]) / n_perp
     n_z = float(f.n[2])
     cos_half = math.sqrt(0.5 * (1.0 + n_z))
     # sin(tilt/2) = sin(tilt)/(2 cos(tilt/2)) with sin(tilt) = |n_perp|:
     # no 1-n_z cancellation, full relative accuracy at tiny tilts
     sin_half = 0.5 * n_perp / cos_half
-    return cos_half * IDENTITY_2 - 1j * sin_half * (
-        m[0] * PAULI_X + m[1] * PAULI_Y + m[2] * PAULI_Z
-    )
+    return cos_half * IDENTITY_2 - 1j * sin_half * (mx * PAULI_X + my * PAULI_Y)
 
 
 def dressed_apply(rho: DensityMatrix, s: Scenario, t: float) -> DensityMatrix:
@@ -287,7 +293,7 @@ def example_trajectory(s: Scenario, t):
     t = np.asarray(t, dtype=float)
     nx, _, nz = s.field.n
     eta = s.field.eta_mod
-    g = s.gamma_prime * t * t
+    g = decay_exponent(s.gamma_prime, t)
     decay = np.exp(-g)
     rho_uu = 0.5 * (1.0 - nx * nz * np.expm1(-g))
     rho_ud = 0.5 * ((1.0 - eta) * decay + eta) + 0j

@@ -160,30 +160,11 @@ def _require(condition: bool, flag: str, message: str) -> None:
 
 
 def _noise_from_args(args) -> NoiseSpec:
-    if args.vartheta is not None and args.gamma is not None:
-        raise _CliError("--gamma", "specify either --gamma or --vartheta, not both")
-    mu = args.mu if args.mu is not None else 1.0
-    _require(mu > 0, "--mu", f"must be > 0, got {mu}")
-    if args.vartheta is not None:
-        _require(args.vartheta > 0, "--vartheta", f"must be > 0, got {args.vartheta}")
-        noise = NoiseSpec(vartheta=args.vartheta, mu=mu)
-        flag = "--vartheta" if args.mu is None else "--vartheta/--mu"
-    else:
-        gamma = args.gamma if args.gamma is not None else 1.0
-        _require(gamma > 0, "--gamma", f"must be > 0, got {gamma}")
-        try:
-            noise = NoiseSpec.from_gamma(gamma, mu=mu)
-        except ValueError:
-            # gamma and mu are finite and > 0: gamma / (2 mu**2) under- or overflowed
-            raise _CliError("--gamma" if args.mu is None else "--mu",
-                            f"vartheta = sqrt(gamma / (2 mu**2)) is not a finite normal float "
-                            f"at gamma = {gamma!r}, mu = {mu!r}") from None
-        flag = "--gamma"
+    gamma = 1.0 if args.gamma is None else args.gamma
     # a subnormal rate carries too few digits, and its times overflow
-    _require(sys.float_info.min <= noise.gamma < math.inf, flag,
-             f"dephasing rate gamma = {noise.gamma!r} must be finite and at least the "
-             f"smallest normal float {sys.float_info.min!r}")
-    return noise
+    _require(gamma >= sys.float_info.min, "--gamma",
+             f"must be a normal float > 0 (at least {sys.float_info.min!r}), got {gamma!r}")
+    return NoiseSpec.from_gamma(gamma)
 
 
 def _scenario_from_args(args, phi: float) -> Scenario:
@@ -195,13 +176,12 @@ def _scenario_from_args(args, phi: float) -> Scenario:
     return Scenario(BoostParams(xi=xi, theta=theta, phi=phi), _noise_from_args(args))
 
 
-def _time_grid(args) -> tuple[np.ndarray, np.ndarray]:
-    """(gamma_t2 grid, times) from --gamma-t2-max/--points."""
+def _time_grid(args, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """(gamma_t2 grid, times) from --gamma-t2-max/--points at dephasing rate ``gamma``."""
     g_max = args.gamma_t2_max
     points = args.points
     _require(g_max > 0, "--gamma-t2-max", f"must be > 0, got {g_max}")
     _require(points >= 2, "--points", f"must be >= 2, got {points}")
-    gamma = _noise_from_args(args).gamma
     _require(g_max / gamma < math.inf, "--gamma-t2-max",
              f"times sqrt({g_max} / gamma) overflow at gamma = {gamma!r}")
     grid = np.linspace(0.0, g_max, points)
@@ -243,12 +223,11 @@ def _cmd_eta_max(args) -> int:
 def _cmd_offdiag(args) -> int:
     s = _scenario_from_args(args, phi=0.0)
     args.theta = s.boost.theta  # echo the resolved angle
-    grid, times = _time_grid(args)
+    grid, times = _time_grid(args, s.noise.gamma)
     _, boosted = example_trajectory(s, times)
     _, at_rest = example_trajectory(Scenario(BoostParams(xi=0.0), s.noise), times)
     rows = np.column_stack([grid, boosted.real, at_rest.real])
-    comments = _echo_params(args, ("xi", "theta", "gamma", "mu", "vartheta",
-                                   "gamma_t2_max", "points"))
+    comments = _echo_params(args, ("xi", "theta", "gamma", "gamma_t2_max", "points"))
     write_table(rows, args.out, args.format, ("gamma_t2", "rho_ud_boosted", "rho_ud_rest"),
                 comments)
     return 0
@@ -277,14 +256,14 @@ def _cmd_evolve(args) -> int:
         raise _CliError("--bloch", str(exc)) from exc
     rx, ry, rz = bloch
     rho0 = DensityMatrix(0.5 * np.array([[1 + rz, rx - 1j * ry], [rx + 1j * ry, 1 - rz]]))
-    grid, times = _time_grid(args)
+    grid, times = _time_grid(args, s.noise.gamma)
     ana = np.array([evolve_elementwise(rho0, s, t).matrix for t in times.tolist()])
     num = np.array([average_quadrature(rho0, s, t, quad).matrix for t in times.tolist()])
     worst = float(np.abs(ana - num).max())
     rows = np.column_stack([grid, ana[:, 0, 0].real, num[:, 0, 0].real, ana[:, 0, 1].real,
                             num[:, 0, 1].real, ana[:, 0, 1].imag, num[:, 0, 1].imag])
-    comments = _echo_params(args, ("xi", "theta", "phi", "gamma", "mu", "vartheta",
-                                   "gamma_t2_max", "points", "nodes", "bloch"))
+    comments = _echo_params(args, ("xi", "theta", "phi", "gamma", "gamma_t2_max", "points",
+                                   "nodes", "bloch"))
     comments.append(f"max_analytic_oracle_diff = {_fmt(worst)}")
     write_table(rows, args.out, args.format,
                 ("gamma_t2", "rho_uu_analytic", "rho_uu_oracle", "re_rho_ud_analytic",
@@ -297,11 +276,10 @@ def _cmd_concurrence(args) -> int:
     s = _scenario_from_args(args, phi=0.0)
     args.theta = s.boost.theta  # echo the resolved angle
     _require(args.nodes >= 2, "--nodes", f"must be >= 2, got {args.nodes}")
-    grid, times = _time_grid(args)
+    grid, times = _time_grid(args, s.noise.gamma)
     series = concurrence_trajectory(s, times, QuadratureSpec(nodes=args.nodes))
     rows = np.column_stack([grid, series.values, series.reference_rest, series.reference_boosted])
-    comments = _echo_params(args, ("xi", "theta", "gamma", "mu", "vartheta",
-                                   "gamma_t2_max", "points", "nodes"))
+    comments = _echo_params(args, ("xi", "theta", "gamma", "gamma_t2_max", "points", "nodes"))
     write_table(rows, args.out, args.format,
                 ("gamma_t2", "concurrence", "reference_rest", "reference_boosted"), comments)
     # at phi = 0 the boosted reference is exact for every theta (see ``entangle``)
@@ -338,10 +316,7 @@ def _add_scenario_flags(p: argparse.ArgumentParser, gamma_t2_max: float, points:
     p.add_argument("--theta", type=_finite_float, help="default: theta maximising eta")
     p.add_argument("--gamma-t2-max", type=_finite_float, default=gamma_t2_max)
     p.add_argument("--points", type=int, default=points)
-    p.add_argument("--gamma", type=_finite_float,
-                   help="dephasing rate 2*vartheta^2*mu^2 (default 1; exclusive with --vartheta)")
-    p.add_argument("--mu", type=_finite_float, help="magnetic moment (default 1)")
-    p.add_argument("--vartheta", type=_finite_float, help="field standard deviation")
+    p.add_argument("--gamma", type=_finite_float, help="rest-frame dephasing rate (default 1)")
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import Scenario
+from .channel import Scenario, decay_exponent
 from .oracle import QuadratureSpec, two_qubit_average
 from .spinalg import PAULI_Y, DensityMatrix, tensor_product
 
@@ -101,12 +101,10 @@ def concurrence_trajectory(
     if len(times) and times[0] < 0:
         raise ValueError("times must be non-negative")
     bell = bell_phi_plus()
-    gamma = s.noise.gamma
-    gamma_prime = s.gamma_prime
     values = np.array([concurrence(two_qubit_average(bell, s, t, q)) for t in times])
     return ConcurrenceSeries(
         times=times,
         values=values,
-        reference_rest=np.exp(-4.0 * gamma * times**2),
-        reference_boosted=np.exp(-4.0 * gamma_prime * times**2),
+        reference_rest=np.exp(-4.0 * s.noise.gamma * times**2),
+        reference_boosted=np.exp(-4.0 * decay_exponent(s.gamma_prime, times)),
     )

@@ -35,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import Scenario
-from .spinalg import IDENTITY_2, DensityMatrix, pauli_rotation, pauli_vector
+from .spinalg import IDENTITY_2, DensityMatrix, pauli_vector
 
 _MC_CHUNK = 1 << 16
 
@@ -45,13 +45,10 @@ class QuadratureSpec:
     """Gauss-Hermite quadrature order for the Gaussian field average."""
 
     nodes: int = 201
-    method: str = "gauss-hermite"
 
     def __post_init__(self):
         if self.nodes < 2:
             raise ValueError(f"need at least 2 quadrature nodes, got {self.nodes!r}")
-        if self.method != "gauss-hermite":
-            raise ValueError(f"unsupported quadrature method {self.method!r}")
 
 
 @dataclass(frozen=True)
@@ -92,22 +89,19 @@ def gauss_hermite_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return z, w
 
 
-def unitary_at_field(b: float, s: Scenario, t: float) -> np.ndarray:
-    """Exact spin rotation for one field realisation B = b.
-
-    exp(-i mu t b sigma.d) = rotation by the signed angle
-    2 kappa mu t b about the geometric axis n.
-    """
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t!r}")
-    angle = 2.0 * s.field.kappa * s.noise.mu * t * b
-    return pauli_rotation(s.field.n, angle)
+def _half_angle_rate(s: Scenario, t: float) -> float:
+    """kappa mu t, half the rotation angle per unit field; refused where kappa is inf."""
+    if s.field.kappa == math.inf:
+        raise ValueError(f"kappa overflows at rapidity xi = {float(s.boost.xi)!r} and angle "
+                         f"theta = {float(s.boost.theta)!r}: the oracle's rotation angle "
+                         "2 kappa mu t B is not representable")
+    return s.field.kappa * s.noise.mu * t
 
 
 def _unitary_stack(b_values: np.ndarray, s: Scenario, t: float) -> np.ndarray:
-    """Vectorised stack of unitaries, one per field value."""
+    """Vectorised stack of unitaries exp(-i kappa mu t b sigma.n), one per field value b."""
     nx, ny, nz = s.field.n
-    half = s.field.kappa * s.noise.mu * t * b_values
+    half = _half_angle_rate(s, t) * b_values
     c, si = np.cos(half), np.sin(half)
     u = np.empty((len(b_values), 2, 2), dtype=complex)
     u[:, 0, 0] = c - 1j * si * nz
@@ -216,7 +210,7 @@ def average_montecarlo(
         raise ValueError(f"average_montecarlo needs a 2x2 state, got dim {rho.dim}")
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t!r}")
-    half_scale = s.field.kappa * s.noise.mu * t * s.noise.vartheta  # d = 2 half_scale z
+    half_scale = _half_angle_rate(s, t) * s.noise.vartheta  # d = 2 half_scale z
     work = np.empty((3, 2 * ((min(_MC_CHUNK, mc.samples) + 1) // 2)))
     sums = np.zeros(5)
     for chunk_index, done in enumerate(range(0, mc.samples, _MC_CHUNK)):

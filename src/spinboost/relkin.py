@@ -19,10 +19,12 @@ the velocity azimuth, so the signed in-plane component n_perp =
 reported non-negative; channel code that needs the signed product reads
 it off the axis vector ``n`` directly.
 
-The excess Lorentz factor is written 2 sinh(xi/2)**2, and eta and its
-maximum on t = tanh(xi/2) and s = sech(xi/2): no difference cancels at
-small rapidity (Higham, *Accuracy and Stability of Numerical
-Algorithms*, ch. 1), and eta stays exact for every finite xi.
+The axis geometry, eta and its maximum are written on t = tanh(xi/2)
+and s = sech(xi/2), and the excess Lorentz factor of the field
+transformation as 2 sinh(xi/2)**2: no difference cancels at small
+rapidity (Higham, *Accuracy and Stability of Numerical Algorithms*,
+ch. 1), and n, eta and chi stay exact for every finite xi; only kappa,
+which grows like cosh(xi), overflows to inf.
 """
 
 from __future__ import annotations
@@ -142,21 +144,33 @@ def effective_field(boost: BoostParams) -> EffectiveField:
     d_y = -2 sinh(xi/2)**2 cos(theta) sin(theta) sin(phi)
     d_z = cos(theta)**2 + cosh(xi) sin(theta)**2
 
-    kappa**2 = cos(theta)**2 + cosh(xi)**2 sin(theta)**2. The scalars
+    kappa**2 = cos(theta)**2 + cosh(xi)**2 sin(theta)**2. Multiplied by
+    s**2 = sech(xi/2)**2, with t = tanh(xi/2), the in-plane and z parts
+    are -2 t**2 cos(theta) sin(theta) and s**2 + 2 t**2 sin(theta)**2:
+    both stay finite, so n, tilt, eta and chi are finite for every finite
+    xi, and kappa = |(those)|/s**2 is inf only where it overflows (then
+    d is inf along the nonzero components of n). At theta = 0 the axis
+    is ez and kappa = 1 exactly. As in :func:`eta_profile`, theta is
+    measured from the nearer pole, so theta = pi is exactly antiparallel
+    and the scalars are exactly symmetric about pi/2. The scalars
     (kappa, tilt, eta, chi) are computed from (xi, theta) alone, so they
-    are bit-exactly independent of the azimuth. Beyond xi ~ 710, where
-    cosh(xi) overflows, a ValueError names the rapidity.
+    are bit-exactly independent of the azimuth.
     """
-    ch = boost.cosh_xi
-    ct, st = math.cos(boost.theta), math.sin(boost.theta)
-    d_perp = -2.0 * math.sinh(0.5 * boost.xi) ** 2 * ct * st
-    d_z = ct * ct + ch * st * st
-    kappa = math.hypot(d_perp, d_z)
-    n_perp = d_perp / kappa
-    n_z = d_z / kappa
+    t, s = (float(v) for v in _half_rapidity(boost.xi))
+    a = min(boost.theta, math.pi - boost.theta)
+    ct, st = math.copysign(math.cos(a), 0.5 * math.pi - boost.theta), math.sin(a)
+    s2, t2 = s * s, t * t
+    p = -2.0 * t2 * ct * st
+    q = s2 + 2.0 * t2 * st * st
+    h = math.hypot(p, q)
+    if h == 0.0:  # theta at a pole with s**2 underflowed to 0
+        p, q, h, s2 = 0.0, 1.0, 1.0, 1.0
+    kappa = h / s2 if s2 else math.inf
+    n_perp = p / h
+    n_z = q / h
     cp, sp = math.cos(boost.phi), math.sin(boost.phi)
-    d = np.array([d_perp * cp, d_perp * sp, d_z])
     n = np.array([n_perp * cp, n_perp * sp, n_z])
+    d = np.array([kappa * c if c else c for c in n.tolist()])  # kappa n, no inf * 0
     # atan2 keeps full precision for nearly axis-aligned geometries,
     # where acos(n_z) would lose ~sqrt(eps)
     tilt = math.atan2(abs(n_perp), n_z)
@@ -168,7 +182,7 @@ def effective_field(boost: BoostParams) -> EffectiveField:
 def _half_rapidity(xi) -> tuple[np.ndarray, np.ndarray]:
     """(tanh(xi/2), sech(xi/2)) for xi >= 0, finite for every xi."""
     xi = np.asarray(xi, dtype=float)
-    if not np.all(xi >= 0):
+    if not (xi >= 0).all():
         raise ValueError(f"rapidity must be >= 0, got {float(np.min(xi))!r}")
     h = np.exp(-0.5 * xi)
     return np.tanh(0.5 * xi), 2.0 * h / (1.0 + h * h)

@@ -114,7 +114,8 @@ def _residuals(m: np.ndarray) -> tuple[float, float, float]:
 
     ``|m - m^dag|`` (Frobenius), ``|tr m - 1|`` and the smallest
     eigenvalue of the Hermitian part ``(m + m^dag)/2``. A NaN or infinite
-    entry makes the first or second residual NaN or infinite. A 2x2
+    entry makes the first or second residual NaN or infinite (all three
+    NaN for a 4x4 matrix, which is checked before any arithmetic). A 2x2
     matrix [[a, b], [c, d]] is done in closed form: the first residual is
     |(2 Im a, 2 Im d, sqrt2 (b - conj c))|, and the Hermitian part has
     eigenvalues (Re a + Re d)/2 -+ |((Re a - Re d)/2, b')| with
@@ -127,10 +128,10 @@ def _residuals(m: np.ndarray) -> tuple[float, float, float]:
         herm = math.hypot(2.0 * a.imag, 2.0 * d.imag, _SQRT2 * skew.real, _SQRT2 * skew.imag)
         min_eig = 0.5 * (a.real + d.real) - math.hypot(0.5 * (a.real - d.real), off.real, off.imag)
         return herm, math.hypot(tr.real, tr.imag), min_eig
+    if not np.isfinite(m).all():
+        return math.nan, math.nan, math.nan
     herm = float(np.linalg.norm(m - m.conj().T))
     tr = float(abs(np.trace(m) - 1.0))
-    if not math.isfinite(herm + tr):
-        return herm, tr, math.nan  # a non-finite entry; LAPACK is not asked
     return herm, tr, float(np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min())
 
 
@@ -167,11 +168,6 @@ class DensityMatrix:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dim", m.shape[0])
-
-
-def validate_density(m: np.ndarray, tol: float = 1e-10) -> DensityMatrix:
-    """Wrap ``m`` as a DensityMatrix, raising DensityMatrixError on failure."""
-    return DensityMatrix(m, tol)
 
 
 def random_density(rng: np.random.Generator, dim: int = 2, pure: bool = False) -> DensityMatrix:

@@ -179,10 +179,7 @@ def check_cptp_grid() -> CheckResult:
             s = _scenario(float(xi), float(theta), gamma=1.0)
             for g_t2 in np.linspace(0.0, 5.0, 5):
                 t = math.sqrt(float(g_t2))
-                choi = analysis.choi_of(
-                    lambda m: evolve_elementwise(DensityMatrix(m), s, t).matrix,
-                    source=f"boosted xi={xi:.3f} theta={theta:.3f} gt2={g_t2:.3f}",
-                )
+                choi = analysis.choi_of(lambda m: evolve_elementwise(DensityMatrix(m), s, t).matrix)
                 report = analysis.verify_cptp(choi, tol=1e-10)
                 worst_eig = min(worst_eig, report.min_eigenvalue)
                 worst_tp = max(worst_tp, report.tp_residual)

@@ -9,7 +9,6 @@ from spinboost.analysis import (
     ChoiMatrix,
     CompletePositivityError,
     InvalidMapError,
-    channel_distance,
     choi_of,
     kraus_from_choi,
     kraus_to_choi,
@@ -44,7 +43,7 @@ def scenario(xi, theta, phi=0.0):
 
 class TestChoiOf:
     def test_identity_channel(self):
-        c = choi_of(identity_map, "identity")
+        c = choi_of(identity_map)
         vals = np.linalg.eigvalsh(c.matrix)
         np.testing.assert_allclose(sorted(vals), [0, 0, 0, 2], atol=1e-12)
         np.testing.assert_allclose(c.matrix, kraus_to_choi([np.eye(2)]), atol=1e-12)
@@ -143,19 +142,19 @@ class TestKrausFromChoi:
 class TestChannelDistance:
     def test_self_distance_zero(self):
         c = choi_of(identity_map)
-        assert channel_distance(c, c) == 0.0
+        assert frobenius_distance(c.matrix, c.matrix) == 0.0
 
     def test_analytic_vs_oracle_channel(self):
         s = scenario(2.5, 0.6, 1.1)
         t = 0.4
         analytic = choi_of(boosted_map(s, t))
         numeric = choi_of(lambda m: average_quadrature(DensityMatrix(m), s, t).matrix)
-        assert channel_distance(analytic, numeric) < 1e-8
+        assert frobenius_distance(analytic.matrix, numeric.matrix) < 1e-8
 
     def test_identity_vs_z_conjugation(self):
         # the two Choi matrices are orthogonal rank-one projectors with
         # eigenvalue 2, so the Frobenius distance is sqrt(4+4) = 2 sqrt(2)
-        d = channel_distance(choi_of(identity_map), choi_of(z_conjugation))
+        d = frobenius_distance(choi_of(identity_map).matrix, choi_of(z_conjugation).matrix)
         assert abs(d - 2.0 * math.sqrt(2.0)) < 1e-12
         brute = frobenius_distance(kraus_to_choi([np.eye(2)]), kraus_to_choi([PAULI_Z]))
         assert abs(d - brute) < 1e-12

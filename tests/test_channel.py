@@ -10,6 +10,7 @@ from spinboost.channel import (
     NoiseSpec,
     Scenario,
     channel_coeffs,
+    decay_exponent,
     dressed_apply,
     dressing_transform,
     evolve_elementwise,
@@ -98,6 +99,29 @@ class TestScenario:
     def test_gamma_prime(self):
         s = scenario(2.5, eta_max(2.5).theta_opt)
         assert abs(s.gamma_prime / s.noise.gamma - 6.13229) < 5e-5
+
+    @pytest.mark.parametrize("xi", [400.0, 1000.0])
+    def test_gamma_prime_inf_where_it_overflows(self, xi):
+        assert scenario(xi, 0.5).gamma_prime == math.inf
+
+
+class TestDecayExponent:
+    def test_is_rate_t_t(self):
+        rng = np.random.default_rng(3)
+        for rate, t in zip(rng.uniform(0, 10, 20), rng.uniform(0, 5, 20)):
+            assert decay_exponent(rate, t) == rate * t * t
+        times = rng.uniform(0, 5, 20)
+        np.testing.assert_array_equal(decay_exponent(2.5, times), 2.5 * times * times)
+
+    def test_infinite_rate_is_zero_at_time_zero(self):
+        assert decay_exponent(math.inf, 0.0) == 0.0
+        assert decay_exponent(math.inf, 1e-300) == math.inf
+        np.testing.assert_array_equal(decay_exponent(math.inf, np.array([0.0, 1e-300, 2.0])),
+                                      [0.0, math.inf, math.inf])
+
+    def test_overflow_is_inf_without_warning(self):
+        assert decay_exponent(1e300, 1e10) == math.inf
+        np.testing.assert_array_equal(decay_exponent(1e300, np.array([0.0, 1e10])), [0.0, math.inf])
 
 
 class TestRestDephasing:
@@ -272,6 +296,14 @@ class TestDressing:
         c, s = math.cos(math.pi / 4), math.sin(math.pi / 4)
         np.testing.assert_allclose(v, [[c, s], [-s, c]], atol=1e-15)
         np.testing.assert_allclose(v @ PAULI_X @ v.conj().T, PAULI_Z, atol=1e-15)
+
+    def test_tiny_tilt_is_unitary(self):
+        # |n x ez|**2 underflows here; the axis of V must still be a unit vector
+        f = effective_field(BoostParams(xi=1.0, theta=8.944975528239023e-164))
+        assert 0.0 < f.tilt < 1e-160
+        v = dressing_transform(f)
+        assert frobenius_distance(v @ v.conj().T, IDENTITY_2) < 1e-15
+        assert frobenius_distance(v @ pauli_vector(f.n) @ v.conj().T, PAULI_Z) < 1e-15
 
     def test_diagonalizes_axis(self):
         rng = np.random.default_rng(7)

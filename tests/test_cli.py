@@ -12,6 +12,7 @@ import pytest
 
 from spinboost import cli, verify
 from spinboost.cli import main, write_table
+from spinboost.relkin import eta_max, eta_profile
 
 
 def run_cli(argv):
@@ -266,7 +267,7 @@ class TestConfigFile:
         assert run_cli(["offdiag", "--config", str(cfg)]) == 2
         assert "--config" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["command", "func", "config"])
+    @pytest.mark.parametrize("key", ["command", "func", "config", "mu", "vartheta"])
     def test_non_option_keys_rejected(self, tmp_path, capsys, key):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"{key} = evolve\n")
@@ -314,9 +315,15 @@ class TestUsageErrors:
         assert "--xi" in capsys.readouterr().err
 
     def test_conflicting_noise_flags(self, capsys):
+        # --gamma is the only noise flag; --vartheta is not one
         assert run_cli(["offdiag", "--gamma", "1", "--vartheta", "0.5"]) == 2
-        err = capsys.readouterr().err
-        assert "--gamma" in err and "--vartheta" in err
+        assert "unrecognized arguments: --vartheta 0.5" in capsys.readouterr().err
+
+    def test_noise_flags_other_than_gamma_unrecognised(self, capsys):
+        for argv in (["offdiag", "--mu", "2"], ["offdiag", "--vartheta", "0.5"],
+                     ["evolve", "--vartheta", "1e-100", "--mu", "1e-60"], ["concurrence", "--mu", "1"]):
+            assert run_cli(argv) == 2
+            assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
 
     def test_missing_subcommand(self):
         assert run_cli([]) == 2
@@ -344,39 +351,23 @@ class TestRuntimeErrors:
         assert capsys.readouterr().err == "error: ValueError: injected\n"
 
     def test_overflow_exits_one_without_traceback(self):
-        proc = subprocess.run([sys.executable, "-m", "spinboost.cli", "offdiag", "--xi", "1000"],
-                              capture_output=True, text=True)
+        # kappa overflows, so the oracle's rotation angle 2 kappa mu t B has no value
+        proc = subprocess.run([sys.executable, "-m", "spinboost.cli", "evolve", "--xi", "1000",
+                               "--theta", "0.5", "--points", "3"], capture_output=True, text=True)
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+        assert proc.stderr.count("\n") == 1 and proc.stdout == ""
         assert "rapidity" in proc.stderr
-
-    def test_gamma_prime_overflow_named(self, capsys):
-        assert run_cli(["offdiag", "--xi", "400", "--theta", "0.5", "--points", "3"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ValueError: gamma'")
-        assert "rapidity xi = 400.0" in err and "angle theta = 0.5" in err
-
-    @pytest.mark.parametrize("argv, flag", [
-        (["offdiag", "--mu", "1e-200"], "--mu"),
-        (["offdiag", "--mu", "1e200"], "--mu"),
-        (["offdiag", "--gamma", "1e300", "--mu", "1e-100"], "--mu"),
-        (["offdiag", "--gamma", "5e-324"], "--gamma"),
-    ])
-    def test_vartheta_out_of_range_names_flag(self, capsys, argv, flag):
-        assert run_cli(argv + ["--points", "3"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {flag}: vartheta")
 
     @pytest.mark.parametrize("argv, flag", [
         (["offdiag", "--gamma", "1e-320"], "--gamma"),
-        (["offdiag", "--vartheta", "1e-160"], "--vartheta"),
-        (["evolve", "--vartheta", "1e-100", "--mu", "1e-60"], "--mu"),
-        (["offdiag", "--vartheta", "1e200"], "--vartheta"),
-        (["offdiag", "--vartheta", "1e100", "--mu", "1e300"], "--vartheta/--mu"),
+        (["offdiag", "--gamma", "5e-324"], "--gamma"),
+        (["concurrence", "--gamma", "0"], "--gamma"),
+        (["evolve", "--gamma", "-1"], "--gamma"),
     ])
     def test_subnormal_rate_rejected(self, capsys, argv, flag):
         assert run_cli(argv + ["--points", "3"]) == 2
-        assert flag in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"error: {flag}: must be a normal float > 0")
 
 
 class TestRapidityRange:
@@ -396,6 +387,31 @@ class TestRapidityRange:
         values = [[float(v) for v in row] for row in rows]
         assert len(values) == 9 and all(math.isfinite(v) for row in values for v in row)
         assert all(eta == 0.0 for _, theta, eta in values if theta == 0.0)
+
+    @pytest.mark.parametrize("xi, theta", [(400, 0.5), (1000, 0.5), (1e6, None), (1000, 0.0),
+                                           (1e6, 1e-300)])
+    def test_offdiag_at_every_finite_rapidity(self, tmp_path, xi, theta):
+        out = tmp_path / "offdiag.json"
+        argv = ["offdiag", "--xi", str(xi), "--points", "5", "--format", "json", "--out", str(out)]
+        assert run_cli(argv + ([] if theta is None else ["--theta", str(theta)])) == 0
+        # sech(5e5) underflows, so theta_opt at xi = 1e6 is 0: the axis is ez, and
+        # the boosted spin dephases exactly as at rest
+        eta = eta_profile(xi, eta_max(xi).theta_opt if theta is None else theta)
+        rows = json.loads(out.read_text())
+        assert all(math.isfinite(v) for row in rows for v in row.values())
+        assert rows[0]["rho_ud_boosted"] == 0.5
+        for row in rows[1:]:
+            if eta > 0:  # gamma' t**2 overflows: the coherence sits at eta/2
+                assert abs(row["rho_ud_boosted"] - eta / 2) <= 1e-15
+            else:
+                assert row["rho_ud_boosted"] == row["rho_ud_rest"]
+
+    def test_evolve_where_gamma_prime_overflows(self, tmp_path):
+        out = tmp_path / "evolve.csv"
+        assert run_cli(["evolve", "--xi", "400", "--theta", "0.5", "--points", "3",
+                        "--out", str(out)]) == 0
+        _, _, rows = read_csv(out)
+        assert len(rows) == 3 and all(math.isfinite(float(v)) for row in rows for v in row)
 
 
 class TestOracleWarning:

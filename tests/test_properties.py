@@ -1,22 +1,40 @@
-"""Property tests of the boost geometry over the whole rapidity range.
+"""Property tests of the boost geometry and the channel over the whole rapidity range.
 
 The rapidity runs from 0 to 1e6, with the edges where a naive form
 breaks as explicit examples: subnormal and tiny xi (cosh(xi) - 1
 cancels), xi ~ 372 (sech(xi/2)**4 underflows), 745 (exp(-xi)
-underflows) and 1000 (cosh(xi) overflows).
+underflows), 746 (sech(xi/2)**2 is the least subnormal), 1000
+(cosh(xi) overflows), 1490 (exp(-xi/2) underflows) and 1e6.
 """
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from spinboost.analysis import choi_of, verify_cptp
+from spinboost.channel import (
+    NoiseSpec,
+    Scenario,
+    dressed_apply,
+    evolve_elementwise,
+    example_trajectory,
+    operator_sum_apply,
+)
 from spinboost.relkin import BoostParams, effective_field, eta_max, eta_profile
+from spinboost.spinalg import DensityMatrix, frobenius_distance, pauli_vector
 
 XI = st.floats(min_value=0.0, max_value=1e6)
 THETA = st.floats(min_value=0.0, max_value=math.pi)
-EDGE_XI = (0.0, 5e-324, 1e-9, 372.0, 745.0, 1000.0)
+PHI = st.floats(min_value=0.0, max_value=2.0 * math.pi, exclude_max=True)
+# gamma t**2 on the rest-frame axis; gamma' t**2 is kappa**2 times it
+G = st.floats(min_value=0.0, max_value=1e3)
+EDGE_XI = (0.0, 5e-324, 1e-9, 372.0, 745.0, 746.0, 1000.0, 1490.0, 1e6)
+EDGE_THETA = (0.0, 1e-300, 0.7, math.pi / 2, math.pi)
+STATES = [DensityMatrix(0.5 * (np.eye(2) + pauli_vector(r)))
+          for r in ((1.0, 0.0, 0.0), (0.3, -0.5, 0.6), (0.0, 0.0, 1.0))]
 
 pinned = settings(max_examples=300, derandomize=True, database=None, deadline=None)
 
@@ -85,3 +103,105 @@ def test_tiny_rapidity_matches_series(theta):
     tol = 1e-12 * (xi / 2) ** 4
     assert abs(effective_field(BoostParams(xi, theta)).eta_mod - series) <= tol
     assert abs(eta_profile(xi, theta) - series) <= tol
+
+
+def edge_grid(**other):
+    """Add every edge rapidity at every edge angle, with ``other`` arguments, as examples."""
+    def add(test):
+        for xi in EDGE_XI:
+            for theta in EDGE_THETA:
+                test = example(xi=xi, theta=theta, **other)(test)
+        return test
+    return add
+
+
+def scenario(xi, theta, phi=0.0):
+    return Scenario(BoostParams(xi, theta, phi), NoiseSpec.from_gamma(1.0))
+
+
+@pinned
+@given(xi=XI, theta=THETA)
+@edge_grid()
+def test_effective_field_finite_at_every_rapidity(xi, theta):
+    f = effective_field(BoostParams(xi, theta))
+    assert np.isfinite(f.n).all() and abs(math.hypot(*f.n) - 1.0) <= 1e-15
+    assert f.kappa >= 1.0  # may be inf
+    assert math.isfinite(f.tilt) and math.isfinite(f.chi_mod)
+    assert abs(f.eta_mod - eta_profile(xi, theta)) <= 1e-15
+
+
+def _cos_sin(x: Decimal) -> tuple[Decimal, Decimal]:
+    """cos x and sin x by their Taylor series, for 0 <= x <= pi."""
+    cos = sin = Decimal(0)
+    term, k = Decimal(1), 0
+    while k < 2 or term > Decimal("1e-60"):
+        if k % 2:
+            sin += term if k % 4 == 1 else -term
+        else:
+            cos += term if k % 4 == 0 else -term
+        k += 1
+        term = term * x / k
+    return cos, sin
+
+
+def kappa_reference(xi: float, theta: float) -> float:
+    """hypot(-2 sinh(xi/2)**2 cos sin, cos**2 + cosh(xi) sin**2) in 50 digits.
+
+    Like the library, it measures theta from the nearer pole, taking
+    math.pi as pi (math.pi - theta is exact for theta >= pi/2).
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        e = Decimal(xi).exp()
+        cosh = (e + 1 / e) / 2
+        cos, sin = _cos_sin(Decimal(min(theta, math.pi - theta)))
+        perp = -(cosh - 1) * cos * sin
+        z = cos * cos + cosh * sin * sin
+        return float((perp * perp + z * z).sqrt())
+
+
+@pinned
+@given(xi=st.floats(min_value=0.0, max_value=700.0), theta=THETA)
+@example(xi=700.0, theta=0.7)
+@example(xi=700.0, theta=math.pi / 2)
+@example(xi=372.0, theta=math.pi)
+@example(xi=1e-9, theta=1e-300)
+@example(xi=5e-324, theta=0.7)
+def test_kappa_matches_fifty_digit_reference(xi, theta):
+    kappa = effective_field(BoostParams(xi, theta)).kappa
+    ref = kappa_reference(xi, theta)
+    assert abs(kappa - ref) <= 1e-14 * ref
+
+
+@pinned
+@given(xi=XI, theta=THETA, phi=PHI, g=G)
+@edge_grid(phi=1.0, g=2.0)
+def test_channel_forms_agree_at_every_rapidity(xi, theta, phi, g):
+    s = scenario(xi, theta, phi)
+    t = math.sqrt(g)
+    for rho in STATES:
+        ref = evolve_elementwise(rho, s, t).matrix
+        assert frobenius_distance(operator_sum_apply(rho, s, t).matrix, ref) <= 1e-10
+        assert frobenius_distance(dressed_apply(rho, s, t).matrix, ref) <= 1e-10
+
+
+@pinned
+@given(xi=XI, theta=THETA, phi=PHI, g=G)
+@edge_grid(phi=1.0, g=2.0)
+def test_channel_completely_positive_at_every_rapidity(xi, theta, phi, g):
+    s = scenario(xi, theta, phi)
+    t = math.sqrt(g)
+    choi = choi_of(lambda m: evolve_elementwise(DensityMatrix(m), s, t).matrix)
+    assert verify_cptp(choi).min_eigenvalue >= -1e-10
+
+
+@pinned
+@given(xi=XI, theta=THETA, g=G)
+@edge_grid(g=2.0)
+def test_trajectory_decays_monotonically_to_its_floor(xi, theta, g):
+    s = scenario(xi, theta)
+    _, rho_ud = example_trajectory(s, np.sqrt(np.linspace(0.0, g, 50)))
+    values = rho_ud.real
+    assert np.isfinite(values).all()
+    assert (np.diff(values) <= 0.0).all()
+    assert (values >= s.field.eta_mod / 2 - 1e-12).all()

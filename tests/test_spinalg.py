@@ -16,7 +16,6 @@ from spinboost.spinalg import (
     pauli_vector,
     random_density,
     tensor_product,
-    validate_density,
 )
 
 
@@ -133,44 +132,44 @@ class TestFrobeniusDistance:
 
 class TestValidateDensity:
     def test_maximally_mixed_accepted(self):
-        dm = validate_density(np.eye(2) / 2)
+        dm = DensityMatrix(np.eye(2) / 2)
         assert dm.dim == 2
 
     def test_plus_state_accepted(self):
-        validate_density(np.full((2, 2), 0.5))
+        DensityMatrix(np.full((2, 2), 0.5))
 
     def test_trace_violation(self):
         with pytest.raises(DensityMatrixError) as err:
-            validate_density(np.diag([0.45, 0.45]))
+            DensityMatrix(np.diag([0.45, 0.45]))
         assert err.value.check == "trace"
         assert abs(err.value.residual - 0.1) < 1e-12
 
     def test_hermiticity_violation(self):
         m = np.array([[0.5, 0.3], [0.1, 0.5]], dtype=complex)
         with pytest.raises(DensityMatrixError) as err:
-            validate_density(m)
+            DensityMatrix(m)
         assert err.value.check == "hermiticity"
         assert err.value.residual > 0
 
     def test_positivity_violation(self):
         m = np.array([[0.9, 0.45], [0.45, 0.1]], dtype=complex)  # min eig < 0
         with pytest.raises(DensityMatrixError) as err:
-            validate_density(m)
+            DensityMatrix(m)
         assert err.value.check == "positivity"
 
     @pytest.mark.parametrize("m", [np.full((2, 2), np.nan), np.diag([np.nan, 0.5]),
                                    np.array([[0.5, np.nan], [np.nan, 0.5]])])
     def test_nan_rejected(self, m):
         with pytest.raises(DensityMatrixError):
-            validate_density(m)
+            DensityMatrix(m)
 
     def test_bad_dimension(self):
         with pytest.raises(DensityMatrixError) as err:
-            validate_density(np.eye(3) / 3)
+            DensityMatrix(np.eye(3) / 3)
         assert err.value.check == "dimension"
 
     def test_wrapped_matrix_is_read_only(self):
-        dm = validate_density(np.eye(2) / 2)
+        dm = DensityMatrix(np.eye(2) / 2)
         with pytest.raises(ValueError):
             dm.matrix[0, 0] = 5.0
 
