@@ -22,6 +22,7 @@ import argparse
 import json
 import math
 import sys
+from itertools import repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -52,38 +53,92 @@ def write_table(rows: np.ndarray, path, fmt: str, fieldnames: Sequence[str],
                 comments: Iterable[str] = ()) -> None:
     """Write a table of finite float records as CSV or JSON.
 
-    ``rows`` is a 2-D float array, one record per row and one column per
-    field name. CSV: optional '#' comment lines, a header of field
-    names, then the records at 12 significant digits with '\\n' line
-    endings. JSON: an array of objects keyed by the field names, as
-    ``json.dump(..., indent=2)`` writes it. ``path`` may be a filesystem
-    path or an open text stream. A non-finite entry raises ``ValueError``
-    naming its column before anything is written.
+    ``rows`` is a float array with one column per field name on its last
+    axis: 2-D, one record per row, or a 3-D grid ``(outer, inner,
+    fields)`` whose records are written in row-major order, as those of
+    ``rows.reshape(-1, len(fieldnames))``. A grid field that is bit for
+    bit constant along one axis (both axes longer than 1) is formatted
+    once per value and baked into the record template. CSV: optional '#'
+    comment lines, a header of field names, then the records at 12
+    significant digits with '\\n' line endings. JSON: an array of objects
+    keyed by the field names, as ``json.dump(..., indent=2)`` writes it.
+    ``path`` may be a filesystem path or an open text stream. A
+    non-finite entry raises ``ValueError`` naming its column before
+    anything is written.
     """
-    if not (isinstance(rows, np.ndarray) and rows.ndim == 2 and rows.shape[1] == len(fieldnames)):
-        raise ValueError(f"rows must be a float array of shape (records, {len(fieldnames)}), "
-                         f"got {type(rows).__name__} of shape {np.shape(rows)}")
-    bad = ~np.isfinite(rows).all(axis=0)
-    if bad.any():
+    k = len(fieldnames)
+    if not (isinstance(rows, np.ndarray) and np.issubdtype(rows.dtype, np.floating)
+            and rows.ndim in (2, 3) and rows.shape[-1] == k):
+        raise ValueError(f"rows must be a float array of shape (records, {k}) or "
+                         f"(outer, inner, {k}), got {type(rows).__name__} of shape "
+                         f"{np.shape(rows)}")
+    grid = (rows if rows.ndim == 3 else rows[None]).astype(np.float64, copy=False)
+    outer, inner = grid.shape[:2]
+    finite = np.isfinite(grid)
+    if not finite.all():
+        bad = ~finite.all(axis=(0, 1))
         raise ValueError(f"column {fieldnames[int(bad.argmax())]!r} has a non-finite entry; "
                          "tables hold finite numbers only")
     if fmt == "csv":
         head = "".join(f"# {comment}\n" for comment in comments) + ",".join(fieldnames) + "\n"
-        record, sep, tail = ",".join(["%.12g"] * len(fieldnames)) + "\n", "", ""
+        spec, keys, fsep, sep, tail = "%.12g", [""] * k, ",", "", ""
+        opening, closing = "", "\n"
     elif fmt == "json":
         # %r of a finite float is float.__repr__, which is what json writes
-        items = ",\n".join(f"    {json.dumps(name).replace('%', '%%')}: %r" for name in fieldnames)
-        record = "  {\n" + items + "\n  }" if fieldnames else "  {}"
-        head, sep, tail = ("[\n", ",\n", "\n]\n") if len(rows) else ("[]\n", "", "")
+        spec, fsep = "%r", ",\n"
+        keys = [f"    {json.dumps(name).replace('%', '%%')}: " for name in fieldnames]
+        opening, closing = ("  {\n", "\n  }") if k else ("  {", "}")
+        head, sep, tail = ("[\n", ",\n", "\n]\n") if outer * inner else ("[]\n", "", "")
     else:
         raise ValueError(f"unknown format {fmt!r}")
 
+    # Text of the grid fields constant along one axis, by field: one per
+    # inner index, baked into every template, or one per outer row, put in
+    # at each row. Comparing bits keeps -0.0, which %.12g writes as -0,
+    # apart from 0.0.
+    col_text: dict[int, list[str]] = {}
+    row_text: dict[int, list[str]] = {}
+    if outer > 1 and inner > 1:
+        bits = grid.view(np.int64)
+        for j in range(k):
+            if (bits[:, :, j] == bits[:1, :, j]).all():
+                col_text[j] = [spec % v for v in grid[0, :, j].tolist()]
+            elif (bits[:, :, j] == bits[:, :1, j]).all():
+                row_text[j] = [spec % v for v in grid[:, 0, j].tolist()]
+    free = [j for j in range(k) if j not in col_text and j not in row_text]
+    # NUL never occurs in a template: json.dumps escapes it in names
+    marks = {j: f"\0{j}\0" for j in row_text}
+    slots = [marks.get(j, spec) for j in range(k)]
+
+    def _record(texts) -> str:
+        return opening + fsep.join([key + text for key, text in zip(keys, texts)]) + closing
+
+    def _template(j0: int, j1: int) -> str:
+        """Records j0..j1 of one outer row, with per-row fields left as marks."""
+        if not col_text:  # every record alike: 2-D tables take this
+            return sep.join([_record(slots)] * (j1 - j0))
+        columns = [col_text[j][j0:j1] if j in col_text else repeat(slots[j]) for j in range(k)]
+        return sep.join([_record(texts) for texts in zip(*columns)])
+
+    def _fill(template: str, i: int) -> str:
+        for j, mark in marks.items():
+            template = template.replace(mark, row_text[j][i])
+        return template
+
+    # Whole outer rows make up a block of up to _BLOCK_ROWS records; a
+    # longer outer row is split into blocks of _BLOCK_ROWS.
+    spans = [(j0, min(j0 + _BLOCK_ROWS, inner)) for j0 in range(0, inner, _BLOCK_ROWS)]
+    templates = [_template(j0, j1) for j0, j1 in spans]
+    step = max(1, _BLOCK_ROWS // inner) if inner else 1
+
     def _render(stream):
         stream.write(head)
-        for start in range(0, len(rows), _BLOCK_ROWS):
-            block = rows[start:start + _BLOCK_ROWS]
-            stream.write((sep if start else "") + sep.join([record] * len(block))
-                         % tuple(block.ravel().tolist()))
+        for o0 in range(0, outer, step):
+            o1 = min(o0 + step, outer)
+            for (j0, j1), template in zip(spans, templates):
+                text = sep.join([_fill(template, i) for i in range(o0, o1)])
+                values = grid[o0:o1, j0:j1][..., free].ravel().tolist()
+                stream.write((sep if o0 or j0 else "") + text % tuple(values))
         stream.write(tail)
 
     if hasattr(path, "write"):
@@ -170,7 +225,13 @@ def _noise_from_args(args) -> NoiseSpec:
 def _scenario_from_args(args, phi: float) -> Scenario:
     xi = args.xi
     _require(xi >= 0, "--xi", f"must be >= 0, got {xi}")
-    theta = args.theta if args.theta is not None else eta_max(xi).theta_opt
+    theta = args.theta
+    if theta is None:
+        theta = float(eta_max(xi).theta_opt)
+        # asin(sech(xi/2)/sqrt 2) is subnormal from xi ~ 1418 and 0, where eta is 0, from ~1490
+        _require(theta >= sys.float_info.min, "--theta",
+                 f"the default theta maximising eta underflows to {theta!r} at rapidity "
+                 f"xi = {xi!r}; pass --theta")
     _require(0.0 <= theta <= math.pi, "--theta", f"must lie in [0, pi], got {theta}")
     _require(0.0 <= phi < 2.0 * math.pi, "--phi", f"must lie in [0, 2*pi), got {phi}")
     return Scenario(BoostParams(xi=xi, theta=theta, phi=phi), _noise_from_args(args))
@@ -201,11 +262,11 @@ def _cmd_scan_eta(args) -> int:
     _require(args.xi_steps >= 1, "--xi-steps", f"must be >= 1, got {args.xi_steps}")
     _require(args.theta_steps >= 1, "--theta-steps", f"must be >= 1, got {args.theta_steps}")
     _require(0 < args.theta_max <= math.pi, "--theta-max", f"must lie in (0, pi], got {args.theta_max}")
-    xi, theta = np.meshgrid(np.linspace(0.0, args.xi_max, args.xi_steps),
-                            np.linspace(0.0, args.theta_max, args.theta_steps), indexing="ij")
-    rows = np.stack([xi, theta, eta_profile(xi, theta)], axis=-1).reshape(-1, 3)
+    xi = np.linspace(0.0, args.xi_max, args.xi_steps)[:, None]
+    theta = np.linspace(0.0, args.theta_max, args.theta_steps)[None, :]
+    grid = np.stack(np.broadcast_arrays(xi, theta, eta_profile(xi, theta)), axis=-1)
     comments = _echo_params(args, ("xi_max", "xi_steps", "theta_steps", "theta_max"))
-    write_table(rows, args.out, args.format, ("xi", "theta", "eta"), comments)
+    write_table(grid, args.out, args.format, ("xi", "theta", "eta"), comments)
     return 0
 
 

@@ -38,6 +38,9 @@ from .channel import Scenario
 from .spinalg import IDENTITY_2, DensityMatrix, pauli_vector
 
 _MC_CHUNK = 1 << 16
+# Largest |z| _box_muller_normals returns: the radius sqrt(-2 log(1 - u1))
+# at the largest draw u1 = 1 - 2**-53.
+_BOX_MULLER_MAX = math.sqrt(106.0 * math.log(2.0))
 
 
 @dataclass(frozen=True)
@@ -89,19 +92,26 @@ def gauss_hermite_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return z, w
 
 
-def _half_angle_rate(s: Scenario, t: float) -> float:
-    """kappa mu t, half the rotation angle per unit field; refused where kappa is inf."""
-    if s.field.kappa == math.inf:
-        raise ValueError(f"kappa overflows at rapidity xi = {float(s.boost.xi)!r} and angle "
-                         f"theta = {float(s.boost.theta)!r}: the oracle's rotation angle "
-                         "2 kappa mu t B is not representable")
-    return s.field.kappa * s.noise.mu * t
+def _half_angle_rate(s: Scenario, t: float, b_max: float) -> float:
+    """kappa mu t, half the rotation angle per unit field.
+
+    Refused where kappa mu t b_max is not finite, with b_max a bound on
+    the |b| the caller applies: the rotation angle 2 kappa mu t B has no
+    value there.
+    """
+    rate = s.field.kappa * s.noise.mu * float(t)
+    if not math.isfinite(rate * b_max):
+        raise ValueError(f"the oracle's rotation angle 2 kappa mu t B is not finite at "
+                         f"rapidity xi = {float(s.boost.xi)!r}, angle theta = "
+                         f"{float(s.boost.theta)!r} and time t = {float(t)!r} "
+                         f"(kappa = {s.field.kappa!r})")
+    return rate
 
 
 def _unitary_stack(b_values: np.ndarray, s: Scenario, t: float) -> np.ndarray:
     """Vectorised stack of unitaries exp(-i kappa mu t b sigma.n), one per field value b."""
     nx, ny, nz = s.field.n
-    half = _half_angle_rate(s, t) * b_values
+    half = _half_angle_rate(s, t, float(np.abs(b_values).max(initial=0.0))) * b_values
     c, si = np.cos(half), np.sin(half)
     u = np.empty((len(b_values), 2, 2), dtype=complex)
     u[:, 0, 0] = c - 1j * si * nz
@@ -210,7 +220,8 @@ def average_montecarlo(
         raise ValueError(f"average_montecarlo needs a 2x2 state, got dim {rho.dim}")
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t!r}")
-    half_scale = _half_angle_rate(s, t) * s.noise.vartheta  # d = 2 half_scale z
+    # d = 2 half_scale z
+    half_scale = _half_angle_rate(s, t, s.noise.vartheta * _BOX_MULLER_MAX) * s.noise.vartheta
     work = np.empty((3, 2 * ((min(_MC_CHUNK, mc.samples) + 1) // 2)))
     sums = np.zeros(5)
     for chunk_index, done in enumerate(range(0, mc.samples, _MC_CHUNK)):

@@ -68,8 +68,9 @@ class TestWriteTable:
         assert json.loads(buf.getvalue()) == [{"xi": 0.5, "eta": 0.25}, {"xi": 1.0, "eta": 0.5}]
 
     def test_column_count_mismatch_rejected(self):
-        # one input form only: a 2-D array with one column per field name
-        for rows in (np.zeros((2, 3)), np.zeros(2), np.zeros((2, 2, 2)), [[0.0, 0.0]]):
+        # a 2-D table or 3-D grid of floats with one column per field name
+        for rows in (np.zeros((2, 3)), np.zeros(2), np.zeros((2, 2, 3)), np.zeros((2, 2, 2, 2)),
+                     np.zeros((2, 2), dtype=int), [[0.0, 0.0]]):
             with pytest.raises(ValueError, match="shape"):
                 write_table(rows, io.StringIO(), "csv", ("a", "b"))
 
@@ -153,6 +154,101 @@ class TestWriteTableBlocks:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ValueError: column 'eta'")
+
+
+class TestWriteTableGrid:
+    """Grids (outer, inner, fields) against the reference encoders of their records."""
+
+    NAMES = ("x%s", "y", "z", '"w"')
+    FORMATS = [("csv", _reference_csv), ("json", _reference_json)]
+
+    @classmethod
+    def _grid(cls, outer, inner):
+        """Field 0 constant along inner, field 1 along outer, the rest free.
+
+        Every column is led by the special floats of TestWriteTableBlocks.
+        """
+        rows = TestWriteTableBlocks._rows
+        grid = rows(outer * inner, len(cls.NAMES)).reshape(outer, inner, len(cls.NAMES))
+        grid[:, :, 0] = rows(outer, 1)
+        grid[:, :, 1] = rows(inner, 1)[:, 0]
+        return grid
+
+    def _check(self, grid, fmt, reference):
+        buf = io.StringIO()
+        write_table(grid, buf, fmt, self.NAMES)
+        assert buf.getvalue() == reference(grid.reshape(-1, len(self.NAMES)), self.NAMES)
+
+    @pytest.mark.parametrize("fmt, reference", FORMATS)
+    @pytest.mark.parametrize("outer, inner", [
+        (1, 1), (1, 9), (9, 1), (2, 2), (0, 3), (3, 0),
+        (1, cli._BLOCK_ROWS - 1), (cli._BLOCK_ROWS - 1, 1), (3, cli._BLOCK_ROWS // 3),
+        (3, cli._BLOCK_ROWS // 3 + 1), (1, cli._BLOCK_ROWS + 1), (2, cli._BLOCK_ROWS + 1),
+        (cli._BLOCK_ROWS + 1, 1), (64, 64), (63, 65), (17, 241)])
+    def test_matches_reference(self, fmt, reference, outer, inner):
+        self._check(self._grid(outer, inner), fmt, reference)
+
+    @pytest.mark.parametrize("fmt, reference", FORMATS)
+    def test_random_shapes_match_reference(self, fmt, reference):
+        rng = np.random.default_rng(5)
+        for outer, inner in rng.integers(1, 40, size=(20, 2)).tolist():
+            self._check(self._grid(outer, inner), fmt, reference)
+
+    @pytest.mark.parametrize("fmt, reference", FORMATS)
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("change", ["ulp", "sign"])
+    def test_almost_constant_column_matches_reference(self, fmt, reference, axis, change):
+        grid = self._grid(5, 7)
+        grid[:, :, axis] = 0.0 if change == "sign" else 0.1
+        cell = (3, 4, axis)
+        grid[cell] = -0.0 if change == "sign" else np.nextafter(0.1, 1.0)
+        self._check(grid, fmt, reference)
+
+    @pytest.mark.parametrize("outer, inner", [(300, 300), (40, cli._BLOCK_ROWS // 2),
+                                              (2, 2 * cli._BLOCK_ROWS + 5)])
+    def test_each_write_covers_up_to_a_block(self, outer, inner):
+        # whole outer rows up to _BLOCK_ROWS records, or _BLOCK_ROWS of a longer row
+        writes = []
+        stream = io.StringIO()
+        stream.write = lambda text: writes.append(text.count("\n"))
+        write_table(self._grid(outer, inner), stream, "csv", self.NAMES)
+        rows_per_write = cli._BLOCK_ROWS // inner
+        if rows_per_write:
+            expected = [rows_per_write * inner] * (outer // rows_per_write)
+            expected += [outer % rows_per_write * inner] if outer % rows_per_write else []
+        else:
+            expected = ([cli._BLOCK_ROWS] * (inner // cli._BLOCK_ROWS)
+                        + [inner % cli._BLOCK_ROWS]) * outer
+        assert writes[1:-1] == expected
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected_before_writing(self, tmp_path, fmt, bad):
+        grid = self._grid(4, 5)
+        grid[:, 2, 1] = bad  # the per-index column stays constant along outer
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match="'y'"):
+            write_table(grid, buf, fmt, self.NAMES)
+        assert buf.getvalue() == ""
+        path = tmp_path / f"grid.{fmt}"
+        with pytest.raises(ValueError, match="non-finite"):
+            write_table(grid, path, fmt, self.NAMES)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("fmt, reference", FORMATS)
+    @pytest.mark.parametrize("xi_steps, theta_steps", [(60, 90), (1, 5), (5, 1), (3, 4097)])
+    def test_scan_eta_matches_reference(self, tmp_path, fmt, reference, xi_steps, theta_steps):
+        out = tmp_path / f"eta.{fmt}"
+        assert run_cli(["scan-eta", "--xi-max", "4.3", "--theta-max", "1.4", "--xi-steps",
+                        str(xi_steps), "--theta-steps", str(theta_steps), "--format", fmt,
+                        "--out", str(out)]) == 0
+        xi, theta = np.meshgrid(np.linspace(0.0, 4.3, xi_steps),
+                                np.linspace(0.0, 1.4, theta_steps), indexing="ij")
+        rows = np.column_stack([xi.ravel(), theta.ravel(), eta_profile(xi, theta).ravel()])
+        text = out.read_text(encoding="utf-8")
+        if fmt == "csv":
+            text = "".join(line for line in text.splitlines(True) if not line.startswith("#"))
+        assert text == reference(rows, ("xi", "theta", "eta"))
 
 
 class TestScanEta:
@@ -359,6 +455,15 @@ class TestRuntimeErrors:
         assert proc.stderr.count("\n") == 1 and proc.stdout == ""
         assert "rapidity" in proc.stderr
 
+    def test_oracle_angle_overflow_exits_one_without_warning(self):
+        # kappa is finite at xi = 700, but kappa mu t B is not at t = 1e5
+        proc = subprocess.run([sys.executable, "-W", "default", "-m", "spinboost.cli", "evolve",
+                               "--xi", "700", "--theta", "0.5", "--gamma-t2-max", "1e10",
+                               "--points", "3"], capture_output=True, text=True)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error: ValueError: ") and proc.stderr.count("\n") == 1
+        assert all(name in proc.stderr for name in ("xi = 700.0", "theta = 0.5", "t = 70710."))
+
     @pytest.mark.parametrize("argv, flag", [
         (["offdiag", "--gamma", "1e-320"], "--gamma"),
         (["offdiag", "--gamma", "5e-324"], "--gamma"),
@@ -388,14 +493,13 @@ class TestRapidityRange:
         assert len(values) == 9 and all(math.isfinite(v) for row in values for v in row)
         assert all(eta == 0.0 for _, theta, eta in values if theta == 0.0)
 
-    @pytest.mark.parametrize("xi, theta", [(400, 0.5), (1000, 0.5), (1e6, None), (1000, 0.0),
+    @pytest.mark.parametrize("xi, theta", [(400, 0.5), (1000, 0.5), (1400, None), (1000, 0.0),
                                            (1e6, 1e-300)])
     def test_offdiag_at_every_finite_rapidity(self, tmp_path, xi, theta):
         out = tmp_path / "offdiag.json"
         argv = ["offdiag", "--xi", str(xi), "--points", "5", "--format", "json", "--out", str(out)]
         assert run_cli(argv + ([] if theta is None else ["--theta", str(theta)])) == 0
-        # sech(5e5) underflows, so theta_opt at xi = 1e6 is 0: the axis is ez, and
-        # the boosted spin dephases exactly as at rest
+        # at theta = 0 the axis is ez, and the boosted spin dephases exactly as at rest
         eta = eta_profile(xi, eta_max(xi).theta_opt if theta is None else theta)
         rows = json.loads(out.read_text())
         assert all(math.isfinite(v) for row in rows for v in row.values())
@@ -405,6 +509,15 @@ class TestRapidityRange:
                 assert abs(row["rho_ud_boosted"] - eta / 2) <= 1e-15
             else:
                 assert row["rho_ud_boosted"] == row["rho_ud_rest"]
+
+    @pytest.mark.parametrize("xi", ["1e6", "1450"])
+    @pytest.mark.parametrize("command", ["offdiag", "evolve", "concurrence"])
+    def test_underflowing_default_theta_is_usage_error(self, capsys, command, xi):
+        # theta_opt = asin(sech(xi/2)/sqrt 2) is 0 at 1e6 and subnormal at 1450
+        assert run_cli([command, "--xi", xi, "--points", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --theta: ") and err.count("\n") == 1
+        assert f"xi = {float(xi)!r}" in err
 
     def test_evolve_where_gamma_prime_overflows(self, tmp_path):
         out = tmp_path / "evolve.csv"

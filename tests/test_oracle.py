@@ -119,6 +119,20 @@ class TestUnitaryAtField:
         with pytest.raises(ValueError):
             average_quadrature(plus_state(), scenario(1.0, 1.0), -1.0)
 
+    @pytest.mark.parametrize("xi, t", [(700.0, 2e4), (700.0, 1e5), (1000.0, 0.0)])
+    def test_overflowing_angle_named(self, xi, t):
+        # kappa ~ 2.4e303 at (700, 0.5): at t = 2e4 kappa mu t is finite but
+        # not its product with the largest node or draw; at 1e5 it is inf
+        # itself, and at xi = 1000 kappa is
+        s = scenario(xi, 0.5)
+        rho4 = DensityMatrix(tensor_product(plus_state().matrix, plus_state().matrix))
+        for average in (lambda: average_quadrature(plus_state(), s, t),
+                        lambda: two_qubit_average(rho4, s, t),
+                        lambda: average_montecarlo(plus_state(), s, t, McSpec(samples=10))):
+            with pytest.raises(ValueError, match=f"xi = {xi!r}, angle theta = 0.5 and time "
+                                                 f"t = {t!r}"):
+                average()
+
 
 class TestAverageQuadrature:
     def test_vanishing_noise_is_identity_channel(self):

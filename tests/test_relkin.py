@@ -7,6 +7,7 @@ import pytest
 
 from spinboost.relkin import (
     BoostParams,
+    _half_rapidity,
     boost_em_field,
     effective_field,
     eta_max,
@@ -195,6 +196,21 @@ class TestEtaProfile:
     def test_negative_rapidity_rejected(self):
         with pytest.raises(ValueError):
             eta_profile(-0.5, 0.3)
+
+
+class TestHalfRapidity:
+    def test_float_path_matches_array_path_bitwise(self):
+        rng = np.random.default_rng(11)
+        xi = np.concatenate([[0.0, 1e-8, 700.0, 1e6], rng.uniform(0.0, 40.0, 500),
+                             10.0 ** rng.uniform(-12.0, 6.0, 500)])
+        t, s = _half_rapidity(xi)
+        pairs = np.array([[float(v) for v in _half_rapidity(x)] for x in xi.tolist()])
+        np.testing.assert_array_equal(pairs.view(np.int64), np.column_stack([t, s]).view(np.int64))
+
+    @pytest.mark.parametrize("xi", [-1.0, -1e-300, math.nan])
+    def test_invalid_float_rejected(self, xi):
+        with pytest.raises(ValueError, match="rapidity"):
+            _half_rapidity(xi)
 
 
 class TestEtaMax:
