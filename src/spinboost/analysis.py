@@ -5,21 +5,29 @@ Convention: the Choi matrix of a single-qubit map E is
     C = sum_ij E(|i><j|) (x) |i><j|
 
 (output factor first, unnormalised, trace 2 for trace-preserving maps).
-E is positive-semidefinite as a matrix iff the map is completely
-positive, and tracing out the output factor of a TP map gives the 2x2
-identity. Kraus operators are recovered from the eigendecomposition:
+E is completely positive iff C is Hermitian and positive-semidefinite,
+and tracing out the output factor of a TP map gives the 2x2 identity.
+Kraus operators are recovered from the eigendecomposition:
 K_k = sqrt(lambda_k) * unvec(v_k) with unvec the row-major (output,
 input) reshape.
+
+The arithmetic works on stacks and broadcasts over leading axes (...):
+``choi_stack`` takes the images (..., 6, 2, 2) of the six ``PROBES``
+and returns Choi matrices (..., 4, 4) with linearity residuals (..., 2);
+``choi_diagnostics`` returns per-matrix least eigenvalues, TP and
+Hermiticity residuals (...) and Kraus stacks (..., 4, 2, 2), in which
+dropped eigenvalues leave zero operators under a mask (..., 4) rather
+than a ragged list; ``kraus_residuals`` checks Kraus stacks
+(..., k, 2, 2). The per-map functions ``choi_of``, ``verify_cptp``,
+``kraus_from_choi`` and ``kraus_to_choi`` are stacks of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
-
-from .spinalg import eigh_descending, frobenius_distance
 
 MapFn = Callable[[np.ndarray], np.ndarray]
 
@@ -27,12 +35,15 @@ MapFn = Callable[[np.ndarray], np.ndarray]
 # genuine density matrices, so maps defined only on physical states can
 # be tomographed. |-><-| and a generic mixed state are held out for the
 # linearity check (the mixed one catches maps that fix all pure states).
-_P00 = np.array([[1, 0], [0, 0]], dtype=complex)
-_P11 = np.array([[0, 0], [0, 1]], dtype=complex)
-_PPLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
-_PIMAG = np.array([[0.5, -0.5j], [0.5j, 0.5]], dtype=complex)
-_PMINUS = np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)
-_PMIXED = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]], dtype=complex)
+PROBES = np.array([
+    [[1, 0], [0, 0]],
+    [[0, 0], [0, 1]],
+    [[0.5, 0.5], [0.5, 0.5]],
+    [[0.5, -0.5j], [0.5j, 0.5]],
+    [[0.5, -0.5], [-0.5, 0.5]],
+    [[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]],
+], dtype=complex)
+PROBES.setflags(write=False)
 
 
 class InvalidMapError(ValueError):
@@ -45,6 +56,15 @@ class CompletePositivityError(ValueError):
     def __init__(self, min_eigenvalue: float):
         super().__init__(f"channel is not completely positive (min Choi eigenvalue {min_eigenvalue:.3e})")
         self.min_eigenvalue = float(min_eigenvalue)
+
+
+class NonHermitianChoiError(ValueError):
+    """Kraus extraction refused: the Choi matrix is not Hermitian."""
+
+    def __init__(self, herm_residual: float):
+        super().__init__(f"channel is not completely positive (Choi matrix not Hermitian, "
+                         f"|C - C^dag| = {herm_residual:.3e})")
+        self.herm_residual = float(herm_residual)
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,6 +87,7 @@ class CPTPReport:
 
     min_eigenvalue: float
     tp_residual: float
+    herm_residual: float
     cp_ok: bool
     tp_ok: bool
     tol: float
@@ -79,78 +100,153 @@ class CPTPReport:
         state = "CPTP" if self.verdict else ("not CP" if not self.cp_ok else "not TP")
         return (
             f"{state}: min eigenvalue {self.min_eigenvalue:.3e}, "
+            f"Hermiticity residual {self.herm_residual:.3e}, "
             f"TP residual {self.tp_residual:.3e} (tol {self.tol:.1e})"
         )
+
+
+def _frobenius(x: np.ndarray) -> np.ndarray:
+    """Frobenius norms over the last two axes of a stack."""
+    return np.linalg.norm(x, axis=(-2, -1))
+
+
+def _dagger(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
+
+
+def choi_stack(images) -> tuple[np.ndarray, np.ndarray]:
+    """Choi matrices and linearity residuals from stacked probe images.
+
+    ``images`` (..., 6, 2, 2) holds a map's images of ``PROBES``. Returns
+    the Choi matrices (..., 4, 4), assembled from the four spanning
+    images, and the Frobenius residuals (..., 2) between the two
+    held-out images and their predictions by linearity.
+    """
+    images = np.asarray(images, dtype=complex)
+    e00, e11, e_plus, e_imag = np.moveaxis(images[..., :4, :, :], -3, 0)
+    # |0><1| = P+ + i*Pi - (1+i)/2 (P00 + P11), and |1><0| its adjoint image
+    e01 = e_plus + 1j * e_imag - 0.5 * (1.0 + 1j) * (e00 + e11)
+    e10 = e_plus - 1j * e_imag - 0.5 * (1.0 - 1j) * (e00 + e11)
+    predicted = np.stack([
+        0.5 * (e00 + e11) - 0.5 * (e01 + e10),
+        0.7 * e00 + 0.3 * e11 + (0.2 - 0.1j) * e01 + (0.2 + 0.1j) * e10,
+    ], axis=-3)
+    linearity = _frobenius(images[..., 4:, :, :] - predicted)
+    # C[(a, i), (b, j)] = E(|i><j|)[a, b]
+    units = np.stack([np.stack([e00, e01], axis=-3), np.stack([e10, e11], axis=-3)], axis=-4)
+    c = np.moveaxis(units, (-4, -3), (-3, -1)).reshape(units.shape[:-4] + (4, 4))
+    return c, linearity
 
 
 def choi_of(map_fn: MapFn, linearity_tol: float = 1e-10) -> ChoiMatrix:
     """Build the Choi matrix of a map evaluated on probe states.
 
-    ``map_fn`` is called on the four spanning density matrices; the
-    images of the matrix units are reconstructed by linearity and
-    assembled into C = sum_ij E(|i><j|) (x) |i><j|. A fifth probe
-    (|-><-|) cross-checks linearity; deviations beyond
-    ``linearity_tol`` raise InvalidMapError.
+    ``map_fn`` is called on each of the six ``PROBES``; the images of
+    the matrix units are reconstructed by linearity from the four
+    spanning ones and assembled into C = sum_ij E(|i><j|) (x) |i><j|.
+    The two held-out probes (|-><-| and a mixed state) cross-check
+    linearity; deviations beyond ``linearity_tol`` raise InvalidMapError.
     """
-    e00 = np.asarray(map_fn(_P00), dtype=complex)
-    e11 = np.asarray(map_fn(_P11), dtype=complex)
-    e_plus = np.asarray(map_fn(_PPLUS), dtype=complex)
-    e_imag = np.asarray(map_fn(_PIMAG), dtype=complex)
-    # |0><1| = P+ + i*Pi - (1+i)/2 (P00 + P11), and |1><0| its adjoint image
-    e01 = e_plus + 1j * e_imag - 0.5 * (1.0 + 1j) * (e00 + e11)
-    e10 = e_plus - 1j * e_imag - 0.5 * (1.0 - 1j) * (e00 + e11)
-
-    held_out = (
-        (_PMINUS, 0.5 * (e00 + e11) - 0.5 * (e01 + e10)),
-        (_PMIXED, 0.7 * e00 + 0.3 * e11 + (0.2 - 0.1j) * e01 + (0.2 + 0.1j) * e10),
-    )
-    for probe, predicted in held_out:
-        residual = frobenius_distance(np.asarray(map_fn(probe), dtype=complex), predicted)
-        if residual > linearity_tol:
-            raise InvalidMapError(
-                f"map is not linear on the spanning set "
-                f"(residual {residual:.3e} > {linearity_tol:.1e})"
-            )
-
-    c = np.zeros((4, 4), dtype=complex)
-    units = {(0, 0): e00, (0, 1): e01, (1, 0): e10, (1, 1): e11}
-    for (i, j), image in units.items():
-        unit = np.zeros((2, 2), dtype=complex)
-        unit[i, j] = 1.0
-        c += np.kron(image, unit)
+    c, linearity = choi_stack([np.asarray(map_fn(p), dtype=complex) for p in PROBES])
+    residual = float(linearity.max())
+    if not residual <= linearity_tol:
+        raise InvalidMapError(
+            f"map is not linear on the spanning set "
+            f"(residual {residual:.3e} > {linearity_tol:.1e})"
+        )
     return ChoiMatrix(c)
 
 
-def kraus_to_choi(kraus_ops: Sequence[np.ndarray]) -> np.ndarray:
-    """Choi matrix assembled directly from Kraus operators (brute force)."""
-    c = np.zeros((4, 4), dtype=complex)
-    for k in kraus_ops:
-        v = np.asarray(k, dtype=complex).reshape(4)
-        c += np.outer(v, v.conj())
-    return c
+def kraus_to_choi(kraus_ops) -> np.ndarray:
+    """Choi matrix assembled directly from Kraus operators (brute force).
+
+    ``kraus_ops`` is a sequence of 2x2 operators, or a stack (..., k, 2, 2)
+    that gives Choi matrices (..., 4, 4).
+    """
+    ops = np.asarray(kraus_ops, dtype=complex)
+    if ops.ndim < 3:  # an empty sequence
+        ops = ops.reshape(0, 2, 2)
+    v = ops.reshape(ops.shape[:-2] + (4,))
+    return (v[..., :, None] * v.conj()[..., None, :]).sum(axis=-3)
+
+
+def _trace_out(m: np.ndarray) -> np.ndarray:
+    """Trace out the output (first) factor of Choi matrices (..., 4, 4)."""
+    m = m.reshape(m.shape[:-2] + (2, 2, 2, 2))
+    return m[..., 0, :, 0, :] + m[..., 1, :, 1, :]
 
 
 def partial_trace_output(c: ChoiMatrix) -> np.ndarray:
     """Trace out the output (first) tensor factor of a Choi matrix."""
-    m = c.matrix.reshape(2, 2, 2, 2)
-    return np.trace(m, axis1=0, axis2=2)
+    return _trace_out(c.matrix)
+
+
+@dataclass(frozen=True, eq=False)
+class ChoiDiagnostics:
+    """CP, TP and Kraus figures of a stack of Choi matrices (..., 4, 4).
+
+    ``min_eigenvalue``, ``tp_residual`` and ``herm_residual`` have the
+    stack's leading shape (...); ``kraus`` is (..., 4, 2, 2) with the
+    operators of dropped eigenvalues set to zero, and ``kept`` (..., 4)
+    marks the retained ones.
+    """
+
+    min_eigenvalue: np.ndarray
+    tp_residual: np.ndarray
+    herm_residual: np.ndarray
+    kraus: np.ndarray
+    kept: np.ndarray
+
+
+def choi_diagnostics(c, retain_rel: float = 1e-12) -> ChoiDiagnostics:
+    """Eigen-analysis of each Choi matrix in a stack (..., 4, 4).
+
+    One Hermitian eigen-solve of (C + C^dag)/2 per matrix gives the least
+    eigenvalue and the canonical Kraus set: K_k = sqrt(lambda_k) *
+    unvec(v_k) for each eigenvalue above ``retain_rel`` times the largest
+    one (and above 0), in descending order. The TP residual is
+    |tr_out C - I| and the Hermiticity residual |C - C^dag| (Frobenius).
+    Nothing is refused here; the callers compare against a tolerance.
+    """
+    c = np.asarray(c, dtype=complex)
+    vals, vecs = np.linalg.eigh(0.5 * (c + _dagger(c)))
+    vals, vecs = vals[..., ::-1], vecs[..., ::-1]
+    kept = vals > retain_rel * np.maximum(vals[..., :1], 0.0)
+    weights = np.sqrt(np.where(kept, vals, 0.0))
+    kraus = (weights[..., None, :] * vecs).swapaxes(-1, -2)
+    return ChoiDiagnostics(
+        min_eigenvalue=vals[..., -1],
+        tp_residual=_frobenius(_trace_out(c) - np.eye(2)),
+        herm_residual=_frobenius(c - _dagger(c)),
+        kraus=kraus.reshape(kraus.shape[:-1] + (2, 2)),
+        kept=kept,
+    )
+
+
+def kraus_residuals(kraus, c) -> tuple[np.ndarray, np.ndarray]:
+    """|sum K^dag K - I| and |Choi(K) - C| (Frobenius) for Kraus stacks (..., k, 2, 2)."""
+    kraus = np.asarray(kraus, dtype=complex)
+    completeness = (_dagger(kraus) @ kraus).sum(axis=-3)
+    return (_frobenius(completeness - np.eye(2)),
+            _frobenius(kraus_to_choi(kraus) - np.asarray(c)))
 
 
 def verify_cptp(c: ChoiMatrix, tol: float = 1e-10) -> CPTPReport:
     """Check complete positivity and trace preservation of a Choi matrix.
 
-    CP passes iff the smallest Choi eigenvalue is >= -tol; the TP
-    residual is the Frobenius norm of (partial trace over the output
-    factor - identity), compared against the same tolerance.
+    CP passes iff the Choi matrix is Hermitian (|C - C^dag| <= tol) and
+    its smallest eigenvalue is >= -tol; the TP residual is the Frobenius
+    norm of (partial trace over the output factor - identity), compared
+    against the same tolerance.
     """
-    vals, _ = eigh_descending(c.matrix)
-    min_eig = float(vals[-1])
-    tp_residual = frobenius_distance(partial_trace_output(c), np.eye(2, dtype=complex))
+    d = choi_diagnostics(c.matrix)
+    min_eig, tp, herm = float(d.min_eigenvalue), float(d.tp_residual), float(d.herm_residual)
     return CPTPReport(
         min_eigenvalue=min_eig,
-        tp_residual=tp_residual,
-        cp_ok=min_eig >= -tol,
-        tp_ok=tp_residual <= tol,
+        tp_residual=tp,
+        herm_residual=herm,
+        cp_ok=min_eig >= -tol and herm <= tol,
+        tp_ok=tp <= tol,
         tol=tol,
     )
 
@@ -160,18 +256,16 @@ def kraus_from_choi(
 ) -> list[np.ndarray]:
     """Canonical Kraus operators from the Choi eigendecomposition.
 
-    Refuses (CompletePositivityError) if the smallest eigenvalue is
-    below -tol. Eigenvalues above ``retain_rel`` times the largest one
-    are kept; K_k = sqrt(lambda_k) * unvec(v_k). The returned set
-    satisfies sum K^dag K = I and reassembles the Choi matrix within
+    Refuses a Choi matrix that is not Hermitian within ``tol``
+    (NonHermitianChoiError) or whose smallest eigenvalue is below -tol
+    (CompletePositivityError). Eigenvalues above ``retain_rel`` times the
+    largest one are kept; K_k = sqrt(lambda_k) * unvec(v_k). The returned
+    set satisfies sum K^dag K = I and reassembles the Choi matrix within
     10*tol for CPTP inputs.
     """
-    vals, vecs = eigh_descending(c.matrix)
-    if vals[-1] < -tol:
-        raise CompletePositivityError(float(vals[-1]))
-    cutoff = retain_rel * max(float(vals[0]), 0.0)
-    ops = []
-    for lam, v in zip(vals, vecs.T):
-        if lam > cutoff:
-            ops.append(np.sqrt(lam) * v.reshape(2, 2))
-    return ops
+    d = choi_diagnostics(c.matrix, retain_rel)
+    if not d.herm_residual <= tol:
+        raise NonHermitianChoiError(float(d.herm_residual))
+    if d.min_eigenvalue < -tol:
+        raise CompletePositivityError(float(d.min_eigenvalue))
+    return [k for k, keep in zip(d.kraus, d.kept) if keep]

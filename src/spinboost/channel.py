@@ -16,6 +16,9 @@ decomposition, and the dressed picture (rotate the axis onto ez, dephase,
 rotate back).
 
 All apply-operations are pure functions DensityMatrix -> DensityMatrix.
+The element-wise form's arithmetic also runs on array stacks of states,
+axes and times (``_evolve_stack``, with ``decay_factors``) for callers that
+validate the images themselves; ``evolve_elementwise`` is its stack of one.
 """
 
 from __future__ import annotations
@@ -172,23 +175,52 @@ def evolve_elementwise(rho: DensityMatrix, s: Scenario, t: float) -> DensityMatr
     """
     _require_nonneg_time(t)
     _require_qubit(rho)
-    m = rho.matrix
-    nx, ny, nz = s.field.n
     g = decay_exponent(s.gamma_prime, t)
-    decay = math.exp(-g)
-    lost = -math.expm1(-g)  # 1 - decay
-    r01 = m[0, 1]
-    r10 = m[1, 0]
-    rz = (m[0, 0] - m[1, 1]).real
-    n_dot_r = ((nx + 1j * ny) * r01 + (nx - 1j * ny) * r10).real + nz * rz
+    return DensityMatrix(_evolve_stack(rho.matrix, s.field.n, math.exp(-g), -math.expm1(-g)))
+
+
+def decay_factors(g) -> tuple[np.ndarray, np.ndarray]:
+    """(exp(-g), 1 - exp(-g)) for exponents ``g``, one libm call each.
+
+    ``math.exp``/``math.expm1`` rather than numpy's vector ``exp``, whose
+    SIMD code differs from libm in the last bit on some inputs; so the
+    factors, and every state built from them, do not depend on how many
+    exponents are passed at once. ``1 - exp(-g)`` is ``-expm1(-g)``,
+    without the cancellation at small g.
+    """
+    g = np.asarray(g, dtype=float)
+    flat = g.ravel().tolist()
+    decay = np.array([math.exp(-x) for x in flat]).reshape(g.shape)
+    lost = np.array([-math.expm1(-x) for x in flat]).reshape(g.shape)
+    return decay, lost
+
+
+def _evolve_stack(m: np.ndarray, n: np.ndarray, decay, lost) -> np.ndarray:
+    """The closed form of ``evolve_elementwise`` on stacks, without validation.
+
+    States ``m`` (..., 2, 2), unit axes ``n`` (..., 3) and the factors
+    ``decay`` = exp(-gamma' t**2) and ``lost`` = 1 - decay (...) broadcast
+    against each other; returns the images (..., 2, 2).
+    """
+    m = np.asarray(m)
+    n = np.asarray(n)
+    nx, ny, nz = n[..., 0], n[..., 1], n[..., 2]
+    r01 = m[..., 0, 1]
+    r10 = m[..., 1, 0]
+    rz = (m[..., 0, 0] - m[..., 1, 1]).real
+    # Re[(nx + i ny) r01 + (nx - i ny) r10] in real arithmetic: numpy's complex
+    # product on arrays may fuse multiply-adds, which moves last bits by CPU
+    n_dot_r = ((nx * r01.real - ny * r01.imag) + (nx * r10.real + ny * r10.imag)) + nz * rz
     d_uu = 0.5 * (rz - n_dot_r * nz)
     d_ud = 0.5 * n_dot_r * (nx - 1j * ny)
-    out = np.empty((2, 2), dtype=complex)
-    out[0, 0] = m[0, 0].real - d_uu * lost
-    out[0, 1] = r01 * decay + d_ud * lost
-    out[1, 0] = np.conj(out[0, 1])
-    out[1, 1] = 1.0 - out[0, 0].real
-    return DensityMatrix(out)
+    uu = m[..., 0, 0].real - d_uu * lost
+    ud = r01 * decay + d_ud * lost
+    out = np.empty(np.shape(ud) + (2, 2), dtype=complex)
+    out[..., 0, 0] = uu
+    out[..., 0, 1] = ud
+    out[..., 1, 0] = np.conj(ud)
+    out[..., 1, 1] = 1.0 - uu
+    return out
 
 
 def _axis_sigma(s: Scenario) -> np.ndarray:

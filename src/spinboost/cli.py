@@ -28,7 +28,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import verify as verify_mod
-from .channel import NoiseSpec, Scenario, evolve_elementwise, example_trajectory
+from .channel import (NoiseSpec, Scenario, _evolve_stack, decay_exponent, decay_factors,
+                      example_trajectory)
 from .entangle import concurrence_trajectory
 from .oracle import QuadratureSpec, average_quadrature
 from .relkin import BoostParams, eta_max, eta_profile
@@ -318,7 +319,10 @@ def _cmd_evolve(args) -> int:
     rx, ry, rz = bloch
     rho0 = DensityMatrix(0.5 * np.array([[1 + rz, rx - 1j * ry], [rx + 1j * ry, 1 - rz]]))
     grid, times = _time_grid(args, s.noise.gamma)
-    ana = np.array([evolve_elementwise(rho0, s, t).matrix for t in times.tolist()])
+    decay, lost = decay_factors(decay_exponent(s.gamma_prime, times))
+    ana = _evolve_stack(rho0.matrix, s.field.n, decay, lost)
+    for m in ana:
+        DensityMatrix(m)  # each analytic state is validated, as evolve_elementwise would
     num = np.array([average_quadrature(rho0, s, t, quad).matrix for t in times.tolist()])
     worst = float(np.abs(ana - num).max())
     rows = np.column_stack([grid, ana[:, 0, 0].real, num[:, 0, 0].real, ana[:, 0, 1].real,

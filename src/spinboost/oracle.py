@@ -121,6 +121,11 @@ def _unitary_stack(b_values: np.ndarray, s: Scenario, t: float) -> np.ndarray:
     return u
 
 
+def _matmul_2x2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Products of stacked 2x2 matrices, broadcast in place of one BLAS call per matrix."""
+    return a[..., :, :1] * b[..., :1, :] + a[..., :, 1:] * b[..., 1:, :]
+
+
 def _hermitize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
@@ -135,7 +140,7 @@ def average_quadrature(
         raise ValueError(f"time must be >= 0, got {t!r}")
     z, w = gauss_hermite_nodes(q.nodes)
     u = _unitary_stack(s.noise.vartheta * z, s, t)
-    terms = (u @ rho.matrix) @ u.conj().transpose(0, 2, 1)
+    terms = _matmul_2x2(_matmul_2x2(u, rho.matrix), u.conj().transpose(0, 2, 1))
     out = np.tensordot(w, terms, axes=(0, 0))
     return DensityMatrix(_hermitize(out))
 

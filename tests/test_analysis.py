@@ -6,11 +6,16 @@ import numpy as np
 import pytest
 
 from spinboost.analysis import (
+    PROBES,
     ChoiMatrix,
     CompletePositivityError,
     InvalidMapError,
+    NonHermitianChoiError,
+    choi_diagnostics,
     choi_of,
+    choi_stack,
     kraus_from_choi,
+    kraus_residuals,
     kraus_to_choi,
     partial_trace_output,
     verify_cptp,
@@ -18,7 +23,7 @@ from spinboost.analysis import (
 from spinboost.channel import NoiseSpec, Scenario, evolve_elementwise, operator_sum_apply
 from spinboost.oracle import average_quadrature
 from spinboost.relkin import BoostParams
-from spinboost.spinalg import PAULI_Z, DensityMatrix, frobenius_distance
+from spinboost.spinalg import PAULI_X, PAULI_Z, DensityMatrix, frobenius_distance
 
 
 def identity_map(m):
@@ -35,6 +40,16 @@ def dephasing_map(p0, p1):
 
 def boosted_map(s, t):
     return lambda m: evolve_elementwise(DensityMatrix(m), s, t).matrix
+
+
+def skew_map(m):
+    """rho -> rho + 0.3i sigma_x tr(rho): trace preserving, but its Choi matrix is not Hermitian."""
+    m = np.asarray(m, dtype=complex)
+    return m + 0.3j * PAULI_X * np.trace(m)
+
+
+def transpose_map(m):
+    return np.asarray(m).T.copy()
 
 
 def scenario(xi, theta, phi=0.0):
@@ -178,3 +193,85 @@ class TestDecompositionChoiAgreement:
                     report = verify_cptp(choi_of(boosted_map(s, math.sqrt(g_t2))))
                     assert report.min_eigenvalue >= -1e-10
                     assert report.tp_residual < 1e-12
+
+
+class TestHermiticity:
+    def test_non_hermitian_choi_fails_cp(self):
+        report = verify_cptp(choi_of(skew_map), tol=1e-10)
+        # its Hermitian part alone looks CPTP; the skew part is what fails it
+        assert report.min_eigenvalue >= -1e-10
+        assert report.tp_ok
+        assert abs(report.herm_residual - 1.2) < 1e-12
+        assert not report.cp_ok and not report.verdict
+        assert str(report).startswith("not CP")
+
+    def test_kraus_refuses_non_hermitian_choi(self):
+        with pytest.raises(NonHermitianChoiError) as err:
+            kraus_from_choi(choi_of(skew_map))
+        assert abs(err.value.herm_residual - 1.2) < 1e-12
+
+    def test_hermitian_control_passes(self):
+        c = choi_of(dephasing_map(0.75, 0.25))
+        report = verify_cptp(c, tol=1e-10)
+        assert report.herm_residual == 0.0
+        assert report.verdict
+        assert len(kraus_from_choi(c)) == 2
+
+    def test_stacked_path_applies_the_same_rule(self):
+        images = [[skew_map(p) for p in PROBES], [dephasing_map(0.75, 0.25)(p) for p in PROBES]]
+        c, _ = choi_stack(images)
+        d = choi_diagnostics(c)
+        assert abs(d.herm_residual[0] - 1.2) < 1e-12
+        assert d.herm_residual[1] == 0.0
+
+
+class TestStackedAgreesWithPerMap:
+    def maps(self):
+        """The boosted channel at a seeded sample of verify's CPTP grid points, then the transpose map."""
+        rng = np.random.default_rng(21)
+        xis, thetas, g_t2 = np.linspace(0, 3, 10), np.linspace(0, math.pi / 2, 10), np.linspace(0, 5, 5)
+        out = []
+        for _ in range(25):
+            s = scenario(float(rng.choice(xis)), float(rng.choice(thetas)))
+            out.append(boosted_map(s, math.sqrt(float(rng.choice(g_t2)))))
+        return out + [transpose_map]
+
+    def test_choi_cptp_and_kraus_figures_equal(self):
+        maps = self.maps()
+        c, linearity = choi_stack([[f(p) for p in PROBES] for f in maps])
+        d = choi_diagnostics(c)
+        complete, reassembled = kraus_residuals(d.kraus, c)
+        assert c.shape == (26, 4, 4) and linearity.shape == (26, 2)
+        assert (linearity <= 1e-10).all()
+        for k, f in enumerate(maps):
+            choi = choi_of(f)
+            np.testing.assert_array_equal(c[k], choi.matrix)
+            report = verify_cptp(choi)
+            assert d.min_eigenvalue[k] == report.min_eigenvalue
+            assert d.tp_residual[k] == report.tp_residual
+            assert d.herm_residual[k] == report.herm_residual
+            if f is transpose_map:
+                assert not report.cp_ok
+                with pytest.raises(CompletePositivityError):
+                    kraus_from_choi(choi)
+                # the dropped negative eigenvalue leaves the Kraus set incomplete
+                assert complete[k] > 0.5 and reassembled[k] > 0.5
+                continue
+            ops = kraus_from_choi(choi)
+            assert len(ops) == int(d.kept[k].sum())
+            np.testing.assert_array_equal(np.array(ops), d.kraus[k][d.kept[k]])
+            np.testing.assert_array_equal(d.kraus[k][~d.kept[k]], 0.0)
+            # the residuals are norms of the same matrices, summed in another order
+            per_map_complete = frobenius_distance(sum(op.conj().T @ op for op in ops), np.eye(2))
+            per_map_reassembled = frobenius_distance(kraus_to_choi(ops), choi.matrix)
+            assert abs(complete[k] - per_map_complete) <= 1e-15
+            assert abs(reassembled[k] - per_map_reassembled) <= 1e-15
+            assert complete[k] < 1e-9 and reassembled[k] < 1e-9
+
+    def test_kraus_to_choi_accepts_stacks_and_empty_sets(self):
+        ops = np.array([[np.eye(2), PAULI_Z], [PAULI_X, PAULI_Z]]) / math.sqrt(2)
+        stacked = kraus_to_choi(ops)
+        assert stacked.shape == (2, 4, 4)
+        for k in range(2):
+            np.testing.assert_array_equal(stacked[k], kraus_to_choi(list(ops[k])))
+        np.testing.assert_array_equal(kraus_to_choi([]), np.zeros((4, 4)))

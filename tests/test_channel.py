@@ -9,8 +9,10 @@ import pytest
 from spinboost.channel import (
     NoiseSpec,
     Scenario,
+    _evolve_stack,
     channel_coeffs,
     decay_exponent,
+    decay_factors,
     dressed_apply,
     dressing_transform,
     evolve_elementwise,
@@ -238,6 +240,50 @@ class TestEvolveElementwise:
         out = evolve_elementwise(DensityMatrix(np.diag([1.0, 0.0])), s, t).matrix
         expected = 0.5 * nz * (nx - 1j * ny) * lost_fraction(s.gamma_prime * t * t)
         assert abs(out[0, 1] - expected) <= 1e-15 * abs(expected)
+
+
+def bits(a):
+    """The raw float64 words of an array, so signed zeros count as different."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestStackedKernel:
+    def test_stack_equals_per_state_bit_for_bit(self):
+        # random states at any phi, with xi = 0 and xi = 700 (gamma' overflows
+        # to inf) among the draws, and t = 0 among the times
+        rng = np.random.default_rng(11)
+        states, scenarios, times = [], [], []
+        for k in range(240):
+            xi = (0.0, 700.0, rng.uniform(0, 5))[k % 3]
+            scenarios.append(Scenario(
+                BoostParams(xi=xi, theta=rng.uniform(0, math.pi), phi=rng.uniform(0, 2 * math.pi)),
+                NoiseSpec.from_gamma(rng.uniform(0.1, 2.0)),
+            ))
+            states.append(random_density(rng, 2, pure=bool(k % 2)))
+            times.append(0.0 if k % 7 == 0 else rng.uniform(0, 3))
+        decay, lost = decay_factors([decay_exponent(s.gamma_prime, t) for s, t in zip(scenarios, times)])
+        stacked = _evolve_stack(np.array([r.matrix for r in states]),
+                                np.array([s.field.n for s in scenarios]), decay, lost)
+        single = np.array([evolve_elementwise(r, s, t).matrix
+                           for r, s, t in zip(states, scenarios, times)])
+        np.testing.assert_array_equal(bits(stacked), bits(single))
+
+    def test_broadcasts_one_state_over_times(self):
+        s = scenario(1.7, 0.4, phi=2.2)
+        rho = random_density(np.random.default_rng(12), 2)
+        times = np.linspace(0.0, 2.0, 9)
+        decay, lost = decay_factors(decay_exponent(s.gamma_prime, times))
+        stacked = _evolve_stack(rho.matrix, s.field.n, decay, lost)
+        assert stacked.shape == (9, 2, 2)
+        single = np.array([evolve_elementwise(rho, s, t).matrix for t in times.tolist()])
+        np.testing.assert_array_equal(bits(stacked), bits(single))
+
+    def test_decay_factors_are_libm(self):
+        g = np.array([[0.0, 1e-300, 0.3], [5.0, 800.0, math.inf]])
+        decay, lost = decay_factors(g)
+        assert decay.shape == lost.shape == g.shape
+        assert decay.ravel().tolist() == [math.exp(-x) for x in g.ravel().tolist()]
+        assert lost.ravel().tolist() == [-math.expm1(-x) for x in g.ravel().tolist()]
 
 
 class TestOperatorSum:

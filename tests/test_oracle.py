@@ -161,6 +161,20 @@ class TestAverageQuadrature:
             out = average_quadrature(rho, s, t)
             assert abs(np.trace(out.matrix) - 1.0) < 1e-14
 
+    @pytest.mark.parametrize("nodes", [201, 402])
+    def test_matches_per_node_matrix_products(self, nodes):
+        # the broadcast 2x2 products against one u @ rho @ u^dag per node,
+        # reduced over the nodes as the oracle does
+        rng = np.random.default_rng(4)
+        z, w = gauss_hermite_nodes(nodes)
+        for rho, s, t in draw_cases(rng, 20):
+            u = _unitary_stack(s.noise.vartheta * z, s, t)
+            terms = np.array([uk @ rho.matrix @ uk.conj().T for uk in u])
+            ref = np.tensordot(w, terms, axes=(0, 0))
+            ref = 0.5 * (ref + ref.conj().T)
+            out = average_quadrature(rho, s, t, QuadratureSpec(nodes=nodes)).matrix
+            assert np.abs(out - ref).max() <= 4.5e-16
+
 
 def cos_sin_double(x):
     x = np.array(x, dtype=float)
