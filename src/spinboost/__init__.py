@@ -48,7 +48,6 @@ from .relkin import (
 from .spinalg import (
     DensityMatrix,
     DensityMatrixError,
-    eigh_descending,
     frobenius_distance,
     pauli_rotation,
     random_density,
@@ -82,7 +81,6 @@ __all__ = [
     "dressed_apply",
     "dressing_transform",
     "effective_field",
-    "eigh_descending",
     "eta_max",
     "eta_profile",
     "evolve_elementwise",

@@ -16,9 +16,15 @@ decomposition, and the dressed picture (rotate the axis onto ez, dephase,
 rotate back).
 
 All apply-operations are pure functions DensityMatrix -> DensityMatrix.
-The element-wise form's arithmetic also runs on array stacks of states,
-axes and times (``_evolve_stack``, with ``decay_factors``) for callers that
-validate the images themselves; ``evolve_elementwise`` is its stack of one.
+Each form's arithmetic lives once, in a private kernel that broadcasts
+over leading axes of states, per-case operators and times and does not
+validate: ``_evolve_stack`` (axes n), ``_operator_sum_stack`` (in-plane
+operators from ``_axis_sigma`` and the moduli eta, chi) and
+``_dressed_stack`` (rotations from ``dressing_transform``), all with the
+libm factors of ``decay_factors``. Callers that run them on stacks
+validate the images themselves; ``evolve_elementwise``,
+``operator_sum_apply`` and ``dressed_apply`` are stacks of one that
+validate their output, and agree with the stacks bit for bit.
 """
 
 from __future__ import annotations
@@ -29,11 +35,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .relkin import BoostParams, EffectiveField, effective_field
-from .spinalg import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z, DensityMatrix
+from .spinalg import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z, DensityMatrix, _matmul_2x2
 
 # exp(-x) for x >= ~745 underflows anyway; 50 already rounds every reported
 # digit, so "t -> infinity" is evaluated at gamma' t**2 = 50.
 LONG_TIME_GAMMA_T2 = 50.0
+
+# sz m sz flips the sign of the off-diagonal entries of m
+_SZ_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
 @dataclass(frozen=True)
@@ -132,12 +141,17 @@ def rest_dephasing(rho: DensityMatrix, gamma: float, t: float) -> DensityMatrix:
     """
     _require_nonneg_time(t)
     _require_qubit(rho)
-    decay = math.exp(-decay_exponent(gamma, t))
-    m = rho.matrix
-    out = np.array(m)
-    out[0, 1] = m[0, 1] * decay
-    out[1, 0] = m[1, 0] * decay
-    return DensityMatrix(out)
+    return DensityMatrix(_dephase_stack(rho.matrix, math.exp(-decay_exponent(gamma, t))))
+
+
+def _dephase_stack(m: np.ndarray, decay) -> np.ndarray:
+    """States ``m`` (..., 2, 2) with off-diagonals scaled by ``decay`` (...)."""
+    m = np.asarray(m)
+    out = np.empty(np.broadcast_shapes(m.shape, np.shape(decay) + (2, 2)), dtype=complex)
+    out[...] = m
+    out[..., 0, 1] = m[..., 0, 1] * decay
+    out[..., 1, 0] = m[..., 1, 0] * decay
+    return out
 
 
 def channel_coeffs(s: Scenario, t: float) -> ChannelCoeffs:
@@ -254,17 +268,30 @@ def operator_sum_apply(rho: DensityMatrix, s: Scenario, t: float) -> DensityMatr
     """
     _require_nonneg_time(t)
     _require_qubit(rho)
-    c = channel_coeffs(s, t)
-    eta = s.field.eta_mod
-    chi = s.field.chi_mod
-    su = _axis_sigma(s)
-    m = rho.matrix
-    sz_m_sz = PAULI_Z @ m @ PAULI_Z
-    out = c.p0 * m + (c.p1 - c.epsilon) * sz_m_sz
-    out += (c.p1 * (eta - chi)) * (su @ m @ su)
+    g = decay_exponent(s.gamma_prime, t)
+    return DensityMatrix(_operator_sum_stack(rho.matrix, _axis_sigma(s), s.field.eta_mod,
+                                             s.field.chi_mod, math.exp(-g), -math.expm1(-g)))
+
+
+def _operator_sum_stack(m: np.ndarray, su: np.ndarray, eta, chi, decay, lost) -> np.ndarray:
+    """The sum of ``operator_sum_apply`` on stacks, without validation.
+
+    States ``m`` and in-plane operators ``su`` (..., 2, 2), the moduli
+    ``eta`` and ``chi`` and the factors ``decay`` = exp(-gamma' t**2) and
+    ``lost`` = 1 - decay (...) broadcast against each other; returns the
+    images (..., 2, 2). The weights are those of ``channel_coeffs``.
+    """
+    def weight(x):
+        return np.asarray(x)[..., None, None]
+
+    m = np.asarray(m)
+    eta, chi = weight(eta), weight(chi)
+    p1 = 0.5 * weight(lost)
+    p0 = 0.5 * (1.0 + weight(decay))
+    out = p0 * m + (p1 - p1 * (eta + chi)) * (m * _SZ_SIGNS)
+    out = out + (p1 * (eta - chi)) * _matmul_2x2(_matmul_2x2(su, m), su)
     cross = PAULI_Z + su
-    out += (c.p1 * chi) * (cross @ m @ cross)
-    return DensityMatrix(out)
+    return out + (p1 * chi) * _matmul_2x2(_matmul_2x2(cross, m), cross)
 
 
 def dressing_transform(f: EffectiveField) -> np.ndarray:
@@ -298,10 +325,20 @@ def dressed_apply(rho: DensityMatrix, s: Scenario, t: float) -> DensityMatrix:
     """
     _require_nonneg_time(t)
     _require_qubit(rho)
-    v = dressing_transform(s.field)
-    rotated = DensityMatrix(v @ rho.matrix @ v.conj().T)
-    dephased = rest_dephasing(rotated, s.gamma_prime, t)
-    return DensityMatrix(v.conj().T @ dephased.matrix @ v)
+    decay = math.exp(-decay_exponent(s.gamma_prime, t))
+    return DensityMatrix(_dressed_stack(rho.matrix, dressing_transform(s.field), decay))
+
+
+def _dressed_stack(m: np.ndarray, v: np.ndarray, decay) -> np.ndarray:
+    """The form of ``dressed_apply`` on stacks, without validation.
+
+    States ``m`` and dressing rotations ``v`` (..., 2, 2) and the factors
+    ``decay`` = exp(-gamma' t**2) (...) broadcast against each other;
+    returns the images (..., 2, 2).
+    """
+    v_dag = np.conj(np.swapaxes(v, -1, -2))
+    rotated = _matmul_2x2(_matmul_2x2(v, m), v_dag)
+    return _matmul_2x2(_matmul_2x2(v_dag, _dephase_stack(rotated, decay)), v)
 
 
 def example_trajectory(s: Scenario, t):

@@ -4,8 +4,9 @@ Nothing in here reuses the closed forms: the state is propagated with the
 exact per-field unitary U(B) = exp(-i kappa mu t B sigma.n) and averaged
 over B ~ N(0, vartheta**2) either by Gauss-Hermite quadrature (spectrally
 exact for these Gaussian-times-trigonometric integrands) or by seeded
-Monte Carlo. The quadrature covers one and two qubits (common bath:
-U(B) (x) U(B)).
+Monte Carlo. The only code shared with ``channel`` is generic 2x2
+algebra (``spinalg._matmul_2x2``). The quadrature covers one and two
+qubits (common bath: U(B) (x) U(B)).
 
 Determinism contracts: node/weight generation is the Golub-Welsch
 eigen-solve of the symmetric tridiagonal Jacobi matrix (numpy's dense
@@ -15,14 +16,18 @@ a Box-Muller transform, accumulated in fixed chunk order, so identical
 (seed, samples) produce bit-identical results whether chunks are
 evaluated serially or in parallel.
 
-Monte Carlo trigonometry: every cos/sin pair (the Box-Muller angle and
-the rotation angle d of each draw) comes from one tangent of the half
-angle, cos 2x = (1 - h^2) w and sin 2x = 2 h w with h = tan x and
-w = 1/(1 + h^2). numpy dispatches float64 ``tan`` to SIMD code on common
-x86-64 builds, where ``cos`` and ``sin`` are scalar libm calls, so one
-``tan`` and a few multiply-adds cost about a tenth of the pair. Results
-stay within 2.3e-16 of ``np.cos``/``np.sin`` and are bit-reproducible on
-one machine; which ``tan`` numpy picks (SIMD or libm) may move last bits
+Monte Carlo trigonometry: every cos/sin pair comes from one tangent of
+the half angle. For the Box-Muller angle, cos 2x = (1 - h^2) w and
+sin 2x = 2 h w with h = tan x and w = 1/(1 + h^2). For the rotation angle
+d of each draw only the moments are needed: with h = tan(d/2),
+cos d = 2w - 1 and sin d = 2hw, and four pairwise sums per chunk (w, hw,
+hw w, (hw)^2) give all five means of (cos d, sin d) and their products.
+numpy dispatches float64 ``tan`` to SIMD code on common x86-64 builds,
+where ``cos`` and ``sin`` are scalar libm calls, so one ``tan`` and a
+few multiply-adds cost about a tenth of the pair. The pairs stay within
+2.3e-16, the means within 1e-14, of ``np.cos``/``np.sin``; results are
+bit-reproducible on one machine and do not depend on the BLAS thread
+count, but which ``tan`` numpy picks (SIMD or libm) may move last bits
 between machines.
 """
 
@@ -35,7 +40,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import Scenario
-from .spinalg import IDENTITY_2, DensityMatrix, pauli_vector
+from .spinalg import IDENTITY_2, DensityMatrix, _matmul_2x2, pauli_vector
 
 _MC_CHUNK = 1 << 16
 # Largest |z| _box_muller_normals returns: the radius sqrt(-2 log(1 - u1))
@@ -121,11 +126,6 @@ def _unitary_stack(b_values: np.ndarray, s: Scenario, t: float) -> np.ndarray:
     return u
 
 
-def _matmul_2x2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Products of stacked 2x2 matrices, broadcast in place of one BLAS call per matrix."""
-    return a[..., :, :1] * b[..., :1, :] + a[..., :, 1:] * b[..., 1:, :]
-
-
 def _hermitize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
@@ -207,6 +207,38 @@ def _box_muller_normals(seed: int, chunk_index: int, count: int,
     return z
 
 
+def _rotation_moments(mc: McSpec, half_scale: float) -> tuple[float, ...]:
+    """Sample means of cos d, sin d, cos^2 d, sin^2 d and cos d sin d.
+
+    d = 2 half_scale z over the ``mc.samples`` normals z of the Philox
+    streams of ``mc.seed``. With h = tan(d/2) and w = 1/(1 + h^2),
+    cos d = 2w - 1 and sin d = 2hw, so four pairwise sums per chunk (of
+    w, hw, hw w and (hw)^2) give all five means. (hw)^2 rather than w^2
+    gives E[sin^2 d] without the cancellation of 1 - E[cos^2 d] at
+    small angles.
+    """
+    work = np.empty((3, 2 * ((min(_MC_CHUNK, mc.samples) + 1) // 2)))
+    sums = np.zeros(4)
+    for chunk_index, done in enumerate(range(0, mc.samples, _MC_CHUNK)):
+        count = min(_MC_CHUNK, mc.samples - done)
+        h = _box_muller_normals(mc.seed, chunk_index, count, work)
+        h *= half_scale
+        np.tan(h, out=h)
+        w, hw = work[0, :count], work[1, :count]
+        np.multiply(h, h, out=w)
+        w += 1.0
+        np.divide(1.0, w, out=w)
+        np.multiply(h, w, out=hw)
+        # h is spent and its row is the products' scratch; numpy's pairwise
+        # sums, unlike a BLAS dot, do not depend on the BLAS thread count
+        sums += (w.sum(), hw.sum(), np.multiply(hw, w, out=h).sum(),
+                 np.multiply(hw, hw, out=h).sum())
+    mean_w, mean_hw, mean_hww, mean_hwhw = (sums / mc.samples).tolist()
+    mean_ss = 4.0 * mean_hwhw
+    return (2.0 * mean_w - 1.0, 2.0 * mean_hw, 1.0 - mean_ss, mean_ss,
+            4.0 * mean_hww - 2.0 * mean_hw)
+
+
 def average_montecarlo(
     rho: DensityMatrix, s: Scenario, t: float, mc: McSpec = McSpec()
 ) -> tuple[DensityMatrix, float]:
@@ -227,17 +259,7 @@ def average_montecarlo(
         raise ValueError(f"time must be >= 0, got {t!r}")
     # d = 2 half_scale z
     half_scale = _half_angle_rate(s, t, s.noise.vartheta * _BOX_MULLER_MAX) * s.noise.vartheta
-    work = np.empty((3, 2 * ((min(_MC_CHUNK, mc.samples) + 1) // 2)))
-    sums = np.zeros(5)
-    for chunk_index, done in enumerate(range(0, mc.samples, _MC_CHUNK)):
-        count = min(_MC_CHUNK, mc.samples - done)
-        si = _box_muller_normals(mc.seed, chunk_index, count, work)
-        si *= half_scale
-        c, tmp = work[0, :count], work[1, :count]
-        _cos_sin_double(si, c, tmp)
-        sums += (c.sum(), si.sum(), np.multiply(c, c, out=tmp).sum(),
-                 np.multiply(si, si, out=tmp).sum(), np.multiply(c, si, out=tmp).sum())
-    mean_c, mean_s, mean_cc, mean_ss, mean_cs = sums / mc.samples
+    mean_c, mean_s, mean_cc, mean_ss, mean_cs = _rotation_moments(mc, half_scale)
     # rho = a0 I + a.sigma with complex a; the rotation acts on a:
     # a -> (n.a) n + cos d (a - (n.a) n) + sin d (n x a)
     m = rho.matrix

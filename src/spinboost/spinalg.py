@@ -1,10 +1,11 @@
 """Dense fixed-size complex matrix kernel for spin-1/2 problems.
 
 Pauli algebra, SU(2) rotations in closed form, Kronecker products,
-Hermitian eigendecompositions and density-matrix validation. Everything
-here works on plain ``numpy`` arrays of dimension 2 or 4; all returned
-values are freshly allocated and never alias their inputs, so the
-functions are safe to call from concurrent workers.
+broadcast products of stacked 2x2 matrices and density-matrix
+validation. Everything here works on plain ``numpy`` arrays of
+dimension 2 or 4, or stacks of 2x2 ones; all returned values are freshly
+allocated and never alias their inputs, so the functions are safe to
+call from concurrent workers.
 """
 
 from __future__ import annotations
@@ -96,17 +97,9 @@ def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b))
 
 
-def eigh_descending(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Hermitian eigendecomposition with eigenvalues sorted descending.
-
-    Returns ``(values, vectors)`` with ``vectors[:, k]`` the eigenvector
-    of ``values[k]``. Backed by the deterministic LAPACK solver; the
-    input is Hermitian-symmetrised first so that callers may pass
-    matrices carrying ~1e-16 floating-point asymmetry.
-    """
-    m = np.asarray(m, dtype=complex)
-    vals, vecs = np.linalg.eigh(0.5 * (m + m.conj().T))
-    return vals[::-1].copy(), vecs[:, ::-1].copy()
+def _matmul_2x2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Products of stacked 2x2 matrices, broadcast in place of one BLAS call per matrix."""
+    return a[..., :, :1] * b[..., :1, :] + a[..., :, 1:] * b[..., 1:, :]
 
 
 def _residuals(m: np.ndarray) -> tuple[float, float, float]:

@@ -19,10 +19,14 @@ from . import analysis, entangle, oracle
 from .channel import (
     NoiseSpec,
     Scenario,
+    _axis_sigma,
+    _dressed_stack,
     _evolve_stack,
+    _operator_sum_stack,
     decay_exponent,
     decay_factors,
     dressed_apply,
+    dressing_transform,
     evolve_elementwise,
     example_trajectory,
     operator_sum_apply,
@@ -78,6 +82,76 @@ def _draw_channel_cases(rng: np.random.Generator, count: int):
     return cases
 
 
+POOL_SIZE = 250
+FORMS = ("elementwise", "operator_sum", "dressed", "quadrature")
+
+
+@dataclass(frozen=True, eq=False)
+class CasePool:
+    """Seeded channel cases with the image of each under every form.
+
+    ``images[form]`` stacks the images (POOL_SIZE, 2, 2) of the cases
+    under one channel form, NaN where the quadrature raised, and
+    ``invalid[form]`` marks the images that fail ``DensityMatrix``
+    validation. The draws are those of ``_draw_channel_cases``, so a
+    check that uses the first k cases sees what a fresh draw of k would
+    give.
+    """
+
+    cases: list
+    images: dict
+    invalid: dict
+
+
+def _invalid(m: np.ndarray) -> bool:
+    try:
+        DensityMatrix(m)
+    except DensityMatrixError:
+        return True
+    return False
+
+
+def _quadrature_or_nan(rho: DensityMatrix, s: Scenario, t: float,
+                       q: oracle.QuadratureSpec) -> np.ndarray:
+    """The oracle's image, or NaN where it raises (which the callers count as invalid)."""
+    try:
+        return oracle.average_quadrature(rho, s, t, q).matrix
+    except ValueError:
+        return np.full((2, 2), math.nan, dtype=complex)
+
+
+def case_pool(seed: int) -> CasePool:
+    """Draw POOL_SIZE channel cases and map them under all four forms.
+
+    The three closed forms run as one stacked kernel call each, with
+    libm decay factors; the quadrature oracle (201 nodes) runs per case.
+    """
+    cases = _draw_channel_cases(np.random.default_rng(seed), POOL_SIZE)
+    rhos = np.array([rho.matrix for rho, _, _ in cases])
+    scenarios = [s for _, s, _ in cases]
+    decay, lost = decay_factors([decay_exponent(s.gamma_prime, t) for _, s, t in cases])
+    images = {
+        "elementwise": _evolve_stack(rhos, np.array([s.field.n for s in scenarios]), decay, lost),
+        "operator_sum": _operator_sum_stack(
+            rhos, np.array([_axis_sigma(s) for s in scenarios]),
+            np.array([s.field.eta_mod for s in scenarios]),
+            np.array([s.field.chi_mod for s in scenarios]), decay, lost),
+        "dressed": _dressed_stack(rhos, np.array([dressing_transform(s.field) for s in scenarios]),
+                                  decay),
+        "quadrature": np.array([_quadrature_or_nan(rho, s, t, oracle.QuadratureSpec(nodes=201))
+                                for rho, s, t in cases]),
+    }
+    invalid = {form: np.array([_invalid(m) for m in stack]) for form, stack in images.items()}
+    return CasePool(cases, images, invalid)
+
+
+def _invalid_note(pool: CasePool, forms, count: int, extra: int = 0) -> str:
+    """`` invalid_images=N`` for the first ``count`` cases under ``forms``
+    plus ``extra`` more, or ``""`` for none."""
+    n = extra + sum(int(pool.invalid[form][:count].sum()) for form in forms)
+    return f" invalid_images={n}" if n else ""
+
+
 def check_kappa_amplification_anchor() -> CheckResult:
     opt = eta_max(2.5)
     f = effective_field(BoostParams(xi=2.5, theta=opt.theta_opt))
@@ -128,47 +202,42 @@ def check_eta_max_monotone_limit() -> CheckResult:
     )
 
 
-def check_analytic_vs_quadrature(seed: int) -> CheckResult:
-    rng = np.random.default_rng(seed)
-    cases = _draw_channel_cases(rng, 100)
-    q1 = oracle.QuadratureSpec(nodes=201)
+def check_analytic_vs_quadrature(pool: CasePool) -> CheckResult:
     q2 = oracle.QuadratureSpec(nodes=402)
     worst_osc = 0.0
     worst_double = 0.0
-    for rho, s, t in cases:
-        quad = oracle.average_quadrature(rho, s, t, q1)
-        worst_osc = max(worst_osc, frobenius_distance(evolve_elementwise(rho, s, t).matrix, quad.matrix))
-        worst_double = max(
-            worst_double,
-            frobenius_distance(quad.matrix, oracle.average_quadrature(rho, s, t, q2).matrix),
-        )
-    ok = worst_osc < 1e-8 and worst_double < 1e-10
+    failed_402 = 0
+    for k, (rho, s, t) in enumerate(pool.cases[:100]):
+        quad = pool.images["quadrature"][k]
+        worst_osc = max(worst_osc, frobenius_distance(pool.images["elementwise"][k], quad))
+        quad402 = _quadrature_or_nan(rho, s, t, q2)
+        failed_402 += _invalid(quad402)
+        worst_double = max(worst_double, frobenius_distance(quad, quad402))
+    invalid = _invalid_note(pool, ("elementwise", "quadrature"), 100, failed_402)
+    ok = worst_osc < 1e-8 and worst_double < 1e-10 and not invalid
     return CheckResult(
         "analytic_vs_quadrature",
         ok,
         f"draws=100 max|analytic-quad201|={_g(worst_osc)} (tol 1e-08) "
-        f"max|quad201-quad402|={_g(worst_double)} (tol 1e-10)",
+        f"max|quad201-quad402|={_g(worst_double)} (tol 1e-10){invalid}",
     )
 
 
-def check_decomposition_agreement(seed: int) -> CheckResult:
-    rng = np.random.default_rng(seed)
-    cases = _draw_channel_cases(rng, 100)
+def check_decomposition_agreement(pool: CasePool) -> CheckResult:
+    ref = pool.images["elementwise"]
     worst_osum = 0.0
     worst_dressed = 0.0
-    chi_gt_eta = 0
-    for rho, s, t in cases:
-        ref = evolve_elementwise(rho, s, t).matrix
-        worst_osum = max(worst_osum, frobenius_distance(operator_sum_apply(rho, s, t).matrix, ref))
-        worst_dressed = max(worst_dressed, frobenius_distance(dressed_apply(rho, s, t).matrix, ref))
-        if s.field.chi_mod > s.field.eta_mod:
-            chi_gt_eta += 1
-    ok = worst_osum < 1e-10 and worst_dressed < 1e-10 and chi_gt_eta > 0
+    for k in range(100):
+        worst_osum = max(worst_osum, frobenius_distance(pool.images["operator_sum"][k], ref[k]))
+        worst_dressed = max(worst_dressed, frobenius_distance(pool.images["dressed"][k], ref[k]))
+    chi_gt_eta = sum(s.field.chi_mod > s.field.eta_mod for _, s, _ in pool.cases[:100])
+    invalid = _invalid_note(pool, ("elementwise", "operator_sum", "dressed"), 100)
+    ok = worst_osum < 1e-10 and worst_dressed < 1e-10 and chi_gt_eta > 0 and not invalid
     return CheckResult(
         "decomposition_agreement",
         ok,
         f"draws=100 (chi>eta on {chi_gt_eta}) max|opsum-elementwise|={_g(worst_osum)} "
-        f"max|dressed-elementwise|={_g(worst_dressed)} (tol 1e-10)",
+        f"max|dressed-elementwise|={_g(worst_dressed)} (tol 1e-10){invalid}",
     )
 
 
@@ -229,6 +298,7 @@ def check_rest_frame_reduction(seed: int) -> CheckResult:
     ]
     worst_diag = 0.0
     worst_ratio = 0.0
+    invalid = 0
     for _ in range(10):
         rho = random_density(rng, 2)
         if abs(rho.matrix[0, 1]) < 1e-2:
@@ -237,15 +307,20 @@ def check_rest_frame_reduction(seed: int) -> CheckResult:
             t = math.sqrt(g_t2)
             expected_ratio = math.exp(-g_t2)
             for _, op in ops:
-                out = op(rho, s, t).matrix
+                try:
+                    out = op(rho, s, t).matrix
+                except ValueError:  # DensityMatrixError included
+                    invalid += 1
+                    continue
                 worst_diag = max(worst_diag, abs(out[0, 0] - rho.matrix[0, 0]))
                 ratio = out[0, 1] / rho.matrix[0, 1]
                 worst_ratio = max(worst_ratio, abs(ratio - expected_ratio))
-    ok = worst_diag <= 1e-14 and worst_ratio <= 1e-12
+    ok = worst_diag <= 1e-14 and worst_ratio <= 1e-12 and not invalid
     return CheckResult(
         "rest_frame_reduction",
         ok,
-        f"max_diag_drift={_g(worst_diag)} (tol 1e-14) max_ratio_err={_g(worst_ratio)} (tol 1e-12)",
+        f"max_diag_drift={_g(worst_diag)} (tol 1e-14) max_ratio_err={_g(worst_ratio)} (tol 1e-12)"
+        + (f" invalid_images={invalid}" if invalid else ""),
     )
 
 
@@ -296,27 +371,25 @@ def check_bell_boosted_reference() -> CheckResult:
     )
 
 
-def check_montecarlo_consistency(seed: int) -> CheckResult:
-    rng = np.random.default_rng(seed)
-    cases = _draw_channel_cases(rng, 20)
+def check_montecarlo_consistency(pool: CasePool, seed: int) -> CheckResult:
     worst_ratio = 0.0
-    for k, (rho, s, t) in enumerate(cases):
+    for k, (rho, s, t) in enumerate(pool.cases[:20]):
         mc = oracle.McSpec(samples=10**6, seed=(seed + k) % 2**64)
         mean, stderr = oracle.average_montecarlo(rho, s, t, mc)
-        quad = oracle.average_quadrature(rho, s, t)
-        dist = frobenius_distance(mean.matrix, quad.matrix)
+        dist = frobenius_distance(mean.matrix, pool.images["quadrature"][k])
         worst_ratio = max(worst_ratio, dist / stderr if stderr > 0 else math.inf)
-    rho, s, t = cases[0]
+    rho, s, t = pool.cases[0]
     mc = oracle.McSpec(samples=10**5, seed=seed)
     first, se1 = oracle.average_montecarlo(rho, s, t, mc)
     second, se2 = oracle.average_montecarlo(rho, s, t, mc)
     reproducible = bool((first.matrix == second.matrix).all()) and se1 == se2
-    ok = worst_ratio <= 3.0 and reproducible
+    invalid = _invalid_note(pool, ("quadrature",), 20)
+    ok = worst_ratio <= 3.0 and reproducible and not invalid
     return CheckResult(
         "montecarlo_consistency",
         ok,
         f"scenarios=20 samples=1e6 max dist/stderr={_g(worst_ratio)} (<= 3) "
-        f"seed_reproducible={reproducible}",
+        f"seed_reproducible={reproducible}{invalid}",
     )
 
 
@@ -380,41 +453,43 @@ def check_trajectory_monotonicity() -> CheckResult:
     )
 
 
-def check_channel_positivity_sweep(seed: int) -> CheckResult:
-    rng = np.random.default_rng(seed)
-    cases = _draw_channel_cases(rng, 250)
+def check_channel_positivity_sweep(pool: CasePool) -> CheckResult:
+    """Every image of every pooled case is a valid state with trace 1 within 1e-14."""
     failures = 0
-    for rho, s, t in cases:
-        for op in (evolve_elementwise, operator_sum_apply, dressed_apply,
-                   lambda r, sc, tt: oracle.average_quadrature(r, sc, tt)):
-            out = op(rho, s, t)  # DensityMatrix construction validates at 1e-10
-            if abs(np.trace(out.matrix) - 1.0) > 1e-14:
-                failures += 1
-    ok = failures == 0
+    for form in FORMS:
+        trace_residual = np.abs(np.trace(pool.images[form], axis1=-2, axis2=-1) - 1.0)
+        failures += int((pool.invalid[form] | ~(trace_residual <= 1e-14)).sum())
+    outputs = len(FORMS) * len(pool.cases)
     return CheckResult(
         "channel_positivity_sweep",
-        ok,
-        f"outputs=1000 validation_failures={failures} trace_tol=1e-14",
+        failures == 0,
+        f"outputs={outputs} validation_failures={failures} trace_tol=1e-14",
     )
 
 
 def run_checks(seed: int = 42) -> list[CheckResult]:
-    """Run the full verification suite with one master seed."""
+    """Run the full verification suite with one master seed.
+
+    The single-qubit channel checks share one case pool: the first 100
+    cases for the quadrature and decomposition checks, the first 20 for
+    Monte Carlo and all of them for the positivity sweep.
+    """
+    pool = case_pool(seed)
     return [
         check_kappa_amplification_anchor(),
         check_coherence_saturation_anchor(),
         check_eta_max_monotone_limit(),
-        check_analytic_vs_quadrature(seed),
-        check_decomposition_agreement(seed),
+        check_analytic_vs_quadrature(pool),
+        check_decomposition_agreement(pool),
         check_cptp_grid(),
         check_rest_frame_reduction(seed),
         check_bell_rest_decay(),
         check_bell_boosted_reference(),
-        check_montecarlo_consistency(seed),
+        check_montecarlo_consistency(pool, seed),
         check_boost_geometry_identities(seed),
         check_eta_argmax_grid(),
         check_trajectory_monotonicity(),
-        check_channel_positivity_sweep(seed),
+        check_channel_positivity_sweep(pool),
     ]
 
 

@@ -9,7 +9,10 @@ import pytest
 from spinboost.channel import (
     NoiseSpec,
     Scenario,
+    _axis_sigma,
+    _dressed_stack,
     _evolve_stack,
+    _operator_sum_stack,
     channel_coeffs,
     decay_exponent,
     decay_factors,
@@ -247,20 +250,25 @@ def bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
 
+def edge_cases(rng, count):
+    """Random states at any phi, with xi in {0, 700, random}, theta in {0, pi/2, pi,
+    random} and t = 0 among the times; xi = 700 overflows gamma' to inf."""
+    states, scenarios, times = [], [], []
+    for k in range(count):
+        xi = (0.0, 700.0, rng.uniform(0, 5))[k % 3]
+        theta = (0.0, math.pi / 2, math.pi, rng.uniform(0, math.pi))[k % 4]
+        scenarios.append(Scenario(
+            BoostParams(xi=xi, theta=theta, phi=rng.uniform(0, 2 * math.pi)),
+            NoiseSpec.from_gamma(rng.uniform(0.1, 2.0)),
+        ))
+        states.append(random_density(rng, 2, pure=bool(k % 2)))
+        times.append(0.0 if k % 7 == 0 else rng.uniform(0, 3))
+    return states, scenarios, times
+
+
 class TestStackedKernel:
     def test_stack_equals_per_state_bit_for_bit(self):
-        # random states at any phi, with xi = 0 and xi = 700 (gamma' overflows
-        # to inf) among the draws, and t = 0 among the times
-        rng = np.random.default_rng(11)
-        states, scenarios, times = [], [], []
-        for k in range(240):
-            xi = (0.0, 700.0, rng.uniform(0, 5))[k % 3]
-            scenarios.append(Scenario(
-                BoostParams(xi=xi, theta=rng.uniform(0, math.pi), phi=rng.uniform(0, 2 * math.pi)),
-                NoiseSpec.from_gamma(rng.uniform(0.1, 2.0)),
-            ))
-            states.append(random_density(rng, 2, pure=bool(k % 2)))
-            times.append(0.0 if k % 7 == 0 else rng.uniform(0, 3))
+        states, scenarios, times = edge_cases(np.random.default_rng(11), 240)
         decay, lost = decay_factors([decay_exponent(s.gamma_prime, t) for s, t in zip(scenarios, times)])
         stacked = _evolve_stack(np.array([r.matrix for r in states]),
                                 np.array([s.field.n for s in scenarios]), decay, lost)
@@ -284,6 +292,52 @@ class TestStackedKernel:
         assert decay.shape == lost.shape == g.shape
         assert decay.ravel().tolist() == [math.exp(-x) for x in g.ravel().tolist()]
         assert lost.ravel().tolist() == [-math.expm1(-x) for x in g.ravel().tolist()]
+
+
+class TestStackedForms:
+    def setup_method(self):
+        self.states, self.scenarios, self.times = edge_cases(np.random.default_rng(13), 240)
+        self.m = np.array([r.matrix for r in self.states])
+        self.decay, self.lost = decay_factors(
+            [decay_exponent(s.gamma_prime, t) for s, t in zip(self.scenarios, self.times)])
+
+    def operator_sum(self):
+        return _operator_sum_stack(
+            self.m, np.array([_axis_sigma(s) for s in self.scenarios]),
+            np.array([s.field.eta_mod for s in self.scenarios]),
+            np.array([s.field.chi_mod for s in self.scenarios]), self.decay, self.lost)
+
+    def dressed(self):
+        return _dressed_stack(
+            self.m, np.array([dressing_transform(s.field) for s in self.scenarios]), self.decay)
+
+    @pytest.mark.parametrize("form,apply", [("operator_sum", operator_sum_apply),
+                                            ("dressed", dressed_apply)])
+    def test_stack_equals_per_state_bit_for_bit(self, form, apply):
+        single = np.array([apply(r, s, t).matrix
+                           for r, s, t in zip(self.states, self.scenarios, self.times)])
+        np.testing.assert_array_equal(bits(getattr(self, form)()), bits(single))
+
+    def test_broadcast_one_state_over_times(self):
+        s = scenario(1.7, 0.4, phi=2.2)
+        rho = random_density(np.random.default_rng(14), 2)
+        times = np.linspace(0.0, 2.0, 9)
+        decay, lost = decay_factors(decay_exponent(s.gamma_prime, times))
+        osum = _operator_sum_stack(rho.matrix, _axis_sigma(s), s.field.eta_mod, s.field.chi_mod,
+                                   decay, lost)
+        dressed = _dressed_stack(rho.matrix, dressing_transform(s.field), decay)
+        assert osum.shape == dressed.shape == (9, 2, 2)
+        ts = times.tolist()
+        np.testing.assert_array_equal(
+            bits(osum), bits(np.array([operator_sum_apply(rho, s, t).matrix for t in ts])))
+        np.testing.assert_array_equal(
+            bits(dressed), bits(np.array([dressed_apply(rho, s, t).matrix for t in ts])))
+
+    def test_forms_agree_on_the_edge_cases(self):
+        ref = _evolve_stack(self.m, np.array([s.field.n for s in self.scenarios]),
+                            self.decay, self.lost)
+        assert np.abs(self.operator_sum() - ref).max() < 1e-12
+        assert np.abs(self.dressed() - ref).max() < 1e-12
 
 
 class TestOperatorSum:

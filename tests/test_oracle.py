@@ -12,6 +12,7 @@ from spinboost.oracle import (
     QuadratureSpec,
     _box_muller_normals,
     _cos_sin_double,
+    _rotation_moments,
     _unitary_stack,
     average_montecarlo,
     average_quadrature,
@@ -239,6 +240,45 @@ class TestHalfAngleCosSin:
             out = np.empty(2 * n)
             philox(42, 3).random(out=out)
             np.testing.assert_array_equal(out, one)
+
+
+def direct_moments(mc, half_scale):
+    """The five means from np.cos/np.sin of d = 2 half_scale z on the same normals."""
+    z = np.concatenate([_box_muller_normals(mc.seed, k, min(_MC_CHUNK, mc.samples - done))
+                        for k, done in enumerate(range(0, mc.samples, _MC_CHUNK))])
+    d = 2.0 * half_scale * z
+    c, s = np.cos(d), np.sin(d)
+    return [c.mean(), s.mean(), (c * c).mean(), (s * s).mean(), (c * s).mean()]
+
+
+class TestRotationMoments:
+    @pytest.mark.parametrize("samples", [1, 2, 3001, 65_537, 2 * _MC_CHUNK + 12345])
+    @pytest.mark.parametrize("half_scale", [1e-3, 0.2, 1.0, 7.5])
+    def test_means_match_direct_cos_sin(self, samples, half_scale):
+        # odd counts, a count that is not a multiple of the chunk and one draw
+        mc = McSpec(samples=samples, seed=31)
+        got = _rotation_moments(mc, half_scale)
+        ref = direct_moments(mc, half_scale)
+        assert max(abs(a - b) for a, b in zip(got, ref)) <= 1e-14
+
+    def test_sin_square_keeps_relative_accuracy_at_small_angles(self):
+        mc = McSpec(samples=3001, seed=5)
+        _, mean_s, _, mean_ss, _ = _rotation_moments(mc, 1e-6)
+        _, ref_s, _, ref_ss, _ = direct_moments(mc, 1e-6)
+        assert abs((mean_ss - mean_s**2) / (ref_ss - ref_s**2) - 1.0) <= 1e-12
+
+    def test_same_seed_and_count_give_the_same_bits(self):
+        for samples in (1, 3001, 2 * _MC_CHUNK + 1):
+            mc = McSpec(samples=samples, seed=77)
+            first, second = _rotation_moments(mc, 0.6), _rotation_moments(mc, 0.6)
+            assert np.array(first).view(np.uint64).tolist() == np.array(second).view(np.uint64).tolist()
+
+    def test_one_sample_has_infinite_stderr(self):
+        rng = np.random.default_rng(12)
+        (rho, s, t), = draw_cases(rng, 1)
+        mean, stderr = average_montecarlo(rho, s, t, McSpec(samples=1, seed=3))
+        assert stderr == math.inf
+        assert abs(np.trace(mean.matrix) - 1.0) < 1e-14
 
 
 class TestAverageMonteCarlo:

@@ -10,7 +10,6 @@ from spinboost.spinalg import (
     DensityMatrix,
     DensityMatrixError,
     _residuals,
-    eigh_descending,
     frobenius_distance,
     pauli_rotation,
     pauli_vector,
@@ -246,22 +245,6 @@ class TestClosedFormResiduals:
                 assert err.value.check == check
                 want = {"hermiticity": herm, "trace": tr, "positivity": -min_eig}[check]
                 assert abs(err.value.residual - want) <= 1e-15
-
-
-class TestEighDescending:
-    @pytest.mark.parametrize("dim", [2, 4])
-    def test_reconstruction(self, dim):
-        rng = np.random.default_rng(9)
-        for _ in range(25):
-            a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            h = a + a.conj().T
-            vals, vecs = eigh_descending(h)
-            rebuilt = (vecs * vals) @ vecs.conj().T
-            assert frobenius_distance(rebuilt, h) < 1e-10
-
-    def test_descending_order(self):
-        vals, _ = eigh_descending(np.diag([1.0, 3.0, -2.0, 0.5]))
-        assert (np.diff(vals) <= 0).all()
 
 
 class TestRandomDensity:

@@ -3,8 +3,14 @@
 import numpy as np
 import pytest
 
-from spinboost import verify
-from spinboost.channel import _evolve_stack
+from spinboost import oracle, verify
+from spinboost.channel import (
+    _evolve_stack,
+    _operator_sum_stack,
+    dressed_apply,
+    evolve_elementwise,
+    operator_sum_apply,
+)
 
 
 def transposed_kernel(m, n, decay, lost):
@@ -47,3 +53,109 @@ def test_cptp_grid_figures_stay_finite_on_failure(monkeypatch, kernel):
     detail = verify.check_cptp_grid().detail
     for key in ("min_choi_eig=", "max_tp_residual=", "kraus_completeness=", "reassembly="):
         assert np.isfinite(float(detail.split(key)[1].split()[0]))
+
+
+def transposed_operator_sum(*args):
+    return _operator_sum_stack(*args).swapaxes(-1, -2)
+
+
+def shrunk_operator_sum(*args):
+    return 0.999 * _operator_sum_stack(*args)
+
+
+def stretched_operator_sum(*args):
+    """Trace-preserving but not positive: the Bloch vector stretched by 3/2."""
+    return 1.5 * _operator_sum_stack(*args) - 0.25 * np.eye(2)
+
+
+@pytest.fixture(scope="module")
+def pool():
+    return verify.case_pool(42)
+
+
+@pytest.mark.parametrize("count", [100, 20])
+def test_pool_starts_with_a_fresh_draw(pool, count):
+    fresh = verify._draw_channel_cases(np.random.default_rng(42), count)
+    for (rho, s, t), (rho_f, s_f, t_f) in zip(pool.cases[:count], fresh):
+        assert (rho.matrix == rho_f.matrix).all() and t == t_f
+        assert (s.boost, s.noise) == (s_f.boost, s_f.noise)
+
+
+def test_pool_images_are_valid(pool):
+    for form in verify.FORMS:
+        assert pool.images[form].shape == (verify.POOL_SIZE, 2, 2)
+        assert not pool.invalid[form].any()
+
+
+def test_pool_holds_each_form_of_each_case(pool):
+    for k in (0, 99, 249):
+        rho, s, t = pool.cases[k]
+        for form, op in (("elementwise", evolve_elementwise), ("operator_sum", operator_sum_apply),
+                         ("dressed", dressed_apply), ("quadrature", oracle.average_quadrature)):
+            assert (pool.images[form][k] == op(rho, s, t).matrix).all()
+
+
+def test_trace_losing_operator_sum_fails_without_crashing(monkeypatch):
+    monkeypatch.setattr(verify, "_operator_sum_stack", shrunk_operator_sum)
+    results = {r.name: r for r in verify.run_checks(42)}
+    assert len(results) == 14
+    sweep = results["channel_positivity_sweep"]
+    assert not sweep.passed
+    assert "validation_failures=250 " in sweep.detail
+    decomposition = results["decomposition_agreement"]
+    assert not decomposition.passed
+    assert "invalid_images=100" in decomposition.detail
+    assert float(decomposition.detail.split("max|opsum-elementwise|=")[1].split()[0]) > 1e-4
+
+
+def test_non_positive_operator_sum_fails_the_sweep(monkeypatch):
+    monkeypatch.setattr(verify, "_operator_sum_stack", stretched_operator_sum)
+    pool = verify.case_pool(42)
+    # images with Bloch length above 2/3 stretch out of the ball
+    assert 0 < pool.invalid["operator_sum"].sum() < verify.POOL_SIZE
+    sweep = verify.check_channel_positivity_sweep(pool)
+    failures = int(sweep.detail.split("validation_failures=")[1].split()[0])
+    assert not sweep.passed and failures == pool.invalid["operator_sum"].sum()
+    assert not verify.check_decomposition_agreement(pool).passed
+
+
+def test_transposed_operator_sum_fails_the_cross_check(monkeypatch):
+    monkeypatch.setattr(verify, "_operator_sum_stack", transposed_operator_sum)
+    pool = verify.case_pool(42)
+    decomposition = verify.check_decomposition_agreement(pool)
+    assert not decomposition.passed
+    assert "invalid_images" not in decomposition.detail
+    assert float(decomposition.detail.split("max|opsum-elementwise|=")[1].split()[0]) > 0.1
+    # the transpose of a state is a state: the sweep alone cannot see it
+    assert verify.check_channel_positivity_sweep(pool).passed
+
+
+def test_raising_quadrature_counts_as_a_failure(monkeypatch):
+    calls = []
+    average_quadrature = oracle.average_quadrature
+
+    def fails_once(rho, s, t, q=oracle.QuadratureSpec()):
+        calls.append(q.nodes)
+        if len(calls) == 1:
+            raise ValueError("the oracle's rotation angle is not finite")
+        return average_quadrature(rho, s, t, q)
+
+    monkeypatch.setattr(oracle, "average_quadrature", fails_once)
+    pool = verify.case_pool(42)
+    assert pool.invalid["quadrature"].sum() == 1
+    sweep = verify.check_channel_positivity_sweep(pool)
+    assert not sweep.passed and "validation_failures=1 " in sweep.detail
+    quad = verify.check_analytic_vs_quadrature(pool)
+    assert not quad.passed and quad.detail.endswith(" invalid_images=1")
+    mc_line = verify.check_montecarlo_consistency(pool, 42)
+    assert not mc_line.passed and mc_line.detail.endswith(" invalid_images=1")
+
+
+def test_raising_per_state_form_fails_rest_frame_reduction(monkeypatch):
+    def invalid(rho, s, t):
+        return verify.DensityMatrix(1.001 * rho.matrix)
+
+    monkeypatch.setattr(verify, "operator_sum_apply", invalid)
+    result = verify.check_rest_frame_reduction(42)
+    assert not result.passed
+    assert "invalid_images=" in result.detail
