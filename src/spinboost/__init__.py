@@ -14,10 +14,8 @@ from .analysis import (
     verify_cptp,
 )
 from .channel import (
-    ChannelCoeffs,
     NoiseSpec,
     Scenario,
-    channel_coeffs,
     dressed_apply,
     dressing_transform,
     evolve_elementwise,
@@ -58,7 +56,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoostParams",
-    "ChannelCoeffs",
     "ChoiMatrix",
     "ConcurrenceSeries",
     "CPTPReport",
@@ -74,7 +71,6 @@ __all__ = [
     "average_quadrature",
     "bell_phi_plus",
     "boost_em_field",
-    "channel_coeffs",
     "choi_of",
     "concurrence",
     "concurrence_trajectory",

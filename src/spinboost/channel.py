@@ -97,20 +97,6 @@ class Scenario:
             return math.inf
 
 
-@dataclass(frozen=True)
-class ChannelCoeffs:
-    """Scalar coefficients of the channel at a given time.
-
-    p0 - p1 = exp(-gamma' t**2), p0 + p1 = 1, epsilon = p1*(eta + chi).
-    """
-
-    gamma_prime: float
-    decay: float
-    p0: float
-    p1: float
-    epsilon: float
-
-
 def decay_exponent(rate: float, t):
     """The dephasing exponent rate * t**2, evaluated as ``rate * t * t``.
 
@@ -152,22 +138,6 @@ def _dephase_stack(m: np.ndarray, decay) -> np.ndarray:
     out[..., 0, 1] = m[..., 0, 1] * decay
     out[..., 1, 0] = m[..., 1, 0] * decay
     return out
-
-
-def channel_coeffs(s: Scenario, t: float) -> ChannelCoeffs:
-    """Coefficients (gamma', p0, p1, epsilon) of the boosted channel at time t."""
-    _require_nonneg_time(t)
-    gp = s.gamma_prime
-    g = decay_exponent(gp, t)
-    decay = math.exp(-g)
-    p1 = -0.5 * math.expm1(-g)  # (1 - decay)/2 without its cancellation at small g
-    return ChannelCoeffs(
-        gamma_prime=gp,
-        decay=decay,
-        p0=0.5 * (1.0 + decay),
-        p1=p1,
-        epsilon=p1 * (s.field.eta_mod + s.field.chi_mod),
-    )
 
 
 def evolve_elementwise(rho: DensityMatrix, s: Scenario, t: float) -> DensityMatrix:
@@ -279,7 +249,7 @@ def _operator_sum_stack(m: np.ndarray, su: np.ndarray, eta, chi, decay, lost) ->
     States ``m`` and in-plane operators ``su`` (..., 2, 2), the moduli
     ``eta`` and ``chi`` and the factors ``decay`` = exp(-gamma' t**2) and
     ``lost`` = 1 - decay (...) broadcast against each other; returns the
-    images (..., 2, 2). The weights are those of ``channel_coeffs``.
+    images (..., 2, 2).
     """
     def weight(x):
         return np.asarray(x)[..., None, None]

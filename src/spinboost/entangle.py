@@ -102,9 +102,13 @@ def concurrence_trajectory(
         raise ValueError("times must be non-negative")
     bell = bell_phi_plus()
     values = np.array([concurrence(two_qubit_average(bell, s, t, q)) for t in times])
+    # 4 gamma t**2 rounded as (4 gamma)(t t), the rest column's pinned digits, not
+    # as decay_exponent's (rate t) t; 0 at t = 0 also where 4 gamma is inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        rest_exponent = np.where(times > 0, 4.0 * s.noise.gamma * times**2, 0.0)
     return ConcurrenceSeries(
         times=times,
         values=values,
-        reference_rest=np.exp(-4.0 * s.noise.gamma * times**2),
-        reference_boosted=np.exp(-4.0 * decay_exponent(s.gamma_prime, times)),
+        reference_rest=np.exp(-rest_exponent),
+        reference_boosted=np.exp(-decay_exponent(4.0 * s.gamma_prime, times)),
     )

@@ -11,10 +11,11 @@ qubits (common bath: U(B) (x) U(B)).
 Determinism contracts: node/weight generation is the Golub-Welsch
 eigen-solve of the symmetric tridiagonal Jacobi matrix (numpy's dense
 Hermitian solver); Monte Carlo draws
-come from counter-based Philox streams keyed by (seed, chunk_index) with
-a Box-Muller transform, accumulated in fixed chunk order, so identical
+come from SFC64 streams keyed by (seed, chunk_index), each seeded by
+numpy's ``SeedSequence(seed, spawn_key=(chunk_index,))``, with a
+Box-Muller transform, accumulated in fixed chunk order, so identical
 (seed, samples) produce bit-identical results whether chunks are
-evaluated serially or in parallel.
+evaluated serially or in any order, on one BLAS thread or several.
 
 Monte Carlo trigonometry: every cos/sin pair comes from one tangent of
 the half angle. For the Box-Muller angle, cos 2x = (1 - h^2) w and
@@ -106,10 +107,10 @@ def _half_angle_rate(s: Scenario, t: float, b_max: float) -> float:
     """
     rate = s.field.kappa * s.noise.mu * float(t)
     if not math.isfinite(rate * b_max):
-        raise ValueError(f"the oracle's rotation angle 2 kappa mu t B is not finite at "
-                         f"rapidity xi = {float(s.boost.xi)!r}, angle theta = "
+        raise ValueError(f"the oracle's rotation angle 2 kappa t sqrt(gamma/2) z is not finite "
+                         f"at rapidity xi = {float(s.boost.xi)!r}, angle theta = "
                          f"{float(s.boost.theta)!r} and time t = {float(t)!r} "
-                         f"(kappa = {s.field.kappa!r})")
+                         f"(kappa = {s.field.kappa!r}, gamma = {s.noise.gamma!r})")
     return rate
 
 
@@ -182,7 +183,7 @@ def _cos_sin_double(x: np.ndarray, cos_out: np.ndarray, scratch: np.ndarray) -> 
 
 def _box_muller_normals(seed: int, chunk_index: int, count: int,
                         work: np.ndarray | None = None) -> np.ndarray:
-    """Standard normals from a Philox stream keyed by (seed, chunk_index).
+    """Standard normals from an SFC64 stream keyed by (seed, chunk_index).
 
     ``work``, a float array of shape (3, n) with n >= count rounded up to
     even, holds every intermediate; the normals are returned as a view
@@ -191,8 +192,8 @@ def _box_muller_normals(seed: int, chunk_index: int, count: int,
     half = (count + 1) // 2
     if work is None:
         work = np.empty((3, 2 * half))
-    key = np.array([seed, chunk_index], dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key))
+    seq = np.random.SeedSequence(seed, spawn_key=(chunk_index,))
+    gen = np.random.Generator(np.random.SFC64(seq))
     u = gen.random(out=work[0, :2 * half])  # u1, then u2: the bits of two draws of half
     r, angle = u[:half], u[half:]
     np.negative(r, out=r)
@@ -210,7 +211,7 @@ def _box_muller_normals(seed: int, chunk_index: int, count: int,
 def _rotation_moments(mc: McSpec, half_scale: float) -> tuple[float, ...]:
     """Sample means of cos d, sin d, cos^2 d, sin^2 d and cos d sin d.
 
-    d = 2 half_scale z over the ``mc.samples`` normals z of the Philox
+    d = 2 half_scale z over the ``mc.samples`` normals z of the SFC64
     streams of ``mc.seed``. With h = tan(d/2) and w = 1/(1 + h^2),
     cos d = 2w - 1 and sin d = 2hw, so four pairwise sums per chunk (of
     w, hw, hw w and (hw)^2) give all five means. (hw)^2 rather than w^2

@@ -13,7 +13,6 @@ from spinboost.channel import (
     _dressed_stack,
     _evolve_stack,
     _operator_sum_stack,
-    channel_coeffs,
     decay_exponent,
     decay_factors,
     dressed_apply,
@@ -151,43 +150,6 @@ class TestRestDephasing:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             rest_dephasing(plus_state(), 1.0, -0.1)
-
-
-class TestChannelCoeffs:
-    def test_zero_time(self):
-        c = channel_coeffs(scenario(2.0, 1.0), 0.0)
-        assert c.p0 == 1.0 and c.p1 == 0.0 and c.epsilon == 0.0
-
-    def test_long_time_equalizes(self):
-        s = scenario(2.0, 1.0)
-        c = channel_coeffs(s, math.sqrt(800.0 / s.gamma_prime))
-        assert c.p0 == 0.5 and c.p1 == 0.5
-
-    def test_sum_and_difference(self):
-        rng = np.random.default_rng(1)
-        for _ in range(50):
-            s = scenario(rng.uniform(0, 3), rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-            t = rng.uniform(0, 2)
-            c = channel_coeffs(s, t)
-            assert abs(c.p0 + c.p1 - 1.0) < 1e-15
-            assert abs((c.p0 - c.p1) - math.exp(-s.gamma_prime * t * t)) < 1e-15
-            assert 0.0 <= c.p1 <= 0.5
-            assert 0.0 <= c.epsilon <= 1.5 * c.p1 + 1e-15
-
-    def test_amplification_anchor(self):
-        s = scenario(2.5, eta_max(2.5).theta_opt)
-        c = channel_coeffs(s, 1.0)
-        assert abs(c.gamma_prime / s.noise.gamma - 6.13229) < 5e-5
-
-    @pytest.mark.parametrize("g", [1e-300, 1e-16, 1e-12, 1e-8, 1e-4])
-    def test_p1_full_relative_accuracy_at_small_exponent(self, g):
-        # p1 = (1 - exp(-gamma' t^2))/2; 1 - exp(-g) cancels at small g
-        s = scenario(1.3, 0.6)
-        t = math.sqrt(g / s.gamma_prime)
-        exponent = s.gamma_prime * t * t
-        c = channel_coeffs(s, t)
-        assert abs(c.p1 - lost_fraction(exponent) / 2) <= 2e-16 * c.p1
-        assert abs(c.epsilon - c.p1 * (s.field.eta_mod + s.field.chi_mod)) <= 4e-16 * c.epsilon
 
 
 class TestEvolveElementwise:

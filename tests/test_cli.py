@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -337,6 +338,21 @@ class TestConcurrenceCommand:
             g_t2 = float(row[0])
             assert abs(float(row[2]) - math.exp(-4 * g_t2)) < 1e-12
 
+    @pytest.mark.parametrize("argv", [["--gamma", "1e308", "--gamma-t2-max", "1e308"],
+                                      ["--gamma-t2-max", "1e308"]])
+    def test_references_where_the_exponent_overflows(self, tmp_path, capsys, argv):
+        # 4 gamma t^2 overflows past t = 0, and so does 4 gamma itself at
+        # gamma = 1e308: both references are exactly 1, 0, 0
+        out = tmp_path / "conc.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run_cli(["concurrence", *argv, "--points", "3", "--out", str(out)]) == 0
+        _, _, rows = read_csv(out)
+        assert all(math.isfinite(float(v)) for row in rows for v in row)
+        assert [row[2:] for row in rows] == [["1", "1"], ["0", "0"], ["0", "0"]]
+        err = capsys.readouterr().err.splitlines()  # the --nodes warning at most
+        assert len(err) <= 1 and all(line.startswith("warning: ") for line in err)
+
 
 class TestConfigFile:
     def test_config_supplies_defaults(self, tmp_path):
@@ -447,7 +463,7 @@ class TestRuntimeErrors:
         assert capsys.readouterr().err == "error: ValueError: injected\n"
 
     def test_overflow_exits_one_without_traceback(self):
-        # kappa overflows, so the oracle's rotation angle 2 kappa mu t B has no value
+        # kappa overflows, so the oracle's rotation angle 2 kappa t sqrt(gamma/2) z has no value
         proc = subprocess.run([sys.executable, "-m", "spinboost.cli", "evolve", "--xi", "1000",
                                "--theta", "0.5", "--points", "3"], capture_output=True, text=True)
         assert proc.returncode == 1
@@ -456,13 +472,14 @@ class TestRuntimeErrors:
         assert "rapidity" in proc.stderr
 
     def test_oracle_angle_overflow_exits_one_without_warning(self):
-        # kappa is finite at xi = 700, but kappa mu t B is not at t = 1e5
+        # kappa is finite at xi = 700, but kappa t sqrt(gamma/2) z is not at t = 1e5
         proc = subprocess.run([sys.executable, "-W", "default", "-m", "spinboost.cli", "evolve",
                                "--xi", "700", "--theta", "0.5", "--gamma-t2-max", "1e10",
                                "--points", "3"], capture_output=True, text=True)
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr.startswith("error: ValueError: ") and proc.stderr.count("\n") == 1
         assert all(name in proc.stderr for name in ("xi = 700.0", "theta = 0.5", "t = 70710."))
+        assert "gamma = " in proc.stderr and "mu" not in proc.stderr
 
     @pytest.mark.parametrize("argv, flag", [
         (["offdiag", "--gamma", "1e-320"], "--gamma"),

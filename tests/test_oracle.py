@@ -184,8 +184,10 @@ def cos_sin_double(x):
     return c, x
 
 
-def philox(seed, chunk_index):
-    return np.random.Generator(np.random.Philox(key=np.array([seed, chunk_index], dtype=np.uint64)))
+def chunk_stream(seed, chunk_index):
+    """The uniforms of chunk ``chunk_index``: SFC64 seeded by (seed, chunk_index)."""
+    ss = np.random.SeedSequence(seed, spawn_key=(chunk_index,))
+    return np.random.Generator(np.random.SFC64(ss))
 
 
 def reference_montecarlo(rho, s, t, mc):
@@ -193,7 +195,7 @@ def reference_montecarlo(rho, s, t, mc):
     normals = []
     for chunk_index, done in enumerate(range(0, mc.samples, _MC_CHUNK)):
         count = min(_MC_CHUNK, mc.samples - done)
-        gen = philox(mc.seed, chunk_index)
+        gen = chunk_stream(mc.seed, chunk_index)
         half = (count + 1) // 2
         u1, u2 = gen.random(half), gen.random(half)
         r = np.sqrt(-2.0 * np.log1p(-u1))
@@ -234,11 +236,11 @@ class TestHalfAngleCosSin:
 
     def test_one_draw_of_2n_is_two_draws_of_n(self):
         for n in (1, 7, _MC_CHUNK // 2):
-            one = philox(42, 3).random(2 * n)
-            gen = philox(42, 3)
+            one = chunk_stream(42, 3).random(2 * n)
+            gen = chunk_stream(42, 3)
             np.testing.assert_array_equal(one, np.concatenate([gen.random(n), gen.random(n)]))
             out = np.empty(2 * n)
-            philox(42, 3).random(out=out)
+            chunk_stream(42, 3).random(out=out)
             np.testing.assert_array_equal(out, one)
 
 
@@ -272,6 +274,34 @@ class TestRotationMoments:
             mc = McSpec(samples=samples, seed=77)
             first, second = _rotation_moments(mc, 0.6), _rotation_moments(mc, 0.6)
             assert np.array(first).view(np.uint64).tolist() == np.array(second).view(np.uint64).tolist()
+
+    def test_chunks_in_any_order_give_the_same_bits(self):
+        # each chunk's normals built on their own, last chunk first; the
+        # four sums are then added in chunk order, as the oracle adds them
+        mc, half_scale = McSpec(samples=3 * _MC_CHUNK + 4321, seed=2024), 0.8
+        counts = [min(_MC_CHUNK, mc.samples - done) for done in range(0, mc.samples, _MC_CHUNK)]
+        chunk_sums = {}
+        for k in reversed(range(len(counts))):
+            h = np.tan(half_scale * _box_muller_normals(mc.seed, k, counts[k]))
+            w = 1.0 / (h * h + 1.0)
+            hw = h * w
+            chunk_sums[k] = (w.sum(), hw.sum(), (hw * w).sum(), (hw * hw).sum())
+        sums = np.zeros(4)
+        for k in range(len(counts)):
+            sums += chunk_sums[k]
+        mean_w, mean_hw, mean_hww, mean_hwhw = (sums / mc.samples).tolist()
+        ref = (2.0 * mean_w - 1.0, 2.0 * mean_hw, 1.0 - 4.0 * mean_hwhw, 4.0 * mean_hwhw,
+               4.0 * mean_hww - 2.0 * mean_hw)
+        got = _rotation_moments(mc, half_scale)
+        assert np.array(got).view(np.uint64).tolist() == np.array(ref).view(np.uint64).tolist()
+
+    @pytest.mark.parametrize("seed, chunk_index", [(0, 0), (42, 3), (2**64 - 2, 7)])
+    def test_neighbouring_keys_start_with_different_draws(self, seed, chunk_index):
+        keys = [(seed, chunk_index), (seed, chunk_index + 1), (seed + 1, chunk_index)]
+        firsts = [_box_muller_normals(s, k, 2)[0] for s, k in keys]
+        assert len(set(firsts)) == 3
+        uniforms = [chunk_stream(s, k).random() for s, k in keys]
+        assert len(set(uniforms)) == 3
 
     def test_one_sample_has_infinite_stderr(self):
         rng = np.random.default_rng(12)
