@@ -14,7 +14,6 @@ from .analysis import (
     verify_cptp,
 )
 from .channel import (
-    NoiseSpec,
     Scenario,
     dressed_apply,
     dressing_transform,
@@ -41,7 +40,6 @@ from .relkin import (
     effective_field,
     eta_max,
     eta_profile,
-    rapidity_from_beta,
 )
 from .spinalg import (
     DensityMatrix,
@@ -64,7 +62,6 @@ __all__ = [
     "EffectiveField",
     "EtaMax",
     "McSpec",
-    "NoiseSpec",
     "QuadratureSpec",
     "Scenario",
     "average_montecarlo",
@@ -89,7 +86,6 @@ __all__ = [
     "pauli_rotation",
     "plus_state",
     "random_density",
-    "rapidity_from_beta",
     "rest_dephasing",
     "tensor_product",
     "two_qubit_average",

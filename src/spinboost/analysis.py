@@ -176,11 +176,6 @@ def _trace_out(m: np.ndarray) -> np.ndarray:
     return m[..., 0, :, 0, :] + m[..., 1, :, 1, :]
 
 
-def partial_trace_output(c: ChoiMatrix) -> np.ndarray:
-    """Trace out the output (first) tensor factor of a Choi matrix."""
-    return _trace_out(c.matrix)
-
-
 @dataclass(frozen=True, eq=False)
 class ChoiDiagnostics:
     """CP, TP and Kraus figures of a stack of Choi matrices (..., 4, 4).

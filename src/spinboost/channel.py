@@ -1,10 +1,13 @@
 """Closed-form decoherence channel of a boosted spin in Gaussian magnetic noise.
 
-The lab-frame field B ez is quasi-static and Gaussian, B ~ N(0, vartheta**2).
-At rest the spin dephases: off-diagonals shrink by exp(-gamma t**2) with
-gamma = 2 vartheta**2 mu**2, populations frozen. In the moving frame the
-spin precesses about the tilted axis n by the angle delta = 2 kappa mu t B,
-and the Gaussian average of that precession is the exact channel
+The lab-frame field B ez is quasi-static and Gaussian, B ~ N(0, vartheta**2),
+and couples through the magnetic moment mu. Every result depends on the
+noise only through the rest-frame rate gamma = 2 vartheta**2 mu**2, which
+is the one noise parameter of a ``Scenario``. At rest the spin dephases:
+off-diagonals shrink by exp(-gamma t**2), populations frozen. In the
+moving frame the spin precesses about the boosted axis n by the angle
+2 kappa t sqrt(gamma/2) z with z ~ N(0, 1), and the Gaussian average of
+that precession is the exact channel
 
     r(t) = exp(-gamma' t**2) r + (1 - exp(-gamma' t**2)) (n.r) n,
 
@@ -45,54 +48,24 @@ LONG_TIME_GAMMA_T2 = 50.0
 _SZ_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Magnetic moment and Gaussian field strength; gamma = 2 vartheta**2 mu**2."""
-
-    vartheta: float
-    mu: float = 1.0
-
-    def __post_init__(self):
-        if not 0 < self.vartheta < math.inf:
-            raise ValueError(f"vartheta must be finite and > 0, got {self.vartheta!r}")
-        if not 0 < self.mu < math.inf:
-            raise ValueError(f"mu must be finite and > 0, got {self.mu!r}")
-
-    @property
-    def gamma(self) -> float:
-        """The dephasing rate; inf where it overflows, as a product of floats would."""
-        try:
-            return 2.0 * self.vartheta**2 * self.mu**2
-        except OverflowError:
-            return math.inf
-
-    @classmethod
-    def from_gamma(cls, gamma: float, mu: float = 1.0) -> "NoiseSpec":
-        if not gamma > 0:
-            raise ValueError(f"gamma must be > 0, got {gamma!r}")
-        try:
-            vartheta = math.sqrt(gamma / (2.0 * mu * mu))
-        except ZeroDivisionError:
-            raise ValueError(f"2 mu**2 underflows to 0 at mu = {mu!r}") from None
-        return cls(vartheta=vartheta, mu=mu)
-
-
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """A boost plus a noise model, with the field geometry cached."""
+    """A boost plus the rest-frame dephasing rate gamma, with the field geometry cached."""
 
     boost: BoostParams
-    noise: NoiseSpec
+    gamma: float
     field: EffectiveField = field(init=False)
 
     def __post_init__(self):
+        if not 0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be finite and > 0, got {self.gamma!r}")
         object.__setattr__(self, "field", effective_field(self.boost))
 
     @property
     def gamma_prime(self) -> float:
         """The amplified rate kappa**2 gamma; inf where it overflows."""
         try:
-            return self.field.kappa**2 * self.noise.gamma
+            return self.field.kappa**2 * self.gamma
         except OverflowError:
             return math.inf
 
@@ -233,8 +206,8 @@ def operator_sum_apply(rho: DensityMatrix, s: Scenario, t: float) -> DensityMatr
 
     with su the in-plane Pauli operator of the effective axis, chi >= 0
     and eps = p1*(eta + chi). The weight p1*(eta - chi) may be negative
-    (chi > eta for small tilt); the sum is still the exact channel, a
-    Gaussian mixture of unitaries, hence CPTP.
+    (chi > eta where n lies close to ez); the sum is still the exact
+    channel, a Gaussian mixture of unitaries, hence CPTP.
     """
     _require_nonneg_time(t)
     _require_qubit(rho)
@@ -267,20 +240,20 @@ def _operator_sum_stack(m: np.ndarray, su: np.ndarray, eta, chi, decay, lost) ->
 def dressing_transform(f: EffectiveField) -> np.ndarray:
     """SU(2) rotation V with V (sigma.n) V^dag = sigma_z.
 
-    V = exp(-i tilt/2 sigma.m) with m = (n x ez)/|n x ez|; the identity
-    when the axis already points along ez. The half-angle factors come
-    from n_z and |n_perp| directly (no acos round trip), which keeps
-    full relative accuracy for tiny tilts.
+    V = exp(-i a/2 sigma.m) with a the angle between n and ez and
+    m = (n x ez)/|n x ez|; the identity when the axis already points
+    along ez. The half-angle factors come from n_z and |n_perp| directly
+    (no acos round trip), which keeps full relative accuracy for tiny a.
     """
     n_perp = math.hypot(float(f.n[0]), float(f.n[1]))
-    if f.tilt == 0.0 or n_perp < 1e-300:
+    if n_perp < 1e-300:
         return np.array(IDENTITY_2)
     # m = (n x ez)/|n x ez| = (n_y, -n_x, 0)/n_perp; hypot does not underflow
     mx, my = float(f.n[1]) / n_perp, -float(f.n[0]) / n_perp
     n_z = float(f.n[2])
     cos_half = math.sqrt(0.5 * (1.0 + n_z))
-    # sin(tilt/2) = sin(tilt)/(2 cos(tilt/2)) with sin(tilt) = |n_perp|:
-    # no 1-n_z cancellation, full relative accuracy at tiny tilts
+    # sin(a/2) = sin(a)/(2 cos(a/2)) with sin(a) = |n_perp|:
+    # no 1-n_z cancellation, full relative accuracy at tiny a
     sin_half = 0.5 * n_perp / cos_half
     return cos_half * IDENTITY_2 - 1j * sin_half * (mx * PAULI_X + my * PAULI_Y)
 
@@ -288,10 +261,10 @@ def dressing_transform(f: EffectiveField) -> np.ndarray:
 def dressed_apply(rho: DensityMatrix, s: Scenario, t: float) -> DensityMatrix:
     """Dressed-environment form: rotate the axis onto ez, dephase, undo.
 
-    V^dag [ dephasing at rate gamma' of V rho V^dag ] V; the z-rotation
-    exponent kappa*delta0 (delta0 = 2 mu t B) reproduces the full
-    rotation angle, so pure dephasing at gamma' = kappa**2 gamma is
-    exact in the rotated frame.
+    V^dag [ dephasing at rate gamma' of V rho V^dag ] V; in the rotated
+    frame the precession is a z-rotation by the full angle
+    2 kappa t sqrt(gamma/2) z, so pure dephasing at gamma' = kappa**2 gamma
+    is exact there.
     """
     _require_nonneg_time(t)
     _require_qubit(rho)

@@ -10,7 +10,7 @@ concurrence  two-qubit concurrence series with both reference curves
 verify       full verification suite; exit 0 iff every check passes
 
 Tables are written as CSV (12 significant digits, '#' comment header
-carrying the parameters and seed) or JSON (array of objects). Time grids
+carrying the parameters) or JSON (array of objects). Time grids
 are specified on the dimensionless axis gamma*t**2 via --gamma-t2-max
 and --points. Exit codes: 0 success, 1 verification/runtime failure,
 2 usage error.
@@ -28,8 +28,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import verify as verify_mod
-from .channel import (NoiseSpec, Scenario, _evolve_stack, decay_exponent, decay_factors,
-                      example_trajectory)
+from .channel import Scenario, _evolve_stack, decay_exponent, decay_factors, example_trajectory
 from .entangle import concurrence_trajectory
 from .oracle import QuadratureSpec, average_quadrature
 from .relkin import BoostParams, eta_max, eta_profile
@@ -215,14 +214,6 @@ def _require(condition: bool, flag: str, message: str) -> None:
         raise _CliError(flag, message)
 
 
-def _noise_from_args(args) -> NoiseSpec:
-    gamma = 1.0 if args.gamma is None else args.gamma
-    # a subnormal rate carries too few digits, and its times overflow
-    _require(gamma >= sys.float_info.min, "--gamma",
-             f"must be a normal float > 0 (at least {sys.float_info.min!r}), got {gamma!r}")
-    return NoiseSpec.from_gamma(gamma)
-
-
 def _scenario_from_args(args, phi: float) -> Scenario:
     xi = args.xi
     _require(xi >= 0, "--xi", f"must be >= 0, got {xi}")
@@ -235,7 +226,11 @@ def _scenario_from_args(args, phi: float) -> Scenario:
                  f"xi = {xi!r}; pass --theta")
     _require(0.0 <= theta <= math.pi, "--theta", f"must lie in [0, pi], got {theta}")
     _require(0.0 <= phi < 2.0 * math.pi, "--phi", f"must lie in [0, 2*pi), got {phi}")
-    return Scenario(BoostParams(xi=xi, theta=theta, phi=phi), _noise_from_args(args))
+    gamma = 1.0 if args.gamma is None else args.gamma
+    # a subnormal rate carries too few digits, and its times overflow
+    _require(gamma >= sys.float_info.min, "--gamma",
+             f"must be a normal float > 0 (at least {sys.float_info.min!r}), got {gamma!r}")
+    return Scenario(BoostParams(xi=xi, theta=theta, phi=phi), gamma)
 
 
 def _time_grid(args, gamma: float) -> tuple[np.ndarray, np.ndarray]:
@@ -254,7 +249,6 @@ def _echo_params(args, keys: Sequence[str]) -> list[str]:
     parts = [f"command = {args.command}"]
     parts.extend(f"{k.replace('_', '-')} = {_fmt(getattr(args, k))}" for k in keys
                  if getattr(args, k) is not None)
-    parts.append(f"seed = {args.seed}")
     return parts
 
 
@@ -285,9 +279,9 @@ def _cmd_eta_max(args) -> int:
 def _cmd_offdiag(args) -> int:
     s = _scenario_from_args(args, phi=0.0)
     args.theta = s.boost.theta  # echo the resolved angle
-    grid, times = _time_grid(args, s.noise.gamma)
+    grid, times = _time_grid(args, s.gamma)
     _, boosted = example_trajectory(s, times)
-    _, at_rest = example_trajectory(Scenario(BoostParams(xi=0.0), s.noise), times)
+    _, at_rest = example_trajectory(Scenario(BoostParams(xi=0.0), s.gamma), times)
     rows = np.column_stack([grid, boosted.real, at_rest.real])
     comments = _echo_params(args, ("xi", "theta", "gamma", "gamma_t2_max", "points"))
     write_table(rows, args.out, args.format, ("gamma_t2", "rho_ud_boosted", "rho_ud_rest"),
@@ -318,7 +312,7 @@ def _cmd_evolve(args) -> int:
         raise _CliError("--bloch", str(exc)) from exc
     rx, ry, rz = bloch
     rho0 = DensityMatrix(0.5 * np.array([[1 + rz, rx - 1j * ry], [rx + 1j * ry, 1 - rz]]))
-    grid, times = _time_grid(args, s.noise.gamma)
+    grid, times = _time_grid(args, s.gamma)
     decay, lost = decay_factors(decay_exponent(s.gamma_prime, times))
     ana = _evolve_stack(rho0.matrix, s.field.n, decay, lost)
     for m in ana:
@@ -341,7 +335,7 @@ def _cmd_concurrence(args) -> int:
     s = _scenario_from_args(args, phi=0.0)
     args.theta = s.boost.theta  # echo the resolved angle
     _require(args.nodes >= 2, "--nodes", f"must be >= 2, got {args.nodes}")
-    grid, times = _time_grid(args, s.noise.gamma)
+    grid, times = _time_grid(args, s.gamma)
     series = concurrence_trajectory(s, times, QuadratureSpec(nodes=args.nodes))
     rows = np.column_stack([grid, series.values, series.reference_rest, series.reference_boosted])
     comments = _echo_params(args, ("xi", "theta", "gamma", "gamma_t2_max", "points", "nodes"))
@@ -368,8 +362,6 @@ def _cmd_verify(args) -> int:
 
 def _add_common(p: argparse.ArgumentParser, func) -> None:
     p.add_argument("--config", help="key = value file of flag values; explicit flags override it")
-    p.add_argument("--seed", type=int, default=42,
-                   help="seed for randomized checks (default %(default)s)")
     p.add_argument("--out", help="output path (default: stdout)")
     p.add_argument("--format", type=_table_format, default="csv", metavar="{csv,json}",
                    help="table format (default %(default)s)")
@@ -427,6 +419,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     _add_common(p, _cmd_concurrence)
 
     p = sub.add_parser("verify", help="run the verification suite")
+    p.add_argument("--seed", type=int, default=42,
+                   help="seed for randomized checks (default %(default)s)")
     _add_common(p, _cmd_verify)
 
     return parser, sub.choices

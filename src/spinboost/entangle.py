@@ -105,7 +105,7 @@ def concurrence_trajectory(
     # 4 gamma t**2 rounded as (4 gamma)(t t), the rest column's pinned digits, not
     # as decay_exponent's (rate t) t; 0 at t = 0 also where 4 gamma is inf
     with np.errstate(over="ignore", invalid="ignore"):
-        rest_exponent = np.where(times > 0, 4.0 * s.noise.gamma * times**2, 0.0)
+        rest_exponent = np.where(times > 0, 4.0 * s.gamma * times**2, 0.0)
     return ConcurrenceSeries(
         times=times,
         values=values,

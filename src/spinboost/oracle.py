@@ -1,12 +1,14 @@
 """Independent numerical ground truth for the Gaussian-averaged channel.
 
 Nothing in here reuses the closed forms: the state is propagated with the
-exact per-field unitary U(B) = exp(-i kappa mu t B sigma.n) and averaged
-over B ~ N(0, vartheta**2) either by Gauss-Hermite quadrature (spectrally
-exact for these Gaussian-times-trigonometric integrands) or by seeded
-Monte Carlo. The only code shared with ``channel`` is generic 2x2
+exact per-draw unitary U(z), the rotation by 2 kappa t sigma z about n,
+and averaged over z ~ N(0, 1) either by Gauss-Hermite quadrature
+(spectrally exact for these Gaussian-times-trigonometric integrands) or
+by seeded Monte Carlo. The field scale sigma = sqrt(gamma/2), the
+coupling times the field's standard deviation, comes from the one rate
+of a ``Scenario``. The only code shared with ``channel`` is generic 2x2
 algebra (``spinalg._matmul_2x2``). The quadrature covers one and two
-qubits (common bath: U(B) (x) U(B)).
+qubits (common bath: U(z) (x) U(z)).
 
 Determinism contracts: node/weight generation is the Golub-Welsch
 eigen-solve of the symmetric tridiagonal Jacobi matrix (numpy's dense
@@ -98,24 +100,29 @@ def gauss_hermite_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return z, w
 
 
-def _half_angle_rate(s: Scenario, t: float, b_max: float) -> float:
-    """kappa mu t, half the rotation angle per unit field.
+def _field_scale(s: Scenario) -> float:
+    """sigma = sqrt(gamma/2): the rotation angle is 2 kappa t sigma z, z ~ N(0, 1)."""
+    return math.sqrt(s.gamma / 2.0)
 
-    Refused where kappa mu t b_max is not finite, with b_max a bound on
-    the |b| the caller applies: the rotation angle 2 kappa mu t B has no
-    value there.
+
+def _half_angle_rate(s: Scenario, t: float, b_max: float) -> float:
+    """kappa t, half the rotation angle per unit of the scaled field b = sigma z.
+
+    Refused where kappa t b_max is not finite, with b_max a bound on the
+    |b| the caller applies: the rotation angle 2 kappa t b has no value
+    there.
     """
-    rate = s.field.kappa * s.noise.mu * float(t)
+    rate = s.field.kappa * float(t)
     if not math.isfinite(rate * b_max):
         raise ValueError(f"the oracle's rotation angle 2 kappa t sqrt(gamma/2) z is not finite "
                          f"at rapidity xi = {float(s.boost.xi)!r}, angle theta = "
                          f"{float(s.boost.theta)!r} and time t = {float(t)!r} "
-                         f"(kappa = {s.field.kappa!r}, gamma = {s.noise.gamma!r})")
+                         f"(kappa = {s.field.kappa!r}, gamma = {s.gamma!r})")
     return rate
 
 
 def _unitary_stack(b_values: np.ndarray, s: Scenario, t: float) -> np.ndarray:
-    """Vectorised stack of unitaries exp(-i kappa mu t b sigma.n), one per field value b."""
+    """Vectorised stack of unitaries exp(-i kappa t b sigma.n), one per scaled field b."""
     nx, ny, nz = s.field.n
     half = _half_angle_rate(s, t, float(np.abs(b_values).max(initial=0.0))) * b_values
     c, si = np.cos(half), np.sin(half)
@@ -134,13 +141,13 @@ def _hermitize(m: np.ndarray) -> np.ndarray:
 def average_quadrature(
     rho: DensityMatrix, s: Scenario, t: float, q: QuadratureSpec = QuadratureSpec()
 ) -> DensityMatrix:
-    """Gaussian average of U(B) rho U(B)^dag by Gauss-Hermite quadrature."""
+    """Gaussian average of U(z) rho U(z)^dag by Gauss-Hermite quadrature."""
     if rho.dim != 2:
         raise ValueError(f"average_quadrature needs a 2x2 state, got dim {rho.dim}")
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t!r}")
     z, w = gauss_hermite_nodes(q.nodes)
-    u = _unitary_stack(s.noise.vartheta * z, s, t)
+    u = _unitary_stack(_field_scale(s) * z, s, t)
     terms = _matmul_2x2(_matmul_2x2(u, rho.matrix), u.conj().transpose(0, 2, 1))
     out = np.tensordot(w, terms, axes=(0, 0))
     return DensityMatrix(_hermitize(out))
@@ -149,13 +156,13 @@ def average_quadrature(
 def two_qubit_average(
     rho4: DensityMatrix, s: Scenario, t: float, q: QuadratureSpec = QuadratureSpec()
 ) -> DensityMatrix:
-    """Common-bath average of [U(B) (x) U(B)] rho4 [..]^dag (same B, same boost)."""
+    """Common-bath average of [U(z) (x) U(z)] rho4 [..]^dag (same z, same boost)."""
     if rho4.dim != 4:
         raise ValueError(f"two_qubit_average needs a 4x4 state, got dim {rho4.dim}")
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t!r}")
     z, w = gauss_hermite_nodes(q.nodes)
-    u = _unitary_stack(s.noise.vartheta * z, s, t)
+    u = _unitary_stack(_field_scale(s) * z, s, t)
     u2 = (u[:, :, None, :, None] * u[:, None, :, None, :]).reshape(-1, 4, 4)  # U (x) U per node
     terms = (u2 @ rho4.matrix) @ u2.conj().transpose(0, 2, 1)
     # summed slice by slice in node order, which no BLAS reduction order can change
@@ -245,11 +252,11 @@ def average_montecarlo(
 ) -> tuple[DensityMatrix, float]:
     """Seeded Monte Carlo estimate of the Gaussian average.
 
-    Returns the sample mean of U(B) rho U(B)^dag over
-    B ~ N(0, vartheta**2) and a standard-error estimate: per-entry
-    sample variances of the mean, aggregated in Frobenius norm.
+    Returns the sample mean of U(z) rho U(z)^dag over z ~ N(0, 1) and a
+    standard-error estimate: per-entry sample variances of the mean,
+    aggregated in Frobenius norm.
 
-    Each draw rotates the Bloch vector by d = 2 kappa mu t B about n, so
+    Each draw rotates the Bloch vector by d = 2 kappa t sigma z about n, so
     (Rodrigues) U rho U^dag = A + B cos d + C sin d with fixed matrices
     A, B, C. Only the sample moments of (cos d, sin d) are accumulated;
     the mean and every entry's sample variance follow from them exactly.
@@ -259,7 +266,8 @@ def average_montecarlo(
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t!r}")
     # d = 2 half_scale z
-    half_scale = _half_angle_rate(s, t, s.noise.vartheta * _BOX_MULLER_MAX) * s.noise.vartheta
+    sigma = _field_scale(s)
+    half_scale = _half_angle_rate(s, t, sigma * _BOX_MULLER_MAX) * sigma
     mean_c, mean_s, mean_cc, mean_ss, mean_cs = _rotation_moments(mc, half_scale)
     # rho = a0 I + a.sigma with complex a; the rotation acts on a:
     # a -> (n.a) n + cos d (a - (n.a) n) + sin d (n x a)

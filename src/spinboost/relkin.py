@@ -2,10 +2,10 @@
 
 A uniform magnetic field B = B ez in the lab frame appears, to a spin
 moving with rapidity ``xi`` at polar angle ``theta`` (azimuth ``phi``),
-as an amplified and tilted field B' = B * d. This module computes the
-Lorentz transformation of (E, B), the effective-field geometry d,
-kappa = |d|, the unit axis n = d/kappa, and the two geometry-derived
-modulation factors
+as an amplified field turned away from ez, B' = B * d. This module
+computes the Lorentz transformation of (E, B), the effective-field
+geometry d, kappa = |d|, the unit axis n = d/kappa, and the two
+geometry-derived modulation factors
 
     eta = 1 - n_z**2        (in-plane weight of the axis)
     chi = n_z * sqrt(n_x**2 + n_y**2)
@@ -84,15 +84,13 @@ class EffectiveField:
     """Boosted-field geometry seen by the moving spin.
 
     ``d`` is B'/B, ``kappa = |d| >= 1`` the amplification, ``n = d/kappa``
-    the unit rotation axis, ``tilt`` the angle between n and ez (this is
-    *not* the velocity azimuth; it is stored separately to avoid the
-    symbol clash), and ``eta_mod``/``chi_mod`` the modulation factors.
+    the unit rotation axis, and ``eta_mod``/``chi_mod`` the modulation
+    factors.
     """
 
     d: np.ndarray
     kappa: float
     n: np.ndarray
-    tilt: float
     eta_mod: float
     chi_mod: float
 
@@ -101,13 +99,6 @@ class EffectiveField:
             a = np.array(getattr(self, name), dtype=float)
             a.setflags(write=False)
             object.__setattr__(self, name, a)
-
-
-def rapidity_from_beta(beta: float) -> float:
-    """Rapidity xi with tanh(xi) = beta, for beta in [0, 1)."""
-    if not 0.0 <= beta < 1.0:
-        raise ValueError(f"beta must lie in [0, 1), got {beta!r}")
-    return math.atanh(beta)
 
 
 def boost_em_field(e_field, b_field, boost: BoostParams) -> tuple[np.ndarray, np.ndarray]:
@@ -147,13 +138,13 @@ def effective_field(boost: BoostParams) -> EffectiveField:
     kappa**2 = cos(theta)**2 + cosh(xi)**2 sin(theta)**2. Multiplied by
     s**2 = sech(xi/2)**2, with t = tanh(xi/2), the in-plane and z parts
     are -2 t**2 cos(theta) sin(theta) and s**2 + 2 t**2 sin(theta)**2:
-    both stay finite, so n, tilt, eta and chi are finite for every finite
+    both stay finite, so n, eta and chi are finite for every finite
     xi, and kappa = |(those)|/s**2 is inf only where it overflows (then
     d is inf along the nonzero components of n). At theta = 0 the axis
     is ez and kappa = 1 exactly. As in :func:`eta_profile`, theta is
     measured from the nearer pole, so theta = pi is exactly antiparallel
     and the scalars are exactly symmetric about pi/2. The scalars
-    (kappa, tilt, eta, chi) are computed from (xi, theta) alone, so they
+    (kappa, eta, chi) are computed from (xi, theta) alone, so they
     are bit-exactly independent of the azimuth.
     """
     t, s = map(float, _half_rapidity(float(boost.xi)))
@@ -171,12 +162,9 @@ def effective_field(boost: BoostParams) -> EffectiveField:
     cp, sp = math.cos(boost.phi), math.sin(boost.phi)
     n = np.array([n_perp * cp, n_perp * sp, n_z])
     d = np.array([kappa * c if c else c for c in n.tolist()])  # kappa n, no inf * 0
-    # atan2 keeps full precision for nearly axis-aligned geometries,
-    # where acos(n_z) would lose ~sqrt(eps)
-    tilt = math.atan2(abs(n_perp), n_z)
     eta = n_perp * n_perp
     chi = n_z * abs(n_perp)
-    return EffectiveField(d=d, kappa=kappa, n=n, tilt=tilt, eta_mod=eta, chi_mod=chi)
+    return EffectiveField(d=d, kappa=kappa, n=n, eta_mod=eta, chi_mod=chi)
 
 
 def _half_rapidity(xi) -> tuple[np.ndarray, np.ndarray]:

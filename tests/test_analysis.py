@@ -17,10 +17,9 @@ from spinboost.analysis import (
     kraus_from_choi,
     kraus_residuals,
     kraus_to_choi,
-    partial_trace_output,
     verify_cptp,
 )
-from spinboost.channel import NoiseSpec, Scenario, evolve_elementwise, operator_sum_apply
+from spinboost.channel import Scenario, evolve_elementwise, operator_sum_apply
 from spinboost.oracle import average_quadrature
 from spinboost.relkin import BoostParams
 from spinboost.spinalg import PAULI_X, PAULI_Z, DensityMatrix, frobenius_distance
@@ -53,7 +52,7 @@ def transpose_map(m):
 
 
 def scenario(xi, theta, phi=0.0):
-    return Scenario(BoostParams(xi=xi, theta=theta, phi=phi), NoiseSpec.from_gamma(1.0))
+    return Scenario(BoostParams(xi=xi, theta=theta, phi=phi), 1.0)
 
 
 class TestChoiOf:
@@ -114,10 +113,6 @@ class TestVerifyCptp:
     def test_dephasing_tp_residual(self):
         report = verify_cptp(choi_of(dephasing_map(0.7, 0.3)))
         assert report.tp_residual < 1e-14
-
-    def test_partial_trace_output(self):
-        c = choi_of(identity_map)
-        np.testing.assert_allclose(partial_trace_output(c), np.eye(2), atol=1e-14)
 
 
 class TestKrausFromChoi:

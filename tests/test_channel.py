@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from spinboost.channel import (
-    NoiseSpec,
     Scenario,
     _axis_sigma,
     _dressed_stack,
@@ -44,7 +43,7 @@ RHO_UU_SATURATION = 0.250158519474361
 
 
 def scenario(xi, theta, phi=0.0, gamma=1.0):
-    return Scenario(BoostParams(xi=xi, theta=theta, phi=phi), NoiseSpec.from_gamma(gamma))
+    return Scenario(BoostParams(xi=xi, theta=theta, phi=phi), gamma)
 
 
 def lost_fraction(g):
@@ -69,31 +68,23 @@ def draw_cases(rng, count, xi_range=(0.0, 3.0)):
                 theta=rng.uniform(0, math.pi),
                 phi=rng.uniform(0, 2 * math.pi),
             ),
-            NoiseSpec(vartheta=rng.uniform(0.3, 1.5)),
+            2.0 * rng.uniform(0.3, 1.5) ** 2,
         )
         t = math.sqrt(rng.uniform(0, 5) / s.gamma_prime)
         cases.append((random_density(rng, 2, pure=bool(k % 2)), s, t))
     return cases
 
 
-class TestNoiseSpec:
-    def test_gamma_definition(self):
-        n = NoiseSpec(vartheta=0.7, mu=1.3)
-        assert abs(n.gamma - 2 * 0.7**2 * 1.3**2) < 1e-15
-
-    def test_from_gamma_roundtrip(self):
-        n = NoiseSpec.from_gamma(2.37, mu=0.8)
-        assert abs(n.gamma - 2.37) < 1e-15
-
-    @pytest.mark.parametrize("kw", [dict(vartheta=0.0), dict(vartheta=-1.0), dict(vartheta=1.0, mu=0.0),
-                                    dict(vartheta=math.inf), dict(vartheta=math.nan),
-                                    dict(vartheta=1.0, mu=math.inf), dict(vartheta=1.0, mu=math.nan)])
-    def test_domain(self, kw):
-        with pytest.raises(ValueError):
-            NoiseSpec(**kw)
-
-
 class TestScenario:
+    def test_rate_is_taken_exactly(self):
+        s = Scenario(BoostParams(0.0), 3.7)
+        assert s.gamma == 3.7 and s.gamma_prime == 3.7
+
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, math.inf, math.nan])
+    def test_gamma_domain(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be finite and > 0"):
+            Scenario(BoostParams(1.0), gamma)
+
     def test_field_is_cached_geometry(self):
         s = scenario(1.2, 0.8, 0.3)
         f = effective_field(s.boost)
@@ -102,7 +93,7 @@ class TestScenario:
 
     def test_gamma_prime(self):
         s = scenario(2.5, eta_max(2.5).theta_opt)
-        assert abs(s.gamma_prime / s.noise.gamma - 6.13229) < 5e-5
+        assert abs(s.gamma_prime / s.gamma - 6.13229) < 5e-5
 
     @pytest.mark.parametrize("xi", [400.0, 1000.0])
     def test_gamma_prime_inf_where_it_overflows(self, xi):
@@ -160,7 +151,7 @@ class TestEvolveElementwise:
             rho = random_density(rng, 2)
             t = rng.uniform(0, 3)
             out = evolve_elementwise(rho, s, t)
-            ref = rest_dephasing(rho, s.noise.gamma, t)
+            ref = rest_dephasing(rho, s.gamma, t)
             # the upper off-diagonal goes through the identical decay
             # product, so it agrees bitwise; the remaining entries may
             # differ by the input's sub-eps Hermiticity dust, which the
@@ -221,7 +212,7 @@ def edge_cases(rng, count):
         theta = (0.0, math.pi / 2, math.pi, rng.uniform(0, math.pi))[k % 4]
         scenarios.append(Scenario(
             BoostParams(xi=xi, theta=theta, phi=rng.uniform(0, 2 * math.pi)),
-            NoiseSpec.from_gamma(rng.uniform(0.1, 2.0)),
+            rng.uniform(0.1, 2.0),
         ))
         states.append(random_density(rng, 2, pure=bool(k % 2)))
         times.append(0.0 if k % 7 == 0 else rng.uniform(0, 3))
@@ -314,7 +305,7 @@ class TestOperatorSum:
         for _ in range(10):
             rho = random_density(rng, 2)
             t = rng.uniform(0, 2)
-            decay = math.exp(-s.noise.gamma * t * t)
+            decay = math.exp(-s.gamma * t * t)
             p0, p1 = 0.5 * (1 + decay), 0.5 * (1 - decay)
             expected = p0 * rho.matrix + p1 * (PAULI_Z @ rho.matrix @ PAULI_Z)
             assert frobenius_distance(operator_sum_apply(rho, s, t).matrix, expected) < 1e-15
@@ -349,7 +340,6 @@ class TestDressing:
             d=np.array([1.0, 0.0, 0.0]),
             kappa=1.0,
             n=np.array([1.0, 0.0, 0.0]),
-            tilt=math.pi / 2,
             eta_mod=1.0,
             chi_mod=0.0,
         )
@@ -362,7 +352,7 @@ class TestDressing:
     def test_tiny_tilt_is_unitary(self):
         # |n x ez|**2 underflows here; the axis of V must still be a unit vector
         f = effective_field(BoostParams(xi=1.0, theta=8.944975528239023e-164))
-        assert 0.0 < f.tilt < 1e-160
+        assert 0.0 < math.hypot(f.n[0], f.n[1]) < 1e-160
         v = dressing_transform(f)
         assert frobenius_distance(v @ v.conj().T, IDENTITY_2) < 1e-15
         assert frobenius_distance(v @ pauli_vector(f.n) @ v.conj().T, PAULI_Z) < 1e-15
@@ -390,7 +380,7 @@ class TestDressedApply:
         for _ in range(10):
             rho = random_density(rng, 2)
             t = rng.uniform(0, 2)
-            ref = rest_dephasing(rho, s.noise.gamma, t)
+            ref = rest_dephasing(rho, s.gamma, t)
             assert frobenius_distance(dressed_apply(rho, s, t).matrix, ref.matrix) < 1e-15
 
     def test_trace_preserved(self):
@@ -455,7 +445,7 @@ class TestExampleTrajectory:
         s = scenario(2.5, opt.theta_opt)
         floor = s.field.eta_mod / 2 - 1e-12
         values = [
-            example_trajectory(s, math.sqrt(x / s.noise.gamma))[1].real
+            example_trajectory(s, math.sqrt(x / s.gamma))[1].real
             for x in np.linspace(0.0, 12.0, 300)
         ]
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))

@@ -355,6 +355,21 @@ class TestConcurrenceCommand:
 
 
 class TestConfigFile:
+    @pytest.mark.parametrize("cmd", ["scan-eta", "eta-max", "offdiag", "evolve", "concurrence"])
+    def test_seed_only_on_verify(self, tmp_path, capsys, cmd):
+        # table commands draw nothing: no --seed flag, config key or header line
+        out = tmp_path / "o.csv"
+        assert run_cli([cmd, "--out", str(out)]) == 0
+        comments, _, _ = read_csv(out)
+        assert comments[0] == f"# command = {cmd}"
+        assert not any("seed" in c for c in comments)
+        assert run_cli([cmd, "--seed", "1"]) == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 1\n")
+        assert run_cli([cmd, "--config", str(cfg)]) == 2
+        assert "--config" in capsys.readouterr().err
+
     def test_config_supplies_defaults(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("xi = 1.5\npoints = 25   # small grid\ngamma-t2-max = 2\n")

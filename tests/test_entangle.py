@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from spinboost.channel import NoiseSpec, Scenario
+from spinboost.channel import Scenario
 from spinboost.entangle import (
     ConcurrenceSeries,
     bell_phi_plus,
@@ -23,7 +23,7 @@ from spinboost.spinalg import (
 
 
 def scenario(xi, theta, phi=0.0, gamma=1.0):
-    return Scenario(BoostParams(xi=xi, theta=theta, phi=phi), NoiseSpec.from_gamma(gamma))
+    return Scenario(BoostParams(xi=xi, theta=theta, phi=phi), gamma)
 
 
 def wootters_direct(rho4):

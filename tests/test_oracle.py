@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from spinboost.channel import NoiseSpec, Scenario, evolve_elementwise, plus_state
+from spinboost.channel import Scenario, evolve_elementwise, plus_state
 from spinboost.oracle import (
     _MC_CHUNK,
     McSpec,
@@ -31,14 +31,13 @@ from spinboost.spinalg import (
 )
 
 
-def scenario(xi, theta, phi=0.0, vartheta=None, gamma=1.0, mu=1.0):
-    noise = NoiseSpec(vartheta=vartheta, mu=mu) if vartheta else NoiseSpec.from_gamma(gamma, mu=mu)
-    return Scenario(BoostParams(xi=xi, theta=theta, phi=phi), noise)
+def scenario(xi, theta, phi=0.0, gamma=1.0):
+    return Scenario(BoostParams(xi=xi, theta=theta, phi=phi), gamma)
 
 
 def field_unitary(b, s, t):
-    """exp(-i kappa mu t b sigma.n): the rotation by 2 kappa mu t b about the axis n."""
-    return pauli_rotation(s.field.n, 2.0 * s.field.kappa * s.noise.mu * t * b)
+    """exp(-i kappa t b sigma.n), the rotation by 2 kappa t b about the axis n, at b = sqrt(gamma/2) z."""
+    return pauli_rotation(s.field.n, 2.0 * s.field.kappa * t * b)
 
 
 def draw_cases(rng, count):
@@ -48,7 +47,7 @@ def draw_cases(rng, count):
             rng.uniform(0, 3),
             rng.uniform(0, math.pi),
             rng.uniform(0, 2 * math.pi),
-            vartheta=rng.uniform(0.3, 1.5),
+            gamma=2.0 * rng.uniform(0.3, 1.5) ** 2,
         )
         t = math.sqrt(rng.uniform(0, 5) / s.gamma_prime)
         cases.append((random_density(rng, 2, pure=bool(k % 2)), s, t))
@@ -84,7 +83,7 @@ class TestGaussHermiteNodes:
 
     def test_gaussian_phase_integral_exact(self):
         # characteristic function E[exp(-i a Z)] = exp(-a^2/2); with
-        # a = 2 mu t vartheta this is the dephasing factor exp(-gamma t^2)
+        # a = 2 t sqrt(gamma/2) this is the dephasing factor exp(-gamma t^2)
         z, w = gauss_hermite_nodes(201)
         for g_t2 in np.linspace(0.5, 10.0, 20):
             a = math.sqrt(2.0 * g_t2)
@@ -100,7 +99,7 @@ class TestUnitaryAtField:
         np.testing.assert_allclose(_unitary_stack(np.zeros(1), s, 1.3)[0], IDENTITY_2, atol=1e-15)
 
     def test_rest_frame_is_z_phase(self):
-        s = scenario(0.0, 0.0, mu=1.0, gamma=1.0)
+        s = scenario(0.0, 0.0, gamma=1.0)
         b, t = 0.83, 1.21
         u = _unitary_stack(np.array([b]), s, t)[0]
         expected = np.diag([np.exp(-1j * b * t), np.exp(1j * b * t)])
@@ -112,7 +111,7 @@ class TestUnitaryAtField:
             s = scenario(rng.uniform(0, 3), rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
             b, t = rng.normal(), rng.uniform(0, 2)
             u = _unitary_stack(np.array([b]), s, t)[0]
-            angle = 2.0 * s.field.kappa * s.noise.mu * t * b
+            angle = 2.0 * s.field.kappa * t * b
             assert abs(np.trace(u) - 2.0 * math.cos(angle / 2.0)) < 1e-12
             np.testing.assert_allclose(u, field_unitary(b, s, t), atol=1e-14)
 
@@ -137,7 +136,7 @@ class TestUnitaryAtField:
 
 class TestAverageQuadrature:
     def test_vanishing_noise_is_identity_channel(self):
-        s = scenario(2.0, 0.9, vartheta=1e-12)
+        s = scenario(2.0, 0.9, gamma=2e-24)
         rho = plus_state()
         out = average_quadrature(rho, s, 1.0)
         assert frobenius_distance(out.matrix, rho.matrix) < 1e-10
@@ -169,7 +168,7 @@ class TestAverageQuadrature:
         rng = np.random.default_rng(4)
         z, w = gauss_hermite_nodes(nodes)
         for rho, s, t in draw_cases(rng, 20):
-            u = _unitary_stack(s.noise.vartheta * z, s, t)
+            u = _unitary_stack(math.sqrt(s.gamma / 2) * z, s, t)
             terms = np.array([uk @ rho.matrix @ uk.conj().T for uk in u])
             ref = np.tensordot(w, terms, axes=(0, 0))
             ref = 0.5 * (ref + ref.conj().T)
@@ -201,7 +200,7 @@ def reference_montecarlo(rho, s, t, mc):
         r = np.sqrt(-2.0 * np.log1p(-u1))
         angle = 2.0 * np.pi * u2
         normals.append(np.concatenate([r * np.cos(angle), r * np.sin(angle)])[:count])
-    half_angle = s.field.kappa * s.noise.mu * t * s.noise.vartheta * np.concatenate(normals)
+    half_angle = s.field.kappa * t * math.sqrt(s.gamma / 2) * np.concatenate(normals)
     u = (np.cos(half_angle)[:, None, None] * IDENTITY_2
          - 1j * np.sin(half_angle)[:, None, None] * pauli_vector(s.field.n))
     # draws on the last, contiguous axis, so that each sum is pairwise
@@ -350,7 +349,7 @@ class TestAverageMonteCarlo:
         for rho, s, t in draw_cases(rng, 3):
             mc = McSpec(samples=3000, seed=5)  # one chunk
             mean, stderr = average_montecarlo(rho, s, t, mc)
-            fields = s.noise.vartheta * _box_muller_normals(mc.seed, 0, mc.samples)
+            fields = math.sqrt(s.gamma / 2) * _box_muller_normals(mc.seed, 0, mc.samples)
             draws = np.array([u @ rho.matrix @ u.conj().T
                               for u in (field_unitary(b, s, t) for b in fields)])
             expected = draws.mean(axis=0)
@@ -376,7 +375,7 @@ class TestTwoQubitAverage:
 
     def test_rest_bell_corner_decay(self):
         # for the Bell pair at rest the corner coherence picks up
-        # exp(-i 4 mu B t); its Gaussian average is exp(-4 gamma t^2)
+        # exp(-i 4 t sqrt(gamma/2) z); its Gaussian average is exp(-4 gamma t^2)
         bell = np.zeros((4, 4), dtype=complex)
         bell[0, 0] = bell[0, 3] = bell[3, 0] = bell[3, 3] = 0.5
         s = scenario(0.0, 0.0, gamma=1.0)
@@ -388,7 +387,7 @@ class TestTwoQubitAverage:
             # independent cross-check: dense trapezoid over the Gaussian
             b_grid = np.linspace(-8, 8, 20001)
             pdf = np.exp(-0.5 * b_grid**2) / math.sqrt(2 * math.pi)
-            brute = np.trapezoid(pdf * np.cos(4 * s.noise.mu * b_grid * s.noise.vartheta * t), b_grid) / 2
+            brute = np.trapezoid(pdf * np.cos(4 * b_grid * math.sqrt(s.gamma / 2) * t), b_grid) / 2
             assert abs(out.matrix[0, 3].real - brute) < 1e-8
 
     def test_matches_per_node_kronecker_loop(self):
@@ -397,7 +396,7 @@ class TestTwoQubitAverage:
         s = scenario(2.0, 0.7, 0.4)
         z, w = gauss_hermite_nodes(201)
         expected = np.zeros((4, 4), dtype=complex)
-        for wi, bi in zip(w, s.noise.vartheta * z):
+        for wi, bi in zip(w, math.sqrt(s.gamma / 2) * z):
             u2 = tensor_product(*[field_unitary(bi, s, 0.6)] * 2)
             expected += wi * (u2 @ rho4.matrix @ u2.conj().T)
         expected = 0.5 * (expected + expected.conj().T)

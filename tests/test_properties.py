@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from spinboost.analysis import choi_of, verify_cptp
 from spinboost.channel import (
-    NoiseSpec,
     Scenario,
     dressed_apply,
     evolve_elementwise,
@@ -116,7 +115,7 @@ def edge_grid(**other):
 
 
 def scenario(xi, theta, phi=0.0):
-    return Scenario(BoostParams(xi, theta, phi), NoiseSpec.from_gamma(1.0))
+    return Scenario(BoostParams(xi, theta, phi), 1.0)
 
 
 @pinned
@@ -126,7 +125,7 @@ def test_effective_field_finite_at_every_rapidity(xi, theta):
     f = effective_field(BoostParams(xi, theta))
     assert np.isfinite(f.n).all() and abs(math.hypot(*f.n) - 1.0) <= 1e-15
     assert f.kappa >= 1.0  # may be inf
-    assert math.isfinite(f.tilt) and math.isfinite(f.chi_mod)
+    assert math.isfinite(f.chi_mod)
     assert abs(f.eta_mod - eta_profile(xi, theta)) <= 1e-15
 
 

@@ -12,37 +12,34 @@ from spinboost.relkin import (
     effective_field,
     eta_max,
     eta_profile,
-    rapidity_from_beta,
 )
 
 COSH_2P5 = 6.132289479663686
 
 
 class TestRapidity:
+    """Speed beta = tanh(xi) and Lorentz factor cosh(xi) of a rapidity."""
+
     def test_zero(self):
-        assert rapidity_from_beta(0.0) == 0.0
+        b = BoostParams(xi=0.0)
+        assert b.beta == 0.0 and b.cosh_xi == 1.0
 
     def test_quoted_amplification(self):
-        xi = rapidity_from_beta(math.tanh(2.5))
-        assert abs(xi - 2.5) < 1e-12
-        assert abs(math.cosh(xi) - 6.13229) < 5e-5
+        b = BoostParams(xi=2.5)
+        assert abs(math.atanh(b.beta) - 2.5) < 1e-12
+        assert abs(b.cosh_xi - 6.13229) < 5e-5
 
     def test_monotone_divergence(self):
-        betas = 1.0 - np.logspace(-1, -12, 12)
-        xis = [rapidity_from_beta(b) for b in betas]
-        assert all(b > a for a, b in zip(xis, xis[1:]))
-        assert xis[-1] > 13
-
-    @pytest.mark.parametrize("beta", [-0.1, 1.0, 1.5])
-    def test_domain(self, beta):
-        with pytest.raises(ValueError):
-            rapidity_from_beta(beta)
+        boosts = [BoostParams(xi=xi) for xi in np.linspace(0.5, 15.0, 30).tolist()]
+        betas = [b.beta for b in boosts]
+        assert all(b > a for a, b in zip(betas, betas[1:]))
+        assert betas[-1] < 1.0 and boosts[-1].cosh_xi > 1e6
 
     def test_cosh_identity(self):
         rng = np.random.default_rng(0)
-        for beta in rng.uniform(0, 0.999, 50):
-            xi = rapidity_from_beta(beta)
-            assert abs(math.cosh(xi) - 1.0 / math.sqrt(1 - beta**2)) < 1e-12
+        for xi in rng.uniform(0, math.atanh(0.999), 50).tolist():
+            b = BoostParams(xi=xi)
+            assert abs(b.cosh_xi - 1.0 / math.sqrt(1 - b.beta**2)) < 1e-12
 
 
 class TestBoostParams:
@@ -117,7 +114,7 @@ class TestEffectiveField:
         f = effective_field(BoostParams(xi=0.0, theta=0.7, phi=1.1))
         assert f.kappa == 1.0
         np.testing.assert_array_equal(f.n, [0, 0, 1])
-        assert f.eta_mod == 0.0 and f.chi_mod == 0.0 and f.tilt == 0.0
+        assert f.eta_mod == 0.0 and f.chi_mod == 0.0
 
     def test_quoted_amplification_at_optimum(self):
         opt = eta_max(2.5)
@@ -156,7 +153,7 @@ class TestEffectiveField:
             assert base.eta_mod == other.eta_mod
             assert base.chi_mod == other.chi_mod
             assert base.kappa == other.kappa
-            assert base.tilt == other.tilt
+            assert base.n[2] == other.n[2]
 
     def test_chi_range(self):
         rng = np.random.default_rng(5)

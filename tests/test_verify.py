@@ -1,5 +1,7 @@
 """Tests for the verify suite's checks beyond their PASS lines."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from spinboost.channel import (
     evolve_elementwise,
     operator_sum_apply,
 )
+from spinboost.relkin import effective_field
 
 
 def transposed_kernel(m, n, decay, lost):
@@ -78,7 +81,7 @@ def test_pool_starts_with_a_fresh_draw(pool, count):
     fresh = verify._draw_channel_cases(np.random.default_rng(42), count)
     for (rho, s, t), (rho_f, s_f, t_f) in zip(pool.cases[:count], fresh):
         assert (rho.matrix == rho_f.matrix).all() and t == t_f
-        assert (s.boost, s.noise) == (s_f.boost, s_f.noise)
+        assert (s.boost, s.gamma) == (s_f.boost, s_f.gamma)
 
 
 def test_pool_images_are_valid(pool):
@@ -159,3 +162,23 @@ def test_raising_per_state_form_fails_rest_frame_reduction(monkeypatch):
     result = verify.check_rest_frame_reduction(42)
     assert not result.passed
     assert "invalid_images=" in result.detail
+
+
+@pytest.mark.parametrize("seed", [1630630108, 1193996828, 1129179639])
+def test_geometry_check_passes_where_kappa_sq_is_large(seed):
+    # |d|^2 ~ 745 at xi = 4: an absolute 1e-12 is 9 ulps there
+    result = verify.check_boost_geometry_identities(seed)
+    assert result.passed, result.line()
+
+
+@pytest.mark.parametrize("component", [0, 1, 2])
+def test_geometry_check_catches_a_1e13_relative_error_in_d(monkeypatch, component):
+    def skewed(boost):
+        f = effective_field(boost)
+        d = f.d.copy()
+        d[component] *= 1.0 + 1e-13
+        return dataclasses.replace(f, d=d)
+
+    monkeypatch.setattr(verify, "effective_field", skewed)
+    result = verify.check_boost_geometry_identities(42)
+    assert not result.passed, result.line()
