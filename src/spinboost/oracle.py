@@ -17,7 +17,11 @@ come from SFC64 streams keyed by (seed, chunk_index), each seeded by
 numpy's ``SeedSequence(seed, spawn_key=(chunk_index,))``, with a
 Box-Muller transform, accumulated in fixed chunk order, so identical
 (seed, samples) produce bit-identical results whether chunks are
-evaluated serially or in any order, on one BLAS thread or several.
+evaluated serially or in any order, on one BLAS thread or several. A
+stacked Monte Carlo call draws each chunk's normals once and rotates
+every case on them: all its cases see one stream, and each case gets
+the bits it would get alone, whatever else is in the stack or in what
+order.
 
 Monte Carlo trigonometry: every cos/sin pair comes from one tangent of
 the half angle. For the Box-Muller angle, cos 2x = (1 - h^2) w and
@@ -215,36 +219,95 @@ def _box_muller_normals(seed: int, chunk_index: int, count: int,
     return z
 
 
-def _rotation_moments(mc: McSpec, half_scale: float) -> tuple[float, ...]:
+def _mc_half_scale(s: Scenario, t: float) -> float:
+    """kappa t sigma, half the rotation angle per draw z: d = 2 kappa t sigma z.
+
+    Guarded at the largest |z| that ``_box_muller_normals`` returns.
+    """
+    sigma = _field_scale(s)
+    return _half_angle_rate(s, t, sigma * _BOX_MULLER_MAX) * sigma
+
+
+def _rotation_moments(mc: McSpec, half_scales) -> np.ndarray:
     """Sample means of cos d, sin d, cos^2 d, sin^2 d and cos d sin d.
 
-    d = 2 half_scale z over the ``mc.samples`` normals z of the SFC64
-    streams of ``mc.seed``. With h = tan(d/2) and w = 1/(1 + h^2),
+    One row per half scale: d = 2 half_scale z over the ``mc.samples``
+    normals z of the SFC64 streams of ``mc.seed``. Each chunk's normals
+    are drawn once and seen by every half scale, so a row does not
+    depend on the others. With h = tan(d/2) and w = 1/(1 + h^2),
     cos d = 2w - 1 and sin d = 2hw, so four pairwise sums per chunk (of
     w, hw, hw w and (hw)^2) give all five means. (hw)^2 rather than w^2
     gives E[sin^2 d] without the cancellation of 1 - E[cos^2 d] at
     small angles.
     """
     work = np.empty((3, 2 * ((min(_MC_CHUNK, mc.samples) + 1) // 2)))
-    sums = np.zeros(4)
+    sums = np.zeros((len(half_scales), 4))
     for chunk_index, done in enumerate(range(0, mc.samples, _MC_CHUNK)):
         count = min(_MC_CHUNK, mc.samples - done)
-        h = _box_muller_normals(mc.seed, chunk_index, count, work)
-        h *= half_scale
-        np.tan(h, out=h)
-        w, hw = work[0, :count], work[1, :count]
-        np.multiply(h, h, out=w)
-        w += 1.0
-        np.divide(1.0, w, out=w)
-        np.multiply(h, w, out=hw)
-        # h is spent and its row is the products' scratch; numpy's pairwise
-        # sums, unlike a BLAS dot, do not depend on the BLAS thread count
-        sums += (w.sum(), hw.sum(), np.multiply(hw, w, out=h).sum(),
-                 np.multiply(hw, hw, out=h).sum())
-    mean_w, mean_hw, mean_hww, mean_hwhw = (sums / mc.samples).tolist()
+        z = _box_muller_normals(mc.seed, chunk_index, count, work)
+        # rows 0 and 1 are spent once the normals are built: row 0 holds
+        # h, then hw; row 1 holds w, then the products' scratch
+        h, w = work[0, :count], work[1, :count]
+        for row, half_scale in zip(sums, half_scales):
+            np.multiply(z, half_scale, out=h)
+            np.tan(h, out=h)
+            np.multiply(h, h, out=w)
+            w += 1.0
+            np.divide(1.0, w, out=w)
+            sum_w = w.sum()
+            hw = np.multiply(h, w, out=h)
+            # numpy's pairwise sums, unlike a BLAS dot, do not depend on
+            # the BLAS thread count
+            row += (sum_w, hw.sum(), np.multiply(hw, w, out=w).sum(),
+                    np.multiply(hw, hw, out=w).sum())
+    mean_w, mean_hw, mean_hww, mean_hwhw = (sums / mc.samples).T
     mean_ss = 4.0 * mean_hwhw
-    return (2.0 * mean_w - 1.0, 2.0 * mean_hw, 1.0 - mean_ss, mean_ss,
-            4.0 * mean_hww - 2.0 * mean_hw)
+    return np.stack([2.0 * mean_w - 1.0, 2.0 * mean_hw, 1.0 - mean_ss, mean_ss,
+                     4.0 * mean_hww - 2.0 * mean_hw], axis=1)
+
+
+def _rodrigues_average(m: np.ndarray, n: np.ndarray, moments: np.ndarray,
+                       samples: int) -> tuple[np.ndarray, float]:
+    """Mean and standard error of U rho U^dag from the moments of (cos d, sin d)."""
+    mean_c, mean_s, mean_cc, mean_ss, mean_cs = moments.tolist()
+    # rho = a0 I + a.sigma with complex a; the rotation acts on a:
+    # a -> (n.a) n + cos d (a - (n.a) n) + sin d (n x a)
+    a = 0.5 * np.array([m[0, 1] + m[1, 0], 1j * (m[0, 1] - m[1, 0]), m[0, 0] - m[1, 1]])
+    along = np.dot(n, a) * n
+    fixed = 0.5 * np.trace(m) * IDENTITY_2 + pauli_vector(along)
+    b_mat, c_mat = pauli_vector(a - along), pauli_vector(np.cross(n, a))
+    out = fixed + mean_c * b_mat + mean_s * c_mat
+    if samples > 1:
+        var = (np.abs(b_mat) ** 2 * (mean_cc - mean_c**2)
+               + np.abs(c_mat) ** 2 * (mean_ss - mean_s**2)
+               + 2.0 * (b_mat * c_mat.conj()).real * (mean_cs - mean_c * mean_s))
+        stderr = float(np.sqrt(np.clip(var / (samples - 1), 0.0, None).sum()))
+    else:
+        stderr = float("inf")
+    return _hermitize(out), stderr
+
+
+def _montecarlo_stack(rhos: np.ndarray, scenarios, times, mc: McSpec
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Monte Carlo means (N, 2, 2) and standard errors (N,) of N cases.
+
+    Every case sees the same ``mc.samples`` normals of ``mc.seed``, drawn
+    once per chunk, and gets the bits a stack of one would give it. A case
+    whose rotation angle is not finite (``_half_angle_rate``) gets NaN. The
+    means are not validated.
+    """
+    half_scales = []
+    for s, t in zip(scenarios, times):
+        try:
+            half_scales.append(_mc_half_scale(s, t))
+        except ValueError:
+            half_scales.append(math.nan)
+    moments = _rotation_moments(mc, half_scales)
+    means = np.empty((len(half_scales), 2, 2), dtype=complex)
+    stderrs = np.empty(len(half_scales))
+    for k, (m, s) in enumerate(zip(rhos, scenarios)):
+        means[k], stderrs[k] = _rodrigues_average(m, s.field.n, moments[k], mc.samples)
+    return means, stderrs
 
 
 def average_montecarlo(
@@ -260,29 +323,12 @@ def average_montecarlo(
     (Rodrigues) U rho U^dag = A + B cos d + C sin d with fixed matrices
     A, B, C. Only the sample moments of (cos d, sin d) are accumulated;
     the mean and every entry's sample variance follow from them exactly.
+    A stack of one of ``_montecarlo_stack``, validated.
     """
     if rho.dim != 2:
         raise ValueError(f"average_montecarlo needs a 2x2 state, got dim {rho.dim}")
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t!r}")
-    # d = 2 half_scale z
-    sigma = _field_scale(s)
-    half_scale = _half_angle_rate(s, t, sigma * _BOX_MULLER_MAX) * sigma
-    mean_c, mean_s, mean_cc, mean_ss, mean_cs = _rotation_moments(mc, half_scale)
-    # rho = a0 I + a.sigma with complex a; the rotation acts on a:
-    # a -> (n.a) n + cos d (a - (n.a) n) + sin d (n x a)
-    m = rho.matrix
-    n = s.field.n
-    a = 0.5 * np.array([m[0, 1] + m[1, 0], 1j * (m[0, 1] - m[1, 0]), m[0, 0] - m[1, 1]])
-    along = np.dot(n, a) * n
-    fixed = 0.5 * np.trace(m) * IDENTITY_2 + pauli_vector(along)
-    b_mat, c_mat = pauli_vector(a - along), pauli_vector(np.cross(n, a))
-    out = fixed + mean_c * b_mat + mean_s * c_mat
-    if mc.samples > 1:
-        var = (np.abs(b_mat) ** 2 * (mean_cc - mean_c**2)
-               + np.abs(c_mat) ** 2 * (mean_ss - mean_s**2)
-               + 2.0 * (b_mat * c_mat.conj()).real * (mean_cs - mean_c * mean_s))
-        stderr = float(np.sqrt(np.clip(var / (mc.samples - 1), 0.0, None).sum()))
-    else:
-        stderr = float("inf")
-    return DensityMatrix(_hermitize(out)), stderr
+    _mc_half_scale(s, t)  # names the case where the rotation angle is not finite
+    means, stderrs = _montecarlo_stack(rho.matrix[None], [s], [t], mc)
+    return DensityMatrix(means[0]), float(stderrs[0])

@@ -12,6 +12,7 @@ from spinboost.oracle import (
     QuadratureSpec,
     _box_muller_normals,
     _cos_sin_double,
+    _montecarlo_stack,
     _rotation_moments,
     _unitary_stack,
     average_montecarlo,
@@ -258,21 +259,21 @@ class TestRotationMoments:
     def test_means_match_direct_cos_sin(self, samples, half_scale):
         # odd counts, a count that is not a multiple of the chunk and one draw
         mc = McSpec(samples=samples, seed=31)
-        got = _rotation_moments(mc, half_scale)
+        got = _rotation_moments(mc, [half_scale])[0]
         ref = direct_moments(mc, half_scale)
         assert max(abs(a - b) for a, b in zip(got, ref)) <= 1e-14
 
     def test_sin_square_keeps_relative_accuracy_at_small_angles(self):
         mc = McSpec(samples=3001, seed=5)
-        _, mean_s, _, mean_ss, _ = _rotation_moments(mc, 1e-6)
+        _, mean_s, _, mean_ss, _ = _rotation_moments(mc, [1e-6])[0]
         _, ref_s, _, ref_ss, _ = direct_moments(mc, 1e-6)
         assert abs((mean_ss - mean_s**2) / (ref_ss - ref_s**2) - 1.0) <= 1e-12
 
     def test_same_seed_and_count_give_the_same_bits(self):
         for samples in (1, 3001, 2 * _MC_CHUNK + 1):
             mc = McSpec(samples=samples, seed=77)
-            first, second = _rotation_moments(mc, 0.6), _rotation_moments(mc, 0.6)
-            assert np.array(first).view(np.uint64).tolist() == np.array(second).view(np.uint64).tolist()
+            first, second = _rotation_moments(mc, [0.6]), _rotation_moments(mc, [0.6])
+            assert first.view(np.uint64).tolist() == second.view(np.uint64).tolist()
 
     def test_chunks_in_any_order_give_the_same_bits(self):
         # each chunk's normals built on their own, last chunk first; the
@@ -291,8 +292,8 @@ class TestRotationMoments:
         mean_w, mean_hw, mean_hww, mean_hwhw = (sums / mc.samples).tolist()
         ref = (2.0 * mean_w - 1.0, 2.0 * mean_hw, 1.0 - 4.0 * mean_hwhw, 4.0 * mean_hwhw,
                4.0 * mean_hww - 2.0 * mean_hw)
-        got = _rotation_moments(mc, half_scale)
-        assert np.array(got).view(np.uint64).tolist() == np.array(ref).view(np.uint64).tolist()
+        got = _rotation_moments(mc, [half_scale])[0]
+        assert got.view(np.uint64).tolist() == np.array(ref).view(np.uint64).tolist()
 
     @pytest.mark.parametrize("seed, chunk_index", [(0, 0), (42, 3), (2**64 - 2, 7)])
     def test_neighbouring_keys_start_with_different_draws(self, seed, chunk_index):
@@ -364,6 +365,49 @@ class TestAverageMonteCarlo:
         _, se_large = average_montecarlo(rho, s, t, McSpec(samples=10**6, seed=11))
         ratio = se_small / se_large
         assert 5.0 < ratio < 20.0  # 1/sqrt(samples): nominal factor 10
+
+
+def bits(x):
+    return np.asarray(x).view(np.uint64).tolist()
+
+
+def montecarlo_stack(cases, mc):
+    return _montecarlo_stack(np.array([rho.matrix for rho, _, _ in cases]),
+                             [s for _, s, _ in cases], [t for _, _, t in cases], mc)
+
+
+class TestMonteCarloStack:
+    @pytest.mark.parametrize("samples", [1, 3001, 2 * _MC_CHUNK + 12345])
+    @pytest.mark.parametrize("size", [1, 2, 20])
+    def test_each_case_has_the_bits_of_a_stack_of_one(self, size, samples):
+        cases = draw_cases(np.random.default_rng(size), size)
+        mc = McSpec(samples=samples, seed=size + samples)
+        means, stderrs = montecarlo_stack(cases, mc)
+        assert means.shape == (size, 2, 2) and stderrs.shape == (size,)
+        for (rho, s, t), mean, stderr in zip(cases, means, stderrs):
+            one, one_stderr = average_montecarlo(rho, s, t, mc)
+            assert bits(mean) == bits(one.matrix)
+            assert bits(stderr) == bits(one_stderr)
+
+    def test_permuting_the_stack_permutes_the_results(self):
+        cases = draw_cases(np.random.default_rng(21), 20)
+        mc = McSpec(samples=3001, seed=8)
+        means, stderrs = montecarlo_stack(cases, mc)
+        order = np.random.default_rng(22).permutation(20)
+        shuffled_means, shuffled_stderrs = montecarlo_stack([cases[k] for k in order], mc)
+        assert bits(shuffled_means) == bits(means[order])
+        assert bits(shuffled_stderrs) == bits(stderrs[order])
+
+    def test_a_case_whose_angle_overflows_is_nan_and_spares_the_others(self):
+        cases = draw_cases(np.random.default_rng(23), 3)
+        cases.insert(1, (plus_state(), scenario(700.0, 0.5), 2e4))
+        mc = McSpec(samples=3001, seed=4)
+        means, stderrs = montecarlo_stack(cases, mc)
+        assert np.isnan(means[1]).all() and np.isnan(stderrs[1])
+        kept = [0, 2, 3]
+        alone_means, alone_stderrs = montecarlo_stack([cases[k] for k in kept], mc)
+        assert bits(means[kept]) == bits(alone_means)
+        assert bits(stderrs[kept]) == bits(alone_stderrs)
 
 
 class TestTwoQubitAverage:

@@ -154,6 +154,84 @@ def test_raising_quadrature_counts_as_a_failure(monkeypatch):
     assert not mc_line.passed and mc_line.detail.endswith(" invalid_images=1")
 
 
+def test_raising_montecarlo_counts_as_a_failure(monkeypatch):
+    calls = []
+    mc_half_scale = oracle._mc_half_scale
+
+    def fails_on_third_case(s, t):
+        calls.append(t)
+        if len(calls) == 3:
+            raise ValueError("the oracle's rotation angle is not finite")
+        return mc_half_scale(s, t)
+
+    monkeypatch.setattr(oracle, "_mc_half_scale", fails_on_third_case)
+    results = {r.name: r for r in verify.run_checks(42)}
+    assert len(results) == 14
+    mc_line = results.pop("montecarlo_consistency")
+    assert not mc_line.passed and mc_line.detail.endswith(" seed_reproducible=True invalid_images=1")
+    assert all(r.passed for r in results.values())
+
+
+def test_raising_reproducibility_call_counts_as_a_failure(monkeypatch, pool):
+    def refuses(rho, s, t, mc=oracle.McSpec()):
+        raise ValueError("the oracle's rotation angle is not finite")
+
+    monkeypatch.setattr(oracle, "average_montecarlo", refuses)
+    mc_line = verify.check_montecarlo_consistency(pool, 42)
+    assert not mc_line.passed
+    assert mc_line.detail.endswith(" seed_reproducible=False invalid_images=2")
+
+
+def test_invalid_montecarlo_mean_counts_as_a_failure(monkeypatch, pool):
+    montecarlo_stack = oracle._montecarlo_stack
+
+    def stretched(*args):
+        means, stderrs = montecarlo_stack(*args)
+        if len(means) == 20:  # the shared-stream call, not a stack of one
+            means[5] *= 1.001
+        return means, stderrs
+
+    monkeypatch.setattr(oracle, "_montecarlo_stack", stretched)
+    mc_line = verify.check_montecarlo_consistency(pool, 42)
+    assert not mc_line.passed and mc_line.detail.endswith(" invalid_images=1")
+
+
+def montecarlo_keys(monkeypatch, pool, seed):
+    """The McSpec seeds and the (seed, chunk_index) stream keys of one montecarlo_consistency."""
+    spec_seeds, stream_keys = [], set()
+    montecarlo_stack = oracle._montecarlo_stack
+    average_montecarlo = oracle.average_montecarlo
+    box_muller_normals = oracle._box_muller_normals
+
+    def stack(rhos, scenarios, times, mc):
+        spec_seeds.append(mc.seed)
+        return montecarlo_stack(rhos, scenarios, times, mc)
+
+    def one(rho, s, t, mc=oracle.McSpec()):
+        spec_seeds.append(mc.seed)
+        return average_montecarlo(rho, s, t, mc)
+
+    def normals(stream_seed, chunk_index, *args):
+        stream_keys.add((stream_seed, chunk_index))
+        return box_muller_normals(stream_seed, chunk_index, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "_montecarlo_stack", stack)
+        m.setattr(oracle, "average_montecarlo", one)
+        m.setattr(oracle, "_box_muller_normals", normals)
+        assert verify.check_montecarlo_consistency(pool, seed).passed
+    return spec_seeds, stream_keys
+
+
+def test_montecarlo_runs_on_the_verify_seed_alone(monkeypatch, pool):
+    spec_seeds, keys = montecarlo_keys(monkeypatch, pool, 42)
+    assert set(spec_seeds) == {42}
+    # one 1e6-sample stream of 16 chunks, whose first two also feed the 1e5 calls
+    assert keys == {(42, k) for k in range(16)}
+    _, next_keys = montecarlo_keys(monkeypatch, pool, 43)
+    assert not keys & next_keys
+
+
 def test_raising_per_state_form_fails_rest_frame_reduction(monkeypatch):
     def invalid(rho, s, t):
         return verify.DensityMatrix(1.001 * rho.matrix)
