@@ -30,13 +30,16 @@ import numpy as np
 from . import verify as verify_mod
 from .channel import Scenario, _evolve_stack, decay_exponent, decay_factors, example_trajectory
 from .entangle import concurrence_trajectory
-from .oracle import QuadratureSpec, average_quadrature
+from .oracle import QuadratureSpec, _quadrature_stack, average_quadrature
 from .relkin import BoostParams, eta_max, eta_profile
-from .spinalg import DensityMatrix
+from .spinalg import DensityMatrix, _invalid
 
 USAGE_ERROR = 2
 # The analytic-vs-quadrature tolerance of ``spinboost verify``.
 ORACLE_TOL = 1e-8
+# Largest --nodes: the Golub-Welsch solve is a dense n x n eigenproblem,
+# which at 2048 nodes takes about 64 MiB and 2 s on a 2-core VM.
+MAX_NODES = 2048
 
 
 def _fmt(value) -> str:
@@ -233,6 +236,12 @@ def _scenario_from_args(args, phi: float) -> Scenario:
     return Scenario(BoostParams(xi=xi, theta=theta, phi=phi), gamma)
 
 
+def _quadrature_from_args(args) -> QuadratureSpec:
+    _require(2 <= args.nodes <= MAX_NODES, "--nodes",
+             f"must lie in [2, {MAX_NODES}], got {args.nodes}")
+    return QuadratureSpec(nodes=args.nodes)
+
+
 def _time_grid(args, gamma: float) -> tuple[np.ndarray, np.ndarray]:
     """(gamma_t2 grid, times) from --gamma-t2-max/--points at dephasing rate ``gamma``."""
     g_max = args.gamma_t2_max
@@ -300,8 +309,7 @@ def _warn_unresolved(label: str, worst: float) -> None:
 def _cmd_evolve(args) -> int:
     s = _scenario_from_args(args, args.phi)
     args.theta = s.boost.theta  # echo the resolved angle
-    _require(args.nodes >= 2, "--nodes", f"must be >= 2, got {args.nodes}")
-    quad = QuadratureSpec(nodes=args.nodes)
+    quad = _quadrature_from_args(args)
     try:
         bloch = [float(x) for x in args.bloch.split(",")]
         if len(bloch) != 3:
@@ -315,9 +323,15 @@ def _cmd_evolve(args) -> int:
     grid, times = _time_grid(args, s.gamma)
     decay, lost = decay_factors(decay_exponent(s.gamma_prime, times))
     ana = _evolve_stack(rho0.matrix, s.field.n, decay, lost)
-    for m in ana:
-        DensityMatrix(m)  # each analytic state is validated, as evolve_elementwise would
-    num = np.array([average_quadrature(rho0, s, t, quad).matrix for t in times.tolist()])
+    num = _quadrature_stack(np.broadcast_to(rho0.matrix, ana.shape), [s] * len(times),
+                            times.tolist(), quad.nodes)
+    # every state is validated, as evolve_elementwise and average_quadrature
+    # would; the first failure raises their own error (NaN marks a refused time)
+    ana_bad, num_bad = _invalid(np.stack([ana, num]))
+    if ana_bad.any():
+        DensityMatrix(ana[ana_bad.argmax()])
+    if num_bad.any():
+        average_quadrature(rho0, s, float(times[num_bad.argmax()]), quad)
     worst = float(np.abs(ana - num).max())
     rows = np.column_stack([grid, ana[:, 0, 0].real, num[:, 0, 0].real, ana[:, 0, 1].real,
                             num[:, 0, 1].real, ana[:, 0, 1].imag, num[:, 0, 1].imag])
@@ -334,9 +348,9 @@ def _cmd_evolve(args) -> int:
 def _cmd_concurrence(args) -> int:
     s = _scenario_from_args(args, phi=0.0)
     args.theta = s.boost.theta  # echo the resolved angle
-    _require(args.nodes >= 2, "--nodes", f"must be >= 2, got {args.nodes}")
+    quad = _quadrature_from_args(args)
     grid, times = _time_grid(args, s.gamma)
-    series = concurrence_trajectory(s, times, QuadratureSpec(nodes=args.nodes))
+    series = concurrence_trajectory(s, times, quad)
     rows = np.column_stack([grid, series.values, series.reference_rest, series.reference_boosted])
     comments = _echo_params(args, ("xi", "theta", "gamma", "gamma_t2_max", "points", "nodes"))
     write_table(rows, args.out, args.format,
@@ -408,14 +422,16 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p = sub.add_parser("evolve", help="single-qubit trajectory, analytic + oracle columns")
     _add_scenario_flags(p, gamma_t2_max=4.0, points=200)
     p.add_argument("--phi", type=_finite_float, default=0.0)
-    p.add_argument("--nodes", type=int, default=201)
+    p.add_argument("--nodes", type=int, default=201,
+                   help=f"Gauss-Hermite nodes of the oracle, 2 to {MAX_NODES} (default %(default)s)")
     p.add_argument("--bloch", default="1,0,0",
                    help="initial Bloch vector 'x,y,z' (default %(default)s)")
     _add_common(p, _cmd_evolve)
 
     p = sub.add_parser("concurrence", help="two-qubit concurrence under the common bath")
     _add_scenario_flags(p, gamma_t2_max=1.0, points=50)
-    p.add_argument("--nodes", type=int, default=201)
+    p.add_argument("--nodes", type=int, default=201,
+                   help=f"Gauss-Hermite nodes of the oracle, 2 to {MAX_NODES} (default %(default)s)")
     _add_common(p, _cmd_concurrence)
 
     p = sub.add_parser("verify", help="run the verification suite")

@@ -10,6 +10,16 @@ of a ``Scenario``. The only code shared with ``channel`` is generic 2x2
 algebra (``spinalg._matmul_2x2``). The quadrature covers one and two
 qubits (common bath: U(z) (x) U(z)).
 
+Single-qubit quadrature: with U(z) = c I - i s N, c = cos x, s = sin x,
+x = kappa t sigma z and N = n.sigma, the conjugation expands exactly as
+U rho U^dag = c^2 rho + s^2 N rho N + i c s [rho, N]. So a case needs
+only three weighted sums over the nodes, of w c^2, w s^2 and w c s, each
+a numpy pairwise sum along the node axis in node order (no BLAS product,
+so the bits do not depend on the BLAS thread count), and then a few 2x2
+products. A stacked call (``_quadrature_stack``) takes its cases in
+blocks of fixed size, and a case gets the same bits alone, among others
+or in another order.
+
 Determinism contracts: node/weight generation is the Golub-Welsch
 eigen-solve of the symmetric tridiagonal Jacobi matrix (numpy's dense
 Hermitian solver); Monte Carlo draws
@@ -139,22 +149,70 @@ def _unitary_stack(b_values: np.ndarray, s: Scenario, t: float) -> np.ndarray:
 
 
 def _hermitize(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.conj().T)
+    return 0.5 * (m + m.conj().swapaxes(-1, -2))
+
+
+# Cases per block of ``_quadrature_stack``: bounds its (cases x nodes) temporaries.
+_QUAD_BLOCK = 64
+
+
+def _quadrature_stack(rhos: np.ndarray, scenarios, times, nodes: int) -> np.ndarray:
+    """Gauss-Hermite averages (N, 2, 2) of N cases at ``nodes`` nodes.
+
+    Per case, the half angles x = kappa t sigma z at every node give the
+    node-order pairwise sums of w c^2, w s^2 and w c s, and the average is
+    (sum w c^2) rho + (sum w s^2) N rho N + i (sum w c s) [rho, N]. Cases
+    run in blocks of ``_QUAD_BLOCK``; a case gets the bits a stack of one
+    would give it. A case whose rotation angle is not finite
+    (``_half_angle_rate``) gets NaN. The averages are not validated.
+    """
+    z, w = gauss_hermite_nodes(nodes)
+    rhos = np.asarray(rhos, dtype=complex)
+    rates, sigmas = [], []
+    for s, t in zip(scenarios, times):
+        sigma = _field_scale(s)
+        try:
+            rates.append(_half_angle_rate(s, t, sigma * float(z[-1])))
+        except ValueError:
+            rates.append(math.nan)
+        sigmas.append(sigma)
+    n = np.array([s.field.n for s in scenarios]).reshape(-1, 3)
+    axis = np.empty((len(n), 2, 2), dtype=complex)  # N = n.sigma
+    axis[:, 0, 0], axis[:, 1, 1] = n[:, 2], -n[:, 2]
+    axis[:, 0, 1], axis[:, 1, 0] = n[:, 0] - 1j * n[:, 1], n[:, 0] + 1j * n[:, 1]
+    rates, sigmas = np.array(rates), np.array(sigmas)
+    out = np.empty((len(rates), 2, 2), dtype=complex)
+    for k0 in range(0, len(rates), _QUAD_BLOCK):
+        block = slice(k0, k0 + _QUAD_BLOCK)
+        half = rates[block, None] * (sigmas[block, None] * z)
+        cos_x, sin_x = np.cos(half), np.sin(half)
+        w_cos = np.multiply(w, cos_x, out=half)
+        sum_cs = np.multiply(w_cos, sin_x).sum(axis=-1)[:, None, None]
+        sum_cc = np.multiply(w_cos, cos_x, out=cos_x).sum(axis=-1)[:, None, None]
+        sin_x *= sin_x
+        sum_ss = np.multiply(w, sin_x, out=sin_x).sum(axis=-1)[:, None, None]
+        rho, nb = rhos[block], axis[block]
+        rho_n, n_rho = _matmul_2x2(rho, nb), _matmul_2x2(nb, rho)
+        out[block] = _hermitize(sum_cc * rho + sum_ss * _matmul_2x2(n_rho, nb)
+                                + 1j * sum_cs * (rho_n - n_rho))
+    return out
 
 
 def average_quadrature(
     rho: DensityMatrix, s: Scenario, t: float, q: QuadratureSpec = QuadratureSpec()
 ) -> DensityMatrix:
-    """Gaussian average of U(z) rho U(z)^dag by Gauss-Hermite quadrature."""
+    """Gaussian average of U(z) rho U(z)^dag by Gauss-Hermite quadrature.
+
+    A stack of one of ``_quadrature_stack``, validated.
+    """
     if rho.dim != 2:
         raise ValueError(f"average_quadrature needs a 2x2 state, got dim {rho.dim}")
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t!r}")
-    z, w = gauss_hermite_nodes(q.nodes)
-    u = _unitary_stack(_field_scale(s) * z, s, t)
-    terms = _matmul_2x2(_matmul_2x2(u, rho.matrix), u.conj().transpose(0, 2, 1))
-    out = np.tensordot(w, terms, axes=(0, 0))
-    return DensityMatrix(_hermitize(out))
+    z, _ = gauss_hermite_nodes(q.nodes)
+    # names the case where the rotation angle is not finite
+    _half_angle_rate(s, t, _field_scale(s) * float(z[-1]))
+    return DensityMatrix(_quadrature_stack(rho.matrix[None], [s], [t], q.nodes)[0])
 
 
 def two_qubit_average(

@@ -102,30 +102,43 @@ def _matmul_2x2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[..., :, :1] * b[..., :1, :] + a[..., :, 1:] * b[..., 1:, :]
 
 
-def _residuals(m: np.ndarray) -> tuple[float, float, float]:
-    """Hermiticity residual, trace residual and least eigenvalue of a square ``m``.
+def _residuals(m: np.ndarray):
+    """Hermiticity residual, trace residual and least eigenvalue of ``m``.
 
     ``|m - m^dag|`` (Frobenius), ``|tr m - 1|`` and the smallest
-    eigenvalue of the Hermitian part ``(m + m^dag)/2``. A NaN or infinite
-    entry makes the first or second residual NaN or infinite (all three
-    NaN for a 4x4 matrix, which is checked before any arithmetic). A 2x2
-    matrix [[a, b], [c, d]] is done in closed form: the first residual is
+    eigenvalue of the Hermitian part ``(m + m^dag)/2``, for one 4x4
+    matrix or for each matrix of a 2x2 stack (..., 2, 2), which gives
+    arrays of shape (...). A NaN or infinite entry makes the first or
+    second residual NaN or infinite (all three NaN for a 4x4 matrix,
+    which is checked before any arithmetic). A 2x2 matrix [[a, b], [c, d]]
+    is done in closed form: the first residual is
     |(2 Im a, 2 Im d, sqrt2 (b - conj c))|, and the Hermitian part has
     eigenvalues (Re a + Re d)/2 -+ |((Re a - Re d)/2, b')| with
     b' = (b + conj c)/2.
     """
-    if m.shape == (2, 2):
-        # math.hypot, unlike abs of a complex, gives inf rather than raising on overflow
-        a, b, c, d = m.ravel().tolist()
-        skew, off, tr = b - c.conjugate(), 0.5 * (b + c.conjugate()), a + d - 1.0
-        herm = math.hypot(2.0 * a.imag, 2.0 * d.imag, _SQRT2 * skew.real, _SQRT2 * skew.imag)
-        min_eig = 0.5 * (a.real + d.real) - math.hypot(0.5 * (a.real - d.real), off.real, off.imag)
-        return herm, math.hypot(tr.real, tr.imag), min_eig
+    if m.shape[-2:] == (2, 2):
+        a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+        # hypot, unlike abs of a complex, gives inf rather than overflowing
+        # in a square; non-finite entries give NaN or inf, which fail
+        with np.errstate(all="ignore"):
+            c_bar = c.conj()
+            skew, off, tr = b - c_bar, 0.5 * (b + c_bar), a + d - 1.0
+            herm = np.hypot(np.hypot(2.0 * a.imag, 2.0 * d.imag),
+                            _SQRT2 * np.hypot(skew.real, skew.imag))
+            min_eig = 0.5 * (a.real + d.real) - np.hypot(np.hypot(0.5 * (a.real - d.real),
+                                                                  off.real), off.imag)
+            return herm, np.hypot(tr.real, tr.imag), min_eig
     if not np.isfinite(m).all():
         return math.nan, math.nan, math.nan
     herm = float(np.linalg.norm(m - m.conj().T))
     tr = float(abs(np.trace(m) - 1.0))
     return herm, tr, float(np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min())
+
+
+def _invalid(m: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    """Per matrix of a 2x2 stack (..., 2, 2): True where ``DensityMatrix`` would refuse it."""
+    herm, tr, min_eig = _residuals(m)
+    return ~((herm <= tol) & (tr <= tol) & (min_eig >= -tol))
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,7 +160,7 @@ class DensityMatrix:
             raise DensityMatrixError(
                 "dimension", 0.0, f"density matrix must be 2x2 or 4x4, got shape {m.shape}"
             )
-        herm, tr, min_eig = _residuals(m)
+        herm, tr, min_eig = (float(r) for r in _residuals(m))
         if not herm <= self.tol:
             raise DensityMatrixError(
                 "hermiticity", herm, f"matrix is not Hermitian (residual {herm:.3e})"

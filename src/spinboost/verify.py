@@ -31,7 +31,7 @@ from .channel import (
     operator_sum_apply,
 )
 from .relkin import BoostParams, effective_field, eta_max, eta_profile
-from .spinalg import DensityMatrix, DensityMatrixError, frobenius_distance, random_density
+from .spinalg import DensityMatrix, _invalid, frobenius_distance, random_density
 
 KAPPA_SQ_REF = 6.13229
 ETA_MAX_REF = 0.51780
@@ -85,7 +85,7 @@ class CasePool:
     """Seeded channel cases with the image of each under every form.
 
     ``images[form]`` stacks the images (POOL_SIZE, 2, 2) of the cases
-    under one channel form, NaN where the quadrature raised, and
+    under one channel form, NaN where the quadrature refused a case, and
     ``invalid[form]`` marks the images that fail ``DensityMatrix``
     validation. The draws are those of ``_draw_channel_cases``, so a
     check that uses the first k cases sees what a fresh draw of k would
@@ -97,32 +97,17 @@ class CasePool:
     invalid: dict
 
 
-def _invalid(m: np.ndarray) -> bool:
-    try:
-        DensityMatrix(m)
-    except DensityMatrixError:
-        return True
-    return False
-
-
-def _quadrature_or_nan(rho: DensityMatrix, s: Scenario, t: float,
-                       q: oracle.QuadratureSpec) -> np.ndarray:
-    """The oracle's image, or NaN where it raises (which the callers count as invalid)."""
-    try:
-        return oracle.average_quadrature(rho, s, t, q).matrix
-    except ValueError:
-        return np.full((2, 2), math.nan, dtype=complex)
-
-
 def case_pool(seed: int) -> CasePool:
     """Draw POOL_SIZE channel cases and map them under all four forms.
 
-    The three closed forms run as one stacked kernel call each, with
-    libm decay factors; the quadrature oracle (201 nodes) runs per case.
+    The three closed forms and the quadrature oracle (201 nodes) run as
+    one stacked kernel call each, the closed forms with libm decay
+    factors, and the 1000 images are validated in one call.
     """
     cases = _draw_channel_cases(np.random.default_rng(seed), POOL_SIZE)
     rhos = np.array([rho.matrix for rho, _, _ in cases])
     scenarios = [s for _, s, _ in cases]
+    times = [t for _, _, t in cases]
     decay, lost = decay_factors([decay_exponent(s.gamma_prime, t) for _, s, t in cases])
     images = {
         "elementwise": _evolve_stack(rhos, np.array([s.field.n for s in scenarios]), decay, lost),
@@ -132,10 +117,9 @@ def case_pool(seed: int) -> CasePool:
             np.array([s.field.chi_mod for s in scenarios]), decay, lost),
         "dressed": _dressed_stack(rhos, np.array([dressing_transform(s.field) for s in scenarios]),
                                   decay),
-        "quadrature": np.array([_quadrature_or_nan(rho, s, t, oracle.QuadratureSpec(nodes=201))
-                                for rho, s, t in cases]),
+        "quadrature": oracle._quadrature_stack(rhos, scenarios, times, 201),
     }
-    invalid = {form: np.array([_invalid(m) for m in stack]) for form, stack in images.items()}
+    invalid = dict(zip(FORMS, _invalid(np.stack([images[form] for form in FORMS]))))
     return CasePool(cases, images, invalid)
 
 
@@ -197,17 +181,17 @@ def check_eta_max_monotone_limit() -> CheckResult:
 
 
 def check_analytic_vs_quadrature(pool: CasePool) -> CheckResult:
-    q2 = oracle.QuadratureSpec(nodes=402)
+    cases = pool.cases[:100]
+    quad402 = oracle._quadrature_stack(np.array([rho.matrix for rho, _, _ in cases]),
+                                       [s for _, s, _ in cases], [t for _, _, t in cases], 402)
     worst_osc = 0.0
     worst_double = 0.0
-    failed_402 = 0
-    for k, (rho, s, t) in enumerate(pool.cases[:100]):
+    for k in range(100):
         quad = pool.images["quadrature"][k]
         worst_osc = max(worst_osc, frobenius_distance(pool.images["elementwise"][k], quad))
-        quad402 = _quadrature_or_nan(rho, s, t, q2)
-        failed_402 += _invalid(quad402)
-        worst_double = max(worst_double, frobenius_distance(quad, quad402))
-    invalid = _invalid_note(pool, ("elementwise", "quadrature"), 100, failed_402)
+        worst_double = max(worst_double, frobenius_distance(quad, quad402[k]))
+    invalid = _invalid_note(pool, ("elementwise", "quadrature"), 100,
+                            int(_invalid(quad402).sum()))
     ok = worst_osc < 1e-8 and worst_double < 1e-10 and not invalid
     return CheckResult(
         "analytic_vs_quadrature",
@@ -245,12 +229,7 @@ def check_cptp_grid() -> CheckResult:
     n = np.array([s.field.n for s in scenarios])
     # images (100, 5, 6, 2, 2) of the probes at every (scenario, time)
     images = _evolve_stack(analysis.PROBES, n[:, None, None, :], decay[..., None], lost[..., None])
-    invalid = 0
-    for m in images.reshape(-1, 2, 2):
-        try:
-            DensityMatrix(m)
-        except DensityMatrixError:
-            invalid += 1
+    invalid = int(_invalid(images).sum())
     choi, linearity = analysis.choi_stack(images)
     diag = analysis.choi_diagnostics(choi)
     complete, reassembled = analysis.kraus_residuals(diag.kraus, choi)
@@ -390,10 +369,9 @@ def check_montecarlo_consistency(pool: CasePool, seed: int) -> CheckResult:
         np.array([rho.matrix for rho, _, _ in cases]), [s for _, s, _ in cases],
         [t for _, _, t in cases], oracle.McSpec(samples=10**6, seed=seed))
     worst_ratio = 0.0
-    failed = 0
+    bad = _invalid(means)
     for k, (mean, stderr) in enumerate(zip(means, stderrs.tolist())):
-        if _invalid(mean):
-            failed += 1
+        if bad[k]:
             continue
         dist = frobenius_distance(mean, pool.images["quadrature"][k])
         worst_ratio = max(worst_ratio, dist / stderr if stderr > 0 else math.inf)
@@ -401,7 +379,7 @@ def check_montecarlo_consistency(pool: CasePool, seed: int) -> CheckResult:
     mc = oracle.McSpec(samples=10**5, seed=seed)
     first, se1 = _montecarlo_or_nan(rho, s, t, mc)
     second, se2 = _montecarlo_or_nan(rho, s, t, mc)
-    failed += _invalid(first) + _invalid(second)
+    failed = int(bad.sum() + _invalid(np.stack([first, second])).sum())
     reproducible = bool((first == second).all()) and se1 == se2
     invalid = _invalid_note(pool, ("quadrature",), 20, failed)
     ok = worst_ratio <= 3.0 and reproducible and not invalid

@@ -11,9 +11,11 @@ import warnings
 import numpy as np
 import pytest
 
-from spinboost import cli, verify
+from spinboost import cli, oracle, verify
+from spinboost.channel import Scenario
 from spinboost.cli import main, write_table
-from spinboost.relkin import eta_max, eta_profile
+from spinboost.relkin import BoostParams, eta_max, eta_profile
+from spinboost.spinalg import DensityMatrix
 
 
 def run_cli(argv):
@@ -316,6 +318,59 @@ class TestEvolve:
         comments, _, _ = read_csv(out)
         summary = [c for c in comments if "max_analytic_oracle_diff" in c]
         assert float(summary[0].split("=")[1]) < 1e-8
+
+    def test_oracle_columns_are_the_per_time_oracle(self, tmp_path):
+        # the one stacked call gives each time the bits of average_quadrature
+        out = tmp_path / "evolve.json"
+        assert run_cli(["evolve", "--bloch", "0.3,-0.4,0.5", "--phi", "1.2", "--points", "70",
+                        "--nodes", "150", "--format", "json", "--out", str(out)]) == 0
+        rows = json.loads(out.read_text())
+        rho0 = DensityMatrix(0.5 * np.array([[1.5, 0.3 + 0.4j], [0.3 - 0.4j, 0.5]]))
+        s = Scenario(BoostParams(xi=2.5, theta=float(eta_max(2.5).theta_opt), phi=1.2), 1.0)
+        for row in rows:
+            m = oracle.average_quadrature(rho0, s, math.sqrt(row["gamma_t2"]),
+                                          oracle.QuadratureSpec(nodes=150)).matrix
+            assert [row["rho_uu_oracle"], row["re_rho_ud_oracle"], row["im_rho_ud_oracle"]] == \
+                [m[0, 0].real, m[0, 1].real, m[0, 1].imag]
+
+    def test_refused_time_is_named(self, capsys):
+        # t = 0 is fine; sqrt(2) is the first time whose angle overflows
+        assert run_cli(["evolve", "--xi", "709", "--theta", "1", "--points", "3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError: the oracle's rotation angle") and err.count("\n") == 1
+        assert "xi = 709.0, angle theta = 1.0 and time t = 1.4142135623730951 " in err
+
+    def test_invalid_analytic_state_exits_one(self, monkeypatch, capsys):
+        evolve_stack = cli._evolve_stack
+
+        def stretched(*args):
+            out = evolve_stack(*args)
+            out[2] *= 1.001
+            return out
+
+        monkeypatch.setattr(cli, "_evolve_stack", stretched)
+        assert run_cli(["evolve", "--points", "5"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: DensityMatrixError: trace differs from 1") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["evolve", "concurrence"])
+    @pytest.mark.parametrize("nodes", ["1", str(cli.MAX_NODES + 1), "100000"])
+    def test_nodes_out_of_range_is_usage_error(self, monkeypatch, capsys, command, nodes):
+        def never(n):
+            raise AssertionError(f"built {n} nodes")
+
+        monkeypatch.setattr(oracle, "gauss_hermite_nodes", never)
+        assert run_cli([command, "--nodes", nodes, "--points", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --nodes: must lie in [2, {cli.MAX_NODES}], got {nodes}\n"
+
+    @pytest.mark.parametrize("command", ["evolve", "concurrence"])
+    def test_largest_nodes_accepted(self, monkeypatch, tmp_path, command):
+        # the Golub-Welsch solve at MAX_NODES takes seconds, so 201 nodes stand in
+        nodes = oracle.gauss_hermite_nodes(201)
+        monkeypatch.setattr(oracle, "gauss_hermite_nodes", lambda n: nodes)
+        assert run_cli([command, "--nodes", str(cli.MAX_NODES), "--points", "3",
+                        "--out", str(tmp_path / "x.csv")]) == 0
 
     def test_bad_bloch_rejected(self, tmp_path, capsys):
         code = run_cli(["evolve", "--bloch", "2,0,0", "--out", str(tmp_path / "x.csv")])

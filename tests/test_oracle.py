@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from spinboost import oracle
 from spinboost.channel import Scenario, evolve_elementwise, plus_state
 from spinboost.oracle import (
     _MC_CHUNK,
@@ -13,6 +14,7 @@ from spinboost.oracle import (
     _box_muller_normals,
     _cos_sin_double,
     _montecarlo_stack,
+    _quadrature_stack,
     _rotation_moments,
     _unitary_stack,
     average_montecarlo,
@@ -408,6 +410,68 @@ class TestMonteCarloStack:
         alone_means, alone_stderrs = montecarlo_stack([cases[k] for k in kept], mc)
         assert bits(means[kept]) == bits(alone_means)
         assert bits(stderrs[kept]) == bits(alone_stderrs)
+
+
+def quadrature_stack(cases, nodes=201):
+    return _quadrature_stack(np.array([rho.matrix for rho, _, _ in cases]),
+                             [s for _, s, _ in cases], [t for _, _, t in cases], nodes)
+
+
+class TestQuadratureStack:
+    @pytest.fixture(scope="class")
+    def cases(self):
+        return draw_cases(np.random.default_rng(31), 250)
+
+    @pytest.mark.parametrize("nodes", [2, 201, 402])
+    def test_each_case_has_the_bits_of_a_stack_of_one(self, cases, nodes):
+        alone = np.array([average_quadrature(rho, s, t, QuadratureSpec(nodes=nodes)).matrix
+                          for rho, s, t in cases])
+        for size in (1, 2, 100, 250):
+            out = quadrature_stack(cases[:size], nodes)
+            assert out.shape == (size, 2, 2)
+            assert bits(out) == bits(alone[:size])
+        # shifted by one case, every block boundary falls elsewhere
+        assert bits(quadrature_stack(cases[1:], nodes)) == bits(alone[1:])
+
+    def test_permuting_the_stack_permutes_the_results(self, cases):
+        out = quadrature_stack(cases)
+        order = np.random.default_rng(32).permutation(len(cases))
+        assert bits(quadrature_stack([cases[k] for k in order])) == bits(out[order])
+
+    @pytest.mark.parametrize("block", [1, 3, 7, 249, 250, 251])
+    def test_block_size_does_not_change_the_bits(self, monkeypatch, cases, block):
+        out = quadrature_stack(cases)
+        monkeypatch.setattr(oracle, "_QUAD_BLOCK", block)
+        assert bits(quadrature_stack(cases)) == bits(out)
+
+    def test_matches_the_conjugation_by_each_unitary(self, monkeypatch, cases):
+        # Gaussian nodes are symmetric, so sum w c s vanishes and hides the
+        # commutator term; shifted nodes make it count
+        z, w = gauss_hermite_nodes(201)
+        z = z + 0.4
+        monkeypatch.setattr(oracle, "gauss_hermite_nodes", lambda n: (z, w))
+        out = quadrature_stack(cases[:100])
+        worst, commutator = 0.0, 0.0
+        for (rho, s, t), got in zip(cases[:100], out):
+            u = _unitary_stack(math.sqrt(s.gamma / 2) * z, s, t)
+            u_dag = u.conj().transpose(0, 2, 1)
+            ref = (w[:, None, None] * (u @ rho.matrix @ u_dag)).sum(axis=0)
+            ref = 0.5 * (ref + ref.conj().T)
+            worst = max(worst, np.abs(got - ref).max())
+            # the commutator term with the wrong sign, U^dag rho U
+            flipped = (w[:, None, None] * (u_dag @ rho.matrix @ u)).sum(axis=0)
+            commutator = max(commutator, np.abs(flipped - ref).max())
+        assert worst <= 1e-15
+        assert commutator > 0.1
+
+    def test_an_empty_stack(self):
+        assert quadrature_stack([]).shape == (0, 2, 2)
+
+    def test_a_refused_case_is_nan_and_spares_the_others(self, cases):
+        kept = list(cases[:70])
+        out = quadrature_stack(kept[:1] + [(plus_state(), scenario(700.0, 0.5), 2e4)] + kept[1:])
+        assert np.isnan(out[1]).all()
+        assert bits(np.delete(out, 1, axis=0)) == bits(quadrature_stack(kept))
 
 
 class TestTwoQubitAverage:

@@ -1,5 +1,7 @@
 """Tests for the fixed-size complex matrix kernel."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from spinboost.spinalg import (
     PAULI_Z,
     DensityMatrix,
     DensityMatrixError,
+    _invalid,
     _residuals,
     frobenius_distance,
     pauli_rotation,
@@ -245,6 +248,87 @@ class TestClosedFormResiduals:
                 assert err.value.check == check
                 want = {"hermiticity": herm, "trace": tr, "positivity": -min_eig}[check]
                 assert abs(err.value.residual - want) <= 1e-15
+
+
+def per_matrix_check(m, tol=1e-10):
+    """The first check a 2x2 matrix fails, '' for none: one matrix at a time,
+    in Python complex arithmetic with math.hypot."""
+    a, b, c, d = m.ravel().tolist()
+    skew, off, tr = b - c.conjugate(), 0.5 * (b + c.conjugate()), a + d - 1.0
+    herm = math.hypot(2.0 * a.imag, 2.0 * d.imag, math.sqrt(2.0) * skew.real,
+                      math.sqrt(2.0) * skew.imag)
+    min_eig = 0.5 * (a.real + d.real) - math.hypot(0.5 * (a.real - d.real), off.real, off.imag)
+    if not herm <= tol:
+        return "hermiticity"
+    if not math.hypot(tr.real, tr.imag) <= tol:
+        return "trace"
+    if not min_eig >= -tol:
+        return "positivity"
+    return ""
+
+
+def stacked_checks(stack, tol=1e-10):
+    """The first check each matrix of a stack fails, from the stacked residuals."""
+    herm, tr, min_eig = _residuals(stack)
+    return np.where(~(herm <= tol), "hermiticity",
+                    np.where(~(tr <= tol), "trace", np.where(~(min_eig >= -tol), "positivity", "")))
+
+
+def edge_stack(rng):
+    """Valid states, and copies with non-finite entries or a violation at 2e-10 or 5e-11."""
+    states = [random_density(rng, 2, pure=bool(k % 2)).matrix for k in range(60)]
+    out = list(states)
+    for k, m in enumerate(states):
+        for bad in (np.nan, np.inf, -np.inf, complex(0, np.nan), complex(np.inf, -np.inf)):
+            broken = m.copy()
+            broken[divmod(k % 4, 2)] = bad
+            out.append(broken)
+        for eps in (2e-10, 5e-11):
+            skewed = m.copy()
+            skewed[0, 1] += eps  # off-Hermitian by eps
+            off_trace = m.copy()
+            off_trace[k % 2, k % 2] += eps
+            out.extend([skewed, off_trace])
+    for eps in (2e-10, 5e-11):  # unit trace, Hermitian, least eigenvalue -eps
+        for _ in range(60):
+            vecs = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+            out.append((vecs * [-eps, 1.0 + eps]) @ vecs.conj().T)
+    return np.array(out)
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).reshape(-1).view(np.uint64).tolist()
+
+
+class TestStackedResiduals:
+    def test_verdicts_and_kinds_match_the_per_matrix_check(self):
+        stack = edge_stack(np.random.default_rng(15))
+        want = [per_matrix_check(m) for m in stack]
+        assert {"", "hermiticity", "trace", "positivity"} <= set(want)
+        assert stacked_checks(stack).tolist() == want
+        assert _invalid(stack).tolist() == [kind != "" for kind in want]
+        for m, kind in zip(stack, want):
+            if kind:
+                with pytest.raises(DensityMatrixError) as err:
+                    DensityMatrix(m)
+                assert err.value.check == kind
+            else:
+                DensityMatrix(m)
+
+    def test_the_shape_of_the_stack_does_not_matter(self):
+        # the same bits per matrix: one at a time, reshaped, reversed
+        stack = edge_stack(np.random.default_rng(16))[:-4]
+        flat = [bits(r) for r in _residuals(stack)]
+        assert [bits(r.ravel()) for r in _residuals(stack.reshape(-1, 4, 2, 2))] == flat
+        assert [bits(r[::-1]) for r in _residuals(stack[::-1])] == flat
+        for k in (0, 3, 100, len(stack) - 1):
+            assert [bits(r)[0] for r in _residuals(stack[k])] == [f[k] for f in flat]
+
+    def test_random_valid_states_pass(self):
+        rng = np.random.default_rng(17)
+        stack = np.array([random_density(rng, 2, pure=bool(k % 3)).matrix for k in range(500)])
+        assert not _invalid(stack).any()
+        assert _invalid(stack[:0]).shape == (0,)
 
 
 class TestRandomDensity:

@@ -135,16 +135,18 @@ def test_transposed_operator_sum_fails_the_cross_check(monkeypatch):
 
 def test_raising_quadrature_counts_as_a_failure(monkeypatch):
     calls = []
-    average_quadrature = oracle.average_quadrature
+    half_angle_rate = oracle._half_angle_rate
 
-    def fails_once(rho, s, t, q=oracle.QuadratureSpec()):
-        calls.append(q.nodes)
+    def fails_once(s, t, b_max):
+        # the first refusal lands on pool case 0 inside the stacked quadrature
+        calls.append(t)
         if len(calls) == 1:
             raise ValueError("the oracle's rotation angle is not finite")
-        return average_quadrature(rho, s, t, q)
+        return half_angle_rate(s, t, b_max)
 
-    monkeypatch.setattr(oracle, "average_quadrature", fails_once)
+    monkeypatch.setattr(oracle, "_half_angle_rate", fails_once)
     pool = verify.case_pool(42)
+    assert np.isnan(pool.images["quadrature"][0]).all()
     assert pool.invalid["quadrature"].sum() == 1
     sweep = verify.check_channel_positivity_sweep(pool)
     assert not sweep.passed and "validation_failures=1 " in sweep.detail
