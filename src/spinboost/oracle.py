@@ -152,6 +152,12 @@ def _hermitize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().swapaxes(-1, -2))
 
 
+def _quadrature_rate(s: Scenario, t: float, z: np.ndarray) -> float:
+    """``_half_angle_rate`` at Gauss-Hermite nodes ``z``: refused exactly where
+    the quadrature kernel gives a case NaN."""
+    return _half_angle_rate(s, t, _field_scale(s) * float(z[-1]))
+
+
 # Cases per block of ``_quadrature_stack``: bounds its (cases x nodes) temporaries.
 _QUAD_BLOCK = 64
 
@@ -168,19 +174,17 @@ def _quadrature_stack(rhos: np.ndarray, scenarios, times, nodes: int) -> np.ndar
     """
     z, w = gauss_hermite_nodes(nodes)
     rhos = np.asarray(rhos, dtype=complex)
-    rates, sigmas = [], []
+    rates = []
     for s, t in zip(scenarios, times):
-        sigma = _field_scale(s)
         try:
-            rates.append(_half_angle_rate(s, t, sigma * float(z[-1])))
+            rates.append(_quadrature_rate(s, t, z))
         except ValueError:
             rates.append(math.nan)
-        sigmas.append(sigma)
     n = np.array([s.field.n for s in scenarios]).reshape(-1, 3)
     axis = np.empty((len(n), 2, 2), dtype=complex)  # N = n.sigma
     axis[:, 0, 0], axis[:, 1, 1] = n[:, 2], -n[:, 2]
     axis[:, 0, 1], axis[:, 1, 0] = n[:, 0] - 1j * n[:, 1], n[:, 0] + 1j * n[:, 1]
-    rates, sigmas = np.array(rates), np.array(sigmas)
+    rates, sigmas = np.array(rates), np.array([_field_scale(s) for s in scenarios])
     out = np.empty((len(rates), 2, 2), dtype=complex)
     for k0 in range(0, len(rates), _QUAD_BLOCK):
         block = slice(k0, k0 + _QUAD_BLOCK)
@@ -209,9 +213,8 @@ def average_quadrature(
         raise ValueError(f"average_quadrature needs a 2x2 state, got dim {rho.dim}")
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t!r}")
-    z, _ = gauss_hermite_nodes(q.nodes)
     # names the case where the rotation angle is not finite
-    _half_angle_rate(s, t, _field_scale(s) * float(z[-1]))
+    _quadrature_rate(s, t, gauss_hermite_nodes(q.nodes)[0])
     return DensityMatrix(_quadrature_stack(rho.matrix[None], [s], [t], q.nodes)[0])
 
 

@@ -29,6 +29,8 @@ IDENTITY_2 = _const([[1, 0], [0, 1]])
 
 _VALID_DIMS = (2, 4)
 _SQRT2 = math.sqrt(2.0)
+# Default tolerance of DensityMatrix and of the stacked verdict ``_invalid``.
+_TOL = 1e-10
 
 
 class DensityMatrixError(ValueError):
@@ -135,7 +137,7 @@ def _residuals(m: np.ndarray):
     return herm, tr, float(np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min())
 
 
-def _invalid(m: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def _invalid(m: np.ndarray, tol: float = _TOL) -> np.ndarray:
     """Per matrix of a 2x2 stack (..., 2, 2): True where ``DensityMatrix`` would refuse it."""
     herm, tr, min_eig = _residuals(m)
     return ~((herm <= tol) & (tr <= tol) & (min_eig >= -tol))
@@ -151,7 +153,7 @@ class DensityMatrix:
     """
 
     matrix: np.ndarray
-    tol: float = 1e-10
+    tol: float = _TOL
     dim: int = field(init=False)
 
     def __post_init__(self):

@@ -473,6 +473,21 @@ class TestQuadratureStack:
         assert np.isnan(out[1]).all()
         assert bits(np.delete(out, 1, axis=0)) == bits(quadrature_stack(kept))
 
+    def test_refused_exactly_where_average_quadrature_raises(self):
+        # bisect to the last time the kernel maps; the next float is refused by both
+        s = scenario(709.0, 1.0)
+        lo, hi = 0.1, 1.0
+        while np.nextafter(lo, hi) != hi:
+            mid = 0.5 * (lo + hi)
+            if np.isnan(quadrature_stack([(plus_state(), s, mid)])).any():
+                hi = mid
+            else:
+                lo = mid
+        assert np.isnan(quadrature_stack([(plus_state(), s, hi)])).all()
+        average_quadrature(plus_state(), s, lo)
+        with pytest.raises(ValueError, match="rotation angle"):
+            average_quadrature(plus_state(), s, hi)
+
 
 class TestTwoQubitAverage:
     def test_zero_time_identity(self):
