@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .relkin import BoostParams, EffectiveField, effective_field
+from .relkin import BoostParams, EffectiveField, _geometry, effective_field
 from .spinalg import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z, DensityMatrix, _matmul_2x2
 
 # exp(-x) for x >= ~745 underflows anyway; 50 already rounds every reported
@@ -57,8 +57,7 @@ class Scenario:
     field: EffectiveField = field(init=False)
 
     def __post_init__(self):
-        if not 0 < self.gamma < math.inf:
-            raise ValueError(f"gamma must be finite and > 0, got {self.gamma!r}")
+        _require_rate(self.gamma)
         object.__setattr__(self, "field", effective_field(self.boost))
 
     @property
@@ -68,6 +67,34 @@ class Scenario:
             return self.field.kappa**2 * self.gamma
         except OverflowError:
             return math.inf
+
+
+def _require_rate(gamma: float) -> None:
+    if not 0 < gamma < math.inf:
+        raise ValueError(f"gamma must be finite and > 0, got {gamma!r}")
+
+
+def _scenario_stack(xi, theta, phi, gamma) -> list[Scenario]:
+    """``Scenario(BoostParams(xi, theta, phi), gamma)`` for each element of
+    the four sequences, with every geometry from one ``_geometry`` call.
+
+    Each scenario's field has the bits ``effective_field`` gives it.
+    """
+    boosts = [BoostParams(*b) for b in zip(xi, theta, phi)]
+    for g in gamma:
+        _require_rate(g)
+    d, kappa, n, eta, chi = _geometry(np.array([b.xi for b in boosts]),
+                                      np.array([b.theta for b in boosts]),
+                                      np.array([b.phi for b in boosts]))
+    kappa, eta, chi = kappa.tolist(), eta.tolist(), chi.tolist()
+    scenarios = []
+    for k, (boost, g) in enumerate(zip(boosts, gamma)):
+        s = object.__new__(Scenario)  # its field is set here, not computed again
+        object.__setattr__(s, "boost", boost)
+        object.__setattr__(s, "gamma", g)
+        object.__setattr__(s, "field", EffectiveField(d[k], kappa[k], n[k], eta[k], chi[k]))
+        scenarios.append(s)
+    return scenarios
 
 
 def decay_exponent(rate: float, t):

@@ -20,6 +20,14 @@ products. A stacked call (``_quadrature_stack``) takes its cases in
 blocks of fixed size, and a case gets the same bits alone, among others
 or in another order.
 
+Two-qubit quadrature: per time, the average of U(z) (x) U(z) rho4
+[..]^dag over the nodes, with one 4x4 product per node and matrix
+(numpy's stacked ``matmul``) and a sum over the nodes slice by slice in
+node order. ``_two_qubit_stack`` takes a vector of times in blocks of
+at most ``_PAIR_BLOCK`` (time, node) pairs, so a block's
+(times, nodes, 4, 4) temporaries stay under a fixed size, and a time
+gets the bits ``two_qubit_average``, its stack of one, gives it.
+
 Determinism contracts: node/weight generation is the Golub-Welsch
 eigen-solve of the symmetric tridiagonal Jacobi matrix (numpy's dense
 Hermitian solver); Monte Carlo draws
@@ -135,16 +143,23 @@ def _half_angle_rate(s: Scenario, t: float, b_max: float) -> float:
     return rate
 
 
-def _unitary_stack(b_values: np.ndarray, s: Scenario, t: float) -> np.ndarray:
-    """Vectorised stack of unitaries exp(-i kappa t b sigma.n), one per scaled field b."""
+def _unitary_stack(b_values: np.ndarray, s: Scenario, t) -> np.ndarray:
+    """Vectorised stack of unitaries exp(-i kappa t b sigma.n), one per scaled field b.
+
+    ``t`` is one time, giving shape (N, 2, 2) for N fields, or a sequence
+    of T times, giving (T, N, 2, 2); the first time whose rotation angle
+    is not finite raises ``_half_angle_rate``'s error.
+    """
+    b_max = float(np.abs(b_values).max(initial=0.0))
+    rates = [_half_angle_rate(s, t_k, b_max) for t_k in np.ravel(t).tolist()]
+    half = np.reshape(rates, np.shape(t) + (1,)) * b_values
     nx, ny, nz = s.field.n
-    half = _half_angle_rate(s, t, float(np.abs(b_values).max(initial=0.0))) * b_values
     c, si = np.cos(half), np.sin(half)
-    u = np.empty((len(b_values), 2, 2), dtype=complex)
-    u[:, 0, 0] = c - 1j * si * nz
-    u[:, 0, 1] = -1j * si * (nx - 1j * ny)
-    u[:, 1, 0] = -1j * si * (nx + 1j * ny)
-    u[:, 1, 1] = c + 1j * si * nz
+    u = np.empty(half.shape + (2, 2), dtype=complex)
+    u[..., 0, 0] = c - 1j * si * nz
+    u[..., 0, 1] = -1j * si * (nx - 1j * ny)
+    u[..., 1, 0] = -1j * si * (nx + 1j * ny)
+    u[..., 1, 1] = c + 1j * si * nz
     return u
 
 
@@ -218,21 +233,48 @@ def average_quadrature(
     return DensityMatrix(_quadrature_stack(rho.matrix[None], [s], [t], q.nodes)[0])
 
 
+# (time, node) pairs per block of ``_two_qubit_stack``: at most 512 KiB per
+# (times, nodes, 4, 4) temporary; a block holds at least one time.
+_PAIR_BLOCK = 2048
+
+
+def _two_qubit_stack(rho4: np.ndarray, s: Scenario, times, nodes: int) -> np.ndarray:
+    """Common-bath averages (T, 4, 4) of one 4x4 state at T times.
+
+    Per time, the sum over the nodes of w [U(z) (x) U(z)] rho4 [..]^dag,
+    slice by slice in node order, which no BLAS reduction order can
+    change. Times run in blocks of ``_PAIR_BLOCK // nodes``; a time gets
+    the bits a stack of one would give it. The first time whose rotation
+    angle is not finite raises ``_half_angle_rate``'s error. The
+    averages are not validated.
+    """
+    z, w = gauss_hermite_nodes(nodes)
+    b = _field_scale(s) * z
+    times = list(times)
+    per_block = max(1, _PAIR_BLOCK // nodes)
+    out = np.empty((len(times), 4, 4), dtype=complex)
+    for k0 in range(0, len(times), per_block):
+        block = slice(k0, k0 + per_block)
+        u = _unitary_stack(b, s, times[block])
+        # U (x) U per node
+        u2 = (u[..., :, None, :, None] * u[..., None, :, None, :]).reshape(u.shape[:-2] + (4, 4))
+        terms = (u2 @ rho4) @ u2.conj().swapaxes(-1, -2)
+        out[block] = _hermitize((w[:, None, None] * terms).sum(axis=-3))
+    return out
+
+
 def two_qubit_average(
     rho4: DensityMatrix, s: Scenario, t: float, q: QuadratureSpec = QuadratureSpec()
 ) -> DensityMatrix:
-    """Common-bath average of [U(z) (x) U(z)] rho4 [..]^dag (same z, same boost)."""
+    """Common-bath average of [U(z) (x) U(z)] rho4 [..]^dag (same z, same boost).
+
+    A stack of one of ``_two_qubit_stack``, validated.
+    """
     if rho4.dim != 4:
         raise ValueError(f"two_qubit_average needs a 4x4 state, got dim {rho4.dim}")
     if t < 0:
         raise ValueError(f"time must be >= 0, got {t!r}")
-    z, w = gauss_hermite_nodes(q.nodes)
-    u = _unitary_stack(_field_scale(s) * z, s, t)
-    u2 = (u[:, :, None, :, None] * u[:, None, :, None, :]).reshape(-1, 4, 4)  # U (x) U per node
-    terms = (u2 @ rho4.matrix) @ u2.conj().transpose(0, 2, 1)
-    # summed slice by slice in node order, which no BLAS reduction order can change
-    out = (w[:, None, None] * terms).sum(axis=0)
-    return DensityMatrix(_hermitize(out))
+    return DensityMatrix(_two_qubit_stack(rho4.matrix, s, [t], q.nodes)[0])
 
 
 def _cos_sin_double(x: np.ndarray, cos_out: np.ndarray, scratch: np.ndarray) -> None:

@@ -25,6 +25,13 @@ transformation as 2 sinh(xi/2)**2: no difference cancels at small
 rapidity (Higham, *Accuracy and Stability of Numerical Algorithms*,
 ch. 1), and n, eta and chi stay exact for every finite xi; only kappa,
 which grows like cosh(xi), overflows to inf.
+
+The geometry has one kernel, ``_geometry``, on broadcast arrays of
+(xi, theta, phi); ``effective_field`` is a stack of one of it, and so
+are the fields of every ``Scenario``. Each element of a stack has the
+bits it has alone: the kernel is element-wise numpy arithmetic plus one
+``math.hypot`` per element, which is correctly rounded where numpy's
+``hypot`` is not.
 """
 
 from __future__ import annotations
@@ -135,36 +142,57 @@ def effective_field(boost: BoostParams) -> EffectiveField:
     d_y = -2 sinh(xi/2)**2 cos(theta) sin(theta) sin(phi)
     d_z = cos(theta)**2 + cosh(xi) sin(theta)**2
 
+    A stack of one of ``_geometry``, which holds the arithmetic.
+    """
+    d, kappa, n, eta, chi = _geometry(np.array([boost.xi]), boost.theta, boost.phi)
+    return EffectiveField(d=d[0], kappa=float(kappa[0]), n=n[0], eta_mod=float(eta[0]),
+                          chi_mod=float(chi[0]))
+
+
+def _geometry(xi, theta, phi):
+    """(d, kappa, n, eta, chi) of ``effective_field`` on stacks.
+
+    ``xi`` and ``theta`` broadcast against each other to the shape of the
+    scalars kappa, eta and chi; d and n have that shape broadcast with
+    ``phi``, plus a last axis of 3. Each element has the bits a stack of
+    one gives it, whatever else is in the stack.
+
     kappa**2 = cos(theta)**2 + cosh(xi)**2 sin(theta)**2. Multiplied by
     s**2 = sech(xi/2)**2, with t = tanh(xi/2), the in-plane and z parts
-    are -2 t**2 cos(theta) sin(theta) and s**2 + 2 t**2 sin(theta)**2:
+    are p = -2 t**2 cos(theta) sin(theta) and q = s**2 + 2 t**2 sin(theta)**2:
     both stay finite, so n, eta and chi are finite for every finite
-    xi, and kappa = |(those)|/s**2 is inf only where it overflows (then
-    d is inf along the nonzero components of n). At theta = 0 the axis
-    is ez and kappa = 1 exactly. As in :func:`eta_profile`, theta is
-    measured from the nearer pole, so theta = pi is exactly antiparallel
-    and the scalars are exactly symmetric about pi/2. The scalars
-    (kappa, eta, chi) are computed from (xi, theta) alone, so they
-    are bit-exactly independent of the azimuth.
+    xi, and kappa = |(p, q)|/s**2 is inf only where it overflows (then
+    d is inf along the nonzero components of n, never inf * 0 = NaN).
+    At theta = 0 the axis is ez and kappa = 1 exactly, also where s**2
+    underflows to 0. As in :func:`eta_profile`, theta is measured from
+    the nearer pole, so theta = pi is exactly antiparallel and the
+    scalars are exactly symmetric about pi/2. The scalars are computed
+    from (xi, theta) alone, so they are bit-exactly independent of the
+    azimuth. |(p, q)| is ``math.hypot`` per element: it is correctly
+    rounded, where numpy's ``hypot`` is not.
     """
-    t, s = map(float, _half_rapidity(float(boost.xi)))
-    a = min(boost.theta, math.pi - boost.theta)
-    ct, st = math.copysign(math.cos(a), 0.5 * math.pi - boost.theta), math.sin(a)
+    t, s = _half_rapidity(np.asarray(xi, dtype=float))
+    theta = np.asarray(theta, dtype=float)
+    a = np.minimum(theta, math.pi - theta)
+    ct, st = np.copysign(np.cos(a), 0.5 * math.pi - theta), np.sin(a)
     s2, t2 = s * s, t * t
     p = -2.0 * t2 * ct * st
     q = s2 + 2.0 * t2 * st * st
-    h = math.hypot(p, q)
-    if h == 0.0:  # theta at a pole with s**2 underflowed to 0
-        p, q, h, s2 = 0.0, 1.0, 1.0, 1.0
-    kappa = h / s2 if s2 else math.inf
-    n_perp = p / h
-    n_z = q / h
-    cp, sp = math.cos(boost.phi), math.sin(boost.phi)
-    n = np.array([n_perp * cp, n_perp * sp, n_z])
-    d = np.array([kappa * c if c else c for c in n.tolist()])  # kappa n, no inf * 0
-    eta = n_perp * n_perp
-    chi = n_z * abs(n_perp)
-    return EffectiveField(d=d, kappa=kappa, n=n, eta_mod=eta, chi_mod=chi)
+    h = np.fromiter(map(math.hypot, p.ravel().tolist(), q.ravel().tolist()), float,
+                    p.size).reshape(p.shape)
+    pole = h == 0.0  # theta at a pole with s**2 underflowed to 0
+    if pole.any():
+        p, q, h, s2 = (np.where(pole, v, x) for v, x in ((0.0, p), (1.0, q), (1.0, h), (1.0, s2)))
+    n_perp, n_z = p / h, q / h
+    n = np.empty(np.broadcast_shapes(p.shape, np.shape(phi)) + (3,))
+    n[..., 0] = n_perp * np.cos(phi)
+    n[..., 1] = n_perp * np.sin(phi)
+    n[..., 2] = n_z
+    with np.errstate(over="ignore", divide="ignore"):
+        kappa = h / s2  # inf where s**2 is 0 or the quotient overflows
+    d = n.copy()
+    np.multiply(kappa[..., None], n, out=d, where=n != 0.0)  # kappa n, no inf * 0
+    return d, kappa, n, n_perp * n_perp, n_z * np.abs(n_perp)
 
 
 def _half_rapidity(xi) -> tuple[np.ndarray, np.ndarray]:

@@ -108,15 +108,16 @@ def _residuals(m: np.ndarray):
     """Hermiticity residual, trace residual and least eigenvalue of ``m``.
 
     ``|m - m^dag|`` (Frobenius), ``|tr m - 1|`` and the smallest
-    eigenvalue of the Hermitian part ``(m + m^dag)/2``, for one 4x4
-    matrix or for each matrix of a 2x2 stack (..., 2, 2), which gives
-    arrays of shape (...). A NaN or infinite entry makes the first or
-    second residual NaN or infinite (all three NaN for a 4x4 matrix,
-    which is checked before any arithmetic). A 2x2 matrix [[a, b], [c, d]]
-    is done in closed form: the first residual is
-    |(2 Im a, 2 Im d, sqrt2 (b - conj c))|, and the Hermitian part has
-    eigenvalues (Re a + Re d)/2 -+ |((Re a - Re d)/2, b')| with
-    b' = (b + conj c)/2.
+    eigenvalue of the Hermitian part ``(m + m^dag)/2``, for each matrix
+    of a stack (..., 2, 2) or (..., 4, 4), which gives arrays of shape
+    (...), or for one such matrix. A NaN or infinite entry makes the
+    first or second residual NaN or infinite (all three NaN for a 4x4
+    matrix, whose eigenvalues are taken only where its Hermitian part is
+    finite). A 2x2 matrix [[a, b], [c, d]] is done in closed form: the
+    first residual is |(2 Im a, 2 Im d, sqrt2 (b - conj c))|, and the
+    Hermitian part has eigenvalues (Re a + Re d)/2 -+ |((Re a - Re d)/2, b')|
+    with b' = (b + conj c)/2. A 4x4 matrix gets the bits it gets alone,
+    from numpy's stacked LAPACK eigensolver.
     """
     if m.shape[-2:] == (2, 2):
         a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
@@ -130,15 +131,22 @@ def _residuals(m: np.ndarray):
             min_eig = 0.5 * (a.real + d.real) - np.hypot(np.hypot(0.5 * (a.real - d.real),
                                                                   off.real), off.imag)
             return herm, np.hypot(tr.real, tr.imag), min_eig
-    if not np.isfinite(m).all():
-        return math.nan, math.nan, math.nan
-    herm = float(np.linalg.norm(m - m.conj().T))
-    tr = float(abs(np.trace(m) - 1.0))
-    return herm, tr, float(np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min())
+    with np.errstate(all="ignore"):
+        m_dag = m.conj().swapaxes(-1, -2)
+        skew, part = m - m_dag, 0.5 * (m + m_dag)
+        herm = np.sqrt((skew.real**2 + skew.imag**2).sum(axis=(-2, -1)))
+        tr = np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0)
+    finite = np.isfinite(part).all(axis=(-2, -1))
+    min_eig = np.full(finite.shape, math.nan)
+    min_eig[finite] = np.linalg.eigvalsh(part[finite])[..., 0]
+    entries_finite = np.isfinite(m).all(axis=(-2, -1))
+    return (np.where(entries_finite, herm, math.nan), np.where(entries_finite, tr, math.nan),
+            min_eig)
 
 
 def _invalid(m: np.ndarray, tol: float = _TOL) -> np.ndarray:
-    """Per matrix of a 2x2 stack (..., 2, 2): True where ``DensityMatrix`` would refuse it."""
+    """Per matrix of a stack (..., 2, 2) or (..., 4, 4): True where ``DensityMatrix``
+    would refuse it."""
     herm, tr, min_eig = _residuals(m)
     return ~((herm <= tol) & (tr <= tol) & (min_eig >= -tol))
 
@@ -184,12 +192,18 @@ def random_density(rng: np.random.Generator, dim: int = 2, pure: bool = False) -
     With ``pure=True`` returns a random pure-state projector instead.
     Intended for property tests and the verification suite.
     """
+    return DensityMatrix(_random_state(rng, dim, pure))
+
+
+def _random_state(rng: np.random.Generator, dim: int, pure: bool) -> np.ndarray:
+    """The matrix ``random_density`` draws, not validated: callers that draw
+    many validate the stack with ``_invalid``."""
     if dim not in _VALID_DIMS:
         raise ValueError(f"dim must be one of {_VALID_DIMS}, got {dim}")
     if pure:
         psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         psi /= np.linalg.norm(psi)
-        return DensityMatrix(np.outer(psi, psi.conj()))
+        return np.outer(psi, psi.conj())
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     m = a @ a.conj().T
-    return DensityMatrix(m / np.trace(m).real)
+    return m / np.trace(m).real

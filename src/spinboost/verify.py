@@ -22,6 +22,7 @@ from .channel import (
     _dressed_stack,
     _evolve_stack,
     _operator_sum_stack,
+    _scenario_stack,
     decay_exponent,
     decay_factors,
     dressed_apply,
@@ -30,8 +31,8 @@ from .channel import (
     example_trajectory,
     operator_sum_apply,
 )
-from .relkin import BoostParams, effective_field, eta_max, eta_profile
-from .spinalg import DensityMatrix, _invalid, frobenius_distance, random_density
+from .relkin import BoostParams, _geometry, effective_field, eta_max, eta_profile
+from .spinalg import DensityMatrix, _invalid, _random_state, frobenius_distance, random_density
 
 KAPPA_SQ_REF = 6.13229
 ETA_MAX_REF = 0.51780
@@ -57,23 +58,30 @@ def _scenario(xi: float, theta: float, phi: float = 0.0, gamma: float = 1.0) -> 
 
 
 def _draw_channel_cases(rng: np.random.Generator, count: int):
-    """Seeded (rho, scenario, t) draws with gamma'*t**2 uniform in [0, 5].
+    """Seeded states (count, 2, 2), scenarios and times, gamma'*t**2 uniform in [0, 5].
 
     The amplified abscissa stays inside the quadrature's validated
-    regime, which also keeps gamma*t**2 inside [0, 5].
+    regime, which also keeps gamma*t**2 inside [0, 5]. Each case's
+    uniforms and normals are drawn in turn, as one case at a time would
+    draw them; the geometries come from one kernel call and the states
+    are validated in one call.
     """
-    cases = []
+    draws, gp_t2 = [], []
+    rhos = np.empty((count, 2, 2), dtype=complex)
     for k in range(count):
         xi = rng.uniform(0.0, 3.0)
         theta = rng.uniform(0.0, math.pi)
         phi = rng.uniform(0.0, 2.0 * math.pi)
         # the oracles' field scale sqrt(gamma / 2) is uniform in [0.3, 1.5]
-        s = _scenario(xi, theta, phi, gamma=2.0 * rng.uniform(0.3, 1.5) ** 2)
-        gp_t2 = rng.uniform(0.0, 5.0)
-        t = math.sqrt(gp_t2 / s.gamma_prime)
-        rho = random_density(rng, 2, pure=bool(k % 2))
-        cases.append((rho, s, t))
-    return cases
+        draws.append((xi, theta, phi, 2.0 * rng.uniform(0.3, 1.5) ** 2))
+        gp_t2.append(rng.uniform(0.0, 5.0))
+        rhos[k] = _random_state(rng, 2, pure=bool(k % 2))
+    bad = _invalid(rhos)
+    if bad.any():
+        DensityMatrix(rhos[bad.argmax()])  # raises the first invalid state's own error
+    scenarios = _scenario_stack(*zip(*draws))
+    times = [math.sqrt(g / s.gamma_prime) for g, s in zip(gp_t2, scenarios)]
+    return rhos, scenarios, times
 
 
 POOL_SIZE = 250
@@ -84,17 +92,24 @@ FORMS = ("elementwise", "operator_sum", "dressed", "quadrature")
 class CasePool:
     """Seeded channel cases with the image of each under every form.
 
-    ``images[form]`` stacks the images (POOL_SIZE, 2, 2) of the cases
-    under one channel form, NaN where the quadrature refused a case, and
-    ``invalid[form]`` marks the images that fail ``DensityMatrix``
-    validation. The draws are those of ``_draw_channel_cases``, so a
-    check that uses the first k cases sees what a fresh draw of k would
-    give.
+    Case k is the state ``rhos[k]`` under ``scenarios[k]`` at time
+    ``times[k]``. ``images[form]`` stacks the images (POOL_SIZE, 2, 2) of
+    the cases under one channel form, NaN where the quadrature refused a
+    case, and ``invalid[form]`` marks the images that fail
+    ``DensityMatrix`` validation. The draws are those of
+    ``_draw_channel_cases``, so a check that uses the first k cases sees
+    what a fresh draw of k would give.
     """
 
-    cases: list
+    rhos: np.ndarray
+    scenarios: list
+    times: list
     images: dict
     invalid: dict
+
+    def case(self, k: int) -> tuple[DensityMatrix, Scenario, float]:
+        """Case k as the (state, scenario, time) that the per-state forms take."""
+        return DensityMatrix(self.rhos[k]), self.scenarios[k], self.times[k]
 
 
 def case_pool(seed: int) -> CasePool:
@@ -104,23 +119,21 @@ def case_pool(seed: int) -> CasePool:
     one stacked kernel call each, the closed forms with libm decay
     factors, and the 1000 images are validated in one call.
     """
-    cases = _draw_channel_cases(np.random.default_rng(seed), POOL_SIZE)
-    rhos = np.array([rho.matrix for rho, _, _ in cases])
-    scenarios = [s for _, s, _ in cases]
-    times = [t for _, _, t in cases]
-    decay, lost = decay_factors([decay_exponent(s.gamma_prime, t) for _, s, t in cases])
+    rhos, scenarios, times = _draw_channel_cases(np.random.default_rng(seed), POOL_SIZE)
+    fields = [s.field for s in scenarios]
+    decay, lost = decay_factors([decay_exponent(s.gamma_prime, t)
+                                 for s, t in zip(scenarios, times)])
     images = {
-        "elementwise": _evolve_stack(rhos, np.array([s.field.n for s in scenarios]), decay, lost),
+        "elementwise": _evolve_stack(rhos, np.array([f.n for f in fields]), decay, lost),
         "operator_sum": _operator_sum_stack(
             rhos, np.array([_axis_sigma(s) for s in scenarios]),
-            np.array([s.field.eta_mod for s in scenarios]),
-            np.array([s.field.chi_mod for s in scenarios]), decay, lost),
-        "dressed": _dressed_stack(rhos, np.array([dressing_transform(s.field) for s in scenarios]),
-                                  decay),
+            np.array([f.eta_mod for f in fields]), np.array([f.chi_mod for f in fields]),
+            decay, lost),
+        "dressed": _dressed_stack(rhos, np.array([dressing_transform(f) for f in fields]), decay),
         "quadrature": oracle._quadrature_stack(rhos, scenarios, times, 201),
     }
     invalid = dict(zip(FORMS, _invalid(np.stack([images[form] for form in FORMS]))))
-    return CasePool(cases, images, invalid)
+    return CasePool(rhos, scenarios, times, images, invalid)
 
 
 def _invalid_note(pool: CasePool, forms, count: int, extra: int = 0) -> str:
@@ -181,9 +194,8 @@ def check_eta_max_monotone_limit() -> CheckResult:
 
 
 def check_analytic_vs_quadrature(pool: CasePool) -> CheckResult:
-    cases = pool.cases[:100]
-    quad402 = oracle._quadrature_stack(np.array([rho.matrix for rho, _, _ in cases]),
-                                       [s for _, s, _ in cases], [t for _, _, t in cases], 402)
+    quad402 = oracle._quadrature_stack(pool.rhos[:100], pool.scenarios[:100], pool.times[:100],
+                                       402)
     worst_osc = 0.0
     worst_double = 0.0
     for k in range(100):
@@ -208,7 +220,7 @@ def check_decomposition_agreement(pool: CasePool) -> CheckResult:
     for k in range(100):
         worst_osum = max(worst_osum, frobenius_distance(pool.images["operator_sum"][k], ref[k]))
         worst_dressed = max(worst_dressed, frobenius_distance(pool.images["dressed"][k], ref[k]))
-    chi_gt_eta = sum(s.field.chi_mod > s.field.eta_mod for _, s, _ in pool.cases[:100])
+    chi_gt_eta = sum(s.field.chi_mod > s.field.eta_mod for s in pool.scenarios[:100])
     invalid = _invalid_note(pool, ("elementwise", "operator_sum", "dressed"), 100)
     ok = worst_osum < 1e-10 and worst_dressed < 1e-10 and chi_gt_eta > 0 and not invalid
     return CheckResult(
@@ -222,8 +234,10 @@ def check_decomposition_agreement(pool: CasePool) -> CheckResult:
 def check_cptp_grid() -> CheckResult:
     """Choi tomography of the channel at all 10x10x5 (xi, theta, gamma t^2) points at once."""
     tol = 1e-10
-    scenarios = [_scenario(float(xi), float(theta), gamma=1.0)
-                 for xi in np.linspace(0.0, 3.0, 10) for theta in np.linspace(0.0, math.pi / 2.0, 10)]
+    xi, theta = np.meshgrid(np.linspace(0.0, 3.0, 10), np.linspace(0.0, math.pi / 2.0, 10),
+                            indexing="ij")
+    scenarios = _scenario_stack(xi.ravel().tolist(), theta.ravel().tolist(), [0.0] * 100,
+                                [1.0] * 100)
     times = np.sqrt(np.linspace(0.0, 5.0, 5))
     decay, lost = decay_factors([decay_exponent(s.gamma_prime, times) for s in scenarios])
     n = np.array([s.field.n for s in scenarios])
@@ -322,16 +336,14 @@ def check_bell_boosted_reference() -> CheckResult:
     for xi in (3.0, 5.0, 8.0):
         opt = eta_max(xi)
         s = _scenario(xi, opt.theta_opt, gamma=1.0)
-        t1 = math.sqrt(1.0 / s.gamma_prime)
-        series = entangle.concurrence_trajectory(s, [t1])
-        ref = float(series.reference_boosted[0])
-        devs.append(abs(float(series.values[0]) - ref) / ref)
-        for gp_t2 in (0.25, 1.0, 2.25, 4.0):
-            t = math.sqrt(gp_t2 / s.gamma_prime)
-            boosted = entangle.concurrence_trajectory(s, [t]).values[0]
-            at_rest = entangle.concurrence_trajectory(rest, [t]).values[0]
-            if boosted > at_rest + 1e-10:
-                dominance_ok = False
+        # sorted; the deviation is read at gamma' t^2 = 1, the second time
+        times = [math.sqrt(gp_t2 / s.gamma_prime) for gp_t2 in (0.25, 1.0, 2.25, 4.0)]
+        series = entangle.concurrence_trajectory(s, times)
+        ref = float(series.reference_boosted[1])
+        devs.append(abs(float(series.values[1]) - ref) / ref)
+        at_rest = entangle.concurrence_trajectory(rest, times).values
+        if (series.values > at_rest + 1e-10).any():
+            dominance_ok = False
     slack = 1e-10
     monotone = devs[1] <= devs[0] + slack and devs[2] <= devs[1] + slack
     tiny = all(d <= 1e-8 for d in devs)
@@ -364,10 +376,8 @@ def check_montecarlo_consistency(pool: CasePool, seed: int) -> CheckResult:
     oracle refuses, or whose mean is not a valid state, counts as an
     invalid image.
     """
-    cases = pool.cases[:20]
-    means, stderrs = oracle._montecarlo_stack(
-        np.array([rho.matrix for rho, _, _ in cases]), [s for _, s, _ in cases],
-        [t for _, _, t in cases], oracle.McSpec(samples=10**6, seed=seed))
+    means, stderrs = oracle._montecarlo_stack(pool.rhos[:20], pool.scenarios[:20], pool.times[:20],
+                                              oracle.McSpec(samples=10**6, seed=seed))
     worst_ratio = 0.0
     bad = _invalid(means)
     for k, (mean, stderr) in enumerate(zip(means, stderrs.tolist())):
@@ -375,7 +385,7 @@ def check_montecarlo_consistency(pool: CasePool, seed: int) -> CheckResult:
             continue
         dist = frobenius_distance(mean, pool.images["quadrature"][k])
         worst_ratio = max(worst_ratio, dist / stderr if stderr > 0 else math.inf)
-    rho, s, t = cases[0]
+    rho, s, t = pool.case(0)
     mc = oracle.McSpec(samples=10**5, seed=seed)
     first, se1 = _montecarlo_or_nan(rho, s, t, mc)
     second, se2 = _montecarlo_or_nan(rho, s, t, mc)
@@ -395,21 +405,23 @@ def check_boost_geometry_identities(seed: int) -> CheckResult:
     """|d|^2 = kappa^2 to 1e-14 relative, and bitwise azimuth independence.
 
     The bound is relative because kappa^2 reaches cosh(4)^2 ~ 745 on
-    these draws, where 1e-14 is about 45 ulps.
+    these draws, where 1e-14 is about 45 ulps. The 1000 draws of
+    (xi, theta, phi) are one ``uniform`` call, the same doubles in the
+    same order as one scalar call each; the geometry is two kernel
+    calls, at phi and at phi = 0.
     """
-    rng = np.random.default_rng(seed)
-    worst_kappa = 0.0
-    azimuth_exact = True
-    for _ in range(1000):
-        xi = rng.uniform(0.0, 4.0)
-        theta = rng.uniform(0.0, math.pi)
-        phi = rng.uniform(0.0, 2.0 * math.pi)
-        f = effective_field(BoostParams(xi=xi, theta=theta, phi=phi))
-        expected = math.cos(theta) ** 2 + math.cosh(xi) ** 2 * math.sin(theta) ** 2
-        worst_kappa = max(worst_kappa, abs(float(np.dot(f.d, f.d)) - expected) / expected)
-        base = effective_field(BoostParams(xi=xi, theta=theta, phi=0.0))
-        if f.eta_mod != base.eta_mod or f.chi_mod != base.chi_mod or f.kappa != base.kappa:
-            azimuth_exact = False
+    draws = np.random.default_rng(seed).uniform((0.0, 0.0, 0.0), (4.0, math.pi, 2.0 * math.pi),
+                                                 size=(1000, 3))
+    xi, theta, phi = draws.T
+    d, kappa, _, eta, chi = _geometry(xi, theta, phi)
+    _, kappa0, _, eta0, chi0 = _geometry(xi, theta, 0.0)
+    # libm and pow per draw, as the identity is written
+    expected = np.array([math.cos(th) ** 2 + math.cosh(x) ** 2 * math.sin(th) ** 2
+                         for x, th in zip(xi.tolist(), theta.tolist())])
+    # each |d|^2 a dot product of its own, the bits of np.dot(d, d)
+    d_sq = (d[:, None, :] @ d[:, :, None])[:, 0, 0]
+    worst_kappa = float((np.abs(d_sq - expected) / expected).max())
+    azimuth_exact = bool((eta == eta0).all() and (chi == chi0).all() and (kappa == kappa0).all())
     ok = worst_kappa <= 1e-14 and azimuth_exact
     return CheckResult(
         "boost_geometry_identities",
@@ -462,7 +474,7 @@ def check_channel_positivity_sweep(pool: CasePool) -> CheckResult:
     for form in FORMS:
         trace_residual = np.abs(np.trace(pool.images[form], axis1=-2, axis2=-1) - 1.0)
         failures += int((pool.invalid[form] | ~(trace_residual <= 1e-14)).sum())
-    outputs = len(FORMS) * len(pool.cases)
+    outputs = len(FORMS) * len(pool.rhos)
     return CheckResult(
         "channel_positivity_sweep",
         failures == 0,

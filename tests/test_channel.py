@@ -12,6 +12,7 @@ from spinboost.channel import (
     _dressed_stack,
     _evolve_stack,
     _operator_sum_stack,
+    _scenario_stack,
     decay_exponent,
     decay_factors,
     dressed_apply,
@@ -98,6 +99,37 @@ class TestScenario:
     @pytest.mark.parametrize("xi", [400.0, 1000.0])
     def test_gamma_prime_inf_where_it_overflows(self, xi):
         assert scenario(xi, 0.5).gamma_prime == math.inf
+
+
+def field_bits(f):
+    values = [*f.d, f.kappa, *f.n, f.eta_mod, f.chi_mod]
+    return np.array(values, dtype=float).view(np.uint64).tolist()
+
+
+class TestScenarioStack:
+    def test_each_scenario_is_the_one_built_alone(self):
+        rng = np.random.default_rng(12)
+        xi = [0.0, 5e-324, 709.0, 745.0] + rng.uniform(0.0, 4.0, 96).tolist()
+        theta = [0.0, math.pi / 2, math.pi, 1.0] + rng.uniform(0.0, math.pi, 96).tolist()
+        phi = rng.uniform(0.0, 2 * math.pi, 100).tolist()
+        gamma = rng.uniform(0.1, 5.0, 100).tolist()
+        for s, args in zip(_scenario_stack(xi, theta, phi, gamma), zip(xi, theta, phi, gamma),
+                           strict=True):
+            alone = Scenario(BoostParams(*args[:3]), args[3])
+            assert (s.boost, s.gamma) == (alone.boost, alone.gamma)
+            assert field_bits(s.field) == field_bits(alone.field)
+            assert s.gamma_prime == alone.gamma_prime
+            assert not s.field.n.flags.writeable
+
+    @pytest.mark.parametrize("xi, theta, gamma, match", [
+        (1.0, 0.5, 0.0, "gamma must be finite and > 0"),
+        (1.0, 0.5, math.nan, "gamma must be finite and > 0"),
+        (-1.0, 0.5, 1.0, "rapidity"),
+        (1.0, 4.0, 1.0, "theta"),
+    ])
+    def test_refuses_what_scenario_refuses(self, xi, theta, gamma, match):
+        with pytest.raises(ValueError, match=match):
+            _scenario_stack([0.5, xi], [0.1, theta], [0.0, 0.0], [1.0, gamma])
 
 
 class TestDecayExponent:

@@ -408,6 +408,14 @@ class TestConcurrenceCommand:
         err = capsys.readouterr().err.splitlines()  # the --nodes warning at most
         assert len(err) <= 1 and all(line.startswith("warning: ") for line in err)
 
+    def test_refused_time_is_named(self, capsys):
+        # t = 0 is fine; 1/sqrt(2) is the first time whose angle overflows
+        assert run_cli(["concurrence", "--xi", "709", "--theta", "1", "--points", "3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ValueError: the oracle's rotation angle")
+        assert err.count("\n") == 1
+        assert "xi = 709.0, angle theta = 1.0 and time t = 0.7071067811865476 " in err
+
 
 class TestConfigFile:
     @pytest.mark.parametrize("cmd", ["scan-eta", "eta-max", "offdiag", "evolve", "concurrence"])

@@ -7,7 +7,10 @@ import pytest
 
 from spinboost.channel import Scenario
 from spinboost.entangle import (
+    _EIG_CLAMP_REL,
+    _YY,
     ConcurrenceSeries,
+    _concurrence_stack,
     bell_phi_plus,
     concurrence,
     concurrence_trajectory,
@@ -82,6 +85,53 @@ def _unit(rng):
     return v / np.linalg.norm(v)
 
 
+def per_matrix_concurrence(m):
+    """Wootters concurrence of one 4x4 matrix in the Hermitian form, with
+    the clamp and Python's max, as a loop over states would take it."""
+    vals, vecs = np.linalg.eigh(m)
+    sqrt_rho = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
+    h = sqrt_rho @ (_YY @ m.conj() @ _YY) @ sqrt_rho
+    ev = np.linalg.eigvalsh(0.5 * (h + h.conj().T))
+    ev = np.where(ev < _EIG_CLAMP_REL * max(float(ev[-1]), 1.0), 0.0, ev)
+    lam = np.sqrt(ev)[::-1]
+    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64).tolist()
+
+
+class TestConcurrenceStack:
+    @pytest.fixture(scope="class")
+    def states(self):
+        rng = np.random.default_rng(5)
+        mixed = [random_density(rng, 4).matrix for _ in range(60)]
+        pure = [random_density(rng, 4, pure=True).matrix for _ in range(60)]
+        product = [tensor_product(random_density(rng, 2, pure=bool(k % 2)).matrix,
+                                  random_density(rng, 2).matrix) for k in range(40)]
+        bell = bell_phi_plus().matrix
+        werner = [p * bell + (1 - p) * np.eye(4) / 4 for p in (0.2, 1 / 3, 0.8)]
+        return np.array(mixed + pure + product + werner + [bell, np.eye(4) / 4])
+
+    def test_each_state_has_the_bits_of_a_per_matrix_concurrence(self, states):
+        values = _concurrence_stack(states)
+        assert values.shape == (len(states),)
+        assert bits(values) == bits([per_matrix_concurrence(m) for m in states])
+        assert bits(values) == bits([concurrence(DensityMatrix(m)) for m in states])
+        assert abs(values[-2] - 1.0) < 1e-12
+        assert (values[120:160] < 1e-12).all() and values[-1] == 0.0
+
+    def test_stacks_of_one_two_and_all_permuted_and_reshaped(self, states):
+        values = _concurrence_stack(states)
+        order = np.random.default_rng(6).permutation(len(states))
+        assert bits(_concurrence_stack(states[order])) == bits(values[order])
+        reshaped = _concurrence_stack(states[:162].reshape(2, 81, 4, 4))
+        assert bits(reshaped.ravel()) == bits(values[:162])
+        for k in (0, 61, 163):
+            assert bits(_concurrence_stack(states[k])) == bits(values[k])
+            assert bits(_concurrence_stack(states[k:k + 2])) == bits(values[k:k + 2])
+
+
 class TestConcurrenceSeries:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="length"):
@@ -148,6 +198,16 @@ class TestConcurrenceTrajectory:
         u = tensor_product(w, w)
         rotated = DensityMatrix(u @ evolved.matrix @ u.conj().T)
         assert abs(concurrence(rotated) - concurrence(evolved)) < 1e-10
+
+    def test_each_time_has_the_bits_of_the_per_time_path(self):
+        # one stacked average and one batched concurrence for the whole grid,
+        # against two_qubit_average and concurrence at each time
+        for s in (scenario(0.0, 0.0), scenario(3.0, eta_max(3.0).theta_opt),
+                  scenario(2.0, 0.9, 0.7)):
+            times = np.sqrt(np.linspace(0.0, 4.0, 31) / s.gamma_prime)
+            series = concurrence_trajectory(s, times)
+            alone = [concurrence(two_qubit_average(bell_phi_plus(), s, t)) for t in times]
+            assert bits(series.values) == bits(alone)
 
     def test_unsorted_or_negative_times_rejected(self):
         s = scenario(1.0, 0.5)

@@ -16,6 +16,7 @@ from spinboost.oracle import (
     _montecarlo_stack,
     _quadrature_stack,
     _rotation_moments,
+    _two_qubit_stack,
     _unitary_stack,
     average_montecarlo,
     average_quadrature,
@@ -536,3 +537,82 @@ class TestTwoQubitAverage:
     def test_wrong_dimension_rejected(self):
         with pytest.raises(ValueError, match="4x4"):
             two_qubit_average(plus_state(), scenario(1.0, 1.0), 1.0)
+
+
+def per_time_two_qubit(rho4, s, t, nodes=201):
+    """One time's common-bath average as a loop over times would take it:
+    U (x) U at every node, and a slice-by-slice sum in node order."""
+    z, w = gauss_hermite_nodes(nodes)
+    u = _unitary_stack(math.sqrt(s.gamma / 2) * z, s, t)
+    u2 = (u[:, :, None, :, None] * u[:, None, :, None, :]).reshape(-1, 4, 4)
+    out = (w[:, None, None] * ((u2 @ rho4) @ u2.conj().transpose(0, 2, 1))).sum(axis=0)
+    return 0.5 * (out + out.conj().T)
+
+
+class TestTwoQubitStack:
+    @pytest.fixture(scope="class")
+    def rho4(self):
+        return random_density(np.random.default_rng(33), 4).matrix
+
+    TIMES = np.sort(np.random.default_rng(34).uniform(0.0, 1.2, 23)).tolist()
+
+    @pytest.mark.parametrize("nodes", [2, 201, 402])
+    def test_each_time_has_the_bits_of_a_per_time_average(self, rho4, nodes):
+        s = scenario(2.0, 0.7, 0.4)
+        out = _two_qubit_stack(rho4, s, self.TIMES, nodes)
+        assert out.shape == (len(self.TIMES), 4, 4)
+        alone = [two_qubit_average(DensityMatrix(rho4), s, t, QuadratureSpec(nodes)).matrix
+                 for t in self.TIMES]
+        assert bits(out) == bits(alone)
+        assert bits(out) == bits([per_time_two_qubit(rho4, s, t, nodes) for t in self.TIMES])
+
+    @pytest.mark.parametrize("per_block", [1, 2, 3, 7, 22, 23, 24])
+    def test_block_size_does_not_change_the_bits(self, monkeypatch, rho4, per_block):
+        s = scenario(1.2, 2.0, 5.0)
+        out = _two_qubit_stack(rho4, s, self.TIMES, 201)
+        monkeypatch.setattr(oracle, "_PAIR_BLOCK", per_block * 201)
+        assert bits(_two_qubit_stack(rho4, s, self.TIMES, 201)) == bits(out)
+        # shifted by one time, every block boundary falls elsewhere
+        assert bits(_two_qubit_stack(rho4, s, self.TIMES[1:], 201)) == bits(out[1:])
+
+    @pytest.mark.parametrize("nodes, count", [(201, 47), (2048, 5), (4096, 3)])
+    def test_each_block_stays_under_the_pair_cap(self, monkeypatch, rho4, nodes, count):
+        # the (times, nodes, 4, 4) temporaries of a block are at most
+        # _PAIR_BLOCK pairs, and a block holds at least one time
+        z, w = gauss_hermite_nodes(201)
+        nodes_z, nodes_w = np.resize(z, nodes), np.resize(w, nodes) * (201 / nodes)
+        monkeypatch.setattr(oracle, "gauss_hermite_nodes", lambda n: (nodes_z, nodes_w))
+        shapes = []
+        unitary_stack = oracle._unitary_stack
+
+        def recorded(b_values, s, t):
+            u = unitary_stack(b_values, s, t)
+            shapes.append(u.shape[:-2])
+            return u
+
+        monkeypatch.setattr(oracle, "_unitary_stack", recorded)
+        times = np.linspace(0.0, 1.0, count).tolist()
+        assert len(_two_qubit_stack(rho4, scenario(1.0, 1.0), times, nodes)) == count
+        per_block = max(1, oracle._PAIR_BLOCK // nodes)
+        assert [shape[0] for shape in shapes] == [per_block] * (count // per_block) + (
+            [count % per_block] if count % per_block else [])
+        assert all(shape[0] * shape[1] <= max(oracle._PAIR_BLOCK, nodes) for shape in shapes)
+        assert oracle._PAIR_BLOCK * 16 * 16 <= 1 << 19  # 512 KiB per complex temporary
+
+    def test_first_refused_time_raises_its_own_error(self, rho4):
+        # at xi = 709 the angle at the largest node overflows between these times
+        s = scenario(709.0, 1.0)
+        times = [0.0, 0.1, 0.2, 0.3, 0.5, 1.0]
+        refused = []
+        for t in times:
+            try:
+                two_qubit_average(DensityMatrix(rho4), s, t)
+            except ValueError as exc:
+                refused.append(str(exc))
+        assert 0 < len(refused) < len(times) - 1
+        with pytest.raises(ValueError, match="rotation angle") as stacked:
+            _two_qubit_stack(rho4, s, times, 201)
+        assert str(stacked.value) == refused[0]
+
+    def test_an_empty_stack(self, rho4):
+        assert _two_qubit_stack(rho4, scenario(1.0, 1.0), [], 201).shape == (0, 4, 4)

@@ -7,6 +7,7 @@ import pytest
 
 from spinboost.relkin import (
     BoostParams,
+    _geometry,
     _half_rapidity,
     boost_em_field,
     effective_field,
@@ -163,6 +164,86 @@ class TestEffectiveField:
             )
             assert 0.0 <= f.chi_mod <= 0.5 + 1e-15
             assert 0.0 <= f.eta_mod <= 1.0
+
+
+def scalar_geometry(xi, theta, phi):
+    """The per-boost geometry in Python floats, one boost at a time, as
+    ``effective_field`` computed it before it became a stack of one."""
+    t, s = map(float, _half_rapidity(float(xi)))
+    a = min(theta, math.pi - theta)
+    ct, st = math.copysign(math.cos(a), 0.5 * math.pi - theta), math.sin(a)
+    s2, t2 = s * s, t * t
+    p = -2.0 * t2 * ct * st
+    q = s2 + 2.0 * t2 * st * st
+    h = math.hypot(p, q)
+    if h == 0.0:
+        p, q, h, s2 = 0.0, 1.0, 1.0, 1.0
+    kappa = h / s2 if s2 else math.inf
+    n_perp, n_z = p / h, q / h
+    n = [n_perp * math.cos(phi), n_perp * math.sin(phi), n_z]
+    d = [kappa * c if c else c for c in n]
+    return d + [kappa] + n + [n_perp * n_perp, n_z * abs(n_perp)]
+
+
+def geometry_rows(xi, theta, phi):
+    """One row (d, kappa, n, eta, chi) of 9 floats per element of a kernel call."""
+    d, kappa, n, eta, chi = _geometry(xi, theta, phi)
+    return np.column_stack([d, kappa, n, eta, chi])
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64).tolist()
+
+
+class TestGeometryKernel:
+    """``_geometry`` element by element against the scalar form and ``effective_field``."""
+
+    EDGE_XI = [0.0, 5e-324, 709.0, 710.0, 745.0, 1e6]
+    EDGE_THETA = [0.0, math.pi / 2, math.pi, math.nextafter(math.pi, 0.0)]
+
+    @pytest.fixture(scope="class")
+    def boosts(self):
+        rng = np.random.default_rng(41)
+        edges = [(xi, theta, phi) for xi in self.EDGE_XI for theta in self.EDGE_THETA
+                 for phi in (0.0, 2.0)]
+        xi = np.concatenate([rng.uniform(0.0, 5.0, 900), 10.0 ** rng.uniform(-9.0, 3.0, 52)])
+        drawn = np.column_stack([xi, rng.uniform(0.0, math.pi, 952),
+                                 rng.uniform(0.0, 2 * math.pi, 952)])
+        return np.concatenate([np.array(edges), drawn])
+
+    def test_every_element_has_the_scalar_bits(self, boosts):
+        assert len(boosts) == 1000
+        # any unguarded overflow, division by zero or inf * 0 raises
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            rows = geometry_rows(*boosts.T)
+        for row, (xi, theta, phi) in zip(rows, boosts.tolist()):
+            f = effective_field(BoostParams(xi, theta, phi))
+            alone = [*f.d, f.kappa, *f.n, f.eta_mod, f.chi_mod]
+            assert bits(row) == bits(alone) == bits(scalar_geometry(xi, theta, phi))
+
+    def test_stacks_of_one_two_and_all_permuted(self, boosts):
+        rows = geometry_rows(*boosts.T)
+        order = np.random.default_rng(42).permutation(len(boosts))
+        assert bits(geometry_rows(*boosts[order].T)) == bits(rows[order])
+        for k in (0, 1, 13, 999):
+            assert bits(geometry_rows(*boosts[k:k + 1].T)) == bits(rows[k:k + 1])
+            pair = order[k - 1:k + 1] if k else order[:2]
+            assert bits(geometry_rows(*boosts[pair].T)) == bits(rows[pair])
+
+    def test_broadcasts_the_azimuth(self, boosts):
+        xi, theta, phi = boosts[:50].T
+        d, kappa, n, eta, chi = _geometry(xi[:, None], theta[:, None], phi)
+        assert kappa.shape == eta.shape == chi.shape == (50, 1)
+        assert d.shape == n.shape == (50, 50, 3)
+        diagonal = np.column_stack([d[range(50), range(50)], kappa[:, 0],
+                                    n[range(50), range(50)], eta[:, 0], chi[:, 0]])
+        assert bits(diagonal) == bits(geometry_rows(xi, theta, phi))
+
+    def test_overflowing_kappa_is_inf_along_nonzero_axis_components(self):
+        d, kappa, n, _, _ = _geometry(np.array([745.0, 745.0]), np.array([1.0, 0.0]), 0.0)
+        assert kappa.tolist() == [math.inf, 1.0]
+        assert d[0].tolist() == [-math.inf, 0.0, math.inf] and n[0, 1] == 0.0
+        assert d[1].tolist() == [0.0, 0.0, 1.0]
 
 
 class TestEtaProfile:

@@ -12,6 +12,7 @@ from spinboost.spinalg import (
     DensityMatrix,
     DensityMatrixError,
     _invalid,
+    _random_state,
     _residuals,
     frobenius_distance,
     pauli_rotation,
@@ -331,6 +332,69 @@ class TestStackedResiduals:
         assert _invalid(stack[:0]).shape == (0,)
 
 
+def per_matrix_check_4x4(m, tol=1e-10):
+    """The first check a 4x4 matrix fails, '' for none: one matrix at a time,
+    each residual taken only once the checks before it pass."""
+    if not np.isfinite(m).all():
+        return "hermiticity"
+    with np.errstate(over="ignore"):
+        if not np.linalg.norm(m - m.conj().T) <= tol:
+            return "hermiticity"
+        if not abs(np.trace(m) - 1.0) <= tol:
+            return "trace"
+        if not np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min() >= -tol:
+            return "positivity"
+    return ""
+
+
+def edge_stack_4x4(rng):
+    """Valid 4x4 states, and copies with a non-finite or huge entry or a
+    violation at 2e-10 or 5e-11."""
+    states = [random_density(rng, 4, pure=bool(k % 2)).matrix for k in range(30)]
+    out = list(states)
+    for k, m in enumerate(states):
+        for bad in (np.nan, np.inf, complex(0, -np.inf), 1.5e308):
+            broken = m.copy()
+            broken[divmod(k % 16, 4)] = bad
+            out.append(broken)
+        for eps in (2e-10, 5e-11):
+            skewed = m.copy()
+            skewed[k % 3, 3] += eps
+            off_trace = m.copy()
+            off_trace[k % 4, k % 4] += eps
+            vecs = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+            negative = (vecs * [-eps, 0.25, 0.25, 0.5 + eps]) @ vecs.conj().T
+            out.extend([skewed, off_trace, negative])
+    return np.array(out)
+
+
+class TestStackedResiduals4x4:
+    def test_verdicts_and_kinds_match_the_per_matrix_check(self):
+        stack = edge_stack_4x4(np.random.default_rng(18))
+        want = [per_matrix_check_4x4(m) for m in stack]
+        assert {"", "hermiticity", "trace", "positivity"} <= set(want)
+        assert stacked_checks(stack).tolist() == want
+        assert _invalid(stack).tolist() == [kind != "" for kind in want]
+        for m, kind in zip(stack, want):
+            if kind:
+                with pytest.raises(DensityMatrixError) as err:
+                    DensityMatrix(m)
+                assert err.value.check == kind
+            else:
+                DensityMatrix(m)
+
+    def test_the_shape_of_the_stack_does_not_matter(self):
+        stack = edge_stack_4x4(np.random.default_rng(19))[:-2]
+        flat = [bits(r) for r in _residuals(stack)]
+        assert [bits(r.ravel()) for r in _residuals(stack.reshape(-1, 4, 4, 4))] == flat
+        assert [bits(r[::-1]) for r in _residuals(stack[::-1])] == flat
+        for k in (0, 3, 100, len(stack) - 1):
+            assert [bits(r)[0] for r in _residuals(stack[k])] == [f[k] for f in flat]
+
+    def test_empty_stack(self):
+        assert _invalid(np.zeros((0, 4, 4), dtype=complex)).shape == (0,)
+
+
 class TestRandomDensity:
     @pytest.mark.parametrize("dim,pure", [(2, False), (2, True), (4, False), (4, True)])
     def test_outputs_are_valid(self, dim, pure):
@@ -342,3 +406,12 @@ class TestRandomDensity:
                 # projector: rho^2 == rho
                 m = dm.matrix
                 assert frobenius_distance(m @ m, m) < 1e-12
+
+    @pytest.mark.parametrize("dim,pure", [(2, False), (2, True), (4, False), (4, True)])
+    def test_unvalidated_draw_is_the_same_matrix(self, dim, pure):
+        # the same matrices and the same stream afterwards
+        rng_a, rng_b = np.random.default_rng(11), np.random.default_rng(11)
+        for _ in range(5):
+            m = _random_state(rng_a, dim, pure)
+            assert bits(m.view(float)) == bits(random_density(rng_b, dim, pure).matrix.view(float))
+        assert rng_a.random() == rng_b.random()

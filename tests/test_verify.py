@@ -1,6 +1,6 @@
 """Tests for the verify suite's checks beyond their PASS lines."""
 
-import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -13,7 +13,7 @@ from spinboost.channel import (
     evolve_elementwise,
     operator_sum_apply,
 )
-from spinboost.relkin import effective_field
+from spinboost.relkin import BoostParams, _geometry, effective_field
 
 
 def transposed_kernel(m, n, decay, lost):
@@ -78,9 +78,9 @@ def pool():
 
 @pytest.mark.parametrize("count", [100, 20])
 def test_pool_starts_with_a_fresh_draw(pool, count):
-    fresh = verify._draw_channel_cases(np.random.default_rng(42), count)
-    for (rho, s, t), (rho_f, s_f, t_f) in zip(pool.cases[:count], fresh):
-        assert (rho.matrix == rho_f.matrix).all() and t == t_f
+    rhos, scenarios, times = verify._draw_channel_cases(np.random.default_rng(42), count)
+    assert (pool.rhos[:count] == rhos).all() and pool.times[:count] == times
+    for s, s_f in zip(pool.scenarios[:count], scenarios, strict=True):
         assert (s.boost, s.gamma) == (s_f.boost, s_f.gamma)
 
 
@@ -92,7 +92,7 @@ def test_pool_images_are_valid(pool):
 
 def test_pool_holds_each_form_of_each_case(pool):
     for k in (0, 99, 249):
-        rho, s, t = pool.cases[k]
+        rho, s, t = pool.case(k)
         for form, op in (("elementwise", evolve_elementwise), ("operator_sum", operator_sum_apply),
                          ("dressed", dressed_apply), ("quadrature", oracle.average_quadrature)):
             assert (pool.images[form][k] == op(rho, s, t).matrix).all()
@@ -251,14 +251,35 @@ def test_geometry_check_passes_where_kappa_sq_is_large(seed):
     assert result.passed, result.line()
 
 
+def per_draw_geometry_detail(seed):
+    """The geometry check's detail, one scalar draw and two fields at a time."""
+    rng = np.random.default_rng(seed)
+    worst, exact = 0.0, True
+    for _ in range(1000):
+        xi, theta = rng.uniform(0.0, 4.0), rng.uniform(0.0, math.pi)
+        phi = rng.uniform(0.0, 2 * math.pi)
+        f = effective_field(BoostParams(xi, theta, phi))
+        base = effective_field(BoostParams(xi, theta, 0.0))
+        expected = math.cos(theta) ** 2 + math.cosh(xi) ** 2 * math.sin(theta) ** 2
+        worst = max(worst, abs(float(np.dot(f.d, f.d)) - expected) / expected)
+        exact &= (f.eta_mod, f.chi_mod, f.kappa) == (base.eta_mod, base.chi_mod, base.kappa)
+    return (f"draws=1000 max||d|^2 - kappa^2|/kappa^2={verify._g(worst)} (tol 1e-14) "
+            f"azimuth_independent_bitwise={exact}")
+
+
+@pytest.mark.parametrize("seed", [7, 1630630108])
+def test_geometry_check_gives_the_per_draw_figures(seed):
+    # at seed 7 a |d|^2 summed as (d * d).sum(-1) moves the printed worst ratio
+    assert verify.check_boost_geometry_identities(seed).detail == per_draw_geometry_detail(seed)
+
+
 @pytest.mark.parametrize("component", [0, 1, 2])
 def test_geometry_check_catches_a_1e13_relative_error_in_d(monkeypatch, component):
-    def skewed(boost):
-        f = effective_field(boost)
-        d = f.d.copy()
-        d[component] *= 1.0 + 1e-13
-        return dataclasses.replace(f, d=d)
+    def skewed(xi, theta, phi):
+        d, *rest = _geometry(xi, theta, phi)
+        d[..., component] *= 1.0 + 1e-13
+        return d, *rest
 
-    monkeypatch.setattr(verify, "effective_field", skewed)
+    monkeypatch.setattr(verify, "_geometry", skewed)
     result = verify.check_boost_geometry_identities(42)
     assert not result.passed, result.line()
