@@ -1,17 +1,27 @@
 """Decoherence of a relativistically moving spin-1/2 in Gaussian magnetic noise.
 
-Closed-form channel dynamics, an independent numerical averaging oracle,
+Closed-form channel dynamics, independent numerical averaging oracles,
 channel diagnostics (Choi/CPTP/Kraus), two-qubit concurrence under a
 common bath, and a CLI for figure data and cross-validation.
+
+The API works on stacks. A ``Scenario`` holds one case or a stack of
+cases (a ``BoostParams`` of arrays). The channel forms
+(``evolve_elementwise``, ``operator_sum_apply``, ``dressed_apply``), the
+oracles (``average_quadrature``, ``average_montecarlo``,
+``two_qubit_average``) and ``concurrence`` take states in numpy's
+(..., 2, 2) or (..., 4, 4) convention, with scenarios and times that
+broadcast against them, and return arrays that they do not validate;
+an oracle gives NaN where it refuses a case. ``require_valid`` checks a
+stack as ``DensityMatrix`` checks one matrix. ``choi_stack``,
+``choi_diagnostics`` and ``kraus_residuals`` analyse stacks of maps.
 """
 
 from .analysis import (
-    ChoiMatrix,
-    CPTPReport,
-    choi_of,
-    kraus_from_choi,
+    ChoiDiagnostics,
+    choi_diagnostics,
+    choi_stack,
+    kraus_residuals,
     kraus_to_choi,
-    verify_cptp,
 )
 from .channel import (
     Scenario,
@@ -47,6 +57,7 @@ from .spinalg import (
     frobenius_distance,
     pauli_rotation,
     random_density,
+    require_valid,
     tensor_product,
 )
 
@@ -54,9 +65,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoostParams",
-    "ChoiMatrix",
+    "ChoiDiagnostics",
     "ConcurrenceSeries",
-    "CPTPReport",
     "DensityMatrix",
     "DensityMatrixError",
     "EffectiveField",
@@ -68,7 +78,8 @@ __all__ = [
     "average_quadrature",
     "bell_phi_plus",
     "boost_em_field",
-    "choi_of",
+    "choi_diagnostics",
+    "choi_stack",
     "concurrence",
     "concurrence_trajectory",
     "dressed_apply",
@@ -80,14 +91,14 @@ __all__ = [
     "example_trajectory",
     "frobenius_distance",
     "gauss_hermite_nodes",
-    "kraus_from_choi",
+    "kraus_residuals",
     "kraus_to_choi",
     "operator_sum_apply",
     "pauli_rotation",
     "plus_state",
     "random_density",
+    "require_valid",
     "rest_dephasing",
     "tensor_product",
     "two_qubit_average",
-    "verify_cptp",
 ]

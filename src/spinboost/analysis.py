@@ -18,18 +18,15 @@ and returns Choi matrices (..., 4, 4) with linearity residuals (..., 2);
 Hermiticity residuals (...) and Kraus stacks (..., 4, 2, 2), in which
 dropped eigenvalues leave zero operators under a mask (..., 4) rather
 than a ragged list; ``kraus_residuals`` checks Kraus stacks
-(..., k, 2, 2). The per-map functions ``choi_of``, ``verify_cptp``,
-``kraus_from_choi`` and ``kraus_to_choi`` are stacks of one.
+(..., k, 2, 2), and ``kraus_to_choi`` assembles them. Nothing is
+refused here: callers compare the figures with their tolerances.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
-
-MapFn = Callable[[np.ndarray], np.ndarray]
 
 # Probe states: |0><0|, |1><1|, |+><+|, |+i><+i| -- a spanning set of
 # genuine density matrices, so maps defined only on physical states can
@@ -44,65 +41,6 @@ PROBES = np.array([
     [[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]],
 ], dtype=complex)
 PROBES.setflags(write=False)
-
-
-class InvalidMapError(ValueError):
-    """The probed map is not linear on the spanning set."""
-
-
-class CompletePositivityError(ValueError):
-    """Kraus extraction refused: the Choi matrix is not positive."""
-
-    def __init__(self, min_eigenvalue: float):
-        super().__init__(f"channel is not completely positive (min Choi eigenvalue {min_eigenvalue:.3e})")
-        self.min_eigenvalue = float(min_eigenvalue)
-
-
-class NonHermitianChoiError(ValueError):
-    """Kraus extraction refused: the Choi matrix is not Hermitian."""
-
-    def __init__(self, herm_residual: float):
-        super().__init__(f"channel is not completely positive (Choi matrix not Hermitian, "
-                         f"|C - C^dag| = {herm_residual:.3e})")
-        self.herm_residual = float(herm_residual)
-
-
-@dataclass(frozen=True, eq=False)
-class ChoiMatrix:
-    """4x4 Choi matrix of a single-qubit map."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        if m.shape != (4, 4):
-            raise ValueError(f"Choi matrix must be 4x4, got {m.shape}")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-
-@dataclass(frozen=True)
-class CPTPReport:
-    """Outcome of a complete-positivity / trace-preservation check."""
-
-    min_eigenvalue: float
-    tp_residual: float
-    herm_residual: float
-    cp_ok: bool
-    tp_ok: bool
-    tol: float
-
-    @property
-    def verdict(self) -> bool:
-        return self.cp_ok and self.tp_ok
-
-    def __str__(self) -> str:
-        state = "CPTP" if self.verdict else ("not CP" if not self.cp_ok else "not TP")
-        return (
-            f"{state}: min eigenvalue {self.min_eigenvalue:.3e}, "
-            f"Hermiticity residual {self.herm_residual:.3e}, "
-            f"TP residual {self.tp_residual:.3e} (tol {self.tol:.1e})"
-        )
 
 
 def _frobenius(x: np.ndarray) -> np.ndarray:
@@ -123,6 +61,8 @@ def choi_stack(images) -> tuple[np.ndarray, np.ndarray]:
     held-out images and their predictions by linearity.
     """
     images = np.asarray(images, dtype=complex)
+    if images.shape[-3:] != PROBES.shape:
+        raise ValueError(f"probe images must have shape (..., 6, 2, 2), got {images.shape}")
     e00, e11, e_plus, e_imag = np.moveaxis(images[..., :4, :, :], -3, 0)
     # |0><1| = P+ + i*Pi - (1+i)/2 (P00 + P11), and |1><0| its adjoint image
     e01 = e_plus + 1j * e_imag - 0.5 * (1.0 + 1j) * (e00 + e11)
@@ -136,25 +76,6 @@ def choi_stack(images) -> tuple[np.ndarray, np.ndarray]:
     units = np.stack([np.stack([e00, e01], axis=-3), np.stack([e10, e11], axis=-3)], axis=-4)
     c = np.moveaxis(units, (-4, -3), (-3, -1)).reshape(units.shape[:-4] + (4, 4))
     return c, linearity
-
-
-def choi_of(map_fn: MapFn, linearity_tol: float = 1e-10) -> ChoiMatrix:
-    """Build the Choi matrix of a map evaluated on probe states.
-
-    ``map_fn`` is called on each of the six ``PROBES``; the images of
-    the matrix units are reconstructed by linearity from the four
-    spanning ones and assembled into C = sum_ij E(|i><j|) (x) |i><j|.
-    The two held-out probes (|-><-| and a mixed state) cross-check
-    linearity; deviations beyond ``linearity_tol`` raise InvalidMapError.
-    """
-    c, linearity = choi_stack([np.asarray(map_fn(p), dtype=complex) for p in PROBES])
-    residual = float(linearity.max())
-    if not residual <= linearity_tol:
-        raise InvalidMapError(
-            f"map is not linear on the spanning set "
-            f"(residual {residual:.3e} > {linearity_tol:.1e})"
-        )
-    return ChoiMatrix(c)
 
 
 def kraus_to_choi(kraus_ops) -> np.ndarray:
@@ -204,6 +125,8 @@ def choi_diagnostics(c, retain_rel: float = 1e-12) -> ChoiDiagnostics:
     Nothing is refused here; the callers compare against a tolerance.
     """
     c = np.asarray(c, dtype=complex)
+    if c.shape[-2:] != (4, 4):
+        raise ValueError(f"Choi matrices must be 4x4, got shape {c.shape}")
     vals, vecs = np.linalg.eigh(0.5 * (c + _dagger(c)))
     vals, vecs = vals[..., ::-1], vecs[..., ::-1]
     kept = vals > retain_rel * np.maximum(vals[..., :1], 0.0)
@@ -224,43 +147,3 @@ def kraus_residuals(kraus, c) -> tuple[np.ndarray, np.ndarray]:
     completeness = (_dagger(kraus) @ kraus).sum(axis=-3)
     return (_frobenius(completeness - np.eye(2)),
             _frobenius(kraus_to_choi(kraus) - np.asarray(c)))
-
-
-def verify_cptp(c: ChoiMatrix, tol: float = 1e-10) -> CPTPReport:
-    """Check complete positivity and trace preservation of a Choi matrix.
-
-    CP passes iff the Choi matrix is Hermitian (|C - C^dag| <= tol) and
-    its smallest eigenvalue is >= -tol; the TP residual is the Frobenius
-    norm of (partial trace over the output factor - identity), compared
-    against the same tolerance.
-    """
-    d = choi_diagnostics(c.matrix)
-    min_eig, tp, herm = float(d.min_eigenvalue), float(d.tp_residual), float(d.herm_residual)
-    return CPTPReport(
-        min_eigenvalue=min_eig,
-        tp_residual=tp,
-        herm_residual=herm,
-        cp_ok=min_eig >= -tol and herm <= tol,
-        tp_ok=tp <= tol,
-        tol=tol,
-    )
-
-
-def kraus_from_choi(
-    c: ChoiMatrix, tol: float = 1e-10, retain_rel: float = 1e-12
-) -> list[np.ndarray]:
-    """Canonical Kraus operators from the Choi eigendecomposition.
-
-    Refuses a Choi matrix that is not Hermitian within ``tol``
-    (NonHermitianChoiError) or whose smallest eigenvalue is below -tol
-    (CompletePositivityError). Eigenvalues above ``retain_rel`` times the
-    largest one are kept; K_k = sqrt(lambda_k) * unvec(v_k). The returned
-    set satisfies sum K^dag K = I and reassembles the Choi matrix within
-    10*tol for CPTP inputs.
-    """
-    d = choi_diagnostics(c.matrix, retain_rel)
-    if not d.herm_residual <= tol:
-        raise NonHermitianChoiError(float(d.herm_residual))
-    if d.min_eigenvalue < -tol:
-        raise CompletePositivityError(float(d.min_eigenvalue))
-    return [k for k, keep in zip(d.kraus, d.kept) if keep]

@@ -18,27 +18,26 @@ other: element-wise closed forms, an operator-sum (signed-weight Kraus-like)
 decomposition, and the dressed picture (rotate the axis onto ez, dephase,
 rotate back).
 
-All apply-operations are pure functions DensityMatrix -> DensityMatrix.
-Each form's arithmetic lives once, in a private kernel that broadcasts
-over leading axes of states, per-case operators and times and does not
-validate: ``_evolve_stack`` (axes n), ``_operator_sum_stack`` (in-plane
-operators from ``_axis_sigma`` and the moduli eta, chi) and
-``_dressed_stack`` (rotations from ``dressing_transform``), all with the
-libm factors of ``decay_factors``. Callers that run them on stacks
-validate the images themselves; ``evolve_elementwise``,
-``operator_sum_apply`` and ``dressed_apply`` are stacks of one that
-validate their output, and agree with the stacks bit for bit.
+A ``Scenario`` is one case or a stack of cases. Each form is one function
+on stacks in numpy's (..., 2, 2) convention: ``evolve_elementwise``,
+``operator_sum_apply`` and ``dressed_apply`` take states (..., 2, 2), a
+scenario and times that broadcast against each other, and return the
+images (..., 2, 2) without validating them; callers validate, for
+example with ``spinalg.require_valid``. The decay factors are libm's
+(``decay_factors``), so each image has the bits it has alone, whatever
+else is in the stack.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .relkin import BoostParams, EffectiveField, _geometry, effective_field
-from .spinalg import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z, DensityMatrix, _matmul_2x2
+from .relkin import BoostParams, EffectiveField, _hypot, _pick, _require, effective_field
+from .spinalg import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z, DensityMatrix, _matmul_2x2, _states
 
 # exp(-x) for x >= ~745 underflows anyway; 50 already rounds every reported
 # digit, so "t -> infinity" is evaluated at gamma' t**2 = 50.
@@ -50,73 +49,71 @@ _SZ_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """A boost plus the rest-frame dephasing rate gamma, with the field geometry cached."""
+    """A boost plus the rest-frame dephasing rate gamma, with the field geometry cached.
+
+    One boost and a float rate give one case, with float fields. A stack
+    of boosts (a ``BoostParams`` of arrays) gives a stack of cases of its
+    shape: ``gamma`` broadcasts to that shape, and the geometry comes from
+    one ``effective_field`` call. One boost refuses an array ``gamma``. Each case has the bits it has alone, and
+    ``s[key]`` is the case or sub-stack ``key``.
+    """
 
     boost: BoostParams
-    gamma: float
+    gamma: float | np.ndarray
     field: EffectiveField = field(init=False)
 
     def __post_init__(self):
-        _require_rate(self.gamma)
+        if isinstance(self.boost.xi, np.ndarray) and self.boost.xi.ndim:
+            gamma = np.array(np.broadcast_to(self.gamma, self.boost.xi.shape), dtype=float)
+            gamma.setflags(write=False)
+            object.__setattr__(self, "gamma", gamma)
+        elif not isinstance(self.gamma, float) and np.ndim(self.gamma):
+            raise ValueError(f"one boost needs a scalar gamma, got shape {np.shape(self.gamma)}")
+        _require((0 < self.gamma) & (self.gamma < math.inf), self.gamma,
+                 "gamma must be finite and > 0")
         object.__setattr__(self, "field", effective_field(self.boost))
 
-    @property
-    def gamma_prime(self) -> float:
-        """The amplified rate kappa**2 gamma; inf where it overflows."""
-        try:
-            return self.field.kappa**2 * self.gamma
-        except OverflowError:
-            return math.inf
+    def __getitem__(self, key) -> Scenario:
+        return Scenario(self.boost[key], _pick(self.gamma, key))
+
+    @cached_property
+    def gamma_prime(self):
+        """The amplified rate kappa**2 gamma; inf where it overflows.
+
+        kappa**2 is a float's ``** 2`` (libm's ``pow``) per case, whose last
+        bit numpy's square differs from on about one case in a thousand.
+        """
+        kappa = self.field.kappa
+        if np.ndim(kappa) == 0:
+            return _square(kappa) * self.gamma
+        squares = np.fromiter(map(_square, kappa.ravel().tolist()), float, kappa.size)
+        with np.errstate(over="ignore"):
+            rate = squares.reshape(kappa.shape) * self.gamma
+        rate.setflags(write=False)
+        return rate
 
 
-def _require_rate(gamma: float) -> None:
-    if not 0 < gamma < math.inf:
-        raise ValueError(f"gamma must be finite and > 0, got {gamma!r}")
+def _square(x: float) -> float:
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
 
 
-def _scenario_stack(xi, theta, phi, gamma) -> list[Scenario]:
-    """``Scenario(BoostParams(xi, theta, phi), gamma)`` for each element of
-    the four sequences, with every geometry from one ``_geometry`` call.
-
-    Each scenario's field has the bits ``effective_field`` gives it.
-    """
-    boosts = [BoostParams(*b) for b in zip(xi, theta, phi)]
-    for g in gamma:
-        _require_rate(g)
-    d, kappa, n, eta, chi = _geometry(np.array([b.xi for b in boosts]),
-                                      np.array([b.theta for b in boosts]),
-                                      np.array([b.phi for b in boosts]))
-    kappa, eta, chi = kappa.tolist(), eta.tolist(), chi.tolist()
-    scenarios = []
-    for k, (boost, g) in enumerate(zip(boosts, gamma)):
-        s = object.__new__(Scenario)  # its field is set here, not computed again
-        object.__setattr__(s, "boost", boost)
-        object.__setattr__(s, "gamma", g)
-        object.__setattr__(s, "field", EffectiveField(d[k], kappa[k], n[k], eta[k], chi[k]))
-        scenarios.append(s)
-    return scenarios
-
-
-def decay_exponent(rate: float, t):
+def decay_exponent(rate, t):
     """The dephasing exponent rate * t**2, evaluated as ``rate * t * t``.
 
     inf where it overflows and 0 at t = 0, also for an infinite rate, so
-    exp(-exponent) is never NaN. ``t`` may be an array of times.
+    exp(-exponent) is never NaN. ``rate`` and ``t`` may be arrays, which
+    broadcast.
     """
-    if rate == math.inf:
-        return np.where(np.greater(t, 0), math.inf, 0.0)[()]
-    with np.errstate(over="ignore"):
-        return rate * t * t
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where(np.equal(t, 0), 0.0, rate * t * t)[()]
 
 
 def _require_nonneg_time(t) -> None:
-    if np.any(np.less(t, 0)):
-        raise ValueError(f"time must be >= 0, got {t!r}")
-
-
-def _require_qubit(rho: DensityMatrix) -> None:
-    if rho.dim != 2:
-        raise ValueError(f"single-qubit channel needs a 2x2 state, got dim {rho.dim}")
+    """Refuse a time, or a stack of times, that is negative or NaN."""
+    _require(np.greater_equal(t, 0), t, "time must be >= 0")
 
 
 def rest_dephasing(rho: DensityMatrix, gamma: float, t: float) -> DensityMatrix:
@@ -126,11 +123,12 @@ def rest_dephasing(rho: DensityMatrix, gamma: float, t: float) -> DensityMatrix:
     scaled by exp(-gamma t**2).
     """
     _require_nonneg_time(t)
-    _require_qubit(rho)
-    return DensityMatrix(_dephase_stack(rho.matrix, math.exp(-decay_exponent(gamma, t))))
+    if rho.dim != 2:
+        raise ValueError(f"single-qubit channel needs a 2x2 state, got dim {rho.dim}")
+    return DensityMatrix(_dephase(rho.matrix, math.exp(-decay_exponent(gamma, t))))
 
 
-def _dephase_stack(m: np.ndarray, decay) -> np.ndarray:
+def _dephase(m: np.ndarray, decay) -> np.ndarray:
     """States ``m`` (..., 2, 2) with off-diagonals scaled by ``decay`` (...)."""
     m = np.asarray(m)
     out = np.empty(np.broadcast_shapes(m.shape, np.shape(decay) + (2, 2)), dtype=complex)
@@ -138,29 +136,6 @@ def _dephase_stack(m: np.ndarray, decay) -> np.ndarray:
     out[..., 0, 1] = m[..., 0, 1] * decay
     out[..., 1, 0] = m[..., 1, 0] * decay
     return out
-
-
-def evolve_elementwise(rho: DensityMatrix, s: Scenario, t: float) -> DensityMatrix:
-    """Element-wise closed form of the Gaussian-averaged precession.
-
-    rho_uu(t) = rho_uu - D_uu (1 - exp(-gamma' t**2))
-    rho_ud(t) = rho_ud exp(-gamma' t**2) + D_ud (1 - exp(-gamma' t**2))
-    rho_dd    = 1 - rho_uu(t), rho_du = conj(rho_ud(t))
-
-    with the shift terms taken from the exact Bloch projection onto the
-    effective axis n:
-
-    D_uu = [r_z - (n.r) n_z] / 2,   D_ud = (n.r) (n_x - i n_y) / 2.
-
-    (Equivalently D_uu = [eta r_z - n_z n_perp (rho_ud e^{i phi} +
-    rho_du e^{-i phi})]/2 with the *signed* in-plane component n_perp;
-    the sign matters for theta < pi/2, where the axis azimuth is the
-    mirror of the velocity azimuth.)
-    """
-    _require_nonneg_time(t)
-    _require_qubit(rho)
-    g = decay_exponent(s.gamma_prime, t)
-    return DensityMatrix(_evolve_stack(rho.matrix, s.field.n, math.exp(-g), -math.expm1(-g)))
 
 
 def decay_factors(g) -> tuple[np.ndarray, np.ndarray]:
@@ -179,15 +154,34 @@ def decay_factors(g) -> tuple[np.ndarray, np.ndarray]:
     return decay, lost
 
 
-def _evolve_stack(m: np.ndarray, n: np.ndarray, decay, lost) -> np.ndarray:
-    """The closed form of ``evolve_elementwise`` on stacks, without validation.
+def _decay(s: Scenario, t) -> tuple[np.ndarray, np.ndarray]:
+    """``decay_factors`` of exp(-gamma' t**2) for the cases of ``s`` at times ``t``."""
+    _require_nonneg_time(t)
+    return decay_factors(decay_exponent(s.gamma_prime, t))
 
-    States ``m`` (..., 2, 2), unit axes ``n`` (..., 3) and the factors
-    ``decay`` = exp(-gamma' t**2) and ``lost`` = 1 - decay (...) broadcast
-    against each other; returns the images (..., 2, 2).
+
+def evolve_elementwise(m, s: Scenario, t) -> np.ndarray:
+    """Element-wise closed form of the Gaussian-averaged precession.
+
+    rho_uu(t) = rho_uu - D_uu (1 - exp(-gamma' t**2))
+    rho_ud(t) = rho_ud exp(-gamma' t**2) + D_ud (1 - exp(-gamma' t**2))
+    rho_dd    = 1 - rho_uu(t), rho_du = conj(rho_ud(t))
+
+    with the shift terms taken from the exact Bloch projection onto the
+    effective axis n:
+
+    D_uu = [r_z - (n.r) n_z] / 2,   D_ud = (n.r) (n_x - i n_y) / 2.
+
+    (Equivalently D_uu = [eta r_z - n_z n_perp (rho_ud e^{i phi} +
+    rho_du e^{-i phi})]/2 with the *signed* in-plane component n_perp;
+    the sign matters for theta < pi/2, where the axis azimuth is the
+    mirror of the velocity azimuth.) States ``m`` (..., 2, 2), the cases
+    of ``s`` and times ``t`` broadcast; the images (..., 2, 2) are not
+    validated.
     """
-    m = np.asarray(m)
-    n = np.asarray(n)
+    m = _states(m, 2, "single-qubit channel")
+    decay, lost = _decay(s, t)
+    n = s.field.n
     nx, ny, nz = n[..., 0], n[..., 1], n[..., 2]
     r01 = m[..., 0, 1]
     r10 = m[..., 1, 0]
@@ -208,24 +202,28 @@ def _evolve_stack(m: np.ndarray, n: np.ndarray, decay, lost) -> np.ndarray:
 
 
 def _axis_sigma(s: Scenario) -> np.ndarray:
-    """In-plane Pauli operator of the effective axis.
+    """In-plane Pauli operators (..., 2, 2) of the effective axes of ``s``.
 
     cos(u)*sx + sin(u)*sy where u is the azimuth of n. For theta > pi/2
     this is the velocity-azimuth operator cos(phi)*sx + sin(phi)*sy; for
     theta < pi/2 the axis azimuth is mirrored (u = phi + pi) and the
     operator flips sign. Degenerate axis (n = ez) falls back to the
-    velocity azimuth; its weights vanish there.
+    velocity azimuth, with libm's cosine and sine; its weights vanish there.
     """
-    nx, ny, _ = s.field.n
-    n_perp = math.hypot(nx, ny)
-    if n_perp > 1e-300:
-        ux, uy = nx / n_perp, ny / n_perp
-    else:
-        ux, uy = math.cos(s.boost.phi), math.sin(s.boost.phi)
-    return ux * PAULI_X + uy * PAULI_Y
+    n = s.field.n
+    n_perp = _hypot(n[..., 0], n[..., 1])
+    tilted = n_perp > 1e-300
+    ux, uy = np.empty(n_perp.shape), np.empty(n_perp.shape)
+    np.divide(n[..., 0], n_perp, out=ux, where=tilted)
+    np.divide(n[..., 1], n_perp, out=uy, where=tilted)
+    if not tilted.all():
+        phi = np.broadcast_to(s.boost.phi, n_perp.shape)[~tilted].tolist()
+        ux[~tilted] = [math.cos(p) for p in phi]
+        uy[~tilted] = [math.sin(p) for p in phi]
+    return ux[..., None, None] * PAULI_X + uy[..., None, None] * PAULI_Y
 
 
-def operator_sum_apply(rho: DensityMatrix, s: Scenario, t: float) -> DensityMatrix:
+def operator_sum_apply(m, s: Scenario, t) -> np.ndarray:
     """Signed-weight operator-sum form of the boosted channel.
 
     p0*rho + (p1 - eps)*sz rho sz + p1*(eta - chi)*su rho su
@@ -234,28 +232,17 @@ def operator_sum_apply(rho: DensityMatrix, s: Scenario, t: float) -> DensityMatr
     with su the in-plane Pauli operator of the effective axis, chi >= 0
     and eps = p1*(eta + chi). The weight p1*(eta - chi) may be negative
     (chi > eta where n lies close to ez); the sum is still the exact
-    channel, a Gaussian mixture of unitaries, hence CPTP.
-    """
-    _require_nonneg_time(t)
-    _require_qubit(rho)
-    g = decay_exponent(s.gamma_prime, t)
-    return DensityMatrix(_operator_sum_stack(rho.matrix, _axis_sigma(s), s.field.eta_mod,
-                                             s.field.chi_mod, math.exp(-g), -math.expm1(-g)))
-
-
-def _operator_sum_stack(m: np.ndarray, su: np.ndarray, eta, chi, decay, lost) -> np.ndarray:
-    """The sum of ``operator_sum_apply`` on stacks, without validation.
-
-    States ``m`` and in-plane operators ``su`` (..., 2, 2), the moduli
-    ``eta`` and ``chi`` and the factors ``decay`` = exp(-gamma' t**2) and
-    ``lost`` = 1 - decay (...) broadcast against each other; returns the
-    images (..., 2, 2).
+    channel, a Gaussian mixture of unitaries, hence CPTP. States ``m``
+    (..., 2, 2), the cases of ``s`` and times ``t`` broadcast; the images
+    (..., 2, 2) are not validated.
     """
     def weight(x):
         return np.asarray(x)[..., None, None]
 
-    m = np.asarray(m)
-    eta, chi = weight(eta), weight(chi)
+    m = _states(m, 2, "single-qubit channel")
+    decay, lost = _decay(s, t)
+    su = _axis_sigma(s)
+    eta, chi = weight(s.field.eta_mod), weight(s.field.chi_mod)
     p1 = 0.5 * weight(lost)
     p0 = 0.5 * (1.0 + weight(decay))
     out = p0 * m + (p1 - p1 * (eta + chi)) * (m * _SZ_SIGNS)
@@ -265,50 +252,42 @@ def _operator_sum_stack(m: np.ndarray, su: np.ndarray, eta, chi, decay, lost) ->
 
 
 def dressing_transform(f: EffectiveField) -> np.ndarray:
-    """SU(2) rotation V with V (sigma.n) V^dag = sigma_z.
+    """SU(2) rotations V (..., 2, 2) with V (sigma.n) V^dag = sigma_z, one per axis of ``f``.
 
     V = exp(-i a/2 sigma.m) with a the angle between n and ez and
     m = (n x ez)/|n x ez|; the identity when the axis already points
     along ez. The half-angle factors come from n_z and |n_perp| directly
     (no acos round trip), which keeps full relative accuracy for tiny a.
     """
-    n_perp = math.hypot(float(f.n[0]), float(f.n[1]))
-    if n_perp < 1e-300:
-        return np.array(IDENTITY_2)
-    # m = (n x ez)/|n x ez| = (n_y, -n_x, 0)/n_perp; hypot does not underflow
-    mx, my = float(f.n[1]) / n_perp, -float(f.n[0]) / n_perp
-    n_z = float(f.n[2])
-    cos_half = math.sqrt(0.5 * (1.0 + n_z))
-    # sin(a/2) = sin(a)/(2 cos(a/2)) with sin(a) = |n_perp|:
-    # no 1-n_z cancellation, full relative accuracy at tiny a
-    sin_half = 0.5 * n_perp / cos_half
-    return cos_half * IDENTITY_2 - 1j * sin_half * (mx * PAULI_X + my * PAULI_Y)
+    n = np.asarray(f.n)
+    n_perp = _hypot(n[..., 0], n[..., 1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # m = (n x ez)/|n x ez| = (n_y, -n_x, 0)/n_perp; hypot does not underflow
+        mx, my = n[..., 1] / n_perp, -n[..., 0] / n_perp
+        cos_half = np.sqrt(0.5 * (1.0 + n[..., 2]))
+        # sin(a/2) = sin(a)/(2 cos(a/2)) with sin(a) = |n_perp|:
+        # no 1-n_z cancellation, full relative accuracy at tiny a
+        sin_half = 0.5 * n_perp / cos_half
+        v = (cos_half[..., None, None] * IDENTITY_2 - np.multiply(1j, sin_half)[..., None, None]
+             * (mx[..., None, None] * PAULI_X + my[..., None, None] * PAULI_Y))
+    return np.where((n_perp < 1e-300)[..., None, None], IDENTITY_2, v)
 
 
-def dressed_apply(rho: DensityMatrix, s: Scenario, t: float) -> DensityMatrix:
+def dressed_apply(m, s: Scenario, t) -> np.ndarray:
     """Dressed-environment form: rotate the axis onto ez, dephase, undo.
 
     V^dag [ dephasing at rate gamma' of V rho V^dag ] V; in the rotated
     frame the precession is a z-rotation by the full angle
     2 kappa t sqrt(gamma/2) z, so pure dephasing at gamma' = kappa**2 gamma
-    is exact there.
+    is exact there. States ``m`` (..., 2, 2), the cases of ``s`` and times
+    ``t`` broadcast; the images (..., 2, 2) are not validated.
     """
-    _require_nonneg_time(t)
-    _require_qubit(rho)
-    decay = math.exp(-decay_exponent(s.gamma_prime, t))
-    return DensityMatrix(_dressed_stack(rho.matrix, dressing_transform(s.field), decay))
-
-
-def _dressed_stack(m: np.ndarray, v: np.ndarray, decay) -> np.ndarray:
-    """The form of ``dressed_apply`` on stacks, without validation.
-
-    States ``m`` and dressing rotations ``v`` (..., 2, 2) and the factors
-    ``decay`` = exp(-gamma' t**2) (...) broadcast against each other;
-    returns the images (..., 2, 2).
-    """
+    m = _states(m, 2, "single-qubit channel")
+    decay, _ = _decay(s, t)
+    v = dressing_transform(s.field)
     v_dag = np.conj(np.swapaxes(v, -1, -2))
     rotated = _matmul_2x2(_matmul_2x2(v, m), v_dag)
-    return _matmul_2x2(_matmul_2x2(v_dag, _dephase_stack(rotated, decay)), v)
+    return _matmul_2x2(_matmul_2x2(v_dag, _dephase(rotated, decay)), v)
 
 
 def example_trajectory(s: Scenario, t):

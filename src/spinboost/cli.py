@@ -28,17 +28,16 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import verify as verify_mod
-from .channel import Scenario, _evolve_stack, decay_exponent, decay_factors, example_trajectory
+from .channel import Scenario, evolve_elementwise, example_trajectory
 from .entangle import concurrence_trajectory
-from .oracle import QuadratureSpec, _quadrature_stack, average_quadrature
+from .oracle import ORACLE_TOL, QuadratureSpec, _require_quadrature, average_quadrature
 from .relkin import BoostParams, eta_max, eta_profile
-from .spinalg import DensityMatrix, _invalid
+from .spinalg import DensityMatrix, require_valid
 
 USAGE_ERROR = 2
-# The analytic-vs-quadrature tolerance of ``spinboost verify``.
-ORACLE_TOL = 1e-8
 # Largest --nodes: the Golub-Welsch solve is a dense n x n eigenproblem,
-# which at 2048 nodes takes about 64 MiB and 2 s on a 2-core VM.
+# which at 2048 nodes takes about 2 s and raises peak RSS by about 170 MB
+# (from 29 to 198 MB) on a 2-core VM.
 MAX_NODES = 2048
 
 
@@ -321,17 +320,11 @@ def _cmd_evolve(args) -> int:
     rx, ry, rz = bloch
     rho0 = DensityMatrix(0.5 * np.array([[1 + rz, rx - 1j * ry], [rx + 1j * ry, 1 - rz]]))
     grid, times = _time_grid(args, s.gamma)
-    decay, lost = decay_factors(decay_exponent(s.gamma_prime, times))
-    ana = _evolve_stack(rho0.matrix, s.field.n, decay, lost)
-    num = _quadrature_stack(np.broadcast_to(rho0.matrix, ana.shape), [s] * len(times),
-                            times.tolist(), quad.nodes)
-    # every state is validated, as evolve_elementwise and average_quadrature
-    # would; the first failure raises their own error (NaN marks a refused time)
-    ana_bad, num_bad = _invalid(np.stack([ana, num]))
-    if ana_bad.any():
-        DensityMatrix(ana[ana_bad.argmax()])
-    if num_bad.any():
-        average_quadrature(rho0, s, float(times[num_bad.argmax()]), quad)
+    ana = evolve_elementwise(rho0.matrix, s, times)
+    require_valid(ana)
+    _require_quadrature(s, times, quad.nodes)  # names the first time the oracle refuses
+    num = average_quadrature(rho0.matrix, s, times, quad)
+    require_valid(num)
     worst = float(np.abs(ana - num).max())
     rows = np.column_stack([grid, ana[:, 0, 0].real, num[:, 0, 0].real, ana[:, 0, 1].real,
                             num[:, 0, 1].real, ana[:, 0, 1].imag, num[:, 0, 1].imag])

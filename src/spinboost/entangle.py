@@ -13,11 +13,10 @@ residual chi at finite rapidity provably does not perturb the
 concurrence at these azimuths. Tests therefore treat deviations from the
 reference as quadrature noise, not physics.
 
-A trajectory is computed on stacks: one call of the time-stacked
-two-qubit quadrature, one stacked validation and one batched Wootters
-solve (``_concurrence_stack``, one LAPACK eigen-solve per matrix) for
-all its times. Each time gets the bits that ``two_qubit_average`` and
-``concurrence``, the stacks of one, give it.
+A trajectory is computed on stacks: one call of the two-qubit
+quadrature for all its times, one stacked validation and one batched
+Wootters solve (``concurrence``, one LAPACK eigen-solve per matrix).
+Each time gets the bits it gets alone.
 """
 
 from __future__ import annotations
@@ -28,9 +27,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import Scenario, decay_exponent
-from .oracle import QuadratureSpec, _hermitize, _two_qubit_stack
-from .spinalg import PAULI_Y, DensityMatrix, _invalid, tensor_product
+from .channel import Scenario, _require_nonneg_time, decay_exponent
+from .oracle import QuadratureSpec, _hermitize, _require_quadrature, two_qubit_average
+from .spinalg import PAULI_Y, DensityMatrix, _states, require_valid, tensor_product
 
 _YY = tensor_product(PAULI_Y, PAULI_Y)
 
@@ -71,26 +70,16 @@ def bell_phi_plus() -> DensityMatrix:
     return DensityMatrix(np.outer(psi, psi.conj()))
 
 
-def concurrence(rho4: DensityMatrix) -> float:
-    """Wootters concurrence of a two-qubit density matrix.
+def concurrence(m) -> np.ndarray:
+    """Wootters concurrences (...) of two-qubit states ``m`` (..., 4, 4), not validated.
 
     C = max(0, l1 - l2 - l3 - l4) with l_k the descending square roots
     of the eigenvalues of rho (sy(x)sy) rho* (sy(x)sy), computed through
     the Hermitian form sqrt(rho) rho~ sqrt(rho) with tiny eigenvalues
-    clamped to zero before the square roots. A stack of one of
-    ``_concurrence_stack``.
+    clamped to zero before the square roots. One eigen-solve per matrix
+    (numpy's stacked LAPACK calls): each state gets the bits it gets alone.
     """
-    if rho4.dim != 4:
-        raise ValueError(f"concurrence needs a 4x4 state, got dim {rho4.dim}")
-    return float(_concurrence_stack(rho4.matrix))
-
-
-def _concurrence_stack(m: np.ndarray) -> np.ndarray:
-    """Concurrences (...) of the 4x4 states ``m`` (..., 4, 4), not validated.
-
-    One eigen-solve per matrix (numpy's stacked LAPACK calls) and the same
-    clamp as ``concurrence``: each state gets the bits it would get alone.
-    """
+    m = _states(m, 4, "concurrence")
     rho_tilde = _YY @ m.conj() @ _YY
     vals, vecs = np.linalg.eigh(m)
     sqrt_rho = ((vecs * np.sqrt(np.clip(vals, 0.0, None))[..., None, :])
@@ -100,7 +89,7 @@ def _concurrence_stack(m: np.ndarray) -> np.ndarray:
     cutoff = _EIG_CLAMP_REL * np.maximum(ev[..., -1:], 1.0)
     lam = np.sqrt(np.where(ev < cutoff, 0.0, ev))
     c = lam[..., 3] - lam[..., 2] - lam[..., 1] - lam[..., 0]
-    return np.where(c > 0.0, c, 0.0)
+    return np.where(c > 0.0, c, 0.0)[()]
 
 
 def concurrence_trajectory(
@@ -109,28 +98,25 @@ def concurrence_trajectory(
     """Evolve the Bell state through the common bath along a time grid.
 
     ``times`` must be sorted and non-negative. All times are averaged in
-    one call of the time-stacked two-qubit quadrature, validated in one
-    call and reduced in one batched concurrence, with the bits of one
-    ``two_qubit_average`` and one ``concurrence`` per time. The attached
-    references are exp(-4 gamma t**2) (rest) and exp(-4 gamma' t**2)
-    (boosted).
+    one ``two_qubit_average`` call, validated in one call and reduced in
+    one ``concurrence`` call. A time the quadrature refuses raises its
+    error, naming the first such time. The attached references are
+    exp(-4 gamma t**2) (rest) and exp(-4 gamma' t**2) (boosted).
     """
     times = np.asarray(times, dtype=float)
     if len(times) and (np.diff(times) < 0).any():
         raise ValueError("times must be sorted ascending")
-    if len(times) and times[0] < 0:
-        raise ValueError("times must be non-negative")
-    states = _two_qubit_stack(bell_phi_plus().matrix, s, times.tolist(), q.nodes)
-    bad = _invalid(states)
-    if bad.any():
-        DensityMatrix(states[bad.argmax()])  # raises the first invalid state's own error
+    _require_nonneg_time(times)
+    _require_quadrature(s, times, q.nodes)
+    states = two_qubit_average(bell_phi_plus().matrix, s, times, q)
+    require_valid(states)
     # 4 gamma t**2 rounded as (4 gamma)(t t), the rest column's pinned digits, not
     # as decay_exponent's (rate t) t; 0 at t = 0 also where 4 gamma is inf
     with np.errstate(over="ignore", invalid="ignore"):
         rest_exponent = np.where(times > 0, 4.0 * s.gamma * times**2, 0.0)
     return ConcurrenceSeries(
         times=times,
-        values=_concurrence_stack(states),
+        values=concurrence(states),
         reference_rest=np.exp(-rest_exponent),
         reference_boosted=np.exp(-decay_exponent(4.0 * s.gamma_prime, times)),
     )

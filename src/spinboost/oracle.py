@@ -10,36 +10,44 @@ of a ``Scenario``. The only code shared with ``channel`` is generic 2x2
 algebra (``spinalg._matmul_2x2``). The quadrature covers one and two
 qubits (common bath: U(z) (x) U(z)).
 
+Each oracle is one function on stacks in numpy's (..., 2, 2) convention:
+states, a ``Scenario`` (one case or a stack) and times broadcast against
+each other, and the averages are returned without validation, NaN where
+the oracle refuses a case because its rotation angle 2 kappa t sigma z
+has no finite value (``_half_angle_rates``). ``_require_quadrature``
+names the first case the quadrature refuses.
+
 Single-qubit quadrature: with U(z) = c I - i s N, c = cos x, s = sin x,
 x = kappa t sigma z and N = n.sigma, the conjugation expands exactly as
 U rho U^dag = c^2 rho + s^2 N rho N + i c s [rho, N]. So a case needs
 only three weighted sums over the nodes, of w c^2, w s^2 and w c s, each
 a numpy pairwise sum along the node axis in node order (no BLAS product,
 so the bits do not depend on the BLAS thread count), and then a few 2x2
-products. A stacked call (``_quadrature_stack``) takes its cases in
-blocks of fixed size, and a case gets the same bits alone, among others
-or in another order.
+products. ``average_quadrature`` takes its cases in blocks of fixed
+size, and a case gets the same bits alone, among others or in another
+order.
 
-Two-qubit quadrature: per time, the average of U(z) (x) U(z) rho4
+Two-qubit quadrature: per case, the average of U(z) (x) U(z) rho4
 [..]^dag over the nodes, with one 4x4 product per node and matrix
 (numpy's stacked ``matmul``) and a sum over the nodes slice by slice in
-node order. ``_two_qubit_stack`` takes a vector of times in blocks of
-at most ``_PAIR_BLOCK`` (time, node) pairs, so a block's
-(times, nodes, 4, 4) temporaries stay under a fixed size, and a time
-gets the bits ``two_qubit_average``, its stack of one, gives it.
+node order. ``two_qubit_average`` takes its cases in blocks of at most
+``_PAIR_BLOCK`` (case, node) pairs, so a block's (cases, nodes, 4, 4)
+temporaries stay under a fixed size, and a case gets the bits it gets
+alone.
 
 Determinism contracts: node/weight generation is the Golub-Welsch
 eigen-solve of the symmetric tridiagonal Jacobi matrix (numpy's dense
-Hermitian solver); Monte Carlo draws
+Hermitian solver), whose bits were found equal on one and two BLAS
+threads for n <= 402 nodes but not at n = 1000 or 2048, where LAPACK
+runs threaded. Monte Carlo draws
 come from SFC64 streams keyed by (seed, chunk_index), each seeded by
 numpy's ``SeedSequence(seed, spawn_key=(chunk_index,))``, with a
 Box-Muller transform, accumulated in fixed chunk order, so identical
 (seed, samples) produce bit-identical results whether chunks are
 evaluated serially or in any order, on one BLAS thread or several. A
-stacked Monte Carlo call draws each chunk's normals once and rotates
-every case on them: all its cases see one stream, and each case gets
-the bits it would get alone, whatever else is in the stack or in what
-order.
+Monte Carlo call draws each chunk's normals once and rotates every case
+on them: all its cases see one stream, and each case gets the bits it
+would get alone, whatever else is in the stack or in what order.
 
 Monte Carlo trigonometry: every cos/sin pair comes from one tangent of
 the half angle. For the Box-Muller angle, cos 2x = (1 - h^2) w and
@@ -64,8 +72,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import Scenario
-from .spinalg import IDENTITY_2, DensityMatrix, _matmul_2x2, pauli_vector
+from .channel import Scenario, _require_nonneg_time
+from .spinalg import IDENTITY_2, _matmul_2x2, _states, pauli_vector
+
+# Largest distance between a closed form and the quadrature oracle at its
+# default nodes that ``spinboost verify`` and the CLI accept.
+ORACLE_TOL = 1e-8
 
 _MC_CHUNK = 1 << 16
 # Largest |z| _box_muller_normals returns: the radius sqrt(-2 log(1 - u1))
@@ -122,38 +134,57 @@ def gauss_hermite_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return z, w
 
 
-def _field_scale(s: Scenario) -> float:
-    """sigma = sqrt(gamma/2): the rotation angle is 2 kappa t sigma z, z ~ N(0, 1)."""
-    return math.sqrt(s.gamma / 2.0)
+def _field_scale(s: Scenario):
+    """sigma = sqrt(gamma/2) per case: the rotation angle is 2 kappa t sigma z, z ~ N(0, 1)."""
+    return np.sqrt(np.divide(s.gamma, 2.0))
 
 
-def _half_angle_rate(s: Scenario, t: float, b_max: float) -> float:
-    """kappa t, half the rotation angle per unit of the scaled field b = sigma z.
+def _half_angle_rates(s: Scenario, t, b_max):
+    """kappa t per case, half the rotation angle per unit of the scaled field b = sigma z.
 
-    Refused where kappa t b_max is not finite, with b_max a bound on the
-    |b| the caller applies: the rotation angle 2 kappa t b has no value
-    there.
+    NaN where kappa t b_max is not finite, with b_max (per case) a bound
+    on the |b| the caller applies: the rotation angle 2 kappa t b has no
+    value there, and the oracle refuses the case.
     """
-    rate = s.field.kappa * float(t)
-    if not math.isfinite(rate * b_max):
+    with np.errstate(over="ignore", invalid="ignore"):
+        rate = s.field.kappa * np.asarray(t, dtype=float)
+        return np.where(np.isfinite(rate * b_max), rate, math.nan)
+
+
+def _quadrature_rates(s: Scenario, t, z: np.ndarray):
+    """``_half_angle_rates`` at Gauss-Hermite nodes ``z``, whose largest is z[-1]."""
+    return _half_angle_rates(s, t, _field_scale(s) * z[-1])
+
+
+def _require_quadrature(s: Scenario, t, nodes: int) -> None:
+    """Raise, naming it, for the first case that the quadrature at ``nodes`` refuses."""
+    refused = np.isnan(_quadrature_rates(s, t, gauss_hermite_nodes(nodes)[0]))
+    if refused.any():
+        k = np.unravel_index(refused.argmax(), refused.shape)
+
+        def at(a) -> float:
+            return float(np.broadcast_to(a, refused.shape)[k])
+
         raise ValueError(f"the oracle's rotation angle 2 kappa t sqrt(gamma/2) z is not finite "
-                         f"at rapidity xi = {float(s.boost.xi)!r}, angle theta = "
-                         f"{float(s.boost.theta)!r} and time t = {float(t)!r} "
-                         f"(kappa = {s.field.kappa!r}, gamma = {s.gamma!r})")
-    return rate
+                         f"at rapidity xi = {at(s.boost.xi)!r}, angle theta = "
+                         f"{at(s.boost.theta)!r} and time t = {at(t)!r} "
+                         f"(kappa = {at(s.field.kappa)!r}, gamma = {at(s.gamma)!r})")
 
 
-def _unitary_stack(b_values: np.ndarray, s: Scenario, t) -> np.ndarray:
-    """Vectorised stack of unitaries exp(-i kappa t b sigma.n), one per scaled field b.
+def _cases(m: np.ndarray, s: Scenario, per_case) -> tuple:
+    """The broadcast shape of states ``m`` and per-case arrays ``per_case``
+    (each of a shape that broadcasts with it), then ``m``, the axes of ``s``
+    and each of ``per_case`` flattened to one case per row."""
+    shape = np.broadcast_shapes(m.shape[:-2], *(np.shape(a) for a in per_case))
+    flat = [np.broadcast_to(a, shape).ravel() for a in per_case]
+    return (shape, np.broadcast_to(m, shape + m.shape[-2:]).reshape((-1,) + m.shape[-2:]),
+            np.broadcast_to(s.field.n, shape + (3,)).reshape(-1, 3), *flat)
 
-    ``t`` is one time, giving shape (N, 2, 2) for N fields, or a sequence
-    of T times, giving (T, N, 2, 2); the first time whose rotation angle
-    is not finite raises ``_half_angle_rate``'s error.
-    """
-    b_max = float(np.abs(b_values).max(initial=0.0))
-    rates = [_half_angle_rate(s, t_k, b_max) for t_k in np.ravel(t).tolist()]
-    half = np.reshape(rates, np.shape(t) + (1,)) * b_values
-    nx, ny, nz = s.field.n
+
+def _unitaries(half: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """exp(-i half sigma.n) (..., 2, 2) for half angles ``half`` (...) and unit axes
+    ``n`` (..., 3), which broadcast to the shape of ``half``."""
+    nx, ny, nz = n[..., 0], n[..., 1], n[..., 2]
     c, si = np.cos(half), np.sin(half)
     u = np.empty(half.shape + (2, 2), dtype=complex)
     u[..., 0, 0] = c - 1j * si * nz
@@ -167,39 +198,28 @@ def _hermitize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().swapaxes(-1, -2))
 
 
-def _quadrature_rate(s: Scenario, t: float, z: np.ndarray) -> float:
-    """``_half_angle_rate`` at Gauss-Hermite nodes ``z``: refused exactly where
-    the quadrature kernel gives a case NaN."""
-    return _half_angle_rate(s, t, _field_scale(s) * float(z[-1]))
-
-
-# Cases per block of ``_quadrature_stack``: bounds its (cases x nodes) temporaries.
+# Cases per block of ``average_quadrature``: bounds its (cases x nodes) temporaries.
 _QUAD_BLOCK = 64
 
 
-def _quadrature_stack(rhos: np.ndarray, scenarios, times, nodes: int) -> np.ndarray:
-    """Gauss-Hermite averages (N, 2, 2) of N cases at ``nodes`` nodes.
+def average_quadrature(m, s: Scenario, t, q: QuadratureSpec = QuadratureSpec()) -> np.ndarray:
+    """Gaussian average of U(z) rho U(z)^dag by Gauss-Hermite quadrature.
 
-    Per case, the half angles x = kappa t sigma z at every node give the
-    node-order pairwise sums of w c^2, w s^2 and w c s, and the average is
+    States ``m`` (..., 2, 2), the cases of ``s`` and times ``t`` broadcast;
+    returns the averages (..., 2, 2), not validated. Per case, the half
+    angles x = kappa t sigma z at every node give the node-order pairwise
+    sums of w c^2, w s^2 and w c s, and the average is
     (sum w c^2) rho + (sum w s^2) N rho N + i (sum w c s) [rho, N]. Cases
-    run in blocks of ``_QUAD_BLOCK``; a case gets the bits a stack of one
-    would give it. A case whose rotation angle is not finite
-    (``_half_angle_rate``) gets NaN. The averages are not validated.
+    run in blocks of ``_QUAD_BLOCK``; a case whose rotation angle is not
+    finite gets NaN.
     """
-    z, w = gauss_hermite_nodes(nodes)
-    rhos = np.asarray(rhos, dtype=complex)
-    rates = []
-    for s, t in zip(scenarios, times):
-        try:
-            rates.append(_quadrature_rate(s, t, z))
-        except ValueError:
-            rates.append(math.nan)
-    n = np.array([s.field.n for s in scenarios]).reshape(-1, 3)
+    _require_nonneg_time(t)
+    m = _states(m, 2, "average_quadrature")
+    z, w = gauss_hermite_nodes(q.nodes)
+    shape, rhos, n, rates, sigmas = _cases(m, s, (_quadrature_rates(s, t, z), _field_scale(s)))
     axis = np.empty((len(n), 2, 2), dtype=complex)  # N = n.sigma
     axis[:, 0, 0], axis[:, 1, 1] = n[:, 2], -n[:, 2]
     axis[:, 0, 1], axis[:, 1, 0] = n[:, 0] - 1j * n[:, 1], n[:, 0] + 1j * n[:, 1]
-    rates, sigmas = np.array(rates), np.array([_field_scale(s) for s in scenarios])
     out = np.empty((len(rates), 2, 2), dtype=complex)
     for k0 in range(0, len(rates), _QUAD_BLOCK):
         block = slice(k0, k0 + _QUAD_BLOCK)
@@ -214,67 +234,38 @@ def _quadrature_stack(rhos: np.ndarray, scenarios, times, nodes: int) -> np.ndar
         rho_n, n_rho = _matmul_2x2(rho, nb), _matmul_2x2(nb, rho)
         out[block] = _hermitize(sum_cc * rho + sum_ss * _matmul_2x2(n_rho, nb)
                                 + 1j * sum_cs * (rho_n - n_rho))
-    return out
+    return out.reshape(shape + (2, 2))
 
 
-def average_quadrature(
-    rho: DensityMatrix, s: Scenario, t: float, q: QuadratureSpec = QuadratureSpec()
-) -> DensityMatrix:
-    """Gaussian average of U(z) rho U(z)^dag by Gauss-Hermite quadrature.
-
-    A stack of one of ``_quadrature_stack``, validated.
-    """
-    if rho.dim != 2:
-        raise ValueError(f"average_quadrature needs a 2x2 state, got dim {rho.dim}")
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t!r}")
-    # names the case where the rotation angle is not finite
-    _quadrature_rate(s, t, gauss_hermite_nodes(q.nodes)[0])
-    return DensityMatrix(_quadrature_stack(rho.matrix[None], [s], [t], q.nodes)[0])
-
-
-# (time, node) pairs per block of ``_two_qubit_stack``: at most 512 KiB per
-# (times, nodes, 4, 4) temporary; a block holds at least one time.
+# (case, node) pairs per block of ``two_qubit_average``: at most 512 KiB per
+# (cases, nodes, 4, 4) temporary; a block holds at least one case.
 _PAIR_BLOCK = 2048
 
 
-def _two_qubit_stack(rho4: np.ndarray, s: Scenario, times, nodes: int) -> np.ndarray:
-    """Common-bath averages (T, 4, 4) of one 4x4 state at T times.
-
-    Per time, the sum over the nodes of w [U(z) (x) U(z)] rho4 [..]^dag,
-    slice by slice in node order, which no BLAS reduction order can
-    change. Times run in blocks of ``_PAIR_BLOCK // nodes``; a time gets
-    the bits a stack of one would give it. The first time whose rotation
-    angle is not finite raises ``_half_angle_rate``'s error. The
-    averages are not validated.
-    """
-    z, w = gauss_hermite_nodes(nodes)
-    b = _field_scale(s) * z
-    times = list(times)
-    per_block = max(1, _PAIR_BLOCK // nodes)
-    out = np.empty((len(times), 4, 4), dtype=complex)
-    for k0 in range(0, len(times), per_block):
-        block = slice(k0, k0 + per_block)
-        u = _unitary_stack(b, s, times[block])
-        # U (x) U per node
-        u2 = (u[..., :, None, :, None] * u[..., None, :, None, :]).reshape(u.shape[:-2] + (4, 4))
-        terms = (u2 @ rho4) @ u2.conj().swapaxes(-1, -2)
-        out[block] = _hermitize((w[:, None, None] * terms).sum(axis=-3))
-    return out
-
-
-def two_qubit_average(
-    rho4: DensityMatrix, s: Scenario, t: float, q: QuadratureSpec = QuadratureSpec()
-) -> DensityMatrix:
+def two_qubit_average(m4, s: Scenario, t, q: QuadratureSpec = QuadratureSpec()) -> np.ndarray:
     """Common-bath average of [U(z) (x) U(z)] rho4 [..]^dag (same z, same boost).
 
-    A stack of one of ``_two_qubit_stack``, validated.
+    States ``m4`` (..., 4, 4), the cases of ``s`` and times ``t``
+    broadcast; returns the averages (..., 4, 4), not validated. Per case,
+    the sum over the nodes of w [U(z) (x) U(z)] rho4 [..]^dag, slice by
+    slice in node order, which no BLAS reduction order can change. Cases
+    run in blocks of ``_PAIR_BLOCK // nodes``; a case whose rotation angle
+    is not finite gets NaN.
     """
-    if rho4.dim != 4:
-        raise ValueError(f"two_qubit_average needs a 4x4 state, got dim {rho4.dim}")
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t!r}")
-    return DensityMatrix(_two_qubit_stack(rho4.matrix, s, [t], q.nodes)[0])
+    _require_nonneg_time(t)
+    m4 = _states(m4, 4, "two_qubit_average")
+    z, w = gauss_hermite_nodes(q.nodes)
+    shape, rhos, n, rates, sigmas = _cases(m4, s, (_quadrature_rates(s, t, z), _field_scale(s)))
+    per_block = max(1, _PAIR_BLOCK // q.nodes)
+    out = np.empty((len(rates), 4, 4), dtype=complex)
+    for k0 in range(0, len(rates), per_block):
+        block = slice(k0, k0 + per_block)
+        u = _unitaries(rates[block, None] * (sigmas[block, None] * z), n[block, None])
+        # U (x) U per node
+        u2 = (u[..., :, None, :, None] * u[..., None, :, None, :]).reshape(u.shape[:-2] + (4, 4))
+        terms = (u2 @ rhos[block, None]) @ u2.conj().swapaxes(-1, -2)
+        out[block] = _hermitize((w[:, None, None] * terms).sum(axis=-3))
+    return out.reshape(shape + (4, 4))
 
 
 def _cos_sin_double(x: np.ndarray, cos_out: np.ndarray, scratch: np.ndarray) -> None:
@@ -322,15 +313,6 @@ def _box_muller_normals(seed: int, chunk_index: int, count: int,
     return z
 
 
-def _mc_half_scale(s: Scenario, t: float) -> float:
-    """kappa t sigma, half the rotation angle per draw z: d = 2 kappa t sigma z.
-
-    Guarded at the largest |z| that ``_box_muller_normals`` returns.
-    """
-    sigma = _field_scale(s)
-    return _half_angle_rate(s, t, sigma * _BOX_MULLER_MAX) * sigma
-
-
 def _rotation_moments(mc: McSpec, half_scales) -> np.ndarray:
     """Sample means of cos d, sin d, cos^2 d, sin^2 d and cos d sin d.
 
@@ -351,7 +333,7 @@ def _rotation_moments(mc: McSpec, half_scales) -> np.ndarray:
         # rows 0 and 1 are spent once the normals are built: row 0 holds
         # h, then hw; row 1 holds w, then the products' scratch
         h, w = work[0, :count], work[1, :count]
-        for row, half_scale in zip(sums, half_scales):
+        for row, half_scale in zip(sums, np.asarray(half_scales).tolist()):
             np.multiply(z, half_scale, out=h)
             np.tan(h, out=h)
             np.multiply(h, h, out=w)
@@ -390,48 +372,33 @@ def _rodrigues_average(m: np.ndarray, n: np.ndarray, moments: np.ndarray,
     return _hermitize(out), stderr
 
 
-def _montecarlo_stack(rhos: np.ndarray, scenarios, times, mc: McSpec
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Monte Carlo means (N, 2, 2) and standard errors (N,) of N cases.
-
-    Every case sees the same ``mc.samples`` normals of ``mc.seed``, drawn
-    once per chunk, and gets the bits a stack of one would give it. A case
-    whose rotation angle is not finite (``_half_angle_rate``) gets NaN. The
-    means are not validated.
-    """
-    half_scales = []
-    for s, t in zip(scenarios, times):
-        try:
-            half_scales.append(_mc_half_scale(s, t))
-        except ValueError:
-            half_scales.append(math.nan)
-    moments = _rotation_moments(mc, half_scales)
-    means = np.empty((len(half_scales), 2, 2), dtype=complex)
-    stderrs = np.empty(len(half_scales))
-    for k, (m, s) in enumerate(zip(rhos, scenarios)):
-        means[k], stderrs[k] = _rodrigues_average(m, s.field.n, moments[k], mc.samples)
-    return means, stderrs
-
-
-def average_montecarlo(
-    rho: DensityMatrix, s: Scenario, t: float, mc: McSpec = McSpec()
-) -> tuple[DensityMatrix, float]:
+def average_montecarlo(m, s: Scenario, t, mc: McSpec = McSpec()) -> tuple[np.ndarray, np.ndarray]:
     """Seeded Monte Carlo estimate of the Gaussian average.
 
-    Returns the sample mean of U(z) rho U(z)^dag over z ~ N(0, 1) and a
-    standard-error estimate: per-entry sample variances of the mean,
-    aggregated in Frobenius norm.
+    Returns the sample means of U(z) rho U(z)^dag over z ~ N(0, 1) and
+    standard-error estimates: per-entry sample variances of the mean,
+    aggregated in Frobenius norm. States ``m`` (..., 2, 2), the cases of
+    ``s`` and times ``t`` broadcast to means (..., 2, 2), not validated,
+    and standard errors (...).
 
     Each draw rotates the Bloch vector by d = 2 kappa t sigma z about n, so
     (Rodrigues) U rho U^dag = A + B cos d + C sin d with fixed matrices
     A, B, C. Only the sample moments of (cos d, sin d) are accumulated;
     the mean and every entry's sample variance follow from them exactly.
-    A stack of one of ``_montecarlo_stack``, validated.
+    Every case sees the same ``mc.samples`` normals of ``mc.seed``, drawn
+    once per chunk. A case whose rotation angle is not finite at the
+    largest |z| that ``_box_muller_normals`` returns gets NaN.
     """
-    if rho.dim != 2:
-        raise ValueError(f"average_montecarlo needs a 2x2 state, got dim {rho.dim}")
-    if t < 0:
-        raise ValueError(f"time must be >= 0, got {t!r}")
-    _mc_half_scale(s, t)  # names the case where the rotation angle is not finite
-    means, stderrs = _montecarlo_stack(rho.matrix[None], [s], [t], mc)
-    return DensityMatrix(means[0]), float(stderrs[0])
+    _require_nonneg_time(t)
+    m = _states(m, 2, "average_montecarlo")
+    sigma = _field_scale(s)
+    # kappa t sigma, half the rotation angle per draw z: d = 2 kappa t sigma z
+    half_scales = _half_angle_rates(s, t, sigma * _BOX_MULLER_MAX) * sigma
+    shape, rhos, n, half_scales = _cases(m, s, (half_scales,))
+    moments = _rotation_moments(mc, half_scales)
+    means = np.empty((len(half_scales), 2, 2), dtype=complex)
+    stderrs = np.empty(len(half_scales))
+    # one case at a time: a stacked np.dot and sums would round differently
+    for k, (rho, axis, case_moments) in enumerate(zip(rhos, n, moments)):
+        means[k], stderrs[k] = _rodrigues_average(rho, axis, case_moments, mc.samples)
+    return means.reshape(shape + (2, 2)), stderrs.reshape(shape)[()]

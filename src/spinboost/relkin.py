@@ -26,12 +26,13 @@ rapidity (Higham, *Accuracy and Stability of Numerical Algorithms*,
 ch. 1), and n, eta and chi stay exact for every finite xi; only kappa,
 which grows like cosh(xi), overflows to inf.
 
-The geometry has one kernel, ``_geometry``, on broadcast arrays of
-(xi, theta, phi); ``effective_field`` is a stack of one of it, and so
-are the fields of every ``Scenario``. Each element of a stack has the
-bits it has alone: the kernel is element-wise numpy arithmetic plus one
-``math.hypot`` per element, which is correctly rounded where numpy's
-``hypot`` is not.
+A ``BoostParams`` holds one boost (floats) or a stack of boosts
+(arrays of one shape). The geometry has one kernel, ``_geometry``, on
+broadcast arrays of (xi, theta, phi), and ``effective_field`` maps one
+boost or a whole stack with one call of it. Each element of a stack has
+the bits it has alone: the kernel is element-wise numpy arithmetic plus
+one ``math.hypot`` per element (``_hypot``), which is correctly rounded
+where numpy's ``hypot`` is not.
 """
 
 from __future__ import annotations
@@ -42,26 +43,47 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def _require(ok, value, message: str) -> None:
+    """Refuse ``value`` unless ``ok``, with ``message`` and the value itself;
+    for a stack, with its first element that is not ``ok``."""
+    if ok is True or np.all(ok):
+        return
+    if np.ndim(value):
+        value = float(np.broadcast_to(value, np.shape(ok))[~np.asarray(ok)][0])
+    raise ValueError(f"{message}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class BoostParams:
-    """Boost rapidity and velocity direction.
+    """Boost rapidity and velocity direction, of one boost or a stack.
 
     xi >= 0 is the rapidity (cosh xi = Lorentz factor), theta in [0, pi]
     the polar angle of the velocity against ez, phi in [0, 2*pi) its
-    azimuth.
+    azimuth. Floats give one boost. Arrays broadcast against each other
+    and give a stack of boosts of that shape, held as read-only float
+    arrays; an invalid stack is refused with its first invalid element.
+    ``beta``, ``cosh_xi`` and ``velocity_unit`` are those of one boost.
     """
 
-    xi: float
-    theta: float = 0.0
-    phi: float = 0.0
+    xi: float | np.ndarray
+    theta: float | np.ndarray = 0.0
+    phi: float | np.ndarray = 0.0
 
     def __post_init__(self):
-        if not (self.xi >= 0.0 and math.isfinite(self.xi)):
-            raise ValueError(f"rapidity must be finite and >= 0, got {self.xi!r}")
-        if not 0.0 <= self.theta <= math.pi:
-            raise ValueError(f"theta must lie in [0, pi], got {self.theta!r}")
-        if not 0.0 <= self.phi < 2.0 * math.pi:
-            raise ValueError(f"phi must lie in [0, 2*pi), got {self.phi!r}")
+        xi, theta, phi = self.xi, self.theta, self.phi
+        if any(np.ndim(v) for v in (xi, theta, phi) if not isinstance(v, float)):
+            columns = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (xi, theta, phi)))
+            xi, theta, phi = (np.array(a) for a in columns)
+            for name, a in (("xi", xi), ("theta", theta), ("phi", phi)):
+                a.setflags(write=False)
+                object.__setattr__(self, name, a)
+        _require((xi >= 0.0) & (xi < math.inf), xi, "rapidity must be finite and >= 0")
+        _require((0.0 <= theta) & (theta <= math.pi), theta, "theta must lie in [0, pi]")
+        _require((0.0 <= phi) & (phi < 2.0 * math.pi), phi, "phi must lie in [0, 2*pi)")
+
+    def __getitem__(self, key) -> BoostParams:
+        """Boost or sub-stack ``key`` of a stack; one boost has float fields."""
+        return BoostParams(*(_pick(a, key) for a in (self.xi, self.theta, self.phi)))
 
     @property
     def beta(self) -> float:
@@ -86,26 +108,35 @@ class BoostParams:
         )
 
 
+def _pick(a, key):
+    """Element or sub-array ``key`` of the array ``a``; an element as a float."""
+    picked = a[key]
+    return float(picked) if np.ndim(picked) == 0 else picked
+
+
 @dataclass(frozen=True, eq=False)
 class EffectiveField:
-    """Boosted-field geometry seen by the moving spin.
+    """Boosted-field geometry seen by the moving spin, or by a stack of them.
 
     ``d`` is B'/B, ``kappa = |d| >= 1`` the amplification, ``n = d/kappa``
     the unit rotation axis, and ``eta_mod``/``chi_mod`` the modulation
-    factors.
+    factors. For a stack, the scalars are read-only arrays of the stack's
+    shape, and ``d`` and ``n`` have a last axis of 3.
     """
 
     d: np.ndarray
-    kappa: float
+    kappa: float | np.ndarray
     n: np.ndarray
-    eta_mod: float
-    chi_mod: float
+    eta_mod: float | np.ndarray
+    chi_mod: float | np.ndarray
 
     def __post_init__(self):
-        for name in ("d", "n"):
-            a = np.array(getattr(self, name), dtype=float)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+        for name in ("d", "kappa", "n", "eta_mod", "chi_mod"):
+            value = getattr(self, name)
+            if name in ("d", "n") or isinstance(value, np.ndarray):
+                a = np.array(value, dtype=float)
+                a.setflags(write=False)
+                object.__setattr__(self, name, a)
 
 
 def boost_em_field(e_field, b_field, boost: BoostParams) -> tuple[np.ndarray, np.ndarray]:
@@ -142,11 +173,20 @@ def effective_field(boost: BoostParams) -> EffectiveField:
     d_y = -2 sinh(xi/2)**2 cos(theta) sin(theta) sin(phi)
     d_z = cos(theta)**2 + cosh(xi) sin(theta)**2
 
-    A stack of one of ``_geometry``, which holds the arithmetic.
+    One call of ``_geometry``, which holds the arithmetic, for one boost
+    (float scalars) or a stack (arrays of its shape).
     """
-    d, kappa, n, eta, chi = _geometry(np.array([boost.xi]), boost.theta, boost.phi)
-    return EffectiveField(d=d[0], kappa=float(kappa[0]), n=n[0], eta_mod=float(eta[0]),
-                          chi_mod=float(chi[0]))
+    d, kappa, n, eta, chi = _geometry(boost.xi, boost.theta, boost.phi)
+    if np.ndim(kappa) == 0:  # one boost
+        kappa, eta, chi = float(kappa), float(eta), float(chi)
+    return EffectiveField(d=d, kappa=kappa, n=n, eta_mod=eta, chi_mod=chi)
+
+
+def _hypot(x, y) -> np.ndarray:
+    """``math.hypot`` of each pair of elements of ``x`` and ``y``, which broadcast."""
+    x, y = np.broadcast_arrays(x, y)
+    return np.fromiter(map(math.hypot, x.ravel().tolist(), y.ravel().tolist()), float,
+                       x.size).reshape(x.shape)
 
 
 def _geometry(xi, theta, phi):
@@ -168,8 +208,7 @@ def _geometry(xi, theta, phi):
     the nearer pole, so theta = pi is exactly antiparallel and the
     scalars are exactly symmetric about pi/2. The scalars are computed
     from (xi, theta) alone, so they are bit-exactly independent of the
-    azimuth. |(p, q)| is ``math.hypot`` per element: it is correctly
-    rounded, where numpy's ``hypot`` is not.
+    azimuth. |(p, q)| is ``_hypot``.
     """
     t, s = _half_rapidity(np.asarray(xi, dtype=float))
     theta = np.asarray(theta, dtype=float)
@@ -178,8 +217,7 @@ def _geometry(xi, theta, phi):
     s2, t2 = s * s, t * t
     p = -2.0 * t2 * ct * st
     q = s2 + 2.0 * t2 * st * st
-    h = np.fromiter(map(math.hypot, p.ravel().tolist(), q.ravel().tolist()), float,
-                    p.size).reshape(p.shape)
+    h = _hypot(p, q)
     pole = h == 0.0  # theta at a pole with s**2 underflowed to 0
     if pole.any():
         p, q, h, s2 = (np.where(pole, v, x) for v, x in ((0.0, p), (1.0, q), (1.0, h), (1.0, s2)))

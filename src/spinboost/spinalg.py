@@ -151,6 +151,23 @@ def _invalid(m: np.ndarray, tol: float = _TOL) -> np.ndarray:
     return ~((herm <= tol) & (tr <= tol) & (min_eig >= -tol))
 
 
+def _states(m, dim: int, name: str) -> np.ndarray:
+    """``m`` as a complex stack (..., dim, dim); ``name`` names the caller that needs it."""
+    m = np.asarray(m, dtype=complex)
+    if m.shape[-2:] != (dim, dim):
+        raise ValueError(f"{name} needs {dim}x{dim} states, got shape {m.shape}")
+    return m
+
+
+def require_valid(m: np.ndarray) -> None:
+    """Refuse a stack (..., 2, 2) or (..., 4, 4) unless ``DensityMatrix`` accepts
+    each of its matrices: the first refused matrix raises its own
+    ``DensityMatrixError``."""
+    bad = _invalid(m)
+    if bad.any():
+        DensityMatrix(m.reshape((-1,) + m.shape[-2:])[bad.argmax()])
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A validated 2x2 or 4x4 density matrix.
@@ -197,7 +214,7 @@ def random_density(rng: np.random.Generator, dim: int = 2, pure: bool = False) -
 
 def _random_state(rng: np.random.Generator, dim: int, pure: bool) -> np.ndarray:
     """The matrix ``random_density`` draws, not validated: callers that draw
-    many validate the stack with ``_invalid``."""
+    many validate the stack with ``require_valid``."""
     if dim not in _VALID_DIMS:
         raise ValueError(f"dim must be one of {_VALID_DIMS}, got {dim}")
     if pure:

@@ -15,7 +15,7 @@ from spinboost import cli, oracle, verify
 from spinboost.channel import Scenario
 from spinboost.cli import main, write_table
 from spinboost.relkin import BoostParams, eta_max, eta_profile
-from spinboost.spinalg import DensityMatrix
+from spinboost.spinalg import require_valid
 
 
 def run_cli(argv):
@@ -325,11 +325,12 @@ class TestEvolve:
         assert run_cli(["evolve", "--bloch", "0.3,-0.4,0.5", "--phi", "1.2", "--points", "70",
                         "--nodes", "150", "--format", "json", "--out", str(out)]) == 0
         rows = json.loads(out.read_text())
-        rho0 = DensityMatrix(0.5 * np.array([[1.5, 0.3 + 0.4j], [0.3 - 0.4j, 0.5]]))
+        rho0 = 0.5 * np.array([[1.5, 0.3 + 0.4j], [0.3 - 0.4j, 0.5]])
         s = Scenario(BoostParams(xi=2.5, theta=float(eta_max(2.5).theta_opt), phi=1.2), 1.0)
         for row in rows:
             m = oracle.average_quadrature(rho0, s, math.sqrt(row["gamma_t2"]),
-                                          oracle.QuadratureSpec(nodes=150)).matrix
+                                          oracle.QuadratureSpec(nodes=150))
+            require_valid(m)
             assert [row["rho_uu_oracle"], row["re_rho_ud_oracle"], row["im_rho_ud_oracle"]] == \
                 [m[0, 0].real, m[0, 1].real, m[0, 1].imag]
 
@@ -341,14 +342,14 @@ class TestEvolve:
         assert "xi = 709.0, angle theta = 1.0 and time t = 1.4142135623730951 " in err
 
     def test_invalid_analytic_state_exits_one(self, monkeypatch, capsys):
-        evolve_stack = cli._evolve_stack
+        evolve_elementwise = cli.evolve_elementwise
 
         def stretched(*args):
-            out = evolve_stack(*args)
+            out = evolve_elementwise(*args)
             out[2] *= 1.001
             return out
 
-        monkeypatch.setattr(cli, "_evolve_stack", stretched)
+        monkeypatch.setattr(cli, "evolve_elementwise", stretched)
         assert run_cli(["evolve", "--points", "5"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: DensityMatrixError: trace differs from 1") and err.count("\n") == 1

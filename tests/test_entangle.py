@@ -10,7 +10,6 @@ from spinboost.entangle import (
     _EIG_CLAMP_REL,
     _YY,
     ConcurrenceSeries,
-    _concurrence_stack,
     bell_phi_plus,
     concurrence,
     concurrence_trajectory,
@@ -18,9 +17,9 @@ from spinboost.entangle import (
 from spinboost.oracle import two_qubit_average
 from spinboost.relkin import BoostParams, eta_max
 from spinboost.spinalg import (
-    DensityMatrix,
     pauli_rotation,
     random_density,
+    require_valid,
     tensor_product,
 )
 
@@ -40,44 +39,43 @@ def wootters_direct(rho4):
 
 class TestConcurrence:
     def test_bell_state_is_maximal(self):
-        assert abs(concurrence(bell_phi_plus()) - 1.0) < 1e-12
+        assert abs(concurrence(bell_phi_plus().matrix) - 1.0) < 1e-12
 
     def test_product_states_are_zero(self):
         rng = np.random.default_rng(0)
         for _ in range(10):
             a = random_density(rng, 2, pure=True).matrix
             b = random_density(rng, 2, pure=True).matrix
-            rho = DensityMatrix(tensor_product(a, b))
-            assert concurrence(rho) < 1e-12
+            assert concurrence(tensor_product(a, b)) < 1e-12
 
     def test_werner_state(self):
         # p * Bell + (1-p) * I/4 has concurrence max(0, (3p-1)/2)
         p = 0.8
-        rho = DensityMatrix(p * bell_phi_plus().matrix + (1 - p) * np.eye(4) / 4)
+        rho = p * bell_phi_plus().matrix + (1 - p) * np.eye(4) / 4
         assert abs(concurrence(rho) - 0.7) < 1e-12
-        assert abs(concurrence(rho) - wootters_direct(rho.matrix)) < 1e-10
+        assert abs(concurrence(rho) - wootters_direct(rho)) < 1e-10
 
     def test_matches_direct_computation_on_random_states(self):
         rng = np.random.default_rng(1)
         for _ in range(25):
-            rho = random_density(rng, 4)
-            assert abs(concurrence(rho) - wootters_direct(rho.matrix)) < 1e-8
+            rho = random_density(rng, 4).matrix
+            assert abs(concurrence(rho) - wootters_direct(rho)) < 1e-8
 
     def test_local_unitary_invariance(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
-            rho = random_density(rng, 4)
+            rho = random_density(rng, 4).matrix
             u = tensor_product(
                 pauli_rotation(_unit(rng), rng.uniform(0, 6)),
                 pauli_rotation(_unit(rng), rng.uniform(0, 6)),
             )
-            rotated = DensityMatrix(u @ rho.matrix @ u.conj().T)
+            rotated = u @ rho @ u.conj().T
             assert abs(concurrence(rotated) - concurrence(rho)) < 1e-10
 
     def test_wrong_dimension_rejected(self):
         rng = np.random.default_rng(3)
-        with pytest.raises(ValueError):
-            concurrence(random_density(rng, 2))
+        with pytest.raises(ValueError, match="4x4 states"):
+            concurrence(random_density(rng, 2).matrix)
 
 
 def _unit(rng):
@@ -114,22 +112,22 @@ class TestConcurrenceStack:
         return np.array(mixed + pure + product + werner + [bell, np.eye(4) / 4])
 
     def test_each_state_has_the_bits_of_a_per_matrix_concurrence(self, states):
-        values = _concurrence_stack(states)
+        values = concurrence(states)
         assert values.shape == (len(states),)
         assert bits(values) == bits([per_matrix_concurrence(m) for m in states])
-        assert bits(values) == bits([concurrence(DensityMatrix(m)) for m in states])
+        assert bits(values) == bits([concurrence(m) for m in states])
         assert abs(values[-2] - 1.0) < 1e-12
         assert (values[120:160] < 1e-12).all() and values[-1] == 0.0
 
     def test_stacks_of_one_two_and_all_permuted_and_reshaped(self, states):
-        values = _concurrence_stack(states)
+        values = concurrence(states)
         order = np.random.default_rng(6).permutation(len(states))
-        assert bits(_concurrence_stack(states[order])) == bits(values[order])
-        reshaped = _concurrence_stack(states[:162].reshape(2, 81, 4, 4))
+        assert bits(concurrence(states[order])) == bits(values[order])
+        reshaped = concurrence(states[:162].reshape(2, 81, 4, 4))
         assert bits(reshaped.ravel()) == bits(values[:162])
         for k in (0, 61, 163):
-            assert bits(_concurrence_stack(states[k])) == bits(values[k])
-            assert bits(_concurrence_stack(states[k:k + 2])) == bits(values[k:k + 2])
+            assert bits(concurrence(states[k])) == bits(values[k])
+            assert bits(concurrence(states[k:k + 2])) == bits(values[k:k + 2])
 
 
 class TestConcurrenceSeries:
@@ -192,11 +190,12 @@ class TestConcurrenceTrajectory:
         # leaves the concurrence unchanged
         s = scenario(2.0, 0.9, 0.7)
         t = math.sqrt(1.5 / s.gamma_prime)
-        evolved = two_qubit_average(bell_phi_plus(), s, t)
+        evolved = two_qubit_average(bell_phi_plus().matrix, s, t)
+        require_valid(evolved)
         rng = np.random.default_rng(4)
         w = pauli_rotation(_unit(rng), 1.234)
         u = tensor_product(w, w)
-        rotated = DensityMatrix(u @ evolved.matrix @ u.conj().T)
+        rotated = u @ evolved @ u.conj().T
         assert abs(concurrence(rotated) - concurrence(evolved)) < 1e-10
 
     def test_each_time_has_the_bits_of_the_per_time_path(self):
@@ -206,12 +205,21 @@ class TestConcurrenceTrajectory:
                   scenario(2.0, 0.9, 0.7)):
             times = np.sqrt(np.linspace(0.0, 4.0, 31) / s.gamma_prime)
             series = concurrence_trajectory(s, times)
-            alone = [concurrence(two_qubit_average(bell_phi_plus(), s, t)) for t in times]
-            assert bits(series.values) == bits(alone)
+            alone = np.array([two_qubit_average(bell_phi_plus().matrix, s, t) for t in times])
+            require_valid(alone)
+            assert bits(series.values) == bits([concurrence(m) for m in alone])
 
     def test_unsorted_or_negative_times_rejected(self):
         s = scenario(1.0, 0.5)
         with pytest.raises(ValueError, match="sorted"):
             concurrence_trajectory(s, [1.0, 0.5])
-        with pytest.raises(ValueError, match="non-negative"):
+        with pytest.raises(ValueError, match="time must be >= 0, got -1.0"):
             concurrence_trajectory(s, [-1.0, 0.5])
+        with pytest.raises(ValueError, match="time must be >= 0, got nan"):
+            concurrence_trajectory(s, [0.0, math.nan, 0.5])
+
+    def test_refused_time_raises_the_oracles_error(self):
+        # t = 0 is fine; 1/sqrt(2) is the first time whose angle overflows at xi = 709
+        s = scenario(709.0, 1.0)
+        with pytest.raises(ValueError, match="rotation angle .* time t = 0.7071067811865476 "):
+            concurrence_trajectory(s, np.sqrt([0.0, 0.5, 1.0]))

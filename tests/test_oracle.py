@@ -13,11 +13,8 @@ from spinboost.oracle import (
     QuadratureSpec,
     _box_muller_normals,
     _cos_sin_double,
-    _montecarlo_stack,
-    _quadrature_stack,
+    _require_quadrature,
     _rotation_moments,
-    _two_qubit_stack,
-    _unitary_stack,
     average_montecarlo,
     average_quadrature,
     gauss_hermite_nodes,
@@ -26,17 +23,22 @@ from spinboost.oracle import (
 from spinboost.relkin import BoostParams
 from spinboost.spinalg import (
     IDENTITY_2,
-    DensityMatrix,
     frobenius_distance,
     pauli_rotation,
     pauli_vector,
     random_density,
+    require_valid,
     tensor_product,
 )
 
 
 def scenario(xi, theta, phi=0.0, gamma=1.0):
     return Scenario(BoostParams(xi=xi, theta=theta, phi=phi), gamma)
+
+
+def unitaries(b_values, s, t):
+    """The oracle's unitaries exp(-i kappa t b sigma.n), one per scaled field b."""
+    return oracle._unitaries(s.field.kappa * t * np.asarray(b_values), s.field.n)
 
 
 def field_unitary(b, s, t):
@@ -54,8 +56,21 @@ def draw_cases(rng, count):
             gamma=2.0 * rng.uniform(0.3, 1.5) ** 2,
         )
         t = math.sqrt(rng.uniform(0, 5) / s.gamma_prime)
-        cases.append((random_density(rng, 2, pure=bool(k % 2)), s, t))
+        cases.append((random_density(rng, 2, pure=bool(k % 2)).matrix, s, t))
     return cases
+
+
+def stack_of(scenarios):
+    """One Scenario holding the cases of a list of one-case scenarios."""
+    xi, theta, phi = (np.array([getattr(s.boost, k) for s in scenarios])
+                      for k in ("xi", "theta", "phi"))
+    return Scenario(BoostParams(xi, theta, phi), np.array([s.gamma for s in scenarios]))
+
+
+def stacked(cases):
+    """The states (N, 2, 2), one Scenario and the times (N,) of N cases."""
+    rhos = np.array([rho for rho, _, _ in cases]).reshape(-1, 2, 2)
+    return rhos, stack_of([s for _, s, _ in cases]), np.array([t for _, _, t in cases])
 
 
 class TestSpecs:
@@ -100,12 +115,12 @@ class TestUnitaryAtField:
 
     def test_zero_field_is_identity(self):
         s = scenario(1.5, 0.7, 0.3)
-        np.testing.assert_allclose(_unitary_stack(np.zeros(1), s, 1.3)[0], IDENTITY_2, atol=1e-15)
+        np.testing.assert_allclose(unitaries(np.zeros(1), s, 1.3)[0], IDENTITY_2, atol=1e-15)
 
     def test_rest_frame_is_z_phase(self):
         s = scenario(0.0, 0.0, gamma=1.0)
         b, t = 0.83, 1.21
-        u = _unitary_stack(np.array([b]), s, t)[0]
+        u = unitaries(np.array([b]), s, t)[0]
         expected = np.diag([np.exp(-1j * b * t), np.exp(1j * b * t)])
         np.testing.assert_allclose(u, expected, atol=1e-14)
 
@@ -114,56 +129,64 @@ class TestUnitaryAtField:
         for _ in range(50):
             s = scenario(rng.uniform(0, 3), rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
             b, t = rng.normal(), rng.uniform(0, 2)
-            u = _unitary_stack(np.array([b]), s, t)[0]
+            u = unitaries(np.array([b]), s, t)[0]
             angle = 2.0 * s.field.kappa * t * b
             assert abs(np.trace(u) - 2.0 * math.cos(angle / 2.0)) < 1e-12
             np.testing.assert_allclose(u, field_unitary(b, s, t), atol=1e-14)
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
-            average_quadrature(plus_state(), scenario(1.0, 1.0), -1.0)
+            average_quadrature(plus_state().matrix, scenario(1.0, 1.0), -1.0)
 
     @pytest.mark.parametrize("xi, t", [(700.0, 2e4), (700.0, 1e5), (1000.0, 0.0)])
     def test_overflowing_angle_named(self, xi, t):
         # kappa ~ 2.4e303 at (700, 0.5): at t = 2e4 kappa mu t is finite but
         # not its product with the largest node or draw; at 1e5 it is inf
         # itself, and at xi = 1000 kappa is
+        # each oracle refuses the case with NaN, and the quadrature's refusal names it
         s = scenario(xi, 0.5)
-        rho4 = DensityMatrix(tensor_product(plus_state().matrix, plus_state().matrix))
-        for average in (lambda: average_quadrature(plus_state(), s, t),
-                        lambda: two_qubit_average(rho4, s, t),
-                        lambda: average_montecarlo(plus_state(), s, t, McSpec(samples=10))):
-            with pytest.raises(ValueError, match=f"xi = {xi!r}, angle theta = 0.5 and time "
-                                                 f"t = {t!r}"):
-                average()
+        rho4 = tensor_product(plus_state().matrix, plus_state().matrix)
+        assert np.isnan(average_quadrature(plus_state().matrix, s, t)).all()
+        assert np.isnan(two_qubit_average(rho4, s, t)).all()
+        mean, stderr = average_montecarlo(plus_state().matrix, s, t, McSpec(samples=10))
+        assert np.isnan(mean).all() and np.isnan(stderr)
+        with pytest.raises(ValueError, match=f"xi = {xi!r}, angle theta = 0.5 and time "
+                                             f"t = {t!r}"):
+            _require_quadrature(s, t, 201)
 
 
 class TestAverageQuadrature:
     def test_vanishing_noise_is_identity_channel(self):
         s = scenario(2.0, 0.9, gamma=2e-24)
-        rho = plus_state()
+        rho = plus_state().matrix
         out = average_quadrature(rho, s, 1.0)
-        assert frobenius_distance(out.matrix, rho.matrix) < 1e-10
+        require_valid(out)
+        assert frobenius_distance(out, rho) < 1e-10
 
     def test_matches_elementwise(self):
         rng = np.random.default_rng(1)
         for rho, s, t in draw_cases(rng, 100):
             quad = average_quadrature(rho, s, t)
             ana = evolve_elementwise(rho, s, t)
-            assert frobenius_distance(quad.matrix, ana.matrix) < 1e-8
+            require_valid(quad)
+            require_valid(ana)
+            assert frobenius_distance(quad, ana) < 1e-8
 
     def test_node_doubling_converged(self):
         rng = np.random.default_rng(2)
         for rho, s, t in draw_cases(rng, 20):
             a = average_quadrature(rho, s, t, QuadratureSpec(nodes=201))
             b = average_quadrature(rho, s, t, QuadratureSpec(nodes=402))
-            assert frobenius_distance(a.matrix, b.matrix) < 1e-10
+            require_valid(a)
+            require_valid(b)
+            assert frobenius_distance(a, b) < 1e-10
 
     def test_trace_one(self):
         rng = np.random.default_rng(3)
         for rho, s, t in draw_cases(rng, 20):
             out = average_quadrature(rho, s, t)
-            assert abs(np.trace(out.matrix) - 1.0) < 1e-14
+            require_valid(out)
+            assert abs(np.trace(out) - 1.0) < 1e-14
 
     @pytest.mark.parametrize("nodes", [201, 402])
     def test_matches_per_node_matrix_products(self, nodes):
@@ -172,11 +195,12 @@ class TestAverageQuadrature:
         rng = np.random.default_rng(4)
         z, w = gauss_hermite_nodes(nodes)
         for rho, s, t in draw_cases(rng, 20):
-            u = _unitary_stack(math.sqrt(s.gamma / 2) * z, s, t)
-            terms = np.array([uk @ rho.matrix @ uk.conj().T for uk in u])
+            u = unitaries(math.sqrt(s.gamma / 2) * z, s, t)
+            terms = np.array([uk @ rho @ uk.conj().T for uk in u])
             ref = np.tensordot(w, terms, axes=(0, 0))
             ref = 0.5 * (ref + ref.conj().T)
-            out = average_quadrature(rho, s, t, QuadratureSpec(nodes=nodes)).matrix
+            out = average_quadrature(rho, s, t, QuadratureSpec(nodes=nodes))
+            require_valid(out)
             assert np.abs(out - ref).max() <= 4.5e-16
 
 
@@ -208,7 +232,7 @@ def reference_montecarlo(rho, s, t, mc):
     u = (np.cos(half_angle)[:, None, None] * IDENTITY_2
          - 1j * np.sin(half_angle)[:, None, None] * pauli_vector(s.field.n))
     # draws on the last, contiguous axis, so that each sum is pairwise
-    draws = np.ascontiguousarray(((u @ rho.matrix) @ u.conj().transpose(0, 2, 1)).reshape(-1, 4).T)
+    draws = np.ascontiguousarray(((u @ rho) @ u.conj().transpose(0, 2, 1)).reshape(-1, 4).T)
     mean = draws.sum(axis=1) / mc.samples
     if mc.samples == 1:
         return mean.reshape(2, 2), math.inf
@@ -310,8 +334,9 @@ class TestRotationMoments:
         rng = np.random.default_rng(12)
         (rho, s, t), = draw_cases(rng, 1)
         mean, stderr = average_montecarlo(rho, s, t, McSpec(samples=1, seed=3))
+        require_valid(mean)
         assert stderr == math.inf
-        assert abs(np.trace(mean.matrix) - 1.0) < 1e-14
+        assert abs(np.trace(mean) - 1.0) < 1e-14
 
 
 class TestAverageMonteCarlo:
@@ -322,8 +347,9 @@ class TestAverageMonteCarlo:
             mc = McSpec(samples=samples, seed=9 + k)
             mean, stderr = average_montecarlo(rho, s, t, mc)
             ref_mean, ref_stderr = reference_montecarlo(rho, s, t, mc)
-            assert frobenius_distance(mean.matrix, ref_mean) <= 1e-15
-            assert abs(stderr - ref_stderr) <= 1e-10 * ref_stderr or stderr == ref_stderr
+            require_valid(mean)
+            assert frobenius_distance(mean, ref_mean) <= 1e-15
+            assert stderr == ref_stderr or abs(stderr - ref_stderr) <= 1e-10 * ref_stderr
 
     def test_seed_determinism(self):
         rng = np.random.default_rng(4)
@@ -331,7 +357,8 @@ class TestAverageMonteCarlo:
         mc = McSpec(samples=150_000, seed=7)
         first, se1 = average_montecarlo(rho, s, t, mc)
         second, se2 = average_montecarlo(rho, s, t, mc)
-        np.testing.assert_array_equal(first.matrix, second.matrix)
+        require_valid(first)
+        np.testing.assert_array_equal(first, second)
         assert se1 == se2
 
     def test_within_three_stderr_of_quadrature(self):
@@ -339,13 +366,16 @@ class TestAverageMonteCarlo:
         for k, (rho, s, t) in enumerate(draw_cases(rng, 5)):
             mean, stderr = average_montecarlo(rho, s, t, McSpec(samples=10**6, seed=100 + k))
             quad = average_quadrature(rho, s, t)
-            assert frobenius_distance(mean.matrix, quad.matrix) <= 3.0 * stderr
+            require_valid(mean)
+            require_valid(quad)
+            assert frobenius_distance(mean, quad) <= 3.0 * stderr
 
     def test_mean_trace_one(self):
         rng = np.random.default_rng(6)
         (rho, s, t), = draw_cases(rng, 1)
         mean, _ = average_montecarlo(rho, s, t, McSpec(samples=50_000, seed=1))
-        assert abs(np.trace(mean.matrix) - 1.0) < 1e-12
+        require_valid(mean)
+        assert abs(np.trace(mean) - 1.0) < 1e-12
 
     def test_moments_match_per_draw_average(self):
         # the mean and per-entry variances of U rho U^dag, draw by draw
@@ -353,12 +383,13 @@ class TestAverageMonteCarlo:
         for rho, s, t in draw_cases(rng, 3):
             mc = McSpec(samples=3000, seed=5)  # one chunk
             mean, stderr = average_montecarlo(rho, s, t, mc)
+            require_valid(mean)
             fields = math.sqrt(s.gamma / 2) * _box_muller_normals(mc.seed, 0, mc.samples)
-            draws = np.array([u @ rho.matrix @ u.conj().T
+            draws = np.array([u @ rho @ u.conj().T
                               for u in (field_unitary(b, s, t) for b in fields)])
             expected = draws.mean(axis=0)
             variance = (np.abs(draws - expected) ** 2).mean(axis=0) / (mc.samples - 1)
-            assert frobenius_distance(mean.matrix, expected) < 1e-14
+            assert frobenius_distance(mean, expected) < 1e-14
             assert abs(stderr - math.sqrt(variance.sum())) <= 1e-10 * stderr
 
     def test_stderr_scales_with_samples(self):
@@ -375,8 +406,7 @@ def bits(x):
 
 
 def montecarlo_stack(cases, mc):
-    return _montecarlo_stack(np.array([rho.matrix for rho, _, _ in cases]),
-                             [s for _, s, _ in cases], [t for _, _, t in cases], mc)
+    return average_montecarlo(*stacked(cases), mc)
 
 
 class TestMonteCarloStack:
@@ -389,7 +419,8 @@ class TestMonteCarloStack:
         assert means.shape == (size, 2, 2) and stderrs.shape == (size,)
         for (rho, s, t), mean, stderr in zip(cases, means, stderrs):
             one, one_stderr = average_montecarlo(rho, s, t, mc)
-            assert bits(mean) == bits(one.matrix)
+            require_valid(one)
+            assert bits(mean) == bits(one)
             assert bits(stderr) == bits(one_stderr)
 
     def test_permuting_the_stack_permutes_the_results(self):
@@ -403,19 +434,19 @@ class TestMonteCarloStack:
 
     def test_a_case_whose_angle_overflows_is_nan_and_spares_the_others(self):
         cases = draw_cases(np.random.default_rng(23), 3)
-        cases.insert(1, (plus_state(), scenario(700.0, 0.5), 2e4))
+        cases.insert(1, (plus_state().matrix, scenario(700.0, 0.5), 2e4))
         mc = McSpec(samples=3001, seed=4)
         means, stderrs = montecarlo_stack(cases, mc)
         assert np.isnan(means[1]).all() and np.isnan(stderrs[1])
         kept = [0, 2, 3]
         alone_means, alone_stderrs = montecarlo_stack([cases[k] for k in kept], mc)
+        require_valid(alone_means)
         assert bits(means[kept]) == bits(alone_means)
         assert bits(stderrs[kept]) == bits(alone_stderrs)
 
 
 def quadrature_stack(cases, nodes=201):
-    return _quadrature_stack(np.array([rho.matrix for rho, _, _ in cases]),
-                             [s for _, s, _ in cases], [t for _, _, t in cases], nodes)
+    return average_quadrature(*stacked(cases), QuadratureSpec(nodes))
 
 
 class TestQuadratureStack:
@@ -425,8 +456,9 @@ class TestQuadratureStack:
 
     @pytest.mark.parametrize("nodes", [2, 201, 402])
     def test_each_case_has_the_bits_of_a_stack_of_one(self, cases, nodes):
-        alone = np.array([average_quadrature(rho, s, t, QuadratureSpec(nodes=nodes)).matrix
+        alone = np.array([average_quadrature(rho, s, t, QuadratureSpec(nodes=nodes))
                           for rho, s, t in cases])
+        require_valid(alone)
         for size in (1, 2, 100, 250):
             out = quadrature_stack(cases[:size], nodes)
             assert out.shape == (size, 2, 2)
@@ -454,13 +486,13 @@ class TestQuadratureStack:
         out = quadrature_stack(cases[:100])
         worst, commutator = 0.0, 0.0
         for (rho, s, t), got in zip(cases[:100], out):
-            u = _unitary_stack(math.sqrt(s.gamma / 2) * z, s, t)
+            u = unitaries(math.sqrt(s.gamma / 2) * z, s, t)
             u_dag = u.conj().transpose(0, 2, 1)
-            ref = (w[:, None, None] * (u @ rho.matrix @ u_dag)).sum(axis=0)
+            ref = (w[:, None, None] * (u @ rho @ u_dag)).sum(axis=0)
             ref = 0.5 * (ref + ref.conj().T)
             worst = max(worst, np.abs(got - ref).max())
             # the commutator term with the wrong sign, U^dag rho U
-            flipped = (w[:, None, None] * (u_dag @ rho.matrix @ u)).sum(axis=0)
+            flipped = (w[:, None, None] * (u_dag @ rho @ u)).sum(axis=0)
             commutator = max(commutator, np.abs(flipped - ref).max())
         assert worst <= 1e-15
         assert commutator > 0.1
@@ -470,7 +502,8 @@ class TestQuadratureStack:
 
     def test_a_refused_case_is_nan_and_spares_the_others(self, cases):
         kept = list(cases[:70])
-        out = quadrature_stack(kept[:1] + [(plus_state(), scenario(700.0, 0.5), 2e4)] + kept[1:])
+        out = quadrature_stack(kept[:1] + [(plus_state().matrix, scenario(700.0, 0.5), 2e4)]
+                               + kept[1:])
         assert np.isnan(out[1]).all()
         assert bits(np.delete(out, 1, axis=0)) == bits(quadrature_stack(kept))
 
@@ -480,22 +513,23 @@ class TestQuadratureStack:
         lo, hi = 0.1, 1.0
         while np.nextafter(lo, hi) != hi:
             mid = 0.5 * (lo + hi)
-            if np.isnan(quadrature_stack([(plus_state(), s, mid)])).any():
+            if np.isnan(quadrature_stack([(plus_state().matrix, s, mid)])).any():
                 hi = mid
             else:
                 lo = mid
-        assert np.isnan(quadrature_stack([(plus_state(), s, hi)])).all()
-        average_quadrature(plus_state(), s, lo)
+        assert np.isnan(quadrature_stack([(plus_state().matrix, s, hi)])).all()
+        _require_quadrature(s, lo, 201)
         with pytest.raises(ValueError, match="rotation angle"):
-            average_quadrature(plus_state(), s, hi)
+            _require_quadrature(s, hi, 201)
 
 
 class TestTwoQubitAverage:
     def test_zero_time_identity(self):
         rng = np.random.default_rng(8)
-        rho4 = random_density(rng, 4)
+        rho4 = random_density(rng, 4).matrix
         out = two_qubit_average(rho4, scenario(1.5, 0.8), 0.0)
-        assert frobenius_distance(out.matrix, rho4.matrix) < 1e-14
+        require_valid(out)
+        assert frobenius_distance(out, rho4) < 1e-14
 
     def test_rest_bell_corner_decay(self):
         # for the Bell pair at rest the corner coherence picks up
@@ -505,48 +539,55 @@ class TestTwoQubitAverage:
         s = scenario(0.0, 0.0, gamma=1.0)
         for g_t2 in (0.3, 1.0, 2.0):
             t = math.sqrt(g_t2)
-            out = two_qubit_average(DensityMatrix(bell), s, t)
+            out = two_qubit_average(bell, s, t)
+            require_valid(out)
             expected = math.exp(-4.0 * g_t2) / 2.0
-            assert abs(out.matrix[0, 3].real - expected) < 1e-12
+            assert abs(out[0, 3].real - expected) < 1e-12
             # independent cross-check: dense trapezoid over the Gaussian
             b_grid = np.linspace(-8, 8, 20001)
             pdf = np.exp(-0.5 * b_grid**2) / math.sqrt(2 * math.pi)
             brute = np.trapezoid(pdf * np.cos(4 * b_grid * math.sqrt(s.gamma / 2) * t), b_grid) / 2
-            assert abs(out.matrix[0, 3].real - brute) < 1e-8
+            assert abs(out[0, 3].real - brute) < 1e-8
 
     def test_matches_per_node_kronecker_loop(self):
         rng = np.random.default_rng(10)
-        rho4 = random_density(rng, 4)
+        rho4 = random_density(rng, 4).matrix
         s = scenario(2.0, 0.7, 0.4)
         z, w = gauss_hermite_nodes(201)
         expected = np.zeros((4, 4), dtype=complex)
         for wi, bi in zip(w, math.sqrt(s.gamma / 2) * z):
             u2 = tensor_product(*[field_unitary(bi, s, 0.6)] * 2)
-            expected += wi * (u2 @ rho4.matrix @ u2.conj().T)
+            expected += wi * (u2 @ rho4 @ u2.conj().T)
         expected = 0.5 * (expected + expected.conj().T)
-        np.testing.assert_allclose(two_qubit_average(rho4, s, 0.6).matrix, expected,
-                                   rtol=0, atol=1e-15)
+        out = two_qubit_average(rho4, s, 0.6)
+        require_valid(out)
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-15)
 
     def test_trace_one(self):
         rng = np.random.default_rng(9)
-        rho4 = random_density(rng, 4)
+        rho4 = random_density(rng, 4).matrix
         s = scenario(2.0, 0.7, 0.4)
         out = two_qubit_average(rho4, s, 0.6)
-        assert abs(np.trace(out.matrix) - 1.0) < 1e-14
+        require_valid(out)
+        assert abs(np.trace(out) - 1.0) < 1e-14
 
     def test_wrong_dimension_rejected(self):
         with pytest.raises(ValueError, match="4x4"):
-            two_qubit_average(plus_state(), scenario(1.0, 1.0), 1.0)
+            two_qubit_average(plus_state().matrix, scenario(1.0, 1.0), 1.0)
 
 
 def per_time_two_qubit(rho4, s, t, nodes=201):
     """One time's common-bath average as a loop over times would take it:
     U (x) U at every node, and a slice-by-slice sum in node order."""
     z, w = gauss_hermite_nodes(nodes)
-    u = _unitary_stack(math.sqrt(s.gamma / 2) * z, s, t)
+    u = unitaries(math.sqrt(s.gamma / 2) * z, s, t)
     u2 = (u[:, :, None, :, None] * u[:, None, :, None, :]).reshape(-1, 4, 4)
     out = (w[:, None, None] * ((u2 @ rho4) @ u2.conj().transpose(0, 2, 1))).sum(axis=0)
     return 0.5 * (out + out.conj().T)
+
+
+def two_qubit_stack(rho4, s, times, nodes):
+    return two_qubit_average(rho4, s, np.array(times, dtype=float), QuadratureSpec(nodes))
 
 
 class TestTwoQubitStack:
@@ -559,21 +600,30 @@ class TestTwoQubitStack:
     @pytest.mark.parametrize("nodes", [2, 201, 402])
     def test_each_time_has_the_bits_of_a_per_time_average(self, rho4, nodes):
         s = scenario(2.0, 0.7, 0.4)
-        out = _two_qubit_stack(rho4, s, self.TIMES, nodes)
+        out = two_qubit_stack(rho4, s, self.TIMES, nodes)
         assert out.shape == (len(self.TIMES), 4, 4)
-        alone = [two_qubit_average(DensityMatrix(rho4), s, t, QuadratureSpec(nodes)).matrix
-                 for t in self.TIMES]
+        alone = [two_qubit_average(rho4, s, t, QuadratureSpec(nodes)) for t in self.TIMES]
+        require_valid(np.array(alone))
         assert bits(out) == bits(alone)
         assert bits(out) == bits([per_time_two_qubit(rho4, s, t, nodes) for t in self.TIMES])
+
+    def test_each_case_of_a_scenario_stack_has_its_own_bits(self, rho4):
+        cases = draw_cases(np.random.default_rng(35), 9)
+        _, stack, times = stacked(cases)
+        states = np.array([rho4, np.eye(4) / 4, rho4.T] * 3)
+        out = two_qubit_average(states, stack, times)
+        alone = [two_qubit_average(m, s, t) for m, (_, s, t) in zip(states, cases)]
+        require_valid(np.array(alone))
+        assert bits(out) == bits(alone)
 
     @pytest.mark.parametrize("per_block", [1, 2, 3, 7, 22, 23, 24])
     def test_block_size_does_not_change_the_bits(self, monkeypatch, rho4, per_block):
         s = scenario(1.2, 2.0, 5.0)
-        out = _two_qubit_stack(rho4, s, self.TIMES, 201)
+        out = two_qubit_stack(rho4, s, self.TIMES, 201)
         monkeypatch.setattr(oracle, "_PAIR_BLOCK", per_block * 201)
-        assert bits(_two_qubit_stack(rho4, s, self.TIMES, 201)) == bits(out)
+        assert bits(two_qubit_stack(rho4, s, self.TIMES, 201)) == bits(out)
         # shifted by one time, every block boundary falls elsewhere
-        assert bits(_two_qubit_stack(rho4, s, self.TIMES[1:], 201)) == bits(out[1:])
+        assert bits(two_qubit_stack(rho4, s, self.TIMES[1:], 201)) == bits(out[1:])
 
     @pytest.mark.parametrize("nodes, count", [(201, 47), (2048, 5), (4096, 3)])
     def test_each_block_stays_under_the_pair_cap(self, monkeypatch, rho4, nodes, count):
@@ -583,16 +633,16 @@ class TestTwoQubitStack:
         nodes_z, nodes_w = np.resize(z, nodes), np.resize(w, nodes) * (201 / nodes)
         monkeypatch.setattr(oracle, "gauss_hermite_nodes", lambda n: (nodes_z, nodes_w))
         shapes = []
-        unitary_stack = oracle._unitary_stack
+        unitaries_of = oracle._unitaries
 
-        def recorded(b_values, s, t):
-            u = unitary_stack(b_values, s, t)
+        def recorded(half, n):
+            u = unitaries_of(half, n)
             shapes.append(u.shape[:-2])
             return u
 
-        monkeypatch.setattr(oracle, "_unitary_stack", recorded)
+        monkeypatch.setattr(oracle, "_unitaries", recorded)
         times = np.linspace(0.0, 1.0, count).tolist()
-        assert len(_two_qubit_stack(rho4, scenario(1.0, 1.0), times, nodes)) == count
+        assert len(two_qubit_stack(rho4, scenario(1.0, 1.0), times, nodes)) == count
         per_block = max(1, oracle._PAIR_BLOCK // nodes)
         assert [shape[0] for shape in shapes] == [per_block] * (count // per_block) + (
             [count % per_block] if count % per_block else [])
@@ -603,16 +653,17 @@ class TestTwoQubitStack:
         # at xi = 709 the angle at the largest node overflows between these times
         s = scenario(709.0, 1.0)
         times = [0.0, 0.1, 0.2, 0.3, 0.5, 1.0]
-        refused = []
-        for t in times:
-            try:
-                two_qubit_average(DensityMatrix(rho4), s, t)
-            except ValueError as exc:
-                refused.append(str(exc))
+        refused = [t for t in times if np.isnan(two_qubit_average(rho4, s, t)).all()]
         assert 0 < len(refused) < len(times) - 1
-        with pytest.raises(ValueError, match="rotation angle") as stacked:
-            _two_qubit_stack(rho4, s, times, 201)
-        assert str(stacked.value) == refused[0]
+        out = two_qubit_stack(rho4, s, times, 201)
+        assert [t for t, m in zip(times, out) if np.isnan(m).all()] == refused
+        assert not np.isnan(out[:len(times) - len(refused)]).any()
+        require_valid(out[:len(times) - len(refused)])
+        with pytest.raises(ValueError, match="rotation angle") as alone:
+            _require_quadrature(s, refused[0], 201)
+        with pytest.raises(ValueError, match="rotation angle") as stacked_error:
+            _require_quadrature(s, np.array(times), 201)
+        assert str(stacked_error.value) == str(alone.value)
 
     def test_an_empty_stack(self, rho4):
-        assert _two_qubit_stack(rho4, scenario(1.0, 1.0), [], 201).shape == (0, 4, 4)
+        assert two_qubit_stack(rho4, scenario(1.0, 1.0), [], 201).shape == (0, 4, 4)

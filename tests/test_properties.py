@@ -14,7 +14,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spinboost.analysis import choi_of, verify_cptp
+from spinboost.analysis import PROBES, choi_diagnostics, choi_stack
 from spinboost.channel import (
     Scenario,
     dressed_apply,
@@ -23,7 +23,7 @@ from spinboost.channel import (
     operator_sum_apply,
 )
 from spinboost.relkin import BoostParams, effective_field, eta_max, eta_profile
-from spinboost.spinalg import DensityMatrix, frobenius_distance, pauli_vector
+from spinboost.spinalg import frobenius_distance, pauli_vector, require_valid
 
 XI = st.floats(min_value=0.0, max_value=1e6)
 THETA = st.floats(min_value=0.0, max_value=math.pi)
@@ -32,7 +32,7 @@ PHI = st.floats(min_value=0.0, max_value=2.0 * math.pi, exclude_max=True)
 G = st.floats(min_value=0.0, max_value=1e3)
 EDGE_XI = (0.0, 5e-324, 1e-9, 372.0, 745.0, 746.0, 1000.0, 1490.0, 1e6)
 EDGE_THETA = (0.0, 1e-300, 0.7, math.pi / 2, math.pi)
-STATES = [DensityMatrix(0.5 * (np.eye(2) + pauli_vector(r)))
+STATES = [0.5 * (np.eye(2) + pauli_vector(r))
           for r in ((1.0, 0.0, 0.0), (0.3, -0.5, 0.6), (0.0, 0.0, 1.0))]
 
 pinned = settings(max_examples=300, derandomize=True, database=None, deadline=None)
@@ -179,9 +179,12 @@ def test_channel_forms_agree_at_every_rapidity(xi, theta, phi, g):
     s = scenario(xi, theta, phi)
     t = math.sqrt(g)
     for rho in STATES:
-        ref = evolve_elementwise(rho, s, t).matrix
-        assert frobenius_distance(operator_sum_apply(rho, s, t).matrix, ref) <= 1e-10
-        assert frobenius_distance(dressed_apply(rho, s, t).matrix, ref) <= 1e-10
+        ref = evolve_elementwise(rho, s, t)
+        require_valid(ref)
+        for form in (operator_sum_apply, dressed_apply):
+            out = form(rho, s, t)
+            require_valid(out)
+            assert frobenius_distance(out, ref) <= 1e-10
 
 
 @pinned
@@ -190,8 +193,11 @@ def test_channel_forms_agree_at_every_rapidity(xi, theta, phi, g):
 def test_channel_completely_positive_at_every_rapidity(xi, theta, phi, g):
     s = scenario(xi, theta, phi)
     t = math.sqrt(g)
-    choi = choi_of(lambda m: evolve_elementwise(DensityMatrix(m), s, t).matrix)
-    assert verify_cptp(choi).min_eigenvalue >= -1e-10
+    images = evolve_elementwise(PROBES, s, t)
+    require_valid(images)
+    choi, linearity = choi_stack(images)
+    assert linearity.max() <= 1e-10
+    assert choi_diagnostics(choi).min_eigenvalue >= -1e-10
 
 
 @pinned

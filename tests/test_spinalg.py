@@ -18,6 +18,7 @@ from spinboost.spinalg import (
     pauli_rotation,
     pauli_vector,
     random_density,
+    require_valid,
     tensor_product,
 )
 
@@ -393,6 +394,27 @@ class TestStackedResiduals4x4:
 
     def test_empty_stack(self):
         assert _invalid(np.zeros((0, 4, 4), dtype=complex)).shape == (0,)
+
+
+class TestRequireValid:
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_first_invalid_matrix_raises_its_own_error(self, dim):
+        rng = np.random.default_rng(20 + dim)
+        stack = np.array([_random_state(rng, dim, False) for _ in range(12)])
+        stack = stack.reshape(3, 4, dim, dim)
+        require_valid(stack)
+        stack[1, 2] *= 1.001  # trace
+        stack[2, 0, 0, -1] += 0.1j  # Hermiticity, later in the stack
+        with pytest.raises(DensityMatrixError) as err:
+            require_valid(stack)
+        with pytest.raises(DensityMatrixError) as alone:
+            DensityMatrix(stack[1, 2])
+        assert (err.value.check, str(err.value)) == ("trace", str(alone.value))
+
+    def test_nan_and_empty_stacks(self):
+        require_valid(np.zeros((0, 2, 2), dtype=complex))
+        with pytest.raises(DensityMatrixError, match="not Hermitian"):
+            require_valid(np.full((3, 2, 2), np.nan, dtype=complex))
 
 
 class TestRandomDensity:

@@ -6,24 +6,18 @@ import numpy as np
 import pytest
 
 from spinboost import oracle, verify
-from spinboost.channel import (
-    _evolve_stack,
-    _operator_sum_stack,
-    dressed_apply,
-    evolve_elementwise,
-    operator_sum_apply,
-)
+from spinboost.channel import dressed_apply, evolve_elementwise, operator_sum_apply
 from spinboost.relkin import BoostParams, _geometry, effective_field
 
 
-def transposed_kernel(m, n, decay, lost):
+def transposed_kernel(m, s, t):
     """A positive but not completely positive map: the channel, then a transpose."""
-    return _evolve_stack(m, n, decay, lost).swapaxes(-1, -2)
+    return evolve_elementwise(m, s, t).swapaxes(-1, -2)
 
 
-def shrunk_kernel(m, n, decay, lost):
+def shrunk_kernel(m, s, t):
     """A completely positive map that loses trace."""
-    return 0.5 * _evolve_stack(m, n, decay, lost)
+    return 0.5 * evolve_elementwise(m, s, t)
 
 
 def test_cptp_grid_passes_on_the_channel():
@@ -33,7 +27,7 @@ def test_cptp_grid_passes_on_the_channel():
 
 
 def test_cptp_grid_fails_a_map_that_is_not_cp(monkeypatch):
-    monkeypatch.setattr(verify, "_evolve_stack", transposed_kernel)
+    monkeypatch.setattr(verify, "evolve_elementwise", transposed_kernel)
     result = verify.check_cptp_grid()
     assert not result.passed
     # the transpose of a state is a state: only the Choi spectrum catches it
@@ -42,7 +36,7 @@ def test_cptp_grid_fails_a_map_that_is_not_cp(monkeypatch):
 
 
 def test_cptp_grid_fails_a_map_that_is_not_tp(monkeypatch):
-    monkeypatch.setattr(verify, "_evolve_stack", shrunk_kernel)
+    monkeypatch.setattr(verify, "evolve_elementwise", shrunk_kernel)
     result = verify.check_cptp_grid()
     assert not result.passed
     assert "invalid_probe_images=3000" in result.detail
@@ -52,23 +46,23 @@ def test_cptp_grid_fails_a_map_that_is_not_tp(monkeypatch):
 
 @pytest.mark.parametrize("kernel", [transposed_kernel, shrunk_kernel])
 def test_cptp_grid_figures_stay_finite_on_failure(monkeypatch, kernel):
-    monkeypatch.setattr(verify, "_evolve_stack", kernel)
+    monkeypatch.setattr(verify, "evolve_elementwise", kernel)
     detail = verify.check_cptp_grid().detail
     for key in ("min_choi_eig=", "max_tp_residual=", "kraus_completeness=", "reassembly="):
         assert np.isfinite(float(detail.split(key)[1].split()[0]))
 
 
 def transposed_operator_sum(*args):
-    return _operator_sum_stack(*args).swapaxes(-1, -2)
+    return operator_sum_apply(*args).swapaxes(-1, -2)
 
 
 def shrunk_operator_sum(*args):
-    return 0.999 * _operator_sum_stack(*args)
+    return 0.999 * operator_sum_apply(*args)
 
 
 def stretched_operator_sum(*args):
     """Trace-preserving but not positive: the Bloch vector stretched by 3/2."""
-    return 1.5 * _operator_sum_stack(*args) - 0.25 * np.eye(2)
+    return 1.5 * operator_sum_apply(*args) - 0.25 * np.eye(2)
 
 
 @pytest.fixture(scope="module")
@@ -79,8 +73,10 @@ def pool():
 @pytest.mark.parametrize("count", [100, 20])
 def test_pool_starts_with_a_fresh_draw(pool, count):
     rhos, scenarios, times = verify._draw_channel_cases(np.random.default_rng(42), count)
-    assert (pool.rhos[:count] == rhos).all() and pool.times[:count] == times
-    for s, s_f in zip(pool.scenarios[:count], scenarios, strict=True):
+    assert (pool.rhos[:count] == rhos).all() and (pool.times[:count] == times).all()
+    assert scenarios.gamma.shape == (count,)
+    for k in range(count):
+        s, s_f = pool.scenarios[k], scenarios[k]
         assert (s.boost, s.gamma) == (s_f.boost, s_f.gamma)
 
 
@@ -95,11 +91,11 @@ def test_pool_holds_each_form_of_each_case(pool):
         rho, s, t = pool.case(k)
         for form, op in (("elementwise", evolve_elementwise), ("operator_sum", operator_sum_apply),
                          ("dressed", dressed_apply), ("quadrature", oracle.average_quadrature)):
-            assert (pool.images[form][k] == op(rho, s, t).matrix).all()
+            assert (pool.images[form][k] == op(rho, s, t)).all()
 
 
 def test_trace_losing_operator_sum_fails_without_crashing(monkeypatch):
-    monkeypatch.setattr(verify, "_operator_sum_stack", shrunk_operator_sum)
+    monkeypatch.setattr(verify, "operator_sum_apply", shrunk_operator_sum)
     results = {r.name: r for r in verify.run_checks(42)}
     assert len(results) == 14
     sweep = results["channel_positivity_sweep"]
@@ -112,7 +108,7 @@ def test_trace_losing_operator_sum_fails_without_crashing(monkeypatch):
 
 
 def test_non_positive_operator_sum_fails_the_sweep(monkeypatch):
-    monkeypatch.setattr(verify, "_operator_sum_stack", stretched_operator_sum)
+    monkeypatch.setattr(verify, "operator_sum_apply", stretched_operator_sum)
     pool = verify.case_pool(42)
     # images with Bloch length above 2/3 stretch out of the ball
     assert 0 < pool.invalid["operator_sum"].sum() < verify.POOL_SIZE
@@ -123,7 +119,7 @@ def test_non_positive_operator_sum_fails_the_sweep(monkeypatch):
 
 
 def test_transposed_operator_sum_fails_the_cross_check(monkeypatch):
-    monkeypatch.setattr(verify, "_operator_sum_stack", transposed_operator_sum)
+    monkeypatch.setattr(verify, "operator_sum_apply", transposed_operator_sum)
     pool = verify.case_pool(42)
     decomposition = verify.check_decomposition_agreement(pool)
     assert not decomposition.passed
@@ -135,16 +131,17 @@ def test_transposed_operator_sum_fails_the_cross_check(monkeypatch):
 
 def test_raising_quadrature_counts_as_a_failure(monkeypatch):
     calls = []
-    half_angle_rate = oracle._half_angle_rate
+    half_angle_rates = oracle._half_angle_rates
 
     def fails_once(s, t, b_max):
-        # the first refusal lands on pool case 0 inside the stacked quadrature
+        # the first call is the pool's quadrature: it refuses pool case 0
         calls.append(t)
+        rates = half_angle_rates(s, t, b_max)
         if len(calls) == 1:
-            raise ValueError("the oracle's rotation angle is not finite")
-        return half_angle_rate(s, t, b_max)
+            rates[0] = np.nan
+        return rates
 
-    monkeypatch.setattr(oracle, "_half_angle_rate", fails_once)
+    monkeypatch.setattr(oracle, "_half_angle_rates", fails_once)
     pool = verify.case_pool(42)
     assert np.isnan(pool.images["quadrature"][0]).all()
     assert pool.invalid["quadrature"].sum() == 1
@@ -157,16 +154,16 @@ def test_raising_quadrature_counts_as_a_failure(monkeypatch):
 
 
 def test_raising_montecarlo_counts_as_a_failure(monkeypatch):
-    calls = []
-    mc_half_scale = oracle._mc_half_scale
+    rotation_moments = oracle._rotation_moments
 
-    def fails_on_third_case(s, t):
-        calls.append(t)
-        if len(calls) == 3:
-            raise ValueError("the oracle's rotation angle is not finite")
-        return mc_half_scale(s, t)
+    def fails_on_third_case(mc, half_scales):
+        # the shared-stream call refuses its third case
+        half_scales = np.array(half_scales)
+        if len(half_scales) == 20:
+            half_scales[2] = np.nan
+        return rotation_moments(mc, half_scales)
 
-    monkeypatch.setattr(oracle, "_mc_half_scale", fails_on_third_case)
+    monkeypatch.setattr(oracle, "_rotation_moments", fails_on_third_case)
     results = {r.name: r for r in verify.run_checks(42)}
     assert len(results) == 14
     mc_line = results.pop("montecarlo_consistency")
@@ -175,8 +172,13 @@ def test_raising_montecarlo_counts_as_a_failure(monkeypatch):
 
 
 def test_raising_reproducibility_call_counts_as_a_failure(monkeypatch, pool):
-    def refuses(rho, s, t, mc=oracle.McSpec()):
-        raise ValueError("the oracle's rotation angle is not finite")
+    average_montecarlo = oracle.average_montecarlo
+
+    def refuses(m, s, t, mc=oracle.McSpec()):
+        means, stderrs = average_montecarlo(m, s, t, mc)
+        if means.ndim == 2:  # a call of one case
+            return np.full_like(means, np.nan), np.nan
+        return means, stderrs
 
     monkeypatch.setattr(oracle, "average_montecarlo", refuses)
     mc_line = verify.check_montecarlo_consistency(pool, 42)
@@ -185,15 +187,15 @@ def test_raising_reproducibility_call_counts_as_a_failure(monkeypatch, pool):
 
 
 def test_invalid_montecarlo_mean_counts_as_a_failure(monkeypatch, pool):
-    montecarlo_stack = oracle._montecarlo_stack
+    average_montecarlo = oracle.average_montecarlo
 
     def stretched(*args):
-        means, stderrs = montecarlo_stack(*args)
-        if len(means) == 20:  # the shared-stream call, not a stack of one
+        means, stderrs = average_montecarlo(*args)
+        if means.ndim == 3:  # the shared-stream call, not a call of one case
             means[5] *= 1.001
         return means, stderrs
 
-    monkeypatch.setattr(oracle, "_montecarlo_stack", stretched)
+    monkeypatch.setattr(oracle, "average_montecarlo", stretched)
     mc_line = verify.check_montecarlo_consistency(pool, 42)
     assert not mc_line.passed and mc_line.detail.endswith(" invalid_images=1")
 
@@ -201,15 +203,10 @@ def test_invalid_montecarlo_mean_counts_as_a_failure(monkeypatch, pool):
 def montecarlo_keys(monkeypatch, pool, seed):
     """The McSpec seeds and the (seed, chunk_index) stream keys of one montecarlo_consistency."""
     spec_seeds, stream_keys = [], set()
-    montecarlo_stack = oracle._montecarlo_stack
     average_montecarlo = oracle.average_montecarlo
     box_muller_normals = oracle._box_muller_normals
 
-    def stack(rhos, scenarios, times, mc):
-        spec_seeds.append(mc.seed)
-        return montecarlo_stack(rhos, scenarios, times, mc)
-
-    def one(rho, s, t, mc=oracle.McSpec()):
+    def recorded(rho, s, t, mc=oracle.McSpec()):
         spec_seeds.append(mc.seed)
         return average_montecarlo(rho, s, t, mc)
 
@@ -218,8 +215,7 @@ def montecarlo_keys(monkeypatch, pool, seed):
         return box_muller_normals(stream_seed, chunk_index, *args)
 
     with monkeypatch.context() as m:
-        m.setattr(oracle, "_montecarlo_stack", stack)
-        m.setattr(oracle, "average_montecarlo", one)
+        m.setattr(oracle, "average_montecarlo", recorded)
         m.setattr(oracle, "_box_muller_normals", normals)
         assert verify.check_montecarlo_consistency(pool, seed).passed
     return spec_seeds, stream_keys
@@ -235,8 +231,8 @@ def test_montecarlo_runs_on_the_verify_seed_alone(monkeypatch, pool):
 
 
 def test_raising_per_state_form_fails_rest_frame_reduction(monkeypatch):
-    def invalid(rho, s, t):
-        return verify.DensityMatrix(1.001 * rho.matrix)
+    def invalid(rhos, s, t):
+        return 1.001 * operator_sum_apply(rhos, s, t)
 
     monkeypatch.setattr(verify, "operator_sum_apply", invalid)
     result = verify.check_rest_frame_reduction(42)
