@@ -39,22 +39,30 @@ Determinism contracts: node/weight generation is the Golub-Welsch
 eigen-solve of the symmetric tridiagonal Jacobi matrix (numpy's dense
 Hermitian solver), whose bits were found equal on one and two BLAS
 threads for n <= 402 nodes but not at n = 1000 or 2048, where LAPACK
-runs threaded. Monte Carlo draws
-come from SFC64 streams keyed by (seed, chunk_index), each seeded by
-numpy's ``SeedSequence(seed, spawn_key=(chunk_index,))``, with a
-Box-Muller transform, accumulated in fixed chunk order, so identical
-(seed, samples) produce bit-identical results whether chunks are
-evaluated serially or in any order, on one BLAS thread or several. A
-Monte Carlo call draws each chunk's normals once and rotates every case
-on them: all its cases see one stream, and each case gets the bits it
-would get alone, whatever else is in the stack or in what order.
+runs threaded.
+
+Monte Carlo is jittered stratified Box-Muller (Owen, *Monte Carlo
+theory, methods and examples*, on stratification): each of
+R = ``MC_RANDOMISATIONS`` independent randomisations puts one uniformly
+jittered point in each of the m x m strata of (u1, u2) and takes both
+normals of each point, 2 R m^2 normals in all (``McSpec.samples``).
+Randomisation r draws its uniforms from an SFC64 stream seeded by
+numpy's ``SeedSequence(seed, spawn_key=(r,))``, and its means are
+accumulated in a fixed order, so identical (seed, samples) produce
+bit-identical results, on one BLAS thread or several. The estimate is
+the average of the R randomisation means, and its standard error their
+spread, with R - 1 degrees of freedom, as for randomised quasi-Monte
+Carlo (Dick, Kuo & Sloan, Acta Numerica 22, 133, 2013): the per-draw
+variance overstates a stratified mean's error. A Monte Carlo call draws
+each randomisation's normals once and rotates every case on them: all
+its cases see one stream, and each case gets the bits it would get
+alone, whatever else is in the stack or in what order.
 
 Monte Carlo trigonometry: every cos/sin pair comes from one tangent of
 the half angle. For the Box-Muller angle, cos 2x = (1 - h^2) w and
 sin 2x = 2 h w with h = tan x and w = 1/(1 + h^2). For the rotation angle
-d of each draw only the moments are needed: with h = tan(d/2),
-cos d = 2w - 1 and sin d = 2hw, and four pairwise sums per chunk (w, hw,
-hw w, (hw)^2) give all five means of (cos d, sin d) and their products.
+d of each draw only two means are needed: with h = tan(d/2),
+1 - cos d = 2 h (hw) and sin d = 2hw, two pairwise sums per block.
 numpy dispatches float64 ``tan`` to SIMD code on common x86-64 builds,
 where ``cos`` and ``sin`` are scalar libm calls, so one ``tan`` and a
 few multiply-adds cost about a tenth of the pair. The pairs stay within
@@ -73,16 +81,20 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import Scenario, _require_nonneg_time
-from .spinalg import IDENTITY_2, _matmul_2x2, _states, pauli_vector
+from .spinalg import _matmul_2x2, _states, pauli_vector
 
 # Largest distance between a closed form and the quadrature oracle at its
 # default nodes that ``spinboost verify`` and the CLI accept.
 ORACLE_TOL = 1e-8
 
-_MC_CHUNK = 1 << 16
-# Largest |z| _box_muller_normals returns: the radius sqrt(-2 log(1 - u1))
-# at the largest draw u1 = 1 - 2**-53.
-_BOX_MULLER_MAX = math.sqrt(106.0 * math.log(2.0))
+# R, the independent randomisations of the stratified Monte Carlo sampler:
+# each gives one estimate, and their spread the standard error, with R - 1
+# degrees of freedom.
+MC_RANDOMISATIONS = 16
+# Floats per temporary of ``_randomisation_means`` (512 KiB): its work array
+# holds a block of rows of strata, and its two (cases x normals) arrays a
+# block of cases; a block holds at least one row and one case.
+_MC_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -98,16 +110,27 @@ class QuadratureSpec:
 
 @dataclass(frozen=True)
 class McSpec:
-    """Monte Carlo sample count and 64-bit seed."""
+    """Monte Carlo normal count and 64-bit seed.
 
-    samples: int = 100_000
+    ``samples`` is the number of normals drawn: 2 R m^2, two normals in
+    each of the m x m strata of each of the R = ``MC_RANDOMISATIONS``
+    randomisations. The default, m = 60, draws 115,200.
+    """
+
+    samples: int = 2 * MC_RANDOMISATIONS * 60**2
     seed: int = 42
 
     def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError(f"samples must be >= 1, got {self.samples!r}")
+        if self.samples < 1 or 2 * MC_RANDOMISATIONS * self.strata**2 != self.samples:
+            raise ValueError(f"samples must be 2 R m^2 = {2 * MC_RANDOMISATIONS} m^2 for a "
+                             f"whole number m >= 1 of strata per axis, got {self.samples!r}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
+
+    @property
+    def strata(self) -> int:
+        """m, the strata per axis of each randomisation's m x m grid on (u1, u2)."""
+        return math.isqrt(max(self.samples, 0) // (2 * MC_RANDOMISATIONS))
 
 
 @lru_cache(maxsize=16)
@@ -286,119 +309,129 @@ def _cos_sin_double(x: np.ndarray, cos_out: np.ndarray, scratch: np.ndarray) -> 
     x *= 2.0
 
 
-def _box_muller_normals(seed: int, chunk_index: int, count: int,
-                        work: np.ndarray | None = None) -> np.ndarray:
-    """Standard normals from an SFC64 stream keyed by (seed, chunk_index).
+def _normal_bound(strata: int) -> float:
+    """The largest |z| that ``_stratified_normals`` returns at ``strata`` per axis:
+    the radius sqrt(-2 log v) at the smallest v, 2**-53 / strata."""
+    return math.sqrt(2.0 * (53.0 * math.log(2.0) + math.log(strata)))
 
-    ``work``, a float array of shape (3, n) with n >= count rounded up to
-    even, holds every intermediate; the normals are returned as a view
-    of ``work[2, :count]``.
+
+def _stream(seed: int, r: int) -> np.random.Generator:
+    """The uniforms of randomisation ``r``: SFC64 seeded by
+    ``SeedSequence(seed, spawn_key=(r,))``."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(r,))))
+
+
+def _stratified_normals(gen: np.random.Generator, strata: int, first: int, rows: int,
+                        work: np.ndarray) -> np.ndarray:
+    """Normals of rows ``first`` to ``first + rows - 1`` of an m x m grid of strata.
+
+    Jittered stratified Box-Muller: one point (u1, u2) in each stratum
+    [i/m, (i+1)/m) x [j/m, (j+1)/m), from the pair (U1, U2) of uniforms
+    that ``gen`` draws next for it, stratum by stratum in row-major order.
+    v = (i + (1 - U1))/m in (0, 1] stands for 1 - u1, so the radius
+    sqrt(-2 log v) is finite; the angle is 2 pi u2 with
+    u2 = (j + U2)/m, and each point gives both normals: the cosines of the
+    rows' points, then their sines. ``work``, a float array of at least
+    4 rows m, holds every intermediate; the 2 rows m normals are returned
+    as a view of its start.
     """
-    half = (count + 1) // 2
-    if work is None:
-        work = np.empty((3, 2 * half))
-    seq = np.random.SeedSequence(seed, spawn_key=(chunk_index,))
-    gen = np.random.Generator(np.random.SFC64(seq))
-    u = gen.random(out=work[0, :2 * half])  # u1, then u2: the bits of two draws of half
-    r, angle = u[:half], u[half:]
-    np.negative(r, out=r)
-    np.log1p(r, out=r)  # log(1 - u1) with 1 - u1 in (0, 1], no log(0)
-    r *= -2.0
-    np.sqrt(r, out=r)
-    angle *= np.pi  # half of the angle 2 pi u2
-    cos_a, z = work[1, :half], work[2, :count]
-    _cos_sin_double(angle, cos_a, z[:half])  # angle now holds the sines
-    np.multiply(r, cos_a, out=z[:half])
-    np.multiply(r[:count - half], angle[:count - half], out=z[half:])
+    count = rows * strata
+    pairs = gen.random(out=work[:2 * count]).reshape(rows, strata, 2)
+    radius, half = work[2 * count:3 * count], work[3 * count:4 * count]
+    v = np.subtract(1.0, pairs[..., 0], out=radius.reshape(rows, strata))
+    v += np.arange(first, first + rows)[:, None]
+    v /= strata
+    np.log(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    np.add(pairs[..., 1], np.arange(strata), out=half.reshape(rows, strata))
+    half *= math.pi / strata  # half of the angle 2 pi u2
+    z = work[:2 * count]  # the uniforms are spent
+    _cos_sin_double(half, z[:count], z[count:])  # half now holds the sines
+    z[:count] *= radius
+    np.multiply(radius, half, out=z[count:])
     return z
 
 
-def _rotation_moments(mc: McSpec, half_scales) -> np.ndarray:
-    """Sample means of cos d, sin d, cos^2 d, sin^2 d and cos d sin d.
+def _randomisation_means(mc: McSpec, half_scales) -> np.ndarray:
+    """Means of 1 - cos d and of sin d per case and randomisation, (2, cases, R).
 
-    One row per half scale: d = 2 half_scale z over the ``mc.samples``
-    normals z of the SFC64 streams of ``mc.seed``. Each chunk's normals
-    are drawn once and seen by every half scale, so a row does not
-    depend on the others. With h = tan(d/2) and w = 1/(1 + h^2),
-    cos d = 2w - 1 and sin d = 2hw, so four pairwise sums per chunk (of
-    w, hw, hw w and (hw)^2) give all five means. (hw)^2 rather than w^2
-    gives E[sin^2 d] without the cancellation of 1 - E[cos^2 d] at
-    small angles.
+    Case k has d = 2 half_scales[k] z over the 2 m^2 normals z of each
+    randomisation r, whose uniforms come from ``_stream(mc.seed, r)``.
+    The normals are drawn once, in blocks of rows of strata, and seen by
+    every case, so a case does not depend on the others. With
+    h = tan(d/2) and w = 1/(1 + h^2), 1 - cos d = 2 h (hw) and
+    sin d = 2 hw, so two pairwise sums per block give both means;
+    1 - cos d rather than cos d keeps their spread at full relative
+    accuracy at small angles.
     """
-    work = np.empty((3, 2 * ((min(_MC_CHUNK, mc.samples) + 1) // 2)))
-    sums = np.zeros((len(half_scales), 4))
-    for chunk_index, done in enumerate(range(0, mc.samples, _MC_CHUNK)):
-        count = min(_MC_CHUNK, mc.samples - done)
-        z = _box_muller_normals(mc.seed, chunk_index, count, work)
-        # rows 0 and 1 are spent once the normals are built: row 0 holds
-        # h, then hw; row 1 holds w, then the products' scratch
-        h, w = work[0, :count], work[1, :count]
-        for row, half_scale in zip(sums, np.asarray(half_scales).tolist()):
-            np.multiply(z, half_scale, out=h)
-            np.tan(h, out=h)
-            np.multiply(h, h, out=w)
-            w += 1.0
-            np.divide(1.0, w, out=w)
-            sum_w = w.sum()
-            hw = np.multiply(h, w, out=h)
-            # numpy's pairwise sums, unlike a BLAS dot, do not depend on
-            # the BLAS thread count
-            row += (sum_w, hw.sum(), np.multiply(hw, w, out=w).sum(),
-                    np.multiply(hw, hw, out=w).sum())
-    mean_w, mean_hw, mean_hww, mean_hwhw = (sums / mc.samples).T
-    mean_ss = 4.0 * mean_hwhw
-    return np.stack([2.0 * mean_w - 1.0, 2.0 * mean_hw, 1.0 - mean_ss, mean_ss,
-                     4.0 * mean_hww - 2.0 * mean_hw], axis=1)
-
-
-def _rodrigues_average(m: np.ndarray, n: np.ndarray, moments: np.ndarray,
-                       samples: int) -> tuple[np.ndarray, float]:
-    """Mean and standard error of U rho U^dag from the moments of (cos d, sin d)."""
-    mean_c, mean_s, mean_cc, mean_ss, mean_cs = moments.tolist()
-    # rho = a0 I + a.sigma with complex a; the rotation acts on a:
-    # a -> (n.a) n + cos d (a - (n.a) n) + sin d (n x a)
-    a = 0.5 * np.array([m[0, 1] + m[1, 0], 1j * (m[0, 1] - m[1, 0]), m[0, 0] - m[1, 1]])
-    along = np.dot(n, a) * n
-    fixed = 0.5 * np.trace(m) * IDENTITY_2 + pauli_vector(along)
-    b_mat, c_mat = pauli_vector(a - along), pauli_vector(np.cross(n, a))
-    out = fixed + mean_c * b_mat + mean_s * c_mat
-    if samples > 1:
-        var = (np.abs(b_mat) ** 2 * (mean_cc - mean_c**2)
-               + np.abs(c_mat) ** 2 * (mean_ss - mean_s**2)
-               + 2.0 * (b_mat * c_mat.conj()).real * (mean_cs - mean_c * mean_s))
-        stderr = float(np.sqrt(np.clip(var / (samples - 1), 0.0, None).sum()))
-    else:
-        stderr = float("inf")
-    return _hermitize(out), stderr
+    half_scales = np.asarray(half_scales, dtype=float)
+    m = mc.strata
+    rows = min(m, max(1, _MC_BLOCK // (4 * m)))
+    per_block = max(1, _MC_BLOCK // (2 * rows * m))
+    work = np.empty(4 * rows * m)
+    h_buf, w_buf = np.empty((2, min(per_block, len(half_scales)) * 2 * rows * m))
+    sums = np.zeros((2, len(half_scales), MC_RANDOMISATIONS))
+    for r in range(MC_RANDOMISATIONS):
+        gen = _stream(mc.seed, r)
+        for first in range(0, m, rows):
+            z = _stratified_normals(gen, m, first, min(rows, m - first), work)
+            for k0 in range(0, len(half_scales), per_block):
+                scales = half_scales[k0:k0 + per_block, None]
+                h = h_buf[:len(scales) * len(z)].reshape(len(scales), len(z))
+                w = w_buf[:h.size].reshape(h.shape)
+                np.multiply(scales, z, out=h)
+                np.tan(h, out=h)
+                np.multiply(h, h, out=w)
+                w += 1.0
+                np.divide(1.0, w, out=w)
+                hw = np.multiply(h, w, out=w)
+                # numpy's pairwise sums, unlike a BLAS dot, do not depend on
+                # the BLAS thread count
+                sums[1, k0:k0 + per_block, r] += hw.sum(axis=-1)
+                sums[0, k0:k0 + per_block, r] += np.multiply(hw, h, out=h).sum(axis=-1)
+    return sums / (m * m)  # 2 h (hw) and 2 hw averaged over 2 m^2 normals
 
 
 def average_montecarlo(m, s: Scenario, t, mc: McSpec = McSpec()) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded Monte Carlo estimate of the Gaussian average.
+    """Stratified Monte Carlo estimate of the Gaussian average.
 
-    Returns the sample means of U(z) rho U(z)^dag over z ~ N(0, 1) and
-    standard-error estimates: per-entry sample variances of the mean,
-    aggregated in Frobenius norm. States ``m`` (..., 2, 2), the cases of
-    ``s`` and times ``t`` broadcast to means (..., 2, 2), not validated,
-    and standard errors (...).
+    Returns the mean of U(z) rho U(z)^dag over z ~ N(0, 1) and its
+    standard error. States ``m`` (..., 2, 2), the cases of ``s`` and
+    times ``t`` broadcast to means (..., 2, 2), not validated, and
+    standard errors (...).
 
     Each draw rotates the Bloch vector by d = 2 kappa t sigma z about n, so
-    (Rodrigues) U rho U^dag = A + B cos d + C sin d with fixed matrices
-    A, B, C. Only the sample moments of (cos d, sin d) are accumulated;
-    the mean and every entry's sample variance follow from them exactly.
-    Every case sees the same ``mc.samples`` normals of ``mc.seed``, drawn
-    once per chunk. A case whose rotation angle is not finite at the
-    largest |z| that ``_box_muller_normals`` returns gets NaN.
+    (Rodrigues) U rho U^dag = rho - (1 - cos d) B + (sin d) C with fixed
+    matrices B and C. Each of the R = ``MC_RANDOMISATIONS`` randomisations
+    of ``_randomisation_means`` gives a mean M_r, and the estimate is
+    their average M. The standard error is their spread,
+    sqrt(sum_r |M_r - M|^2 / (R (R - 1))) in Frobenius norm, with R - 1
+    degrees of freedom. Every case sees the same ``mc.samples`` normals of
+    ``mc.seed``, and the means and standard errors of all cases are built
+    in one stacked step. A case whose rotation angle is not finite at the
+    largest |z| that ``_stratified_normals`` returns gets NaN.
     """
     _require_nonneg_time(t)
     m = _states(m, 2, "average_montecarlo")
     sigma = _field_scale(s)
     # kappa t sigma, half the rotation angle per draw z: d = 2 kappa t sigma z
-    half_scales = _half_angle_rates(s, t, sigma * _BOX_MULLER_MAX) * sigma
+    half_scales = _half_angle_rates(s, t, sigma * _normal_bound(mc.strata)) * sigma
     shape, rhos, n, half_scales = _cases(m, s, (half_scales,))
-    moments = _rotation_moments(mc, half_scales)
-    means = np.empty((len(half_scales), 2, 2), dtype=complex)
-    stderrs = np.empty(len(half_scales))
-    # one case at a time: a stacked np.dot and sums would round differently
-    for k, (rho, axis, case_moments) in enumerate(zip(rhos, n, moments)):
-        means[k], stderrs[k] = _rodrigues_average(rho, axis, case_moments, mc.samples)
+    vers, sins = _randomisation_means(mc, half_scales)
+    # rho = a0 I + a.sigma with complex a; the rotation acts on a:
+    # a -> a - (1 - cos d)(a - (n.a) n) + sin d (n x a)
+    a = 0.5 * np.stack([rhos[:, 0, 1] + rhos[:, 1, 0], 1j * (rhos[:, 0, 1] - rhos[:, 1, 0]),
+                        rhos[:, 0, 0] - rhos[:, 1, 1]], axis=-1)
+    across = a - (n[:, 0] * a[:, 0] + n[:, 1] * a[:, 1] + n[:, 2] * a[:, 2])[:, None] * n
+    turn = np.cross(n, a)
+    r = MC_RANDOMISATIONS
+    mean_vers, mean_sin = vers.sum(axis=-1) / r, sins.sum(axis=-1) / r
+    means = _hermitize(rhos + pauli_vector(turn * mean_sin[:, None]
+                                           - across * mean_vers[:, None]))
+    # M_r - M as Pauli vectors (cases, R, 3); |x.sigma|^2 = 2 |x|^2
+    spread = (turn[:, None] * (sins - mean_sin[:, None])[..., None]
+              - across[:, None] * (vers - mean_vers[:, None])[..., None])
+    sq = (spread.real**2 + spread.imag**2).sum(axis=-1).sum(axis=-1)
+    stderrs = np.sqrt(2.0 * sq / (r * (r - 1)))
     return means.reshape(shape + (2, 2)), stderrs.reshape(shape)[()]

@@ -52,9 +52,10 @@ class DensityMatrixError(ValueError):
 
 
 def pauli_vector(v) -> np.ndarray:
-    """Return v . (sigma_x, sigma_y, sigma_z) for a real or complex 3-vector v."""
-    v = np.asarray(v)
-    return v[0] * PAULI_X + v[1] * PAULI_Y + v[2] * PAULI_Z
+    """Return v . (sigma_x, sigma_y, sigma_z), (..., 2, 2), for real or complex
+    3-vectors v (..., 3)."""
+    v = np.asarray(v)[..., None, None]
+    return v[..., 0, :, :] * PAULI_X + v[..., 1, :, :] * PAULI_Y + v[..., 2, :, :] * PAULI_Z
 
 
 def pauli_rotation(axis, angle: float) -> np.ndarray:

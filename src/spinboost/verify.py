@@ -24,7 +24,7 @@ from .channel import (
 )
 from .oracle import ORACLE_TOL
 from .relkin import BoostParams, _geometry, effective_field, eta_max, eta_profile
-from .spinalg import _invalid, _random_state, frobenius_distance, require_valid
+from .spinalg import _invalid, _random_state, require_valid
 
 KAPPA_SQ_REF = 6.13229
 ETA_MAX_REF = 0.51780
@@ -121,6 +121,11 @@ def case_pool(seed: int) -> CasePool:
     return CasePool(rhos, scenarios, times, images, invalid)
 
 
+def _worst_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """The largest Frobenius distance between the matrices of two stacks; NaN if any is NaN."""
+    return float(np.linalg.norm(a - b, axis=(-2, -1)).max())
+
+
 def _invalid_note(pool: CasePool, forms, count: int, extra: int = 0) -> str:
     """`` invalid_images=N`` for the first ``count`` cases under ``forms``
     plus ``extra`` more, or ``""`` for none."""
@@ -181,12 +186,9 @@ def check_eta_max_monotone_limit() -> CheckResult:
 def check_analytic_vs_quadrature(pool: CasePool) -> CheckResult:
     quad402 = oracle.average_quadrature(pool.rhos[:100], pool.scenarios[:100], pool.times[:100],
                                         oracle.QuadratureSpec(402))
-    worst_osc = 0.0
-    worst_double = 0.0
-    for k in range(100):
-        quad = pool.images["quadrature"][k]
-        worst_osc = max(worst_osc, frobenius_distance(pool.images["elementwise"][k], quad))
-        worst_double = max(worst_double, frobenius_distance(quad, quad402[k]))
+    quad = pool.images["quadrature"][:100]
+    worst_osc = _worst_distance(pool.images["elementwise"][:100], quad)
+    worst_double = _worst_distance(quad, quad402)
     invalid = _invalid_note(pool, ("elementwise", "quadrature"), 100,
                             int(_invalid(quad402).sum()))
     ok = worst_osc < ORACLE_TOL and worst_double < 1e-10 and not invalid
@@ -199,12 +201,9 @@ def check_analytic_vs_quadrature(pool: CasePool) -> CheckResult:
 
 
 def check_decomposition_agreement(pool: CasePool) -> CheckResult:
-    ref = pool.images["elementwise"]
-    worst_osum = 0.0
-    worst_dressed = 0.0
-    for k in range(100):
-        worst_osum = max(worst_osum, frobenius_distance(pool.images["operator_sum"][k], ref[k]))
-        worst_dressed = max(worst_dressed, frobenius_distance(pool.images["dressed"][k], ref[k]))
+    ref = pool.images["elementwise"][:100]
+    worst_osum = _worst_distance(pool.images["operator_sum"][:100], ref)
+    worst_dressed = _worst_distance(pool.images["dressed"][:100], ref)
     field = pool.scenarios.field
     chi_gt_eta = int((field.chi_mod[:100] > field.eta_mod[:100]).sum())
     invalid = _invalid_note(pool, ("elementwise", "operator_sum", "dressed"), 100)
@@ -332,40 +331,85 @@ def check_bell_boosted_reference() -> CheckResult:
     )
 
 
-def check_montecarlo_consistency(pool: CasePool, seed: int) -> CheckResult:
-    """The first 20 pooled cases on one shared Monte Carlo stream against the quadrature.
+def student_t_tail(x: float, dof: int) -> float:
+    """P(|T| > x) for Student's t with a whole number ``dof`` of degrees of freedom.
 
-    All 20 cases rotate on the same 1e6 normals of McSpec seed ``seed``,
-    drawn once per chunk, so neighbouring verify seeds share no stream.
-    The largest distance/stderr ratio is held to 3. Two more calls on
-    1e5 samples show that one seed gives the same bits twice. A case the
-    oracle refuses, or whose mean is not a valid state, counts as an
-    invalid image.
+    The finite series of Abramowitz & Stegun 26.7.3 (odd ``dof``) and
+    26.7.4 (even ``dof``) in theta = atan(x / sqrt(dof)).
     """
-    means, stderrs = oracle.average_montecarlo(pool.rhos[:20], pool.scenarios[:20],
-                                               pool.times[:20],
-                                               oracle.McSpec(samples=10**6, seed=seed))
-    worst_ratio = 0.0
+    theta = math.atan(x / math.sqrt(dof))
+    c2, odd = math.cos(theta) ** 2, dof % 2
+    series, term = 0.0, 1.0
+    for k in range(1, dof // 2 + 1):
+        series += term
+        term *= c2 * (2 * k - 1 + odd) / (2 * k + odd)
+    if odd:
+        return 1.0 - 2.0 / math.pi * (theta + math.sin(theta) * math.cos(theta) * series)
+    return 1.0 - math.sin(theta) * series
+
+
+def montecarlo_bound(rate: float, cases: int) -> float:
+    """The distance/stderr bound that ``cases`` cases pass with probability >= 1 - rate.
+
+    Each case's ratio is held to the quantile that |T|, Student's t with
+    R - 1 degrees of freedom, exceeds with probability rate / cases
+    (Bonferroni: the cases share one stream). |T| is the ratio's law for
+    one Gaussian direction of error; spread over more directions, the
+    ratio's tail is lighter, so the rate is an upper bound.
+    """
+    dof = oracle.MC_RANDOMISATIONS - 1
+    lo, hi = 0.0, 1e6
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if student_t_tail(mid, dof) > rate / cases:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+# Design false-failure rate of ``check_montecarlo_consistency`` on correct code.
+MC_FALSE_FAILURE_RATE = 1e-3
+MC_CASES = 20
+
+
+def check_montecarlo_consistency(pool: CasePool, seed: int) -> CheckResult:
+    """The first 20 pooled cases on one stratified Monte Carlo stream against the quadrature.
+
+    All 20 cases rotate on the same normals of ``McSpec(seed=seed)``: R
+    randomisations of 2 x 60^2 jittered stratified Box-Muller normals,
+    keyed by (seed, r), so neighbouring verify seeds share no stream. Each
+    case's standard error is the spread of its R randomisation means, and
+    the largest distance/stderr ratio is held to ``montecarlo_bound``:
+    correct code fails with probability at most ``MC_FALSE_FAILURE_RATE``.
+    Two more calls on one case show that one seed gives the same bits
+    twice. A NaN distance or ratio fails; a case the oracle refuses, or
+    whose mean is not a valid state, counts as an invalid image.
+    """
+    mc = oracle.McSpec(seed=seed)
+    means, stderrs = oracle.average_montecarlo(pool.rhos[:MC_CASES], pool.scenarios[:MC_CASES],
+                                               pool.times[:MC_CASES], mc)
+    dist = np.linalg.norm(means - pool.images["quadrature"][:MC_CASES], axis=(-2, -1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        worst_ratio = float(np.where(stderrs == 0.0, math.inf, dist / stderrs).max())
+    bound = montecarlo_bound(MC_FALSE_FAILURE_RATE, MC_CASES)
     bad = _invalid(means)
-    for k, (mean, stderr) in enumerate(zip(means, stderrs.tolist())):
-        if bad[k]:
-            continue
-        dist = frobenius_distance(mean, pool.images["quadrature"][k])
-        worst_ratio = max(worst_ratio, dist / stderr if stderr > 0 else math.inf)
     rho, s, t = pool.case(0)
-    mc = oracle.McSpec(samples=10**5, seed=seed)
-    first, se1 = oracle.average_montecarlo(rho, s, t, mc)
-    second, se2 = oracle.average_montecarlo(rho, s, t, mc)
+    small = oracle.McSpec(samples=2 * oracle.MC_RANDOMISATIONS * 20**2, seed=seed)
+    first, se1 = oracle.average_montecarlo(rho, s, t, small)
+    second, se2 = oracle.average_montecarlo(rho, s, t, small)
     bad_pair = _invalid(np.stack([first, second]))
     failed = int(bad.sum() + bad_pair.sum())
     reproducible = not bad_pair.any() and bool((first == second).all()) and se1 == se2
-    invalid = _invalid_note(pool, ("quadrature",), 20, failed)
-    ok = worst_ratio <= 3.0 and reproducible and not invalid
+    invalid = _invalid_note(pool, ("quadrature",), MC_CASES, failed)
+    ok = worst_ratio <= bound and reproducible and not invalid
+    r = oracle.MC_RANDOMISATIONS
     return CheckResult(
         "montecarlo_consistency",
         ok,
-        f"scenarios=20 samples=1e6 max dist/stderr={_g(worst_ratio)} (<= 3) "
-        f"seed_reproducible={reproducible}{invalid}",
+        f"scenarios={MC_CASES} normals={mc.samples} (R={r} x 2 x {mc.strata}^2 strata) "
+        f"max dist/stderr={_g(worst_ratio)} (<= {bound:.4g}, t_{r - 1} at false-failure rate "
+        f"{MC_FALSE_FAILURE_RATE:.0e}) seed_reproducible={reproducible}{invalid}",
     )
 
 

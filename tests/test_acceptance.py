@@ -80,8 +80,9 @@ def test_criterion_09_two_qubit_boosted_asymptotics(checks):
 
 
 def test_criterion_10_monte_carlo_consistency(checks):
-    # 20 scenarios at 1e6 samples: MC within 3 estimated standard errors
-    # of the quadrature; fixed seed reproduces bit-identical output
+    # 20 scenarios on one stratified stream: MC within the t bound of its
+    # standard errors from the quadrature, at a design false-failure rate
+    # of 1e-3; fixed seed reproduces bit-identical output
     _assert_and_print(10, checks["montecarlo_consistency"])
 
 

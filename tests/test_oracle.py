@@ -1,6 +1,10 @@
 """Tests for the quadrature and Monte Carlo averaging oracles."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,13 +12,13 @@ import pytest
 from spinboost import oracle
 from spinboost.channel import Scenario, evolve_elementwise, plus_state
 from spinboost.oracle import (
-    _MC_CHUNK,
+    MC_RANDOMISATIONS,
     McSpec,
     QuadratureSpec,
-    _box_muller_normals,
     _cos_sin_double,
+    _randomisation_means,
     _require_quadrature,
-    _rotation_moments,
+    _stratified_normals,
     average_montecarlo,
     average_quadrature,
     gauss_hermite_nodes,
@@ -83,6 +87,12 @@ class TestSpecs:
             McSpec(samples=0)
         with pytest.raises(ValueError):
             McSpec(seed=-1)
+        # 2 R m^2 normals: two in each of m x m strata of R randomisations
+        assert McSpec().samples == 2 * MC_RANDOMISATIONS * McSpec().strata ** 2
+        assert McSpec(samples=2 * MC_RANDOMISATIONS).strata == 1
+        for samples in (1, 2 * MC_RANDOMISATIONS + 1, 3 * MC_RANDOMISATIONS, 10**6):
+            with pytest.raises(ValueError, match="2 R m\\^2"):
+                McSpec(samples=samples)
 
 
 class TestGaussHermiteNodes:
@@ -148,7 +158,8 @@ class TestUnitaryAtField:
         rho4 = tensor_product(plus_state().matrix, plus_state().matrix)
         assert np.isnan(average_quadrature(plus_state().matrix, s, t)).all()
         assert np.isnan(two_qubit_average(rho4, s, t)).all()
-        mean, stderr = average_montecarlo(plus_state().matrix, s, t, McSpec(samples=10))
+        mean, stderr = average_montecarlo(plus_state().matrix, s, t,
+                                          McSpec(samples=2 * MC_RANDOMISATIONS))
         assert np.isnan(mean).all() and np.isnan(stderr)
         with pytest.raises(ValueError, match=f"xi = {xi!r}, angle theta = 0.5 and time "
                                              f"t = {t!r}"):
@@ -211,33 +222,48 @@ def cos_sin_double(x):
     return c, x
 
 
-def chunk_stream(seed, chunk_index):
-    """The uniforms of chunk ``chunk_index``: SFC64 seeded by (seed, chunk_index)."""
-    ss = np.random.SeedSequence(seed, spawn_key=(chunk_index,))
+R = MC_RANDOMISATIONS
+
+
+def spec(samples, seed):
+    """The McSpec of the most normals 2 R m^2 up to ``samples``, with at least one stratum."""
+    m = max(1, math.isqrt(samples // (2 * R)))
+    return McSpec(samples=2 * R * m * m, seed=seed)
+
+
+def stream(seed, r):
+    """The uniforms of randomisation ``r``: SFC64 seeded by (seed, r)."""
+    ss = np.random.SeedSequence(seed, spawn_key=(r,))
     return np.random.Generator(np.random.SFC64(ss))
 
 
+def jittered_normals(mc, r):
+    """The 2 m^2 normals of randomisation ``r`` with np.cos/np.sin: in stratum (i, j)
+    the pair (U1, U2) gives 1 - u1 = (i + (1 - U1))/m and u2 = (j + U2)/m."""
+    m = mc.strata
+    pairs = stream(mc.seed, r).random(2 * m * m).reshape(m, m, 2)
+    one_minus_u1 = (np.arange(m)[:, None] + (1.0 - pairs[..., 0])) / m
+    u2 = (np.arange(m) + pairs[..., 1]) / m
+    radius = np.sqrt(-2.0 * np.log(one_minus_u1))
+    angle = 2.0 * np.pi * u2
+    return np.concatenate([(radius * np.cos(angle)).ravel(), (radius * np.sin(angle)).ravel()])
+
+
 def reference_montecarlo(rho, s, t, mc):
-    """Per-chunk Box-Muller with np.cos/np.sin, then U rho U^dag draw by draw."""
-    normals = []
-    for chunk_index, done in enumerate(range(0, mc.samples, _MC_CHUNK)):
-        count = min(_MC_CHUNK, mc.samples - done)
-        gen = chunk_stream(mc.seed, chunk_index)
-        half = (count + 1) // 2
-        u1, u2 = gen.random(half), gen.random(half)
-        r = np.sqrt(-2.0 * np.log1p(-u1))
-        angle = 2.0 * np.pi * u2
-        normals.append(np.concatenate([r * np.cos(angle), r * np.sin(angle)])[:count])
-    half_angle = s.field.kappa * t * math.sqrt(s.gamma / 2) * np.concatenate(normals)
-    u = (np.cos(half_angle)[:, None, None] * IDENTITY_2
-         - 1j * np.sin(half_angle)[:, None, None] * pauli_vector(s.field.n))
-    # draws on the last, contiguous axis, so that each sum is pairwise
-    draws = np.ascontiguousarray(((u @ rho) @ u.conj().transpose(0, 2, 1)).reshape(-1, 4).T)
-    mean = draws.sum(axis=1) / mc.samples
-    if mc.samples == 1:
-        return mean.reshape(2, 2), math.inf
-    variance = (np.abs(draws - mean[:, None]) ** 2).sum(axis=1) / mc.samples / (mc.samples - 1)
-    return mean.reshape(2, 2), math.sqrt(variance.sum())
+    """U rho U^dag draw by draw with np.cos/np.sin, averaged per randomisation; then the
+    mean of the R averages and the standard error of their spread."""
+    per_randomisation = []
+    for r in range(R):
+        half_angle = s.field.kappa * t * math.sqrt(s.gamma / 2) * jittered_normals(mc, r)
+        u = (np.cos(half_angle)[:, None, None] * IDENTITY_2
+             - 1j * np.sin(half_angle)[:, None, None] * pauli_vector(s.field.n))
+        # draws on the last, contiguous axis, so that each sum is pairwise
+        draws = np.ascontiguousarray(((u @ rho) @ u.conj().transpose(0, 2, 1)).reshape(-1, 4).T)
+        per_randomisation.append(draws.sum(axis=1) / len(half_angle))
+    per_randomisation = np.array(per_randomisation)
+    mean = per_randomisation.mean(axis=0)
+    spread = (np.abs(per_randomisation - mean) ** 2).sum()
+    return mean.reshape(2, 2), math.sqrt(spread / (R * (R - 1)))
 
 
 class TestHalfAngleCosSin:
@@ -262,109 +288,139 @@ class TestHalfAngleCosSin:
         assert np.abs(s - np.sin(2.0 * x)).max() <= 4.5e-16
 
     def test_one_draw_of_2n_is_two_draws_of_n(self):
-        for n in (1, 7, _MC_CHUNK // 2):
-            one = chunk_stream(42, 3).random(2 * n)
-            gen = chunk_stream(42, 3)
+        # the sampler draws a randomisation's uniforms a block of rows at a time
+        for n in (1, 7, oracle._MC_BLOCK // 2):
+            one = stream(42, 3).random(2 * n)
+            gen = stream(42, 3)
             np.testing.assert_array_equal(one, np.concatenate([gen.random(n), gen.random(n)]))
             out = np.empty(2 * n)
-            chunk_stream(42, 3).random(out=out)
+            stream(42, 3).random(out=out)
             np.testing.assert_array_equal(out, one)
 
 
-def direct_moments(mc, half_scale):
-    """The five means from np.cos/np.sin of d = 2 half_scale z on the same normals."""
-    z = np.concatenate([_box_muller_normals(mc.seed, k, min(_MC_CHUNK, mc.samples - done))
-                        for k, done in enumerate(range(0, mc.samples, _MC_CHUNK))])
-    d = 2.0 * half_scale * z
-    c, s = np.cos(d), np.sin(d)
-    return [c.mean(), s.mean(), (c * c).mean(), (s * s).mean(), (c * s).mean()]
+def direct_means(mc, half_scale):
+    """Per randomisation, the means of 1 - cos d and sin d from np.cos/np.sin of
+    d = 2 half_scale z on the jittered normals: (2, R)."""
+    d = 2.0 * half_scale * np.array([jittered_normals(mc, r) for r in range(R)])
+    return np.array([(1.0 - np.cos(d)).mean(axis=-1), np.sin(d).mean(axis=-1)])
+
+
+def kernel_sums(mc, half_scale, r):
+    """The two sums of randomisation ``r`` as the kernel forms them, block of rows by
+    block of rows: of h (hw) and of hw, with h = tan(d/2) and w = 1/(1 + h^2)."""
+    m = mc.strata
+    rows = min(m, max(1, oracle._MC_BLOCK // (4 * m)))
+    gen, work, sums = oracle._stream(mc.seed, r), np.empty(4 * rows * m), np.zeros(2)
+    for first in range(0, m, rows):
+        h = np.tan(half_scale * _stratified_normals(gen, m, first, min(rows, m - first), work))
+        w = 1.0 / (h * h + 1.0)
+        hw = h * w
+        sums += ((hw * h).sum(), hw.sum())
+    return sums
 
 
 class TestRotationMoments:
-    @pytest.mark.parametrize("samples", [1, 2, 3001, 65_537, 2 * _MC_CHUNK + 12345])
+    """The per-randomisation means of ``_randomisation_means``."""
+
+    @pytest.mark.parametrize("samples", [1, 2, 3001, 65_537, 2 * 65_536 + 12345])
     @pytest.mark.parametrize("half_scale", [1e-3, 0.2, 1.0, 7.5])
     def test_means_match_direct_cos_sin(self, samples, half_scale):
-        # odd counts, a count that is not a multiple of the chunk and one draw
-        mc = McSpec(samples=samples, seed=31)
-        got = _rotation_moments(mc, [half_scale])[0]
-        ref = direct_moments(mc, half_scale)
-        assert max(abs(a - b) for a, b in zip(got, ref)) <= 1e-14
+        # one stratum per randomisation, a few and many
+        mc = spec(samples, 31)
+        got = _randomisation_means(mc, [half_scale])[:, 0]
+        assert got.shape == (2, R)
+        assert np.abs(got - direct_means(mc, half_scale)).max() <= 1e-14
+
+    @pytest.mark.parametrize("block", [1, 64, 1000])
+    def test_means_match_direct_cos_sin_in_small_blocks(self, monkeypatch, block):
+        # several blocks of rows per randomisation and of cases per block
+        mc = spec(3001, 32)
+        monkeypatch.setattr(oracle, "_MC_BLOCK", block)
+        got = _randomisation_means(mc, [1e-3, 0.2, 1.0, 7.5])
+        for k, half_scale in enumerate([1e-3, 0.2, 1.0, 7.5]):
+            assert np.abs(got[:, k] - direct_means(mc, half_scale)).max() <= 1e-14
 
     def test_sin_square_keeps_relative_accuracy_at_small_angles(self):
-        mc = McSpec(samples=3001, seed=5)
-        _, mean_s, _, mean_ss, _ = _rotation_moments(mc, [1e-6])[0]
-        _, ref_s, _, ref_ss, _ = direct_moments(mc, 1e-6)
-        assert abs((mean_ss - mean_s**2) / (ref_ss - ref_s**2) - 1.0) <= 1e-12
+        # 1 - cos d = 2 sin^2(d/2), summed as 2 h (hw), not 1 less the mean of cos d
+        mc = spec(3001, 5)
+        vers = _randomisation_means(mc, [1e-6])[0, 0]
+        d = 2e-6 * np.array([jittered_normals(mc, r) for r in range(R)])
+        ref = (2.0 * np.sin(0.5 * d) ** 2).mean(axis=-1)
+        assert np.abs(vers / ref - 1.0).max() <= 1e-12
+        spread, ref_spread = vers - vers.mean(), ref - ref.mean()
+        assert np.abs(spread - ref_spread).max() <= 1e-9 * np.abs(ref_spread).max()
 
     def test_same_seed_and_count_give_the_same_bits(self):
-        for samples in (1, 3001, 2 * _MC_CHUNK + 1):
-            mc = McSpec(samples=samples, seed=77)
-            first, second = _rotation_moments(mc, [0.6]), _rotation_moments(mc, [0.6])
+        for samples in (1, 3001, 2 * 65_536 + 1):
+            mc = spec(samples, 77)
+            first, second = _randomisation_means(mc, [0.6]), _randomisation_means(mc, [0.6])
             assert first.view(np.uint64).tolist() == second.view(np.uint64).tolist()
 
-    def test_chunks_in_any_order_give_the_same_bits(self):
-        # each chunk's normals built on their own, last chunk first; the
-        # four sums are then added in chunk order, as the oracle adds them
-        mc, half_scale = McSpec(samples=3 * _MC_CHUNK + 4321, seed=2024), 0.8
-        counts = [min(_MC_CHUNK, mc.samples - done) for done in range(0, mc.samples, _MC_CHUNK)]
-        chunk_sums = {}
-        for k in reversed(range(len(counts))):
-            h = np.tan(half_scale * _box_muller_normals(mc.seed, k, counts[k]))
-            w = 1.0 / (h * h + 1.0)
-            hw = h * w
-            chunk_sums[k] = (w.sum(), hw.sum(), (hw * w).sum(), (hw * hw).sum())
-        sums = np.zeros(4)
-        for k in range(len(counts)):
-            sums += chunk_sums[k]
-        mean_w, mean_hw, mean_hww, mean_hwhw = (sums / mc.samples).tolist()
-        ref = (2.0 * mean_w - 1.0, 2.0 * mean_hw, 1.0 - 4.0 * mean_hwhw, 4.0 * mean_hwhw,
-               4.0 * mean_hww - 2.0 * mean_hw)
-        got = _rotation_moments(mc, [half_scale])[0]
-        assert got.view(np.uint64).tolist() == np.array(ref).view(np.uint64).tolist()
+    def test_chunks_in_any_order_give_the_same_bits(self, monkeypatch):
+        # each randomisation's sums built on their own, last randomisation first,
+        # a block of rows of strata at a time, as the kernel forms them
+        mc, half_scale = spec(20_000, 2024), 0.8
+        for rows in (1, 3, 100):
+            monkeypatch.setattr(oracle, "_MC_BLOCK", 4 * mc.strata * rows)
+            sums = {r: kernel_sums(mc, half_scale, r) for r in reversed(range(R))}
+            ref = np.array([sums[r] for r in range(R)]).T / mc.strata**2
+            got = _randomisation_means(mc, [half_scale])[:, 0]
+            assert got.view(np.uint64).tolist() == ref.view(np.uint64).tolist()
 
-    @pytest.mark.parametrize("seed, chunk_index", [(0, 0), (42, 3), (2**64 - 2, 7)])
-    def test_neighbouring_keys_start_with_different_draws(self, seed, chunk_index):
-        keys = [(seed, chunk_index), (seed, chunk_index + 1), (seed + 1, chunk_index)]
-        firsts = [_box_muller_normals(s, k, 2)[0] for s, k in keys]
+    @pytest.mark.parametrize("seed, r", [(0, 0), (42, 3), (2**64 - 2, 7)])
+    def test_neighbouring_keys_start_with_different_draws(self, seed, r):
+        keys = [(seed, r), (seed, r + 1), (seed + 1, r)]
+        firsts = [_stratified_normals(oracle._stream(s, k), 1, 0, 1, np.empty(4))[0]
+                  for s, k in keys]
         assert len(set(firsts)) == 3
-        uniforms = [chunk_stream(s, k).random() for s, k in keys]
+        uniforms = [stream(s, k).random() for s, k in keys]
         assert len(set(uniforms)) == 3
-
-    def test_one_sample_has_infinite_stderr(self):
-        rng = np.random.default_rng(12)
-        (rho, s, t), = draw_cases(rng, 1)
-        mean, stderr = average_montecarlo(rho, s, t, McSpec(samples=1, seed=3))
-        require_valid(mean)
-        assert stderr == math.inf
-        assert abs(np.trace(mean) - 1.0) < 1e-14
 
 
 class TestAverageMonteCarlo:
-    @pytest.mark.parametrize("samples", [1, 2, 3001, 2 * _MC_CHUNK + 12345])
+    @pytest.mark.parametrize("samples", [1, 2, 3001, 2 * 65_536 + 12345])
     def test_matches_per_chunk_cos_sin_reference(self, samples):
+        # per randomisation, as the oracle draws them
         rng = np.random.default_rng(11)
         for k, (rho, s, t) in enumerate(draw_cases(rng, 4)):
-            mc = McSpec(samples=samples, seed=9 + k)
+            mc = spec(samples, 9 + k)
             mean, stderr = average_montecarlo(rho, s, t, mc)
             ref_mean, ref_stderr = reference_montecarlo(rho, s, t, mc)
             require_valid(mean)
             assert frobenius_distance(mean, ref_mean) <= 1e-15
-            assert stderr == ref_stderr or abs(stderr - ref_stderr) <= 1e-10 * ref_stderr
+            assert abs(stderr - ref_stderr) <= 1e-10 * ref_stderr
 
     def test_seed_determinism(self):
         rng = np.random.default_rng(4)
         (rho, s, t), = draw_cases(rng, 1)
-        mc = McSpec(samples=150_000, seed=7)
+        mc = McSpec(seed=7)
         first, se1 = average_montecarlo(rho, s, t, mc)
         second, se2 = average_montecarlo(rho, s, t, mc)
         require_valid(first)
         np.testing.assert_array_equal(first, second)
         assert se1 == se2
 
+    def test_bits_do_not_depend_on_the_blas_thread_count(self):
+        script = ("import hashlib, sys, numpy as np\n"
+                  "sys.path.insert(0, sys.argv[1])\n"
+                  "from spinboost import oracle, verify\n"
+                  "pool = verify.case_pool(7)\n"
+                  "means, stderrs = oracle.average_montecarlo(pool.rhos[:20], pool.scenarios[:20],"
+                  " pool.times[:20], oracle.McSpec(seed=7))\n"
+                  "print(hashlib.sha256(means.tobytes() + stderrs.tobytes()).hexdigest())\n")
+        src = str(Path(oracle.__file__).resolve().parents[1])
+        digests = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            out = subprocess.run([sys.executable, "-c", script, src], env=env,
+                                 capture_output=True, text=True, check=True)
+            digests.add(out.stdout)
+        assert len(digests) == 1
+
     def test_within_three_stderr_of_quadrature(self):
         rng = np.random.default_rng(5)
         for k, (rho, s, t) in enumerate(draw_cases(rng, 5)):
-            mean, stderr = average_montecarlo(rho, s, t, McSpec(samples=10**6, seed=100 + k))
+            mean, stderr = average_montecarlo(rho, s, t, McSpec(seed=100 + k))
             quad = average_quadrature(rho, s, t)
             require_valid(mean)
             require_valid(quad)
@@ -373,32 +429,42 @@ class TestAverageMonteCarlo:
     def test_mean_trace_one(self):
         rng = np.random.default_rng(6)
         (rho, s, t), = draw_cases(rng, 1)
-        mean, _ = average_montecarlo(rho, s, t, McSpec(samples=50_000, seed=1))
+        mean, _ = average_montecarlo(rho, s, t, spec(50_000, 1))
         require_valid(mean)
         assert abs(np.trace(mean) - 1.0) < 1e-12
 
     def test_moments_match_per_draw_average(self):
-        # the mean and per-entry variances of U rho U^dag, draw by draw
+        # the mean and standard error of U rho U^dag, draw by draw on the
+        # oracle's own normals, averaged per randomisation
         rng = np.random.default_rng(10)
         for rho, s, t in draw_cases(rng, 3):
-            mc = McSpec(samples=3000, seed=5)  # one chunk
+            mc = spec(3000, 5)
             mean, stderr = average_montecarlo(rho, s, t, mc)
             require_valid(mean)
-            fields = math.sqrt(s.gamma / 2) * _box_muller_normals(mc.seed, 0, mc.samples)
-            draws = np.array([u @ rho @ u.conj().T
-                              for u in (field_unitary(b, s, t) for b in fields)])
-            expected = draws.mean(axis=0)
-            variance = (np.abs(draws - expected) ** 2).mean(axis=0) / (mc.samples - 1)
+            m = mc.strata
+            per_randomisation = []
+            for r in range(R):
+                z = _stratified_normals(oracle._stream(mc.seed, r), m, 0, m, np.empty(4 * m * m))
+                fields = math.sqrt(s.gamma / 2) * z
+                draws = np.array([u @ rho @ u.conj().T
+                                  for u in (field_unitary(b, s, t) for b in fields)])
+                per_randomisation.append(draws.mean(axis=0))
+            per_randomisation = np.array(per_randomisation)
+            expected = per_randomisation.mean(axis=0)
+            spread = (np.abs(per_randomisation - expected) ** 2).sum()
             assert frobenius_distance(mean, expected) < 1e-14
-            assert abs(stderr - math.sqrt(variance.sum())) <= 1e-10 * stderr
+            assert abs(stderr - math.sqrt(spread / (R * (R - 1)))) <= 1e-10 * stderr
 
     def test_stderr_scales_with_samples(self):
+        # jittered strata in two dimensions: the error of a smooth integrand
+        # falls as 1/m^2, a sixteenth for 16 times the normals (a quarter
+        # for plain sampling)
         rng = np.random.default_rng(7)
         (rho, s, t), = draw_cases(rng, 1)
-        _, se_small = average_montecarlo(rho, s, t, McSpec(samples=10**4, seed=11))
-        _, se_large = average_montecarlo(rho, s, t, McSpec(samples=10**6, seed=11))
+        _, se_small = average_montecarlo(rho, s, t, McSpec(samples=2 * R * 10**2, seed=11))
+        _, se_large = average_montecarlo(rho, s, t, McSpec(samples=2 * R * 40**2, seed=11))
         ratio = se_small / se_large
-        assert 5.0 < ratio < 20.0  # 1/sqrt(samples): nominal factor 10
+        assert 8.0 < ratio < 32.0
 
 
 def bits(x):
@@ -410,11 +476,11 @@ def montecarlo_stack(cases, mc):
 
 
 class TestMonteCarloStack:
-    @pytest.mark.parametrize("samples", [1, 3001, 2 * _MC_CHUNK + 12345])
+    @pytest.mark.parametrize("samples", [1, 3001, 2 * 65_536 + 12345])
     @pytest.mark.parametrize("size", [1, 2, 20])
     def test_each_case_has_the_bits_of_a_stack_of_one(self, size, samples):
         cases = draw_cases(np.random.default_rng(size), size)
-        mc = McSpec(samples=samples, seed=size + samples)
+        mc = spec(samples, size + samples)
         means, stderrs = montecarlo_stack(cases, mc)
         assert means.shape == (size, 2, 2) and stderrs.shape == (size,)
         for (rho, s, t), mean, stderr in zip(cases, means, stderrs):
@@ -423,9 +489,20 @@ class TestMonteCarloStack:
             assert bits(mean) == bits(one)
             assert bits(stderr) == bits(one_stderr)
 
+    @pytest.mark.parametrize("block", [1, 64, 1000])
+    def test_small_blocks_keep_each_case_to_the_bits_of_a_stack_of_one(self, monkeypatch,
+                                                                        block):
+        monkeypatch.setattr(oracle, "_MC_BLOCK", block)
+        cases = draw_cases(np.random.default_rng(24), 7)
+        mc = spec(3001, 3)
+        means, stderrs = montecarlo_stack(cases, mc)
+        for k in (0, 3, 6):
+            one, one_stderr = average_montecarlo(*cases[k], mc)
+            assert bits(means[k]) == bits(one) and bits(stderrs[k]) == bits(one_stderr)
+
     def test_permuting_the_stack_permutes_the_results(self):
         cases = draw_cases(np.random.default_rng(21), 20)
-        mc = McSpec(samples=3001, seed=8)
+        mc = spec(3001, 8)
         means, stderrs = montecarlo_stack(cases, mc)
         order = np.random.default_rng(22).permutation(20)
         shuffled_means, shuffled_stderrs = montecarlo_stack([cases[k] for k in order], mc)
@@ -435,7 +512,7 @@ class TestMonteCarloStack:
     def test_a_case_whose_angle_overflows_is_nan_and_spares_the_others(self):
         cases = draw_cases(np.random.default_rng(23), 3)
         cases.insert(1, (plus_state().matrix, scenario(700.0, 0.5), 2e4))
-        mc = McSpec(samples=3001, seed=4)
+        mc = spec(3001, 4)
         means, stderrs = montecarlo_stack(cases, mc)
         assert np.isnan(means[1]).all() and np.isnan(stderrs[1])
         kept = [0, 2, 3]

@@ -154,20 +154,21 @@ def test_raising_quadrature_counts_as_a_failure(monkeypatch):
 
 
 def test_raising_montecarlo_counts_as_a_failure(monkeypatch):
-    rotation_moments = oracle._rotation_moments
+    randomisation_means = oracle._randomisation_means
 
     def fails_on_third_case(mc, half_scales):
         # the shared-stream call refuses its third case
         half_scales = np.array(half_scales)
         if len(half_scales) == 20:
             half_scales[2] = np.nan
-        return rotation_moments(mc, half_scales)
+        return randomisation_means(mc, half_scales)
 
-    monkeypatch.setattr(oracle, "_rotation_moments", fails_on_third_case)
+    monkeypatch.setattr(oracle, "_randomisation_means", fails_on_third_case)
     results = {r.name: r for r in verify.run_checks(42)}
     assert len(results) == 14
     mc_line = results.pop("montecarlo_consistency")
     assert not mc_line.passed and mc_line.detail.endswith(" seed_reproducible=True invalid_images=1")
+    assert "max dist/stderr=nan " in mc_line.detail
     assert all(r.passed for r in results.values())
 
 
@@ -200,23 +201,58 @@ def test_invalid_montecarlo_mean_counts_as_a_failure(monkeypatch, pool):
     assert not mc_line.passed and mc_line.detail.endswith(" invalid_images=1")
 
 
+def with_nan_image(pool, form, k):
+    """The pool with case k's image under ``form`` NaN, but not marked invalid."""
+    images = dict(pool.images, **{form: pool.images[form].copy()})
+    images[form][k] = np.nan
+    return verify.CasePool(pool.rhos, pool.scenarios, pool.times, images, pool.invalid)
+
+
+@pytest.mark.parametrize("form, check, figure", [
+    ("elementwise", verify.check_analytic_vs_quadrature, "max|analytic-quad201|=nan "),
+    ("dressed", verify.check_decomposition_agreement, "max|dressed-elementwise|=nan "),
+    ("quadrature", lambda pool: verify.check_montecarlo_consistency(pool, 42),
+     "max dist/stderr=nan "),
+])
+def test_a_nan_distance_fails_its_check(pool, form, check, figure):
+    # max(0.0, nan) is 0.0: a NaN must not read as a clean distance
+    result = check(with_nan_image(pool, form, 3))
+    assert not result.passed and figure in result.detail
+    assert "invalid_images" not in result.detail
+
+
+def test_a_nan_stderr_fails_the_montecarlo_check(monkeypatch, pool):
+    average_montecarlo = oracle.average_montecarlo
+
+    def nan_stderr(*args):
+        means, stderrs = average_montecarlo(*args)
+        if means.ndim == 3:  # the shared-stream call, not a call of one case
+            stderrs[4] = np.nan
+        return means, stderrs
+
+    monkeypatch.setattr(oracle, "average_montecarlo", nan_stderr)
+    mc_line = verify.check_montecarlo_consistency(pool, 42)
+    assert not mc_line.passed and "max dist/stderr=nan " in mc_line.detail
+    assert mc_line.detail.endswith(" seed_reproducible=True")
+
+
 def montecarlo_keys(monkeypatch, pool, seed):
-    """The McSpec seeds and the (seed, chunk_index) stream keys of one montecarlo_consistency."""
+    """The McSpec seeds and the (seed, r) stream keys of one montecarlo_consistency."""
     spec_seeds, stream_keys = [], set()
     average_montecarlo = oracle.average_montecarlo
-    box_muller_normals = oracle._box_muller_normals
+    stream = oracle._stream
 
     def recorded(rho, s, t, mc=oracle.McSpec()):
         spec_seeds.append(mc.seed)
         return average_montecarlo(rho, s, t, mc)
 
-    def normals(stream_seed, chunk_index, *args):
-        stream_keys.add((stream_seed, chunk_index))
-        return box_muller_normals(stream_seed, chunk_index, *args)
+    def keyed(stream_seed, r):
+        stream_keys.add((stream_seed, r))
+        return stream(stream_seed, r)
 
     with monkeypatch.context() as m:
         m.setattr(oracle, "average_montecarlo", recorded)
-        m.setattr(oracle, "_box_muller_normals", normals)
+        m.setattr(oracle, "_stream", keyed)
         assert verify.check_montecarlo_consistency(pool, seed).passed
     return spec_seeds, stream_keys
 
@@ -224,10 +260,68 @@ def montecarlo_keys(monkeypatch, pool, seed):
 def test_montecarlo_runs_on_the_verify_seed_alone(monkeypatch, pool):
     spec_seeds, keys = montecarlo_keys(monkeypatch, pool, 42)
     assert set(spec_seeds) == {42}
-    # one 1e6-sample stream of 16 chunks, whose first two also feed the 1e5 calls
-    assert keys == {(42, k) for k in range(16)}
+    # one stream per randomisation, shared by the 20 cases and the two calls of one
+    assert keys == {(42, r) for r in range(oracle.MC_RANDOMISATIONS)}
     _, next_keys = montecarlo_keys(monkeypatch, pool, 43)
     assert not keys & next_keys
+
+
+# P(|T| > x) for Student's t, from published tables: two-sided 5% and 1%
+# points of 1, 2, 15 and 30 degrees of freedom, and the Cauchy tail at 1
+@pytest.mark.parametrize("x, dof, tail", [(12.706204736174698, 1, 0.05), (1.0, 1, 0.5),
+                                          (4.302652729749464, 2, 0.05),
+                                          (2.131449545559323, 15, 0.05),
+                                          (2.946712883475239, 15, 0.01),
+                                          (2.042272456301238, 30, 0.05),
+                                          (2.749995653567276, 30, 0.01)])
+def test_student_t_tail_matches_the_tables(x, dof, tail):
+    assert abs(verify.student_t_tail(x, dof) - tail) <= 1e-12 * tail
+
+
+def test_student_t_tail_tends_to_the_normal_tail():
+    # 2 Phi(-3) = erfc(3 / sqrt 2)
+    assert abs(verify.student_t_tail(3.0, 40_000) / math.erfc(3.0 / math.sqrt(2.0)) - 1.0) < 1e-3
+
+
+def test_montecarlo_bound_is_the_bonferroni_t_quantile():
+    dof = oracle.MC_RANDOMISATIONS - 1
+    bound = verify.montecarlo_bound(verify.MC_FALSE_FAILURE_RATE, verify.MC_CASES)
+    share = verify.MC_FALSE_FAILURE_RATE / verify.MC_CASES
+    assert abs(verify.student_t_tail(bound, dof) / share - 1.0) < 1e-9
+    assert verify.montecarlo_bound(0.05, 1) == pytest.approx(2.131449545559323, rel=1e-12)
+    detail = verify.check_montecarlo_consistency(verify.case_pool(42), 42).detail
+    assert f"(<= {bound:.4g}, t_{dof} at false-failure rate 1e-03)" in detail
+
+
+def binomial_upper(n, p, tail=1e-6):
+    """The least k with P(X > k) <= tail for X ~ Binomial(n, p)."""
+    cdf, k = 0.0, -1
+    while 1.0 - cdf > tail:
+        k += 1
+        cdf += math.comb(n, k) * p**k * (1.0 - p) ** (n - k)
+    return k
+
+
+def test_montecarlo_bound_is_calibrated_at_rest():
+    # At rest the exact mean scales rho_01 by exp(-gamma t^2). At a small
+    # angle the sine term carries nearly all the error, one Gaussian
+    # direction, where the ratio's law is |T| itself: over 1000 streams the
+    # count past the bound at a rate is Binomial(1000, rate) at most. Both
+    # sides are held to a 1e-6 binomial tail; a stderr off by 20% crosses one.
+    rho = np.array([[0.6, 0.3 - 0.2j], [0.3 + 0.2j, 0.4]])
+    s = verify._scenario(0.0, 0.0, gamma=1.0)
+    g_t2, count = 0.05, 1000
+    exact = rho * np.array([[1.0, math.exp(-g_t2)], [math.exp(-g_t2), 1.0]])
+    samples = 2 * oracle.MC_RANDOMISATIONS * 4**2
+    ratios = []
+    for seed in range(count):
+        mean, stderr = oracle.average_montecarlo(rho, s, math.sqrt(g_t2),
+                                                 oracle.McSpec(samples, seed))
+        ratios.append(np.linalg.norm(mean - exact) / stderr)
+    for rate in (0.2, 0.05):
+        past = int((np.array(ratios) > verify.montecarlo_bound(rate, 1)).sum())
+        assert past <= binomial_upper(count, rate)
+        assert count - past <= binomial_upper(count, 1.0 - rate)
 
 
 def test_raising_per_state_form_fails_rest_frame_reduction(monkeypatch):
