@@ -6,9 +6,10 @@ common bath, and a CLI for figure data and cross-validation.
 
 The API works on stacks. A ``Scenario`` holds one case or a stack of
 cases (a ``BoostParams`` of arrays). The channel forms
-(``evolve_elementwise``, ``operator_sum_apply``, ``dressed_apply``), the
-oracles (``average_quadrature``, ``average_montecarlo``,
-``two_qubit_average``) and ``concurrence`` take states in numpy's
+(``evolve_elementwise``, the production form, and its cross-checks
+``operator_sum_apply`` and ``dressed_apply``), the oracles
+(``average_quadrature``, ``average_montecarlo``, ``two_qubit_average``)
+and ``concurrence`` take states in numpy's
 (..., 2, 2) or (..., 4, 4) convention, with scenarios and times that
 broadcast against them, and return arrays that they do not validate;
 an oracle gives NaN where it refuses a case. ``require_valid`` checks a
@@ -28,7 +29,6 @@ from .channel import (
     dressed_apply,
     dressing_transform,
     evolve_elementwise,
-    example_trajectory,
     operator_sum_apply,
     plus_state,
     rest_dephasing,
@@ -88,7 +88,6 @@ __all__ = [
     "eta_max",
     "eta_profile",
     "evolve_elementwise",
-    "example_trajectory",
     "frobenius_distance",
     "gauss_hermite_nodes",
     "kraus_residuals",

@@ -42,6 +42,9 @@ PROBES = np.array([
 ], dtype=complex)
 PROBES.setflags(write=False)
 
+# Kraus operators are kept for eigenvalues above this fraction of the largest.
+_RETAIN_REL = 1e-12
+
 
 def _frobenius(x: np.ndarray) -> np.ndarray:
     """Frobenius norms over the last two axes of a stack."""
@@ -114,12 +117,12 @@ class ChoiDiagnostics:
     kept: np.ndarray
 
 
-def choi_diagnostics(c, retain_rel: float = 1e-12) -> ChoiDiagnostics:
+def choi_diagnostics(c) -> ChoiDiagnostics:
     """Eigen-analysis of each Choi matrix in a stack (..., 4, 4).
 
     One Hermitian eigen-solve of (C + C^dag)/2 per matrix gives the least
     eigenvalue and the canonical Kraus set: K_k = sqrt(lambda_k) *
-    unvec(v_k) for each eigenvalue above ``retain_rel`` times the largest
+    unvec(v_k) for each eigenvalue above ``_RETAIN_REL`` times the largest
     one (and above 0), in descending order. The TP residual is
     |tr_out C - I| and the Hermiticity residual |C - C^dag| (Frobenius).
     Nothing is refused here; the callers compare against a tolerance.
@@ -129,7 +132,7 @@ def choi_diagnostics(c, retain_rel: float = 1e-12) -> ChoiDiagnostics:
         raise ValueError(f"Choi matrices must be 4x4, got shape {c.shape}")
     vals, vecs = np.linalg.eigh(0.5 * (c + _dagger(c)))
     vals, vecs = vals[..., ::-1], vecs[..., ::-1]
-    kept = vals > retain_rel * np.maximum(vals[..., :1], 0.0)
+    kept = vals > _RETAIN_REL * np.maximum(vals[..., :1], 0.0)
     weights = np.sqrt(np.where(kept, vals, 0.0))
     kraus = (weights[..., None, :] * vecs).swapaxes(-1, -2)
     return ChoiDiagnostics(

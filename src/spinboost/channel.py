@@ -13,19 +13,20 @@ that precession is the exact channel
 
 on Bloch vectors, with gamma' = kappa**2 gamma: the component of the state
 along the axis survives, everything else decays at the amplified rate.
-Three equivalent faces of this map are implemented and cross-check each
-other: element-wise closed forms, an operator-sum (signed-weight Kraus-like)
-decomposition, and the dressed picture (rotate the axis onto ez, dephase,
-rotate back).
+Three equivalent faces of this map are implemented: the element-wise
+closed form, which is the production path, and two cross-checks of it,
+an operator-sum (signed-weight Kraus-like) decomposition and the dressed
+picture (rotate the axis onto ez, dephase, rotate back).
 
 A ``Scenario`` is one case or a stack of cases. Each form is one function
 on stacks in numpy's (..., 2, 2) convention: ``evolve_elementwise``,
 ``operator_sum_apply`` and ``dressed_apply`` take states (..., 2, 2), a
 scenario and times that broadcast against each other, and return the
 images (..., 2, 2) without validating them; callers validate, for
-example with ``spinalg.require_valid``. The decay factors are libm's
-(``decay_factors``), so each image has the bits it has alone, whatever
-else is in the stack.
+example with ``spinalg.require_valid``. Every factor exp(-rate t**2) is
+``decay_exponent`` followed by ``decay_factors`` (numpy's ``exp`` and
+``expm1``), which give an element the same bits wherever it sits in a
+stack, so each image has the bits it has alone.
 """
 
 from __future__ import annotations
@@ -78,26 +79,14 @@ class Scenario:
 
     @cached_property
     def gamma_prime(self):
-        """The amplified rate kappa**2 gamma; inf where it overflows.
-
-        kappa**2 is a float's ``** 2`` (libm's ``pow``) per case, whose last
-        bit numpy's square differs from on about one case in a thousand.
-        """
+        """The amplified rate kappa**2 gamma, with kappa**2 as ``kappa * kappa``
+        (correctly rounded); inf where it overflows."""
         kappa = self.field.kappa
-        if np.ndim(kappa) == 0:
-            return _square(kappa) * self.gamma
-        squares = np.fromiter(map(_square, kappa.ravel().tolist()), float, kappa.size)
         with np.errstate(over="ignore"):
-            rate = squares.reshape(kappa.shape) * self.gamma
-        rate.setflags(write=False)
+            rate = kappa * kappa * self.gamma
+        if isinstance(rate, np.ndarray):
+            rate.setflags(write=False)
         return rate
-
-
-def _square(x: float) -> float:
-    try:
-        return x**2
-    except OverflowError:
-        return math.inf
 
 
 def decay_exponent(rate, t):
@@ -125,7 +114,8 @@ def rest_dephasing(rho: DensityMatrix, gamma: float, t: float) -> DensityMatrix:
     _require_nonneg_time(t)
     if rho.dim != 2:
         raise ValueError(f"single-qubit channel needs a 2x2 state, got dim {rho.dim}")
-    return DensityMatrix(_dephase(rho.matrix, math.exp(-decay_exponent(gamma, t))))
+    decay, _ = decay_factors(decay_exponent(gamma, t))
+    return DensityMatrix(_dephase(rho.matrix, decay))
 
 
 def _dephase(m: np.ndarray, decay) -> np.ndarray:
@@ -139,19 +129,14 @@ def _dephase(m: np.ndarray, decay) -> np.ndarray:
 
 
 def decay_factors(g) -> tuple[np.ndarray, np.ndarray]:
-    """(exp(-g), 1 - exp(-g)) for exponents ``g``, one libm call each.
+    """(exp(-g), 1 - exp(-g)) for exponents ``g``, from numpy's ``exp`` and ``expm1``.
 
-    ``math.exp``/``math.expm1`` rather than numpy's vector ``exp``, whose
-    SIMD code differs from libm in the last bit on some inputs; so the
-    factors, and every state built from them, do not depend on how many
-    exponents are passed at once. ``1 - exp(-g)`` is ``-expm1(-g)``,
-    without the cancellation at small g.
+    Each factor has the bits its exponent gives alone, whatever the
+    length, offset or stride of the array it sits in. ``1 - exp(-g)`` is
+    ``-expm1(-g)``, without the cancellation at small g.
     """
     g = np.asarray(g, dtype=float)
-    flat = g.ravel().tolist()
-    decay = np.array([math.exp(-x) for x in flat]).reshape(g.shape)
-    lost = np.array([-math.expm1(-x) for x in flat]).reshape(g.shape)
-    return decay, lost
+    return np.exp(-g), -np.expm1(-g)
 
 
 def _decay(s: Scenario, t) -> tuple[np.ndarray, np.ndarray]:
@@ -208,7 +193,7 @@ def _axis_sigma(s: Scenario) -> np.ndarray:
     this is the velocity-azimuth operator cos(phi)*sx + sin(phi)*sy; for
     theta < pi/2 the axis azimuth is mirrored (u = phi + pi) and the
     operator flips sign. Degenerate axis (n = ez) falls back to the
-    velocity azimuth, with libm's cosine and sine; its weights vanish there.
+    velocity azimuth; its weights vanish there.
     """
     n = s.field.n
     n_perp = _hypot(n[..., 0], n[..., 1])
@@ -217,9 +202,9 @@ def _axis_sigma(s: Scenario) -> np.ndarray:
     np.divide(n[..., 0], n_perp, out=ux, where=tilted)
     np.divide(n[..., 1], n_perp, out=uy, where=tilted)
     if not tilted.all():
-        phi = np.broadcast_to(s.boost.phi, n_perp.shape)[~tilted].tolist()
-        ux[~tilted] = [math.cos(p) for p in phi]
-        uy[~tilted] = [math.sin(p) for p in phi]
+        phi = np.broadcast_to(s.boost.phi, n_perp.shape)[~tilted]
+        ux[~tilted] = np.cos(phi)
+        uy[~tilted] = np.sin(phi)
     return ux[..., None, None] * PAULI_X + uy[..., None, None] * PAULI_Y
 
 
@@ -290,34 +275,11 @@ def dressed_apply(m, s: Scenario, t) -> np.ndarray:
     return _matmul_2x2(_matmul_2x2(v_dag, _dephase(rotated, decay)), v)
 
 
-def example_trajectory(s: Scenario, t):
-    """Trajectory of the fully coherent state (|up> + |down>)/sqrt(2).
-
-    Requires phi = 0 (the azimuth that maximises the off-diagonal
-    saturation modulus). Returns (rho_uu, rho_ud) with
-
-        rho_uu(t) = [1 + n_x n_z (1 - exp(-gamma' t**2))] / 2
-        rho_ud(t) = [(1 - eta) exp(-gamma' t**2) + eta] / 2
-
-    which matches evolve_elementwise on |+><+| exactly; n_x n_z is the
-    signed product (-chi for theta < pi/2, +chi beyond), so for
-    theta_opt the population drifts down to (1 - chi)/2 while the
-    coherence saturates at eta/2. ``t`` may be an array of times; the
-    result is then a pair of arrays (real and complex) of its shape.
-    """
-    if s.boost.phi != 0.0:
-        raise ValueError(f"trajectory closed form assumes phi = 0, got phi = {s.boost.phi!r}")
-    _require_nonneg_time(t)
-    t = np.asarray(t, dtype=float)
-    nx, _, nz = s.field.n
-    eta = s.field.eta_mod
-    g = decay_exponent(s.gamma_prime, t)
-    decay = np.exp(-g)
-    rho_uu = 0.5 * (1.0 - nx * nz * np.expm1(-g))
-    rho_ud = 0.5 * ((1.0 - eta) * decay + eta) + 0j
-    return rho_uu[()], rho_ud[()]
-
-
 def plus_state() -> DensityMatrix:
-    """|+><+|, the fully coherent initial state (all entries 1/2)."""
+    """|+><+|, the fully coherent initial state (all entries 1/2).
+
+    At phi = 0 the channel takes its coherence rho_ud from 1/2 down to
+    eta/2 and its population rho_uu to (1 + n_x n_z)/2, with n_x n_z the
+    signed product (-chi below theta = pi/2).
+    """
     return DensityMatrix(np.full((2, 2), 0.5, dtype=complex))

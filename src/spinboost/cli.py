@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import verify as verify_mod
-from .channel import Scenario, evolve_elementwise, example_trajectory
+from .channel import Scenario, evolve_elementwise, plus_state
 from .entangle import concurrence_trajectory
 from .oracle import ORACLE_TOL, QuadratureSpec, _require_quadrature, average_quadrature
 from .relkin import BoostParams, eta_max, eta_profile
@@ -288,9 +288,12 @@ def _cmd_offdiag(args) -> int:
     s = _scenario_from_args(args, phi=0.0)
     args.theta = s.boost.theta  # echo the resolved angle
     grid, times = _time_grid(args, s.gamma)
-    _, boosted = example_trajectory(s, times)
-    _, at_rest = example_trajectory(Scenario(BoostParams(xi=0.0), s.gamma), times)
-    rows = np.column_stack([grid, boosted.real, at_rest.real])
+
+    def coherence(scenario):
+        return evolve_elementwise(plus_state().matrix, scenario, times)[:, 0, 1].real
+
+    at_rest = Scenario(BoostParams(xi=0.0), s.gamma)
+    rows = np.column_stack([grid, coherence(s), coherence(at_rest)])
     comments = _echo_params(args, ("xi", "theta", "gamma", "gamma_t2_max", "points"))
     write_table(rows, args.out, args.format, ("gamma_t2", "rho_ud_boosted", "rho_ud_rest"),
                 comments)

@@ -110,13 +110,9 @@ def concurrence_trajectory(
     _require_quadrature(s, times, q.nodes)
     states = two_qubit_average(bell_phi_plus().matrix, s, times, q)
     require_valid(states)
-    # 4 gamma t**2 rounded as (4 gamma)(t t), the rest column's pinned digits, not
-    # as decay_exponent's (rate t) t; 0 at t = 0 also where 4 gamma is inf
-    with np.errstate(over="ignore", invalid="ignore"):
-        rest_exponent = np.where(times > 0, 4.0 * s.gamma * times**2, 0.0)
     return ConcurrenceSeries(
         times=times,
         values=concurrence(states),
-        reference_rest=np.exp(-rest_exponent),
+        reference_rest=np.exp(-decay_exponent(4.0 * s.gamma, times)),
         reference_boosted=np.exp(-decay_exponent(4.0 * s.gamma_prime, times)),
     )

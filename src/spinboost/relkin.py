@@ -263,11 +263,13 @@ def eta_profile(xi, theta):
     underflows near the poles, where the peak sits at large xi; eta is
     symmetric about pi/2 and exactly 0 at theta in {0, pi/2, pi}.
     ``xi`` and ``theta`` broadcast against each other; scalars give a
-    scalar.
+    scalar. A theta outside [0, pi], or NaN, is refused as ``BoostParams``
+    refuses it.
     """
     t, s = _half_rapidity(xi)
     a = np.asarray(theta, dtype=float)
     a = np.minimum(a, math.pi - a)
+    _require(a >= 0.0, theta, "theta must lie in [0, pi]")  # also refuses NaN
     sin_a = np.sin(a)
     num = 2.0 * t * t * sin_a * np.sin(0.5 * math.pi - a)
     r = np.divide(num, np.hypot(s * s, 2.0 * t * sin_a), out=np.zeros(np.shape(num)),

@@ -29,7 +29,7 @@ IDENTITY_2 = _const([[1, 0], [0, 1]])
 
 _VALID_DIMS = (2, 4)
 _SQRT2 = math.sqrt(2.0)
-# Default tolerance of DensityMatrix and of the stacked verdict ``_invalid``.
+# Tolerance of DensityMatrix and of the stacked verdict ``_invalid``.
 _TOL = 1e-10
 
 
@@ -66,7 +66,7 @@ def pauli_rotation(axis, angle: float) -> np.ndarray:
     axis : array_like, shape (3,)
         Unit rotation axis; |axis| must equal 1 within 1e-12.
     angle : float
-        Rotation angle in radians (signed).
+        Rotation angle in radians (signed, finite).
 
     Returns
     -------
@@ -76,8 +76,10 @@ def pauli_rotation(axis, angle: float) -> np.ndarray:
     """
     axis = np.asarray(axis, dtype=float)
     norm = float(np.linalg.norm(axis))
-    if abs(norm - 1.0) > 1e-12:
+    if not abs(norm - 1.0) <= 1e-12:
         raise ValueError(f"rotation axis must be a unit vector, got |axis| = {norm!r}")
+    if not math.isfinite(angle):
+        raise ValueError(f"rotation angle must be finite, got {angle!r}")
     half = 0.5 * angle
     return np.cos(half) * IDENTITY_2 - 1j * np.sin(half) * pauli_vector(axis)
 
@@ -145,11 +147,11 @@ def _residuals(m: np.ndarray):
             min_eig)
 
 
-def _invalid(m: np.ndarray, tol: float = _TOL) -> np.ndarray:
+def _invalid(m: np.ndarray) -> np.ndarray:
     """Per matrix of a stack (..., 2, 2) or (..., 4, 4): True where ``DensityMatrix``
     would refuse it."""
     herm, tr, min_eig = _residuals(m)
-    return ~((herm <= tol) & (tr <= tol) & (min_eig >= -tol))
+    return ~((herm <= _TOL) & (tr <= _TOL) & (min_eig >= -_TOL))
 
 
 def _states(m, dim: int, name: str) -> np.ndarray:
@@ -174,12 +176,11 @@ class DensityMatrix:
     """A validated 2x2 or 4x4 density matrix.
 
     The wrapped array is checked to be Hermitian, unit trace and
-    positive semidefinite within ``tol`` at construction and stored
+    positive semidefinite within 1e-10 at construction and stored
     read-only. Each check is written so that a NaN residual fails it.
     """
 
     matrix: np.ndarray
-    tol: float = _TOL
     dim: int = field(init=False)
 
     def __post_init__(self):
@@ -189,13 +190,13 @@ class DensityMatrix:
                 "dimension", 0.0, f"density matrix must be 2x2 or 4x4, got shape {m.shape}"
             )
         herm, tr, min_eig = (float(r) for r in _residuals(m))
-        if not herm <= self.tol:
+        if not herm <= _TOL:
             raise DensityMatrixError(
                 "hermiticity", herm, f"matrix is not Hermitian (residual {herm:.3e})"
             )
-        if not tr <= self.tol:
+        if not tr <= _TOL:
             raise DensityMatrixError("trace", tr, f"trace differs from 1 (residual {tr:.3e})")
-        if not min_eig >= -self.tol:
+        if not min_eig >= -_TOL:
             raise DensityMatrixError(
                 "positivity", -min_eig, f"matrix is not positive (min eigenvalue {min_eig:.3e})"
             )

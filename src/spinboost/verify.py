@@ -16,11 +16,12 @@ import numpy as np
 
 from . import analysis, entangle, oracle
 from .channel import (
+    LONG_TIME_GAMMA_T2,
     Scenario,
     dressed_apply,
     evolve_elementwise,
-    example_trajectory,
     operator_sum_apply,
+    plus_state,
 )
 from .oracle import ORACLE_TOL
 from .relkin import BoostParams, _geometry, effective_field, eta_max, eta_profile
@@ -47,6 +48,11 @@ class CheckResult:
 
 def _scenario(xi: float, theta: float, phi: float = 0.0, gamma: float = 1.0) -> Scenario:
     return Scenario(BoostParams(xi=xi, theta=theta, phi=phi), gamma)
+
+
+def _coherence(s: Scenario, t):
+    """Re rho_ud of |+><+| at times ``t`` under the closed form."""
+    return evolve_elementwise(plus_state().matrix, s, t)[..., 0, 1].real
 
 
 def _draw_channel_cases(rng: np.random.Generator, count: int):
@@ -149,24 +155,22 @@ def check_coherence_saturation_anchor() -> CheckResult:
     opt = eta_max(2.5)
     err_eta = abs(opt.eta_max - ETA_MAX_REF)
     s = _scenario(2.5, opt.theta_opt, gamma=1.0)
-    t_long = math.sqrt(50.0 / s.gamma_prime)
-    _, rho_ud = example_trajectory(s, t_long)
-    err_sat = abs(rho_ud.real - SATURATION_REF)
+    saturation = _coherence(s, math.sqrt(LONG_TIME_GAMMA_T2 / s.gamma_prime))
+    err_sat = abs(saturation - SATURATION_REF)
     # off-diagonal at gamma*t**2 = 4, at rest and boosted
     t4 = 2.0
-    s0 = _scenario(0.0, 0.0, gamma=1.0)
-    _, rest_ud = example_trajectory(s0, t4)
-    err_rest = abs(rest_ud.real - math.exp(-4.0) / 2.0)
-    _, boosted_ud = example_trajectory(s, t4)
-    err_boosted = abs(boosted_ud.real - SATURATION_REF)
+    rest = _coherence(_scenario(0.0, 0.0, gamma=1.0), t4)
+    err_rest = abs(rest - math.exp(-4.0) / 2.0)
+    boosted = _coherence(s, t4)
+    err_boosted = abs(boosted - SATURATION_REF)
     ok = err_eta <= 2e-4 and err_sat <= 2e-4 and err_rest <= 1e-6 and err_boosted <= 5e-4
     return CheckResult(
         "coherence_saturation_anchor",
         ok,
         f"eta_max={_g(opt.eta_max)} (err {_g(err_eta)}, tol 2e-04) "
-        f"saturation={_g(rho_ud.real)} (err {_g(err_sat)}, tol 2e-04) "
-        f"rest@4={_g(rest_ud.real)} (err {_g(err_rest)}, tol 1e-06) "
-        f"boosted@4={_g(boosted_ud.real)} (err {_g(err_boosted)}, tol 5e-04)",
+        f"saturation={_g(saturation)} (err {_g(err_sat)}, tol 2e-04) "
+        f"rest@4={_g(rest)} (err {_g(err_rest)}, tol 1e-06) "
+        f"boosted@4={_g(boosted)} (err {_g(err_boosted)}, tol 5e-04)",
     )
 
 
@@ -267,13 +271,13 @@ def check_rest_frame_reduction(seed: int) -> CheckResult:
     require_valid(rhos)
     rhos = rhos[~(np.abs(rhos[:, 0, 1]) < 1e-2), None]
     s = _scenario(0.0, 0.0, gamma=1.0)
-    g_t2 = [0.3, 1.0, 2.5]
+    g_t2 = np.array([0.3, 1.0, 2.5])
     times = np.sqrt(g_t2)
     outs = np.stack([evolve_elementwise(rhos, s, times), operator_sum_apply(rhos, s, times),
                      dressed_apply(rhos, s, times), oracle.average_quadrature(rhos, s, times)])
     valid = ~_invalid(outs)
     diag = np.abs(outs[..., 0, 0] - rhos[..., 0, 0])[valid]
-    ratio = np.abs(outs[..., 0, 1] / rhos[..., 0, 1] - [math.exp(-g) for g in g_t2])[valid]
+    ratio = np.abs(outs[..., 0, 1] / rhos[..., 0, 1] - np.exp(-g_t2))[valid]
     worst_diag = float(diag.max(initial=0.0))
     worst_ratio = float(ratio.max(initial=0.0))
     invalid = int((~valid).sum())
@@ -467,7 +471,7 @@ def check_trajectory_monotonicity() -> CheckResult:
     opt = eta_max(2.5)
     s = _scenario(2.5, opt.theta_opt, gamma=1.0)
     g_t2 = np.linspace(0.0, 12.0, 200)
-    values = example_trajectory(s, np.sqrt(g_t2))[1].real
+    values = _coherence(s, np.sqrt(g_t2))
     non_increasing = bool((np.diff(values) <= 1e-12).all())
     floor = s.field.eta_mod / 2.0 - 1e-12
     above_floor = bool((values >= floor).all())

@@ -19,8 +19,8 @@ from spinboost.channel import (
     Scenario,
     dressed_apply,
     evolve_elementwise,
-    example_trajectory,
     operator_sum_apply,
+    plus_state,
 )
 from spinboost.relkin import BoostParams, effective_field, eta_max, eta_profile
 from spinboost.spinalg import frobenius_distance, pauli_vector, require_valid
@@ -205,8 +205,10 @@ def test_channel_completely_positive_at_every_rapidity(xi, theta, phi, g):
 @edge_grid(g=2.0)
 def test_trajectory_decays_monotonically_to_its_floor(xi, theta, g):
     s = scenario(xi, theta)
-    _, rho_ud = example_trajectory(s, np.sqrt(np.linspace(0.0, g, 50)))
-    values = rho_ud.real
+    images = evolve_elementwise(plus_state().matrix, s, np.sqrt(np.linspace(0.0, g, 50)))
+    values = images[:, 0, 1].real
     assert np.isfinite(values).all()
-    assert (np.diff(values) <= 0.0).all()
+    # the decaying and the growing term are rounded apart, so a step may
+    # rise in the last bit, by at most the ulp of 1/2
+    assert (np.diff(values) <= np.spacing(0.5)).all()
     assert (values >= s.field.eta_mod / 2 - 1e-12).all()

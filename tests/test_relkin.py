@@ -275,6 +275,18 @@ class TestEtaProfile:
         with pytest.raises(ValueError):
             eta_profile(-0.5, 0.3)
 
+    @pytest.mark.parametrize("theta", [math.nan, 5.0, -1e-300, math.pi + 1e-15, math.inf])
+    def test_theta_outside_its_range_rejected(self, theta):
+        with pytest.raises(ValueError, match=rf"^theta must lie in \[0, pi\], got {theta!r}$"):
+            eta_profile(1.0, theta)
+        with pytest.raises(ValueError, match=rf"^theta must lie in \[0, pi\], got {theta!r}$"):
+            BoostParams(1.0, theta)
+
+    def test_stack_refused_with_its_first_bad_theta(self):
+        theta = np.array([[0.0, 1.0], [math.nan, 4.0]])
+        with pytest.raises(ValueError, match=r"theta must lie in \[0, pi\], got nan$"):
+            eta_profile(np.array([0.5, 2.0]), theta)
+
 
 class TestHalfRapidity:
     def test_float_path_matches_array_path_bitwise(self):

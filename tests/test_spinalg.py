@@ -1,6 +1,7 @@
 """Tests for the fixed-size complex matrix kernel."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -85,6 +86,18 @@ class TestPauliRotation:
     def test_non_unit_axis_rejected(self):
         with pytest.raises(ValueError, match="unit"):
             pauli_rotation([1, 1, 0], 0.3)
+
+    @pytest.mark.parametrize("axis", [[math.nan, 0, 0], [0, 0, math.inf], [math.nan] * 3])
+    def test_non_finite_axis_rejected(self, axis):
+        with pytest.raises(ValueError, match="unit vector"):
+            pauli_rotation(axis, 0.3)
+
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_rejected(self, angle):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"rotation angle must be finite, got {angle!r}$"):
+                pauli_rotation([0, 0, 1], angle)
 
 
 class TestTensorProduct:
