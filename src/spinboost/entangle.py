@@ -14,9 +14,11 @@ concurrence at these azimuths. Tests therefore treat deviations from the
 reference as quadrature noise, not physics.
 
 A trajectory is computed on stacks: one call of the two-qubit
-quadrature for all its times, one stacked validation and one batched
-Wootters solve (``concurrence``, one LAPACK eigen-solve per matrix).
-Each time gets the bits it gets alone.
+quadrature for all its times (five node sums and five 4x4 products
+each), one stacked validation and one batched Wootters solve
+(``concurrence``, one LAPACK eigen-solve per matrix). Each time gets
+the bits it gets alone. U (x) U fixes the singlet for every U, so the
+common bath leaves it unchanged (decoherence-free).
 """
 
 from __future__ import annotations

@@ -27,13 +27,12 @@ products. ``average_quadrature`` takes its cases in blocks of fixed
 size, and a case gets the same bits alone, among others or in another
 order.
 
-Two-qubit quadrature: per case, the average of U(z) (x) U(z) rho4
-[..]^dag over the nodes, with one 4x4 product per node and matrix
-(numpy's stacked ``matmul``) and a sum over the nodes slice by slice in
-node order. ``two_qubit_average`` takes its cases in blocks of at most
-``_PAIR_BLOCK`` (case, node) pairs, so a block's (cases, nodes, 4, 4)
-temporaries stay under a fixed size, and a case gets the bits it gets
-alone.
+Two-qubit quadrature: U(z) (x) U(z) = c^2 P0 + c s P1 + s^2 P2 with
+P0 = I, P1 = -i (I (x) N + N (x) I) and P2 = -N (x) N, so a case's
+average is sum_ab m_ab P_a rho4 P_b^dag, with m_ab the pairwise sum of
+w c^(4-a-b) s^(a+b) in node order: five sums per case, and five 4x4
+products (numpy's stacked ``matmul``, one BLAS call per matrix). Cases
+run in blocks of ``_QUAD_BLOCK`` too, and get the bits they get alone.
 
 Determinism contracts: node/weight generation is the Golub-Welsch
 eigen-solve of the symmetric tridiagonal Jacobi matrix (numpy's dense
@@ -204,24 +203,11 @@ def _cases(m: np.ndarray, s: Scenario, per_case) -> tuple:
             np.broadcast_to(s.field.n, shape + (3,)).reshape(-1, 3), *flat)
 
 
-def _unitaries(half: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """exp(-i half sigma.n) (..., 2, 2) for half angles ``half`` (...) and unit axes
-    ``n`` (..., 3), which broadcast to the shape of ``half``."""
-    nx, ny, nz = n[..., 0], n[..., 1], n[..., 2]
-    c, si = np.cos(half), np.sin(half)
-    u = np.empty(half.shape + (2, 2), dtype=complex)
-    u[..., 0, 0] = c - 1j * si * nz
-    u[..., 0, 1] = -1j * si * (nx - 1j * ny)
-    u[..., 1, 0] = -1j * si * (nx + 1j * ny)
-    u[..., 1, 1] = c + 1j * si * nz
-    return u
-
-
 def _hermitize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.conj().swapaxes(-1, -2))
 
 
-# Cases per block of ``average_quadrature``: bounds its (cases x nodes) temporaries.
+# Cases per block of both quadrature kernels: bounds their (cases x nodes) temporaries.
 _QUAD_BLOCK = 64
 
 
@@ -260,9 +246,10 @@ def average_quadrature(m, s: Scenario, t, q: QuadratureSpec = QuadratureSpec()) 
     return out.reshape(shape + (2, 2))
 
 
-# (case, node) pairs per block of ``two_qubit_average``: at most 512 KiB per
-# (cases, nodes, 4, 4) temporary; a block holds at least one case.
-_PAIR_BLOCK = 2048
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker products a (x) b (..., 4, 4) of stacked 2x2 matrices, which broadcast."""
+    shape = np.broadcast_shapes(a.shape, b.shape)[:-2]
+    return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(shape + (4, 4))
 
 
 def two_qubit_average(m4, s: Scenario, t, q: QuadratureSpec = QuadratureSpec()) -> np.ndarray:
@@ -270,24 +257,29 @@ def two_qubit_average(m4, s: Scenario, t, q: QuadratureSpec = QuadratureSpec()) 
 
     States ``m4`` (..., 4, 4), the cases of ``s`` and times ``t``
     broadcast; returns the averages (..., 4, 4), not validated. Per case,
-    the sum over the nodes of w [U(z) (x) U(z)] rho4 [..]^dag, slice by
-    slice in node order, which no BLAS reduction order can change. Cases
-    run in blocks of ``_PAIR_BLOCK // nodes``; a case whose rotation angle
-    is not finite gets NaN.
+    with m_j the node-order pairwise sum of w c^(4-j) s^j, K = I (x) N +
+    N (x) I, L = N (x) N and Q_a = m_a I - i m_(a+1) K - m_(a+2) L, the
+    average is rho4 Q_0^dag - i (K rho4) Q_1^dag - (L rho4) Q_2^dag. Cases
+    run in blocks of ``_QUAD_BLOCK``; NaN where the rotation angle is not finite.
     """
     _require_nonneg_time(t)
     m4 = _states(m4, 4, "two_qubit_average")
     z, w = gauss_hermite_nodes(q.nodes)
     shape, rhos, n, rates, sigmas = _cases(m4, s, (_quadrature_rates(s, t, z), _field_scale(s)))
-    per_block = max(1, _PAIR_BLOCK // q.nodes)
     out = np.empty((len(rates), 4, 4), dtype=complex)
-    for k0 in range(0, len(rates), per_block):
-        block = slice(k0, k0 + per_block)
-        u = _unitaries(rates[block, None] * (sigmas[block, None] * z), n[block, None])
-        # U (x) U per node
-        u2 = (u[..., :, None, :, None] * u[..., None, :, None, :]).reshape(u.shape[:-2] + (4, 4))
-        terms = (u2 @ rhos[block, None]) @ u2.conj().swapaxes(-1, -2)
-        out[block] = _hermitize((w[:, None, None] * terms).sum(axis=-3))
+    for k0 in range(0, len(rates), _QUAD_BLOCK):
+        block = slice(k0, k0 + _QUAD_BLOCK)
+        half = rates[block, None] * (sigmas[block, None] * z)
+        cos_x, sin_x = np.cos(half), np.sin(half)
+        cc, cs, ss = cos_x * cos_x, cos_x * sin_x, sin_x * sin_x
+        wc, ws = w * cc, w * ss
+        m = np.stack([wc * cc, wc * cs, wc * ss, ws * cs, ws * ss]).sum(axis=-1)[..., None, None]
+        nb = pauli_vector(n[block])
+        k, l = _kron(np.eye(2), nb) + _kron(nb, np.eye(2)), _kron(nb, nb)
+        q_dag = [m[a] * np.eye(4) + 1j * m[a + 1] * k - m[a + 2] * l for a in range(3)]
+        rho = rhos[block]
+        out[block] = _hermitize(rho @ q_dag[0] - 1j * (k @ rho) @ q_dag[1]
+                                - (l @ rho) @ q_dag[2])
     return out.reshape(shape + (4, 4))
 
 

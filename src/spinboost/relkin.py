@@ -44,11 +44,11 @@ import numpy as np
 
 
 def _require(ok, value, message: str) -> None:
-    """Refuse ``value`` unless ``ok``, with ``message`` and the value itself;
-    for a stack, with its first element that is not ``ok``."""
+    """Refuse ``value`` unless ``ok``, with ``message`` and the value (a numpy
+    one as a float); for a stack, with its first element that is not ``ok``."""
     if ok is True or np.all(ok):
         return
-    if np.ndim(value):
+    if np.ndim(value) or isinstance(value, (np.ndarray, np.generic)):
         value = float(np.broadcast_to(value, np.shape(ok))[~np.asarray(ok)][0])
     raise ValueError(f"{message}, got {value!r}")
 

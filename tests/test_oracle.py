@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinboost import oracle
 from spinboost.channel import Scenario, evolve_elementwise, plus_state
@@ -41,8 +43,10 @@ def scenario(xi, theta, phi=0.0, gamma=1.0):
 
 
 def unitaries(b_values, s, t):
-    """The oracle's unitaries exp(-i kappa t b sigma.n), one per scaled field b."""
-    return oracle._unitaries(s.field.kappa * t * np.asarray(b_values), s.field.n)
+    """exp(-i kappa t b sigma.n) (len(b_values), 2, 2), one per scaled field b,
+    built as ``pauli_rotation`` builds one."""
+    half = s.field.kappa * t * np.asarray(b_values)[:, None, None]
+    return np.cos(half) * IDENTITY_2 - 1j * np.sin(half) * pauli_vector(s.field.n)
 
 
 def field_unitary(b, s, t):
@@ -630,15 +634,9 @@ class TestTwoQubitAverage:
         rng = np.random.default_rng(10)
         rho4 = random_density(rng, 4).matrix
         s = scenario(2.0, 0.7, 0.4)
-        z, w = gauss_hermite_nodes(201)
-        expected = np.zeros((4, 4), dtype=complex)
-        for wi, bi in zip(w, math.sqrt(s.gamma / 2) * z):
-            u2 = tensor_product(*[field_unitary(bi, s, 0.6)] * 2)
-            expected += wi * (u2 @ rho4 @ u2.conj().T)
-        expected = 0.5 * (expected + expected.conj().T)
         out = two_qubit_average(rho4, s, 0.6)
         require_valid(out)
-        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(out, kronecker_loop(rho4, s, 0.6), rtol=0, atol=1e-15)
 
     def test_trace_one(self):
         rng = np.random.default_rng(9)
@@ -653,18 +651,29 @@ class TestTwoQubitAverage:
             two_qubit_average(plus_state().matrix, scenario(1.0, 1.0), 1.0)
 
 
-def per_time_two_qubit(rho4, s, t, nodes=201):
-    """One time's common-bath average as a loop over times would take it:
-    U (x) U at every node, and a slice-by-slice sum in node order."""
+def kronecker_loop(rho4, s, t, nodes=201, shift=0.0):
+    """The common-bath average node by node: w [U (x) U] rho4 [U (x) U]^dag,
+    with U (x) U a Kronecker product per node, summed in node order; the
+    nodes z are moved to z + ``shift``."""
     z, w = gauss_hermite_nodes(nodes)
-    u = unitaries(math.sqrt(s.gamma / 2) * z, s, t)
-    u2 = (u[:, :, None, :, None] * u[:, None, :, None, :]).reshape(-1, 4, 4)
-    out = (w[:, None, None] * ((u2 @ rho4) @ u2.conj().transpose(0, 2, 1))).sum(axis=0)
+    z = z + shift
+    out = np.zeros((4, 4), dtype=complex)
+    for wi, bi in zip(w, math.sqrt(s.gamma / 2) * z):
+        u2 = tensor_product(*[field_unitary(bi, s, t)] * 2)
+        out += wi * (u2 @ rho4 @ u2.conj().T)
     return 0.5 * (out + out.conj().T)
 
 
 def two_qubit_stack(rho4, s, times, nodes):
     return two_qubit_average(rho4, s, np.array(times, dtype=float), QuadratureSpec(nodes))
+
+
+def singlet():
+    psi = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
+    return np.outer(psi, psi).astype(complex)
+
+
+pinned = settings(max_examples=150, derandomize=True, database=None, deadline=None)
 
 
 class TestTwoQubitStack:
@@ -682,7 +691,8 @@ class TestTwoQubitStack:
         alone = [two_qubit_average(rho4, s, t, QuadratureSpec(nodes)) for t in self.TIMES]
         require_valid(np.array(alone))
         assert bits(out) == bits(alone)
-        assert bits(out) == bits([per_time_two_qubit(rho4, s, t, nodes) for t in self.TIMES])
+        loop = [kronecker_loop(rho4, s, t, nodes) for t in self.TIMES]
+        np.testing.assert_allclose(out, loop, rtol=0, atol=1e-15)
 
     def test_each_case_of_a_scenario_stack_has_its_own_bits(self, rho4):
         cases = draw_cases(np.random.default_rng(35), 9)
@@ -697,35 +707,70 @@ class TestTwoQubitStack:
     def test_block_size_does_not_change_the_bits(self, monkeypatch, rho4, per_block):
         s = scenario(1.2, 2.0, 5.0)
         out = two_qubit_stack(rho4, s, self.TIMES, 201)
-        monkeypatch.setattr(oracle, "_PAIR_BLOCK", per_block * 201)
+        monkeypatch.setattr(oracle, "_QUAD_BLOCK", per_block)
         assert bits(two_qubit_stack(rho4, s, self.TIMES, 201)) == bits(out)
         # shifted by one time, every block boundary falls elsewhere
         assert bits(two_qubit_stack(rho4, s, self.TIMES[1:], 201)) == bits(out[1:])
 
     @pytest.mark.parametrize("nodes, count", [(201, 47), (2048, 5), (4096, 3)])
     def test_each_block_stays_under_the_pair_cap(self, monkeypatch, rho4, nodes, count):
-        # the (times, nodes, 4, 4) temporaries of a block are at most
-        # _PAIR_BLOCK pairs, and a block holds at least one time
+        # a block holds _QUAD_BLOCK cases (at least one) at any node count, so
+        # its (cases, nodes) temporaries hold at most _QUAD_BLOCK * nodes pairs
         z, w = gauss_hermite_nodes(201)
         nodes_z, nodes_w = np.resize(z, nodes), np.resize(w, nodes) * (201 / nodes)
         monkeypatch.setattr(oracle, "gauss_hermite_nodes", lambda n: (nodes_z, nodes_w))
-        shapes = []
-        unitaries_of = oracle._unitaries
+        monkeypatch.setattr(oracle, "_QUAD_BLOCK", 2)
+        blocks = []
+        axes_of = oracle.pauli_vector
 
-        def recorded(half, n):
-            u = unitaries_of(half, n)
-            shapes.append(u.shape[:-2])
-            return u
+        def recorded(n):  # called once per block, on the block's axes
+            blocks.append(len(n))
+            return axes_of(n)
 
-        monkeypatch.setattr(oracle, "_unitaries", recorded)
+        monkeypatch.setattr(oracle, "pauli_vector", recorded)
         times = np.linspace(0.0, 1.0, count).tolist()
-        assert len(two_qubit_stack(rho4, scenario(1.0, 1.0), times, nodes)) == count
-        per_block = max(1, oracle._PAIR_BLOCK // nodes)
-        assert [shape[0] for shape in shapes] == [per_block] * (count // per_block) + (
-            [count % per_block] if count % per_block else [])
-        assert all(shape[0] * shape[1] <= max(oracle._PAIR_BLOCK, nodes) for shape in shapes)
-        assert oracle._PAIR_BLOCK * 16 * 16 <= 1 << 19  # 512 KiB per complex temporary
+        out = two_qubit_stack(rho4, scenario(1.0, 1.0), times, nodes)
+        assert len(out) == count and np.isfinite(out).all()
+        assert blocks == [2] * (count // 2) + [1] * (count % 2)
 
+    def test_matches_the_kronecker_loop_on_shifted_nodes(self, monkeypatch, rho4):
+        # Gaussian nodes are symmetric, so the odd moments sum w c^3 s and
+        # sum w c s^3 vanish and hide their terms; shifted nodes make them count
+        z, w = gauss_hermite_nodes(201)
+        monkeypatch.setattr(oracle, "gauss_hermite_nodes", lambda n: (z + 0.4, w))
+        cases = draw_cases(np.random.default_rng(36), 12)
+        _, stack, times = stacked(cases)
+        out = two_qubit_average(rho4, stack, times)
+        loop = [kronecker_loop(rho4, s, t, shift=0.4) for _, s, t in cases]
+        np.testing.assert_allclose(out, loop, rtol=0, atol=1e-15)
+        # the odd terms with the wrong sign: the loop of U^dag (x) U^dag
+        flipped = [kronecker_loop(rho4, s, t, shift=-0.4) for _, s, t in cases]
+        assert np.abs(out - flipped).max() > 0.05
+
+    @pinned
+    @given(xi=st.floats(0.0, 700.0), theta=st.floats(0.0, math.pi),
+           phi=st.floats(0.0, 2.0 * math.pi, exclude_max=True), gamma=st.floats(1e-3, 1e3),
+           g=st.floats(0.0, 30.0), seed=st.integers(0, 2**32 - 1),
+           nodes=st.sampled_from([2, 201, 402]))
+    def test_matches_the_kronecker_loop_over_the_parameter_box(self, xi, theta, phi, gamma, g,
+                                                                seed, nodes):
+        s = scenario(xi, theta, phi, gamma)
+        t = math.sqrt(g / gamma) / s.field.kappa  # gamma' t^2 = g, also where gamma' overflows
+        rho4 = random_density(np.random.default_rng(seed), 4).matrix
+        out = two_qubit_average(rho4, s, t, QuadratureSpec(nodes))
+        np.testing.assert_allclose(out, kronecker_loop(rho4, s, t, nodes), rtol=0, atol=1e-15)
+
+    @pinned
+    @given(xi=st.floats(0.0, 700.0), theta=st.floats(0.0, math.pi),
+           phi=st.floats(0.0, 2.0 * math.pi, exclude_max=True), g=st.floats(0.0, 1e4))
+    def test_the_singlet_is_invariant(self, xi, theta, phi, g):
+        # U (x) U fixes the singlet for every U in SU(2): it lies in the
+        # decoherence-free subspace of the common bath (Lidar, Chuang &
+        # Whaley, PRL 81, 2594, 1998)
+        s = scenario(xi, theta, phi)
+        times = np.sqrt(g * np.array([0.0, 0.01, 0.25, 1.0])) / s.field.kappa
+        out = two_qubit_average(singlet(), s, times)
+        np.testing.assert_allclose(out, np.broadcast_to(singlet(), out.shape), rtol=0, atol=1e-15)
     def test_first_refused_time_raises_its_own_error(self, rho4):
         # at xi = 709 the angle at the largest node overflows between these times
         s = scenario(709.0, 1.0)

@@ -54,6 +54,10 @@ class TestBoostParams:
         with pytest.raises(ValueError):
             BoostParams(**kw)
 
+    def test_numpy_scalar_named_as_a_float(self):
+        with pytest.raises(ValueError, match=r"^theta must lie in \[0, pi\], got 5\.0$"):
+            BoostParams(1.0, np.float64(5.0))
+
 
 class TestBoostEmField:
     def test_no_boost_is_identity(self):
@@ -281,6 +285,10 @@ class TestEtaProfile:
             eta_profile(1.0, theta)
         with pytest.raises(ValueError, match=rf"^theta must lie in \[0, pi\], got {theta!r}$"):
             BoostParams(1.0, theta)
+
+    def test_zero_dimensional_array_named_as_a_float(self):
+        with pytest.raises(ValueError, match=r"^theta must lie in \[0, pi\], got 5\.0$"):
+            eta_profile(1.0, np.array(5.0))
 
     def test_stack_refused_with_its_first_bad_theta(self):
         theta = np.array([[0.0, 1.0], [math.nan, 4.0]])
