@@ -28,6 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .spinalg import _dagger, _hermitize
+
 # Probe states: |0><0|, |1><1|, |+><+|, |+i><+i| -- a spanning set of
 # genuine density matrices, so maps defined only on physical states can
 # be tomographed. |-><-| and a generic mixed state are held out for the
@@ -49,10 +51,6 @@ _RETAIN_REL = 1e-12
 def _frobenius(x: np.ndarray) -> np.ndarray:
     """Frobenius norms over the last two axes of a stack."""
     return np.linalg.norm(x, axis=(-2, -1))
-
-
-def _dagger(m: np.ndarray) -> np.ndarray:
-    return m.conj().swapaxes(-1, -2)
 
 
 def choi_stack(images) -> tuple[np.ndarray, np.ndarray]:
@@ -130,7 +128,7 @@ def choi_diagnostics(c) -> ChoiDiagnostics:
     c = np.asarray(c, dtype=complex)
     if c.shape[-2:] != (4, 4):
         raise ValueError(f"Choi matrices must be 4x4, got shape {c.shape}")
-    vals, vecs = np.linalg.eigh(0.5 * (c + _dagger(c)))
+    vals, vecs = np.linalg.eigh(_hermitize(c))
     vals, vecs = vals[..., ::-1], vecs[..., ::-1]
     kept = vals > _RETAIN_REL * np.maximum(vals[..., :1], 0.0)
     weights = np.sqrt(np.where(kept, vals, 0.0))

@@ -13,12 +13,12 @@ residual chi at finite rapidity provably does not perturb the
 concurrence at these azimuths. Tests therefore treat deviations from the
 reference as quadrature noise, not physics.
 
-A trajectory is computed on stacks: one call of the two-qubit
-quadrature for all its times (five node sums and five 4x4 products
-each), one stacked validation and one batched Wootters solve
-(``concurrence``, one LAPACK eigen-solve per matrix). Each time gets
-the bits it gets alone. U (x) U fixes the singlet for every U, so the
-common bath leaves it unchanged (decoherence-free).
+A trajectory is computed on stacks: one ``two_qubit_average`` call, the
+oracle's one quadrature kernel at two qubits, for all its times, one
+stacked validation and one batched Wootters solve (``concurrence``, one
+LAPACK eigen-solve per matrix). Each time gets the bits it gets alone.
+U (x) U fixes the singlet for every U, so the common bath leaves it
+unchanged (decoherence-free).
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from typing import Sequence
 import numpy as np
 
 from .channel import Scenario, _require_nonneg_time, decay_exponent
-from .oracle import QuadratureSpec, _hermitize, _require_quadrature, two_qubit_average
-from .spinalg import PAULI_Y, DensityMatrix, _states, require_valid, tensor_product
+from .oracle import QuadratureSpec, _require_quadrature, two_qubit_average
+from .spinalg import PAULI_Y, DensityMatrix, _hermitize, _states, require_valid, tensor_product
 
 _YY = tensor_product(PAULI_Y, PAULI_Y)
 

@@ -6,33 +6,29 @@ and averaged over z ~ N(0, 1) either by Gauss-Hermite quadrature
 (spectrally exact for these Gaussian-times-trigonometric integrands) or
 by seeded Monte Carlo. The field scale sigma = sqrt(gamma/2), the
 coupling times the field's standard deviation, comes from the one rate
-of a ``Scenario``. The only code shared with ``channel`` is generic 2x2
-algebra (``spinalg._matmul_2x2``). The quadrature covers one and two
-qubits (common bath: U(z) (x) U(z)).
+of a ``Scenario``. No arithmetic is shared with ``channel``, only
+generic algebra from ``spinalg`` (``pauli_vector``, ``_hermitize``). The
+quadrature covers one qubit and two in a common bath, U(z) (x) U(z).
 
-Each oracle is one function on stacks in numpy's (..., 2, 2) convention:
+Each oracle is one function on stacks in numpy's (..., d, d) convention:
 states, a ``Scenario`` (one case or a stack) and times broadcast against
 each other, and the averages are returned without validation, NaN where
 the oracle refuses a case because its rotation angle 2 kappa t sigma z
 has no finite value (``_half_angle_rates``). ``_require_quadrature``
 names the first case the quadrature refuses.
 
-Single-qubit quadrature: with U(z) = c I - i s N, c = cos x, s = sin x,
-x = kappa t sigma z and N = n.sigma, the conjugation expands exactly as
-U rho U^dag = c^2 rho + s^2 N rho N + i c s [rho, N]. So a case needs
-only three weighted sums over the nodes, of w c^2, w s^2 and w c s, each
+Quadrature: with U(z) = c I - i s N, c = cos x, s = sin x,
+x = kappa t sigma z and N = n.sigma, k qubits in one bath turn by
+U^(x)k = sum_j c^(k-j) (-i s)^j E_j, with E_0 = I, E_1 = N on each site
+summed and, for two qubits, E_2 = N (x) N. So a case's average needs
+only the 2k + 1 weighted sums m_j of w c^(2k-j) s^j over the nodes, each
 a numpy pairwise sum along the node axis in node order (no BLAS product,
-so the bits do not depend on the BLAS thread count), and then a few 2x2
-products. ``average_quadrature`` takes its cases in blocks of fixed
+so the bits do not depend on the BLAS thread count), and then k + 1
+terms of 2x2 or 4x4 products (numpy's stacked ``matmul``).
+``average_quadrature`` and ``two_qubit_average`` are two entries to this
+one kernel, ``_bath_average``; it takes its cases in blocks of fixed
 size, and a case gets the same bits alone, among others or in another
 order.
-
-Two-qubit quadrature: U(z) (x) U(z) = c^2 P0 + c s P1 + s^2 P2 with
-P0 = I, P1 = -i (I (x) N + N (x) I) and P2 = -N (x) N, so a case's
-average is sum_ab m_ab P_a rho4 P_b^dag, with m_ab the pairwise sum of
-w c^(4-a-b) s^(a+b) in node order: five sums per case, and five 4x4
-products (numpy's stacked ``matmul``, one BLAS call per matrix). Cases
-run in blocks of ``_QUAD_BLOCK`` too, and get the bits they get alone.
 
 Determinism contracts: node/weight generation is the Golub-Welsch
 eigen-solve of the symmetric tridiagonal Jacobi matrix (numpy's dense
@@ -74,13 +70,14 @@ between machines.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .channel import Scenario, _require_nonneg_time
-from .spinalg import _matmul_2x2, _states, pauli_vector
+from .spinalg import _hermitize, _states, pauli_vector
 
 # Largest distance between a closed form and the quadrature oracle at its
 # default nodes that ``spinboost verify`` and the CLI accept.
@@ -96,6 +93,14 @@ MC_RANDOMISATIONS = 16
 _MC_BLOCK = 1 << 16
 
 
+def _count(value, name: str) -> int:
+    """``value`` through ``operator.index``: an integer, numpy's too, or ValueError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Gauss-Hermite quadrature order for the Gaussian field average."""
@@ -103,7 +108,7 @@ class QuadratureSpec:
     nodes: int = 201
 
     def __post_init__(self):
-        if self.nodes < 2:
+        if _count(self.nodes, "nodes") < 2:
             raise ValueError(f"need at least 2 quadrature nodes, got {self.nodes!r}")
 
 
@@ -120,10 +125,11 @@ class McSpec:
     seed: int = 42
 
     def __post_init__(self):
-        if self.samples < 1 or 2 * MC_RANDOMISATIONS * self.strata**2 != self.samples:
+        samples = _count(self.samples, "samples")
+        if samples < 1 or 2 * MC_RANDOMISATIONS * self.strata**2 != samples:
             raise ValueError(f"samples must be 2 R m^2 = {2 * MC_RANDOMISATIONS} m^2 for a "
                              f"whole number m >= 1 of strata per axis, got {self.samples!r}")
-        if not 0 <= self.seed < 2**64:
+        if not 0 <= _count(self.seed, "seed") < 2**64:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
 
     @property
@@ -142,7 +148,7 @@ def gauss_hermite_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     the weights (Golub-Welsch). Nodes are symmetrised exactly about 0
     and the weights normalised to sum to 1.
     """
-    if n < 2:
+    if _count(n, "nodes") < 2:
         raise ValueError(f"need at least 2 quadrature nodes, got {n!r}")
     off_diag = np.sqrt(np.arange(1, n) / 2.0)
     x, vecs = np.linalg.eigh(np.diag(off_diag, 1) + np.diag(off_diag, -1))
@@ -203,47 +209,8 @@ def _cases(m: np.ndarray, s: Scenario, per_case) -> tuple:
             np.broadcast_to(s.field.n, shape + (3,)).reshape(-1, 3), *flat)
 
 
-def _hermitize(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.conj().swapaxes(-1, -2))
-
-
-# Cases per block of both quadrature kernels: bounds their (cases x nodes) temporaries.
+# Cases per block of the quadrature kernel: bounds its (cases x nodes) temporaries.
 _QUAD_BLOCK = 64
-
-
-def average_quadrature(m, s: Scenario, t, q: QuadratureSpec = QuadratureSpec()) -> np.ndarray:
-    """Gaussian average of U(z) rho U(z)^dag by Gauss-Hermite quadrature.
-
-    States ``m`` (..., 2, 2), the cases of ``s`` and times ``t`` broadcast;
-    returns the averages (..., 2, 2), not validated. Per case, the half
-    angles x = kappa t sigma z at every node give the node-order pairwise
-    sums of w c^2, w s^2 and w c s, and the average is
-    (sum w c^2) rho + (sum w s^2) N rho N + i (sum w c s) [rho, N]. Cases
-    run in blocks of ``_QUAD_BLOCK``; a case whose rotation angle is not
-    finite gets NaN.
-    """
-    _require_nonneg_time(t)
-    m = _states(m, 2, "average_quadrature")
-    z, w = gauss_hermite_nodes(q.nodes)
-    shape, rhos, n, rates, sigmas = _cases(m, s, (_quadrature_rates(s, t, z), _field_scale(s)))
-    axis = np.empty((len(n), 2, 2), dtype=complex)  # N = n.sigma
-    axis[:, 0, 0], axis[:, 1, 1] = n[:, 2], -n[:, 2]
-    axis[:, 0, 1], axis[:, 1, 0] = n[:, 0] - 1j * n[:, 1], n[:, 0] + 1j * n[:, 1]
-    out = np.empty((len(rates), 2, 2), dtype=complex)
-    for k0 in range(0, len(rates), _QUAD_BLOCK):
-        block = slice(k0, k0 + _QUAD_BLOCK)
-        half = rates[block, None] * (sigmas[block, None] * z)
-        cos_x, sin_x = np.cos(half), np.sin(half)
-        w_cos = np.multiply(w, cos_x, out=half)
-        sum_cs = np.multiply(w_cos, sin_x).sum(axis=-1)[:, None, None]
-        sum_cc = np.multiply(w_cos, cos_x, out=cos_x).sum(axis=-1)[:, None, None]
-        sin_x *= sin_x
-        sum_ss = np.multiply(w, sin_x, out=sin_x).sum(axis=-1)[:, None, None]
-        rho, nb = rhos[block], axis[block]
-        rho_n, n_rho = _matmul_2x2(rho, nb), _matmul_2x2(nb, rho)
-        out[block] = _hermitize(sum_cc * rho + sum_ss * _matmul_2x2(n_rho, nb)
-                                + 1j * sum_cs * (rho_n - n_rho))
-    return out.reshape(shape + (2, 2))
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -252,35 +219,59 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(shape + (4, 4))
 
 
-def two_qubit_average(m4, s: Scenario, t, q: QuadratureSpec = QuadratureSpec()) -> np.ndarray:
-    """Common-bath average of [U(z) (x) U(z)] rho4 [..]^dag (same z, same boost).
+def _bath_average(m: np.ndarray, s: Scenario, t, q: QuadratureSpec) -> np.ndarray:
+    """Common-bath average of U(z)^(x)k rho [U(z)^(x)k]^dag by Gauss-Hermite quadrature.
 
-    States ``m4`` (..., 4, 4), the cases of ``s`` and times ``t``
-    broadcast; returns the averages (..., 4, 4), not validated. Per case,
-    with m_j the node-order pairwise sum of w c^(4-j) s^j, K = I (x) N +
-    N (x) I, L = N (x) N and Q_a = m_a I - i m_(a+1) K - m_(a+2) L, the
-    average is rho4 Q_0^dag - i (K rho4) Q_1^dag - (L rho4) Q_2^dag. Cases
-    run in blocks of ``_QUAD_BLOCK``; NaN where the rotation angle is not finite.
+    k = 1 for states (..., 2, 2) and 2 for (..., 4, 4). With U^(x)k as in
+    the module docstring, a case's average is sum_a (-i)^a (E_a rho) Q_a^dag
+    with Q_a^dag = sum_b i^b m_(a+b) E_b and m_j the node-order pairwise
+    sum of w c^(2k-j) s^j. Cases run in blocks of ``_QUAD_BLOCK``.
     """
     _require_nonneg_time(t)
-    m4 = _states(m4, 4, "two_qubit_average")
+    k = m.shape[-1].bit_length() - 1  # 2 -> 1 qubit, 4 -> 2 qubits
     z, w = gauss_hermite_nodes(q.nodes)
-    shape, rhos, n, rates, sigmas = _cases(m4, s, (_quadrature_rates(s, t, z), _field_scale(s)))
-    out = np.empty((len(rates), 4, 4), dtype=complex)
+    shape, rhos, n, rates, sigmas = _cases(m, s, (_quadrature_rates(s, t, z), _field_scale(s)))
+    out = np.empty(rhos.shape, dtype=complex)
     for k0 in range(0, len(rates), _QUAD_BLOCK):
         block = slice(k0, k0 + _QUAD_BLOCK)
         half = rates[block, None] * (sigmas[block, None] * z)
         cos_x, sin_x = np.cos(half), np.sin(half)
-        cc, cs, ss = cos_x * cos_x, cos_x * sin_x, sin_x * sin_x
-        wc, ws = w * cc, w * ss
-        m = np.stack([wc * cc, wc * cs, wc * ss, ws * cs, ws * ss]).sum(axis=-1)[..., None, None]
+        # the degree-k monomials c^(k-i) s^i; w c^(2k-j) s^j is w c^k times
+        # the first k + 1 of them, then w s^k times the last k
+        mono = (cos_x, sin_x) if k == 1 else (cos_x * cos_x, cos_x * sin_x, sin_x * sin_x)
+        w_c, w_s = w * mono[0], w * mono[-1]
+        mom = np.array([(w_c * x).sum(axis=-1) for x in mono]
+                       + [(w_s * x).sum(axis=-1) for x in mono[1:]])[..., None, None]
         nb = pauli_vector(n[block])
-        k, l = _kron(np.eye(2), nb) + _kron(nb, np.eye(2)), _kron(nb, nb)
-        q_dag = [m[a] * np.eye(4) + 1j * m[a + 1] * k - m[a + 2] * l for a in range(3)]
+        e = ([np.eye(2), nb] if k == 1 else
+             [np.eye(4), _kron(np.eye(2), nb) + _kron(nb, np.eye(2)), _kron(nb, nb)])
+        q_dag = [mom[a] * e[0] + 1j * mom[a + 1] * e[1] for a in range(k + 1)]
+        if k == 2:  # the terms of E_2, with i^2 = (-i)^2 = -1
+            q_dag = [q_a - mom[a + 2] * e[2] for a, q_a in enumerate(q_dag)]
         rho = rhos[block]
-        out[block] = _hermitize(rho @ q_dag[0] - 1j * (k @ rho) @ q_dag[1]
-                                - (l @ rho) @ q_dag[2])
-    return out.reshape(shape + (4, 4))
+        avg = rho @ q_dag[0] - 1j * (e[1] @ rho) @ q_dag[1]
+        out[block] = _hermitize(avg - (e[2] @ rho) @ q_dag[2] if k == 2 else avg)
+    return out.reshape(shape + rhos.shape[-2:])
+
+
+def average_quadrature(m, s: Scenario, t, q: QuadratureSpec = QuadratureSpec()) -> np.ndarray:
+    """Gaussian average of U(z) rho U(z)^dag by Gauss-Hermite quadrature.
+
+    States ``m`` (..., 2, 2), the cases of ``s`` and times ``t`` broadcast;
+    returns the averages (..., 2, 2), not validated, NaN where the rotation
+    angle is not finite: ``_bath_average`` at one qubit.
+    """
+    return _bath_average(_states(m, 2, "average_quadrature"), s, t, q)
+
+
+def two_qubit_average(m4, s: Scenario, t, q: QuadratureSpec = QuadratureSpec()) -> np.ndarray:
+    """Common-bath average of [U(z) (x) U(z)] rho4 [..]^dag (same z, same boost).
+
+    States ``m4`` (..., 4, 4), the cases of ``s`` and times ``t``
+    broadcast; returns the averages (..., 4, 4), not validated, NaN where
+    the rotation angle is not finite: ``_bath_average`` at two qubits.
+    """
+    return _bath_average(_states(m4, 4, "two_qubit_average"), s, t, q)
 
 
 def _cos_sin_double(x: np.ndarray, cos_out: np.ndarray, scratch: np.ndarray) -> None:

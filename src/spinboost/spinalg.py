@@ -1,11 +1,11 @@
 """Dense fixed-size complex matrix kernel for spin-1/2 problems.
 
 Pauli algebra, SU(2) rotations in closed form, Kronecker products,
-broadcast products of stacked 2x2 matrices and density-matrix
-validation. Everything here works on plain ``numpy`` arrays of
-dimension 2 or 4, or stacks of 2x2 ones; all returned values are freshly
-allocated and never alias their inputs, so the functions are safe to
-call from concurrent workers.
+broadcast products of stacked 2x2 matrices, adjoints and Hermitian parts,
+and density-matrix validation. Everything here works on plain ``numpy``
+arrays of dimension 2 or 4, or stacks of them (..., 2, 2) or
+(..., 4, 4); all returned values are freshly allocated and never alias
+their inputs, so the functions are safe to call from concurrent workers.
 """
 
 from __future__ import annotations
@@ -107,6 +107,16 @@ def _matmul_2x2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[..., :, :1] * b[..., :1, :] + a[..., :, 1:] * b[..., 1:, :]
 
 
+def _dagger(m: np.ndarray) -> np.ndarray:
+    """Adjoints of a stack of matrices (..., d, d)."""
+    return m.conj().swapaxes(-1, -2)
+
+
+def _hermitize(m: np.ndarray) -> np.ndarray:
+    """Hermitian parts (m + m^dag)/2 of a stack of matrices (..., d, d)."""
+    return 0.5 * (m + _dagger(m))
+
+
 def _residuals(m: np.ndarray):
     """Hermiticity residual, trace residual and least eigenvalue of ``m``.
 
@@ -135,8 +145,7 @@ def _residuals(m: np.ndarray):
                                                                   off.real), off.imag)
             return herm, np.hypot(tr.real, tr.imag), min_eig
     with np.errstate(all="ignore"):
-        m_dag = m.conj().swapaxes(-1, -2)
-        skew, part = m - m_dag, 0.5 * (m + m_dag)
+        skew, part = m - _dagger(m), _hermitize(m)
         herm = np.sqrt((skew.real**2 + skew.imag**2).sum(axis=(-2, -1)))
         tr = np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0)
     finite = np.isfinite(part).all(axis=(-2, -1))

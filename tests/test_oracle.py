@@ -98,6 +98,34 @@ class TestSpecs:
             with pytest.raises(ValueError, match="2 R m\\^2"):
                 McSpec(samples=samples)
 
+    def test_fractional_nodes_refused(self):
+        with pytest.raises(ValueError, match="nodes must be an integer, got 2.5"):
+            QuadratureSpec(nodes=2.5)
+
+    def test_nan_nodes_refused(self):
+        with pytest.raises(ValueError, match="nodes must be an integer, got nan"):
+            QuadratureSpec(nodes=float("nan"))
+
+    def test_float_samples_refused_even_when_whole(self):
+        with pytest.raises(ValueError, match="samples must be an integer, got 115200.0"):
+            McSpec(samples=115200.0)
+
+    def test_fractional_seed_refused(self):
+        with pytest.raises(ValueError, match="seed must be an integer, got 1.5"):
+            McSpec(seed=1.5)
+
+    @pytest.mark.parametrize("n", [3.0, 2.5, float("nan")])
+    def test_gauss_hermite_nodes_refuse_a_float_order(self, n):
+        with pytest.raises(ValueError, match="nodes must be an integer"):
+            gauss_hermite_nodes(n)
+
+    def test_numpy_integers_pass(self):
+        assert QuadratureSpec(nodes=np.int64(201)).nodes == 201
+        mc = McSpec(samples=np.int32(2 * MC_RANDOMISATIONS * 4), seed=np.uint64(2**64 - 1))
+        assert mc.strata == 2
+        np.testing.assert_array_equal(gauss_hermite_nodes(np.int16(5))[0],
+                                      gauss_hermite_nodes(5)[0])
+
 
 class TestGaussHermiteNodes:
     @pytest.mark.parametrize("n", [2, 21, 201, 402])
@@ -649,6 +677,31 @@ class TestTwoQubitAverage:
     def test_wrong_dimension_rejected(self):
         with pytest.raises(ValueError, match="4x4"):
             two_qubit_average(plus_state().matrix, scenario(1.0, 1.0), 1.0)
+
+
+class TestOneQubitInTwo:
+    @pytest.fixture(scope="class")
+    def cases(self):
+        rng = np.random.default_rng(37)
+        _, stack, times = stacked(draw_cases(rng, 200))
+        rho, sigma = (np.array([random_density(rng, 2).matrix for _ in range(200)])
+                      for _ in range(2))
+        pairs = np.array([tensor_product(a, b) for a, b in zip(rho, sigma)])
+        return rho, sigma, pairs, stack, times
+
+    @pytest.mark.parametrize("nodes", [2, 201, 402])
+    def test_partial_traces_are_the_one_qubit_averages(self, cases, nodes):
+        # each qubit of rho (x) sigma turns by the same U(z), so tracing
+        # either one out of the common-bath average leaves the one-qubit
+        # average of the other factor
+        rho, sigma, pairs, stack, times = cases
+        q = QuadratureSpec(nodes)
+        out = two_qubit_average(pairs, stack, times, q).reshape(-1, 2, 2, 2, 2)
+        first, second = np.einsum("...ikjk->...ij", out), np.einsum("...kikj->...ij", out)
+        np.testing.assert_allclose(first, average_quadrature(rho, stack, times, q),
+                                   rtol=0, atol=1e-15)
+        np.testing.assert_allclose(second, average_quadrature(sigma, stack, times, q),
+                                   rtol=0, atol=1e-15)
 
 
 def kronecker_loop(rho4, s, t, nodes=201, shift=0.0):
