@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spinalg import _dagger, _hermitize
+from .spinalg import _dagger, _hermitize, _matmul
 
 # Probe states: |0><0|, |1><1|, |+><+|, |+i><+i| -- a spanning set of
 # genuine density matrices, so maps defined only on physical states can
@@ -145,6 +145,6 @@ def choi_diagnostics(c) -> ChoiDiagnostics:
 def kraus_residuals(kraus, c) -> tuple[np.ndarray, np.ndarray]:
     """|sum K^dag K - I| and |Choi(K) - C| (Frobenius) for Kraus stacks (..., k, 2, 2)."""
     kraus = np.asarray(kraus, dtype=complex)
-    completeness = (_dagger(kraus) @ kraus).sum(axis=-3)
+    completeness = _matmul(_dagger(kraus), kraus).sum(axis=-3)
     return (_frobenius(completeness - np.eye(2)),
             _frobenius(kraus_to_choi(kraus) - np.asarray(c)))

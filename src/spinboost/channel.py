@@ -38,7 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from .relkin import BoostParams, EffectiveField, _hypot, _pick, _require, effective_field
-from .spinalg import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z, DensityMatrix, _matmul_2x2, _states
+from .spinalg import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z, DensityMatrix, _matmul, _states
 
 # exp(-x) for x >= ~745 underflows anyway; 50 already rounds every reported
 # digit, so "t -> infinity" is evaluated at gamma' t**2 = 50.
@@ -231,9 +231,9 @@ def operator_sum_apply(m, s: Scenario, t) -> np.ndarray:
     p1 = 0.5 * weight(lost)
     p0 = 0.5 * (1.0 + weight(decay))
     out = p0 * m + (p1 - p1 * (eta + chi)) * (m * _SZ_SIGNS)
-    out = out + (p1 * (eta - chi)) * _matmul_2x2(_matmul_2x2(su, m), su)
+    out = out + (p1 * (eta - chi)) * _matmul(_matmul(su, m), su)
     cross = PAULI_Z + su
-    return out + (p1 * chi) * _matmul_2x2(_matmul_2x2(cross, m), cross)
+    return out + (p1 * chi) * _matmul(_matmul(cross, m), cross)
 
 
 def dressing_transform(f: EffectiveField) -> np.ndarray:
@@ -271,8 +271,8 @@ def dressed_apply(m, s: Scenario, t) -> np.ndarray:
     decay, _ = _decay(s, t)
     v = dressing_transform(s.field)
     v_dag = np.conj(np.swapaxes(v, -1, -2))
-    rotated = _matmul_2x2(_matmul_2x2(v, m), v_dag)
-    return _matmul_2x2(_matmul_2x2(v_dag, _dephase(rotated, decay)), v)
+    rotated = _matmul(_matmul(v, m), v_dag)
+    return _matmul(_matmul(v_dag, _dephase(rotated, decay)), v)
 
 
 def plus_state() -> DensityMatrix:

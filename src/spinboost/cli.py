@@ -457,6 +457,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # numpy raises its own subclass for an array too large
+        print(f"error: MemoryError: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

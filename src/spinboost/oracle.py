@@ -7,8 +7,9 @@ and averaged over z ~ N(0, 1) either by Gauss-Hermite quadrature
 by seeded Monte Carlo. The field scale sigma = sqrt(gamma/2), the
 coupling times the field's standard deviation, comes from the one rate
 of a ``Scenario``. No arithmetic is shared with ``channel``, only
-generic algebra from ``spinalg`` (``pauli_vector``, ``_hermitize``). The
-quadrature covers one qubit and two in a common bath, U(z) (x) U(z).
+generic algebra from ``spinalg`` (``pauli_vector``, ``_hermitize``,
+``_matmul``). The quadrature covers one qubit and two in a common bath,
+U(z) (x) U(z).
 
 Each oracle is one function on stacks in numpy's (..., d, d) convention:
 states, a ``Scenario`` (one case or a stack) and times broadcast against
@@ -22,13 +23,13 @@ x = kappa t sigma z and N = n.sigma, k qubits in one bath turn by
 U^(x)k = sum_j c^(k-j) (-i s)^j E_j, with E_0 = I, E_1 = N on each site
 summed and, for two qubits, E_2 = N (x) N. So a case's average needs
 only the 2k + 1 weighted sums m_j of w c^(2k-j) s^j over the nodes, each
-a numpy pairwise sum along the node axis in node order (no BLAS product,
-so the bits do not depend on the BLAS thread count), and then k + 1
-terms of 2x2 or 4x4 products (numpy's stacked ``matmul``).
-``average_quadrature`` and ``two_qubit_average`` are two entries to this
-one kernel, ``_bath_average``; it takes its cases in blocks of fixed
-size, and a case gets the same bits alone, among others or in another
-order.
+a numpy pairwise sum along the node axis in node order, and then k + 1
+terms of 2x2 or 4x4 products (broadcast products, ``spinalg._matmul``).
+No step is a BLAS call, so the bits do not depend on the BLAS thread
+count. ``average_quadrature`` and ``two_qubit_average`` are two entries
+to this one kernel, ``_bath_average``; it takes its cases in blocks of
+fixed size, and a case gets the same bits alone, among others or in
+another order.
 
 Determinism contracts: node/weight generation is the Golub-Welsch
 eigen-solve of the symmetric tridiagonal Jacobi matrix (numpy's dense
@@ -77,7 +78,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import Scenario, _require_nonneg_time
-from .spinalg import _hermitize, _states, pauli_vector
+from .spinalg import _hermitize, _matmul, _states, pauli_vector
 
 # Largest distance between a closed form and the quadrature oracle at its
 # default nodes that ``spinboost verify`` and the CLI accept.
@@ -249,8 +250,8 @@ def _bath_average(m: np.ndarray, s: Scenario, t, q: QuadratureSpec) -> np.ndarra
         if k == 2:  # the terms of E_2, with i^2 = (-i)^2 = -1
             q_dag = [q_a - mom[a + 2] * e[2] for a, q_a in enumerate(q_dag)]
         rho = rhos[block]
-        avg = rho @ q_dag[0] - 1j * (e[1] @ rho) @ q_dag[1]
-        out[block] = _hermitize(avg - (e[2] @ rho) @ q_dag[2] if k == 2 else avg)
+        avg = _matmul(rho, q_dag[0]) - 1j * _matmul(_matmul(e[1], rho), q_dag[1])
+        out[block] = _hermitize(avg - _matmul(_matmul(e[2], rho), q_dag[2]) if k == 2 else avg)
     return out.reshape(shape + rhos.shape[-2:])
 
 

@@ -1,11 +1,12 @@
 """Dense fixed-size complex matrix kernel for spin-1/2 problems.
 
 Pauli algebra, SU(2) rotations in closed form, Kronecker products,
-broadcast products of stacked 2x2 matrices, adjoints and Hermitian parts,
-and density-matrix validation. Everything here works on plain ``numpy``
-arrays of dimension 2 or 4, or stacks of them (..., 2, 2) or
-(..., 4, 4); all returned values are freshly allocated and never alias
-their inputs, so the functions are safe to call from concurrent workers.
+broadcast products of stacked matrices, adjoints and Hermitian parts,
+random states and density-matrix validation. Everything here works on
+plain ``numpy`` arrays of dimension 2 or 4, or stacks of them (..., 2, 2)
+or (..., 4, 4). Returned values are freshly allocated and never alias
+their inputs, with one exception: ``_states`` returns its argument itself
+when that is already a complex array, so its callers only read it.
 """
 
 from __future__ import annotations
@@ -102,9 +103,13 @@ def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b))
 
 
-def _matmul_2x2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Products of stacked 2x2 matrices, broadcast in place of one BLAS call per matrix."""
-    return a[..., :, :1] * b[..., :1, :] + a[..., :, 1:] * b[..., 1:, :]
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Products of stacked 2x2 or 4x4 matrices, broadcast in place of one BLAS call
+    per matrix: the terms a_ij b_jk are added in the order of j."""
+    out = a[..., :, :1] * b[..., :1, :]
+    for j in range(1, a.shape[-1]):
+        out += a[..., :, j:j + 1] * b[..., j:j + 1, :]
+    return out
 
 
 def _dagger(m: np.ndarray) -> np.ndarray:
@@ -164,7 +169,9 @@ def _invalid(m: np.ndarray) -> np.ndarray:
 
 
 def _states(m, dim: int, name: str) -> np.ndarray:
-    """``m`` as a complex stack (..., dim, dim); ``name`` names the caller that needs it."""
+    """``m`` as a complex stack (..., dim, dim); ``name`` names the caller that needs it.
+
+    A complex array is returned itself, not copied."""
     m = np.asarray(m, dtype=complex)
     if m.shape[-2:] != (dim, dim):
         raise ValueError(f"{name} needs {dim}x{dim} states, got shape {m.shape}")
@@ -215,23 +222,37 @@ class DensityMatrix:
 
 
 def random_density(rng: np.random.Generator, dim: int = 2, pure: bool = False) -> DensityMatrix:
-    """Draw a Haar-ish random density matrix (Wishart construction).
+    """Draw a random density matrix: ``_random_states`` on the next 2 dim^2
+    normals of ``rng``, a Hilbert-Schmidt random mixed state.
 
-    With ``pure=True`` returns a random pure-state projector instead.
-    Intended for property tests and the verification suite.
+    With ``pure=True`` it takes the next 2 dim normals and returns the
+    projector on a Haar-random vector instead. Intended for property tests.
     """
-    return DensityMatrix(_random_state(rng, dim, pure))
-
-
-def _random_state(rng: np.random.Generator, dim: int, pure: bool) -> np.ndarray:
-    """The matrix ``random_density`` draws, not validated: callers that draw
-    many validate the stack with ``require_valid``."""
     if dim not in _VALID_DIMS:
         raise ValueError(f"dim must be one of {_VALID_DIMS}, got {dim}")
-    if pure:
-        psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        psi /= np.linalg.norm(psi)
-        return np.outer(psi, psi.conj())
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    m = a @ a.conj().T
-    return m / np.trace(m).real
+    return DensityMatrix(_random_states(rng.standard_normal(2 * dim * (1 if pure else dim)),
+                                        dim, pure))
+
+
+def _random_states(g: np.ndarray, dim: int, pure) -> np.ndarray:
+    """Random states (..., dim, dim) from standard normals g (..., k), not validated.
+
+    Each state is a a^dag / tr(a a^dag) for a complex dim x r matrix a
+    whose real parts are the first dim r normals of its row of g, row by
+    row, and whose imaginary parts the next dim r. Where ``pure`` (which
+    broadcasts against g's leading shape) is True, r = 1: the projector on
+    a Haar-random vector. Elsewhere r = dim: a Hilbert-Schmidt random mixed
+    state (Zyczkowski & Sommers, J. Phys. A 34, 7111, 2001). A row needs
+    k >= 2 dim r normals; a pure row ignores the rest. The products are
+    broadcast, so no state depends on the others or on the BLAS threads.
+    """
+    g = np.asarray(g, dtype=float)
+    pure = np.broadcast_to(pure, g.shape[:-1])
+    out = np.empty(pure.shape + (dim, dim), dtype=complex)
+    for rank, cases in ((1, pure), (dim, ~pure)):
+        if cases.any():
+            n, h = dim * rank, g[cases]
+            a = (h[:, :n] + 1j * h[:, n:2 * n]).reshape(-1, dim, rank)
+            m = (a[:, :, None, :] * a.conj()[:, None, :, :]).sum(axis=-1)
+            out[cases] = m / np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
+    return out

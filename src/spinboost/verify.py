@@ -26,7 +26,7 @@ from .channel import (
 )
 from .oracle import ORACLE_TOL
 from .relkin import BoostParams, _geometry, effective_field, eta_max, eta_profile
-from .spinalg import _invalid, _random_state, require_valid
+from .spinalg import _invalid, _random_states, require_valid
 
 KAPPA_SQ_REF = 6.13229
 ETA_MAX_REF = 0.51780
@@ -56,30 +56,30 @@ def _coherence(s: Scenario, t):
     return evolve_elementwise(plus_state().matrix, s, t)[..., 0, 1].real
 
 
+# Bounds of each case's five uniforms: xi, theta, phi, the oracles' field
+# scale sqrt(gamma / 2) and the amplified abscissa gamma' t^2.
+_CASE_LOW = (0.0, 0.0, 0.0, 0.3, 0.0)
+_CASE_HIGH = (3.0, math.pi, 2.0 * math.pi, 1.5, 5.0)
+
+
 def _draw_channel_cases(rng: np.random.Generator, count: int):
     """Seeded states (count, 2, 2), a stack of count scenarios and times (count,),
     gamma'*t**2 uniform in [0, 5].
 
     The amplified abscissa stays inside the quadrature's validated
-    regime, which also keeps gamma*t**2 inside [0, 5]. Each case's
-    uniforms and normals are drawn in turn, as one case at a time would
-    draw them; the geometries come from one kernel call and the states
-    are validated in one call.
+    regime, which also keeps gamma*t**2 inside [0, 5]. Two seeds drawn
+    from ``rng`` start two child streams: one gives every case its 5
+    uniforms, the other its 8 normals, of which the pure states (odd k)
+    use the first 4 (``_random_states``). As each case takes a fixed
+    number of draws from each stream, the first k cases of a draw are
+    a fresh draw of k. The states are validated in one call.
     """
-    draws, gp_t2 = [], []
-    rhos = np.empty((count, 2, 2), dtype=complex)
-    for k in range(count):
-        xi = rng.uniform(0.0, 3.0)
-        theta = rng.uniform(0.0, math.pi)
-        phi = rng.uniform(0.0, 2.0 * math.pi)
-        # the oracles' field scale sqrt(gamma / 2) is uniform in [0.3, 1.5]
-        draws.append((xi, theta, phi, 2.0 * rng.uniform(0.3, 1.5) ** 2))
-        gp_t2.append(rng.uniform(0.0, 5.0))
-        rhos[k] = _random_state(rng, 2, pure=bool(k % 2))
+    uniforms, normals = (np.random.default_rng(s) for s in rng.integers(2**63, size=2))
+    xi, theta, phi, scale, gp_t2 = uniforms.uniform(_CASE_LOW, _CASE_HIGH, size=(count, 5)).T
+    rhos = _random_states(normals.standard_normal((count, 8)), 2, np.arange(count) % 2 == 1)
     require_valid(rhos)
-    xi, theta, phi, gamma = np.array(draws).reshape(-1, 4).T
-    scenarios = Scenario(BoostParams(xi, theta, phi), gamma)
-    return rhos, scenarios, np.sqrt(np.array(gp_t2) / scenarios.gamma_prime)
+    scenarios = Scenario(BoostParams(xi, theta, phi), 2.0 * scale**2)
+    return rhos, scenarios, np.sqrt(gp_t2 / scenarios.gamma_prime)
 
 
 POOL_SIZE = 250
@@ -95,8 +95,9 @@ class CasePool:
     images (POOL_SIZE, 2, 2) of the cases under one channel form, NaN
     where the quadrature refused a case, and ``invalid[form]`` marks the
     images that fail ``DensityMatrix`` validation. The draws are those of
-    ``_draw_channel_cases``, so a check that uses the first k cases sees
-    what a fresh draw of k would give.
+    ``_draw_channel_cases``: 5 uniforms per case from one child stream of
+    the seed, 8 normals per case from another. So a check that uses the
+    first k cases sees what a fresh draw of k would give.
     """
 
     rhos: np.ndarray
@@ -267,8 +268,7 @@ def check_rest_frame_reduction(seed: int) -> CheckResult:
     A state with |rho_01| < 1e-2 is skipped; each form maps all the others
     at gamma t**2 in {0.3, 1, 2.5} in one call.
     """
-    rng = np.random.default_rng(seed)
-    rhos = np.array([_random_state(rng, 2, pure=False) for _ in range(10)])
+    rhos = _random_states(np.random.default_rng(seed).standard_normal((10, 8)), 2, False)
     require_valid(rhos)
     rhos = rhos[~(np.abs(rhos[:, 0, 1]) < 1e-2), None]
     s = _scenario(0.0, 0.0, gamma=1.0)

@@ -541,6 +541,17 @@ class TestRuntimeErrors:
         assert run_cli(["scan-eta", "--xi-steps", "2", "--theta-steps", "2"]) == 1
         assert capsys.readouterr().err == "error: ValueError: injected\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["scan-eta", "--xi-steps", str(10**15), "--theta-steps", "1"],
+        ["offdiag", "--points", str(10**15)],
+    ])
+    def test_a_grid_too_large_to_allocate_exits_one(self, capsys, argv):
+        # 10**15 floats are 7 PiB, more than a 47-bit address space: the
+        # allocation is refused before any memory is touched
+        assert run_cli(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: MemoryError: ") and err.count("\n") == 1
+
     def test_overflow_exits_one_without_traceback(self):
         # kappa overflows, so the oracle's rotation angle 2 kappa t sqrt(gamma/2) z has no value
         proc = subprocess.run([sys.executable, "-m", "spinboost.cli", "evolve", "--xi", "1000",

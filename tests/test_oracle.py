@@ -1,9 +1,12 @@
 """Tests for the quadrature and Monte Carlo averaging oracles."""
 
+import ast
+import inspect
 import math
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinboost import oracle
+from spinboost import analysis, oracle, spinalg, verify
 from spinboost.channel import Scenario, evolve_elementwise, plus_state
 from spinboost.oracle import (
     MC_RANDOMISATIONS,
@@ -630,6 +633,45 @@ class TestQuadratureStack:
         _require_quadrature(s, lo, 201)
         with pytest.raises(ValueError, match="rotation angle"):
             _require_quadrature(s, hi, 201)
+
+
+class TestBroadcastProducts:
+    @pytest.mark.parametrize("nodes", [2, 201, 402])
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_within_1e_15_of_matmul_products(self, monkeypatch, dim, nodes):
+        # the kernel with numpy's ``@`` in place of its broadcast products
+        rng = np.random.default_rng(50)
+        cases = draw_cases(rng, 150)
+        _, stack, times = stacked(cases)
+        states = (np.array([rho for rho, _, _ in cases]) if dim == 2 else
+                  np.array([random_density(rng, 4, pure=bool(k % 2)).matrix for k in range(150)]))
+        q = QuadratureSpec(nodes)
+        out = oracle._bath_average(states, stack, times, q)
+        monkeypatch.setattr(oracle, "_matmul", np.matmul)
+        ref = oracle._bath_average(states, stack, times, q)
+        require_valid(out)
+        assert np.abs(out - ref).max() <= 1e-15
+
+
+def blas_products(func):
+    """The ``@`` operators and the calls of numpy's BLAS product functions in ``func``."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(func)))
+    return [ast.dump(node) for node in ast.walk(tree)
+            if isinstance(node, ast.MatMult)
+            or isinstance(node, ast.Attribute) and node.attr in ("matmul", "dot", "tensordot")]
+
+
+@pytest.mark.parametrize("func", [oracle._bath_average, analysis.kraus_residuals,
+                                  spinalg._random_states, verify._draw_channel_cases])
+def test_no_blas_product(func):
+    assert blas_products(func) == []
+
+
+def test_blas_products_are_found():
+    def uses_them(a, b):
+        return a @ b + np.matmul(a, b) + np.dot(a, b)
+
+    assert len(blas_products(uses_them)) == 3
 
 
 class TestTwoQubitAverage:

@@ -13,8 +13,10 @@ from spinboost.spinalg import (
     DensityMatrix,
     DensityMatrixError,
     _invalid,
-    _random_state,
+    _matmul,
+    _random_states,
     _residuals,
+    _states,
     frobenius_distance,
     pauli_rotation,
     pauli_vector,
@@ -413,7 +415,7 @@ class TestRequireValid:
     @pytest.mark.parametrize("dim", [2, 4])
     def test_first_invalid_matrix_raises_its_own_error(self, dim):
         rng = np.random.default_rng(20 + dim)
-        stack = np.array([_random_state(rng, dim, False) for _ in range(12)])
+        stack = _random_states(rng.standard_normal((12, 2 * dim * dim)), dim, False)
         stack = stack.reshape(3, 4, dim, dim)
         require_valid(stack)
         stack[1, 2] *= 1.001  # trace
@@ -444,9 +446,77 @@ class TestRandomDensity:
 
     @pytest.mark.parametrize("dim,pure", [(2, False), (2, True), (4, False), (4, True)])
     def test_unvalidated_draw_is_the_same_matrix(self, dim, pure):
-        # the same matrices and the same stream afterwards
+        # the sampler on the next normals, and the same stream afterwards
         rng_a, rng_b = np.random.default_rng(11), np.random.default_rng(11)
         for _ in range(5):
-            m = _random_state(rng_a, dim, pure)
+            m = _random_states(rng_a.standard_normal(2 * dim * (1 if pure else dim)), dim, pure)
             assert bits(m.view(float)) == bits(random_density(rng_b, dim, pure).matrix.view(float))
         assert rng_a.random() == rng_b.random()
+
+
+def cbits(x):
+    """The bits of a complex array, real and imaginary parts in turn."""
+    return bits(np.ascontiguousarray(x, dtype=complex).view(float))
+
+
+class TestRandomStates:
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_pure_states_have_purity_one(self, dim):
+        rhos = _random_states(np.random.default_rng(40).standard_normal((2000, 2 * dim)), dim, True)
+        purity = np.einsum("kij,kji->k", rhos, rhos).real
+        assert np.abs(purity - 1.0).max() <= 1e-15
+
+    def test_mean_mixed_purity_is_the_hilbert_schmidt_mean(self):
+        # E tr rho^2 = 2N / (N^2 + 1) = 4/5 for Hilbert-Schmidt qubit states
+        # (Zyczkowski & Sommers, J. Phys. A 34, 7111, 2001)
+        rhos = _random_states(np.random.default_rng(41).standard_normal((20_000, 8)), 2, False)
+        purity = np.einsum("kij,kji->k", rhos, rhos).real
+        stderr = purity.std(ddof=1) / math.sqrt(len(purity))
+        assert abs(purity.mean() - 0.8) <= 5.0 * stderr
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_every_draw_is_a_valid_state(self, dim):
+        g = np.random.default_rng(42 + dim).standard_normal((3000, 2 * dim * dim))
+        pure = np.arange(3000) % 3 == 0
+        rhos = _random_states(g, dim, pure)
+        assert rhos.shape == (3000, dim, dim)
+        require_valid(rhos)
+        assert not _invalid(rhos).any()
+
+    def test_each_row_has_the_bits_it_has_alone(self):
+        # a pure row reads its first 2 dim normals and ignores the rest
+        g = np.random.default_rng(45).standard_normal((50, 8))
+        pure = np.random.default_rng(46).random(50) < 0.5
+        rhos = _random_states(g, 2, pure)
+        for k in (0, 1, 17, 49):
+            row = g[k, :4] if pure[k] else g[k]
+            assert cbits(_random_states(row, 2, bool(pure[k]))) == cbits(rhos[k])
+
+
+
+class TestBroadcastProducts:
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_matches_matmul(self, dim):
+        re, im = np.random.default_rng(48).standard_normal((2, 2, 15, dim, dim))
+        a, b = re + 1j * im
+        assert np.abs(_matmul(a, b) - a @ b).max() <= 1e-14
+        # stacks broadcast against each other and against one matrix
+        assert np.abs(_matmul(a[:, :1], b) - a[:, :1] @ b).max() <= 1e-14
+        assert np.abs(_matmul(np.eye(dim), b) - b).max() == 0.0
+
+    def test_a_2x2_product_adds_its_two_terms_in_order(self):
+        a, b = np.random.default_rng(49).standard_normal((2, 100, 2, 2)) * (1.0 + 0.5j)
+        ref = a[..., :, :1] * b[..., :1, :] + a[..., :, 1:] * b[..., 1:, :]
+        assert cbits(_matmul(a, b)) == cbits(ref)
+
+
+class TestStatesConversion:
+    def test_a_complex_array_is_returned_itself(self):
+        a = np.eye(2, dtype=complex)
+        assert _states(a, 2, "x") is a
+
+    def test_other_input_is_converted_to_a_new_complex_array(self):
+        a = np.eye(2)
+        m = _states(a, 2, "x")
+        assert m.dtype == complex and not np.shares_memory(m, a)
+        assert _states([[1, 0], [0, 0]], 2, "x").dtype == complex

@@ -70,7 +70,7 @@ def pool():
     return verify.case_pool(42)
 
 
-@pytest.mark.parametrize("count", [100, 20])
+@pytest.mark.parametrize("count", [250, 100, 20, 1])
 def test_pool_starts_with_a_fresh_draw(pool, count):
     rhos, scenarios, times = verify._draw_channel_cases(np.random.default_rng(42), count)
     assert (pool.rhos[:count] == rhos).all() and (pool.times[:count] == times).all()
@@ -78,6 +78,26 @@ def test_pool_starts_with_a_fresh_draw(pool, count):
     for k in range(count):
         s, s_f = pool.scenarios[k], scenarios[k]
         assert (s.boost, s.gamma) == (s_f.boost, s_f.gamma)
+
+
+def test_pool_draws_from_two_streams_seeded_by_the_generator(pool):
+    # two seeds from the generator itself, not Generator.spawn (numpy >= 1.25)
+    uniforms, normals = (np.random.default_rng(s)
+                         for s in np.random.default_rng(42).integers(2**63, size=2))
+    xi, theta, phi, scale, gp_t2 = uniforms.uniform(
+        (0.0, 0.0, 0.0, 0.3, 0.0), (3.0, math.pi, 2.0 * math.pi, 1.5, 5.0),
+        size=(verify.POOL_SIZE, 5)).T
+    boost = pool.scenarios.boost
+    assert (boost.xi == xi).all() and (boost.theta == theta).all() and (boost.phi == phi).all()
+    assert (pool.scenarios.gamma == 2.0 * scale**2).all()
+    assert (pool.times == np.sqrt(gp_t2 / pool.scenarios.gamma_prime)).all()
+    g = normals.standard_normal((verify.POOL_SIZE, 8))
+    for k in (0, 1, 2, 249):
+        # odd cases are pure, from the first 4 of their 8 normals
+        psi = g[k, :2] + 1j * g[k, 2:4]
+        a = (g[k, :4] + 1j * g[k, 4:]).reshape(2, 2)
+        ref = np.outer(psi, psi.conj()) if k % 2 else a @ a.conj().T
+        assert np.abs(pool.rhos[k] - ref / np.trace(ref).real).max() <= 1e-15
 
 
 def test_pool_images_are_valid(pool):
