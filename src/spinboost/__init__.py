@@ -12,54 +12,22 @@ cases (a ``BoostParams`` of arrays). The channel forms
 and ``concurrence`` take states in numpy's
 (..., 2, 2) or (..., 4, 4) convention, with scenarios and times that
 broadcast against them, and return arrays that they do not validate;
-an oracle gives NaN where it refuses a case. ``require_valid`` checks a
-stack as ``DensityMatrix`` checks one matrix. ``choi_stack``,
-``choi_diagnostics`` and ``kraus_residuals`` analyse stacks of maps.
+an oracle gives NaN where it refuses a case. States are plain arrays:
+``plus_state`` and ``bell_phi_plus`` return read-only ones.
+``require_valid`` checks a stack, and raises the ``DensityMatrixError``
+of its first invalid matrix from ``DensityMatrix``, the one-matrix check.
+``choi_stack``, ``choi_diagnostics`` and ``kraus_residuals`` analyse
+stacks of maps.
 """
 
-from .analysis import (
-    ChoiDiagnostics,
-    choi_diagnostics,
-    choi_stack,
-    kraus_residuals,
-    kraus_to_choi,
-)
-from .channel import (
-    Scenario,
-    dressed_apply,
-    dressing_transform,
-    evolve_elementwise,
-    operator_sum_apply,
-    plus_state,
-    rest_dephasing,
-)
+from .analysis import ChoiDiagnostics, choi_diagnostics, choi_stack, kraus_residuals, kraus_to_choi
+from .channel import (Scenario, dressed_apply, dressing_transform, evolve_elementwise,
+                      operator_sum_apply, plus_state)
 from .entangle import ConcurrenceSeries, bell_phi_plus, concurrence, concurrence_trajectory
-from .oracle import (
-    McSpec,
-    QuadratureSpec,
-    average_montecarlo,
-    average_quadrature,
-    gauss_hermite_nodes,
-    two_qubit_average,
-)
-from .relkin import (
-    BoostParams,
-    EffectiveField,
-    EtaMax,
-    boost_em_field,
-    effective_field,
-    eta_max,
-    eta_profile,
-)
-from .spinalg import (
-    DensityMatrix,
-    DensityMatrixError,
-    frobenius_distance,
-    pauli_rotation,
-    random_density,
-    require_valid,
-    tensor_product,
-)
+from .oracle import (McSpec, QuadratureSpec, average_montecarlo, average_quadrature,
+                     gauss_hermite_nodes, two_qubit_average)
+from .relkin import BoostParams, EffectiveField, EtaMax, effective_field, eta_max, eta_profile
+from .spinalg import DensityMatrix, DensityMatrixError, require_valid
 
 __version__ = "0.1.0"
 
@@ -77,7 +45,6 @@ __all__ = [
     "average_montecarlo",
     "average_quadrature",
     "bell_phi_plus",
-    "boost_em_field",
     "choi_diagnostics",
     "choi_stack",
     "concurrence",
@@ -88,16 +55,11 @@ __all__ = [
     "eta_max",
     "eta_profile",
     "evolve_elementwise",
-    "frobenius_distance",
     "gauss_hermite_nodes",
     "kraus_residuals",
     "kraus_to_choi",
     "operator_sum_apply",
-    "pauli_rotation",
     "plus_state",
-    "random_density",
     "require_valid",
-    "rest_dephasing",
-    "tensor_product",
     "two_qubit_average",
 ]

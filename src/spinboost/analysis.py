@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spinalg import _dagger, _hermitize, _matmul
+from .spinalg import _dagger, _eigh, _hermitize, _matmul
 
 # Probe states: |0><0|, |1><1|, |+><+|, |+i><+i| -- a spanning set of
 # genuine density matrices, so maps defined only on physical states can
@@ -123,20 +123,25 @@ def choi_diagnostics(c) -> ChoiDiagnostics:
     unvec(v_k) for each eigenvalue above ``_RETAIN_REL`` times the largest
     one (and above 0), in descending order. The TP residual is
     |tr_out C - I| and the Hermiticity residual |C - C^dag| (Frobenius).
-    Nothing is refused here; the callers compare against a tolerance.
+    Nothing is refused here; the callers compare against a tolerance. A
+    matrix with a NaN or infinite entry gets NaN eigenvalues and no Kraus
+    operator, without a warning (``spinalg._eigh``).
     """
     c = np.asarray(c, dtype=complex)
     if c.shape[-2:] != (4, 4):
         raise ValueError(f"Choi matrices must be 4x4, got shape {c.shape}")
-    vals, vecs = np.linalg.eigh(_hermitize(c))
+    with np.errstate(invalid="ignore"):
+        vals, vecs = _eigh(_hermitize(c))
+        tp_residual = _frobenius(_trace_out(c) - np.eye(2))
+        herm_residual = _frobenius(c - _dagger(c))
     vals, vecs = vals[..., ::-1], vecs[..., ::-1]
     kept = vals > _RETAIN_REL * np.maximum(vals[..., :1], 0.0)
     weights = np.sqrt(np.where(kept, vals, 0.0))
     kraus = (weights[..., None, :] * vecs).swapaxes(-1, -2)
     return ChoiDiagnostics(
         min_eigenvalue=vals[..., -1],
-        tp_residual=_frobenius(_trace_out(c) - np.eye(2)),
-        herm_residual=_frobenius(c - _dagger(c)),
+        tp_residual=tp_residual,
+        herm_residual=herm_residual,
         kraus=kraus.reshape(kraus.shape[:-1] + (2, 2)),
         kept=kept,
     )

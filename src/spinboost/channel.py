@@ -38,7 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from .relkin import BoostParams, EffectiveField, _hypot, _pick, _require, effective_field
-from .spinalg import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z, DensityMatrix, _matmul, _states
+from .spinalg import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z, _const, _matmul, _states
 
 # exp(-x) for x >= ~745 underflows anyway; 50 already rounds every reported
 # digit, so "t -> infinity" is evaluated at gamma' t**2 = 50.
@@ -103,19 +103,6 @@ def decay_exponent(rate, t):
 def _require_nonneg_time(t) -> None:
     """Refuse a time, or a stack of times, that is negative or NaN."""
     _require(np.greater_equal(t, 0), t, "time must be >= 0")
-
-
-def rest_dephasing(rho: DensityMatrix, gamma: float, t: float) -> DensityMatrix:
-    """Pure dephasing lambda0*rho + lambda1*sz rho sz at rate gamma.
-
-    Diagonal entries are copied through unchanged; off-diagonals are
-    scaled by exp(-gamma t**2).
-    """
-    _require_nonneg_time(t)
-    if rho.dim != 2:
-        raise ValueError(f"single-qubit channel needs a 2x2 state, got dim {rho.dim}")
-    decay, _ = decay_factors(decay_exponent(gamma, t))
-    return DensityMatrix(_dephase(rho.matrix, decay))
 
 
 def _dephase(m: np.ndarray, decay) -> np.ndarray:
@@ -275,11 +262,11 @@ def dressed_apply(m, s: Scenario, t) -> np.ndarray:
     return _matmul(_matmul(v_dag, _dephase(rotated, decay)), v)
 
 
-def plus_state() -> DensityMatrix:
-    """|+><+|, the fully coherent initial state (all entries 1/2).
+def plus_state() -> np.ndarray:
+    """|+><+|, the fully coherent initial state (all entries 1/2), read-only.
 
     At phi = 0 the channel takes its coherence rho_ud from 1/2 down to
     eta/2 and its population rho_uu to (1 + n_x n_z)/2, with n_x n_z the
     signed product (-chi below theta = pi/2).
     """
-    return DensityMatrix(np.full((2, 2), 0.5, dtype=complex))
+    return _const(np.full((2, 2), 0.5))

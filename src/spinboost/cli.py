@@ -32,7 +32,7 @@ from .channel import Scenario, evolve_elementwise, plus_state
 from .entangle import concurrence_trajectory
 from .oracle import ORACLE_TOL, QuadratureSpec, _require_quadrature, average_quadrature
 from .relkin import BoostParams, eta_max, eta_profile
-from .spinalg import DensityMatrix, require_valid
+from .spinalg import require_valid
 
 USAGE_ERROR = 2
 # Largest --nodes: the Golub-Welsch solve is a dense n x n eigenproblem,
@@ -290,7 +290,7 @@ def _cmd_offdiag(args) -> int:
     grid, times = _time_grid(args, s.gamma)
 
     def coherence(scenario):
-        return evolve_elementwise(plus_state().matrix, scenario, times)[:, 0, 1].real
+        return evolve_elementwise(plus_state(), scenario, times)[:, 0, 1].real
 
     at_rest = Scenario(BoostParams(xi=0.0), s.gamma)
     rows = np.column_stack([grid, coherence(s), coherence(at_rest)])
@@ -321,12 +321,13 @@ def _cmd_evolve(args) -> int:
     except ValueError as exc:
         raise _CliError("--bloch", str(exc)) from exc
     rx, ry, rz = bloch
-    rho0 = DensityMatrix(0.5 * np.array([[1 + rz, rx - 1j * ry], [rx + 1j * ry, 1 - rz]]))
+    rho0 = 0.5 * np.array([[1 + rz, rx - 1j * ry], [rx + 1j * ry, 1 - rz]])
+    require_valid(rho0)
     grid, times = _time_grid(args, s.gamma)
-    ana = evolve_elementwise(rho0.matrix, s, times)
+    ana = evolve_elementwise(rho0, s, times)
     require_valid(ana)
     _require_quadrature(s, times, quad.nodes)  # names the first time the oracle refuses
-    num = average_quadrature(rho0.matrix, s, times, quad)
+    num = average_quadrature(rho0, s, times, quad)
     require_valid(num)
     worst = float(np.abs(ana - num).max())
     rows = np.column_stack([grid, ana[:, 0, 0].real, num[:, 0, 0].real, ana[:, 0, 1].real,

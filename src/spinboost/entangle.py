@@ -10,13 +10,17 @@ Note on the boosted reference: for phi in {0, pi} the dressing rotation
 is real, the Bell state is invariant under V (x) V, and the boosted
 curve is exact for *every* rapidity (not only asymptotically): the
 residual chi at finite rapidity provably does not perturb the
-concurrence at these azimuths. Tests therefore treat deviations from the
-reference as quadrature noise, not physics.
+concurrence at these azimuths. So a deviation from the reference is
+numerical, not physics: the quadrature's where the pair has decayed, and
+near C = 1 the clamp ``_EIG_CLAMP_REL``, which drops Wootters eigenvalues
+below about 3.2e-7 and so overstates C by up to that much, whatever the
+node count.
 
 A trajectory is computed on stacks: one ``two_qubit_average`` call, the
 oracle's one quadrature kernel at two qubits, for all its times, one
-stacked validation and one batched Wootters solve (``concurrence``, one
-LAPACK eigen-solve per matrix). Each time gets the bits it gets alone.
+stacked validation and one batched Wootters solve (``concurrence``, two
+stacked LAPACK calls, ``eigh`` and then ``eigvalsh``, per matrix). Each
+time gets the bits it gets alone.
 U (x) U fixes the singlet for every U, so the common bath leaves it
 unchanged (decoherence-free).
 """
@@ -31,9 +35,9 @@ import numpy as np
 
 from .channel import Scenario, _require_nonneg_time, decay_exponent
 from .oracle import QuadratureSpec, _require_quadrature, two_qubit_average
-from .spinalg import PAULI_Y, DensityMatrix, _hermitize, _states, require_valid, tensor_product
+from .spinalg import PAULI_Y, _const, _eigh, _hermitize, _kron, _states, require_valid
 
-_YY = tensor_product(PAULI_Y, PAULI_Y)
+_YY = _kron(PAULI_Y, PAULI_Y)
 
 # Relative floor below which squared Wootters eigenvalues are rounded to
 # zero: absorbs +/-1e-14 eigensolver noise that would otherwise turn
@@ -51,25 +55,20 @@ class ConcurrenceSeries:
     reference_boosted: np.ndarray
 
     def __post_init__(self):
-        arrays = {}
-        length = None
-        for name in ("times", "values", "reference_rest", "reference_boosted"):
-            a = np.array(getattr(self, name), dtype=float)
-            if length is None:
-                length = len(a)
-            elif len(a) != length:
-                raise ValueError("series fields must have equal length")
-            a.setflags(write=False)
-            arrays[name] = a
+        arrays = {name: np.array(getattr(self, name), dtype=float)
+                  for name in ("times", "values", "reference_rest", "reference_boosted")}
+        if len({len(a) for a in arrays.values()}) != 1:
+            raise ValueError("series fields must have equal length")
         for name, a in arrays.items():
+            a.setflags(write=False)
             object.__setattr__(self, name, a)
 
 
-def bell_phi_plus() -> DensityMatrix:
-    """(|uu> + |dd>)/sqrt(2) as a density matrix."""
+def bell_phi_plus() -> np.ndarray:
+    """(|uu> + |dd>)/sqrt(2) as a read-only density matrix."""
     psi = np.zeros(4, dtype=complex)
     psi[0] = psi[3] = 1.0 / math.sqrt(2.0)
-    return DensityMatrix(np.outer(psi, psi.conj()))
+    return _const(np.outer(psi, psi.conj()))
 
 
 def concurrence(m) -> np.ndarray:
@@ -78,20 +77,23 @@ def concurrence(m) -> np.ndarray:
     C = max(0, l1 - l2 - l3 - l4) with l_k the descending square roots
     of the eigenvalues of rho (sy(x)sy) rho* (sy(x)sy), computed through
     the Hermitian form sqrt(rho) rho~ sqrt(rho) with tiny eigenvalues
-    clamped to zero before the square roots. One eigen-solve per matrix
-    (numpy's stacked LAPACK calls): each state gets the bits it gets alone.
+    clamped to zero before the square roots. Two eigen-solves per matrix,
+    ``eigh`` of rho and ``eigvalsh`` of the Hermitian form, each a stacked
+    LAPACK call (``spinalg._eigh``): each state gets the bits it gets alone,
+    and a state with a NaN or infinite entry gets NaN.
     """
     m = _states(m, 4, "concurrence")
-    rho_tilde = _YY @ m.conj() @ _YY
-    vals, vecs = np.linalg.eigh(m)
+    with np.errstate(invalid="ignore"):  # inf * 0 where an entry is infinite
+        rho_tilde = _YY @ m.conj() @ _YY
+    vals, vecs = _eigh(m)
     sqrt_rho = ((vecs * np.sqrt(np.clip(vals, 0.0, None))[..., None, :])
                 @ vecs.conj().swapaxes(-1, -2))
     h = sqrt_rho @ rho_tilde @ sqrt_rho
-    ev = np.linalg.eigvalsh(_hermitize(h))
+    ev = _eigh(_hermitize(h), vectors=False)
     cutoff = _EIG_CLAMP_REL * np.maximum(ev[..., -1:], 1.0)
     lam = np.sqrt(np.where(ev < cutoff, 0.0, ev))
     c = lam[..., 3] - lam[..., 2] - lam[..., 1] - lam[..., 0]
-    return np.where(c > 0.0, c, 0.0)[()]
+    return np.where(c <= 0.0, 0.0, c)[()]
 
 
 def concurrence_trajectory(
@@ -110,7 +112,7 @@ def concurrence_trajectory(
         raise ValueError("times must be sorted ascending")
     _require_nonneg_time(times)
     _require_quadrature(s, times, q.nodes)
-    states = two_qubit_average(bell_phi_plus().matrix, s, times, q)
+    states = two_qubit_average(bell_phi_plus(), s, times, q)
     require_valid(states)
     return ConcurrenceSeries(
         times=times,

@@ -8,8 +8,8 @@ by seeded Monte Carlo. The field scale sigma = sqrt(gamma/2), the
 coupling times the field's standard deviation, comes from the one rate
 of a ``Scenario``. No arithmetic is shared with ``channel``, only
 generic algebra from ``spinalg`` (``pauli_vector``, ``_hermitize``,
-``_matmul``). The quadrature covers one qubit and two in a common bath,
-U(z) (x) U(z).
+``_matmul``, ``_kron``). The quadrature covers one qubit and two in a
+common bath, U(z) (x) U(z).
 
 Each oracle is one function on stacks in numpy's (..., d, d) convention:
 states, a ``Scenario`` (one case or a stack) and times broadcast against
@@ -78,7 +78,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import Scenario, _require_nonneg_time
-from .spinalg import _hermitize, _matmul, _states, pauli_vector
+from .spinalg import _hermitize, _kron, _matmul, _states, pauli_vector
 
 # Largest distance between a closed form and the quadrature oracle at its
 # default nodes that ``spinboost verify`` and the CLI accept.
@@ -212,12 +212,6 @@ def _cases(m: np.ndarray, s: Scenario, per_case) -> tuple:
 
 # Cases per block of the quadrature kernel: bounds its (cases x nodes) temporaries.
 _QUAD_BLOCK = 64
-
-
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker products a (x) b (..., 4, 4) of stacked 2x2 matrices, which broadcast."""
-    shape = np.broadcast_shapes(a.shape, b.shape)[:-2]
-    return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(shape + (4, 4))
 
 
 def _bath_average(m: np.ndarray, s: Scenario, t, q: QuadratureSpec) -> np.ndarray:

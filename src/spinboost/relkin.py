@@ -3,9 +3,8 @@
 A uniform magnetic field B = B ez in the lab frame appears, to a spin
 moving with rapidity ``xi`` at polar angle ``theta`` (azimuth ``phi``),
 as an amplified field turned away from ez, B' = B * d. This module
-computes the Lorentz transformation of (E, B), the effective-field
-geometry d, kappa = |d|, the unit axis n = d/kappa, and the two
-geometry-derived modulation factors
+computes the effective-field geometry d, kappa = |d|, the unit axis
+n = d/kappa, and the two geometry-derived modulation factors
 
     eta = 1 - n_z**2        (in-plane weight of the axis)
     chi = n_z * sqrt(n_x**2 + n_y**2)
@@ -20,11 +19,10 @@ reported non-negative; channel code that needs the signed product reads
 it off the axis vector ``n`` directly.
 
 The axis geometry, eta and its maximum are written on t = tanh(xi/2)
-and s = sech(xi/2), and the excess Lorentz factor of the field
-transformation as 2 sinh(xi/2)**2: no difference cancels at small
-rapidity (Higham, *Accuracy and Stability of Numerical Algorithms*,
-ch. 1), and n, eta and chi stay exact for every finite xi; only kappa,
-which grows like cosh(xi), overflows to inf.
+and s = sech(xi/2): no difference cancels at small rapidity (Higham,
+*Accuracy and Stability of Numerical Algorithms*, ch. 1), and n, eta
+and chi stay exact for every finite xi; only kappa, which grows like
+cosh(xi), overflows to inf.
 
 A ``BoostParams`` holds one boost (floats) or a stack of boosts
 (arrays of one shape). The geometry has one kernel, ``_geometry``, on
@@ -62,7 +60,6 @@ class BoostParams:
     azimuth. Floats give one boost. Arrays broadcast against each other
     and give a stack of boosts of that shape, held as read-only float
     arrays; an invalid stack is refused with its first invalid element.
-    ``beta``, ``cosh_xi`` and ``velocity_unit`` are those of one boost.
     """
 
     xi: float | np.ndarray
@@ -84,28 +81,6 @@ class BoostParams:
     def __getitem__(self, key) -> BoostParams:
         """Boost or sub-stack ``key`` of a stack; one boost has float fields."""
         return BoostParams(*(_pick(a, key) for a in (self.xi, self.theta, self.phi)))
-
-    @property
-    def beta(self) -> float:
-        """Speed in units of c: tanh(xi) in [0, 1)."""
-        return math.tanh(self.xi)
-
-    @property
-    def cosh_xi(self) -> float:
-        """Lorentz factor 1/sqrt(1 - beta**2); it overflows beyond xi ~ 710."""
-        try:
-            return math.cosh(self.xi)
-        except OverflowError:
-            raise ValueError(f"rapidity xi = {self.xi!r} overflows the Lorentz factor "
-                             "cosh(xi); kappa needs xi <= ~710") from None
-
-    @property
-    def velocity_unit(self) -> np.ndarray:
-        """Unit vector along the velocity."""
-        st = math.sin(self.theta)
-        return np.array(
-            [st * math.cos(self.phi), st * math.sin(self.phi), math.cos(self.theta)]
-        )
 
 
 def _pick(a, key):
@@ -137,33 +112,6 @@ class EffectiveField:
                 a = np.array(value, dtype=float)
                 a.setflags(write=False)
                 object.__setattr__(self, name, a)
-
-
-def boost_em_field(e_field, b_field, boost: BoostParams) -> tuple[np.ndarray, np.ndarray]:
-    """Lorentz-transform static (E, B) into the frame moving with ``boost``.
-
-    Components parallel to the velocity are unchanged; perpendicular
-    parts pick up cosh(xi) and the (v/c) cross terms:
-
-        E'_perp = cosh(xi) * (E + (v/c) x B)_perp
-        B'_perp = cosh(xi) * (B - (v/c) x E)_perp
-
-    Written as E + 2 sinh(xi/2)**2 E_perp + ... so that a field exactly
-    parallel to v passes through bit-exact.
-    """
-    e = np.asarray(e_field, dtype=float)
-    b = np.asarray(b_field, dtype=float)
-    if not (np.isfinite(e).all() and np.isfinite(b).all()):
-        raise ValueError("field components must be finite")
-    v_hat = boost.velocity_unit
-    ch = boost.cosh_xi
-    excess = 2.0 * math.sinh(0.5 * boost.xi) ** 2
-    beta = boost.beta
-    e_perp = e - np.dot(e, v_hat) * v_hat
-    b_perp = b - np.dot(b, v_hat) * v_hat
-    e_prime = e + excess * e_perp + ch * beta * np.cross(v_hat, b)
-    b_prime = b + excess * b_perp - ch * beta * np.cross(v_hat, e)
-    return e_prime, b_prime
 
 
 def effective_field(boost: BoostParams) -> EffectiveField:

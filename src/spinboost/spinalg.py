@@ -1,18 +1,18 @@
 """Dense fixed-size complex matrix kernel for spin-1/2 problems.
 
-Pauli algebra, SU(2) rotations in closed form, Kronecker products,
-broadcast products of stacked matrices, adjoints and Hermitian parts,
-random states and density-matrix validation. Everything here works on
-plain ``numpy`` arrays of dimension 2 or 4, or stacks of them (..., 2, 2)
-or (..., 4, 4). Returned values are freshly allocated and never alias
-their inputs, with one exception: ``_states`` returns its argument itself
-when that is already a complex array, so its callers only read it.
+Pauli algebra, broadcast Kronecker and matrix products of stacked
+matrices, adjoints and Hermitian parts, random states and density-matrix
+validation. Everything here works on plain ``numpy`` arrays of dimension
+2 or 4, or stacks of them (..., 2, 2) or (..., 4, 4). Returned values
+are freshly allocated and never alias their inputs, with one exception:
+``_states`` returns its argument itself when that is already a complex
+array, so its callers only read it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,6 @@ PAULI_Y = _const([[0, -1j], [1j, 0]])
 PAULI_Z = _const([[1, 0], [0, -1]])
 IDENTITY_2 = _const([[1, 0], [0, 1]])
 
-_VALID_DIMS = (2, 4)
 _SQRT2 = math.sqrt(2.0)
 # Tolerance of DensityMatrix and of the stacked verdict ``_invalid``.
 _TOL = 1e-10
@@ -59,48 +58,10 @@ def pauli_vector(v) -> np.ndarray:
     return v[..., 0, :, :] * PAULI_X + v[..., 1, :, :] * PAULI_Y + v[..., 2, :, :] * PAULI_Z
 
 
-def pauli_rotation(axis, angle: float) -> np.ndarray:
-    """SU(2) rotation exp(-i*angle/2 * sigma.axis) in closed form.
-
-    Parameters
-    ----------
-    axis : array_like, shape (3,)
-        Unit rotation axis; |axis| must equal 1 within 1e-12.
-    angle : float
-        Rotation angle in radians (signed, finite).
-
-    Returns
-    -------
-    numpy.ndarray
-        2x2 unitary cos(angle/2)*I - i*sin(angle/2)*(sigma.axis),
-        with determinant 1.
-    """
-    axis = np.asarray(axis, dtype=float)
-    norm = float(np.linalg.norm(axis))
-    if not abs(norm - 1.0) <= 1e-12:
-        raise ValueError(f"rotation axis must be a unit vector, got |axis| = {norm!r}")
-    if not math.isfinite(angle):
-        raise ValueError(f"rotation angle must be finite, got {angle!r}")
-    half = 0.5 * angle
-    return np.cos(half) * IDENTITY_2 - 1j * np.sin(half) * pauli_vector(axis)
-
-
-def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two 2x2 matrices; block (i,j) is a[i,j]*b."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != (2, 2) or b.shape != (2, 2):
-        raise ValueError(f"tensor_product needs two 2x2 matrices, got {a.shape} and {b.shape}")
-    return np.kron(a, b)
-
-
-def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Frobenius distance sqrt(sum |a_ij - b_ij|^2); zero iff a == b."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b))
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker products a (x) b (..., 4, 4) of stacked 2x2 matrices, which broadcast."""
+    shape = np.broadcast_shapes(a.shape, b.shape)[:-2]
+    return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(shape + (4, 4))
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -153,12 +114,24 @@ def _residuals(m: np.ndarray):
         skew, part = m - _dagger(m), _hermitize(m)
         herm = np.sqrt((skew.real**2 + skew.imag**2).sum(axis=(-2, -1)))
         tr = np.abs(np.trace(m, axis1=-2, axis2=-1) - 1.0)
-    finite = np.isfinite(part).all(axis=(-2, -1))
-    min_eig = np.full(finite.shape, math.nan)
-    min_eig[finite] = np.linalg.eigvalsh(part[finite])[..., 0]
+    min_eig = _eigh(part, vectors=False)[..., 0]
     entries_finite = np.isfinite(m).all(axis=(-2, -1))
     return (np.where(entries_finite, herm, math.nan), np.where(entries_finite, tr, math.nan),
             min_eig)
+
+
+def _eigh(m: np.ndarray, vectors: bool = True):
+    """numpy's ``eigh``, or ``eigvalsh`` without ``vectors``, of each matrix of a
+    Hermitian stack (..., d, d) whose entries are all finite, and NaN for the
+    others: one stacked LAPACK call, in which a matrix gets the bits it gets alone."""
+    finite = np.isfinite(m).all(axis=(-2, -1))
+    vals = np.full(m.shape[:-1], math.nan)
+    if not vectors:
+        vals[finite] = np.linalg.eigvalsh(m[finite])
+        return vals
+    vecs = np.full(m.shape, math.nan, dtype=complex)
+    vals[finite], vecs[finite] = np.linalg.eigh(m[finite])
+    return vals, vecs
 
 
 def _invalid(m: np.ndarray) -> np.ndarray:
@@ -189,7 +162,8 @@ def require_valid(m: np.ndarray) -> None:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """A validated 2x2 or 4x4 density matrix.
+    """A validated 2x2 or 4x4 density matrix: the one-matrix check that
+    ``require_valid`` raises through.
 
     The wrapped array is checked to be Hermitian, unit trace and
     positive semidefinite within 1e-10 at construction and stored
@@ -197,11 +171,10 @@ class DensityMatrix:
     """
 
     matrix: np.ndarray
-    dim: int = field(init=False)
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in _VALID_DIMS:
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in (2, 4):
             raise DensityMatrixError(
                 "dimension", 0.0, f"density matrix must be 2x2 or 4x4, got shape {m.shape}"
             )
@@ -218,20 +191,6 @@ class DensityMatrix:
             )
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "dim", m.shape[0])
-
-
-def random_density(rng: np.random.Generator, dim: int = 2, pure: bool = False) -> DensityMatrix:
-    """Draw a random density matrix: ``_random_states`` on the next 2 dim^2
-    normals of ``rng``, a Hilbert-Schmidt random mixed state.
-
-    With ``pure=True`` it takes the next 2 dim normals and returns the
-    projector on a Haar-random vector instead. Intended for property tests.
-    """
-    if dim not in _VALID_DIMS:
-        raise ValueError(f"dim must be one of {_VALID_DIMS}, got {dim}")
-    return DensityMatrix(_random_states(rng.standard_normal(2 * dim * (1 if pure else dim)),
-                                        dim, pure))
 
 
 def _random_states(g: np.ndarray, dim: int, pure) -> np.ndarray:

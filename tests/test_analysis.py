@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from reference import scenario
 from spinboost.analysis import (
     PROBES,
     choi_diagnostics,
@@ -12,10 +13,9 @@ from spinboost.analysis import (
     kraus_residuals,
     kraus_to_choi,
 )
-from spinboost.channel import Scenario, evolve_elementwise, operator_sum_apply
+from spinboost.channel import evolve_elementwise, operator_sum_apply
 from spinboost.oracle import average_quadrature
-from spinboost.relkin import BoostParams
-from spinboost.spinalg import PAULI_X, PAULI_Z, frobenius_distance, require_valid
+from spinboost.spinalg import PAULI_X, PAULI_Z, require_valid
 
 TOL = 1e-10
 
@@ -65,10 +65,6 @@ def cptp(d, tol=TOL):
     return bool(d.min_eigenvalue >= -tol and d.herm_residual <= tol), bool(d.tp_residual <= tol)
 
 
-def scenario(xi, theta, phi=0.0):
-    return Scenario(BoostParams(xi=xi, theta=theta, phi=phi), 1.0)
-
-
 class TestChoiOf:
     def test_identity_channel(self):
         c = choi_of(images_of(identity_map))
@@ -83,7 +79,7 @@ class TestChoiOf:
         np.testing.assert_allclose(vals, [0, 0, 2 * p1, 2 * p0], atol=1e-12)
         # brute-force oracle: assemble the Choi from the known Kraus set
         oracle = kraus_to_choi([math.sqrt(p0) * np.eye(2), math.sqrt(p1) * PAULI_Z])
-        assert frobenius_distance(c, oracle) < 1e-12
+        assert np.linalg.norm(c - oracle) < 1e-12
 
     def test_unitary_conjugation_rank_one(self):
         c = choi_of(images_of(z_conjugation))
@@ -130,6 +126,18 @@ class TestVerifyCptp:
         d = choi_diagnostics(choi_of(images_of(dephasing_map(0.7, 0.3))))
         assert d.tp_residual < 1e-14
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, -math.inf)])
+    def test_non_finite_choi_gives_nan_and_no_kraus(self, bad):
+        # the finite maps of a stack keep the bits they get alone
+        c = choi_of(images_of(dephasing_map(0.7, 0.3)))
+        broken = c.copy()
+        broken[1, 2] = bad
+        d = choi_diagnostics(np.stack([broken, c, np.full((4, 4), bad)]))
+        alone = choi_diagnostics(c)
+        assert np.isnan(d.min_eigenvalue[[0, 2]]).all() and not d.kept[[0, 2]].any()
+        assert d.min_eigenvalue[1] == alone.min_eigenvalue
+        assert np.array_equal(d.kraus[1], alone.kraus)
+
 
 def kept_kraus(d):
     """The Kraus operators (k, 2, 2) that a ChoiDiagnostics of one map retains."""
@@ -162,8 +170,8 @@ class TestKrausFromChoi:
             ops = kept_kraus(d)
             assert len(ops) <= 4
             completeness = sum(k.conj().T @ k for k in ops)
-            assert frobenius_distance(completeness, np.eye(2)) < 1e-9
-            assert frobenius_distance(kraus_to_choi(ops), c) < 1e-9
+            assert np.linalg.norm(completeness - np.eye(2)) < 1e-9
+            assert np.linalg.norm(kraus_to_choi(ops) - c) < 1e-9
 
     def test_refuses_non_cp(self):
         d = choi_diagnostics(choi_of(images_of(transpose_map)))
@@ -174,7 +182,7 @@ class TestKrausFromChoi:
 class TestChannelDistance:
     def test_self_distance_zero(self):
         c = choi_of(images_of(identity_map))
-        assert frobenius_distance(c, c) == 0.0
+        assert np.linalg.norm(c - c) == 0.0
 
     def test_analytic_vs_oracle_channel(self):
         s = scenario(2.5, 0.6, 1.1)
@@ -183,14 +191,14 @@ class TestChannelDistance:
         quadrature = average_quadrature(PROBES, s, t)
         require_valid(quadrature)
         numeric = choi_of(quadrature)
-        assert frobenius_distance(analytic, numeric) < 1e-8
+        assert np.linalg.norm(analytic - numeric) < 1e-8
 
     def test_identity_vs_z_conjugation(self):
         # the two Choi matrices are orthogonal rank-one projectors with
         # eigenvalue 2, so the Frobenius distance is sqrt(4+4) = 2 sqrt(2)
-        d = frobenius_distance(choi_of(images_of(identity_map)), choi_of(images_of(z_conjugation)))
+        d = np.linalg.norm(choi_of(images_of(identity_map)) - choi_of(images_of(z_conjugation)))
         assert abs(d - 2.0 * math.sqrt(2.0)) < 1e-12
-        brute = frobenius_distance(kraus_to_choi([np.eye(2)]), kraus_to_choi([PAULI_Z]))
+        brute = np.linalg.norm(kraus_to_choi([np.eye(2)]) - kraus_to_choi([PAULI_Z]))
         assert abs(d - brute) < 1e-12
 
 
@@ -206,7 +214,7 @@ class TestDecompositionChoiAgreement:
             d = choi_diagnostics(signed)
             assert cptp(d)[0]
             canonical = kraus_to_choi(kept_kraus(d))
-            assert frobenius_distance(signed, canonical) < 1e-10
+            assert np.linalg.norm(signed - canonical) < 1e-10
 
     def test_cptp_on_coarse_grid(self):
         for xi in np.linspace(0, 3, 4):
@@ -284,8 +292,8 @@ class TestStackedAgreesWithPerMap:
             np.testing.assert_array_equal(ops, d.kraus[k][d.kept[k]])
             np.testing.assert_array_equal(d.kraus[k][~d.kept[k]], 0.0)
             # the residuals are norms of the same matrices, summed in another order
-            per_map_complete = frobenius_distance(sum(op.conj().T @ op for op in ops), np.eye(2))
-            per_map_reassembled = frobenius_distance(kraus_to_choi(ops), choi)
+            per_map_complete = np.linalg.norm(sum(op.conj().T @ op for op in ops) - np.eye(2))
+            per_map_reassembled = np.linalg.norm(kraus_to_choi(ops) - choi)
             assert abs(complete[k] - per_map_complete) <= 1e-15
             assert abs(reassembled[k] - per_map_reassembled) <= 1e-15
             assert complete[k] < 1e-9 and reassembled[k] < 1e-9

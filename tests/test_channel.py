@@ -8,30 +8,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from spinboost.channel import (
-    LONG_TIME_GAMMA_T2,
-    Scenario,
-    decay_exponent,
-    decay_factors,
-    dressed_apply,
-    dressing_transform,
-    evolve_elementwise,
-    operator_sum_apply,
-    plus_state,
-    rest_dephasing,
-)
+from reference import draw_cases, random_density, rest_dephasing, scenario, stack_of, stacked
+from spinboost.channel import (LONG_TIME_GAMMA_T2, Scenario, decay_exponent, decay_factors,
+                               dressed_apply, dressing_transform, evolve_elementwise,
+                               operator_sum_apply, plus_state)
 from spinboost.oracle import average_quadrature
 from spinboost.relkin import BoostParams, EffectiveField, effective_field, eta_max
-from spinboost.spinalg import (
-    IDENTITY_2,
-    PAULI_X,
-    PAULI_Z,
-    DensityMatrix,
-    frobenius_distance,
-    pauli_vector,
-    random_density,
-    require_valid,
-)
+from spinboost.spinalg import IDENTITY_2, PAULI_X, PAULI_Z, pauli_vector, require_valid
 
 # Long-time saturation of the coherent state at xi=2.5, theta_opt, phi=0.
 # Both values frozen from the quadrature oracle (cross-checked live below):
@@ -39,10 +22,6 @@ from spinboost.spinalg import (
 # in-plane axis component is negative below theta = pi/2.
 RHO_UD_SATURATION = 0.25890138240706234
 RHO_UU_SATURATION = 0.250158519474361
-
-
-def scenario(xi, theta, phi=0.0, gamma=1.0):
-    return Scenario(BoostParams(xi=xi, theta=theta, phi=phi), gamma)
 
 
 def lost_fraction(g):
@@ -56,35 +35,6 @@ def lost_fraction(g):
             k += 1
             term = -term * x / k
         return float(total)
-
-
-def draw_cases(rng, count, xi_range=(0.0, 3.0)):
-    cases = []
-    for k in range(count):
-        s = Scenario(
-            BoostParams(
-                xi=rng.uniform(*xi_range),
-                theta=rng.uniform(0, math.pi),
-                phi=rng.uniform(0, 2 * math.pi),
-            ),
-            2.0 * rng.uniform(0.3, 1.5) ** 2,
-        )
-        t = math.sqrt(rng.uniform(0, 5) / s.gamma_prime)
-        cases.append((random_density(rng, 2, pure=bool(k % 2)).matrix, s, t))
-    return cases
-
-
-def stack_of(scenarios):
-    """One Scenario holding the cases of a list of one-case scenarios."""
-    xi, theta, phi = (np.array([getattr(s.boost, k) for s in scenarios])
-                      for k in ("xi", "theta", "phi"))
-    return Scenario(BoostParams(xi, theta, phi), np.array([s.gamma for s in scenarios]))
-
-
-def draw_stack(rng, count):
-    """The cases of ``draw_cases`` as stacks: states (count, 2, 2), one Scenario and times."""
-    rhos, scenarios, times = zip(*draw_cases(rng, count))
-    return np.array(rhos), stack_of(scenarios), np.array(times)
 
 
 class TestScenario:
@@ -208,20 +158,20 @@ class TestRestDephasing:
     def test_zero_time_identity(self):
         rho = plus_state()
         out = rest_dephasing(rho, 1.0, 0.0)
-        np.testing.assert_array_equal(out.matrix, rho.matrix)
+        np.testing.assert_array_equal(out, rho)
 
     def test_plus_state_decay(self):
         out = rest_dephasing(plus_state(), 1.0, 1.0)  # gamma t^2 = 1
-        assert abs(out.matrix[0, 1] - math.exp(-1) / 2) < 1e-15
-        assert abs(out.matrix[0, 1].real - 0.18394) < 1e-5
+        assert abs(out[0, 1] - math.exp(-1) / 2) < 1e-15
+        assert abs(out[0, 1].real - 0.18394) < 1e-5
 
     def test_diagonal_states_fixed(self):
         rng = np.random.default_rng(0)
         for _ in range(10):
             p = rng.uniform(0, 1)
-            rho = DensityMatrix(np.diag([p, 1 - p]).astype(complex))
+            rho = np.diag([p, 1 - p]).astype(complex)
             out = rest_dephasing(rho, 2.0, rng.uniform(0, 3))
-            np.testing.assert_array_equal(out.matrix, rho.matrix)
+            np.testing.assert_array_equal(out, rho)
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
@@ -238,7 +188,7 @@ class TestTimeCheck:
     def test_forms_refuse(self, form, t):
         bad = float(np.ravel(t)[np.argmin(np.ravel(np.asarray(t) >= 0))])
         with pytest.raises(ValueError, match=f"time must be >= 0, got {bad!r}$"):
-            form(plus_state().matrix, scenario(1.0, 0.5), t)
+            form(plus_state(), scenario(1.0, 0.5), t)
 
     @pytest.mark.parametrize("t", [-0.1, math.nan])
     def test_trajectory_refuses(self, t):
@@ -253,21 +203,21 @@ class TestEvolveElementwise:
         for _ in range(20):
             rho = random_density(rng, 2)
             t = rng.uniform(0, 3)
-            out = evolve_elementwise(rho.matrix, s, t)
+            out = evolve_elementwise(rho, s, t)
             require_valid(out)
             ref = rest_dephasing(rho, s.gamma, t)
             # the upper off-diagonal goes through the identical decay
             # product, so it agrees bitwise; the remaining entries may
             # differ by the input's sub-eps Hermiticity dust, which the
             # element-wise form discards by construction
-            np.testing.assert_array_equal(out[0, 1], ref.matrix[0, 1])
-            np.testing.assert_allclose(out, ref.matrix, rtol=0, atol=1e-15)
+            np.testing.assert_array_equal(out[0, 1], ref[0, 1])
+            np.testing.assert_allclose(out, ref, rtol=0, atol=1e-15)
 
     def test_offdiagonal_saturation(self):
         opt = eta_max(2.5)
         s = scenario(2.5, opt.theta_opt)
         t = math.sqrt(50.0 / s.gamma_prime)
-        out = evolve_elementwise(plus_state().matrix, s, t)
+        out = evolve_elementwise(plus_state(), s, t)
         require_valid(out)
         assert abs(out[0, 1].real - 0.2589) < 2e-4
         assert abs(out[0, 1].real - RHO_UD_SATURATION) < 1e-10
@@ -276,11 +226,11 @@ class TestEvolveElementwise:
         opt = eta_max(2.5)
         s = scenario(2.5, opt.theta_opt)
         t = math.sqrt(50.0 / s.gamma_prime)
-        out = evolve_elementwise(plus_state().matrix, s, t)
+        out = evolve_elementwise(plus_state(), s, t)
         require_valid(out)
         assert abs(out[0, 0].real - RHO_UU_SATURATION) < 1e-9
         # live cross-check against the independent averaging oracle
-        quad = average_quadrature(plus_state().matrix, s, t)
+        quad = average_quadrature(plus_state(), s, t)
         require_valid(quad)
         assert abs(out[0, 0].real - quad[0, 0].real) < 1e-10
         # the population drifts *down* by chi/2: the in-plane axis
@@ -288,7 +238,7 @@ class TestEvolveElementwise:
         assert abs(out[0, 0].real - (1.0 - opt.chi_at_opt) / 2) < 1e-9
 
     def test_outputs_are_valid_states(self):
-        rhos, stack, times = draw_stack(np.random.default_rng(3), 50)
+        rhos, stack, times = stacked(draw_cases(np.random.default_rng(3), 50))
         out = evolve_elementwise(rhos, stack, times)
         require_valid(out)
         assert np.abs(np.trace(out, axis1=-2, axis2=-1) - 1.0).max() < 1e-14
@@ -322,11 +272,8 @@ def edge_cases(rng, count):
     for k in range(count):
         xi = (0.0, 700.0, rng.uniform(0, 5))[k % 3]
         theta = (0.0, math.pi / 2, math.pi, rng.uniform(0, math.pi))[k % 4]
-        scenarios.append(Scenario(
-            BoostParams(xi=xi, theta=theta, phi=rng.uniform(0, 2 * math.pi)),
-            rng.uniform(0.1, 2.0),
-        ))
-        states.append(random_density(rng, 2, pure=bool(k % 2)).matrix)
+        scenarios.append(scenario(xi, theta, rng.uniform(0, 2 * math.pi), rng.uniform(0.1, 2.0)))
+        states.append(random_density(rng, 2, pure=bool(k % 2)))
         times.append(0.0 if k % 7 == 0 else rng.uniform(0, 3))
     return states, scenarios, times
 
@@ -342,7 +289,7 @@ class TestStackedKernel:
 
     def test_broadcasts_one_state_over_times(self):
         s = scenario(1.7, 0.4, phi=2.2)
-        rho = random_density(np.random.default_rng(12), 2).matrix
+        rho = random_density(np.random.default_rng(12), 2)
         times = np.linspace(0.0, 2.0, 9)
         stacked = evolve_elementwise(rho, s, times)
         assert stacked.shape == (9, 2, 2)
@@ -393,7 +340,7 @@ class TestStackedForms:
 
     def test_broadcast_one_state_over_times(self):
         s = scenario(1.7, 0.4, phi=2.2)
-        rho = random_density(np.random.default_rng(14), 2).matrix
+        rho = random_density(np.random.default_rng(14), 2)
         times = np.linspace(0.0, 2.0, 9)
         osum = operator_sum_apply(rho, s, times)
         dressed = dressed_apply(rho, s, times)
@@ -424,9 +371,9 @@ class TestStackedForms:
 class TestOperatorSum:
     def test_zero_time_identity(self):
         rho = plus_state()
-        out = operator_sum_apply(rho.matrix, scenario(2.0, 0.9, 0.4), 0.0)
+        out = operator_sum_apply(rho, scenario(2.0, 0.9, 0.4), 0.0)
         require_valid(out)
-        assert frobenius_distance(out, rho.matrix) < 1e-15
+        assert np.linalg.norm(out - rho) < 1e-15
 
     def test_rest_frame_is_plain_dephasing(self):
         rng = np.random.default_rng(4)
@@ -436,10 +383,10 @@ class TestOperatorSum:
             t = rng.uniform(0, 2)
             decay = math.exp(-s.gamma * t * t)
             p0, p1 = 0.5 * (1 + decay), 0.5 * (1 - decay)
-            expected = p0 * rho.matrix + p1 * (PAULI_Z @ rho.matrix @ PAULI_Z)
-            out = operator_sum_apply(rho.matrix, s, t)
+            expected = p0 * rho + p1 * (PAULI_Z @ rho @ PAULI_Z)
+            out = operator_sum_apply(rho, s, t)
             require_valid(out)
-            assert frobenius_distance(out, expected) < 1e-15
+            assert np.linalg.norm(out - expected) < 1e-15
 
     def test_matches_elementwise(self):
         for rho, s, t in draw_cases(np.random.default_rng(5), 100):
@@ -447,7 +394,7 @@ class TestOperatorSum:
             b = evolve_elementwise(rho, s, t)
             require_valid(a)
             require_valid(b)
-            assert frobenius_distance(a, b) < 1e-12
+            assert np.linalg.norm(a - b) < 1e-12
 
     def test_negative_weight_cases_included(self):
         # chi > eta (weight p1*(eta-chi) < 0) must agree as well
@@ -460,7 +407,7 @@ class TestOperatorSum:
                 b = evolve_elementwise(rho, s, t)
                 require_valid(a)
                 require_valid(b)
-                assert frobenius_distance(a, b) < 1e-12
+                assert np.linalg.norm(a - b) < 1e-12
         assert seen > 0
 
 
@@ -488,23 +435,18 @@ class TestDressing:
         f = effective_field(BoostParams(xi=1.0, theta=8.944975528239023e-164))
         assert 0.0 < math.hypot(f.n[0], f.n[1]) < 1e-160
         v = dressing_transform(f)
-        assert frobenius_distance(v @ v.conj().T, IDENTITY_2) < 1e-15
-        assert frobenius_distance(v @ pauli_vector(f.n) @ v.conj().T, PAULI_Z) < 1e-15
+        assert np.linalg.norm(v @ v.conj().T - IDENTITY_2) < 1e-15
+        assert np.linalg.norm(v @ pauli_vector(f.n) @ v.conj().T - PAULI_Z) < 1e-15
 
     def test_diagonalizes_axis(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
-            f = effective_field(
-                BoostParams(
-                    xi=rng.uniform(0.1, 4),
-                    theta=rng.uniform(0, math.pi),
-                    phi=rng.uniform(0, 2 * math.pi),
-                )
-            )
+            f = effective_field(BoostParams(rng.uniform(0.1, 4), rng.uniform(0, math.pi),
+                                            rng.uniform(0, 2 * math.pi)))
             v = dressing_transform(f)
-            assert frobenius_distance(v @ v.conj().T, IDENTITY_2) < 1e-12
+            assert np.linalg.norm(v @ v.conj().T - IDENTITY_2) < 1e-12
             assert abs(np.linalg.det(v) - 1.0) < 1e-12
-            assert frobenius_distance(v @ pauli_vector(f.n) @ v.conj().T, PAULI_Z) < 1e-12
+            assert np.linalg.norm(v @ pauli_vector(f.n) @ v.conj().T - PAULI_Z) < 1e-12
 
 
 class TestDressedApply:
@@ -515,18 +457,18 @@ class TestDressedApply:
             rho = random_density(rng, 2)
             t = rng.uniform(0, 2)
             ref = rest_dephasing(rho, s.gamma, t)
-            out = dressed_apply(rho.matrix, s, t)
+            out = dressed_apply(rho, s, t)
             require_valid(out)
-            assert frobenius_distance(out, ref.matrix) < 1e-15
+            assert np.linalg.norm(out - ref) < 1e-15
 
     def test_trace_preserved(self):
-        rhos, stack, times = draw_stack(np.random.default_rng(9), 30)
+        rhos, stack, times = stacked(draw_cases(np.random.default_rng(9), 30))
         out = dressed_apply(rhos, stack, times)
         require_valid(out)
         assert np.abs(np.trace(out, axis1=-2, axis2=-1) - 1.0).max() < 1e-14
 
     def test_matches_elementwise(self):
-        rhos, stack, times = draw_stack(np.random.default_rng(10), 100)
+        rhos, stack, times = stacked(draw_cases(np.random.default_rng(10), 100))
         a = dressed_apply(rhos, stack, times)
         b = evolve_elementwise(rhos, stack, times)
         require_valid(a)
@@ -536,7 +478,7 @@ class TestDressedApply:
 
 class TestThreeWayAgreement:
     def test_all_forms_agree(self):
-        rhos, stack, times = draw_stack(np.random.default_rng(11), 50)
+        rhos, stack, times = stacked(draw_cases(np.random.default_rng(11), 50))
         a = evolve_elementwise(rhos, stack, times)
         b = operator_sum_apply(rhos, stack, times)
         c = dressed_apply(rhos, stack, times)
@@ -552,7 +494,7 @@ class TestExampleTrajectory:
 
     @staticmethod
     def trajectory(s, t):
-        out = evolve_elementwise(plus_state().matrix, s, t)
+        out = evolve_elementwise(plus_state(), s, t)
         require_valid(out)
         return out[..., 0, 0].real, out[..., 0, 1]
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from spinboost.channel import Scenario
+from reference import bits, pauli_rotation, random_density, random_unit_vector, scenario
 from spinboost.entangle import (
     _EIG_CLAMP_REL,
     _YY,
@@ -15,17 +15,8 @@ from spinboost.entangle import (
     concurrence_trajectory,
 )
 from spinboost.oracle import two_qubit_average
-from spinboost.relkin import BoostParams, eta_max
-from spinboost.spinalg import (
-    pauli_rotation,
-    random_density,
-    require_valid,
-    tensor_product,
-)
-
-
-def scenario(xi, theta, phi=0.0, gamma=1.0):
-    return Scenario(BoostParams(xi=xi, theta=theta, phi=phi), gamma)
+from spinboost.relkin import eta_max
+from spinboost.spinalg import require_valid
 
 
 def wootters_direct(rho4):
@@ -39,48 +30,53 @@ def wootters_direct(rho4):
 
 class TestConcurrence:
     def test_bell_state_is_maximal(self):
-        assert abs(concurrence(bell_phi_plus().matrix) - 1.0) < 1e-12
+        assert abs(concurrence(bell_phi_plus()) - 1.0) < 1e-12
 
     def test_product_states_are_zero(self):
         rng = np.random.default_rng(0)
         for _ in range(10):
-            a = random_density(rng, 2, pure=True).matrix
-            b = random_density(rng, 2, pure=True).matrix
-            assert concurrence(tensor_product(a, b)) < 1e-12
+            a = random_density(rng, 2, pure=True)
+            b = random_density(rng, 2, pure=True)
+            assert concurrence(np.kron(a, b)) < 1e-12
 
     def test_werner_state(self):
         # p * Bell + (1-p) * I/4 has concurrence max(0, (3p-1)/2)
         p = 0.8
-        rho = p * bell_phi_plus().matrix + (1 - p) * np.eye(4) / 4
+        rho = p * bell_phi_plus() + (1 - p) * np.eye(4) / 4
         assert abs(concurrence(rho) - 0.7) < 1e-12
         assert abs(concurrence(rho) - wootters_direct(rho)) < 1e-10
 
     def test_matches_direct_computation_on_random_states(self):
         rng = np.random.default_rng(1)
         for _ in range(25):
-            rho = random_density(rng, 4).matrix
+            rho = random_density(rng, 4)
             assert abs(concurrence(rho) - wootters_direct(rho)) < 1e-8
 
     def test_local_unitary_invariance(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
-            rho = random_density(rng, 4).matrix
-            u = tensor_product(
-                pauli_rotation(_unit(rng), rng.uniform(0, 6)),
-                pauli_rotation(_unit(rng), rng.uniform(0, 6)),
+            rho = random_density(rng, 4)
+            u = np.kron(
+                pauli_rotation(random_unit_vector(rng), rng.uniform(0, 6)),
+                pauli_rotation(random_unit_vector(rng), rng.uniform(0, 6)),
             )
             rotated = u @ rho @ u.conj().T
             assert abs(concurrence(rotated) - concurrence(rho)) < 1e-10
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, -math.inf)])
+    def test_non_finite_state_gives_nan(self, bad):
+        # the finite states of a stack keep the bits they get alone
+        broken = np.array(bell_phi_plus())
+        broken[0, 3] = bad
+        assert np.isnan(concurrence(broken)) and np.isnan(concurrence(np.full((4, 4), bad)))
+        values = concurrence(np.stack([np.eye(4) / 4, broken, bell_phi_plus()]))
+        assert np.isnan(values[1]) and values[0] == 0.0
+        assert values[2] == concurrence(bell_phi_plus())
+
     def test_wrong_dimension_rejected(self):
         rng = np.random.default_rng(3)
         with pytest.raises(ValueError, match="4x4 states"):
-            concurrence(random_density(rng, 2).matrix)
-
-
-def _unit(rng):
-    v = rng.normal(size=3)
-    return v / np.linalg.norm(v)
+            concurrence(random_density(rng, 2))
 
 
 def per_matrix_concurrence(m):
@@ -95,19 +91,15 @@ def per_matrix_concurrence(m):
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
 
 
-def bits(x):
-    return np.asarray(x, dtype=float).view(np.uint64).tolist()
-
-
 class TestConcurrenceStack:
     @pytest.fixture(scope="class")
     def states(self):
         rng = np.random.default_rng(5)
-        mixed = [random_density(rng, 4).matrix for _ in range(60)]
-        pure = [random_density(rng, 4, pure=True).matrix for _ in range(60)]
-        product = [tensor_product(random_density(rng, 2, pure=bool(k % 2)).matrix,
-                                  random_density(rng, 2).matrix) for k in range(40)]
-        bell = bell_phi_plus().matrix
+        mixed = [random_density(rng, 4) for _ in range(60)]
+        pure = [random_density(rng, 4, pure=True) for _ in range(60)]
+        product = [np.kron(random_density(rng, 2, pure=bool(k % 2)), random_density(rng, 2))
+                   for k in range(40)]
+        bell = bell_phi_plus()
         werner = [p * bell + (1 - p) * np.eye(4) / 4 for p in (0.2, 1 / 3, 0.8)]
         return np.array(mixed + pure + product + werner + [bell, np.eye(4) / 4])
 
@@ -190,11 +182,11 @@ class TestConcurrenceTrajectory:
         # leaves the concurrence unchanged
         s = scenario(2.0, 0.9, 0.7)
         t = math.sqrt(1.5 / s.gamma_prime)
-        evolved = two_qubit_average(bell_phi_plus().matrix, s, t)
+        evolved = two_qubit_average(bell_phi_plus(), s, t)
         require_valid(evolved)
         rng = np.random.default_rng(4)
-        w = pauli_rotation(_unit(rng), 1.234)
-        u = tensor_product(w, w)
+        w = pauli_rotation(random_unit_vector(rng), 1.234)
+        u = np.kron(w, w)
         rotated = u @ evolved @ u.conj().T
         assert abs(concurrence(rotated) - concurrence(evolved)) < 1e-10
 
@@ -205,7 +197,7 @@ class TestConcurrenceTrajectory:
                   scenario(2.0, 0.9, 0.7)):
             times = np.sqrt(np.linspace(0.0, 4.0, 31) / s.gamma_prime)
             series = concurrence_trajectory(s, times)
-            alone = np.array([two_qubit_average(bell_phi_plus().matrix, s, t) for t in times])
+            alone = np.array([two_qubit_average(bell_phi_plus(), s, t) for t in times])
             require_valid(alone)
             assert bits(series.values) == bits([concurrence(m) for m in alone])
 

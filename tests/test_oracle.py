@@ -14,8 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import bits, draw_cases, pauli_rotation, random_density, scenario, stacked
 from spinboost import analysis, oracle, spinalg, verify
-from spinboost.channel import Scenario, evolve_elementwise, plus_state
+from spinboost.channel import evolve_elementwise, plus_state
 from spinboost.oracle import (
     MC_RANDOMISATIONS,
     McSpec,
@@ -29,20 +30,7 @@ from spinboost.oracle import (
     gauss_hermite_nodes,
     two_qubit_average,
 )
-from spinboost.relkin import BoostParams
-from spinboost.spinalg import (
-    IDENTITY_2,
-    frobenius_distance,
-    pauli_rotation,
-    pauli_vector,
-    random_density,
-    require_valid,
-    tensor_product,
-)
-
-
-def scenario(xi, theta, phi=0.0, gamma=1.0):
-    return Scenario(BoostParams(xi=xi, theta=theta, phi=phi), gamma)
+from spinboost.spinalg import IDENTITY_2, pauli_vector, require_valid
 
 
 def unitaries(b_values, s, t):
@@ -55,33 +43,6 @@ def unitaries(b_values, s, t):
 def field_unitary(b, s, t):
     """exp(-i kappa t b sigma.n), the rotation by 2 kappa t b about the axis n, at b = sqrt(gamma/2) z."""
     return pauli_rotation(s.field.n, 2.0 * s.field.kappa * t * b)
-
-
-def draw_cases(rng, count):
-    cases = []
-    for k in range(count):
-        s = scenario(
-            rng.uniform(0, 3),
-            rng.uniform(0, math.pi),
-            rng.uniform(0, 2 * math.pi),
-            gamma=2.0 * rng.uniform(0.3, 1.5) ** 2,
-        )
-        t = math.sqrt(rng.uniform(0, 5) / s.gamma_prime)
-        cases.append((random_density(rng, 2, pure=bool(k % 2)).matrix, s, t))
-    return cases
-
-
-def stack_of(scenarios):
-    """One Scenario holding the cases of a list of one-case scenarios."""
-    xi, theta, phi = (np.array([getattr(s.boost, k) for s in scenarios])
-                      for k in ("xi", "theta", "phi"))
-    return Scenario(BoostParams(xi, theta, phi), np.array([s.gamma for s in scenarios]))
-
-
-def stacked(cases):
-    """The states (N, 2, 2), one Scenario and the times (N,) of N cases."""
-    rhos = np.array([rho for rho, _, _ in cases]).reshape(-1, 2, 2)
-    return rhos, stack_of([s for _, s, _ in cases]), np.array([t for _, _, t in cases])
 
 
 class TestSpecs:
@@ -181,7 +142,7 @@ class TestUnitaryAtField:
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
-            average_quadrature(plus_state().matrix, scenario(1.0, 1.0), -1.0)
+            average_quadrature(plus_state(), scenario(1.0, 1.0), -1.0)
 
     @pytest.mark.parametrize("xi, t", [(700.0, 2e4), (700.0, 1e5), (1000.0, 0.0)])
     def test_overflowing_angle_named(self, xi, t):
@@ -190,10 +151,10 @@ class TestUnitaryAtField:
         # itself, and at xi = 1000 kappa is
         # each oracle refuses the case with NaN, and the quadrature's refusal names it
         s = scenario(xi, 0.5)
-        rho4 = tensor_product(plus_state().matrix, plus_state().matrix)
-        assert np.isnan(average_quadrature(plus_state().matrix, s, t)).all()
+        rho4 = np.kron(plus_state(), plus_state())
+        assert np.isnan(average_quadrature(plus_state(), s, t)).all()
         assert np.isnan(two_qubit_average(rho4, s, t)).all()
-        mean, stderr = average_montecarlo(plus_state().matrix, s, t,
+        mean, stderr = average_montecarlo(plus_state(), s, t,
                                           McSpec(samples=2 * MC_RANDOMISATIONS))
         assert np.isnan(mean).all() and np.isnan(stderr)
         with pytest.raises(ValueError, match=f"xi = {xi!r}, angle theta = 0.5 and time "
@@ -204,10 +165,10 @@ class TestUnitaryAtField:
 class TestAverageQuadrature:
     def test_vanishing_noise_is_identity_channel(self):
         s = scenario(2.0, 0.9, gamma=2e-24)
-        rho = plus_state().matrix
+        rho = plus_state()
         out = average_quadrature(rho, s, 1.0)
         require_valid(out)
-        assert frobenius_distance(out, rho) < 1e-10
+        assert np.linalg.norm(out - rho) < 1e-10
 
     def test_matches_elementwise(self):
         rng = np.random.default_rng(1)
@@ -216,7 +177,7 @@ class TestAverageQuadrature:
             ana = evolve_elementwise(rho, s, t)
             require_valid(quad)
             require_valid(ana)
-            assert frobenius_distance(quad, ana) < 1e-8
+            assert np.linalg.norm(quad - ana) < 1e-8
 
     def test_node_doubling_converged(self):
         rng = np.random.default_rng(2)
@@ -225,7 +186,7 @@ class TestAverageQuadrature:
             b = average_quadrature(rho, s, t, QuadratureSpec(nodes=402))
             require_valid(a)
             require_valid(b)
-            assert frobenius_distance(a, b) < 1e-10
+            assert np.linalg.norm(a - b) < 1e-10
 
     def test_trace_one(self):
         rng = np.random.default_rng(3)
@@ -422,7 +383,7 @@ class TestAverageMonteCarlo:
             mean, stderr = average_montecarlo(rho, s, t, mc)
             ref_mean, ref_stderr = reference_montecarlo(rho, s, t, mc)
             require_valid(mean)
-            assert frobenius_distance(mean, ref_mean) <= 1e-15
+            assert np.linalg.norm(mean - ref_mean) <= 1e-15
             assert abs(stderr - ref_stderr) <= 1e-10 * ref_stderr
 
     def test_seed_determinism(self):
@@ -459,7 +420,7 @@ class TestAverageMonteCarlo:
             quad = average_quadrature(rho, s, t)
             require_valid(mean)
             require_valid(quad)
-            assert frobenius_distance(mean, quad) <= 3.0 * stderr
+            assert np.linalg.norm(mean - quad) <= 3.0 * stderr
 
     def test_mean_trace_one(self):
         rng = np.random.default_rng(6)
@@ -487,7 +448,7 @@ class TestAverageMonteCarlo:
             per_randomisation = np.array(per_randomisation)
             expected = per_randomisation.mean(axis=0)
             spread = (np.abs(per_randomisation - expected) ** 2).sum()
-            assert frobenius_distance(mean, expected) < 1e-14
+            assert np.linalg.norm(mean - expected) < 1e-14
             assert abs(stderr - math.sqrt(spread / (R * (R - 1)))) <= 1e-10 * stderr
 
     def test_stderr_scales_with_samples(self):
@@ -500,10 +461,6 @@ class TestAverageMonteCarlo:
         _, se_large = average_montecarlo(rho, s, t, McSpec(samples=2 * R * 40**2, seed=11))
         ratio = se_small / se_large
         assert 8.0 < ratio < 32.0
-
-
-def bits(x):
-    return np.asarray(x).view(np.uint64).tolist()
 
 
 def montecarlo_stack(cases, mc):
@@ -546,7 +503,7 @@ class TestMonteCarloStack:
 
     def test_a_case_whose_angle_overflows_is_nan_and_spares_the_others(self):
         cases = draw_cases(np.random.default_rng(23), 3)
-        cases.insert(1, (plus_state().matrix, scenario(700.0, 0.5), 2e4))
+        cases.insert(1, (plus_state(), scenario(700.0, 0.5), 2e4))
         mc = spec(3001, 4)
         means, stderrs = montecarlo_stack(cases, mc)
         assert np.isnan(means[1]).all() and np.isnan(stderrs[1])
@@ -614,7 +571,7 @@ class TestQuadratureStack:
 
     def test_a_refused_case_is_nan_and_spares_the_others(self, cases):
         kept = list(cases[:70])
-        out = quadrature_stack(kept[:1] + [(plus_state().matrix, scenario(700.0, 0.5), 2e4)]
+        out = quadrature_stack(kept[:1] + [(plus_state(), scenario(700.0, 0.5), 2e4)]
                                + kept[1:])
         assert np.isnan(out[1]).all()
         assert bits(np.delete(out, 1, axis=0)) == bits(quadrature_stack(kept))
@@ -625,11 +582,11 @@ class TestQuadratureStack:
         lo, hi = 0.1, 1.0
         while np.nextafter(lo, hi) != hi:
             mid = 0.5 * (lo + hi)
-            if np.isnan(quadrature_stack([(plus_state().matrix, s, mid)])).any():
+            if np.isnan(quadrature_stack([(plus_state(), s, mid)])).any():
                 hi = mid
             else:
                 lo = mid
-        assert np.isnan(quadrature_stack([(plus_state().matrix, s, hi)])).all()
+        assert np.isnan(quadrature_stack([(plus_state(), s, hi)])).all()
         _require_quadrature(s, lo, 201)
         with pytest.raises(ValueError, match="rotation angle"):
             _require_quadrature(s, hi, 201)
@@ -644,7 +601,7 @@ class TestBroadcastProducts:
         cases = draw_cases(rng, 150)
         _, stack, times = stacked(cases)
         states = (np.array([rho for rho, _, _ in cases]) if dim == 2 else
-                  np.array([random_density(rng, 4, pure=bool(k % 2)).matrix for k in range(150)]))
+                  np.array([random_density(rng, 4, pure=bool(k % 2)) for k in range(150)]))
         q = QuadratureSpec(nodes)
         out = oracle._bath_average(states, stack, times, q)
         monkeypatch.setattr(oracle, "_matmul", np.matmul)
@@ -677,10 +634,10 @@ def test_blas_products_are_found():
 class TestTwoQubitAverage:
     def test_zero_time_identity(self):
         rng = np.random.default_rng(8)
-        rho4 = random_density(rng, 4).matrix
+        rho4 = random_density(rng, 4)
         out = two_qubit_average(rho4, scenario(1.5, 0.8), 0.0)
         require_valid(out)
-        assert frobenius_distance(out, rho4) < 1e-14
+        assert np.linalg.norm(out - rho4) < 1e-14
 
     def test_rest_bell_corner_decay(self):
         # for the Bell pair at rest the corner coherence picks up
@@ -702,7 +659,7 @@ class TestTwoQubitAverage:
 
     def test_matches_per_node_kronecker_loop(self):
         rng = np.random.default_rng(10)
-        rho4 = random_density(rng, 4).matrix
+        rho4 = random_density(rng, 4)
         s = scenario(2.0, 0.7, 0.4)
         out = two_qubit_average(rho4, s, 0.6)
         require_valid(out)
@@ -710,7 +667,7 @@ class TestTwoQubitAverage:
 
     def test_trace_one(self):
         rng = np.random.default_rng(9)
-        rho4 = random_density(rng, 4).matrix
+        rho4 = random_density(rng, 4)
         s = scenario(2.0, 0.7, 0.4)
         out = two_qubit_average(rho4, s, 0.6)
         require_valid(out)
@@ -718,7 +675,7 @@ class TestTwoQubitAverage:
 
     def test_wrong_dimension_rejected(self):
         with pytest.raises(ValueError, match="4x4"):
-            two_qubit_average(plus_state().matrix, scenario(1.0, 1.0), 1.0)
+            two_qubit_average(plus_state(), scenario(1.0, 1.0), 1.0)
 
 
 class TestOneQubitInTwo:
@@ -726,9 +683,9 @@ class TestOneQubitInTwo:
     def cases(self):
         rng = np.random.default_rng(37)
         _, stack, times = stacked(draw_cases(rng, 200))
-        rho, sigma = (np.array([random_density(rng, 2).matrix for _ in range(200)])
+        rho, sigma = (np.array([random_density(rng, 2) for _ in range(200)])
                       for _ in range(2))
-        pairs = np.array([tensor_product(a, b) for a, b in zip(rho, sigma)])
+        pairs = np.array([np.kron(a, b) for a, b in zip(rho, sigma)])
         return rho, sigma, pairs, stack, times
 
     @pytest.mark.parametrize("nodes", [2, 201, 402])
@@ -754,7 +711,7 @@ def kronecker_loop(rho4, s, t, nodes=201, shift=0.0):
     z = z + shift
     out = np.zeros((4, 4), dtype=complex)
     for wi, bi in zip(w, math.sqrt(s.gamma / 2) * z):
-        u2 = tensor_product(*[field_unitary(bi, s, t)] * 2)
+        u2 = np.kron(*[field_unitary(bi, s, t)] * 2)
         out += wi * (u2 @ rho4 @ u2.conj().T)
     return 0.5 * (out + out.conj().T)
 
@@ -774,7 +731,7 @@ pinned = settings(max_examples=150, derandomize=True, database=None, deadline=No
 class TestTwoQubitStack:
     @pytest.fixture(scope="class")
     def rho4(self):
-        return random_density(np.random.default_rng(33), 4).matrix
+        return random_density(np.random.default_rng(33), 4)
 
     TIMES = np.sort(np.random.default_rng(34).uniform(0.0, 1.2, 23)).tolist()
 
@@ -851,7 +808,7 @@ class TestTwoQubitStack:
                                                                 seed, nodes):
         s = scenario(xi, theta, phi, gamma)
         t = math.sqrt(g / gamma) / s.field.kappa  # gamma' t^2 = g, also where gamma' overflows
-        rho4 = random_density(np.random.default_rng(seed), 4).matrix
+        rho4 = random_density(np.random.default_rng(seed), 4)
         out = two_qubit_average(rho4, s, t, QuadratureSpec(nodes))
         np.testing.assert_allclose(out, kronecker_loop(rho4, s, t, nodes), rtol=0, atol=1e-15)
 

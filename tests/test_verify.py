@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from spinboost import oracle, verify
+from spinboost import analysis, oracle, verify
 from spinboost.channel import dressed_apply, evolve_elementwise, operator_sum_apply
 from spinboost.relkin import BoostParams, _geometry, effective_field
 
@@ -50,6 +50,30 @@ def test_cptp_grid_figures_stay_finite_on_failure(monkeypatch, kernel):
     detail = verify.check_cptp_grid().detail
     for key in ("min_choi_eig=", "max_tp_residual=", "kraus_completeness=", "reassembly="):
         assert np.isfinite(float(detail.split(key)[1].split()[0]))
+
+
+@pytest.mark.parametrize("module, name, failing, note", [
+    (verify, "evolve_elementwise", ["cptp_grid"], " invalid_probe_images=1"),
+    (oracle, "two_qubit_average", ["bell_rest_decay", "bell_boosted_reference"],
+     " invalid_images=1"),
+])
+def test_a_nan_image_fails_its_check_and_the_run_goes_on(monkeypatch, module, name, failing,
+                                                         note):
+    # a NaN in one spanning probe image, or in one two-qubit average of each Bell check
+    clean = verify.run_checks(42)
+    func = getattr(module, name)
+
+    def planted(m, *args):
+        out = func(m, *args)
+        if m is analysis.PROBES or module is oracle:
+            out.reshape((-1,) + out.shape[-2:])[1, 0, 1] = math.nan
+        return out
+
+    monkeypatch.setattr(module, name, planted)
+    results = verify.run_checks(42)
+    assert len(results) == 14 and [r.name for r in results if not r.passed] == failing
+    for result, before in zip(results, clean):
+        assert note in result.detail if not result.passed else result.line() == before.line()
 
 
 def transposed_operator_sum(*args):
