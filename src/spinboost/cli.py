@@ -19,10 +19,11 @@ and --points. Exit codes: 0 success, 1 verification/runtime failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
-from itertools import repeat
+from types import SimpleNamespace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -45,10 +46,194 @@ def _fmt(value) -> str:
     return format(value, ".12g") if isinstance(value, float) else str(value)
 
 
-# Records per ``%`` call of ``write_table``: one template over a block's
-# flat tuple costs far less than one ``%`` per record, and the block
-# bounds the memory the formatted text takes.
+# Records per write of ``write_table``: the block bounds the memory its
+# formatted text takes.
 _BLOCK_ROWS = 4096
+
+# A cell holds one number's text at a fixed width, padded with NUL bytes
+# that the writer drops. The widths fit the longest '%.12g' and repr of a
+# finite float, '-1.23456789012e-308' and '-1.2345678901234567e-308'.
+_CELL_WIDTH = {False: 19, True: 24}
+# Values per kernel call, 32 kB per temporary: calls of 2048 and of 16384
+# values both wrote the 20,000-row eta-max table more slowly.
+_CHUNK = 4096
+_LANE = np.dtype("<u8")  # eight bytes of text, the first in the low byte
+_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split of a double into halves
+_POW10 = np.array([float(10**i) for i in range(23)])  # all exact
+
+
+@functools.cache
+def _tables(shortest: bool) -> SimpleNamespace:
+    """The kernel's tables for 12 digits or for repr, built on first use, not at import.
+
+    A cell is a row of eight-byte lanes. Lane 0 holds the sign, the '0.'
+    of a value below 1 and, for 12 digits, the zeros after that point.
+    The other lanes hold the digits, four-digit groups from ``words``; for
+    repr the first group is '000d', whose zeros are the ones after '0.'.
+    A pattern, one per (decimal point position, number of digits, sign),
+    says which bytes of the cell are text. The fields:
+
+    digits  significant digits of the scaled value
+    top     largest decimal exponent written without 'e'
+    sign    byte of the sign, where a cell's text starts
+    scale   k of 10**k by biased binary exponent, at most one too large
+    words   ASCII of 0000..9999, in the low four bytes of a lane
+    ends    (group, 0..9999): digits up to the group's last nonzero one
+    keep    (lane, pattern): digits that stay in place
+    move    (lane, pattern): digits one byte right, behind the point
+    marks   (lane, pattern): sign, '0.', zeros, point and the 0 of '.0'
+    """
+    digits, top = (17, 15) if shortest else (12, 11)
+    groups = 5 if shortest else 3
+    lead = 4 * groups - digits  # zeros ahead of the first digit
+    lanes = 1 + (4 * groups + 1 + 7) // 8  # room for the digits and a point
+    first = 8 + lead  # byte of the first digit
+    # small dtypes: the tables live as long as the process, and so does
+    # the heap they take
+    n = np.arange(10_000, dtype=np.uint16)
+    words = np.zeros(n.size, _LANE)
+    last = np.zeros(n.size, np.uint8)  # 1 + position of the last nonzero digit
+    for i, unit in enumerate((1000, 100, 10, 1)):
+        digit = n // unit % 10
+        words |= (digit + 48).astype(_LANE) << _LANE.type(8 * i)
+        last[digit > 0] = i + 1
+    ends = [np.where(last > 0, last + np.int16(4 * g - lead), 0).astype(np.uint8)
+            for g in range(groups)]
+    binary = np.arange(-1023, 1025, dtype=np.int16)
+    scale = np.clip(digits - 1 - np.floor(binary * math.log10(2)).astype(np.intp), 0, 22)
+
+    decpt, end, neg = (x.ravel() for x in np.meshgrid(
+        np.arange(-3, top + 2), np.arange(digits + 1), np.arange(2), indexing="ij"))
+    byte = np.arange(8 * lanes)[:, None]
+    point = first + decpt
+    below = decpt <= 0  # '0.', then -decpt zeros, then the digits
+    fraction = ~below & (decpt < end)
+    keep = (byte >= first) & (byte < first + np.where(below, end, decpt))
+    move = fraction & (byte > point) & (byte <= first + end)
+    marks = np.zeros(keep.shape, np.uint8)
+    marks[(byte == first - 6) & (neg == 1)] = ord("-")
+    marks[below & ((byte == first - 5) | (byte >= point) & (byte < first))] = ord("0")
+    marks[below & (byte == first - 4)] = ord(".")
+    marks[(fraction | ~below & shortest) & (byte == point)] = ord(".")
+    marks[~below & ~fraction & shortest & (byte == point + 1)] = ord("0")
+
+    def lanes_of(table):
+        return np.ascontiguousarray(np.ascontiguousarray(table.T, np.uint8).view(_LANE).T)
+
+    return SimpleNamespace(digits=digits, top=top, sign=first - 6, scale=scale, words=words,
+                           ends=ends, keep=lanes_of(keep * 0xFF)[1:],
+                           move=lanes_of(move * 0xFF)[1:], marks=lanes_of(marks))
+
+
+def _vector_cells(values: np.ndarray, shortest: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Cells (n, width) of finite float64 ``values`` and the mask of those certified.
+
+    A certified cell holds exactly ``'%.12g' % v`` or, with ``shortest``,
+    ``repr(v)``; the others hold garbage for the caller to replace. |v| is
+    scaled by an exact power of ten 10**k to Y in [10**(d-1), 10**d), d = 12
+    or 17 digits. For 12 digits Y is one correctly rounded product, and its
+    integer is certain unless Y lies within 2**-12 of a half. For repr,
+    Dekker's product gives Y exactly as y + lo, and the half-gap h =
+    ulp(v)/2 * 10**k bounds the numbers that round to v: the nearest
+    multiple of 100 within h of Y is the shortest text, else the nearest
+    multiple of 10, else the nearest integer, which h > 0.55 always admits.
+    A choice that a margin of 1e-9 cannot settle is not certified, nor is a
+    power of two (its lower gap is half), a subnormal, or a value written
+    with an exponent.
+    """
+    t = _tables(shortest)
+    digits, top = t.digits, t.top
+    a = np.abs(values)
+    zero = a == 0.0
+    scaled = (a >= 1e-5) & (a < _POW10[top + 1])
+    np.copyto(a, 1.0, where=~scaled)  # the rest take no part in the arithmetic
+    bits = a.view(np.int64)
+    k = t.scale[bits >> 52]
+    y = a * _POW10[k]
+    k -= y >= _POW10[digits]
+    p = _POW10[k]
+    y = a * p
+    ok = scaled & (y >= _POW10[digits - 1]) & (y < _POW10[digits])
+    if shortest:
+        c = a * _SPLIT
+        ah = c - (c - a)
+        al = a - ah
+        c = p * _SPLIT
+        ph = c - (c - p)
+        pl = p - ph
+        lo = al * pl - (((y - ah * ph) - al * ph) - ah * pl)
+        half = (bits & (0x7FF << 52)).view(np.float64) * 2.0**-53 * p
+        ok &= (bits & ((1 << 52) - 1)) != 0
+        m = y.astype(np.int64)
+        r100 = (m - m // 100 * 100).astype(np.float64)
+        r10 = r100 - 10.0 * np.floor(r100 / 10.0)
+        # steps from y to the multiples of 100, of 10 and of 1 nearest to Y;
+        # y >= 2**53 is even, so the last rounds a tie to even, as repr does
+        shift = [np.rint((r + lo) / unit) * unit - r for r, unit in ((r100, 100), (r10, 10))]
+        shift.append(np.rint(lo))
+        gap = [np.abs(s - lo) for s in shift[:2]]
+        inside = [g < half for g in gap]
+        unsure = np.abs(gap[0] - half) <= 1e-9
+        unsure |= ~inside[0] & (np.abs(gap[1] - half) <= 1e-9)
+        unsure |= ~inside[0] & inside[1] & (np.abs(gap[1] - 5.0) <= 1e-9)
+        ok &= ~unsure
+        shift = np.where(inside[0], shift[0], np.where(inside[1], shift[1], shift[2]))
+        m += shift.astype(np.int64)
+    else:
+        rounded = np.floor(y + 0.5)
+        frac = y + 0.5 - rounded  # both sums exact: y < 2**40
+        ok &= (frac > 2.0**-12) & (frac < 1.0 - 2.0**-12)
+        m = rounded.astype(np.int64)
+    exponent = (digits - 1) - k
+    carry = m == 10**digits
+    m[carry] = 10 ** (digits - 1)
+    exponent += carry
+    ok &= (exponent >= -4) & (exponent <= top)
+    ok |= zero
+    m *= ok & ~zero
+    exponent *= ok  # zero and the uncertified take the pattern of 0
+    groups = []  # four-digit groups of m, the most significant first
+    for _ in range(len(t.ends) - 1):
+        high = m // 10_000
+        groups.append(m - high * 10_000)
+        m = high
+    groups = [m] + groups[::-1]
+    end = t.ends[0][groups[0]]
+    for g in range(1, len(groups)):
+        np.maximum(end, t.ends[g][groups[g]], out=end)
+    # (decimal point, digits, sign) in the order of _tables' meshgrid
+    pattern = ((exponent + 4) * (digits + 1) + end) * 2 + np.signbit(values)
+    cells = np.empty((values.size, len(t.marks)), _LANE)
+    cells[:, 0] = t.marks[0][pattern]
+    quads = [t.words[g] for g in groups] + [_LANE.type(0)]
+    lanes = [quads[i] | quads[i + 1] << _LANE.type(32) for i in range(0, len(groups), 2)]
+    for i, lane in enumerate(lanes):
+        moved = lane << _LANE.type(8)
+        if i:
+            moved |= lanes[i - 1] >> _LANE.type(56)
+        cells[:, i + 1] = (lane & t.keep[i][pattern]) | (moved & t.move[i][pattern]) \
+            | t.marks[i + 1][pattern]
+    return cells.view(np.uint8)[:, t.sign:t.sign + _CELL_WIDTH[shortest]], ok
+
+
+def _cells(values: np.ndarray, shortest: bool) -> np.ndarray:
+    """NUL-padded cells of ``'%.12g' % v`` or ``repr(v)`` of finite float64 ``values``.
+
+    The kernel writes them ``_CHUNK`` at a time, and Python's own
+    formatter writes those it does not certify.
+    """
+    width = _CELL_WIDTH[shortest]
+    cells = np.empty((values.size, width), np.uint8)
+    missed = []
+    for i in range(0, values.size, _CHUNK):
+        cells[i:i + _CHUNK], ok = _vector_cells(values[i:i + _CHUNK], shortest)
+        missed.append(np.flatnonzero(~ok) + i)
+    missed = np.concatenate(missed) if missed else np.empty(0, np.intp)
+    if missed.size:
+        spec = f"%-{width}{'r' if shortest else '.12g'}" * missed.size
+        text = (spec % tuple(values[missed].tolist())).encode().replace(b" ", b"\0")
+        cells[missed] = np.frombuffer(text, np.uint8).reshape(-1, width)
+    return cells
 
 
 def write_table(rows: np.ndarray, path, fmt: str, fieldnames: Sequence[str],
@@ -58,15 +243,25 @@ def write_table(rows: np.ndarray, path, fmt: str, fieldnames: Sequence[str],
     ``rows`` is a float array with one column per field name on its last
     axis: 2-D, one record per row, or a 3-D grid ``(outer, inner,
     fields)`` whose records are written in row-major order, as those of
-    ``rows.reshape(-1, len(fieldnames))``. A grid field that is bit for
-    bit constant along one axis (both axes longer than 1) is formatted
-    once per value and baked into the record template. CSV: optional '#'
-    comment lines, a header of field names, then the records at 12
-    significant digits with '\\n' line endings. JSON: an array of objects
-    keyed by the field names, as ``json.dump(..., indent=2)`` writes it.
-    ``path`` may be a filesystem path or an open text stream. A
-    non-finite entry raises ``ValueError`` naming its column before
-    anything is written.
+    ``rows.reshape(-1, len(fieldnames))``. CSV: optional '#' comment
+    lines, a header of field names, then the records, each number as
+    ``'%.12g' % v``, with '\\n' line endings. JSON: an array of objects
+    keyed by the field names, as ``json.dump(..., indent=2)`` writes it,
+    each number as ``repr(v)``. ``path`` may be a filesystem path or an
+    open text stream. A non-finite entry raises ``ValueError`` naming its
+    column before anything is written.
+
+    Records are written in blocks: whole outer rows up to ``_BLOCK_ROWS``
+    records, or ``_BLOCK_ROWS`` records of a longer row. A block is one
+    byte array of NUL-padded records, numbers in cells from the numpy
+    kernel ``_vector_cells``, with the separators and JSON keys between
+    them; dropping its NUL bytes gives the block's text. The kernel
+    certifies each number it writes in positional notation: it fails to
+    certify a number near a rounding tie, one that needs an exponent, a
+    subnormal, and for repr a power of two, and Python's own formatter
+    writes each of those. A grid field that is bit for bit constant along
+    one axis (both axes longer than 1) is formatted once per value and
+    copied to its records.
     """
     k = len(fieldnames)
     if not (isinstance(rows, np.ndarray) and np.issubdtype(rows.dtype, np.floating)
@@ -83,64 +278,61 @@ def write_table(rows: np.ndarray, path, fmt: str, fieldnames: Sequence[str],
                          "tables hold finite numbers only")
     if fmt == "csv":
         head = "".join(f"# {comment}\n" for comment in comments) + ",".join(fieldnames) + "\n"
-        spec, keys, fsep, sep, tail = "%.12g", [""] * k, ",", "", ""
+        keys, fsep, sep, tail = [""] * k, ",", "", ""
         opening, closing = "", "\n"
     elif fmt == "json":
-        # %r of a finite float is float.__repr__, which is what json writes
-        spec, fsep = "%r", ",\n"
-        keys = [f"    {json.dumps(name).replace('%', '%%')}: " for name in fieldnames]
+        fsep = ",\n"
+        keys = [f"    {json.dumps(name)}: " for name in fieldnames]
         opening, closing = ("  {\n", "\n  }") if k else ("  {", "}")
         head, sep, tail = ("[\n", ",\n", "\n]\n") if outer * inner else ("[]\n", "", "")
     else:
         raise ValueError(f"unknown format {fmt!r}")
+    shortest, width = fmt == "json", _CELL_WIDTH[fmt == "json"]
 
-    # Text of the grid fields constant along one axis, by field: one per
-    # inner index, baked into every template, or one per outer row, put in
-    # at each row. Comparing bits keeps -0.0, which %.12g writes as -0,
-    # apart from 0.0.
-    col_text: dict[int, list[str]] = {}
-    row_text: dict[int, list[str]] = {}
+    # One record: its text between the cells, which start at ``starts``.
+    # Every record begins with ``sep``; the table's first one drops it.
+    texts = [(fsep if j else "") + key for j, key in enumerate(keys)] + [closing]
+    texts[0] = sep + opening + texts[0]
+    starts = np.cumsum([len(text) for text in texts[:-1]]) + width * np.arange(k)
+    record = np.frombuffer("\0".ljust(width, "\0").join(texts).encode(), np.uint8)
+
+    # Cells of the grid fields constant along one axis, by field: one per
+    # inner index (along) or one per outer row (across). Comparing bits
+    # keeps -0.0, which '%.12g' writes as -0, apart from 0.0.
+    along: dict[int, np.ndarray] = {}
+    across: dict[int, np.ndarray] = {}
     if outer > 1 and inner > 1:
         bits = grid.view(np.int64)
         for j in range(k):
             if (bits[:, :, j] == bits[:1, :, j]).all():
-                col_text[j] = [spec % v for v in grid[0, :, j].tolist()]
+                along[j] = _cells(grid[0, :, j], shortest)
             elif (bits[:, :, j] == bits[:, :1, j]).all():
-                row_text[j] = [spec % v for v in grid[:, 0, j].tolist()]
-    free = [j for j in range(k) if j not in col_text and j not in row_text]
-    # NUL never occurs in a template: json.dumps escapes it in names
-    marks = {j: f"\0{j}\0" for j in row_text}
-    slots = [marks.get(j, spec) for j in range(k)]
+                across[j] = _cells(grid[:, 0, j], shortest)
+    free = [j for j in range(k) if j not in along and j not in across]
 
-    def _record(texts) -> str:
-        return opening + fsep.join([key + text for key, text in zip(keys, texts)]) + closing
+    def _block(o0: int, o1: int, j0: int, j1: int) -> str:
+        out = np.empty((o1 - o0, j1 - j0, record.size), np.uint8)
+        out[...] = record
+        for j, cells in along.items():
+            out[:, :, starts[j]:starts[j] + width] = cells[j0:j1]
+        for j, cells in across.items():
+            out[:, :, starts[j]:starts[j] + width] = cells[o0:o1, None]
+        if free:
+            cells = _cells(grid[o0:o1, j0:j1][..., free].ravel(), shortest)
+            cells = cells.reshape(o1 - o0, j1 - j0, len(free), width)
+            for f, j in enumerate(free):
+                out[:, :, starts[j]:starts[j] + width] = cells[:, :, f]
+        text = out.tobytes().translate(None, b"\0").decode("ascii")
+        return text if o0 or j0 else text[len(sep):]
 
-    def _template(j0: int, j1: int) -> str:
-        """Records j0..j1 of one outer row, with per-row fields left as marks."""
-        if not col_text:  # every record alike: 2-D tables take this
-            return sep.join([_record(slots)] * (j1 - j0))
-        columns = [col_text[j][j0:j1] if j in col_text else repeat(slots[j]) for j in range(k)]
-        return sep.join([_record(texts) for texts in zip(*columns)])
-
-    def _fill(template: str, i: int) -> str:
-        for j, mark in marks.items():
-            template = template.replace(mark, row_text[j][i])
-        return template
-
-    # Whole outer rows make up a block of up to _BLOCK_ROWS records; a
-    # longer outer row is split into blocks of _BLOCK_ROWS.
     spans = [(j0, min(j0 + _BLOCK_ROWS, inner)) for j0 in range(0, inner, _BLOCK_ROWS)]
-    templates = [_template(j0, j1) for j0, j1 in spans]
     step = max(1, _BLOCK_ROWS // inner) if inner else 1
 
     def _render(stream):
         stream.write(head)
         for o0 in range(0, outer, step):
-            o1 = min(o0 + step, outer)
-            for (j0, j1), template in zip(spans, templates):
-                text = sep.join([_fill(template, i) for i in range(o0, o1)])
-                values = grid[o0:o1, j0:j1][..., free].ravel().tolist()
-                stream.write((sep if o0 or j0 else "") + text % tuple(values))
+            for j0, j1 in spans:
+                stream.write(_block(o0, min(o0 + step, outer), j0, j1))
         stream.write(tail)
 
     if hasattr(path, "write"):

@@ -254,6 +254,74 @@ class TestWriteTableGrid:
         assert text == reference(rows, ("xi", "theta", "eta"))
 
 
+def _cell_text(cells):
+    """The text of NUL-padded cells, one per line."""
+    lines = np.concatenate([cells, np.full((len(cells), 1), ord("\n"), np.uint8)], axis=1)
+    return lines.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _families():
+    """Seeded families of floats, each at least 100,000 values unless it is a complete set."""
+    rng = np.random.default_rng(23)
+    n = 100_000
+    sign = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    tiny, huge = math.log(5e-324), math.log(sys.float_info.max)
+    digits = rng.integers(0, 17, n)
+    short = np.rint(rng.uniform(0.0, 1e3, n) * 10.0**digits) / 10.0**digits
+    twelve = rng.integers(0, 10**12, n) + 0.5
+    # 100 * (k + odd/8) and 10 * (k + odd/4) end in .5 at 17 digits
+    eighths = rng.integers(10**14, 10**15, n // 2) + (2 * rng.integers(0, 4, n // 2) + 1) / 8
+    quarters = rng.integers(10**15, 2**51, n // 2) + (2 * rng.integers(0, 2, n // 2) + 1) / 4
+    edges = np.array([float(f"1e{e}") for e in range(-5, 17)])
+    steps = np.arange(-50, 51)
+    return {
+        "uniform": rng.uniform(-10.0, 10.0, n),
+        "log-uniform": sign * np.exp(rng.uniform(tiny, huge, n)),
+        "short decimals": sign * short,
+        "short decimals, one ulp up": np.nextafter(short, np.inf),
+        "short decimals, one ulp down": np.nextafter(short, -np.inf),
+        "12-digit ties": twelve / 10.0 ** rng.integers(0, 13, n),
+        "17-digit ties": np.concatenate([eighths, quarters]),
+        "powers of two and ten, and zeros": np.concatenate([
+            np.ldexp(1.0, np.arange(-1074, 1024)), -np.ldexp(1.0, np.arange(-1074, 1024)),
+            [float(f"1e{e}") for e in range(-323, 309)], [0.0, -0.0]]),
+        "50 ulps about each power of ten from 1e-5 to 1e16": (
+            edges[:, None] + np.spacing(edges)[:, None] * steps).ravel(),
+    }
+
+
+class TestCellKernel:
+    """Kernel and fallback together against Python's own formatter, value by value.
+
+    pyproject turns a RuntimeWarning into an error, so these also check
+    that no float makes the kernel's arithmetic warn.
+    """
+
+    FAMILIES = _families()
+
+    @pytest.mark.parametrize("shortest, spec", [(False, "%.12g"), (True, "%r")])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_matches_python(self, family, shortest, spec):
+        values = self.FAMILIES[family]
+        expected = "".join(spec % v + "\n" for v in values.tolist())
+        assert _cell_text(cli._cells(values, shortest)) == expected
+
+    @pytest.mark.parametrize("shortest", [False, True])
+    def test_certified_share_of_the_figure_tables(self, shortest):
+        # Below this floor the output would still be right, only slow: a drift
+        # to the per-value fallback shows here, not only in the benchmark.
+        xi = np.linspace(0.0, 3.0, 300)[:, None]
+        theta = np.linspace(0.0, math.pi / 2, 300)[None, :]
+        grid = np.stack(np.broadcast_arrays(xi, theta, eta_profile(xi, theta)), axis=-1)
+        opt = eta_max(np.linspace(0.0, 10.0, 20_000))
+        table = np.column_stack([np.linspace(0.0, 10.0, 20_000), opt.eta_max, opt.theta_opt,
+                                 opt.chi_at_opt])
+        for values in (grid.ravel(), table.ravel()):
+            certified = [cli._vector_cells(values[i:i + cli._CHUNK], shortest)[1]
+                         for i in range(0, values.size, cli._CHUNK)]
+            assert np.concatenate(certified).mean() >= 0.9
+
+
 class TestScanEta:
     def test_row_count_and_header(self, tmp_path):
         out = tmp_path / "eta.csv"

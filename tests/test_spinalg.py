@@ -403,11 +403,19 @@ class TestRandomDensity:
 
     @pytest.mark.parametrize("dim,pure", [(2, False), (2, True), (4, False), (4, True)])
     def test_unvalidated_draw_is_the_same_matrix(self, dim, pure):
-        # the sampler on the next normals, and the same stream afterwards
+        # a a^dag / tr(a a^dag), formed in a plain loop from the same next normals:
+        # the real parts of a (dim x rank) row by row, then the imaginary parts
+        rank = 1 if pure else dim
         rng_a, rng_b = np.random.default_rng(11), np.random.default_rng(11)
         for _ in range(5):
-            m = _random_states(rng_a.standard_normal(2 * dim * (1 if pure else dim)), dim, pure)
-            assert bits(m.view(float)) == bits(random_density(rng_b, dim, pure).view(float))
+            g = rng_a.standard_normal(2 * dim * rank).tolist()
+            a = [[complex(g[i * rank + r], g[(dim + i) * rank + r]) for r in range(rank)]
+                 for i in range(dim)]
+            m = [[sum(a[i][r] * a[j][r].conjugate() for r in range(rank)) for j in range(dim)]
+                 for i in range(dim)]
+            trace = sum(m[i][i].real for i in range(dim))
+            expected = np.array(m) / trace
+            assert np.abs(random_density(rng_b, dim, pure) - expected).max() <= 1e-15
         assert rng_a.random() == rng_b.random()
 
 
