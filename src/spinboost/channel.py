@@ -37,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .relkin import BoostParams, EffectiveField, _hypot, _pick, _require, effective_field
+from .relkin import BoostParams, _geometry, _pick, _require
 from .spinalg import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z, _const, _matmul, _states
 
 # exp(-x) for x >= ~745 underflows anyway; 50 already rounds every reported
@@ -50,18 +50,26 @@ _SZ_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """A boost plus the rest-frame dephasing rate gamma, with the field geometry cached.
+    """A boost plus the rest-frame dephasing rate gamma, with its field geometry.
 
-    One boost and a float rate give one case, with float fields. A stack
-    of boosts (a ``BoostParams`` of arrays) gives a stack of cases of its
-    shape: ``gamma`` broadcasts to that shape, and the geometry comes from
-    one ``effective_field`` call. One boost refuses an array ``gamma``. Each case has the bits it has alone, and
+    One boost and a float rate give one case, with float fields and ``n``
+    of shape (3,). A stack of boosts (a ``BoostParams`` of arrays) gives a
+    stack of cases of its shape, with read-only array fields of that shape
+    (``n`` has a last axis of 3); ``gamma`` broadcasts to it. One boost
+    refuses an array ``gamma``. The geometry is one ``relkin._geometry``
+    call: the amplification ``kappa >= 1``, the unit axis ``n``, its
+    signed in-plane component ``n_perp`` and the modulation factors
+    ``eta_mod`` and ``chi_mod``. Each case has the bits it has alone, and
     ``s[key]`` is the case or sub-stack ``key``.
     """
 
     boost: BoostParams
     gamma: float | np.ndarray
-    field: EffectiveField = field(init=False)
+    kappa: float | np.ndarray = field(init=False)
+    n: np.ndarray = field(init=False)
+    n_perp: float | np.ndarray = field(init=False)
+    eta_mod: float | np.ndarray = field(init=False)
+    chi_mod: float | np.ndarray = field(init=False)
 
     def __post_init__(self):
         if isinstance(self.boost.xi, np.ndarray) and self.boost.xi.ndim:
@@ -72,7 +80,13 @@ class Scenario:
             raise ValueError(f"one boost needs a scalar gamma, got shape {np.shape(self.gamma)}")
         _require((0 < self.gamma) & (self.gamma < math.inf), self.gamma,
                  "gamma must be finite and > 0")
-        object.__setattr__(self, "field", effective_field(self.boost))
+        geometry = _geometry(self.boost.xi, self.boost.theta, self.boost.phi)
+        for name, value in zip(("kappa", "n", "n_perp", "eta_mod", "chi_mod"), geometry):
+            if name != "n" and np.ndim(value) == 0:  # one case
+                value = float(value)
+            else:
+                value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     def __getitem__(self, key) -> Scenario:
         return Scenario(self.boost[key], _pick(self.gamma, key))
@@ -81,7 +95,7 @@ class Scenario:
     def gamma_prime(self):
         """The amplified rate kappa**2 gamma, with kappa**2 as ``kappa * kappa``
         (correctly rounded); inf where it overflows."""
-        kappa = self.field.kappa
+        kappa = self.kappa
         with np.errstate(over="ignore"):
             rate = kappa * kappa * self.gamma
         if isinstance(rate, np.ndarray):
@@ -153,7 +167,7 @@ def evolve_elementwise(m, s: Scenario, t) -> np.ndarray:
     """
     m = _states(m, 2, "single-qubit channel")
     decay, lost = _decay(s, t)
-    n = s.field.n
+    n = s.n
     nx, ny, nz = n[..., 0], n[..., 1], n[..., 2]
     r01 = m[..., 0, 1]
     r10 = m[..., 1, 0]
@@ -176,22 +190,14 @@ def evolve_elementwise(m, s: Scenario, t) -> np.ndarray:
 def _axis_sigma(s: Scenario) -> np.ndarray:
     """In-plane Pauli operators (..., 2, 2) of the effective axes of ``s``.
 
-    cos(u)*sx + sin(u)*sy where u is the azimuth of n. For theta > pi/2
-    this is the velocity-azimuth operator cos(phi)*sx + sin(phi)*sy; for
-    theta < pi/2 the axis azimuth is mirrored (u = phi + pi) and the
-    operator flips sign. Degenerate axis (n = ez) falls back to the
-    velocity azimuth; its weights vanish there.
+    sign(n_perp) (cos(phi) sx + sin(phi) sy): for theta > pi/2 the axis
+    azimuth is the velocity azimuth phi; for theta < pi/2, where n_perp
+    is negative, it is mirrored (phi + pi) and the operator flips sign.
+    The sign is +1 at n_perp = +-0, where the axis is ez and the weights
+    of the operator vanish.
     """
-    n = s.field.n
-    n_perp = _hypot(n[..., 0], n[..., 1])
-    tilted = n_perp > 1e-300
-    ux, uy = np.empty(n_perp.shape), np.empty(n_perp.shape)
-    np.divide(n[..., 0], n_perp, out=ux, where=tilted)
-    np.divide(n[..., 1], n_perp, out=uy, where=tilted)
-    if not tilted.all():
-        phi = np.broadcast_to(s.boost.phi, n_perp.shape)[~tilted]
-        ux[~tilted] = np.cos(phi)
-        uy[~tilted] = np.sin(phi)
+    sign = np.where(np.less(s.n_perp, 0.0), -1.0, 1.0)
+    ux, uy = sign * np.cos(s.boost.phi), sign * np.sin(s.boost.phi)
     return ux[..., None, None] * PAULI_X + uy[..., None, None] * PAULI_Y
 
 
@@ -214,7 +220,7 @@ def operator_sum_apply(m, s: Scenario, t) -> np.ndarray:
     m = _states(m, 2, "single-qubit channel")
     decay, lost = _decay(s, t)
     su = _axis_sigma(s)
-    eta, chi = weight(s.field.eta_mod), weight(s.field.chi_mod)
+    eta, chi = weight(s.eta_mod), weight(s.chi_mod)
     p1 = 0.5 * weight(lost)
     p0 = 0.5 * (1.0 + weight(decay))
     out = p0 * m + (p1 - p1 * (eta + chi)) * (m * _SZ_SIGNS)
@@ -223,26 +229,24 @@ def operator_sum_apply(m, s: Scenario, t) -> np.ndarray:
     return out + (p1 * chi) * _matmul(_matmul(cross, m), cross)
 
 
-def dressing_transform(f: EffectiveField) -> np.ndarray:
-    """SU(2) rotations V (..., 2, 2) with V (sigma.n) V^dag = sigma_z, one per axis of ``f``.
+def dressing_transform(s: Scenario) -> np.ndarray:
+    """SU(2) rotations V (..., 2, 2) with V (sigma.n) V^dag = sigma_z, one per case of ``s``.
 
     V = exp(-i a/2 sigma.m) with a the angle between n and ez and
-    m = (n x ez)/|n x ez|; the identity when the axis already points
-    along ez. The half-angle factors come from n_z and |n_perp| directly
-    (no acos round trip), which keeps full relative accuracy for tiny a.
+    m = (n x ez)/|n x ez| = sign(n_perp) (sin(phi), -cos(phi), 0); the
+    identity where n = ez. With sin(a/2) = |n_perp| / (2 cos(a/2)), from
+    n_z and n_perp directly (no acos round trip, no 1 - n_z cancellation,
+    full relative accuracy for tiny a), sin(a/2) m is n_perp / (2 cos(a/2))
+    (sin(phi), -cos(phi), 0); cos(a/2) >= 1/sqrt(2), as n_z >= 0.
     """
-    n = np.asarray(f.n)
-    n_perp = _hypot(n[..., 0], n[..., 1])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # m = (n x ez)/|n x ez| = (n_y, -n_x, 0)/n_perp; hypot does not underflow
-        mx, my = n[..., 1] / n_perp, -n[..., 0] / n_perp
-        cos_half = np.sqrt(0.5 * (1.0 + n[..., 2]))
-        # sin(a/2) = sin(a)/(2 cos(a/2)) with sin(a) = |n_perp|:
-        # no 1-n_z cancellation, full relative accuracy at tiny a
-        sin_half = 0.5 * n_perp / cos_half
-        v = (cos_half[..., None, None] * IDENTITY_2 - np.multiply(1j, sin_half)[..., None, None]
-             * (mx[..., None, None] * PAULI_X + my[..., None, None] * PAULI_Y))
-    return np.where((n_perp < 1e-300)[..., None, None], IDENTITY_2, v)
+    def column(x):
+        return np.asarray(x)[..., None, None]
+
+    cos_half = np.sqrt(0.5 * (1.0 + s.n[..., 2]))
+    sin_half_m = 0.5 * s.n_perp / cos_half
+    phi = s.boost.phi
+    return (column(cos_half) * IDENTITY_2 - 1j * column(sin_half_m)
+            * (column(np.sin(phi)) * PAULI_X - column(np.cos(phi)) * PAULI_Y))
 
 
 def dressed_apply(m, s: Scenario, t) -> np.ndarray:
@@ -256,7 +260,7 @@ def dressed_apply(m, s: Scenario, t) -> np.ndarray:
     """
     m = _states(m, 2, "single-qubit channel")
     decay, _ = _decay(s, t)
-    v = dressing_transform(s.field)
+    v = dressing_transform(s)
     v_dag = np.conj(np.swapaxes(v, -1, -2))
     rotated = _matmul(_matmul(v, m), v_dag)
     return _matmul(_matmul(v_dag, _dephase(rotated, decay)), v)

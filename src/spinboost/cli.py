@@ -364,13 +364,6 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _table_format(text: str) -> str:
-    """argparse type of --format; unlike ``choices`` it also checks config entries."""
-    if text not in ("csv", "json"):
-        raise argparse.ArgumentTypeError(f"expected csv or json, got {text!r}")
-    return text
-
-
 def _read_config(path: str) -> dict[str, str]:
     """Parse a 'key = value' file; '#' starts a comment."""
     values: dict[str, str] = {}
@@ -389,18 +382,17 @@ def _read_config(path: str) -> dict[str, str]:
     return values
 
 
-def _apply_config(p: argparse.ArgumentParser, path: str) -> None:
-    """Make the config file's entries the defaults of subcommand ``p``.
-
-    The next parse converts and checks them with each flag's own type;
-    explicit flags still win.
-    """
-    entries = _read_config(path)
-    options = {a.dest for a in p._actions if a.option_strings} - {"help", "config"}
-    for key in entries:
-        if key not in options:
+def _config_flags(p: argparse.ArgumentParser, path: str) -> list[str]:
+    """The config file's entries as '--flag=value' arguments of subcommand ``p``,
+    which so go through their flags' own types and choices."""
+    flags = {a.dest: a.option_strings[0] for a in p._actions if a.option_strings}
+    del flags["help"], flags["config"]
+    out = []
+    for key, value in _read_config(path).items():
+        if key not in flags:
             raise _CliError("--config", f"unknown key {key!r}")
-    p.set_defaults(**entries)
+        out.append(f"{flags[key]}={value}")
+    return out
 
 
 def _require(condition: bool, flag: str, message: str) -> None:
@@ -566,7 +558,7 @@ def _cmd_verify(args) -> int:
 def _add_common(p: argparse.ArgumentParser, func) -> None:
     p.add_argument("--config", help="key = value file of flag values; explicit flags override it")
     p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument("--format", type=_table_format, default="csv", metavar="{csv,json}",
+    p.add_argument("--format", choices=("csv", "json"), default="csv",
                    help="table format (default %(default)s)")
     p.set_defaults(func=func)
 
@@ -579,13 +571,10 @@ def _add_scenario_flags(p: argparse.ArgumentParser, gamma_t2_max: float, points:
     p.add_argument("--gamma", type=_finite_float, help="rest-frame dephasing rate (default 1)")
 
 
+@functools.cache
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and the parser of each subcommand by name.
-
-    Every subcommand declares its own flags: argparse ``parents=`` would
-    share one Action per flag, so a per-command default set on one
-    subcommand would leak into the others.
-    """
+    """The top-level parser and the parser of each subcommand by name, built
+    once per process, on first use. No call changes them."""
     parser = argparse.ArgumentParser(
         prog="spinboost",
         description="Decoherence of a boosted spin-1/2 in Gaussian magnetic noise",
@@ -633,11 +622,14 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
         if args.config:
-            _apply_config(commands[args.command], args.config)
-            args = parser.parse_args(argv)
+            # the entries come before the explicit flags, which so win
+            rest = argv[argv.index(args.command) + 1:]
+            args = parser.parse_args([args.command, *_config_flags(commands[args.command],
+                                                                   args.config), *rest])
         if args.out is None:
             args.out = sys.stdout
         return args.func(args)

@@ -11,15 +11,12 @@ is real, the Bell state is invariant under V (x) V, and the boosted
 curve is exact for *every* rapidity (not only asymptotically): the
 residual chi at finite rapidity provably does not perturb the
 concurrence at these azimuths. So a deviation from the reference is
-numerical, not physics: the quadrature's where the pair has decayed, and
-near C = 1 the clamp ``_EIG_CLAMP_REL``, which drops Wootters eigenvalues
-below about 3.2e-7 and so overstates C by up to that much, whatever the
-node count.
+numerical, not physics: the quadrature's where the pair has decayed.
 
 A trajectory is computed on stacks: one ``two_qubit_average`` call, the
 oracle's one quadrature kernel at two qubits, for all its times, one
 stacked validation and one batched Wootters solve (``concurrence``, two
-stacked LAPACK calls, ``eigh`` and then ``eigvalsh``, per matrix). Each
+stacked LAPACK calls, ``eigh`` and then ``svd``, per matrix). Each
 time gets the bits it gets alone.
 U (x) U fixes the singlet for every U, so the common bath leaves it
 unchanged (decoherence-free).
@@ -35,14 +32,9 @@ import numpy as np
 
 from .channel import Scenario, _require_nonneg_time, decay_exponent
 from .oracle import QuadratureSpec, _require_quadrature, two_qubit_average
-from .spinalg import PAULI_Y, _const, _eigh, _hermitize, _kron, _states, require_valid
+from .spinalg import PAULI_Y, _const, _dagger, _eigh, _kron, _matmul, _states, require_valid
 
 _YY = _kron(PAULI_Y, PAULI_Y)
-
-# Relative floor below which squared Wootters eigenvalues are rounded to
-# zero: absorbs +/-1e-14 eigensolver noise that would otherwise turn
-# into sqrt-scale (1e-7) garbage in the concurrence.
-_EIG_CLAMP_REL = 1e-13
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,24 +67,26 @@ def concurrence(m) -> np.ndarray:
     """Wootters concurrences (...) of two-qubit states ``m`` (..., 4, 4), not validated.
 
     C = max(0, l1 - l2 - l3 - l4) with l_k the descending square roots
-    of the eigenvalues of rho (sy(x)sy) rho* (sy(x)sy), computed through
-    the Hermitian form sqrt(rho) rho~ sqrt(rho) with tiny eigenvalues
-    clamped to zero before the square roots. Two eigen-solves per matrix,
-    ``eigh`` of rho and ``eigvalsh`` of the Hermitian form, each a stacked
-    LAPACK call (``spinalg._eigh``): each state gets the bits it gets alone,
-    and a state with a NaN or infinite entry gets NaN.
+    of the eigenvalues of rho (sy(x)sy) rho* (sy(x)sy): the singular
+    values of A = sqrt(rho) (sy(x)sy) conj(sqrt(rho)), as A A^dag =
+    sqrt(rho) rho~ sqrt(rho) (Wootters, PRL 80, 2245, 1998; Uhlmann, PRA
+    62, 032307, 2000). They come to an absolute ~1e-16, with no square
+    root of a noisy eigenvalue, so C is exact to ~1e-15 up to C = 1. One
+    stacked ``eigh`` of rho (``spinalg._eigh``), broadcast products and
+    one stacked ``svd`` of the finite A: each state gets the bits it gets
+    alone, and a state with a NaN or infinite entry gets NaN.
     """
     m = _states(m, 4, "concurrence")
-    with np.errstate(invalid="ignore"):  # inf * 0 where an entry is infinite
-        rho_tilde = _YY @ m.conj() @ _YY
     vals, vecs = _eigh(m)
-    sqrt_rho = ((vecs * np.sqrt(np.clip(vals, 0.0, None))[..., None, :])
-                @ vecs.conj().swapaxes(-1, -2))
-    h = sqrt_rho @ rho_tilde @ sqrt_rho
-    ev = _eigh(_hermitize(h), vectors=False)
-    cutoff = _EIG_CLAMP_REL * np.maximum(ev[..., -1:], 1.0)
-    lam = np.sqrt(np.where(ev < cutoff, 0.0, ev))
-    c = lam[..., 3] - lam[..., 2] - lam[..., 1] - lam[..., 0]
+    # overflow, or inf * 0, only where rho's entries are near the largest
+    # float; the singular values are NaN there
+    with np.errstate(over="ignore", invalid="ignore"):
+        sqrt_rho = _matmul(vecs * np.sqrt(np.clip(vals, 0.0, None))[..., None, :], _dagger(vecs))
+        a = _matmul(_matmul(sqrt_rho, _YY), sqrt_rho.conj())
+    lam = np.full(a.shape[:-1], math.nan)
+    finite = np.isfinite(a).all(axis=(-2, -1))
+    lam[finite] = np.linalg.svd(a[finite], compute_uv=False)
+    c = lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]
     return np.where(c <= 0.0, 0.0, c)[()]
 
 

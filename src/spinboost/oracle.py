@@ -176,7 +176,7 @@ def _half_angle_rates(s: Scenario, t, b_max):
     value there, and the oracle refuses the case.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        rate = s.field.kappa * np.asarray(t, dtype=float)
+        rate = s.kappa * np.asarray(t, dtype=float)
         return np.where(np.isfinite(rate * b_max), rate, math.nan)
 
 
@@ -197,7 +197,7 @@ def _require_quadrature(s: Scenario, t, nodes: int) -> None:
         raise ValueError(f"the oracle's rotation angle 2 kappa t sqrt(gamma/2) z is not finite "
                          f"at rapidity xi = {at(s.boost.xi)!r}, angle theta = "
                          f"{at(s.boost.theta)!r} and time t = {at(t)!r} "
-                         f"(kappa = {at(s.field.kappa)!r}, gamma = {at(s.gamma)!r})")
+                         f"(kappa = {at(s.kappa)!r}, gamma = {at(s.gamma)!r})")
 
 
 def _cases(m: np.ndarray, s: Scenario, per_case) -> tuple:
@@ -207,7 +207,7 @@ def _cases(m: np.ndarray, s: Scenario, per_case) -> tuple:
     shape = np.broadcast_shapes(m.shape[:-2], *(np.shape(a) for a in per_case))
     flat = [np.broadcast_to(a, shape).ravel() for a in per_case]
     return (shape, np.broadcast_to(m, shape + m.shape[-2:]).reshape((-1,) + m.shape[-2:]),
-            np.broadcast_to(s.field.n, shape + (3,)).reshape(-1, 3), *flat)
+            np.broadcast_to(s.n, shape + (3,)).reshape(-1, 3), *flat)
 
 
 # Cases per block of the quadrature kernel: bounds its (cases x nodes) temporaries.

@@ -2,21 +2,20 @@
 
 A uniform magnetic field B = B ez in the lab frame appears, to a spin
 moving with rapidity ``xi`` at polar angle ``theta`` (azimuth ``phi``),
-as an amplified field turned away from ez, B' = B * d. This module
-computes the effective-field geometry d, kappa = |d|, the unit axis
-n = d/kappa, and the two geometry-derived modulation factors
+as an amplified field turned away from ez, B' = B kappa n. This module
+computes the amplification kappa, the unit axis n, its signed in-plane
+component n_perp, and the two geometry-derived modulation factors
 
     eta = 1 - n_z**2        (in-plane weight of the axis)
     chi = n_z * sqrt(n_x**2 + n_y**2)
 
 together with the closed-form maximum of eta over theta.
 
-Sign convention: d is fixed by the geometry (independent of the field
+Sign convention: n is fixed by the geometry (independent of the field
 amplitude B); for theta < pi/2 its in-plane part points *opposite* to
-the velocity azimuth, so the signed in-plane component n_perp =
--2 sinh(xi/2)**2 cos(theta) sin(theta) / kappa is negative there. chi is
-reported non-negative; channel code that needs the signed product reads
-it off the axis vector ``n`` directly.
+the velocity azimuth, so the signed in-plane component n_perp, with
+(n_x, n_y) = n_perp (cos(phi), sin(phi)), is negative there. chi is
+reported non-negative; channel code that needs the sign reads n_perp.
 
 The axis geometry, eta and its maximum are written on t = tanh(xi/2)
 and s = sech(xi/2): no difference cancels at small rapidity (Higham,
@@ -26,11 +25,11 @@ cosh(xi), overflows to inf.
 
 A ``BoostParams`` holds one boost (floats) or a stack of boosts
 (arrays of one shape). The geometry has one kernel, ``_geometry``, on
-broadcast arrays of (xi, theta, phi), and ``effective_field`` maps one
-boost or a whole stack with one call of it. Each element of a stack has
-the bits it has alone: the kernel is element-wise numpy arithmetic plus
-one ``math.hypot`` per element (``_hypot``), which is correctly rounded
-where numpy's ``hypot`` is not.
+broadcast arrays of (xi, theta, phi); a ``channel.Scenario`` holds its
+columns for one boost or a whole stack from one call of it. Each element
+of a stack has the bits it has alone: the kernel is element-wise numpy
+arithmetic plus one ``math.hypot`` per element (``_hypot``), which is
+correctly rounded where numpy's ``hypot`` is not.
 """
 
 from __future__ import annotations
@@ -89,47 +88,6 @@ def _pick(a, key):
     return float(picked) if np.ndim(picked) == 0 else picked
 
 
-@dataclass(frozen=True, eq=False)
-class EffectiveField:
-    """Boosted-field geometry seen by the moving spin, or by a stack of them.
-
-    ``d`` is B'/B, ``kappa = |d| >= 1`` the amplification, ``n = d/kappa``
-    the unit rotation axis, and ``eta_mod``/``chi_mod`` the modulation
-    factors. For a stack, the scalars are read-only arrays of the stack's
-    shape, and ``d`` and ``n`` have a last axis of 3.
-    """
-
-    d: np.ndarray
-    kappa: float | np.ndarray
-    n: np.ndarray
-    eta_mod: float | np.ndarray
-    chi_mod: float | np.ndarray
-
-    def __post_init__(self):
-        for name in ("d", "kappa", "n", "eta_mod", "chi_mod"):
-            value = getattr(self, name)
-            if name in ("d", "n") or isinstance(value, np.ndarray):
-                a = np.array(value, dtype=float)
-                a.setflags(write=False)
-                object.__setattr__(self, name, a)
-
-
-def effective_field(boost: BoostParams) -> EffectiveField:
-    """Geometry of the boosted field direction d = B'/B.
-
-    d_x = -2 sinh(xi/2)**2 cos(theta) sin(theta) cos(phi)
-    d_y = -2 sinh(xi/2)**2 cos(theta) sin(theta) sin(phi)
-    d_z = cos(theta)**2 + cosh(xi) sin(theta)**2
-
-    One call of ``_geometry``, which holds the arithmetic, for one boost
-    (float scalars) or a stack (arrays of its shape).
-    """
-    d, kappa, n, eta, chi = _geometry(boost.xi, boost.theta, boost.phi)
-    if np.ndim(kappa) == 0:  # one boost
-        kappa, eta, chi = float(kappa), float(eta), float(chi)
-    return EffectiveField(d=d, kappa=kappa, n=n, eta_mod=eta, chi_mod=chi)
-
-
 def _hypot(x, y) -> np.ndarray:
     """``math.hypot`` of each pair of elements of ``x`` and ``y``, which broadcast."""
     x, y = np.broadcast_arrays(x, y)
@@ -138,19 +96,20 @@ def _hypot(x, y) -> np.ndarray:
 
 
 def _geometry(xi, theta, phi):
-    """(d, kappa, n, eta, chi) of ``effective_field`` on stacks.
+    """(kappa, n, n_perp, eta, chi) of the boosted field B' = B kappa n, on stacks.
 
-    ``xi`` and ``theta`` broadcast against each other to the shape of the
-    scalars kappa, eta and chi; d and n have that shape broadcast with
-    ``phi``, plus a last axis of 3. Each element has the bits a stack of
-    one gives it, whatever else is in the stack.
+    kappa n_perp = -2 sinh(xi/2)**2 cos(theta) sin(theta), (n_x, n_y) =
+    n_perp (cos(phi), sin(phi)) and kappa n_z = cos(theta)**2 + cosh(xi)
+    sin(theta)**2. ``xi`` and ``theta`` broadcast against each other to
+    the shape of the scalars kappa, n_perp, eta and chi; n has that shape
+    broadcast with ``phi``, plus a last axis of 3. Each element has the
+    bits a stack of one gives it, whatever else is in the stack.
 
     kappa**2 = cos(theta)**2 + cosh(xi)**2 sin(theta)**2. Multiplied by
     s**2 = sech(xi/2)**2, with t = tanh(xi/2), the in-plane and z parts
     are p = -2 t**2 cos(theta) sin(theta) and q = s**2 + 2 t**2 sin(theta)**2:
     both stay finite, so n, eta and chi are finite for every finite
-    xi, and kappa = |(p, q)|/s**2 is inf only where it overflows (then
-    d is inf along the nonzero components of n, never inf * 0 = NaN).
+    xi, and kappa = |(p, q)|/s**2 is inf only where it overflows.
     At theta = 0 the axis is ez and kappa = 1 exactly, also where s**2
     underflows to 0. As in :func:`eta_profile`, theta is measured from
     the nearer pole, so theta = pi is exactly antiparallel and the
@@ -176,9 +135,7 @@ def _geometry(xi, theta, phi):
     n[..., 2] = n_z
     with np.errstate(over="ignore", divide="ignore"):
         kappa = h / s2  # inf where s**2 is 0 or the quotient overflows
-    d = n.copy()
-    np.multiply(kappa[..., None], n, out=d, where=n != 0.0)  # kappa n, no inf * 0
-    return d, kappa, n, n_perp * n_perp, n_z * np.abs(n_perp)
+    return kappa, n, n_perp, n_perp * n_perp, n_z * np.abs(n_perp)
 
 
 def _half_rapidity(xi) -> tuple[np.ndarray, np.ndarray]:
@@ -205,7 +162,7 @@ def eta_profile(xi, theta):
 
         r = 2 t**2 sin(theta) cos(theta) / hypot(s**2, 2 t sin(theta)),
 
-    which agrees with 1 - n_z**2 of :func:`effective_field` within 1e-12.
+    which agrees with ``channel.Scenario.eta_mod``, 1 - n_z**2, within 1e-12.
     The sine and cosine are taken at the distance a = min(theta, pi - theta)
     to the nearer pole, with cos(a) = sin(pi/2 - a). So nothing cancels or
     underflows near the poles, where the peak sits at large xi; eta is

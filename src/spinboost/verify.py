@@ -25,7 +25,7 @@ from .channel import (
     plus_state,
 )
 from .oracle import ORACLE_TOL
-from .relkin import BoostParams, _geometry, effective_field, eta_max, eta_profile
+from .relkin import BoostParams, _geometry, eta_max, eta_profile
 from .spinalg import _invalid, _random_states, require_valid
 
 KAPPA_SQ_REF = 6.13229
@@ -147,8 +147,7 @@ def _invalid_note(pool: CasePool, forms, count: int, extra: int = 0) -> str:
 
 def check_kappa_amplification_anchor() -> CheckResult:
     opt = eta_max(2.5)
-    f = effective_field(BoostParams(xi=2.5, theta=opt.theta_opt))
-    kappa_sq = f.kappa**2
+    kappa_sq = _scenario(2.5, opt.theta_opt).kappa**2
     err = abs(kappa_sq - KAPPA_SQ_REF)
     return CheckResult(
         "kappa_amplification_anchor",
@@ -214,8 +213,8 @@ def check_decomposition_agreement(pool: CasePool) -> CheckResult:
     ref = pool.images["elementwise"][:100]
     worst_osum = _worst_distance(pool.images["operator_sum"][:100], ref)
     worst_dressed = _worst_distance(pool.images["dressed"][:100], ref)
-    field = pool.scenarios.field
-    chi_gt_eta = int((field.chi_mod[:100] > field.eta_mod[:100]).sum())
+    s = pool.scenarios
+    chi_gt_eta = int((s.chi_mod[:100] > s.eta_mod[:100]).sum())
     invalid = _invalid_note(pool, ("elementwise", "operator_sum", "dressed"), 100)
     ok = worst_osum < 1e-10 and worst_dressed < 1e-10 and chi_gt_eta > 0 and not invalid
     return CheckResult(
@@ -296,9 +295,9 @@ def check_rest_frame_reduction(seed: int) -> CheckResult:
 
 
 def check_bell_rest_decay() -> CheckResult:
-    """The Bell pair at rest against exp(-4 gamma t^2), at five times in one stack;
-    an average that is not a valid state counts as an invalid image."""
-    times = np.sqrt(np.array([0.25, 0.75, 1.5, 2.25, 3.0]))
+    """The Bell pair at rest against exp(-4 gamma t^2), at 14 times in one stack, nine of
+    them at gamma t^2 <= 1e-4, near C = 1; an invalid average counts as an invalid image."""
+    times = np.sqrt(np.concatenate([np.logspace(-12.0, -4.0, 9), [0.25, 0.75, 1.5, 2.25, 3.0]]))
     states = oracle.two_qubit_average(entangle.bell_phi_plus(), _scenario(0.0, 0.0), times)
     invalid = int(_invalid(states).sum())
     ref = np.exp(-decay_exponent(4.0, times))
@@ -306,7 +305,7 @@ def check_bell_rest_decay() -> CheckResult:
     return CheckResult(
         "bell_rest_decay",
         worst < 1e-8 and not invalid,
-        f"max|C - exp(-4 gamma t^2)|={_g(worst)} over gamma_t2<=3 (tol 1e-08)"
+        f"max|C - exp(-4 gamma t^2)|={_g(worst)} over 1e-12<=gamma_t2<=3 (tol 1e-08)"
         + _note(invalid),
     )
 
@@ -427,7 +426,7 @@ def check_montecarlo_consistency(pool: CasePool, seed: int) -> CheckResult:
 
 
 def check_boost_geometry_identities(seed: int) -> CheckResult:
-    """|d|^2 = kappa^2 to 1e-14 relative, and bitwise azimuth independence.
+    """|d|^2 = kappa^2 for d = kappa n to 1e-14 relative, and bitwise azimuth independence.
 
     The bound is relative because kappa^2 reaches cosh(4)^2 ~ 745 on
     these draws, where 1e-14 is about 45 ulps. The 1000 draws of
@@ -438,8 +437,9 @@ def check_boost_geometry_identities(seed: int) -> CheckResult:
     draws = np.random.default_rng(seed).uniform((0.0, 0.0, 0.0), (4.0, math.pi, 2.0 * math.pi),
                                                  size=(1000, 3))
     xi, theta, phi = draws.T
-    d, kappa, _, eta, chi = _geometry(xi, theta, phi)
-    _, kappa0, _, eta0, chi0 = _geometry(xi, theta, 0.0)
+    kappa, n, _, eta, chi = _geometry(xi, theta, phi)
+    kappa0, _, _, eta0, chi0 = _geometry(xi, theta, 0.0)
+    d = kappa[:, None] * n  # finite: kappa <= cosh(4) on these draws
     # libm and pow per draw, as the identity is written
     expected = np.array([math.cos(th) ** 2 + math.cosh(x) ** 2 * math.sin(th) ** 2
                          for x, th in zip(xi.tolist(), theta.tolist())])
@@ -486,14 +486,14 @@ def check_trajectory_monotonicity() -> CheckResult:
     g_t2 = np.linspace(0.0, 12.0, 200)
     values = _coherence(s, np.sqrt(g_t2))
     non_increasing = bool((np.diff(values) <= 1e-12).all())
-    floor = s.field.eta_mod / 2.0 - 1e-12
+    floor = s.eta_mod / 2.0 - 1e-12
     above_floor = bool((values >= floor).all())
     ok = non_increasing and above_floor
     return CheckResult(
         "trajectory_monotonicity",
         ok,
         f"non_increasing={non_increasing} saturation_floor_held={above_floor} "
-        f"floor={_g(s.field.eta_mod / 2.0)}",
+        f"floor={_g(s.eta_mod / 2.0)}",
     )
 
 

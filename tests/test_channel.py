@@ -4,17 +4,19 @@ import math
 import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from reference import draw_cases, random_density, rest_dephasing, scenario, stack_of, stacked
+from spinboost import channel
 from spinboost.channel import (LONG_TIME_GAMMA_T2, Scenario, decay_exponent, decay_factors,
                                dressed_apply, dressing_transform, evolve_elementwise,
                                operator_sum_apply, plus_state)
 from spinboost.oracle import average_quadrature
-from spinboost.relkin import BoostParams, EffectiveField, effective_field, eta_max
-from spinboost.spinalg import IDENTITY_2, PAULI_X, PAULI_Z, pauli_vector, require_valid
+from spinboost.relkin import BoostParams, _geometry, eta_max
+from spinboost.spinalg import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z, pauli_vector, require_valid
 
 # Long-time saturation of the coherent state at xi=2.5, theta_opt, phi=0.
 # Both values frozen from the quadrature oracle (cross-checked live below):
@@ -49,9 +51,12 @@ class TestScenario:
 
     def test_field_is_cached_geometry(self):
         s = scenario(1.2, 0.8, 0.3)
-        f = effective_field(s.boost)
-        assert s.field.kappa == f.kappa
-        np.testing.assert_array_equal(s.field.n, f.n)
+        kappa, n, n_perp, eta, chi = _geometry(1.2, 0.8, 0.3)
+        assert s.kappa == kappa and s.n_perp == n_perp
+        assert (s.eta_mod, s.chi_mod) == (eta, chi)
+        np.testing.assert_array_equal(s.n, n)
+        assert all(type(v) is float for v in (s.kappa, s.n_perp, s.eta_mod, s.chi_mod))
+        assert s.n.shape == (3,) and not s.n.flags.writeable
 
     def test_gamma_prime(self):
         s = scenario(2.5, eta_max(2.5).theta_opt)
@@ -62,8 +67,12 @@ class TestScenario:
         assert scenario(xi, 0.5).gamma_prime == math.inf
 
 
-def field_bits(f):
-    values = [*f.d, f.kappa, *f.n, f.eta_mod, f.chi_mod]
+GEOMETRY = ("kappa", "n", "n_perp", "eta_mod", "chi_mod")
+
+
+def field_bits(s):
+    """Bits of the geometry columns of one case of ``s``; they fix kappa n = B'/B."""
+    values = [s.kappa, *s.n, s.n_perp, s.eta_mod, s.chi_mod]
     return np.array(values, dtype=float).view(np.uint64).tolist()
 
 
@@ -75,19 +84,19 @@ class TestScenarioStack:
         phi = rng.uniform(0.0, 2 * math.pi, 100).tolist()
         gamma = rng.uniform(0.1, 5.0, 100).tolist()
         stack = Scenario(BoostParams(np.array(xi), np.array(theta), np.array(phi)), np.array(gamma))
-        assert stack.gamma.shape == (100,) and stack.field.n.shape == (100, 3)
-        assert not stack.field.kappa.flags.writeable and not stack.gamma.flags.writeable
+        assert stack.gamma.shape == (100,) and stack.n.shape == (100, 3)
+        assert all(not getattr(stack, name).flags.writeable for name in GEOMETRY)
+        assert not stack.gamma.flags.writeable
         assert not stack.gamma_prime.flags.writeable
         for k, args in enumerate(zip(xi, theta, phi, gamma, strict=True)):
             s = stack[k]
             alone = Scenario(BoostParams(*args[:3]), args[3])
             assert (s.boost, s.gamma) == (alone.boost, alone.gamma)
-            assert field_bits(s.field) == field_bits(alone.field)
+            assert field_bits(s) == field_bits(alone)
             assert s.gamma_prime == alone.gamma_prime == stack.gamma_prime[k]
-            assert not s.field.n.flags.writeable
-            columns = ("d", "kappa", "n", "eta_mod", "chi_mod")
-            kth = EffectiveField(*(np.asarray(getattr(stack.field, name))[k] for name in columns))
-            assert field_bits(kth) == field_bits(alone.field)
+            assert not s.n.flags.writeable
+            kth = SimpleNamespace(**{name: getattr(stack, name)[k] for name in GEOMETRY})
+            assert field_bits(kth) == field_bits(alone)
 
     def test_gamma_prime_is_kappa_squared_correctly_rounded(self):
         # kappa**2 rounded once, then times gamma rounded once; a libm pow
@@ -97,7 +106,7 @@ class TestScenarioStack:
         gamma = np.where(np.arange(20_000) % 2, rng.uniform(0.1, 5.0, 20_000), 1.0)
         stack = Scenario(BoostParams(np.append(xi, 400.0), np.append(theta, 1.0)),
                          np.append(gamma, 1.0))
-        kappa = stack.field.kappa.tolist()
+        kappa = stack.kappa.tolist()
         want = [float(Fraction(float(Fraction(k) ** 2)) * Fraction(g))
                 for k, g in zip(kappa, gamma.tolist())]
         assert stack.gamma_prime[:-1].tolist() == want
@@ -105,13 +114,14 @@ class TestScenarioStack:
 
     def test_stacks_broadcast_and_slice(self):
         stack = Scenario(BoostParams(np.array([[0.5], [1.5]]), np.array([0.2, 0.9, 2.0])), 1.7)
-        assert stack.gamma.shape == (2, 3) and stack.field.d.shape == (2, 3, 3)
+        assert stack.gamma.shape == (2, 3) and stack.n.shape == (2, 3, 3)
+        assert stack.kappa.shape == stack.n_perp.shape == (2, 3)
         assert stack.gamma.tolist() == [[1.7] * 3] * 2
         sub = stack[1, 1:]
         assert sub.gamma.shape == (2,)
-        assert field_bits(sub[0].field) == field_bits(stack[1, 1].field)
+        assert field_bits(sub[0]) == field_bits(stack[1, 1])
         alone = Scenario(BoostParams(1.5, 0.9), 1.7)
-        assert field_bits(stack[1, 1].field) == field_bits(alone.field)
+        assert field_bits(stack[1, 1]) == field_bits(alone)
 
     def test_one_boost_refuses_a_stack_of_rates(self):
         with pytest.raises(ValueError, match=r"one boost needs a scalar gamma, got shape \(2,\)"):
@@ -249,7 +259,7 @@ class TestEvolveElementwise:
         # with n.r = n_z: no other term hides the relative error of 1 - exp(-g)
         s = scenario(1.3, 0.6, phi=0.4)
         t = math.sqrt(g / s.gamma_prime)
-        nx, ny, nz = s.field.n
+        nx, ny, nz = s.n
         out = evolve_elementwise(np.diag([1.0, 0.0]), s, t)
         require_valid(out)
         expected = 0.5 * nz * (nx - 1j * ny) * lost_fraction(s.gamma_prime * t * t)
@@ -354,9 +364,9 @@ class TestStackedForms:
             bits(dressed), bits(np.array([dressed_apply(rho, s, t) for t in ts])))
 
     def test_dressing_transforms_of_a_stack_are_those_of_each_field(self):
-        stacked = dressing_transform(self.stack.field)
+        stacked = dressing_transform(self.stack)
         assert stacked.shape == (240, 2, 2)
-        single = np.array([dressing_transform(s.field) for s in self.scenarios])
+        single = np.array([dressing_transform(s) for s in self.scenarios])
         np.testing.assert_array_equal(bits(stacked), bits(single))
 
     def test_forms_agree_on_the_edge_cases(self):
@@ -401,7 +411,7 @@ class TestOperatorSum:
         rng = np.random.default_rng(6)
         seen = 0
         for rho, s, t in draw_cases(rng, 60):
-            if s.field.chi_mod > s.field.eta_mod:
+            if s.chi_mod > s.eta_mod:
                 seen += 1
                 a = operator_sum_apply(rho, s, t)
                 b = evolve_elementwise(rho, s, t)
@@ -413,17 +423,13 @@ class TestOperatorSum:
 
 class TestDressing:
     def test_aligned_axis_gives_identity(self):
-        f = effective_field(BoostParams(xi=0.0, theta=0.4))
-        np.testing.assert_array_equal(dressing_transform(f), IDENTITY_2)
+        np.testing.assert_array_equal(dressing_transform(scenario(0.0, 0.4)), IDENTITY_2)
+        np.testing.assert_array_equal(dressing_transform(scenario(745.0, 0.0, 2.0)), IDENTITY_2)
 
     def test_x_axis_quarter_turn(self):
-        f = EffectiveField(
-            d=np.array([1.0, 0.0, 0.0]),
-            kappa=1.0,
-            n=np.array([1.0, 0.0, 0.0]),
-            eta_mod=1.0,
-            chi_mod=0.0,
-        )
+        # no boost turns the axis all the way to ex; a stand-in case holds what
+        # dressing_transform reads
+        f = SimpleNamespace(n=np.array([1.0, 0.0, 0.0]), n_perp=1.0, boost=BoostParams(0.0))
         v = dressing_transform(f)
         # exp(+i pi/4 sigma_y)
         c, s = math.cos(math.pi / 4), math.sin(math.pi / 4)
@@ -432,7 +438,7 @@ class TestDressing:
 
     def test_tiny_tilt_is_unitary(self):
         # |n x ez|**2 underflows here; the axis of V must still be a unit vector
-        f = effective_field(BoostParams(xi=1.0, theta=8.944975528239023e-164))
+        f = scenario(1.0, 8.944975528239023e-164)
         assert 0.0 < math.hypot(f.n[0], f.n[1]) < 1e-160
         v = dressing_transform(f)
         assert np.linalg.norm(v @ v.conj().T - IDENTITY_2) < 1e-15
@@ -441,12 +447,79 @@ class TestDressing:
     def test_diagonalizes_axis(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
-            f = effective_field(BoostParams(rng.uniform(0.1, 4), rng.uniform(0, math.pi),
-                                            rng.uniform(0, 2 * math.pi)))
+            f = scenario(rng.uniform(0.1, 4), rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
             v = dressing_transform(f)
             assert np.linalg.norm(v @ v.conj().T - IDENTITY_2) < 1e-12
             assert abs(np.linalg.det(v) - 1.0) < 1e-12
             assert np.linalg.norm(v @ pauli_vector(f.n) @ v.conj().T - PAULI_Z) < 1e-12
+
+
+def in_plane_norm(n):
+    """|(n_x, n_y)| of each axis, one ``math.hypot`` per axis."""
+    flat = n.reshape(-1, 3).tolist()
+    return np.array([math.hypot(x, y) for x, y, _ in flat]).reshape(n.shape[:-1])
+
+
+def former_axis_sigma(s):
+    """The in-plane axis operator formed from n, (n_x sx + n_y sy)/|n_perp|, with
+    the velocity azimuth where |n_perp| <= 1e-300."""
+    n, n_perp = s.n, in_plane_norm(s.n)
+    tilted = n_perp > 1e-300
+    phi = np.broadcast_to(s.boost.phi, n_perp.shape)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ux = np.where(tilted, n[..., 0] / n_perp, np.cos(phi))
+        uy = np.where(tilted, n[..., 1] / n_perp, np.sin(phi))
+    return ux[..., None, None] * PAULI_X + uy[..., None, None] * PAULI_Y
+
+
+def former_dressing_transform(s):
+    """V formed from n: m = (n_y, -n_x, 0)/|n_perp| and sin(a/2) = |n_perp|/(2 cos(a/2)),
+    the identity where |n_perp| < 1e-300."""
+    n, n_perp = s.n, in_plane_norm(s.n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mx, my = n[..., 1] / n_perp, -n[..., 0] / n_perp
+        cos_half = np.sqrt(0.5 * (1.0 + n[..., 2]))
+        sin_half = 0.5 * n_perp / cos_half
+        v = (cos_half[..., None, None] * IDENTITY_2 - np.multiply(1j, sin_half)[..., None, None]
+             * (mx[..., None, None] * PAULI_X + my[..., None, None] * PAULI_Y))
+    return np.where((n_perp < 1e-300)[..., None, None], IDENTITY_2, v)
+
+
+class TestAxisFromSignedComponent:
+    """The axis operators from sign(n_perp) and phi, against the former ones from n."""
+
+    EDGE_XI = [0.0, 5e-324, 709.0, 745.0]
+    EDGE_THETA = [0.0, math.pi / 2, math.pi, math.nextafter(math.pi, 0.0)]
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        rng = np.random.default_rng(31)
+        edges = [(xi, theta) for xi in self.EDGE_XI for theta in self.EDGE_THETA] * 4
+        drawn = list(zip(rng.uniform(0.0, 5.0, 200).tolist(),
+                         rng.uniform(0.0, math.pi, 200).tolist()))
+        xi, theta = np.array(edges + drawn).T
+        phi = rng.uniform(0.0, 2 * math.pi, len(xi))
+        s = Scenario(BoostParams(xi, theta, phi), rng.uniform(0.1, 2.0, len(xi)))
+        rhos = np.array([random_density(rng, 2, pure=bool(k % 2)) for k in range(len(xi))])
+        times = np.where(np.arange(len(xi)) % 5 == 0, 0.0, rng.uniform(0.0, 3.0, len(xi)))
+        return rhos, s, times
+
+    @pytest.mark.parametrize("apply, helper, former", [
+        (operator_sum_apply, "_axis_sigma", former_axis_sigma),
+        (dressed_apply, "dressing_transform", former_dressing_transform),
+    ])
+    def test_images_agree_with_the_former_helpers(self, monkeypatch, cases, apply, helper,
+                                                  former):
+        new = apply(*cases)
+        require_valid(new)
+        monkeypatch.setattr(channel, helper, former)
+        old = apply(*cases)
+        assert np.abs(new - old).max() <= 1e-15
+
+    def test_helpers_agree_on_the_edges(self, cases):
+        s = cases[1]
+        assert np.abs(channel._axis_sigma(s) - former_axis_sigma(s)).max() <= 1e-15
+        assert np.abs(dressing_transform(s) - former_dressing_transform(s)).max() <= 1e-15
 
 
 class TestDressedApply:
@@ -523,14 +596,14 @@ class TestExampleTrajectory:
             t = rng.uniform(0, 3)
             uu, ud = self.trajectory(s, t)
             e = math.exp(-s.gamma_prime * t * t)
-            nx, _, nz = s.field.n
+            nx, _, nz = s.n
             assert abs(uu - 0.5 * (1.0 + nx * nz * (1.0 - e))) < 1e-12
-            assert abs(ud - 0.5 * ((1.0 - s.field.eta_mod) * e + s.field.eta_mod)) < 1e-12
+            assert abs(ud - 0.5 * ((1.0 - s.eta_mod) * e + s.eta_mod)) < 1e-12
 
     def test_monotone_decay_with_saturation_floor(self):
         opt = eta_max(2.5)
         s = scenario(2.5, opt.theta_opt)
-        floor = s.field.eta_mod / 2 - 1e-12
+        floor = s.eta_mod / 2 - 1e-12
         values = self.trajectory(s, np.sqrt(np.linspace(0.0, 12.0, 300) / s.gamma))[1].real
         assert (np.diff(values) <= 1e-12).all()
         assert (values >= floor).all()

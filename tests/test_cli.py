@@ -551,6 +551,40 @@ class TestConfigFile:
         assert from_config.read_bytes() == from_flags.read_bytes()
 
 
+class TestConfigParsedAsFlags:
+    """Config entries are parsed as flags of the one parser, which no call changes."""
+
+    def test_a_config_does_not_outlive_its_call(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("xi = 1.5\n")
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        assert run_cli(["offdiag", "--config", str(cfg), "--points", "3",
+                        "--out", str(first)]) == 0
+        assert run_cli(["offdiag", "--points", "3", "--out", str(second)]) == 0
+        assert "# xi = 1.5" in read_csv(first)[0]
+        assert "# xi = 2.5" in read_csv(second)[0]
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_config_format_is_checked_by_its_choices(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("format = xml\n")
+        assert run_cli(["evolve", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "--format" in err and "'xml'" in err
+
+    def test_config_format_json_writes_json(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("format = json\npoints = 4\n")
+        out = tmp_path / "evolve.json"
+        assert run_cli(["evolve", "--config", str(cfg), "--out", str(out)]) == 0
+        records = json.loads(out.read_text())
+        assert len(records) == 4 and "rho_uu_analytic" in records[0]
+
+    def test_command_line_format_is_checked_too(self, capsys):
+        assert run_cli(["scan-eta", "--format", "xml"]) == 2
+        assert "--format" in capsys.readouterr().err
+
+
 class TestDefaults:
     def test_per_command_defaults_do_not_leak(self, tmp_path):
         counts = []
@@ -726,6 +760,16 @@ class TestOracleWarning:
         assert "reference_boosted" in err[0]
         rows = read_csv(out)[2]
         assert len(rows) == 5 and float(rows[1][1]) > 1e-5  # the table is not altered
+
+    def test_concurrence_near_one_does_not_warn(self, tmp_path, capsys):
+        # C within 2.5e-7 of 1: a clamp of small Wootters eigenvalues wrote
+        # 0.999999938677 at gamma_t2 = 5e-9, where the reference is 0.999999877354
+        out = tmp_path / "conc.csv"
+        assert run_cli(["concurrence", "--gamma-t2-max", "1e-08", "--points", "3",
+                        "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        rows = read_csv(out)[2]
+        assert [row[1] for row in rows] == [row[3] for row in rows]
 
     def test_concurrence_defaults_do_not_warn(self, tmp_path, capsys):
         assert run_cli(["concurrence", "--out", str(tmp_path / "conc.csv")]) == 0

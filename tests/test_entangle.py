@@ -7,7 +7,6 @@ import pytest
 
 from reference import bits, pauli_rotation, random_density, random_unit_vector, scenario
 from spinboost.entangle import (
-    _EIG_CLAMP_REL,
     _YY,
     ConcurrenceSeries,
     bell_phi_plus,
@@ -16,7 +15,7 @@ from spinboost.entangle import (
 )
 from spinboost.oracle import two_qubit_average
 from spinboost.relkin import eta_max
-from spinboost.spinalg import require_valid
+from spinboost.spinalg import _matmul, require_valid
 
 
 def wootters_direct(rho4):
@@ -80,15 +79,70 @@ class TestConcurrence:
 
 
 def per_matrix_concurrence(m):
-    """Wootters concurrence of one 4x4 matrix in the Hermitian form, with
-    the clamp and Python's max, as a loop over states would take it."""
+    """Wootters concurrence of one 4x4 matrix from the singular values of
+    sqrt(rho) (sy(x)sy) conj(sqrt(rho)), with Python's max, as a loop over
+    states would take it."""
     vals, vecs = np.linalg.eigh(m)
-    sqrt_rho = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.conj().T
-    h = sqrt_rho @ (_YY @ m.conj() @ _YY) @ sqrt_rho
-    ev = np.linalg.eigvalsh(0.5 * (h + h.conj().T))
-    ev = np.where(ev < _EIG_CLAMP_REL * max(float(ev[-1]), 1.0), 0.0, ev)
-    lam = np.sqrt(ev)[::-1]
+    sqrt_rho = _matmul(vecs * np.sqrt(np.clip(vals, 0.0, None)), vecs.conj().T)
+    lam = np.linalg.svd(_matmul(_matmul(sqrt_rho, _YY), sqrt_rho.conj()), compute_uv=False)
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+
+
+def dephased_bell(e):
+    """(|00><00| + |11><11|)/2 + (e/2)(|00><11| + h.c.) for each e, whose concurrence is e."""
+    e = np.asarray(e, dtype=float)
+    rho = np.zeros(e.shape + (4, 4), dtype=complex)
+    rho[..., 0, 0] = rho[..., 3, 3] = 0.5
+    rho[..., 0, 3] = rho[..., 3, 0] = 0.5 * e
+    return rho
+
+
+def random_x_states(rng, count):
+    """Random two-qubit X states: populations from a Dirichlet draw, and the two
+    coherences within their positivity bounds, of random phase."""
+    p = rng.dirichlet(np.ones(4), count)
+    c03, c12 = (np.sqrt(p[:, i] * p[:, j]) * rng.uniform(0.0, 1.0, count)
+                * np.exp(1j * rng.uniform(0.0, 2 * math.pi, count)) for i, j in ((0, 3), (1, 2)))
+    rho = np.zeros((count, 4, 4), dtype=complex)
+    rho[:, range(4), range(4)] = p
+    rho[:, 0, 3], rho[:, 3, 0], rho[:, 1, 2], rho[:, 2, 1] = c03, c03.conj(), c12, c12.conj()
+    return rho
+
+
+def x_state_concurrence(rho):
+    """C = 2 max(0, |rho_03| - sqrt(rho_11 rho_22), |rho_12| - sqrt(rho_00 rho_33)) of
+    X states (Yu & Eberly, Quantum Inf. Comput. 7, 459, 2007)."""
+    d = rho[..., range(4), range(4)].real
+    outer = np.abs(rho[..., 0, 3]) - np.sqrt(d[..., 1] * d[..., 2])
+    inner = np.abs(rho[..., 1, 2]) - np.sqrt(d[..., 0] * d[..., 3])
+    return 2.0 * np.maximum(0.0, np.maximum(outer, inner))
+
+
+class TestConcurrenceAccuracy:
+    """Full accuracy up to C = 1, against two families with exact concurrences."""
+
+    def test_dephased_bell_family_near_one(self):
+        # an eigenvalue clamp, or a square root of a noisy eigenvalue, misses
+        # these by up to 3e-7, around 1 - e = 6e-7
+        e = 1.0 - np.logspace(-16.0, -1.0, 400)
+        rho = dephased_bell(e)
+        require_valid(rho)
+        assert np.abs(concurrence(rho) - e).max() <= 1e-14
+        assert abs(concurrence(dephased_bell(1.0)) - 1.0) <= 1e-15
+
+    def test_x_states_match_the_closed_form(self):
+        rho = random_x_states(np.random.default_rng(21), 2000)
+        require_valid(rho)
+        assert np.abs(concurrence(rho) - x_state_concurrence(rho)).max() <= 1e-14
+
+    def test_x_states_near_the_bell_state(self):
+        # mixtures of X states are X states: 1 - C from 1e-16 to 1e-2
+        weight = np.logspace(-16.0, -2.0, 300)[:, None, None]
+        rho = ((1.0 - weight) * dephased_bell(1.0)
+               + weight * random_x_states(np.random.default_rng(22), 300))
+        require_valid(rho)
+        c = x_state_concurrence(rho)
+        assert np.abs(concurrence(rho) - c).max() <= 1e-14 and c.min() < 1.0 - 1e-3
 
 
 class TestConcurrenceStack:

@@ -36,13 +36,13 @@ from spinboost.spinalg import IDENTITY_2, pauli_vector, require_valid
 def unitaries(b_values, s, t):
     """exp(-i kappa t b sigma.n) (len(b_values), 2, 2), one per scaled field b,
     built as ``pauli_rotation`` builds one."""
-    half = s.field.kappa * t * np.asarray(b_values)[:, None, None]
-    return np.cos(half) * IDENTITY_2 - 1j * np.sin(half) * pauli_vector(s.field.n)
+    half = s.kappa * t * np.asarray(b_values)[:, None, None]
+    return np.cos(half) * IDENTITY_2 - 1j * np.sin(half) * pauli_vector(s.n)
 
 
 def field_unitary(b, s, t):
     """exp(-i kappa t b sigma.n), the rotation by 2 kappa t b about the axis n, at b = sqrt(gamma/2) z."""
-    return pauli_rotation(s.field.n, 2.0 * s.field.kappa * t * b)
+    return pauli_rotation(s.n, 2.0 * s.kappa * t * b)
 
 
 class TestSpecs:
@@ -136,7 +136,7 @@ class TestUnitaryAtField:
             s = scenario(rng.uniform(0, 3), rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
             b, t = rng.normal(), rng.uniform(0, 2)
             u = unitaries(np.array([b]), s, t)[0]
-            angle = 2.0 * s.field.kappa * t * b
+            angle = 2.0 * s.kappa * t * b
             assert abs(np.trace(u) - 2.0 * math.cos(angle / 2.0)) < 1e-12
             np.testing.assert_allclose(u, field_unitary(b, s, t), atol=1e-14)
 
@@ -250,9 +250,9 @@ def reference_montecarlo(rho, s, t, mc):
     mean of the R averages and the standard error of their spread."""
     per_randomisation = []
     for r in range(R):
-        half_angle = s.field.kappa * t * math.sqrt(s.gamma / 2) * jittered_normals(mc, r)
+        half_angle = s.kappa * t * math.sqrt(s.gamma / 2) * jittered_normals(mc, r)
         u = (np.cos(half_angle)[:, None, None] * IDENTITY_2
-             - 1j * np.sin(half_angle)[:, None, None] * pauli_vector(s.field.n))
+             - 1j * np.sin(half_angle)[:, None, None] * pauli_vector(s.n))
         # draws on the last, contiguous axis, so that each sum is pairwise
         draws = np.ascontiguousarray(((u @ rho) @ u.conj().transpose(0, 2, 1)).reshape(-1, 4).T)
         per_randomisation.append(draws.sum(axis=1) / len(half_angle))
@@ -807,7 +807,7 @@ class TestTwoQubitStack:
     def test_matches_the_kronecker_loop_over_the_parameter_box(self, xi, theta, phi, gamma, g,
                                                                 seed, nodes):
         s = scenario(xi, theta, phi, gamma)
-        t = math.sqrt(g / gamma) / s.field.kappa  # gamma' t^2 = g, also where gamma' overflows
+        t = math.sqrt(g / gamma) / s.kappa  # gamma' t^2 = g, also where gamma' overflows
         rho4 = random_density(np.random.default_rng(seed), 4)
         out = two_qubit_average(rho4, s, t, QuadratureSpec(nodes))
         np.testing.assert_allclose(out, kronecker_loop(rho4, s, t, nodes), rtol=0, atol=1e-15)
@@ -820,7 +820,7 @@ class TestTwoQubitStack:
         # decoherence-free subspace of the common bath (Lidar, Chuang &
         # Whaley, PRL 81, 2594, 1998)
         s = scenario(xi, theta, phi)
-        times = np.sqrt(g * np.array([0.0, 0.01, 0.25, 1.0])) / s.field.kappa
+        times = np.sqrt(g * np.array([0.0, 0.01, 0.25, 1.0])) / s.kappa
         out = two_qubit_average(singlet(), s, times)
         np.testing.assert_allclose(out, np.broadcast_to(singlet(), out.shape), rtol=0, atol=1e-15)
     def test_first_refused_time_raises_its_own_error(self, rho4):

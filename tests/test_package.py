@@ -63,10 +63,10 @@ def test_initial_states_are_valid_read_only_arrays(state):
 def test_public_api():
     assert sorted(spinboost.__all__) == [
         "BoostParams", "ChoiDiagnostics", "ConcurrenceSeries", "DensityMatrix",
-        "DensityMatrixError", "EffectiveField", "EtaMax", "McSpec", "QuadratureSpec", "Scenario",
+        "DensityMatrixError", "EtaMax", "McSpec", "QuadratureSpec", "Scenario",
         "average_montecarlo", "average_quadrature", "bell_phi_plus", "choi_diagnostics",
         "choi_stack", "concurrence", "concurrence_trajectory", "dressed_apply",
-        "dressing_transform", "effective_field", "eta_max", "eta_profile", "evolve_elementwise",
+        "dressing_transform", "eta_max", "eta_profile", "evolve_elementwise",
         "gauss_hermite_nodes", "kraus_residuals", "kraus_to_choi", "operator_sum_apply",
         "plus_state", "require_valid", "two_qubit_average",
     ]

@@ -22,7 +22,7 @@ from spinboost.channel import (
     operator_sum_apply,
     plus_state,
 )
-from spinboost.relkin import BoostParams, effective_field, eta_max, eta_profile
+from spinboost.relkin import eta_max, eta_profile
 from spinboost.spinalg import pauli_vector, require_valid
 
 XI = st.floats(min_value=0.0, max_value=1e6)
@@ -100,7 +100,7 @@ def test_tiny_rapidity_matches_series(theta):
     xi = 1e-7
     series = xi**4 / 4 * (math.sin(theta) * math.cos(theta)) ** 2
     tol = 1e-12 * (xi / 2) ** 4
-    assert abs(effective_field(BoostParams(xi, theta)).eta_mod - series) <= tol
+    assert abs(scenario(xi, theta).eta_mod - series) <= tol
     assert abs(eta_profile(xi, theta) - series) <= tol
 
 
@@ -118,8 +118,9 @@ def edge_grid(**other):
 @given(xi=XI, theta=THETA)
 @edge_grid()
 def test_effective_field_finite_at_every_rapidity(xi, theta):
-    f = effective_field(BoostParams(xi, theta))
+    f = scenario(xi, theta)
     assert np.isfinite(f.n).all() and abs(math.hypot(*f.n) - 1.0) <= 1e-15
+    assert f.n_perp == f.n[0] and f.n[1] == 0.0  # phi = 0
     assert f.kappa >= 1.0  # may be inf
     assert math.isfinite(f.chi_mod)
     assert abs(f.eta_mod - eta_profile(xi, theta)) <= 1e-15
@@ -163,7 +164,7 @@ def kappa_reference(xi: float, theta: float) -> float:
 @example(xi=1e-9, theta=1e-300)
 @example(xi=5e-324, theta=0.7)
 def test_kappa_matches_fifty_digit_reference(xi, theta):
-    kappa = effective_field(BoostParams(xi, theta)).kappa
+    kappa = scenario(xi, theta).kappa
     ref = kappa_reference(xi, theta)
     assert abs(kappa - ref) <= 1e-14 * ref
 
@@ -207,4 +208,4 @@ def test_trajectory_decays_monotonically_to_its_floor(xi, theta, g):
     # the decaying and the growing term are rounded apart, so a step may
     # rise in the last bit, by at most the ulp of 1/2
     assert (np.diff(values) <= np.spacing(0.5)).all()
-    assert (values >= s.field.eta_mod / 2 - 1e-12).all()
+    assert (values >= s.eta_mod / 2 - 1e-12).all()

@@ -5,9 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from reference import beta, bits, boost_em_field, cosh_xi, velocity_unit
-from spinboost.relkin import (BoostParams, _geometry, _half_rapidity, effective_field, eta_max,
-                              eta_profile)
+from reference import beta, bits, boost_em_field, cosh_xi, scenario, velocity_unit
+from spinboost.relkin import BoostParams, _geometry, _half_rapidity, eta_max, eta_profile
 
 COSH_2P5 = 6.132289479663686
 
@@ -91,14 +90,15 @@ class TestBoostEmField:
             np.testing.assert_allclose(bp, b, rtol=0, atol=1e-13 * cosh_xi(boost) * c)
 
     def test_reproduces_effective_field_components(self):
-        # the boost of B = B ez must land on B * d with d from the geometry
+        # the boost of B = B ez must land on B * d with d = kappa n from the geometry
         rng = np.random.default_rng(2)
         for _ in range(100):
             boost = BoostParams(rng.uniform(0, 3), rng.uniform(0, math.pi),
                                 rng.uniform(0, 2 * math.pi))
             b_mag = rng.uniform(0.1, 2.0)
             _, bp = boost_em_field([0, 0, 0], [0, 0, b_mag], boost)
-            d = effective_field(boost).d
+            kappa, n, _, _, _ = _geometry(boost.xi, boost.theta, boost.phi)
+            d = kappa * n
             np.testing.assert_allclose(bp, b_mag * d, rtol=0, atol=1e-12 * cosh_xi(boost))
 
     def test_non_finite_rejected(self):
@@ -108,20 +108,20 @@ class TestBoostEmField:
 
 class TestEffectiveField:
     def test_no_boost(self):
-        f = effective_field(BoostParams(xi=0.0, theta=0.7, phi=1.1))
+        f = scenario(0.0, 0.7, 1.1)
         assert f.kappa == 1.0
         np.testing.assert_array_equal(f.n, [0, 0, 1])
         assert f.eta_mod == 0.0 and f.chi_mod == 0.0
 
     def test_quoted_amplification_at_optimum(self):
         opt = eta_max(2.5)
-        f = effective_field(BoostParams(xi=2.5, theta=opt.theta_opt))
+        f = scenario(2.5, opt.theta_opt)
         assert abs(f.kappa**2 - 6.13229) < 5e-5
 
     def test_transverse_velocity(self):
         xi = 1.8
-        f = effective_field(BoostParams(xi=xi, theta=math.pi / 2))
-        np.testing.assert_allclose(f.d, [0, 0, math.cosh(xi)], atol=1e-12)
+        f = scenario(xi, math.pi / 2)
+        np.testing.assert_allclose(f.kappa * f.n, [0, 0, math.cosh(xi)], atol=1e-12)
         assert abs(f.kappa - math.cosh(xi)) < 1e-12
         assert f.eta_mod < 1e-28
 
@@ -131,40 +131,40 @@ class TestEffectiveField:
             xi = rng.uniform(0, 4)
             theta = rng.uniform(0, math.pi)
             phi = rng.uniform(0, 2 * math.pi)
-            f = effective_field(BoostParams(xi=xi, theta=theta, phi=phi))
+            f = scenario(xi, theta, phi)
+            d = f.kappa * f.n
             expected = math.cos(theta) ** 2 + math.cosh(xi) ** 2 * math.sin(theta) ** 2
-            assert abs(float(np.dot(f.d, f.d)) - expected) < 1e-12 * max(1.0, expected)
+            assert abs(float(np.dot(d, d)) - expected) < 1e-12 * max(1.0, expected)
             assert f.kappa >= 1.0
 
     def test_kappa_is_one_only_when_degenerate(self):
-        assert effective_field(BoostParams(xi=0.0, theta=1.0)).kappa == 1.0
-        assert effective_field(BoostParams(xi=2.0, theta=0.0)).kappa == 1.0
-        assert effective_field(BoostParams(xi=2.0, theta=1.0)).kappa > 1.0
+        assert scenario(0.0, 1.0).kappa == 1.0
+        assert scenario(2.0, 0.0).kappa == 1.0
+        assert scenario(2.0, 1.0).kappa > 1.0
 
     def test_scalars_independent_of_azimuth_bitwise(self):
         rng = np.random.default_rng(4)
         for _ in range(100):
             xi, theta = rng.uniform(0, 3), rng.uniform(0, math.pi)
-            base = effective_field(BoostParams(xi=xi, theta=theta, phi=0.0))
-            other = effective_field(BoostParams(xi=xi, theta=theta, phi=rng.uniform(0, 2 * math.pi)))
+            base = scenario(xi, theta, 0.0)
+            other = scenario(xi, theta, rng.uniform(0, 2 * math.pi))
             assert base.eta_mod == other.eta_mod
             assert base.chi_mod == other.chi_mod
             assert base.kappa == other.kappa
+            assert base.n_perp == other.n_perp
             assert base.n[2] == other.n[2]
 
     def test_chi_range(self):
         rng = np.random.default_rng(5)
         for _ in range(200):
-            f = effective_field(
-                BoostParams(xi=rng.uniform(0, 5), theta=rng.uniform(0, math.pi))
-            )
+            f = scenario(rng.uniform(0, 5), rng.uniform(0, math.pi))
             assert 0.0 <= f.chi_mod <= 0.5 + 1e-15
             assert 0.0 <= f.eta_mod <= 1.0
 
 
 def scalar_geometry(xi, theta, phi):
-    """The per-boost geometry in Python floats, one boost at a time, as
-    ``effective_field`` computed it before it became a stack of one."""
+    """The per-boost geometry (kappa, n, n_perp, eta, chi) in Python floats, one
+    boost at a time, as it was computed before it became a stack of one."""
     t, s = map(float, _half_rapidity(float(xi)))
     a = min(theta, math.pi - theta)
     ct, st = math.copysign(math.cos(a), 0.5 * math.pi - theta), math.sin(a)
@@ -177,18 +177,17 @@ def scalar_geometry(xi, theta, phi):
     kappa = h / s2 if s2 else math.inf
     n_perp, n_z = p / h, q / h
     n = [n_perp * math.cos(phi), n_perp * math.sin(phi), n_z]
-    d = [kappa * c if c else c for c in n]
-    return d + [kappa] + n + [n_perp * n_perp, n_z * abs(n_perp)]
+    return [kappa] + n + [n_perp, n_perp * n_perp, n_z * abs(n_perp)]
 
 
 def geometry_rows(xi, theta, phi):
-    """One row (d, kappa, n, eta, chi) of 9 floats per element of a kernel call."""
-    d, kappa, n, eta, chi = _geometry(xi, theta, phi)
-    return np.column_stack([d, kappa, n, eta, chi])
+    """One row (kappa, n, n_perp, eta, chi) of 7 floats per element of a kernel call."""
+    kappa, n, n_perp, eta, chi = _geometry(xi, theta, phi)
+    return np.column_stack([kappa, n, n_perp, eta, chi])
 
 
 class TestGeometryKernel:
-    """``_geometry`` element by element against the scalar form and ``effective_field``."""
+    """``_geometry`` element by element against the scalar form and a ``Scenario``."""
 
     EDGE_XI = [0.0, 5e-324, 709.0, 710.0, 745.0, 1e6]
     EDGE_THETA = [0.0, math.pi / 2, math.pi, math.nextafter(math.pi, 0.0)]
@@ -209,8 +208,8 @@ class TestGeometryKernel:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             rows = geometry_rows(*boosts.T)
         for row, (xi, theta, phi) in zip(rows, boosts.tolist()):
-            f = effective_field(BoostParams(xi, theta, phi))
-            alone = [*f.d, f.kappa, *f.n, f.eta_mod, f.chi_mod]
+            f = scenario(xi, theta, phi)
+            alone = [f.kappa, *f.n, f.n_perp, f.eta_mod, f.chi_mod]
             assert bits(row) == bits(alone) == bits(scalar_geometry(xi, theta, phi))
 
     def test_stacks_of_one_two_and_all_permuted(self, boosts):
@@ -224,18 +223,18 @@ class TestGeometryKernel:
 
     def test_broadcasts_the_azimuth(self, boosts):
         xi, theta, phi = boosts[:50].T
-        d, kappa, n, eta, chi = _geometry(xi[:, None], theta[:, None], phi)
-        assert kappa.shape == eta.shape == chi.shape == (50, 1)
-        assert d.shape == n.shape == (50, 50, 3)
-        diagonal = np.column_stack([d[range(50), range(50)], kappa[:, 0],
-                                    n[range(50), range(50)], eta[:, 0], chi[:, 0]])
+        kappa, n, n_perp, eta, chi = _geometry(xi[:, None], theta[:, None], phi)
+        assert kappa.shape == n_perp.shape == eta.shape == chi.shape == (50, 1)
+        assert n.shape == (50, 50, 3)
+        diagonal = np.column_stack([kappa[:, 0], n[range(50), range(50)], n_perp[:, 0],
+                                    eta[:, 0], chi[:, 0]])
         assert bits(diagonal) == bits(geometry_rows(xi, theta, phi))
 
-    def test_overflowing_kappa_is_inf_along_nonzero_axis_components(self):
-        d, kappa, n, _, _ = _geometry(np.array([745.0, 745.0]), np.array([1.0, 0.0]), 0.0)
+    def test_overflowing_kappa_leaves_the_axis_finite(self):
+        kappa, n, n_perp, _, _ = _geometry(np.array([745.0, 745.0]), np.array([1.0, 0.0]), 0.0)
         assert kappa.tolist() == [math.inf, 1.0]
-        assert d[0].tolist() == [-math.inf, 0.0, math.inf] and n[0, 1] == 0.0
-        assert d[1].tolist() == [0.0, 0.0, 1.0]
+        assert np.isfinite(n).all() and n[0, 0] < 0.0 < n[0, 2] and n[0, 1] == 0.0
+        assert n[0, 0] == n_perp[0] and n[1].tolist() == [0.0, 0.0, 1.0]
 
 
 class TestEtaProfile:
@@ -254,7 +253,7 @@ class TestEtaProfile:
         rng = np.random.default_rng(6)
         for _ in range(200):
             xi, theta = rng.uniform(0, 4), rng.uniform(0, math.pi)
-            f = effective_field(BoostParams(xi=xi, theta=theta))
+            f = scenario(xi, theta)
             assert abs(eta_profile(xi, theta) - f.eta_mod) < 1e-12
 
     def test_symmetric_about_transverse(self):
@@ -326,7 +325,7 @@ class TestEtaMax:
     def test_chi_closed_form_matches_geometry(self):
         for xi in (0.5, 1.0, 2.5, 5.0):
             opt = eta_max(xi)
-            f = effective_field(BoostParams(xi=xi, theta=opt.theta_opt))
+            f = scenario(xi, opt.theta_opt)
             assert abs(f.chi_mod - opt.chi_at_opt) < 1e-12
 
     def test_grid_search_agrees(self):

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from spinboost import analysis, oracle, verify
-from spinboost.channel import dressed_apply, evolve_elementwise, operator_sum_apply
-from spinboost.relkin import BoostParams, _geometry, effective_field
+from spinboost.channel import Scenario, dressed_apply, evolve_elementwise, operator_sum_apply
+from spinboost.relkin import BoostParams, _geometry
 
 
 def transposed_kernel(m, s, t):
@@ -386,16 +386,17 @@ def test_geometry_check_passes_where_kappa_sq_is_large(seed):
 
 
 def per_draw_geometry_detail(seed):
-    """The geometry check's detail, one scalar draw and two fields at a time."""
+    """The geometry check's detail, one scalar draw and two fields d = kappa n at a time."""
     rng = np.random.default_rng(seed)
     worst, exact = 0.0, True
     for _ in range(1000):
         xi, theta = rng.uniform(0.0, 4.0), rng.uniform(0.0, math.pi)
         phi = rng.uniform(0.0, 2 * math.pi)
-        f = effective_field(BoostParams(xi, theta, phi))
-        base = effective_field(BoostParams(xi, theta, 0.0))
+        f = Scenario(BoostParams(xi, theta, phi), 1.0)
+        base = Scenario(BoostParams(xi, theta, 0.0), 1.0)
         expected = math.cos(theta) ** 2 + math.cosh(xi) ** 2 * math.sin(theta) ** 2
-        worst = max(worst, abs(float(np.dot(f.d, f.d)) - expected) / expected)
+        d = f.kappa * f.n
+        worst = max(worst, abs(float(np.dot(d, d)) - expected) / expected)
         exact &= (f.eta_mod, f.chi_mod, f.kappa) == (base.eta_mod, base.chi_mod, base.kappa)
     return (f"draws=1000 max||d|^2 - kappa^2|/kappa^2={verify._g(worst)} (tol 1e-14) "
             f"azimuth_independent_bitwise={exact}")
@@ -409,11 +410,39 @@ def test_geometry_check_gives_the_per_draw_figures(seed):
 
 @pytest.mark.parametrize("component", [0, 1, 2])
 def test_geometry_check_catches_a_1e13_relative_error_in_d(monkeypatch, component):
+    # d = kappa n: the error is planted in the axis the check scales by kappa
     def skewed(xi, theta, phi):
-        d, *rest = _geometry(xi, theta, phi)
-        d[..., component] *= 1.0 + 1e-13
-        return d, *rest
+        kappa, n, *rest = _geometry(xi, theta, phi)
+        n[..., component] *= 1.0 + 1e-13
+        return kappa, n, *rest
 
     monkeypatch.setattr(verify, "_geometry", skewed)
     result = verify.check_boost_geometry_identities(42)
     assert not result.passed, result.line()
+
+
+def clamped_concurrence(m):
+    """Wootters concurrence from the Hermitian form sqrt(rho) rho~ sqrt(rho), with squared
+    eigenvalues below 1e-13 rounded to zero: off by up to 3e-7 just below C = 1."""
+    yy = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])
+    vals, vecs = np.linalg.eigh(m)
+    root = vecs * np.sqrt(np.clip(vals, 0.0, None))[..., None, :]
+    sqrt_rho = root @ vecs.conj().swapaxes(-1, -2)
+    h = sqrt_rho @ (yy @ m.conj() @ yy) @ sqrt_rho
+    ev = np.linalg.eigvalsh(0.5 * (h + h.conj().swapaxes(-1, -2)))
+    lam = np.sqrt(np.where(ev < 1e-13 * np.maximum(ev[..., -1:], 1.0), 0.0, ev))
+    return np.maximum(0.0, lam[..., 3] - lam[..., 2] - lam[..., 1] - lam[..., 0])
+
+
+def test_bell_rest_decay_samples_small_times():
+    result = verify.check_bell_rest_decay()
+    assert result.passed, result.line()
+    assert "over 1e-12<=gamma_t2<=3" in result.detail
+
+
+def test_bell_rest_decay_catches_a_clamped_concurrence(monkeypatch):
+    monkeypatch.setattr(verify.entangle, "concurrence", clamped_concurrence)
+    result = verify.check_bell_rest_decay()
+    assert not result.passed, result.line()
+    worst = float(result.detail.split("=")[1].split()[0])
+    assert 1e-8 < worst < 1e-6
