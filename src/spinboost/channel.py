@@ -18,7 +18,8 @@ closed form, which is the production path, and two cross-checks of it,
 an operator-sum (signed-weight Kraus-like) decomposition and the dressed
 picture (rotate the axis onto ez, dephase, rotate back).
 
-A ``Scenario`` is one case or a stack of cases. Each form is one function
+This module holds only the closed forms; a case, or a stack of cases,
+is a ``relkin.Scenario``. Each form is one function
 on stacks in numpy's (..., 2, 2) convention: ``evolve_elementwise``,
 ``operator_sum_apply`` and ``dressed_apply`` take states (..., 2, 2), a
 scenario and times that broadcast against each other, and return the
@@ -31,13 +32,9 @@ stack, so each image has the bits it has alone.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from functools import cached_property
-
 import numpy as np
 
-from .relkin import BoostParams, _geometry, _pick, _require
+from .relkin import Scenario, _require_nonneg_time
 from .spinalg import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z, _const, _matmul, _states
 
 # exp(-x) for x >= ~745 underflows anyway; 50 already rounds every reported
@@ -46,61 +43,6 @@ LONG_TIME_GAMMA_T2 = 50.0
 
 # sz m sz flips the sign of the off-diagonal entries of m
 _SZ_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
-
-
-@dataclass(frozen=True, eq=False)
-class Scenario:
-    """A boost plus the rest-frame dephasing rate gamma, with its field geometry.
-
-    One boost and a float rate give one case, with float fields and ``n``
-    of shape (3,). A stack of boosts (a ``BoostParams`` of arrays) gives a
-    stack of cases of its shape, with read-only array fields of that shape
-    (``n`` has a last axis of 3); ``gamma`` broadcasts to it. One boost
-    refuses an array ``gamma``. The geometry is one ``relkin._geometry``
-    call: the amplification ``kappa >= 1``, the unit axis ``n``, its
-    signed in-plane component ``n_perp`` and the modulation factors
-    ``eta_mod`` and ``chi_mod``. Each case has the bits it has alone, and
-    ``s[key]`` is the case or sub-stack ``key``.
-    """
-
-    boost: BoostParams
-    gamma: float | np.ndarray
-    kappa: float | np.ndarray = field(init=False)
-    n: np.ndarray = field(init=False)
-    n_perp: float | np.ndarray = field(init=False)
-    eta_mod: float | np.ndarray = field(init=False)
-    chi_mod: float | np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        if isinstance(self.boost.xi, np.ndarray) and self.boost.xi.ndim:
-            gamma = np.array(np.broadcast_to(self.gamma, self.boost.xi.shape), dtype=float)
-            gamma.setflags(write=False)
-            object.__setattr__(self, "gamma", gamma)
-        elif not isinstance(self.gamma, float) and np.ndim(self.gamma):
-            raise ValueError(f"one boost needs a scalar gamma, got shape {np.shape(self.gamma)}")
-        _require((0 < self.gamma) & (self.gamma < math.inf), self.gamma,
-                 "gamma must be finite and > 0")
-        geometry = _geometry(self.boost.xi, self.boost.theta, self.boost.phi)
-        for name, value in zip(("kappa", "n", "n_perp", "eta_mod", "chi_mod"), geometry):
-            if name != "n" and np.ndim(value) == 0:  # one case
-                value = float(value)
-            else:
-                value.setflags(write=False)
-            object.__setattr__(self, name, value)
-
-    def __getitem__(self, key) -> Scenario:
-        return Scenario(self.boost[key], _pick(self.gamma, key))
-
-    @cached_property
-    def gamma_prime(self):
-        """The amplified rate kappa**2 gamma, with kappa**2 as ``kappa * kappa``
-        (correctly rounded); inf where it overflows."""
-        kappa = self.kappa
-        with np.errstate(over="ignore"):
-            rate = kappa * kappa * self.gamma
-        if isinstance(rate, np.ndarray):
-            rate.setflags(write=False)
-        return rate
 
 
 def decay_exponent(rate, t):
@@ -112,11 +54,6 @@ def decay_exponent(rate, t):
     """
     with np.errstate(over="ignore", invalid="ignore"):
         return np.where(np.equal(t, 0), 0.0, rate * t * t)[()]
-
-
-def _require_nonneg_time(t) -> None:
-    """Refuse a time, or a stack of times, that is negative or NaN."""
-    _require(np.greater_equal(t, 0), t, "time must be >= 0")
 
 
 def _dephase(m: np.ndarray, decay) -> np.ndarray:
@@ -197,7 +134,7 @@ def _axis_sigma(s: Scenario) -> np.ndarray:
     of the operator vanish.
     """
     sign = np.where(np.less(s.n_perp, 0.0), -1.0, 1.0)
-    ux, uy = sign * np.cos(s.boost.phi), sign * np.sin(s.boost.phi)
+    ux, uy = sign * np.cos(s.phi), sign * np.sin(s.phi)
     return ux[..., None, None] * PAULI_X + uy[..., None, None] * PAULI_Y
 
 
@@ -244,9 +181,8 @@ def dressing_transform(s: Scenario) -> np.ndarray:
 
     cos_half = np.sqrt(0.5 * (1.0 + s.n[..., 2]))
     sin_half_m = 0.5 * s.n_perp / cos_half
-    phi = s.boost.phi
     return (column(cos_half) * IDENTITY_2 - 1j * column(sin_half_m)
-            * (column(np.sin(phi)) * PAULI_X - column(np.cos(phi)) * PAULI_Y))
+            * (column(np.sin(s.phi)) * PAULI_X - column(np.cos(s.phi)) * PAULI_Y))
 
 
 def dressed_apply(m, s: Scenario, t) -> np.ndarray:

@@ -13,15 +13,18 @@ Tables are written as CSV (12 significant digits, '#' comment header
 carrying the parameters) or JSON (array of objects). Time grids
 are specified on the dimensionless axis gamma*t**2 via --gamma-t2-max
 and --points. Exit codes: 0 success, 1 verification/runtime failure,
-2 usage error.
+2 usage error. A reader that closes stdout early is no error of the
+command: its exit code stands.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
+import os
 import sys
 from types import SimpleNamespace
 from typing import Iterable, Sequence
@@ -29,10 +32,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import verify as verify_mod
-from .channel import Scenario, evolve_elementwise, plus_state
+from .channel import evolve_elementwise, plus_state
 from .entangle import concurrence_trajectory
 from .oracle import ORACLE_TOL, QuadratureSpec, _require_quadrature, average_quadrature
-from .relkin import BoostParams, eta_max, eta_profile
+from .relkin import Scenario, eta_max, eta_profile
 from .spinalg import require_valid
 
 USAGE_ERROR = 2
@@ -416,7 +419,7 @@ def _scenario_from_args(args, phi: float) -> Scenario:
     # a subnormal rate carries too few digits, and its times overflow
     _require(gamma >= sys.float_info.min, "--gamma",
              f"must be a normal float > 0 (at least {sys.float_info.min!r}), got {gamma!r}")
-    return Scenario(BoostParams(xi=xi, theta=theta, phi=phi), gamma)
+    return Scenario(xi, theta, phi, gamma=gamma)
 
 
 def _quadrature_from_args(args) -> QuadratureSpec:
@@ -470,14 +473,12 @@ def _cmd_eta_max(args) -> int:
 
 def _cmd_offdiag(args) -> int:
     s = _scenario_from_args(args, phi=0.0)
-    args.theta = s.boost.theta  # echo the resolved angle
+    args.theta = s.theta  # echo the resolved angle
     grid, times = _time_grid(args, s.gamma)
-
-    def coherence(scenario):
-        return evolve_elementwise(plus_state(), scenario, times)[:, 0, 1].real
-
-    at_rest = Scenario(BoostParams(xi=0.0), s.gamma)
-    rows = np.column_stack([grid, coherence(s), coherence(at_rest)])
+    # the boosted case and the case at rest, one stack of two
+    pair = Scenario(np.array([[s.xi], [0.0]]), np.array([[s.theta], [0.0]]), gamma=s.gamma)
+    boosted, rest = evolve_elementwise(plus_state(), pair, times)[..., 0, 1].real
+    rows = np.column_stack([grid, boosted, rest])
     comments = _echo_params(args, ("xi", "theta", "gamma", "gamma_t2_max", "points"))
     write_table(rows, args.out, args.format, ("gamma_t2", "rho_ud_boosted", "rho_ud_rest"),
                 comments)
@@ -494,7 +495,7 @@ def _warn_unresolved(label: str, worst: float) -> None:
 
 def _cmd_evolve(args) -> int:
     s = _scenario_from_args(args, args.phi)
-    args.theta = s.boost.theta  # echo the resolved angle
+    args.theta = s.theta  # echo the resolved angle
     quad = _quadrature_from_args(args)
     try:
         bloch = [float(x) for x in args.bloch.split(",")]
@@ -528,7 +529,7 @@ def _cmd_evolve(args) -> int:
 
 def _cmd_concurrence(args) -> int:
     s = _scenario_from_args(args, phi=0.0)
-    args.theta = s.boost.theta  # echo the resolved angle
+    args.theta = s.theta  # echo the resolved angle
     quad = _quadrature_from_args(args)
     grid, times = _time_grid(args, s.gamma)
     series = concurrence_trajectory(s, times, quad)
@@ -551,7 +552,8 @@ def _cmd_verify(args) -> int:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(report)
     else:
-        sys.stdout.write(report)
+        with contextlib.suppress(BrokenPipeError):  # a closed stdout keeps verify's exit code
+            sys.stdout.write(report)
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -623,6 +625,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 def main(argv: Sequence[str] | None = None) -> int:
     parser, commands = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
+    code = 0  # a table's, should its reader close stdout while it is written
     try:
         args = parser.parse_args(argv)
         if args.config:
@@ -632,13 +635,21 @@ def main(argv: Sequence[str] | None = None) -> int:
                                                                    args.config), *rest])
         if args.out is None:
             args.out = sys.stdout
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed stdout fails here, not at the interpreter's exit
+        return code
     except SystemExit as exc:
         # argparse exits with 0 after --help and 2 on usage errors
         return 0 if exc.code == 0 else USAGE_ERROR
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except BrokenPipeError:
+        # the reader closed stdout early, no failure of the command; stdout goes to
+        # devnull, so that the flush at exit cannot fail again (Python's signal docs)
+        with open(os.devnull, "w") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
+        return code
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

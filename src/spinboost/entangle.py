@@ -30,8 +30,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import Scenario, _require_nonneg_time, decay_exponent
+from .channel import decay_exponent
 from .oracle import QuadratureSpec, _require_quadrature, two_qubit_average
+from .relkin import Scenario, _require_nonneg_time
 from .spinalg import PAULI_Y, _const, _dagger, _eigh, _kron, _matmul, _states, require_valid
 
 _YY = _kron(PAULI_Y, PAULI_Y)

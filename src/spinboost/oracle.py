@@ -6,9 +6,10 @@ and averaged over z ~ N(0, 1) either by Gauss-Hermite quadrature
 (spectrally exact for these Gaussian-times-trigonometric integrands) or
 by seeded Monte Carlo. The field scale sigma = sqrt(gamma/2), the
 coupling times the field's standard deviation, comes from the one rate
-of a ``Scenario``. No arithmetic is shared with ``channel``, only
+of a ``Scenario``. Nothing is imported or shared from ``channel``, only
 generic algebra from ``spinalg`` (``pauli_vector``, ``_hermitize``,
-``_matmul``, ``_kron``). The quadrature covers one qubit and two in a
+``_matmul``, ``_kron``); but the case's ``kappa`` and ``n`` are read, as
+the closed forms read them. The quadrature covers one qubit and two in a
 common bath, U(z) (x) U(z).
 
 Each oracle is one function on stacks in numpy's (..., d, d) convention:
@@ -77,7 +78,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import Scenario, _require_nonneg_time
+from .relkin import Scenario, _require_nonneg_time
 from .spinalg import _hermitize, _kron, _matmul, _states, pauli_vector
 
 # Largest distance between a closed form and the quadrature oracle at its
@@ -195,9 +196,8 @@ def _require_quadrature(s: Scenario, t, nodes: int) -> None:
             return float(np.broadcast_to(a, refused.shape)[k])
 
         raise ValueError(f"the oracle's rotation angle 2 kappa t sqrt(gamma/2) z is not finite "
-                         f"at rapidity xi = {at(s.boost.xi)!r}, angle theta = "
-                         f"{at(s.boost.theta)!r} and time t = {at(t)!r} "
-                         f"(kappa = {at(s.kappa)!r}, gamma = {at(s.gamma)!r})")
+                         f"at rapidity xi = {at(s.xi)!r}, angle theta = {at(s.theta)!r} and "
+                         f"time t = {at(t)!r} (kappa = {at(s.kappa)!r}, gamma = {at(s.gamma)!r})")
 
 
 def _cases(m: np.ndarray, s: Scenario, per_case) -> tuple:

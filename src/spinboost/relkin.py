@@ -23,19 +23,19 @@ and s = sech(xi/2): no difference cancels at small rapidity (Higham,
 and chi stay exact for every finite xi; only kappa, which grows like
 cosh(xi), overflows to inf.
 
-A ``BoostParams`` holds one boost (floats) or a stack of boosts
-(arrays of one shape). The geometry has one kernel, ``_geometry``, on
-broadcast arrays of (xi, theta, phi); a ``channel.Scenario`` holds its
-columns for one boost or a whole stack from one call of it. Each element
-of a stack has the bits it has alone: the kernel is element-wise numpy
-arithmetic plus one ``math.hypot`` per element (``_hypot``), which is
-correctly rounded where numpy's ``hypot`` is not.
+A ``Scenario`` is the one record of a case: a boost (xi, theta, phi)
+and the rest-frame rate gamma, floats for one case or broadcast arrays
+for a stack, with the geometry of all its cases from one call of the
+one kernel, ``_geometry``. Each element of a stack has the bits it has
+alone: the kernel is element-wise numpy arithmetic plus one
+``math.hypot`` per element (``_hypot``), which is correctly rounded
+where numpy's ``hypot`` is not.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,42 +50,73 @@ def _require(ok, value, message: str) -> None:
     raise ValueError(f"{message}, got {value!r}")
 
 
-@dataclass(frozen=True)
-class BoostParams:
-    """Boost rapidity and velocity direction, of one boost or a stack.
+def _require_nonneg_time(t) -> None:
+    """Refuse a time, or a stack of times, that is negative or NaN."""
+    _require(np.greater_equal(t, 0), t, "time must be >= 0")
+
+
+_COLUMNS = ("xi", "theta", "phi", "gamma")
+
+
+@dataclass(frozen=True, eq=False)
+class Scenario:
+    """A boost and the rest-frame dephasing rate gamma, with the boosted field's geometry.
 
     xi >= 0 is the rapidity (cosh xi = Lorentz factor), theta in [0, pi]
     the polar angle of the velocity against ez, phi in [0, 2*pi) its
-    azimuth. Floats give one boost. Arrays broadcast against each other
-    and give a stack of boosts of that shape, held as read-only float
-    arrays; an invalid stack is refused with its first invalid element.
+    azimuth and gamma > 0 the rest-frame rate. Floats give one case, with
+    float fields and ``n`` of shape (3,). Arrays broadcast against each
+    other and give a stack of cases of that shape, held as read-only
+    float arrays (``n`` has a last axis of 3); an invalid column is
+    refused with its first invalid element. The geometry is one
+    ``_geometry`` call: the amplification ``kappa >= 1``, the unit axis
+    ``n``, its signed in-plane component ``n_perp`` and the modulation
+    factors ``eta_mod`` and ``chi_mod``. ``gamma_prime`` is the amplified
+    rate kappa**2 gamma, with kappa**2 as ``kappa * kappa`` (correctly
+    rounded), inf where it overflows. Each case has the bits it has
+    alone, and ``s[key]`` is the case or sub-stack ``key``.
     """
 
     xi: float | np.ndarray
     theta: float | np.ndarray = 0.0
     phi: float | np.ndarray = 0.0
+    gamma: float | np.ndarray = field(kw_only=True)
+    kappa: float | np.ndarray = field(init=False)
+    n: np.ndarray = field(init=False)
+    n_perp: float | np.ndarray = field(init=False)
+    eta_mod: float | np.ndarray = field(init=False)
+    chi_mod: float | np.ndarray = field(init=False)
+    gamma_prime: float | np.ndarray = field(init=False)
 
     def __post_init__(self):
-        xi, theta, phi = self.xi, self.theta, self.phi
-        if any(np.ndim(v) for v in (xi, theta, phi) if not isinstance(v, float)):
-            columns = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (xi, theta, phi)))
-            xi, theta, phi = (np.array(a) for a in columns)
-            for name, a in (("xi", xi), ("theta", theta), ("phi", phi)):
+        columns = [getattr(self, name) for name in _COLUMNS]
+        if any(np.ndim(v) for v in columns if not isinstance(v, float)):
+            columns = [np.array(a) for a in
+                       np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in columns))]
+            for name, a in zip(_COLUMNS, columns):
                 a.setflags(write=False)
                 object.__setattr__(self, name, a)
+        xi, theta, phi, gamma = columns
         _require((xi >= 0.0) & (xi < math.inf), xi, "rapidity must be finite and >= 0")
         _require((0.0 <= theta) & (theta <= math.pi), theta, "theta must lie in [0, pi]")
         _require((0.0 <= phi) & (phi < 2.0 * math.pi), phi, "phi must lie in [0, 2*pi)")
+        _require((0 < gamma) & (gamma < math.inf), gamma, "gamma must be finite and > 0")
+        kappa, n, n_perp, eta, chi = _geometry(xi, theta, phi)
+        if np.ndim(kappa) == 0:  # one case
+            kappa, n_perp, eta, chi = float(kappa), float(n_perp), float(eta), float(chi)
+        with np.errstate(over="ignore"):
+            gamma_prime = kappa * kappa * gamma
+        for name, value in (("kappa", kappa), ("n", n), ("n_perp", n_perp), ("eta_mod", eta),
+                            ("chi_mod", chi), ("gamma_prime", gamma_prime)):
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
-    def __getitem__(self, key) -> BoostParams:
-        """Boost or sub-stack ``key`` of a stack; one boost has float fields."""
-        return BoostParams(*(_pick(a, key) for a in (self.xi, self.theta, self.phi)))
-
-
-def _pick(a, key):
-    """Element or sub-array ``key`` of the array ``a``; an element as a float."""
-    picked = a[key]
-    return float(picked) if np.ndim(picked) == 0 else picked
+    def __getitem__(self, key) -> Scenario:
+        xi, theta, phi, gamma = (getattr(self, name)[key] for name in _COLUMNS)
+        if np.ndim(xi) == 0:  # one case, of float columns
+            xi, theta, phi, gamma = float(xi), float(theta), float(phi), float(gamma)
+        return Scenario(xi, theta, phi, gamma=gamma)
 
 
 def _hypot(x, y) -> np.ndarray:
@@ -162,13 +193,13 @@ def eta_profile(xi, theta):
 
         r = 2 t**2 sin(theta) cos(theta) / hypot(s**2, 2 t sin(theta)),
 
-    which agrees with ``channel.Scenario.eta_mod``, 1 - n_z**2, within 1e-12.
+    which agrees with ``Scenario.eta_mod``, 1 - n_z**2, within 1e-12.
     The sine and cosine are taken at the distance a = min(theta, pi - theta)
     to the nearer pole, with cos(a) = sin(pi/2 - a). So nothing cancels or
     underflows near the poles, where the peak sits at large xi; eta is
     symmetric about pi/2 and exactly 0 at theta in {0, pi/2, pi}.
     ``xi`` and ``theta`` broadcast against each other; scalars give a
-    scalar. A theta outside [0, pi], or NaN, is refused as ``BoostParams``
+    scalar. A theta outside [0, pi], or NaN, is refused as ``Scenario``
     refuses it.
     """
     t, s = _half_rapidity(xi)

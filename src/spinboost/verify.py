@@ -17,7 +17,6 @@ import numpy as np
 from . import analysis, entangle, oracle
 from .channel import (
     LONG_TIME_GAMMA_T2,
-    Scenario,
     decay_exponent,
     dressed_apply,
     evolve_elementwise,
@@ -25,7 +24,7 @@ from .channel import (
     plus_state,
 )
 from .oracle import ORACLE_TOL
-from .relkin import BoostParams, _geometry, eta_max, eta_profile
+from .relkin import Scenario, _geometry, eta_max, eta_profile
 from .spinalg import _invalid, _random_states, require_valid
 
 KAPPA_SQ_REF = 6.13229
@@ -45,10 +44,6 @@ class CheckResult:
 
     def line(self) -> str:
         return f"{'PASS' if self.passed else 'FAIL'} {self.name}: {self.detail}"
-
-
-def _scenario(xi: float, theta: float, phi: float = 0.0, gamma: float = 1.0) -> Scenario:
-    return Scenario(BoostParams(xi=xi, theta=theta, phi=phi), gamma)
 
 
 def _coherence(s: Scenario, t):
@@ -78,7 +73,7 @@ def _draw_channel_cases(rng: np.random.Generator, count: int):
     xi, theta, phi, scale, gp_t2 = uniforms.uniform(_CASE_LOW, _CASE_HIGH, size=(count, 5)).T
     rhos = _random_states(normals.standard_normal((count, 8)), 2, np.arange(count) % 2 == 1)
     require_valid(rhos)
-    scenarios = Scenario(BoostParams(xi, theta, phi), 2.0 * scale**2)
+    scenarios = Scenario(xi, theta, phi, gamma=2.0 * scale**2)
     return rhos, scenarios, np.sqrt(gp_t2 / scenarios.gamma_prime)
 
 
@@ -147,7 +142,7 @@ def _invalid_note(pool: CasePool, forms, count: int, extra: int = 0) -> str:
 
 def check_kappa_amplification_anchor() -> CheckResult:
     opt = eta_max(2.5)
-    kappa_sq = _scenario(2.5, opt.theta_opt).kappa**2
+    kappa_sq = Scenario(2.5, opt.theta_opt, gamma=1.0).kappa**2
     err = abs(kappa_sq - KAPPA_SQ_REF)
     return CheckResult(
         "kappa_amplification_anchor",
@@ -159,12 +154,12 @@ def check_kappa_amplification_anchor() -> CheckResult:
 def check_coherence_saturation_anchor() -> CheckResult:
     opt = eta_max(2.5)
     err_eta = abs(opt.eta_max - ETA_MAX_REF)
-    s = _scenario(2.5, opt.theta_opt, gamma=1.0)
+    s = Scenario(2.5, opt.theta_opt, gamma=1.0)
     saturation = _coherence(s, math.sqrt(LONG_TIME_GAMMA_T2 / s.gamma_prime))
     err_sat = abs(saturation - SATURATION_REF)
     # off-diagonal at gamma*t**2 = 4, at rest and boosted
     t4 = 2.0
-    rest = _coherence(_scenario(0.0, 0.0, gamma=1.0), t4)
+    rest = _coherence(Scenario(0.0, gamma=1.0), t4)
     err_rest = abs(rest - math.exp(-4.0) / 2.0)
     boosted = _coherence(s, t4)
     err_boosted = abs(boosted - SATURATION_REF)
@@ -230,7 +225,7 @@ def check_cptp_grid() -> CheckResult:
     tol = 1e-10
     xi, theta = np.meshgrid(np.linspace(0.0, 3.0, 10), np.linspace(0.0, math.pi / 2.0, 10),
                             indexing="ij")
-    scenarios = Scenario(BoostParams(xi.reshape(100, 1, 1), theta.reshape(100, 1, 1)), 1.0)
+    scenarios = Scenario(xi.reshape(100, 1, 1), theta.reshape(100, 1, 1), gamma=1.0)
     times = np.sqrt(np.linspace(0.0, 5.0, 5))[:, None]
     # images (100, 5, 6, 2, 2) of the probes at every (scenario, time)
     images = evolve_elementwise(analysis.PROBES, scenarios, times)
@@ -274,7 +269,7 @@ def check_rest_frame_reduction(seed: int) -> CheckResult:
     rhos = _random_states(np.random.default_rng(seed).standard_normal((10, 8)), 2, False)
     require_valid(rhos)
     rhos = rhos[~(np.abs(rhos[:, 0, 1]) < 1e-2), None]
-    s = _scenario(0.0, 0.0, gamma=1.0)
+    s = Scenario(0.0, gamma=1.0)
     g_t2 = np.array([0.3, 1.0, 2.5])
     times = np.sqrt(g_t2)
     outs = np.stack([evolve_elementwise(rhos, s, times), operator_sum_apply(rhos, s, times),
@@ -298,7 +293,7 @@ def check_bell_rest_decay() -> CheckResult:
     """The Bell pair at rest against exp(-4 gamma t^2), at 14 times in one stack, nine of
     them at gamma t^2 <= 1e-4, near C = 1; an invalid average counts as an invalid image."""
     times = np.sqrt(np.concatenate([np.logspace(-12.0, -4.0, 9), [0.25, 0.75, 1.5, 2.25, 3.0]]))
-    states = oracle.two_qubit_average(entangle.bell_phi_plus(), _scenario(0.0, 0.0), times)
+    states = oracle.two_qubit_average(entangle.bell_phi_plus(), Scenario(0.0, gamma=1.0), times)
     invalid = int(_invalid(states).sum())
     ref = np.exp(-decay_exponent(4.0, times))
     worst = float(np.abs(entangle.concurrence(states) - ref).max())
@@ -319,7 +314,7 @@ def check_bell_boosted_reference() -> CheckResult:
     # validated regime for both scenarios. The three boosted series and
     # the three rest series on their times are one stack.
     xi = np.array([3.0, 5.0, 8.0, 0.0, 0.0, 0.0])[:, None]
-    pairs = Scenario(BoostParams(xi, np.where(xi > 0.0, eta_max(xi).theta_opt, 0.0)), 1.0)
+    pairs = Scenario(xi, np.where(xi > 0.0, eta_max(xi).theta_opt, 0.0), gamma=1.0)
     gamma_prime = pairs.gamma_prime[:3]
     # sorted; the deviation is read at gamma' t^2 = 1, the second time
     times = np.sqrt(np.array([0.25, 1.0, 2.25, 4.0]) / gamma_prime)
@@ -482,7 +477,7 @@ def check_eta_argmax_grid() -> CheckResult:
 
 def check_trajectory_monotonicity() -> CheckResult:
     opt = eta_max(2.5)
-    s = _scenario(2.5, opt.theta_opt, gamma=1.0)
+    s = Scenario(2.5, opt.theta_opt, gamma=1.0)
     g_t2 = np.linspace(0.0, 12.0, 200)
     values = _coherence(s, np.sqrt(g_t2))
     non_increasing = bool((np.diff(values) <= 1e-12).all())

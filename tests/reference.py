@@ -9,30 +9,29 @@ import math
 
 import numpy as np
 
-from spinboost.channel import (Scenario, _dephase, _require_nonneg_time, decay_exponent,
-                               decay_factors)
-from spinboost.relkin import BoostParams
+from spinboost.channel import _dephase, decay_exponent, decay_factors
+from spinboost.relkin import Scenario, _require_nonneg_time
 from spinboost.spinalg import IDENTITY_2, _random_states, pauli_vector, require_valid
 
 
-def beta(boost: BoostParams) -> float:
+def beta(s: Scenario) -> float:
     """Speed in units of c: tanh(xi) in [0, 1)."""
-    return math.tanh(boost.xi)
+    return math.tanh(s.xi)
 
 
-def cosh_xi(boost: BoostParams) -> float:
+def cosh_xi(s: Scenario) -> float:
     """Lorentz factor 1/sqrt(1 - beta**2); ``OverflowError`` beyond xi ~ 710."""
-    return math.cosh(boost.xi)
+    return math.cosh(s.xi)
 
 
-def velocity_unit(boost: BoostParams) -> np.ndarray:
+def velocity_unit(s: Scenario) -> np.ndarray:
     """Unit vector along the velocity."""
-    st = math.sin(boost.theta)
-    return np.array([st * math.cos(boost.phi), st * math.sin(boost.phi), math.cos(boost.theta)])
+    st = math.sin(s.theta)
+    return np.array([st * math.cos(s.phi), st * math.sin(s.phi), math.cos(s.theta)])
 
 
-def boost_em_field(e_field, b_field, boost: BoostParams) -> tuple[np.ndarray, np.ndarray]:
-    """Lorentz-transform static (E, B) into the frame moving with ``boost``.
+def boost_em_field(e_field, b_field, s: Scenario) -> tuple[np.ndarray, np.ndarray]:
+    """Lorentz-transform static (E, B) into the frame moving with the boost of ``s``.
 
     Components parallel to the velocity are unchanged; perpendicular
     parts pick up cosh(xi) and the (v/c) cross terms:
@@ -47,9 +46,9 @@ def boost_em_field(e_field, b_field, boost: BoostParams) -> tuple[np.ndarray, np
     b = np.asarray(b_field, dtype=float)
     if not (np.isfinite(e).all() and np.isfinite(b).all()):
         raise ValueError("field components must be finite")
-    v_hat = velocity_unit(boost)
-    cross = cosh_xi(boost) * beta(boost)
-    excess = 2.0 * math.sinh(0.5 * boost.xi) ** 2
+    v_hat = velocity_unit(s)
+    cross = cosh_xi(s) * beta(s)
+    excess = 2.0 * math.sinh(0.5 * s.xi) ** 2
     e_perp = e - np.dot(e, v_hat) * v_hat
     b_perp = b - np.dot(b, v_hat) * v_hat
     return (e + excess * e_perp + cross * np.cross(v_hat, b),
@@ -98,7 +97,7 @@ def random_unit_vector(rng: np.random.Generator) -> np.ndarray:
 
 
 def scenario(xi, theta, phi=0.0, gamma=1.0) -> Scenario:
-    return Scenario(BoostParams(xi=xi, theta=theta, phi=phi), gamma)
+    return Scenario(xi, theta, phi, gamma=gamma)
 
 
 def draw_cases(rng: np.random.Generator, count: int, xi_range=(0.0, 3.0)) -> list:
@@ -115,9 +114,9 @@ def draw_cases(rng: np.random.Generator, count: int, xi_range=(0.0, 3.0)) -> lis
 
 def stack_of(scenarios) -> Scenario:
     """One Scenario holding the cases of a list of one-case scenarios."""
-    xi, theta, phi = (np.array([getattr(s.boost, k) for s in scenarios])
-                      for k in ("xi", "theta", "phi"))
-    return Scenario(BoostParams(xi, theta, phi), np.array([s.gamma for s in scenarios]))
+    xi, theta, phi, gamma = (np.array([getattr(s, k) for s in scenarios])
+                             for k in ("xi", "theta", "phi", "gamma"))
+    return Scenario(xi, theta, phi, gamma=gamma)
 
 
 def stacked(cases) -> tuple:

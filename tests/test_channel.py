@@ -11,11 +11,11 @@ import pytest
 
 from reference import draw_cases, random_density, rest_dephasing, scenario, stack_of, stacked
 from spinboost import channel
-from spinboost.channel import (LONG_TIME_GAMMA_T2, Scenario, decay_exponent, decay_factors,
-                               dressed_apply, dressing_transform, evolve_elementwise,
-                               operator_sum_apply, plus_state)
+from spinboost.channel import (LONG_TIME_GAMMA_T2, decay_exponent, decay_factors, dressed_apply,
+                               dressing_transform, evolve_elementwise, operator_sum_apply,
+                               plus_state)
 from spinboost.oracle import average_quadrature
-from spinboost.relkin import BoostParams, _geometry, eta_max
+from spinboost.relkin import Scenario, _geometry, eta_max
 from spinboost.spinalg import IDENTITY_2, PAULI_X, PAULI_Y, PAULI_Z, pauli_vector, require_valid
 
 # Long-time saturation of the coherent state at xi=2.5, theta_opt, phi=0.
@@ -41,13 +41,13 @@ def lost_fraction(g):
 
 class TestScenario:
     def test_rate_is_taken_exactly(self):
-        s = Scenario(BoostParams(0.0), 3.7)
+        s = Scenario(0.0, gamma=3.7)
         assert s.gamma == 3.7 and s.gamma_prime == 3.7
 
     @pytest.mark.parametrize("gamma", [0.0, -1.0, math.inf, math.nan])
     def test_gamma_domain(self, gamma):
         with pytest.raises(ValueError, match="gamma must be finite and > 0"):
-            Scenario(BoostParams(1.0), gamma)
+            Scenario(1.0, gamma=gamma)
 
     def test_field_is_cached_geometry(self):
         s = scenario(1.2, 0.8, 0.3)
@@ -83,15 +83,16 @@ class TestScenarioStack:
         theta = [0.0, math.pi / 2, math.pi, 1.0] + rng.uniform(0.0, math.pi, 96).tolist()
         phi = rng.uniform(0.0, 2 * math.pi, 100).tolist()
         gamma = rng.uniform(0.1, 5.0, 100).tolist()
-        stack = Scenario(BoostParams(np.array(xi), np.array(theta), np.array(phi)), np.array(gamma))
+        stack = Scenario(np.array(xi), np.array(theta), np.array(phi), gamma=np.array(gamma))
         assert stack.gamma.shape == (100,) and stack.n.shape == (100, 3)
         assert all(not getattr(stack, name).flags.writeable for name in GEOMETRY)
         assert not stack.gamma.flags.writeable
         assert not stack.gamma_prime.flags.writeable
         for k, args in enumerate(zip(xi, theta, phi, gamma, strict=True)):
             s = stack[k]
-            alone = Scenario(BoostParams(*args[:3]), args[3])
-            assert (s.boost, s.gamma) == (alone.boost, alone.gamma)
+            alone = Scenario(*args[:3], gamma=args[3])
+            assert ((s.xi, s.theta, s.phi, s.gamma)
+                    == (alone.xi, alone.theta, alone.phi, alone.gamma))
             assert field_bits(s) == field_bits(alone)
             assert s.gamma_prime == alone.gamma_prime == stack.gamma_prime[k]
             assert not s.n.flags.writeable
@@ -104,8 +105,7 @@ class TestScenarioStack:
         rng = np.random.default_rng(15)
         xi, theta = rng.uniform(0.0, 4.0, 20_000), rng.uniform(0.0, math.pi, 20_000)
         gamma = np.where(np.arange(20_000) % 2, rng.uniform(0.1, 5.0, 20_000), 1.0)
-        stack = Scenario(BoostParams(np.append(xi, 400.0), np.append(theta, 1.0)),
-                         np.append(gamma, 1.0))
+        stack = Scenario(np.append(xi, 400.0), np.append(theta, 1.0), gamma=np.append(gamma, 1.0))
         kappa = stack.kappa.tolist()
         want = [float(Fraction(float(Fraction(k) ** 2)) * Fraction(g))
                 for k, g in zip(kappa, gamma.tolist())]
@@ -113,19 +113,23 @@ class TestScenarioStack:
         assert stack.gamma_prime[-1] == math.inf == stack[-1].gamma_prime
 
     def test_stacks_broadcast_and_slice(self):
-        stack = Scenario(BoostParams(np.array([[0.5], [1.5]]), np.array([0.2, 0.9, 2.0])), 1.7)
+        stack = Scenario(np.array([[0.5], [1.5]]), np.array([0.2, 0.9, 2.0]), gamma=1.7)
         assert stack.gamma.shape == (2, 3) and stack.n.shape == (2, 3, 3)
         assert stack.kappa.shape == stack.n_perp.shape == (2, 3)
         assert stack.gamma.tolist() == [[1.7] * 3] * 2
         sub = stack[1, 1:]
         assert sub.gamma.shape == (2,)
         assert field_bits(sub[0]) == field_bits(stack[1, 1])
-        alone = Scenario(BoostParams(1.5, 0.9), 1.7)
+        alone = Scenario(1.5, 0.9, gamma=1.7)
         assert field_bits(stack[1, 1]) == field_bits(alone)
 
-    def test_one_boost_refuses_a_stack_of_rates(self):
-        with pytest.raises(ValueError, match=r"one boost needs a scalar gamma, got shape \(2,\)"):
-            Scenario(BoostParams(1.0, 0.5), np.array([1.0, 2.0]))
+    def test_one_boost_broadcasts_against_a_stack_of_rates(self):
+        stack = Scenario(1.0, 0.5, gamma=np.array([1.0, 2.0]))
+        assert stack.xi.shape == stack.gamma.shape == stack.kappa.shape == (2,)
+        assert stack.xi.tolist() == [1.0, 1.0] and stack.gamma.tolist() == [1.0, 2.0]
+        alone = Scenario(1.0, 0.5, gamma=2.0)
+        assert field_bits(stack[1]) == field_bits(alone)
+        assert stack.gamma_prime[1] == alone.gamma_prime
 
     @pytest.mark.parametrize("xi, theta, gamma, match", [
         (1.0, 0.5, 0.0, "gamma must be finite and > 0"),
@@ -135,11 +139,11 @@ class TestScenarioStack:
     ])
     def test_refuses_what_scenario_refuses(self, xi, theta, gamma, match):
         with pytest.raises(ValueError, match=match) as alone:
-            Scenario(BoostParams(xi, theta), gamma)
+            Scenario(xi, theta, gamma=gamma)
         # the stack names its invalid element as the case alone names itself
         with pytest.raises(ValueError, match=f"^{re.escape(str(alone.value))}$"):
-            Scenario(BoostParams(np.array([0.5, xi]), np.array([0.1, theta]), np.array([0.0, 0.0])),
-                     np.array([1.0, gamma]))
+            Scenario(np.array([0.5, xi]), np.array([0.1, theta]), np.array([0.0, 0.0]),
+                     gamma=np.array([1.0, gamma]))
 
 
 class TestDecayExponent:
@@ -429,7 +433,7 @@ class TestDressing:
     def test_x_axis_quarter_turn(self):
         # no boost turns the axis all the way to ex; a stand-in case holds what
         # dressing_transform reads
-        f = SimpleNamespace(n=np.array([1.0, 0.0, 0.0]), n_perp=1.0, boost=BoostParams(0.0))
+        f = SimpleNamespace(n=np.array([1.0, 0.0, 0.0]), n_perp=1.0, phi=0.0)
         v = dressing_transform(f)
         # exp(+i pi/4 sigma_y)
         c, s = math.cos(math.pi / 4), math.sin(math.pi / 4)
@@ -465,7 +469,7 @@ def former_axis_sigma(s):
     the velocity azimuth where |n_perp| <= 1e-300."""
     n, n_perp = s.n, in_plane_norm(s.n)
     tilted = n_perp > 1e-300
-    phi = np.broadcast_to(s.boost.phi, n_perp.shape)
+    phi = np.broadcast_to(s.phi, n_perp.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
         ux = np.where(tilted, n[..., 0] / n_perp, np.cos(phi))
         uy = np.where(tilted, n[..., 1] / n_perp, np.sin(phi))
@@ -499,7 +503,7 @@ class TestAxisFromSignedComponent:
                          rng.uniform(0.0, math.pi, 200).tolist()))
         xi, theta = np.array(edges + drawn).T
         phi = rng.uniform(0.0, 2 * math.pi, len(xi))
-        s = Scenario(BoostParams(xi, theta, phi), rng.uniform(0.1, 2.0, len(xi)))
+        s = Scenario(xi, theta, phi, gamma=rng.uniform(0.1, 2.0, len(xi)))
         rhos = np.array([random_density(rng, 2, pure=bool(k % 2)) for k in range(len(xi))])
         times = np.where(np.arange(len(xi)) % 5 == 0, 0.0, rng.uniform(0.0, 3.0, len(xi)))
         return rhos, s, times

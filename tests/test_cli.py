@@ -1,9 +1,11 @@
 """Tests for the command-line interface and table writer."""
 
+import contextlib
 import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -12,9 +14,8 @@ import numpy as np
 import pytest
 
 from spinboost import cli, oracle, verify
-from spinboost.channel import Scenario
 from spinboost.cli import main, write_table
-from spinboost.relkin import BoostParams, eta_max, eta_profile
+from spinboost.relkin import Scenario, eta_max, eta_profile
 from spinboost.spinalg import require_valid
 
 
@@ -394,7 +395,7 @@ class TestEvolve:
                         "--nodes", "150", "--format", "json", "--out", str(out)]) == 0
         rows = json.loads(out.read_text())
         rho0 = 0.5 * np.array([[1.5, 0.3 + 0.4j], [0.3 - 0.4j, 0.5]])
-        s = Scenario(BoostParams(xi=2.5, theta=float(eta_max(2.5).theta_opt), phi=1.2), 1.0)
+        s = Scenario(2.5, float(eta_max(2.5).theta_opt), 1.2, gamma=1.0)
         for row in rows:
             m = oracle.average_quadrature(rho0, s, math.sqrt(row["gamma_t2"]),
                                           oracle.QuadratureSpec(nodes=150))
@@ -812,3 +813,73 @@ class TestJsonOutput:
         data = json.loads(out.read_text())
         assert len(data) == 9
         assert set(data[0]) == {"xi", "theta", "eta"}
+
+
+class ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone, on file descriptor ``fd``: ``write`` fails as a
+    closed pipe does, or, with ``buffered``, the ``flush`` that would send the text."""
+
+    def __init__(self, fd, buffered):
+        super().__init__()
+        self.fd, self.buffered = fd, buffered
+
+    def write(self, text):
+        if not self.buffered:
+            raise BrokenPipeError(32, "Broken pipe")
+        return super().write(text)
+
+    def flush(self):
+        if self.buffered:
+            raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early is no failure: the command's own exit code,
+    nothing on stderr, and stdout's descriptor sent to devnull only where it broke."""
+
+    def run_closed(self, argv, tmp_path, buffered):
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+        err = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(ClosedPipe(fd, buffered)), \
+                    contextlib.redirect_stderr(err):
+                code = main(argv)
+            redirected = os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+        finally:
+            os.close(fd)
+        return code, err.getvalue(), redirected
+
+    @pytest.mark.parametrize("buffered", [False, True])
+    def test_a_table_exits_zero(self, tmp_path, buffered):
+        code, err, redirected = self.run_closed(["eta-max", "--xi-steps", "5"], tmp_path,
+                                                buffered)
+        assert (code, err, redirected) == (0, "", True)
+
+    @pytest.mark.parametrize("buffered", [False, True])
+    @pytest.mark.parametrize("passed", [True, False])
+    def test_verify_keeps_its_exit_code(self, monkeypatch, tmp_path, buffered, passed):
+        results = [verify.CheckResult("only_check", passed, "x=1 (tol 2)")]
+        monkeypatch.setattr(verify, "run_checks", lambda seed: results)
+        code, err, redirected = self.run_closed(["verify"], tmp_path, buffered)
+        # the report is one write: unbuffered, it fails there and nothing is left to flush
+        assert (code, err, redirected) == (0 if passed else 1, "", buffered)
+
+    def test_an_open_stdout_is_only_flushed(self):
+        # a StringIO has no descriptor: asking for one would raise, and main exit 1
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["eta-max", "--xi-steps", "5"]) == 0
+        assert out.getvalue().count("\n") == 9
+
+    def test_a_pipe_closed_after_one_line(self):
+        proc = subprocess.Popen([sys.executable, "-m", "spinboost.cli", "scan-eta",
+                                 "--xi-steps", "300", "--theta-steps", "300"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline() == b"# command = scan-eta\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(), err) == (0, b"")

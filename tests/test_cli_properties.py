@@ -6,19 +6,27 @@ and grids of 1 to 5 steps as explicit examples. Each JSON number parses
 back to the library's float bit for bit; each CSV number lies within half
 a unit of its twelfth significant digit, at most 5e-12 of the value. The
 output is parsed, not compared with an encoder.
+
+``offdiag``, the first command that builds a ``Scenario`` from flags,
+runs over its whole flag box, edges as explicit examples: it writes the
+library's coherence of the boosted and of the resting case, or exits 2
+naming one flag.
 """
 
 import contextlib
 import io
 import json
 import math
+import re
+import sys
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinboost import cli
-from spinboost.relkin import eta_max, eta_profile
+from spinboost.channel import evolve_elementwise, plus_state
+from spinboost.relkin import Scenario, eta_max, eta_profile
 
 pinned = settings(max_examples=120, derandomize=True, database=None, deadline=None)
 EDGE_XI_MAX = (5e-324, 1e-7, 709.0, 1418.0, 1490.0)
@@ -86,6 +94,66 @@ def test_every_number_is_the_library_float(command, fmt, xi_max, xi_steps, theta
     got_names, rows = parse(out, fmt)
     assert got_names == names and len(rows) == len(expected)
     got = np.array(rows, dtype=float).reshape(expected.shape)
+    if fmt == "json":
+        assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()
+    else:
+        assert (np.abs(got - expected) <= (5e-12 + 1e-15) * np.abs(expected)).all()
+
+
+OFFDIAG_XI = (0.0, 5e-324, 709.0, 710.0, 746.0, 1418.0, 1490.0)
+OFFDIAG_THETA = (None, 0.0, math.pi / 2, math.pi, math.nextafter(math.pi, 0.0))
+OFFDIAG_GAMMA = (None, 5e-324, sys.float_info.min, 1.0, 1e308)
+OFFDIAG_G_MAX = (5e-324, 1.0, 1e308)
+
+
+def offdiag_edges(test):
+    """Each edge rapidity at each edge angle, with the edge rates, grid ends, point
+    counts and formats in turn."""
+    for i, xi in enumerate(OFFDIAG_XI):
+        for j, theta in enumerate(OFFDIAG_THETA):
+            k = i * len(OFFDIAG_THETA) + j
+            test = example(xi=xi, theta=theta, gamma=OFFDIAG_GAMMA[(i + j) % 5],
+                           g_max=OFFDIAG_G_MAX[k % 3], points=(2, 3, 50)[(i + 2 * j) % 3],
+                           fmt=("csv", "json")[k % 2])(test)
+    return test
+
+
+def offdiag_records(xi, theta, gamma, g_max, points):
+    """The (gamma_t2, rho_ud_boosted, rho_ud_rest) rows that offdiag should write."""
+    gamma = 1.0 if gamma is None else gamma
+    theta = float(eta_max(xi).theta_opt) if theta is None else theta
+    grid = np.linspace(0.0, g_max, points)
+    times = np.sqrt(grid / gamma)
+
+    def coherence(s):
+        return evolve_elementwise(plus_state(), s, times)[:, 0, 1].real
+
+    return np.column_stack([grid, coherence(Scenario(xi, theta, 0.0, gamma=gamma)),
+                            coherence(Scenario(0.0, gamma=gamma))])
+
+
+@pinned
+@given(xi=st.floats(min_value=-1.0, max_value=2e3), theta=st.none() | st.floats(-0.5, 3.5),
+       gamma=st.none() | st.floats(min_value=-1.0, max_value=1e308),
+       g_max=st.floats(min_value=-1.0, max_value=1e308),
+       points=st.integers(min_value=2, max_value=50), fmt=st.sampled_from(["csv", "json"]))
+@offdiag_edges
+def test_offdiag_writes_the_library_coherence_or_names_a_flag(xi, theta, gamma, g_max, points,
+                                                              fmt):
+    argv = ["offdiag", f"--xi={xi!r}", f"--gamma-t2-max={g_max!r}", f"--points={points}",
+            f"--format={fmt}"]
+    argv += [f"--{flag}={value!r}" for flag, value in (("theta", theta), ("gamma", gamma))
+             if value is not None]
+    code, out, err = run(argv)
+    if code == 2:
+        assert out == "" and re.fullmatch(r"error: --[a-z0-9-]+: [^\n]*\n", err), err
+        return
+    assert (code, err) == (0, "")
+    names, rows = parse(out, fmt)
+    assert names == ("gamma_t2", "rho_ud_boosted", "rho_ud_rest") and len(rows) == points
+    got = np.array(rows, dtype=float)
+    assert np.isfinite(got).all()
+    expected = offdiag_records(xi, theta, gamma, g_max, points)
     if fmt == "json":
         assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()
     else:

@@ -62,7 +62,7 @@ def test_initial_states_are_valid_read_only_arrays(state):
 
 def test_public_api():
     assert sorted(spinboost.__all__) == [
-        "BoostParams", "ChoiDiagnostics", "ConcurrenceSeries", "DensityMatrix",
+        "ChoiDiagnostics", "ConcurrenceSeries", "DensityMatrix",
         "DensityMatrixError", "EtaMax", "McSpec", "QuadratureSpec", "Scenario",
         "average_montecarlo", "average_quadrature", "bell_phi_plus", "choi_diagnostics",
         "choi_stack", "concurrence", "concurrence_trajectory", "dressed_apply",
@@ -70,3 +70,24 @@ def test_public_api():
         "gauss_hermite_nodes", "kraus_residuals", "kraus_to_choi", "operator_sum_apply",
         "plus_state", "require_valid", "two_qubit_average",
     ]
+
+
+def package_imports(tree):
+    """The package modules that ``tree`` imports from, by name."""
+    return {node.module for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1}
+
+
+def test_oracle_imports_nothing_from_channel():
+    # the oracles check the closed forms, so they share no code with them
+    assert package_imports(TREES["oracle"]) == {"relkin", "spinalg"}
+
+
+def test_scenario_is_defined_only_in_relkin():
+    assert [module for module, tree in TREES.items() for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) and node.name == "Scenario"] == ["relkin"]
+
+
+def test_no_boost_attribute_is_read():
+    assert [ast.unparse(node) for tree in TREES.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "boost"] == []

@@ -13,6 +13,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays, mutually_broadcastable_shapes
 
 from reference import scenario
 from spinboost.analysis import PROBES, choi_diagnostics, choi_stack
@@ -22,7 +23,7 @@ from spinboost.channel import (
     operator_sum_apply,
     plus_state,
 )
-from spinboost.relkin import eta_max, eta_profile
+from spinboost.relkin import Scenario, eta_max, eta_profile
 from spinboost.spinalg import pauli_vector, require_valid
 
 XI = st.floats(min_value=0.0, max_value=1e6)
@@ -209,3 +210,41 @@ def test_trajectory_decays_monotonically_to_its_floor(xi, theta, g):
     # rise in the last bit, by at most the ulp of 1/2
     assert (np.diff(values) <= np.spacing(0.5)).all()
     assert (values >= s.eta_mod / 2 - 1e-12).all()
+
+
+GAMMA = st.floats(min_value=0.0, max_value=1e308, exclude_min=True)
+FIELDS = ("xi", "theta", "phi", "gamma", "kappa", "n", "n_perp", "eta_mod", "chi_mod",
+          "gamma_prime")
+
+
+def scenario_columns(shapes):
+    """(xi, theta, phi, gamma) of the broadcastable ``shapes``, a float for shape ()."""
+    return st.tuples(*(elements if shape == () else arrays(float, shape, elements=elements)
+                       for elements, shape in zip((XI, THETA, PHI, GAMMA), shapes)))
+
+
+def field_bits(s, k=()):
+    """The bits of the ten fields of ``s``, or of its case ``k``."""
+    return [np.asarray(getattr(s, name), dtype=float)[k].view(np.uint64).tolist()
+            for name in FIELDS]
+
+
+@pinned
+@given(columns=mutually_broadcastable_shapes(num_shapes=4, max_dims=3, max_side=3)
+       .flatmap(lambda b: scenario_columns(b.input_shapes)))
+@example(columns=(2.5, 0.7, 1.0, np.array([0.5, 1.0, 2.0])))  # rates against one boost
+@example(columns=(np.array(EDGE_XI)[:, None], np.array(EDGE_THETA), 0.3, 1e308))
+@example(columns=(1.0, 0.5, 0.3, 2.0))
+def test_each_case_of_a_stack_is_the_case_built_alone(columns):
+    s = Scenario(*columns[:3], gamma=columns[3])
+    shape = np.broadcast_shapes(*(np.shape(c) for c in columns))
+    assert np.shape(s.gamma_prime) == shape and s.n.shape == shape + (3,)
+    assert not s.n.flags.writeable
+    assert all(not getattr(s, name).flags.writeable for name in FIELDS if shape)
+    for k in np.ndindex(shape):
+        values = [float(np.broadcast_to(c, shape)[k]) for c in columns]
+        alone = Scenario(*values[:3], gamma=values[3])
+        assert all(type(getattr(alone, name)) is float for name in FIELDS if name != "n")
+        assert field_bits(s, k) == field_bits(alone)
+        if shape:
+            assert field_bits(s[k]) == field_bits(alone)

@@ -1,12 +1,13 @@
 """Tests for the boost kinematics and field geometry."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from reference import beta, bits, boost_em_field, cosh_xi, scenario, velocity_unit
-from spinboost.relkin import BoostParams, _geometry, _half_rapidity, eta_max, eta_profile
+from spinboost.relkin import Scenario, _geometry, _half_rapidity, eta_max, eta_profile
 
 COSH_2P5 = 6.132289479663686
 
@@ -15,16 +16,16 @@ class TestRapidity:
     """Speed beta = tanh(xi) and Lorentz factor cosh(xi) of a rapidity."""
 
     def test_zero(self):
-        b = BoostParams(xi=0.0)
+        b = Scenario(xi=0.0, gamma=1.0)
         assert beta(b) == 0.0 and cosh_xi(b) == 1.0
 
     def test_quoted_amplification(self):
-        b = BoostParams(xi=2.5)
+        b = Scenario(xi=2.5, gamma=1.0)
         assert abs(math.atanh(beta(b)) - 2.5) < 1e-12
         assert abs(cosh_xi(b) - 6.13229) < 5e-5
 
     def test_monotone_divergence(self):
-        boosts = [BoostParams(xi=xi) for xi in np.linspace(0.5, 15.0, 30).tolist()]
+        boosts = [Scenario(xi=xi, gamma=1.0) for xi in np.linspace(0.5, 15.0, 30).tolist()]
         betas = [beta(b) for b in boosts]
         assert all(b > a for a, b in zip(betas, betas[1:]))
         assert betas[-1] < 1.0 and cosh_xi(boosts[-1]) > 1e6
@@ -32,37 +33,65 @@ class TestRapidity:
     def test_cosh_identity(self):
         rng = np.random.default_rng(0)
         for xi in rng.uniform(0, math.atanh(0.999), 50).tolist():
-            b = BoostParams(xi=xi)
+            b = Scenario(xi=xi, gamma=1.0)
             assert abs(cosh_xi(b) - 1.0 / math.sqrt(1 - beta(b)**2)) < 1e-12
 
 
 class TestBoostParams:
+    """The boost columns (xi, theta, phi) of a ``Scenario``."""
+
     def test_beta_in_range(self):
-        b = BoostParams(xi=3.0, theta=1.0, phi=2.0)
+        b = Scenario(xi=3.0, theta=1.0, phi=2.0, gamma=1.0)
         assert 0 <= beta(b) < 1
         assert cosh_xi(b) >= 1
 
     @pytest.mark.parametrize("kw", [dict(xi=-1.0), dict(xi=1.0, theta=4.0), dict(xi=1.0, phi=7.0)])
     def test_domain(self, kw):
         with pytest.raises(ValueError):
-            BoostParams(**kw)
+            Scenario(**kw, gamma=1.0)
 
     def test_numpy_scalar_named_as_a_float(self):
         with pytest.raises(ValueError, match=r"^theta must lie in \[0, pi\], got 5\.0$"):
-            BoostParams(1.0, np.float64(5.0))
+            Scenario(1.0, np.float64(5.0), gamma=1.0)
+
+
+VALID = {"xi": 1.0, "theta": 0.5, "phi": 0.3, "gamma": 1.0}
+REFUSAL = {"xi": r"rapidity must be finite and >= 0", "theta": r"theta must lie in \[0, pi\]",
+           "phi": r"phi must lie in \[0, 2\*pi\)", "gamma": r"gamma must be finite and > 0"}
+INVALID = {"xi": (-1.0, math.inf), "theta": (-1e-300, 4.0), "phi": (-0.5, 2 * math.pi),
+           "gamma": (0.0, -1.0, math.inf)}
+
+
+class TestScenarioRefusal:
+    """Each of the four columns of a ``Scenario`` is refused with its own message."""
+
+    @pytest.mark.parametrize("column, bad", [(column, bad) for column, values in INVALID.items()
+                                             for bad in (*values, math.nan)])
+    def test_each_column_names_its_first_invalid_element(self, column, bad):
+        message = rf"^{REFUSAL[column]}, got {re.escape(repr(bad))}$"
+        # as a float, a numpy float (shown as a float) and in a stack
+        for value in (bad, np.float64(bad), np.array([[VALID[column]], [bad]])):
+            with pytest.raises(ValueError, match=message):
+                Scenario(**{**VALID, column: value})
+
+    def test_columns_are_checked_in_order(self):
+        with pytest.raises(ValueError, match="^rapidity"):
+            Scenario(-1.0, 4.0, 7.0, gamma=0.0)
+        with pytest.raises(ValueError, match="^phi"):
+            Scenario(1.0, 0.5, np.array([0.1, 7.0]), gamma=np.array([[0.0], [1.0]]))
 
 
 class TestBoostEmField:
     def test_no_boost_is_identity(self):
         e = np.array([0.3, -0.2, 0.9])
         b = np.array([1.0, 2.0, 3.0])
-        ep, bp = boost_em_field(e, b, BoostParams(xi=0.0, theta=0.3, phi=0.4))
+        ep, bp = boost_em_field(e, b, Scenario(xi=0.0, theta=0.3, phi=0.4, gamma=1.0))
         np.testing.assert_array_equal(ep, e)
         np.testing.assert_array_equal(bp, b)
 
     def test_velocity_along_x_with_bz(self):
         xi = 1.3
-        boost = BoostParams(xi=xi, theta=math.pi / 2, phi=0.0)
+        boost = Scenario(xi=xi, theta=math.pi / 2, phi=0.0, gamma=1.0)
         ep, bp = boost_em_field([0, 0, 0], [0, 0, 2.0], boost)
         ch, v = math.cosh(xi), math.tanh(xi)
         np.testing.assert_allclose(bp, [0, 0, ch * 2.0], atol=1e-12)
@@ -70,20 +99,20 @@ class TestBoostEmField:
 
     def test_parallel_field_invariant_exact(self):
         # the exactly representable axis direction passes through bitwise
-        boost = BoostParams(xi=2.0, theta=0.0)
+        boost = Scenario(xi=2.0, theta=0.0, gamma=1.0)
         _, bp = boost_em_field([0, 0, 0], [0, 0, 1.7], boost)
         np.testing.assert_array_equal(bp, [0, 0, 1.7])
         # theta = pi/2 leaves cos(theta) = 6.1e-17, so only eps-level
         # agreement is representable there
-        boost = BoostParams(xi=2.0, theta=math.pi / 2, phi=0.0)
+        boost = Scenario(xi=2.0, theta=math.pi / 2, phi=0.0, gamma=1.0)
         _, bp = boost_em_field([0.0, 0.0, 0.0], [3.25, 0.0, 0.0], boost)
         np.testing.assert_allclose(bp, [3.25, 0.0, 0.0], rtol=0, atol=1e-14)
 
     def test_parallel_field_invariant_random_directions(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
-            boost = BoostParams(rng.uniform(0, 3), rng.uniform(0, math.pi),
-                                rng.uniform(0, 2 * math.pi))
+            boost = Scenario(rng.uniform(0, 3), rng.uniform(0, math.pi),
+                             rng.uniform(0, 2 * math.pi), gamma=1.0)
             c = rng.uniform(0.5, 2.0)
             b = c * velocity_unit(boost)
             _, bp = boost_em_field([0, 0, 0], b, boost)
@@ -93,8 +122,8 @@ class TestBoostEmField:
         # the boost of B = B ez must land on B * d with d = kappa n from the geometry
         rng = np.random.default_rng(2)
         for _ in range(100):
-            boost = BoostParams(rng.uniform(0, 3), rng.uniform(0, math.pi),
-                                rng.uniform(0, 2 * math.pi))
+            boost = Scenario(rng.uniform(0, 3), rng.uniform(0, math.pi),
+                             rng.uniform(0, 2 * math.pi), gamma=1.0)
             b_mag = rng.uniform(0.1, 2.0)
             _, bp = boost_em_field([0, 0, 0], [0, 0, b_mag], boost)
             kappa, n, _, _, _ = _geometry(boost.xi, boost.theta, boost.phi)
@@ -103,7 +132,7 @@ class TestBoostEmField:
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            boost_em_field([np.inf, 0, 0], [0, 0, 1], BoostParams(xi=1.0))
+            boost_em_field([np.inf, 0, 0], [0, 0, 1], Scenario(xi=1.0, gamma=1.0))
 
 
 class TestEffectiveField:
@@ -271,7 +300,7 @@ class TestEtaProfile:
         with pytest.raises(ValueError, match=rf"^theta must lie in \[0, pi\], got {theta!r}$"):
             eta_profile(1.0, theta)
         with pytest.raises(ValueError, match=rf"^theta must lie in \[0, pi\], got {theta!r}$"):
-            BoostParams(1.0, theta)
+            Scenario(1.0, theta, gamma=1.0)
 
     def test_zero_dimensional_array_named_as_a_float(self):
         with pytest.raises(ValueError, match=r"^theta must lie in \[0, pi\], got 5\.0$"):

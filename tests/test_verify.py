@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from spinboost import analysis, oracle, verify
-from spinboost.channel import Scenario, dressed_apply, evolve_elementwise, operator_sum_apply
-from spinboost.relkin import BoostParams, _geometry
+from spinboost.channel import dressed_apply, evolve_elementwise, operator_sum_apply
+from spinboost.relkin import Scenario, _geometry
 
 
 def transposed_kernel(m, s, t):
@@ -101,7 +101,7 @@ def test_pool_starts_with_a_fresh_draw(pool, count):
     assert scenarios.gamma.shape == (count,)
     for k in range(count):
         s, s_f = pool.scenarios[k], scenarios[k]
-        assert (s.boost, s.gamma) == (s_f.boost, s_f.gamma)
+        assert (s.xi, s.theta, s.phi, s.gamma) == (s_f.xi, s_f.theta, s_f.phi, s_f.gamma)
 
 
 def test_pool_draws_from_two_streams_seeded_by_the_generator(pool):
@@ -111,8 +111,8 @@ def test_pool_draws_from_two_streams_seeded_by_the_generator(pool):
     xi, theta, phi, scale, gp_t2 = uniforms.uniform(
         (0.0, 0.0, 0.0, 0.3, 0.0), (3.0, math.pi, 2.0 * math.pi, 1.5, 5.0),
         size=(verify.POOL_SIZE, 5)).T
-    boost = pool.scenarios.boost
-    assert (boost.xi == xi).all() and (boost.theta == theta).all() and (boost.phi == phi).all()
+    s = pool.scenarios
+    assert (s.xi == xi).all() and (s.theta == theta).all() and (s.phi == phi).all()
     assert (pool.scenarios.gamma == 2.0 * scale**2).all()
     assert (pool.times == np.sqrt(gp_t2 / pool.scenarios.gamma_prime)).all()
     g = normals.standard_normal((verify.POOL_SIZE, 8))
@@ -353,7 +353,7 @@ def test_montecarlo_bound_is_calibrated_at_rest():
     # count past the bound at a rate is Binomial(1000, rate) at most. Both
     # sides are held to a 1e-6 binomial tail; a stderr off by 20% crosses one.
     rho = np.array([[0.6, 0.3 - 0.2j], [0.3 + 0.2j, 0.4]])
-    s = verify._scenario(0.0, 0.0, gamma=1.0)
+    s = Scenario(0.0, gamma=1.0)
     g_t2, count = 0.05, 1000
     exact = rho * np.array([[1.0, math.exp(-g_t2)], [math.exp(-g_t2), 1.0]])
     samples = 2 * oracle.MC_RANDOMISATIONS * 4**2
@@ -392,8 +392,8 @@ def per_draw_geometry_detail(seed):
     for _ in range(1000):
         xi, theta = rng.uniform(0.0, 4.0), rng.uniform(0.0, math.pi)
         phi = rng.uniform(0.0, 2 * math.pi)
-        f = Scenario(BoostParams(xi, theta, phi), 1.0)
-        base = Scenario(BoostParams(xi, theta, 0.0), 1.0)
+        f = Scenario(xi, theta, phi, gamma=1.0)
+        base = Scenario(xi, theta, 0.0, gamma=1.0)
         expected = math.cos(theta) ** 2 + math.cosh(xi) ** 2 * math.sin(theta) ** 2
         d = f.kappa * f.n
         worst = max(worst, abs(float(np.dot(d, d)) - expected) / expected)
