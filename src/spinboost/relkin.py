@@ -20,16 +20,19 @@ reported non-negative; channel code that needs the sign reads n_perp.
 The axis geometry, eta and its maximum are written on t = tanh(xi/2)
 and s = sech(xi/2): no difference cancels at small rapidity (Higham,
 *Accuracy and Stability of Numerical Algorithms*, ch. 1), and n, eta
-and chi stay exact for every finite xi; only kappa, which grows like
-cosh(xi), overflows to inf.
+and chi stay finite for every finite xi; only kappa, which grows like
+cosh(xi), overflows to inf. One convention for theta holds throughout:
+it is measured from the nearer pole, a = min(theta, pi - theta) with
+``math.pi`` taken as pi, and cos(theta) is +-sin(pi/2 - a). So theta =
+pi is exactly antiparallel, the geometry is exactly symmetric about
+pi/2, and n_perp, eta and chi are exactly 0 at theta = ``math.pi/2``.
 
 A ``Scenario`` is the one record of a case: a boost (xi, theta, phi)
 and the rest-frame rate gamma, floats for one case or broadcast arrays
-for a stack, with the geometry of all its cases from one call of the
-one kernel, ``_geometry``. Each element of a stack has the bits it has
-alone: the kernel is element-wise numpy arithmetic plus one
-``math.hypot`` per element (``_hypot``), which is correctly rounded
-where numpy's ``hypot`` is not.
+for a stack. ``_geometry``, which it calls once for all its cases, and
+``eta_profile`` read one element-wise kernel, ``_polar``, so each case
+has the bits it has alone. Those bits are fixed per machine, numpy
+build and SIMD dispatch level.
 """
 
 from __future__ import annotations
@@ -119,13 +122,6 @@ class Scenario:
         return Scenario(xi, theta, phi, gamma=gamma)
 
 
-def _hypot(x, y) -> np.ndarray:
-    """``math.hypot`` of each pair of elements of ``x`` and ``y``, which broadcast."""
-    x, y = np.broadcast_arrays(x, y)
-    return np.fromiter(map(math.hypot, x.ravel().tolist(), y.ravel().tolist()), float,
-                       x.size).reshape(x.shape)
-
-
 def _geometry(xi, theta, phi):
     """(kappa, n, n_perp, eta, chi) of the boosted field B' = B kappa n, on stacks.
 
@@ -133,40 +129,45 @@ def _geometry(xi, theta, phi):
     n_perp (cos(phi), sin(phi)) and kappa n_z = cos(theta)**2 + cosh(xi)
     sin(theta)**2. ``xi`` and ``theta`` broadcast against each other to
     the shape of the scalars kappa, n_perp, eta and chi; n has that shape
-    broadcast with ``phi``, plus a last axis of 3. Each element has the
-    bits a stack of one gives it, whatever else is in the stack.
+    broadcast with ``phi``, plus a last axis of 3.
 
-    kappa**2 = cos(theta)**2 + cosh(xi)**2 sin(theta)**2. Multiplied by
-    s**2 = sech(xi/2)**2, with t = tanh(xi/2), the in-plane and z parts
-    are p = -2 t**2 cos(theta) sin(theta) and q = s**2 + 2 t**2 sin(theta)**2:
-    both stay finite, so n, eta and chi are finite for every finite
-    xi, and kappa = |(p, q)|/s**2 is inf only where it overflows.
-    At theta = 0 the axis is ez and kappa = 1 exactly, also where s**2
-    underflows to 0. As in :func:`eta_profile`, theta is measured from
-    the nearer pole, so theta = pi is exactly antiparallel and the
-    scalars are exactly symmetric about pi/2. The scalars are computed
-    from (xi, theta) alone, so they are bit-exactly independent of the
-    azimuth. |(p, q)| is ``_hypot``.
+    Multiplied by s**2, the in-plane and z parts are p = -2 t**2
+    cos(theta) sin(theta) and q = s**2 + 2 t**2 sin(theta)**2, finite for
+    every finite xi; kappa = |(p, q)|/s**2 is inf where s**2 underflows
+    to 0 or the quotient overflows. At theta = 0 the axis is ez and
+    kappa = 1 exactly, also where s**2 underflows to 0. The scalars do
+    not read the azimuth, so they are bit-exactly independent of it.
     """
-    t, s = _half_rapidity(np.asarray(xi, dtype=float))
-    theta = np.asarray(theta, dtype=float)
-    a = np.minimum(theta, math.pi - theta)
-    ct, st = np.copysign(np.cos(a), 0.5 * math.pi - theta), np.sin(a)
-    s2, t2 = s * s, t * t
-    p = -2.0 * t2 * ct * st
-    q = s2 + 2.0 * t2 * st * st
-    h = _hypot(p, q)
+    s2, w, st, r, h = _polar(xi, theta)
+    p = np.copysign(r, np.subtract(theta, 0.5 * math.pi))  # -r for theta < pi/2
+    q = s2 + w * st
     pole = h == 0.0  # theta at a pole with s**2 underflowed to 0
     if pole.any():
         p, q, h, s2 = (np.where(pole, v, x) for v, x in ((0.0, p), (1.0, q), (1.0, h), (1.0, s2)))
     n_perp, n_z = p / h, q / h
-    n = np.empty(np.broadcast_shapes(p.shape, np.shape(phi)) + (3,))
+    n = np.empty(np.broadcast_shapes(np.shape(p), np.shape(phi)) + (3,))
     n[..., 0] = n_perp * np.cos(phi)
     n[..., 1] = n_perp * np.sin(phi)
     n[..., 2] = n_z
     with np.errstate(over="ignore", divide="ignore"):
         kappa = h / s2  # inf where s**2 is 0 or the quotient overflows
     return kappa, n, n_perp, n_perp * n_perp, n_z * np.abs(n_perp)
+
+
+def _polar(xi, theta):
+    """(s**2, 2 t**2 sin a, sin a, |p|, |(p, q)|): what _geometry and eta_profile share.
+
+    a = min(theta, pi - theta) is the distance to the nearer pole. As
+    s**2 + t**2 = 1, |(p, q)| = hypot(s**2, 2 t sin a), two terms that
+    cannot cancel. A theta outside [0, pi], or NaN, is refused as
+    ``Scenario`` refuses it.
+    """
+    t, s = _half_rapidity(xi)
+    a = np.minimum(theta, np.subtract(math.pi, theta))
+    _require(a >= 0.0, theta, "theta must lie in [0, pi]")  # also refuses NaN
+    sin_a, s2 = np.sin(a), s * s
+    w = 2.0 * t * t * sin_a
+    return s2, w, sin_a, w * np.sin(0.5 * math.pi - a), np.hypot(s2, 2.0 * t * sin_a)
 
 
 def _half_rapidity(xi) -> tuple[np.ndarray, np.ndarray]:
@@ -193,23 +194,15 @@ def eta_profile(xi, theta):
 
         r = 2 t**2 sin(theta) cos(theta) / hypot(s**2, 2 t sin(theta)),
 
-    which agrees with ``Scenario.eta_mod``, 1 - n_z**2, within 1e-12.
-    The sine and cosine are taken at the distance a = min(theta, pi - theta)
-    to the nearer pole, with cos(a) = sin(pi/2 - a). So nothing cancels or
-    underflows near the poles, where the peak sits at large xi; eta is
-    symmetric about pi/2 and exactly 0 at theta in {0, pi/2, pi}.
-    ``xi`` and ``theta`` broadcast against each other; scalars give a
-    scalar. A theta outside [0, pi], or NaN, is refused as ``Scenario``
-    refuses it.
+    the same expression, from the same :func:`_polar`, as
+    ``Scenario.eta_mod`` = n_perp**2 = 1 - n_z**2, so the two have the
+    same bits. eta is symmetric about pi/2 and exactly 0 at theta in
+    {0, pi/2, pi}. ``xi`` and ``theta`` broadcast against each other;
+    scalars give a scalar. A theta outside [0, pi], or NaN, is refused as
+    ``Scenario`` refuses it.
     """
-    t, s = _half_rapidity(xi)
-    a = np.asarray(theta, dtype=float)
-    a = np.minimum(a, math.pi - a)
-    _require(a >= 0.0, theta, "theta must lie in [0, pi]")  # also refuses NaN
-    sin_a = np.sin(a)
-    num = 2.0 * t * t * sin_a * np.sin(0.5 * math.pi - a)
-    r = np.divide(num, np.hypot(s * s, 2.0 * t * sin_a), out=np.zeros(np.shape(num)),
-                  where=num > 0)
+    _, _, _, r, h = _polar(xi, theta)
+    r = np.divide(r, h, out=np.zeros(np.shape(r)), where=r > 0)
     return (r * r)[()]
 
 
@@ -226,12 +219,12 @@ def eta_max(xi) -> EtaMax:
     """Maximise eta over theta for a given rapidity; broadcasts over ``xi``.
 
     With t = tanh(xi/2) and s = sech(xi/2): eta_max = t**4 at
-    cos(2 theta_opt) = t**2, i.e. theta_opt = asin(s/sqrt(2)) in
-    [0, pi/4], and the other modulation factor there is
-    chi = t**2 s sqrt(1 + t**2). At xi = 0 the profile is identically
-    zero and theta_opt = pi/4.
+    cos(2 theta_opt) = t**2, i.e. sin(theta_opt) = s/sqrt(2) and
+    theta_opt = atan2(s, sqrt(2 - s**2)) in [0, pi/4], and the other
+    modulation factor there is chi = t**2 s sqrt(1 + t**2). At xi = 0
+    the profile is identically zero and theta_opt = math.pi/4 exactly.
     """
     t, s = _half_rapidity(xi)
     t2 = t * t
-    return EtaMax(eta_max=(t2 * t2)[()], theta_opt=np.arcsin(s / math.sqrt(2.0))[()],
+    return EtaMax(eta_max=(t2 * t2)[()], theta_opt=np.arctan2(s, np.sqrt(2.0 - s * s))[()],
                   chi_at_opt=(t2 * s * np.sqrt(1.0 + t2))[()])

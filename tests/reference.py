@@ -1,11 +1,13 @@
 """References that the package does not run, and helpers the test modules share.
 
-The Lorentz transformation of static (E, B) fields, the closed-form SU(2)
-rotation, rest-frame dephasing and a random-state draw: independent or
-textbook forms that the tests hold the package's kernels to.
+The Lorentz transformation of static (E, B) fields, the boosted axis in
+50 digits, the closed-form SU(2) rotation, rest-frame dephasing and a
+random-state draw: independent or textbook forms that the tests hold the
+package's kernels to.
 """
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -53,6 +55,63 @@ def boost_em_field(e_field, b_field, s: Scenario) -> tuple[np.ndarray, np.ndarra
     b_perp = b - np.dot(b, v_hat) * v_hat
     return (e + excess * e_perp + cross * np.cross(v_hat, b),
             b + excess * b_perp - cross * np.cross(v_hat, e))
+
+
+def _cos_sin(x: Decimal) -> tuple[Decimal, Decimal]:
+    """cos x and sin x by their Taylor series, for 0 <= x <= pi."""
+    cos = sin = Decimal(0)
+    term, k = Decimal(1), 0
+    while k < 2 or term > Decimal("1e-60"):
+        if k % 2:
+            sin += term if k % 4 == 1 else -term
+        else:
+            cos += term if k % 4 == 0 else -term
+        k += 1
+        term = term * x / k
+    return cos, sin
+
+
+def _sinh(x: Decimal) -> Decimal:
+    """sinh x for x >= 0: its Taylor series below 1, so nothing cancels at small x."""
+    if x >= 1:
+        e = x.exp()
+        return (e - 1 / e) / 2
+    total = term = x
+    k = 1
+    while term > total * Decimal("1e-55"):
+        term = term * x * x / ((k + 1) * (k + 2))
+        total += term
+        k += 2
+    return total
+
+
+def geometry_reference(xi: float, theta: float) -> tuple[float, float, float, float, float]:
+    """(kappa, n_perp, n_z, eta, chi) of the boosted axis in 50 digits, rounded to floats.
+
+    kappa n_perp = -(cosh(xi) - 1) cos(theta) sin(theta) and kappa n_z =
+    cos(theta)**2 + cosh(xi) sin(theta)**2, with cosh(xi) - 1 = 2 sinh(xi/2)**2,
+    eta = n_perp**2 and chi = n_z |n_perp|. It follows the library's one
+    convention: theta is measured from the nearer pole, a = min(theta,
+    math.pi - theta) (exact for theta >= pi/2), with math.pi taken as pi, so
+    cos(theta) = +-sin(math.pi/2 - a), 0 at theta = math.pi/2.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        half = _sinh(Decimal(xi) / 2)
+        excess = 2 * half * half
+        a = Decimal(min(theta, math.pi - theta))
+        sin = _cos_sin(a)[1]
+        cos = _cos_sin(Decimal(math.pi) / 2 - a)[1].copy_sign(Decimal(math.pi / 2 - theta))
+        perp = -excess * cos * sin
+        z = cos * cos + (1 + excess) * sin * sin
+        kappa = (perp * perp + z * z).sqrt()
+        n_perp, n_z = perp / kappa, z / kappa
+        return tuple(float(v) for v in (kappa, n_perp, n_z, n_perp * n_perp, n_z * abs(n_perp)))
+
+
+def ulps(x: float, ref: float) -> float:
+    """|x - ref| in units in the last place of ``ref``; 0 where the two are equal."""
+    return 0.0 if x == ref else abs(x - ref) / math.ulp(ref)
 
 
 def pauli_rotation(axis, angle: float) -> np.ndarray:

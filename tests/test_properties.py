@@ -8,14 +8,13 @@ underflows), 746 (sech(xi/2)**2 is the least subnormal), 1000
 """
 
 import math
-from decimal import Decimal, localcontext
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays, mutually_broadcastable_shapes
 
-from reference import scenario
+from reference import bits, geometry_reference, scenario, ulps
 from spinboost.analysis import PROBES, choi_diagnostics, choi_stack
 from spinboost.channel import (
     dressed_apply,
@@ -105,11 +104,11 @@ def test_tiny_rapidity_matches_series(theta):
     assert abs(eta_profile(xi, theta) - series) <= tol
 
 
-def edge_grid(**other):
+def edge_grid(xis=EDGE_XI, thetas=EDGE_THETA, **other):
     """Add every edge rapidity at every edge angle, with ``other`` arguments, as examples."""
     def add(test):
-        for xi in EDGE_XI:
-            for theta in EDGE_THETA:
+        for xi in xis:
+            for theta in thetas:
                 test = example(xi=xi, theta=theta, **other)(test)
         return test
     return add
@@ -124,37 +123,7 @@ def test_effective_field_finite_at_every_rapidity(xi, theta):
     assert f.n_perp == f.n[0] and f.n[1] == 0.0  # phi = 0
     assert f.kappa >= 1.0  # may be inf
     assert math.isfinite(f.chi_mod)
-    assert abs(f.eta_mod - eta_profile(xi, theta)) <= 1e-15
-
-
-def _cos_sin(x: Decimal) -> tuple[Decimal, Decimal]:
-    """cos x and sin x by their Taylor series, for 0 <= x <= pi."""
-    cos = sin = Decimal(0)
-    term, k = Decimal(1), 0
-    while k < 2 or term > Decimal("1e-60"):
-        if k % 2:
-            sin += term if k % 4 == 1 else -term
-        else:
-            cos += term if k % 4 == 0 else -term
-        k += 1
-        term = term * x / k
-    return cos, sin
-
-
-def kappa_reference(xi: float, theta: float) -> float:
-    """hypot(-2 sinh(xi/2)**2 cos sin, cos**2 + cosh(xi) sin**2) in 50 digits.
-
-    Like the library, it measures theta from the nearer pole, taking
-    math.pi as pi (math.pi - theta is exact for theta >= pi/2).
-    """
-    with localcontext() as ctx:
-        ctx.prec = 50
-        e = Decimal(xi).exp()
-        cosh = (e + 1 / e) / 2
-        cos, sin = _cos_sin(Decimal(min(theta, math.pi - theta)))
-        perp = -(cosh - 1) * cos * sin
-        z = cos * cos + cosh * sin * sin
-        return float((perp * perp + z * z).sqrt())
+    assert bits(f.eta_mod) == bits(eta_profile(xi, theta))
 
 
 @pinned
@@ -166,8 +135,30 @@ def kappa_reference(xi: float, theta: float) -> float:
 @example(xi=5e-324, theta=0.7)
 def test_kappa_matches_fifty_digit_reference(xi, theta):
     kappa = scenario(xi, theta).kappa
-    ref = kappa_reference(xi, theta)
+    ref = geometry_reference(xi, theta)[0]
     assert abs(kappa - ref) <= 1e-14 * ref
+
+
+# Each geometry column, and eta_profile, within this many units in the last
+# place of the 50-digit reference (the largest seen on the sweep is 11).
+GEOMETRY_ULPS = 16
+
+
+@pinned
+@given(xi=st.floats(min_value=0.0, max_value=700.0),
+       theta=st.floats(min_value=0.0, max_value=math.pi, allow_subnormal=False))
+@edge_grid(xis=(0.0, 5e-324, 1e-9, 372.0, 700.0),
+           thetas=(0.0, 1e-300, 0.7, math.pi / 2 - 1e-12, math.pi / 2, math.pi / 2 + 1e-12,
+                   math.nextafter(math.pi, 0.0), math.pi))
+def test_geometry_within_its_ulp_budget_of_fifty_digit_reference(xi, theta):
+    # Up to xi = 700, sech(xi/2)**2 is a normal float, and so is sin(theta) when
+    # theta is; the kernel then keeps full relative accuracy in every column.
+    s = scenario(xi, theta)
+    ref = geometry_reference(xi, theta)
+    got = (s.kappa, s.n_perp, s.n[2], s.eta_mod, s.chi_mod)
+    for name, value, exact in zip(("kappa", "n_perp", "n_z", "eta", "chi"), got, ref):
+        assert ulps(value, exact) <= GEOMETRY_ULPS, (name, value, exact)
+    assert ulps(eta_profile(xi, theta), ref[3]) <= GEOMETRY_ULPS
 
 
 @pinned

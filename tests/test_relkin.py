@@ -154,6 +154,16 @@ class TestEffectiveField:
         assert abs(f.kappa - math.cosh(xi)) < 1e-12
         assert f.eta_mod < 1e-28
 
+    def test_transverse_axis_lies_on_ez(self):
+        # theta = math.pi/2 is the equator under the one convention: cos(theta) is
+        # sin(math.pi/2 - math.pi/2) = 0, not cos(math.pi/2) = 6.1e-17. n_z is
+        # q/|(p, q)| from rounded t and s, whose s**2 + t**2 may miss 1 by an ulp.
+        xi = np.concatenate([[0.0, 5e-324, 5.0, 745.0, 1e6], np.linspace(0.0, 50.0, 501)])
+        s = Scenario(xi, math.pi / 2, 2.0, gamma=1.0)
+        assert not s.n_perp.any() and not s.n[:, :2].any()
+        assert not s.eta_mod.any() and not s.chi_mod.any()
+        assert np.abs(s.n[:, 2] - 1.0).max() <= 2.0**-52
+
     def test_kappa_identity_and_bounds(self):
         rng = np.random.default_rng(3)
         for _ in range(1000):
@@ -193,14 +203,16 @@ class TestEffectiveField:
 
 def scalar_geometry(xi, theta, phi):
     """The per-boost geometry (kappa, n, n_perp, eta, chi) in Python floats, one
-    boost at a time, as it was computed before it became a stack of one."""
+    boost at a time, under the one theta convention: cos(theta) is
+    +-sin(pi/2 - a) with a = min(theta, pi - theta), and |(p, q)| is numpy's
+    hypot of (s**2, 2 t sin a)."""
     t, s = map(float, _half_rapidity(float(xi)))
     a = min(theta, math.pi - theta)
-    ct, st = math.copysign(math.cos(a), 0.5 * math.pi - theta), math.sin(a)
-    s2, t2 = s * s, t * t
-    p = -2.0 * t2 * ct * st
-    q = s2 + 2.0 * t2 * st * st
-    h = math.hypot(p, q)
+    st, s2 = math.sin(a), s * s
+    w = 2.0 * t * t * st
+    p = math.copysign(w * math.sin(0.5 * math.pi - a), theta - 0.5 * math.pi)
+    q = s2 + w * st
+    h = float(np.hypot(s2, 2.0 * t * st))
     if h == 0.0:
         p, q, h, s2 = 0.0, 1.0, 1.0, 1.0
     kappa = h / s2 if s2 else math.inf
@@ -279,11 +291,16 @@ class TestEtaProfile:
         assert abs(eta_profile(2.5, math.pi / 4) - 0.3411528670377253) < 1e-12
 
     def test_matches_field_geometry(self):
+        # one kernel: eta_profile has the bits of eta_mod, one case at a time and on a stack
         rng = np.random.default_rng(6)
-        for _ in range(200):
-            xi, theta = rng.uniform(0, 4), rng.uniform(0, math.pi)
-            f = scenario(xi, theta)
-            assert abs(eta_profile(xi, theta) - f.eta_mod) < 1e-12
+        xi = np.concatenate([[0.0, 5e-324, 745.0, 1490.0, 1e6], rng.uniform(0, 4, 150),
+                             10.0 ** rng.uniform(-9.0, 3.0, 45)])
+        theta = np.concatenate([[0.0, math.pi / 2, math.pi / 2 - 1e-12, 1e-300, math.pi],
+                                rng.uniform(0, math.pi, 195)])
+        for x, t in zip(xi.tolist(), theta.tolist()):
+            assert bits(eta_profile(x, t)) == bits(scenario(x, t).eta_mod)
+        grid = Scenario(xi[:, None], theta, gamma=1.0).eta_mod
+        assert bits(eta_profile(xi[:, None], theta)) == bits(grid)
 
     def test_symmetric_about_transverse(self):
         rng = np.random.default_rng(7)
