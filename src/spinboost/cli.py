@@ -65,6 +65,11 @@ _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split of a double into halves
 _POW10 = np.array([float(10**i) for i in range(23)])  # all exact
 
 
+def _items(cells: np.ndarray) -> np.ndarray:
+    """An array's rows (..., n) as items (..., 1) of their n elements, which numpy copies whole."""
+    return cells.view(np.dtype((np.void, cells.itemsize * cells.shape[-1])))
+
+
 @functools.cache
 def _tables(shortest: bool) -> SimpleNamespace:
     """The kernel's tables for 12 digits or for repr, built on first use, not at import.
@@ -74,11 +79,14 @@ def _tables(shortest: bool) -> SimpleNamespace:
     The other lanes hold the digits, four-digit groups from ``words``; for
     repr the first group is '000d', whose zeros are the ones after '0.'.
     A pattern, one per (decimal point position, number of digits, sign),
-    says which bytes of the cell are text. The fields:
+    says which bytes of the cell are text. One more point position, past
+    the last, stands for the digits d.ddd of a number written with an
+    exponent, signed in the byte just ahead of them. The fields:
 
     digits  significant digits of the scaled value
     top     largest decimal exponent written without 'e'
     sign    byte of the sign, where a cell's text starts
+    tail    bit of the last lane where a cell's last four bytes start
     scale   k of 10**k by biased binary exponent, at most one too large
     words   ASCII of 0000..9999, in the low four bytes of a lane
     ends    (group, 0..9999): digits up to the group's last nonzero one
@@ -106,7 +114,9 @@ def _tables(shortest: bool) -> SimpleNamespace:
     scale = np.clip(digits - 1 - np.floor(binary * math.log10(2)).astype(np.intp), 0, 22)
 
     decpt, end, neg = (x.ravel() for x in np.meshgrid(
-        np.arange(-3, top + 2), np.arange(digits + 1), np.arange(2), indexing="ij"))
+        np.arange(-3, top + 3), np.arange(digits + 1), np.arange(2), indexing="ij"))
+    mantissa = decpt == top + 2  # d.ddd, the digits of d.ddde-XX
+    decpt[mantissa] = 1
     byte = np.arange(8 * lanes)[:, None]
     point = first + decpt
     below = decpt <= 0  # '0.', then -decpt zeros, then the digits
@@ -114,17 +124,18 @@ def _tables(shortest: bool) -> SimpleNamespace:
     keep = (byte >= first) & (byte < first + np.where(below, end, decpt))
     move = fraction & (byte > point) & (byte <= first + end)
     marks = np.zeros(keep.shape, np.uint8)
-    marks[(byte == first - 6) & (neg == 1)] = ord("-")
+    marks[(byte == np.where(mantissa, first - 1, first - 6)) & (neg == 1)] = ord("-")
     marks[below & ((byte == first - 5) | (byte >= point) & (byte < first))] = ord("0")
     marks[below & (byte == first - 4)] = ord(".")
-    marks[(fraction | ~below & shortest) & (byte == point)] = ord(".")
-    marks[~below & ~fraction & shortest & (byte == point + 1)] = ord("0")
+    marks[(fraction | ~below & ~mantissa & shortest) & (byte == point)] = ord(".")
+    marks[~below & ~fraction & ~mantissa & shortest & (byte == point + 1)] = ord("0")
 
     def lanes_of(table):
         return np.ascontiguousarray(np.ascontiguousarray(table.T, np.uint8).view(_LANE).T)
 
-    return SimpleNamespace(digits=digits, top=top, sign=first - 6, scale=scale, words=words,
-                           ends=ends, keep=lanes_of(keep * 0xFF)[1:],
+    tail = 8 * (first - 6 + _CELL_WIDTH[shortest] - 4) - 64 * (lanes - 1)  # where 'e-XX' goes
+    return SimpleNamespace(digits=digits, top=top, sign=first - 6, tail=_LANE.type(tail),
+                           scale=scale, words=words, ends=ends, keep=lanes_of(keep * 0xFF)[1:],
                            move=lanes_of(move * 0xFF)[1:], marks=lanes_of(marks))
 
 
@@ -133,22 +144,31 @@ def _vector_cells(values: np.ndarray, shortest: bool) -> tuple[np.ndarray, np.nd
 
     A certified cell holds exactly ``'%.12g' % v`` or, with ``shortest``,
     ``repr(v)``; the others hold garbage for the caller to replace. |v| is
-    scaled by an exact power of ten 10**k to Y in [10**(d-1), 10**d), d = 12
-    or 17 digits. For 12 digits Y is one correctly rounded product, and its
-    integer is certain unless Y lies within 2**-12 of a half. For repr,
-    Dekker's product gives Y exactly as y + lo, and the half-gap h =
-    ulp(v)/2 * 10**k bounds the numbers that round to v: the nearest
-    multiple of 100 within h of Y is the shortest text, else the nearest
-    multiple of 10, else the nearest integer, which h > 0.55 always admits.
-    A choice that a margin of 1e-9 cannot settle is not certified, nor is a
-    power of two (its lower gap is half), a subnormal, or a value written
-    with an exponent.
+    scaled by an exact power of ten 10**k, k <= 22, to Y in [10**(d-1),
+    10**d), d = 12 or 17 digits. For 12 digits Y is one correctly rounded
+    product, and its integer is certain unless Y lies within 2**-12 of a
+    half. For repr, Dekker's product gives Y exactly as y + lo, and the
+    half-gap h = ulp(v)/2 * 10**k bounds the numbers that round to v: the
+    nearest multiple of 100 within h of Y is the shortest text, else the
+    nearest multiple of 10, else the nearest integer, which h > 0.55 always
+    admits. A choice that a margin of 1e-9 cannot settle is not certified,
+    nor is a power of two (its lower gap is half).
+
+    The certified set is so every finite v that an exact 10**k scales:
+    zero, and |v| from about 1e-11 (1e-6 for repr) below 10**12 (10**16),
+    but for the near-ties and the powers of two. Smaller and larger
+    values, subnormals among them, are not certified. Below 1e-4 the text
+    has an exponent: the digits d.ddd take a pattern of their own, signed
+    in the byte ahead of them, and move five bytes up, to the cell's sign
+    byte; 'e-XX', its two digits computed from the exponent, fills the
+    cell's last four bytes, and the NUL bytes between are dropped with the
+    others. A cell's text is its bytes other than NUL.
     """
     t = _tables(shortest)
     digits, top = t.digits, t.top
     a = np.abs(values)
     zero = a == 0.0
-    scaled = (a >= 1e-5) & (a < _POW10[top + 1])
+    scaled = a < _POW10[top + 1]
     np.copyto(a, 1.0, where=~scaled)  # the rest take no part in the arithmetic
     bits = a.view(np.int64)
     k = t.scale[bits >> 52]
@@ -191,10 +211,12 @@ def _vector_cells(values: np.ndarray, shortest: bool) -> tuple[np.ndarray, np.nd
     carry = m == 10**digits
     m[carry] = 10 ** (digits - 1)
     exponent += carry
-    ok &= (exponent >= -4) & (exponent <= top)
+    ok &= exponent <= top
     ok |= zero
-    m *= ok & ~zero
-    exponent *= ok  # zero and the uncertified take the pattern of 0
+    live = ok & ~zero
+    m *= live
+    exponent *= live  # zero and the uncertified take the pattern of 0
+    tiny = exponent < -4  # written d.ddde-XX, the digits in a pattern of their own
     groups = []  # four-digit groups of m, the most significant first
     for _ in range(len(t.ends) - 1):
         high = m // 10_000
@@ -205,7 +227,8 @@ def _vector_cells(values: np.ndarray, shortest: bool) -> tuple[np.ndarray, np.nd
     for g in range(1, len(groups)):
         np.maximum(end, t.ends[g][groups[g]], out=end)
     # (decimal point, digits, sign) in the order of _tables' meshgrid
-    pattern = ((exponent + 4) * (digits + 1) + end) * 2 + np.signbit(values)
+    pattern = ((np.where(tiny, top + 1, exponent) + 4) * (digits + 1) + end) * 2 \
+        + np.signbit(values)
     cells = np.empty((values.size, len(t.marks)), _LANE)
     cells[:, 0] = t.marks[0][pattern]
     quads = [t.words[g] for g in groups] + [_LANE.type(0)]
@@ -216,27 +239,45 @@ def _vector_cells(values: np.ndarray, shortest: bool) -> tuple[np.ndarray, np.nd
             moved |= lanes[i - 1] >> _LANE.type(56)
         cells[:, i + 1] = (lane & t.keep[i][pattern]) | (moved & t.move[i][pattern]) \
             | t.marks[i + 1][pattern]
+    if tiny.any():
+        # d.ddd moves five bytes up, to the sign, and 'e-XX' ends the cell
+        tiny = np.flatnonzero(tiny)
+        tens, ones = np.divmod(-exponent[tiny], 10)
+        suffix = (ord("e") | ord("-") << 8 | (48 + tens) << 16 | (48 + ones) << 24).astype(_LANE)
+        rows = _items(cells)[:, 0]
+        text = np.take(rows, tiny).view(_LANE)  # their lanes, one row after another
+        shifted = text >> _LANE.type(40)
+        shifted[:-1] |= text[1:] << _LANE.type(24)
+        last = slice(cells.shape[1] - 1, None, cells.shape[1])  # each row's last lane
+        shifted[last] = text[last] >> _LANE.type(40) | suffix << t.tail
+        np.put(rows, tiny, shifted.view(rows.dtype))
     return cells.view(np.uint8)[:, t.sign:t.sign + _CELL_WIDTH[shortest]], ok
 
 
-def _cells(values: np.ndarray, shortest: bool) -> np.ndarray:
+def _cells(values: np.ndarray, shortest: bool, out: np.ndarray | None = None) -> np.ndarray:
     """NUL-padded cells of ``'%.12g' % v`` or ``repr(v)`` of finite float64 ``values``.
 
-    The kernel writes them ``_CHUNK`` at a time, and Python's own
-    formatter writes those it does not certify.
+    The kernel writes them ``_CHUNK`` at a time, each chunk straight into
+    its rows of ``out``, which may be any (n, width) uint8 view, such as a
+    column of a record block; without ``out`` a new array takes them.
+    Python's own formatter then writes the cells the kernel did not
+    certify, into the same rows.
     """
     width = _CELL_WIDTH[shortest]
-    cells = np.empty((values.size, width), np.uint8)
+    if out is None:
+        out = np.empty((values.size, width), np.uint8)
+    items = _items(out)
     missed = []
     for i in range(0, values.size, _CHUNK):
-        cells[i:i + _CHUNK], ok = _vector_cells(values[i:i + _CHUNK], shortest)
+        cells, ok = _vector_cells(values[i:i + _CHUNK], shortest)
+        items[i:i + _CHUNK] = _items(cells)
         missed.append(np.flatnonzero(~ok) + i)
     missed = np.concatenate(missed) if missed else np.empty(0, np.intp)
     if missed.size:
         spec = f"%-{width}{'r' if shortest else '.12g'}" * missed.size
         text = (spec % tuple(values[missed].tolist())).encode().replace(b" ", b"\0")
-        cells[missed] = np.frombuffer(text, np.uint8).reshape(-1, width)
-    return cells
+        out[missed] = np.frombuffer(text, np.uint8).reshape(-1, width)
+    return out
 
 
 def write_table(rows: np.ndarray, path, fmt: str, fieldnames: Sequence[str],
@@ -256,15 +297,19 @@ def write_table(rows: np.ndarray, path, fmt: str, fieldnames: Sequence[str],
 
     Records are written in blocks: whole outer rows up to ``_BLOCK_ROWS``
     records, or ``_BLOCK_ROWS`` records of a longer row. A block is one
-    byte array of NUL-padded records, numbers in cells from the numpy
-    kernel ``_vector_cells``, with the separators and JSON keys between
-    them; dropping its NUL bytes gives the block's text. The kernel
-    certifies each number it writes in positional notation: it fails to
-    certify a number near a rounding tie, one that needs an exponent, a
-    subnormal, and for repr a power of two, and Python's own formatter
-    writes each of those. A grid field that is bit for bit constant along
-    one axis (both axes longer than 1) is formatted once per value and
-    copied to its records.
+    bytearray of NUL-padded records, laid out as copies of one record
+    template: the separators and JSON keys, with a slot of fixed width for
+    each number. The numpy kernel ``_vector_cells`` writes each free
+    field's cells straight into its slots, and the bytearray's own
+    ``translate`` drops the NUL bytes, so neither the cells nor the block
+    is copied on the way to the text. The kernel certifies each number it
+    writes: every finite number scaled by an exact power of ten, that is
+    |v| from about 1e-11 (1e-6 for repr) below 10**12 (10**16), in
+    positional notation or, below 1e-4, with an exponent. Python's own
+    formatter writes the rest: a number near a rounding tie, one smaller
+    or larger, a subnormal, and for repr a power of two. A grid field that
+    is bit for bit constant along one axis (both axes longer than 1) is
+    formatted once per value and copied to its records.
     """
     k = len(fieldnames)
     if not (isinstance(rows, np.ndarray) and np.issubdtype(rows.dtype, np.floating)
@@ -314,18 +359,20 @@ def write_table(rows: np.ndarray, path, fmt: str, fieldnames: Sequence[str],
     free = [j for j in range(k) if j not in along and j not in across]
 
     def _block(o0: int, o1: int, j0: int, j1: int) -> str:
-        out = np.empty((o1 - o0, j1 - j0, record.size), np.uint8)
-        out[...] = record
+        # the kernel writes each free field's cells in place, and the block's
+        # own translate drops the NUL bytes: no copy of the cells or block
+        block = bytearray((o1 - o0) * (j1 - j0) * record.size)
+        out = np.frombuffer(block, np.uint8).reshape(o1 - o0, j1 - j0, record.size)
+        _items(out)[...] = _items(record)
         for j, cells in along.items():
-            out[:, :, starts[j]:starts[j] + width] = cells[j0:j1]
+            _items(out[:, :, starts[j]:starts[j] + width])[...] = _items(cells[j0:j1])
         for j, cells in across.items():
-            out[:, :, starts[j]:starts[j] + width] = cells[o0:o1, None]
-        if free:
-            cells = _cells(grid[o0:o1, j0:j1][..., free].ravel(), shortest)
-            cells = cells.reshape(o1 - o0, j1 - j0, len(free), width)
-            for f, j in enumerate(free):
-                out[:, :, starts[j]:starts[j] + width] = cells[:, :, f]
-        text = out.tobytes().translate(None, b"\0").decode("ascii")
+            _items(out[:, :, starts[j]:starts[j] + width])[...] = _items(cells[o0:o1, None])
+        records = out.reshape(-1, record.size)
+        for j in free:
+            _cells(grid[o0:o1, j0:j1, j].ravel(), shortest,
+                   out=records[:, starts[j]:starts[j] + width])
+        text = block.translate(None, b"\0").decode("ascii")
         return text if o0 or j0 else text[len(sep):]
 
     spans = [(j0, min(j0 + _BLOCK_ROWS, inner)) for j0 in range(0, inner, _BLOCK_ROWS)]

@@ -1,9 +1,9 @@
 """References that the package does not run, and helpers the test modules share.
 
-The Lorentz transformation of static (E, B) fields, the boosted axis in
-50 digits, the closed-form SU(2) rotation, rest-frame dephasing and a
-random-state draw: independent or textbook forms that the tests hold the
-package's kernels to.
+The Lorentz transformation of static (E, B) fields, the boosted axis and
+the optimum of eta in 50 digits, the closed-form SU(2) rotation,
+rest-frame dephasing and a random-state draw: independent or textbook
+forms that the tests hold the package's kernels to.
 """
 
 import math
@@ -107,6 +107,28 @@ def geometry_reference(xi: float, theta: float) -> tuple[float, float, float, fl
         kappa = (perp * perp + z * z).sqrt()
         n_perp, n_z = perp / kappa, z / kappa
         return tuple(float(v) for v in (kappa, n_perp, n_z, n_perp * n_perp, n_z * abs(n_perp)))
+
+
+def eta_max_reference(xi: float) -> tuple[float, float, float]:
+    """(eta_max, theta_opt, chi_at_opt) at rapidity ``xi`` in 50 digits, rounded to floats.
+
+    With t = tanh(xi/2) and s = sech(xi/2): eta_max = t**4, theta_opt =
+    asin(s/sqrt 2) and chi_at_opt = t**2 s sqrt(1 + t**2). t and s come
+    from sinh(xi/2), whose series below 1 keeps tiny xi from cancelling,
+    and cosh(xi/2) = sqrt(1 + sinh(xi/2)**2). theta_opt solves sin(theta) =
+    s/sqrt 2 by Newton's method from ``math.asin``.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 50
+        sinh = _sinh(Decimal(xi) / 2)
+        cosh = (1 + sinh * sinh).sqrt()
+        t2, s = (sinh / cosh) ** 2, 1 / cosh
+        target = s / Decimal(2).sqrt()
+        theta = Decimal(math.asin(float(target)))
+        for _ in range(3):  # each step doubles the digits, from the 16 of math.asin
+            cos, sin = _cos_sin(theta)
+            theta -= (sin - target) / cos
+        return float(t2 * t2), float(theta), float(t2 * s * (1 + t2).sqrt())
 
 
 def ulps(x: float, ref: float) -> float:

@@ -274,7 +274,12 @@ def _families():
     eighths = rng.integers(10**14, 10**15, n // 2) + (2 * rng.integers(0, 4, n // 2) + 1) / 8
     quarters = rng.integers(10**15, 2**51, n // 2) + (2 * rng.integers(0, 2, n // 2) + 1) / 4
     edges = np.array([float(f"1e{e}") for e in range(-5, 17)])
+    switches = np.array([float(f"1e{e}") for e in (*range(-11, -3), 12, 16)])
     steps = np.arange(-50, 51)
+    # scaled by 10**16..10**22 (10**19..10**21 for 17 digits): written with an exponent
+    small_twelve = (rng.integers(10**11, 10**12, n) + 0.5) / 10.0 ** rng.integers(16, 23, n)
+    small_eighths = eighths / 10.0 ** rng.integers(19, 21, n // 2)
+    small_quarters = quarters / 10.0 ** rng.integers(20, 22, n // 2)
     return {
         "uniform": rng.uniform(-10.0, 10.0, n),
         "log-uniform": sign * np.exp(rng.uniform(tiny, huge, n)),
@@ -288,6 +293,10 @@ def _families():
             [float(f"1e{e}") for e in range(-323, 309)], [0.0, -0.0]]),
         "50 ulps about each power of ten from 1e-5 to 1e16": (
             edges[:, None] + np.spacing(edges)[:, None] * steps).ravel(),
+        "12-digit ties from 1e-11 to 1e-4": sign * small_twelve,
+        "17-digit ties from 1e-6 to 1e-4": np.concatenate([small_eighths, -small_quarters]),
+        "50 ulps about each power of ten from 1e-11 to 1e-4, 1e12 and 1e16": (
+            switches[:, None] + np.spacing(switches)[:, None] * steps).ravel(),
     }
 
 
@@ -310,17 +319,24 @@ class TestCellKernel:
     @pytest.mark.parametrize("shortest", [False, True])
     def test_certified_share_of_the_figure_tables(self, shortest):
         # Below this floor the output would still be right, only slow: a drift
-        # to the per-value fallback shows here, not only in the benchmark.
-        xi = np.linspace(0.0, 3.0, 300)[:, None]
-        theta = np.linspace(0.0, math.pi / 2, 300)[None, :]
-        grid = np.stack(np.broadcast_arrays(xi, theta, eta_profile(xi, theta)), axis=-1)
+        # to the per-value fallback shows here, not only in the benchmark. The
+        # kernel writes every '%.12g' cell of these tables but a few near-ties;
+        # repr's fallback keeps the grid's eta below 1e-6, about 1% of its cells.
+        floor = 0.985 if shortest else 0.999
+        tables = []
+        for xi_max, theta_max in ((3.0, math.pi / 2), (5.75, 1.4)):  # default, benchmark
+            xi = np.linspace(0.0, xi_max, 300)[:, None]
+            theta = np.linspace(0.0, theta_max, 300)[None, :]
+            tables.append(np.stack(np.broadcast_arrays(xi, theta, eta_profile(xi, theta)),
+                                   axis=-1))
         opt = eta_max(np.linspace(0.0, 10.0, 20_000))
-        table = np.column_stack([np.linspace(0.0, 10.0, 20_000), opt.eta_max, opt.theta_opt,
-                                 opt.chi_at_opt])
-        for values in (grid.ravel(), table.ravel()):
+        tables.append(np.column_stack([np.linspace(0.0, 10.0, 20_000), opt.eta_max,
+                                       opt.theta_opt, opt.chi_at_opt]))
+        for table in tables:
+            values = table.ravel()
             certified = [cli._vector_cells(values[i:i + cli._CHUNK], shortest)[1]
                          for i in range(0, values.size, cli._CHUNK)]
-            assert np.concatenate(certified).mean() >= 0.9
+            assert np.concatenate(certified).mean() >= floor
 
 
 class TestScanEta:

@@ -11,6 +11,12 @@ output is parsed, not compared with an encoder.
 runs over its whole flag box, edges as explicit examples: it writes the
 library's coherence of the boosted and of the resting case, or exits 2
 naming one flag.
+
+``evolve`` runs over its whole flag box too, at most 402 nodes: it writes
+``evolve_elementwise``'s analytic and ``average_quadrature``'s oracle
+columns, with the one ``--nodes`` warning exactly when the two differ by
+more than ``ORACLE_TOL``; or it exits 1 with one error line, or 2 naming
+a flag that is out of its domain.
 """
 
 import contextlib
@@ -26,6 +32,7 @@ from hypothesis import strategies as st
 
 from spinboost import cli
 from spinboost.channel import evolve_elementwise, plus_state
+from spinboost.oracle import ORACLE_TOL, QuadratureSpec, average_quadrature
 from spinboost.relkin import Scenario, eta_max, eta_profile
 
 pinned = settings(max_examples=120, derandomize=True, database=None, deadline=None)
@@ -157,4 +164,103 @@ def test_offdiag_writes_the_library_coherence_or_names_a_flag(xi, theta, gamma, 
     if fmt == "json":
         assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()
     else:
+        assert (np.abs(got - expected) <= (5e-12 + 1e-15) * np.abs(expected)).all()
+
+
+EVOLVE_PHI = (0.0, math.nextafter(2.0 * math.pi, 0.0))
+EVOLVE_GAMMA = (None, 5e-324, sys.float_info.min, 1.0, 1e308)
+EVOLVE_NODES = (2, 17, 201, 402)
+BLOCH = ("1,0,0", "0,0,-1", "0.3,-0.4,0.5", "0,0,0")
+
+
+def evolve_edges(test):
+    """Each edge rapidity at each edge angle, with the edge azimuths, rates, point
+    and node counts, initial states and formats in turn."""
+    for i, xi in enumerate(OFFDIAG_XI):
+        for j, theta in enumerate(OFFDIAG_THETA):
+            k = i * len(OFFDIAG_THETA) + j
+            test = example(xi=xi, theta=theta, phi=EVOLVE_PHI[k % 2],
+                           gamma=EVOLVE_GAMMA[(i + j) % 5], g_max=OFFDIAG_G_MAX[k % 3],
+                           points=(2, 3, 20)[(i + 2 * j) % 3], nodes=EVOLVE_NODES[k % 4],
+                           bloch=BLOCH[(k // 2) % 4], fmt=("csv", "json")[k % 2])(test)
+    return test
+
+
+def refused_flags(xi, theta, phi, gamma, g_max, points, nodes, bloch):
+    """The flags whose values lie outside their domain, as ``evolve`` sees them."""
+    gamma = 1.0 if gamma is None else gamma
+    bad = {"--xi": not xi >= 0.0,
+           "--phi": not 0.0 <= phi < 2.0 * math.pi,
+           "--gamma": not gamma >= sys.float_info.min,
+           "--nodes": not 2 <= nodes <= cli.MAX_NODES,
+           "--bloch": not np.linalg.norm([float(c) for c in bloch.split(",")]) <= 1.0 + 1e-12,
+           "--gamma-t2-max": not g_max > 0.0 or gamma > 0.0 and not g_max / gamma < math.inf,
+           "--points": points < 2}
+    if theta is None:
+        # the default, theta_opt, underflows at large rapidity
+        bad["--theta"] = xi >= 0.0 and not eta_max(xi).theta_opt >= sys.float_info.min
+    else:
+        bad["--theta"] = not 0.0 <= theta <= math.pi
+    return {flag for flag, refused in bad.items() if refused}
+
+
+def evolve_records(xi, theta, phi, gamma, g_max, points, nodes, bloch):
+    """The rows that evolve should write and the largest analytic-oracle difference."""
+    gamma = 1.0 if gamma is None else gamma
+    theta = float(eta_max(xi).theta_opt) if theta is None else theta
+    s = Scenario(xi, theta, phi, gamma=gamma)
+    grid = np.linspace(0.0, g_max, points)
+    times = np.sqrt(grid / gamma)
+    rx, ry, rz = (float(c) for c in bloch.split(","))
+    rho0 = 0.5 * np.array([[1 + rz, rx - 1j * ry], [rx + 1j * ry, 1 - rz]])
+    ana = evolve_elementwise(rho0, s, times)
+    num = average_quadrature(rho0, s, times, QuadratureSpec(nodes))
+    rows = np.column_stack([grid, ana[:, 0, 0].real, num[:, 0, 0].real, ana[:, 0, 1].real,
+                            num[:, 0, 1].real, ana[:, 0, 1].imag, num[:, 0, 1].imag])
+    return rows, float(np.abs(ana - num).max())
+
+
+# Each float flag draws from its domain or a wider box around it, so that most
+# examples pass every check and reach the table.
+@pinned
+@given(xi=st.floats(0.0, 50.0) | st.floats(-1.0, 2e3),
+       theta=st.none() | st.floats(0.0, math.pi) | st.floats(-0.5, 3.5),
+       phi=st.floats(0.0, 2.0 * math.pi, exclude_max=True) | st.floats(-1.0, 7.0),
+       gamma=st.none() | st.floats(1e-3, 1e3) | st.floats(-1.0, 1e308),
+       g_max=st.floats(0.0, 100.0, exclude_min=True) | st.floats(-1.0, 1e308),
+       points=st.integers(min_value=1, max_value=30), nodes=st.sampled_from((1, *EVOLVE_NODES)),
+       bloch=st.sampled_from(BLOCH) | st.tuples(*[st.floats(-1.0, 1.0)] * 3).map(
+           lambda r: ",".join(map(repr, r))),
+       fmt=st.sampled_from(["csv", "json"]))
+@evolve_edges
+def test_evolve_writes_the_library_columns_or_names_a_flag(xi, theta, phi, gamma, g_max, points,
+                                                          nodes, bloch, fmt):
+    argv = ["evolve", f"--xi={xi!r}", f"--phi={phi!r}", f"--gamma-t2-max={g_max!r}",
+            f"--points={points}", f"--nodes={nodes}", f"--bloch={bloch}", f"--format={fmt}"]
+    argv += [f"--{flag}={value!r}" for flag, value in (("theta", theta), ("gamma", gamma))
+             if value is not None]
+    code, out, err = run(argv)
+    refused = refused_flags(xi, theta, phi, gamma, g_max, points, nodes, bloch)
+    if code == 2:
+        match = re.fullmatch(r"error: (--[a-z0-9-]+): [^\n]*\n", err)
+        assert out == "" and match and match[1] in refused, err
+        return
+    assert not refused, refused
+    if code == 1:
+        # the oracle refuses a time, or a state or entry fails validation
+        assert out == "" and re.fullmatch(r"error: [^\n]*\n", err), err
+        return
+    assert code == 0
+    expected, worst = evolve_records(xi, theta, phi, gamma, g_max, points, nodes, bloch)
+    warning = (f"warning: max_analytic_oracle_diff = {worst:.12g} exceeds {ORACLE_TOL:g}; the "
+               "quadrature oracle may be under-resolved, try a larger --nodes\n")
+    assert err == (warning if worst > ORACLE_TOL else "")
+    names, rows = parse(out, fmt)
+    assert names == ("gamma_t2", "rho_uu_analytic", "rho_uu_oracle", "re_rho_ud_analytic",
+                     "re_rho_ud_oracle", "im_rho_ud_analytic", "im_rho_ud_oracle")
+    got = np.array(rows, dtype=float).reshape(expected.shape)
+    if fmt == "json":
+        assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()
+    else:
+        assert f"# max_analytic_oracle_diff = {worst:.12g}\n" in out
         assert (np.abs(got - expected) <= (5e-12 + 1e-15) * np.abs(expected)).all()

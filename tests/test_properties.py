@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays, mutually_broadcastable_shapes
 
-from reference import bits, geometry_reference, scenario, ulps
+from reference import bits, eta_max_reference, geometry_reference, scenario, ulps
 from spinboost.analysis import PROBES, choi_diagnostics, choi_stack
 from spinboost.channel import (
     dressed_apply,
@@ -159,6 +159,31 @@ def test_geometry_within_its_ulp_budget_of_fifty_digit_reference(xi, theta):
     for name, value, exact in zip(("kappa", "n_perp", "n_z", "eta", "chi"), got, ref):
         assert ulps(value, exact) <= GEOMETRY_ULPS, (name, value, exact)
     assert ulps(eta_profile(xi, theta), ref[3]) <= GEOMETRY_ULPS
+
+
+# eta_max, theta_opt and chi_at_opt within these many units in the last place
+# of the 50-digit reference; the largest seen on 24,000 rapidities in [0, 700],
+# at numpy's native and at its baseline dispatch, were 10, 3 and 6.
+ETA_MAX_ULPS = {"eta_max": 16, "theta_opt": 4, "chi_at_opt": 8}
+
+
+@pinned
+@given(xi=st.floats(min_value=0.0, max_value=700.0))
+@example(xi=0.0)
+@example(xi=5e-324)
+@example(xi=1e-80)
+@example(xi=1e-9)
+@example(xi=1e-3)
+@example(xi=372.0)
+@example(xi=700.0)
+def test_eta_max_within_its_ulp_budget_of_fifty_digit_reference(xi):
+    # Below xi ~ 2e-77 eta_max is subnormal, and chi_at_opt below ~ 3e-154,
+    # where an ulp is 5e-324; the library stays within 2 of them there, so the
+    # budgets need no absolute floor.
+    opt = eta_max(xi)
+    got = (opt.eta_max, opt.theta_opt, opt.chi_at_opt)
+    for (name, budget), value, exact in zip(ETA_MAX_ULPS.items(), got, eta_max_reference(xi)):
+        assert ulps(float(value), exact) <= budget, (name, value, exact)
 
 
 @pinned
