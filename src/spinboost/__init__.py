@@ -25,7 +25,7 @@ stacks of maps.
 from .analysis import ChoiDiagnostics, choi_diagnostics, choi_stack, kraus_residuals, kraus_to_choi
 from .channel import (dressed_apply, dressing_transform, evolve_elementwise, operator_sum_apply,
                       plus_state)
-from .entangle import ConcurrenceSeries, bell_phi_plus, concurrence, concurrence_trajectory
+from .entangle import bell_phi_plus, concurrence
 from .oracle import (McSpec, QuadratureSpec, average_montecarlo, average_quadrature,
                      gauss_hermite_nodes, two_qubit_average)
 from .relkin import EtaMax, Scenario, eta_max, eta_profile
@@ -35,7 +35,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChoiDiagnostics",
-    "ConcurrenceSeries",
     "DensityMatrix",
     "DensityMatrixError",
     "EtaMax",
@@ -48,7 +47,6 @@ __all__ = [
     "choi_diagnostics",
     "choi_stack",
     "concurrence",
-    "concurrence_trajectory",
     "dressed_apply",
     "dressing_transform",
     "eta_max",

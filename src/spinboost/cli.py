@@ -32,9 +32,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import verify as verify_mod
-from .channel import evolve_elementwise, plus_state
-from .entangle import concurrence_trajectory
-from .oracle import ORACLE_TOL, QuadratureSpec, _require_quadrature, average_quadrature
+from .channel import decay_exponent, evolve_elementwise, plus_state
+from .entangle import bell_phi_plus, concurrence
+from .oracle import (ORACLE_TOL, QuadratureSpec, _require_quadrature, average_quadrature,
+                     two_qubit_average)
 from .relkin import Scenario, eta_max, eta_profile
 from .spinalg import require_valid
 
@@ -579,14 +580,19 @@ def _cmd_concurrence(args) -> int:
     args.theta = s.theta  # echo the resolved angle
     quad = _quadrature_from_args(args)
     grid, times = _time_grid(args, s.gamma)
-    series = concurrence_trajectory(s, times, quad)
-    rows = np.column_stack([grid, series.values, series.reference_rest, series.reference_boosted])
+    _require_quadrature(s, times, quad.nodes)  # names the first time the oracle refuses
+    states = two_qubit_average(bell_phi_plus(), s, times, quad)
+    require_valid(states)
+    values = concurrence(states)
+    rest = np.exp(-decay_exponent(4.0 * s.gamma, times))
+    boosted = np.exp(-decay_exponent(4.0 * s.gamma_prime, times))
+    rows = np.column_stack([grid, values, rest, boosted])
     comments = _echo_params(args, ("xi", "theta", "gamma", "gamma_t2_max", "points", "nodes"))
     write_table(rows, args.out, args.format,
                 ("gamma_t2", "concurrence", "reference_rest", "reference_boosted"), comments)
     # at phi = 0 the boosted reference is exact for every theta (see ``entangle``)
     _warn_unresolved("max|concurrence - reference_boosted|",
-                     float(np.abs(series.values - series.reference_boosted).max()))
+                     float(np.abs(values - boosted).max()))
     return 0
 
 

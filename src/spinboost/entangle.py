@@ -1,10 +1,10 @@
 """Two-qubit entanglement under the common boosted bath.
 
 Both spins ride the same boost and see the same Gaussian field, so the
-pair state is averaged with U(B) (x) U(B). Entanglement is quantified by
-the concurrence; for the Bell state (|uu> + |dd>)/sqrt(2) at rest it
-decays as exp(-4 gamma t**2), and the boosted reference curve is
-exp(-4 gamma' t**2).
+pair state is averaged with U(B) (x) U(B) (``oracle.two_qubit_average``).
+Entanglement is quantified by the concurrence; for the Bell state
+(|uu> + |dd>)/sqrt(2) at rest it decays as exp(-4 gamma t**2), and the
+boosted reference curve is exp(-4 gamma' t**2).
 
 Note on the boosted reference: for phi in {0, pi} the dressing rotation
 is real, the Bell state is invariant under V (x) V, and the boosted
@@ -13,11 +13,6 @@ residual chi at finite rapidity provably does not perturb the
 concurrence at these azimuths. So a deviation from the reference is
 numerical, not physics: the quadrature's where the pair has decayed.
 
-A trajectory is computed on stacks: one ``two_qubit_average`` call, the
-oracle's one quadrature kernel at two qubits, for all its times, one
-stacked validation and one batched Wootters solve (``concurrence``, two
-stacked LAPACK calls, ``eigh`` and then ``svd``, per matrix). Each
-time gets the bits it gets alone.
 U (x) U fixes the singlet for every U, so the common bath leaves it
 unchanged (decoherence-free).
 """
@@ -25,36 +20,12 @@ unchanged (decoherence-free).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .channel import decay_exponent
-from .oracle import QuadratureSpec, _require_quadrature, two_qubit_average
-from .relkin import Scenario, _require_nonneg_time
-from .spinalg import PAULI_Y, _const, _dagger, _eigh, _kron, _matmul, _states, require_valid
+from .spinalg import PAULI_Y, _const, _dagger, _eigh, _kron, _matmul, _states
 
 _YY = _kron(PAULI_Y, PAULI_Y)
-
-
-@dataclass(frozen=True, eq=False)
-class ConcurrenceSeries:
-    """Concurrence along a time grid plus both reference decay curves."""
-
-    times: np.ndarray
-    values: np.ndarray
-    reference_rest: np.ndarray
-    reference_boosted: np.ndarray
-
-    def __post_init__(self):
-        arrays = {name: np.array(getattr(self, name), dtype=float)
-                  for name in ("times", "values", "reference_rest", "reference_boosted")}
-        if len({len(a) for a in arrays.values()}) != 1:
-            raise ValueError("series fields must have equal length")
-        for name, a in arrays.items():
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
 
 
 def bell_phi_plus() -> np.ndarray:
@@ -89,29 +60,3 @@ def concurrence(m) -> np.ndarray:
     lam[finite] = np.linalg.svd(a[finite], compute_uv=False)
     c = lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3]
     return np.where(c <= 0.0, 0.0, c)[()]
-
-
-def concurrence_trajectory(
-    s: Scenario, times: Sequence[float], q: QuadratureSpec = QuadratureSpec()
-) -> ConcurrenceSeries:
-    """Evolve the Bell state through the common bath along a time grid.
-
-    ``times`` must be sorted and non-negative. All times are averaged in
-    one ``two_qubit_average`` call, validated in one call and reduced in
-    one ``concurrence`` call. A time the quadrature refuses raises its
-    error, naming the first such time. The attached references are
-    exp(-4 gamma t**2) (rest) and exp(-4 gamma' t**2) (boosted).
-    """
-    times = np.asarray(times, dtype=float)
-    if len(times) and (np.diff(times) < 0).any():
-        raise ValueError("times must be sorted ascending")
-    _require_nonneg_time(times)
-    _require_quadrature(s, times, q.nodes)
-    states = two_qubit_average(bell_phi_plus(), s, times, q)
-    require_valid(states)
-    return ConcurrenceSeries(
-        times=times,
-        values=concurrence(states),
-        reference_rest=np.exp(-decay_exponent(4.0 * s.gamma, times)),
-        reference_boosted=np.exp(-decay_exponent(4.0 * s.gamma_prime, times)),
-    )

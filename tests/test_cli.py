@@ -462,6 +462,9 @@ class TestEvolve:
         code = run_cli(["evolve", "--bloch", "2,0,0", "--out", str(tmp_path / "x.csv")])
         assert code == 2
         assert "--bloch" in capsys.readouterr().err
+        for bloch in ("1,0", "1,0,0,0"):
+            assert run_cli(["evolve", "--bloch", bloch, "--out", str(tmp_path / "x.csv")]) == 2
+            assert capsys.readouterr().err == "error: --bloch: need exactly three components\n"
 
 
 class TestConcurrenceCommand:
@@ -521,7 +524,7 @@ class TestConfigFile:
 
     def test_config_supplies_defaults(self, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("xi = 1.5\npoints = 25   # small grid\ngamma-t2-max = 2\n")
+        cfg.write_text("# a run\n\nxi = 1.5\npoints = 25   # small grid\ngamma-t2-max = 2\n")
         out = tmp_path / "o.csv"
         assert run_cli(["offdiag", "--config", str(cfg), "--out", str(out)]) == 0
         comments, _, rows = read_csv(out)
@@ -542,6 +545,11 @@ class TestConfigFile:
         cfg.write_text("bogus = 1\n")
         assert run_cli(["offdiag", "--config", str(cfg)]) == 2
         assert "--config" in capsys.readouterr().err
+        # a line with no '=' names no key at all
+        cfg.write_text("xi 1.5\n")
+        assert run_cli(["offdiag", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == ("error: --config: line 1 is not 'key = value': "
+                                           "'xi 1.5'\n")
 
     @pytest.mark.parametrize("key", ["command", "func", "config", "mu", "vartheta"])
     def test_non_option_keys_rejected(self, tmp_path, capsys, key):
@@ -588,6 +596,8 @@ class TestConfigParsedAsFlags:
         assert run_cli(["evolve", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert "--format" in err and "'xml'" in err
+        with pytest.raises(ValueError, match="unknown format 'xml'"):
+            write_table(np.ones((1, 1)), io.StringIO(), "xml", ("a",))
 
     def test_config_format_json_writes_json(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -645,6 +655,7 @@ class TestUsageErrors:
         (["evolve", "--bloch=nan,0,0"], "--bloch"),
         (["verify", "--seed", "-1"], "--seed"),
         (["offdiag", "--gamma", "1e-307", "--gamma-t2-max", "100"], "--gamma-t2-max"),
+        (["offdiag", "--config", os.path.join("no-such-dir", "run.cfg")], "--config"),
     ])
     def test_bad_value_names_flag(self, capsys, argv, flag):
         assert run_cli(argv) == 2

@@ -6,14 +6,9 @@ import numpy as np
 import pytest
 
 from reference import bits, pauli_rotation, random_density, random_unit_vector, scenario
-from spinboost.entangle import (
-    _YY,
-    ConcurrenceSeries,
-    bell_phi_plus,
-    concurrence,
-    concurrence_trajectory,
-)
-from spinboost.oracle import two_qubit_average
+from spinboost.channel import decay_exponent
+from spinboost.entangle import _YY, bell_phi_plus, concurrence
+from spinboost.oracle import QuadratureSpec, _require_quadrature, two_qubit_average
 from spinboost.relkin import eta_max
 from spinboost.spinalg import _matmul, require_valid
 
@@ -176,28 +171,31 @@ class TestConcurrenceStack:
             assert bits(concurrence(states[k:k + 2])) == bits(values[k:k + 2])
 
 
-class TestConcurrenceSeries:
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="length"):
-            ConcurrenceSeries(
-                times=[0.0, 1.0], values=[1.0], reference_rest=[1.0, 0.5],
-                reference_boosted=[1.0, 0.5],
-            )
+def bell_concurrence(s, times):
+    """The Bell pair's concurrence at ``times`` under the common bath, as the
+    ``concurrence`` command computes it."""
+    states = two_qubit_average(bell_phi_plus(), s, times)
+    require_valid(states)
+    return concurrence(states)
+
+
+def reference(rate, times):
+    """exp(-4 rate t**2), the command's reference curve at dephasing rate ``rate``."""
+    return np.exp(-decay_exponent(4.0 * rate, np.asarray(times, dtype=float)))
 
 
 class TestConcurrenceTrajectory:
     def test_initial_point_is_one(self):
         for xi in (0.0, 1.0, 2.5):
             s = scenario(xi, eta_max(xi).theta_opt if xi else 0.0)
-            series = concurrence_trajectory(s, [0.0])
-            assert abs(series.values[0] - 1.0) < 1e-12
+            assert abs(bell_concurrence(s, [0.0])[0] - 1.0) < 1e-12
 
     def test_rest_matches_exponential_decay(self):
         s = scenario(0.0, 0.0)
         g_t2 = np.array([0.2, 0.6, 1.2, 2.0, 3.0])
-        series = concurrence_trajectory(s, np.sqrt(g_t2))
-        assert np.abs(series.values - series.reference_rest).max() < 1e-8
-        np.testing.assert_allclose(series.reference_rest, np.exp(-4 * g_t2), atol=1e-15)
+        rest = reference(s.gamma, np.sqrt(g_t2))
+        assert np.abs(bell_concurrence(s, np.sqrt(g_t2)) - rest).max() < 1e-8
+        np.testing.assert_allclose(rest, np.exp(-4 * g_t2), atol=1e-15)
 
     def test_boosted_reference_deviation_is_noise_floor(self):
         # the boosted curve is exact at phi = 0 for every rapidity, so the
@@ -207,9 +205,8 @@ class TestConcurrenceTrajectory:
         for xi in (3.0, 8.0):
             s = scenario(xi, eta_max(xi).theta_opt)
             t1 = math.sqrt(1.0 / s.gamma_prime)
-            series = concurrence_trajectory(s, [t1])
-            ref = series.reference_boosted[0]
-            devs[xi] = abs(series.values[0] - ref) / ref
+            ref = reference(s.gamma_prime, [t1])[0]
+            devs[xi] = abs(bell_concurrence(s, [t1])[0] - ref) / ref
         assert devs[8.0] <= devs[3.0] + 1e-10
         assert devs[3.0] < 1e-8 and devs[8.0] < 1e-8
 
@@ -219,17 +216,16 @@ class TestConcurrenceTrajectory:
             s = scenario(xi, eta_max(xi).theta_opt)
             for gp_t2 in (0.2, 1.0, 2.5, 4.0):
                 t = math.sqrt(gp_t2 / s.gamma_prime)
-                boosted = concurrence_trajectory(s, [t]).values[0]
-                at_rest = concurrence_trajectory(rest, [t]).values[0]
+                boosted = bell_concurrence(s, [t])[0]
+                at_rest = bell_concurrence(rest, [t])[0]
                 assert boosted <= at_rest + 1e-10
 
     def test_series_monotone_non_increasing(self):
         s = scenario(2.5, eta_max(2.5).theta_opt)
-        g_t2 = np.linspace(0.0, 4.0, 15)
-        series = concurrence_trajectory(s, np.sqrt(g_t2 / s.gamma_prime))
-        assert (np.diff(series.values) <= 1e-9).all()
-        assert (np.diff(series.reference_rest) < 0).all()
-        assert (np.diff(series.reference_boosted) < 0).all()
+        times = np.sqrt(np.linspace(0.0, 4.0, 15) / s.gamma_prime)
+        assert (np.diff(bell_concurrence(s, times)) <= 1e-9).all()
+        assert (np.diff(reference(s.gamma, times)) < 0).all()
+        assert (np.diff(reference(s.gamma_prime, times)) < 0).all()
 
     def test_concurrence_invariant_under_common_local_frame_change(self):
         # evolving then rotating both qubits by the same local unitary
@@ -250,22 +246,19 @@ class TestConcurrenceTrajectory:
         for s in (scenario(0.0, 0.0), scenario(3.0, eta_max(3.0).theta_opt),
                   scenario(2.0, 0.9, 0.7)):
             times = np.sqrt(np.linspace(0.0, 4.0, 31) / s.gamma_prime)
-            series = concurrence_trajectory(s, times)
             alone = np.array([two_qubit_average(bell_phi_plus(), s, t) for t in times])
             require_valid(alone)
-            assert bits(series.values) == bits([concurrence(m) for m in alone])
+            assert bits(bell_concurrence(s, times)) == bits([concurrence(m) for m in alone])
 
-    def test_unsorted_or_negative_times_rejected(self):
+    def test_negative_or_nan_times_rejected(self):
         s = scenario(1.0, 0.5)
-        with pytest.raises(ValueError, match="sorted"):
-            concurrence_trajectory(s, [1.0, 0.5])
         with pytest.raises(ValueError, match="time must be >= 0, got -1.0"):
-            concurrence_trajectory(s, [-1.0, 0.5])
+            two_qubit_average(bell_phi_plus(), s, [-1.0, 0.5])
         with pytest.raises(ValueError, match="time must be >= 0, got nan"):
-            concurrence_trajectory(s, [0.0, math.nan, 0.5])
+            two_qubit_average(bell_phi_plus(), s, [0.0, math.nan, 0.5])
 
     def test_refused_time_raises_the_oracles_error(self):
         # t = 0 is fine; 1/sqrt(2) is the first time whose angle overflows at xi = 709
         s = scenario(709.0, 1.0)
         with pytest.raises(ValueError, match="rotation angle .* time t = 0.7071067811865476 "):
-            concurrence_trajectory(s, np.sqrt([0.0, 0.5, 1.0]))
+            _require_quadrature(s, np.sqrt([0.0, 0.5, 1.0]), QuadratureSpec().nodes)

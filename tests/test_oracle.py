@@ -49,6 +49,8 @@ class TestSpecs:
     def test_quadrature_domain(self):
         with pytest.raises(ValueError):
             QuadratureSpec(nodes=1)
+        with pytest.raises(ValueError, match="need at least 2 quadrature nodes, got 1"):
+            gauss_hermite_nodes(1)
 
     def test_mc_domain(self):
         with pytest.raises(ValueError):

@@ -62,10 +62,9 @@ def test_initial_states_are_valid_read_only_arrays(state):
 
 def test_public_api():
     assert sorted(spinboost.__all__) == [
-        "ChoiDiagnostics", "ConcurrenceSeries", "DensityMatrix",
-        "DensityMatrixError", "EtaMax", "McSpec", "QuadratureSpec", "Scenario",
-        "average_montecarlo", "average_quadrature", "bell_phi_plus", "choi_diagnostics",
-        "choi_stack", "concurrence", "concurrence_trajectory", "dressed_apply",
+        "ChoiDiagnostics", "DensityMatrix", "DensityMatrixError", "EtaMax", "McSpec",
+        "QuadratureSpec", "Scenario", "average_montecarlo", "average_quadrature",
+        "bell_phi_plus", "choi_diagnostics", "choi_stack", "concurrence", "dressed_apply",
         "dressing_transform", "eta_max", "eta_profile", "evolve_elementwise",
         "gauss_hermite_nodes", "kraus_residuals", "kraus_to_choi", "operator_sum_apply",
         "plus_state", "require_valid", "two_qubit_average",
@@ -81,6 +80,11 @@ def package_imports(tree):
 def test_oracle_imports_nothing_from_channel():
     # the oracles check the closed forms, so they share no code with them
     assert package_imports(TREES["oracle"]) == {"relkin", "spinalg"}
+
+
+def test_entangle_imports_only_spinalg():
+    # the Wootters kernel and the Bell state need no channel, oracle or boost
+    assert package_imports(TREES["entangle"]) == {"spinalg"}
 
 
 def test_scenario_is_defined_only_in_relkin():
