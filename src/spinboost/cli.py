@@ -51,16 +51,28 @@ def _fmt(value) -> str:
 
 
 # Records per write of ``write_table``: the block bounds the memory its
-# formatted text takes.
-_BLOCK_ROWS = 4096
+# formatted text takes. A block takes one kernel call per free field, so
+# 8192 makes half the calls of 4096; a table reuses one buffer per block
+# size. Without the reuse, a fresh process wrote the 300x300 scan-eta grid
+# with 5,271 minor page faults against 2,190, in a minimum of 25.2 ms
+# against 21.1 (16 runs each).
+_BLOCK_ROWS = 8192
 
 # A cell holds one number's text at a fixed width, padded with NUL bytes
 # that the writer drops. The widths fit the longest '%.12g' and repr of a
 # finite float, '-1.23456789012e-308' and '-1.2345678901234567e-308'.
 _CELL_WIDTH = {False: 19, True: 24}
-# Values per kernel call, 32 kB per temporary: calls of 2048 and of 16384
-# values both wrote the 20,000-row eta-max table more slowly.
-_CHUNK = 4096
+# Values per kernel call, 64 kB per temporary: one call per column of a
+# full block. A call costs about 49 us ('%.12g') or 101 us (repr) plus 43
+# or 88 ns per value, and 8192 pays that fixed part half as often as 4096.
+# 16384 gained 1-2% more in the benchmark's warm passes, while a fresh
+# process wrote the 20,000-record eta-max JSON table in a minimum of 28.0 ms
+# against 22.9 (16 runs each), with 7,314 minor page faults against 4,012.
+_CHUNK = 8192
+# Longest column that Python's formatter writes whole, without the kernel:
+# it takes about 0.21 us ('%.12g') or 0.6 us (repr) per value, so a kernel
+# call pays off only from about 250 or 190 values.
+_SHORT_COLUMN = 192
 _LANE = np.dtype("<u8")  # eight bytes of text, the first in the low byte
 _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's split of a double into halves
 _POW10 = np.array([float(10**i) for i in range(23)])  # all exact
@@ -140,35 +152,21 @@ def _tables(shortest: bool) -> SimpleNamespace:
                            move=lanes_of(move * 0xFF)[1:], marks=lanes_of(marks))
 
 
-def _vector_cells(values: np.ndarray, shortest: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Cells (n, width) of finite float64 ``values`` and the mask of those certified.
+def _rounded_digits(values: np.ndarray, t: SimpleNamespace,
+                    shortest: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(m, k, ok): the integer m of |v| 10**k rounded to ``t.digits`` digits, k, and
+    the mask of the v for which both are certain; the first stage of ``_vector_cells``.
 
-    A certified cell holds exactly ``'%.12g' % v`` or, with ``shortest``,
-    ``repr(v)``; the others hold garbage for the caller to replace. |v| is
-    scaled by an exact power of ten 10**k, k <= 22, to Y in [10**(d-1),
-    10**d), d = 12 or 17 digits. For 12 digits Y is one correctly rounded
-    product, and its integer is certain unless Y lies within 2**-12 of a
-    half. For repr, Dekker's product gives Y exactly as y + lo, and the
-    half-gap h = ulp(v)/2 * 10**k bounds the numbers that round to v: the
-    nearest multiple of 100 within h of Y is the shortest text, else the
-    nearest multiple of 10, else the nearest integer, which h > 0.55 always
-    admits. A choice that a margin of 1e-9 cannot settle is not certified,
-    nor is a power of two (its lower gap is half).
-
-    The certified set is so every finite v that an exact 10**k scales:
-    zero, and |v| from about 1e-11 (1e-6 for repr) below 10**12 (10**16),
-    but for the near-ties and the powers of two. Smaller and larger
-    values, subnormals among them, are not certified. Below 1e-4 the text
-    has an exponent: the digits d.ddd take a pattern of their own, signed
-    in the byte ahead of them, and move five bytes up, to the cell's sign
-    byte; 'e-XX', its two digits computed from the exponent, fills the
-    cell's last four bytes, and the NUL bytes between are dropped with the
-    others. A cell's text is its bytes other than NUL.
+    A function of its own, so that its temporaries are freed before the
+    kernel lays out the text. An 8192-value call so peaks at 0.97 MB of
+    numpy temporaries (1.44 MB for repr), near the 0.79 (1.33) MB of a
+    4096-value call in one function. Held to the end, its 1.57 (2.64) MB
+    made glibc give the heap's top back and fault it in again on every
+    block: in some heap layouts a fresh process wrote the 300x300 scan-eta
+    grid with 5,790 minor page faults, against 2,050 at 4096 values.
     """
-    t = _tables(shortest)
     digits, top = t.digits, t.top
     a = np.abs(values)
-    zero = a == 0.0
     scaled = a < _POW10[top + 1]
     np.copyto(a, 1.0, where=~scaled)  # the rest take no part in the arithmetic
     bits = a.view(np.int64)
@@ -208,6 +206,38 @@ def _vector_cells(values: np.ndarray, shortest: bool) -> tuple[np.ndarray, np.nd
         frac = y + 0.5 - rounded  # both sums exact: y < 2**40
         ok &= (frac > 2.0**-12) & (frac < 1.0 - 2.0**-12)
         m = rounded.astype(np.int64)
+    return m, k, ok
+
+
+def _vector_cells(values: np.ndarray, shortest: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Cells (n, width) of finite float64 ``values`` and the mask of those certified.
+
+    A certified cell holds exactly ``'%.12g' % v`` or, with ``shortest``,
+    ``repr(v)``; the others hold garbage for the caller to replace. |v| is
+    scaled by an exact power of ten 10**k, k <= 22, to Y in [10**(d-1),
+    10**d), d = 12 or 17 digits. For 12 digits Y is one correctly rounded
+    product, and its integer is certain unless Y lies within 2**-12 of a
+    half. For repr, Dekker's product gives Y exactly as y + lo, and the
+    half-gap h = ulp(v)/2 * 10**k bounds the numbers that round to v: the
+    nearest multiple of 100 within h of Y is the shortest text, else the
+    nearest multiple of 10, else the nearest integer, which h > 0.55 always
+    admits. A choice that a margin of 1e-9 cannot settle is not certified,
+    nor is a power of two (its lower gap is half).
+
+    The certified set is so every finite v that an exact 10**k scales:
+    zero, and |v| from about 1e-11 (1e-6 for repr) below 10**12 (10**16),
+    but for the near-ties and the powers of two. Smaller and larger
+    values, subnormals among them, are not certified. Below 1e-4 the text
+    has an exponent: the digits d.ddd take a pattern of their own, signed
+    in the byte ahead of them, and move five bytes up, to the cell's sign
+    byte; 'e-XX', its two digits computed from the exponent, fills the
+    cell's last four bytes, and the NUL bytes between are dropped with the
+    others. A cell's text is its bytes other than NUL.
+    """
+    t = _tables(shortest)
+    digits, top = t.digits, t.top
+    m, k, ok = _rounded_digits(values, t, shortest)
+    zero = values == 0.0
     exponent = (digits - 1) - k
     carry = m == 10**digits
     m[carry] = 10 ** (digits - 1)
@@ -234,6 +264,7 @@ def _vector_cells(values: np.ndarray, shortest: bool) -> tuple[np.ndarray, np.nd
     cells[:, 0] = t.marks[0][pattern]
     quads = [t.words[g] for g in groups] + [_LANE.type(0)]
     lanes = [quads[i] | quads[i + 1] << _LANE.type(32) for i in range(0, len(groups), 2)]
+    del m, groups, quads  # the lanes hold their digits now
     for i, lane in enumerate(lanes):
         moved = lane << _LANE.type(8)
         if i:
@@ -262,18 +293,22 @@ def _cells(values: np.ndarray, shortest: bool, out: np.ndarray | None = None) ->
     its rows of ``out``, which may be any (n, width) uint8 view, such as a
     column of a record block; without ``out`` a new array takes them.
     Python's own formatter then writes the cells the kernel did not
-    certify, into the same rows.
+    certify, into the same rows. It writes a column of at most
+    ``_SHORT_COLUMN`` values whole, faster than one kernel call could.
     """
     width = _CELL_WIDTH[shortest]
     if out is None:
         out = np.empty((values.size, width), np.uint8)
-    items = _items(out)
-    missed = []
-    for i in range(0, values.size, _CHUNK):
-        cells, ok = _vector_cells(values[i:i + _CHUNK], shortest)
-        items[i:i + _CHUNK] = _items(cells)
-        missed.append(np.flatnonzero(~ok) + i)
-    missed = np.concatenate(missed) if missed else np.empty(0, np.intp)
+    if values.size <= _SHORT_COLUMN:
+        missed = np.arange(values.size)
+    else:
+        items = _items(out)
+        missed = []
+        for i in range(0, values.size, _CHUNK):
+            cells, ok = _vector_cells(values[i:i + _CHUNK], shortest)
+            items[i:i + _CHUNK] = _items(cells)
+            missed.append(np.flatnonzero(~ok) + i)
+        missed = np.concatenate(missed)
     if missed.size:
         spec = f"%-{width}{'r' if shortest else '.12g'}" * missed.size
         text = (spec % tuple(values[missed].tolist())).encode().replace(b" ", b"\0")
@@ -297,20 +332,25 @@ def write_table(rows: np.ndarray, path, fmt: str, fieldnames: Sequence[str],
     column before anything is written.
 
     Records are written in blocks: whole outer rows up to ``_BLOCK_ROWS``
-    records, or ``_BLOCK_ROWS`` records of a longer row. A block is one
-    bytearray of NUL-padded records, laid out as copies of one record
+    (8192) records, or ``_BLOCK_ROWS`` records of a longer row. A block is
+    a bytearray of NUL-padded records, laid out as copies of one record
     template: the separators and JSON keys, with a slot of fixed width for
-    each number. The numpy kernel ``_vector_cells`` writes each free
-    field's cells straight into its slots, and the bytearray's own
-    ``translate`` drops the NUL bytes, so neither the cells nor the block
-    is copied on the way to the text. The kernel certifies each number it
-    writes: every finite number scaled by an exact power of ten, that is
-    |v| from about 1e-11 (1e-6 for repr) below 10**12 (10**16), in
-    positional notation or, below 1e-4, with an exponent. Python's own
-    formatter writes the rest: a number near a rounding tie, one smaller
-    or larger, a subnormal, and for repr a power of two. A grid field that
-    is bit for bit constant along one axis (both axes longer than 1) is
-    formatted once per value and copied to its records.
+    each number. A table allocates one bytearray per block size, at most
+    two (the full blocks and the tail), and reuses it for every block of
+    that size: the template fill rewrites each of its bytes. The numpy
+    kernel ``_vector_cells`` writes each free field's cells straight into
+    its slots, and the bytearray's own ``translate`` drops the NUL bytes,
+    so neither the cells nor the block is copied on the way to the text.
+    The kernel certifies each number it writes: every finite number scaled
+    by an exact power of ten, that is |v| from about 1e-11 (1e-6 for repr)
+    below 10**12 (10**16), in positional notation or, below 1e-4, with an
+    exponent. Python's own formatter writes the rest: a number near a
+    rounding tie, one smaller or larger, a subnormal, and for repr a power
+    of two; and it writes a column of at most ``_SHORT_COLUMN`` (192)
+    values whole, as a short table or a short tail block has. A grid field
+    that is bit for bit constant along one axis (both axes longer than 1)
+    is formatted once per value and copied to its records; its second row
+    or column is compared first, so that a varying field is seen at once.
     """
     k = len(fieldnames)
     if not (isinstance(rows, np.ndarray) and np.issubdtype(rows.dtype, np.floating)
@@ -353,16 +393,23 @@ def write_table(rows: np.ndarray, path, fmt: str, fieldnames: Sequence[str],
     if outer > 1 and inner > 1:
         bits = grid.view(np.int64)
         for j in range(k):
-            if (bits[:, :, j] == bits[:1, :, j]).all():
+            # one row or column first: a field that varies fails it at once
+            field = bits[:, :, j]
+            if (field[1] == field[0]).all() and (field == field[:1]).all():
                 along[j] = _cells(grid[0, :, j], shortest)
-            elif (bits[:, :, j] == bits[:, :1, j]).all():
+            elif (field[:, 1] == field[:, 0]).all() and (field == field[:, :1]).all():
                 across[j] = _cells(grid[:, 0, j], shortest)
     free = [j for j in range(k) if j not in along and j not in across]
+    blocks: dict[int, bytearray] = {}  # by size: the full blocks and the tail
 
     def _block(o0: int, o1: int, j0: int, j1: int) -> str:
         # the kernel writes each free field's cells in place, and the block's
-        # own translate drops the NUL bytes: no copy of the cells or block
-        block = bytearray((o1 - o0) * (j1 - j0) * record.size)
+        # own translate drops the NUL bytes: no copy of the cells or block;
+        # the template fill rewrites every byte of a reused block
+        size = (o1 - o0) * (j1 - j0) * record.size
+        block = blocks.get(size)
+        if block is None:
+            block = blocks[size] = bytearray(size)
         out = np.frombuffer(block, np.uint8).reshape(o1 - o0, j1 - j0, record.size)
         _items(out)[...] = _items(record)
         for j, cells in along.items():

@@ -202,7 +202,11 @@ def eta_profile(xi, theta):
     ``Scenario`` refuses it.
     """
     _, _, _, r, h = _polar(xi, theta)
-    r = np.divide(r, h, out=np.zeros(np.shape(r)), where=r > 0)
+    # h is 0 only where r is (at a pole past xi ~ 745), where eta is 0
+    pole = h == 0.0
+    if pole.any():
+        h = np.where(pole, 1.0, h)
+    r = r / h
     return (r * r)[()]
 
 

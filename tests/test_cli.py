@@ -115,9 +115,31 @@ class TestWriteTableBlocks:
 
     @pytest.mark.parametrize("fmt, reference", [("csv", _reference_csv),
                                                 ("json", _reference_json)])
-    @pytest.mark.parametrize("blocks, extra", [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 3)])
-    def test_matches_reference_at_block_edges(self, fmt, reference, blocks, extra):
-        rows = self._rows(blocks * cli._BLOCK_ROWS + extra, len(self.NAMES))
+    @pytest.mark.parametrize("blocks, extra", [
+        (0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 3),
+        (0, cli._SHORT_COLUMN - 1), (0, cli._SHORT_COLUMN), (0, cli._SHORT_COLUMN + 1),
+        (1, cli._SHORT_COLUMN), (1, cli._SHORT_COLUMN + 1)])
+    def test_matches_reference_at_block_edges(self, monkeypatch, fmt, reference, blocks, extra):
+        n = blocks * cli._BLOCK_ROWS + extra
+        rows = self._rows(n, len(self.NAMES))
+        kernel, calls = cli._vector_cells, []
+        monkeypatch.setattr(cli, "_vector_cells", lambda *a: calls.append(1) or kernel(*a))
+        buf = io.StringIO()
+        write_table(rows, buf, fmt, self.NAMES)
+        assert buf.getvalue() == reference(rows, self.NAMES)
+        # a column longer than _SHORT_COLUMN goes through the kernel, a shorter one does not
+        sizes = [min(cli._BLOCK_ROWS, n - i) for i in range(0, n, cli._BLOCK_ROWS)]
+        assert len(calls) == len(self.NAMES) * sum(size > cli._SHORT_COLUMN for size in sizes)
+
+    @pytest.mark.parametrize("fmt, reference", [("csv", _reference_csv),
+                                                ("json", _reference_json)])
+    def test_reused_block_buffer_matches_reference(self, fmt, reference):
+        # the first block's longest texts are followed by short ones in the
+        # second block, which reuses its buffer, and in the tail: 0 from the
+        # kernel and 1e-300 from Python's formatter
+        rows = np.zeros((2 * cli._BLOCK_ROWS + 3, len(self.NAMES)))
+        rows[:cli._BLOCK_ROWS] = -1.23456789012e-300
+        rows[cli._BLOCK_ROWS:, 1::2] = 1e-300
         buf = io.StringIO()
         write_table(rows, buf, fmt, self.NAMES)
         assert buf.getvalue() == reference(rows, self.NAMES)
@@ -185,10 +207,11 @@ class TestWriteTableGrid:
 
     @pytest.mark.parametrize("fmt, reference", FORMATS)
     @pytest.mark.parametrize("outer, inner", [
-        (1, 1), (1, 9), (9, 1), (2, 2), (0, 3), (3, 0),
-        (1, cli._BLOCK_ROWS - 1), (cli._BLOCK_ROWS - 1, 1), (3, cli._BLOCK_ROWS // 3),
-        (3, cli._BLOCK_ROWS // 3 + 1), (1, cli._BLOCK_ROWS + 1), (2, cli._BLOCK_ROWS + 1),
-        (cli._BLOCK_ROWS + 1, 1), (64, 64), (63, 65), (17, 241)])
+        (1, 1), (1, 9), (9, 1), (2, 2), (0, 3), (3, 0), (64, 64), (63, 65), (17, 241),
+        # about half a block and about a block
+        *[shape for b in (cli._BLOCK_ROWS // 2, cli._BLOCK_ROWS) for shape in (
+            (1, b - 1), (b - 1, 1), (3, b // 3), (3, b // 3 + 1), (1, b + 1), (2, b + 1),
+            (b + 1, 1))]])
     def test_matches_reference(self, fmt, reference, outer, inner):
         self._check(self._grid(outer, inner), fmt, reference)
 
@@ -200,15 +223,24 @@ class TestWriteTableGrid:
 
     @pytest.mark.parametrize("fmt, reference", FORMATS)
     @pytest.mark.parametrize("axis", [0, 1])
-    @pytest.mark.parametrize("change", ["ulp", "sign"])
+    @pytest.mark.parametrize("change", ["ulp", "sign", "ulp in the last row",
+                                        "sign in the last row"])
     def test_almost_constant_column_matches_reference(self, fmt, reference, axis, change):
         grid = self._grid(5, 7)
-        grid[:, :, axis] = 0.0 if change == "sign" else 0.1
-        cell = (3, 4, axis)
-        grid[cell] = -0.0 if change == "sign" else np.nextafter(0.1, 1.0)
+        if change.endswith("last row"):
+            # field 1 constant along outer but in its last outer row (axis 0), or
+            # field 0 along inner but in its last inner column (axis 1): the second
+            # row (or column) agrees with the first, and the other axis varies
+            cell = (4, 3, 1) if axis == 0 else (2, 6, 0)
+        else:
+            grid[:, :, axis] = 0.0 if change == "sign" else 0.1
+            cell = (3, 4, axis)
+        grid[cell] = -grid[cell] if change.startswith("sign") else np.nextafter(grid[cell], np.inf)
         self._check(grid, fmt, reference)
 
-    @pytest.mark.parametrize("outer, inner", [(300, 300), (40, cli._BLOCK_ROWS // 2),
+    @pytest.mark.parametrize("outer, inner", [(300, 300), (40, cli._BLOCK_ROWS // 4),
+                                              (40, cli._BLOCK_ROWS // 2),
+                                              (2, cli._BLOCK_ROWS + 5),
                                               (2, 2 * cli._BLOCK_ROWS + 5)])
     def test_each_write_covers_up_to_a_block(self, outer, inner):
         # whole outer rows up to _BLOCK_ROWS records, or _BLOCK_ROWS of a longer row
@@ -313,6 +345,7 @@ class TestCellKernel:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_matches_python(self, family, shortest, spec):
         values = self.FAMILIES[family]
+        assert values.size > cli._SHORT_COLUMN  # so the kernel writes it, not the fallback alone
         expected = "".join(spec % v + "\n" for v in values.tolist())
         assert _cell_text(cli._cells(values, shortest)) == expected
 

@@ -17,6 +17,15 @@ naming one flag.
 columns, with the one ``--nodes`` warning exactly when the two differ by
 more than ``ORACLE_TOL``; or it exits 1 with one error line, or 2 naming
 a flag that is out of its domain.
+
+``concurrence`` runs over its flag box, with 0, 5e-324, the smallest
+normal, 1e308, pi and 2 pi less an ulp as its angle, rate and grid end at
+each edge rapidity, 2 points and 2 nodes among them: it writes finite
+Wootters concurrences of ``two_qubit_average``'s states and both
+reference curves, with the one ``--nodes`` warning exactly when the
+concurrence misses the boosted reference by more than ``ORACLE_TOL``; or
+it exits 1 with one error line that no table refusal wrote, or 2 naming
+a flag that is out of its domain.
 """
 
 import contextlib
@@ -31,8 +40,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinboost import cli
-from spinboost.channel import evolve_elementwise, plus_state
-from spinboost.oracle import ORACLE_TOL, QuadratureSpec, average_quadrature
+from spinboost.channel import decay_exponent, evolve_elementwise, plus_state
+from spinboost.entangle import bell_phi_plus, concurrence
+from spinboost.oracle import ORACLE_TOL, QuadratureSpec, average_quadrature, two_qubit_average
 from spinboost.relkin import Scenario, eta_max, eta_profile
 
 pinned = settings(max_examples=120, derandomize=True, database=None, deadline=None)
@@ -263,4 +273,77 @@ def test_evolve_writes_the_library_columns_or_names_a_flag(xi, theta, phi, gamma
         assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()
     else:
         assert f"# max_analytic_oracle_diff = {worst:.12g}\n" in out
+        assert (np.abs(got - expected) <= (5e-12 + 1e-15) * np.abs(expected)).all()
+
+
+CONCURRENCE_EDGES = (0.0, 5e-324, sys.float_info.min, 1e308, math.pi,
+                     math.nextafter(2.0 * math.pi, 0.0))
+
+
+def concurrence_edges(test):
+    """Each edge rapidity with each edge value as the angle, and the edge values as
+    rate and grid end in turn, at 2, 3 or 20 points and 2 to 402 nodes."""
+    edges = (None, *CONCURRENCE_EDGES)
+    for i, xi in enumerate(OFFDIAG_XI):
+        for j, theta in enumerate(edges):
+            k = i * len(edges) + j
+            test = example(xi=xi, theta=theta, gamma=edges[(i + j + 1) % 7],
+                           g_max=CONCURRENCE_EDGES[(2 * i + j) % 6], points=(2, 3, 20)[k % 3],
+                           nodes=EVOLVE_NODES[k % 4], fmt=("csv", "json")[k % 2])(test)
+    return test
+
+
+def concurrence_records(xi, theta, gamma, g_max, points, nodes):
+    """The rows that concurrence should write and the largest difference of its
+    concurrence from the boosted reference."""
+    gamma = 1.0 if gamma is None else gamma
+    theta = float(eta_max(xi).theta_opt) if theta is None else theta
+    s = Scenario(xi, theta, 0.0, gamma=gamma)
+    grid = np.linspace(0.0, g_max, points)
+    times = np.sqrt(grid / gamma)
+    values = concurrence(two_qubit_average(bell_phi_plus(), s, times, QuadratureSpec(nodes)))
+    rest = np.exp(-decay_exponent(4.0 * gamma, times))
+    boosted = np.exp(-decay_exponent(4.0 * s.gamma_prime, times))
+    return np.column_stack([grid, values, rest, boosted]), float(np.abs(values - boosted).max())
+
+
+@pinned
+@given(xi=st.floats(0.0, 50.0) | st.floats(-1.0, 2e3),
+       theta=st.none() | st.floats(0.0, math.pi) | st.floats(-0.5, 7.0),
+       gamma=st.none() | st.floats(1e-3, 1e3) | st.floats(-1.0, 1e308),
+       g_max=st.floats(0.0, 100.0, exclude_min=True) | st.floats(-1.0, 1e308),
+       points=st.integers(min_value=1, max_value=30), nodes=st.sampled_from((1, *EVOLVE_NODES)),
+       fmt=st.sampled_from(["csv", "json"]))
+@concurrence_edges
+def test_concurrence_writes_finite_columns_or_names_a_flag(xi, theta, gamma, g_max, points,
+                                                           nodes, fmt):
+    argv = ["concurrence", f"--xi={xi!r}", f"--gamma-t2-max={g_max!r}", f"--points={points}",
+            f"--nodes={nodes}", f"--format={fmt}"]
+    argv += [f"--{flag}={value!r}" for flag, value in (("theta", theta), ("gamma", gamma))
+             if value is not None]
+    code, out, err = run(argv)
+    refused = refused_flags(xi, theta, 0.0, gamma, g_max, points, nodes, "0,0,0")
+    if code == 2:
+        match = re.fullmatch(r"error: (--[a-z0-9-]+): [^\n]*\n", err)
+        assert out == "" and match and match[1] in refused, err
+        return
+    assert not refused, refused
+    if code == 1:
+        # the oracle refuses a time, or a state fails validation; every column is finite
+        assert out == "" and re.fullmatch(r"error: [^\n]*\n", err), err
+        assert "non-finite" not in err, err
+        return
+    assert code == 0
+    expected, worst = concurrence_records(xi, theta, gamma, g_max, points, nodes)
+    warning = (f"warning: max|concurrence - reference_boosted| = {worst:.12g} exceeds "
+               f"{ORACLE_TOL:g}; the quadrature oracle may be under-resolved, try a larger "
+               "--nodes\n")
+    assert err == (warning if worst > ORACLE_TOL else "")
+    names, rows = parse(out, fmt)
+    assert names == ("gamma_t2", "concurrence", "reference_rest", "reference_boosted")
+    got = np.array(rows, dtype=float).reshape(expected.shape)
+    assert np.isfinite(got).all()
+    if fmt == "json":
+        assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()
+    else:
         assert (np.abs(got - expected) <= (5e-12 + 1e-15) * np.abs(expected)).all()
