@@ -50,25 +50,21 @@ def _fmt(value) -> str:
     return format(value, ".12g") if isinstance(value, float) else str(value)
 
 
-# Records per write of ``write_table``: the block bounds the memory its
-# formatted text takes. A block takes one kernel call per free field, so
-# 8192 makes half the calls of 4096; a table reuses one buffer per block
-# size. Without the reuse, a fresh process wrote the 300x300 scan-eta grid
-# with 5,271 minor page faults against 2,190, in a minimum of 25.2 ms
-# against 21.1 (16 runs each).
+# Records per block of ``write_table`` and values per kernel call, so that a
+# block's field column is one call. A call costs about 49 us ('%.12g') or
+# 101 us (repr) plus 43 or 88 ns per value: 8192 pays the fixed part half as
+# often as 4096. 16384 gained 1-2% in the benchmark's warm passes, but a fresh
+# process wrote the 20,000-record eta-max JSON table in a minimum of 28.0 ms
+# against 22.9, with 7,314 minor page faults against 4,012. A table reuses one
+# block buffer per size: without that, a fresh process wrote the 300x300
+# scan-eta grid in 25.2 ms against 21.1, with 5,271 faults against 2,190
+# (16 runs each).
 _BLOCK_ROWS = 8192
 
 # A cell holds one number's text at a fixed width, padded with NUL bytes
 # that the writer drops. The widths fit the longest '%.12g' and repr of a
 # finite float, '-1.23456789012e-308' and '-1.2345678901234567e-308'.
 _CELL_WIDTH = {False: 19, True: 24}
-# Values per kernel call, 64 kB per temporary: one call per column of a
-# full block. A call costs about 49 us ('%.12g') or 101 us (repr) plus 43
-# or 88 ns per value, and 8192 pays that fixed part half as often as 4096.
-# 16384 gained 1-2% more in the benchmark's warm passes, while a fresh
-# process wrote the 20,000-record eta-max JSON table in a minimum of 28.0 ms
-# against 22.9 (16 runs each), with 7,314 minor page faults against 4,012.
-_CHUNK = 8192
 # Longest column that Python's formatter writes whole, without the kernel:
 # it takes about 0.21 us ('%.12g') or 0.6 us (repr) per value, so a kernel
 # call pays off only from about 250 or 190 values.
@@ -289,7 +285,7 @@ def _vector_cells(values: np.ndarray, shortest: bool) -> tuple[np.ndarray, np.nd
 def _cells(values: np.ndarray, shortest: bool, out: np.ndarray | None = None) -> np.ndarray:
     """NUL-padded cells of ``'%.12g' % v`` or ``repr(v)`` of finite float64 ``values``.
 
-    The kernel writes them ``_CHUNK`` at a time, each chunk straight into
+    The kernel writes them ``_BLOCK_ROWS`` at a time, each straight into
     its rows of ``out``, which may be any (n, width) uint8 view, such as a
     column of a record block; without ``out`` a new array takes them.
     Python's own formatter then writes the cells the kernel did not
@@ -304,9 +300,9 @@ def _cells(values: np.ndarray, shortest: bool, out: np.ndarray | None = None) ->
     else:
         items = _items(out)
         missed = []
-        for i in range(0, values.size, _CHUNK):
-            cells, ok = _vector_cells(values[i:i + _CHUNK], shortest)
-            items[i:i + _CHUNK] = _items(cells)
+        for i in range(0, values.size, _BLOCK_ROWS):
+            cells, ok = _vector_cells(values[i:i + _BLOCK_ROWS], shortest)
+            items[i:i + _BLOCK_ROWS] = _items(cells)
             missed.append(np.flatnonzero(~ok) + i)
         missed = np.concatenate(missed)
     if missed.size:
@@ -316,55 +312,56 @@ def _cells(values: np.ndarray, shortest: bool, out: np.ndarray | None = None) ->
     return out
 
 
-def write_table(rows: np.ndarray, path, fmt: str, fieldnames: Sequence[str],
+def write_table(rows: Sequence[np.ndarray], path, fmt: str, fieldnames: Sequence[str],
                 comments: Iterable[str] = ()) -> None:
     """Write a table of finite float records as CSV or JSON.
 
-    ``rows`` is a float array with one column per field name on its last
-    axis: 2-D, one record per row, or a 3-D grid ``(outer, inner,
-    fields)`` whose records are written in row-major order, as those of
-    ``rows.reshape(-1, len(fieldnames))``. CSV: optional '#' comment
-    lines, a header of field names, then the records, each number as
-    ``'%.12g' % v``, with '\\n' line endings. JSON: an array of objects
-    keyed by the field names, as ``json.dump(..., indent=2)`` writes it,
-    each number as ``repr(v)``. ``path`` may be a filesystem path or an
-    open text stream. A non-finite entry raises ``ValueError`` naming its
-    column before anything is written.
+    ``rows`` holds one float array per field name, each of the records'
+    shape, ``(n,)`` or a grid's ``(outer, inner)`` written in row-major
+    order, or a grid axis ``(outer, 1)`` or ``(1, inner)``; ``(1, 1)`` is an
+    axis of one value. Any other shape, dtype or field count, and a
+    non-finite entry, which names its column, raise ``ValueError`` before
+    anything is written. CSV: optional '#' comment lines, a header of field
+    names, then the records, each number as ``'%.12g' % v``, with '\\n'
+    line endings. JSON: an array of objects keyed by the field names, as
+    ``json.dump(..., indent=2)`` writes it, each number as ``repr(v)``.
+    ``path`` may be a filesystem path or an open text stream.
 
     Records are written in blocks: whole outer rows up to ``_BLOCK_ROWS``
-    (8192) records, or ``_BLOCK_ROWS`` records of a longer row. A block is
-    a bytearray of NUL-padded records, laid out as copies of one record
-    template: the separators and JSON keys, with a slot of fixed width for
-    each number. A table allocates one bytearray per block size, at most
-    two (the full blocks and the tail), and reuses it for every block of
-    that size: the template fill rewrites each of its bytes. The numpy
-    kernel ``_vector_cells`` writes each free field's cells straight into
-    its slots, and the bytearray's own ``translate`` drops the NUL bytes,
-    so neither the cells nor the block is copied on the way to the text.
+    records, or ``_BLOCK_ROWS`` records of a longer row. A block is a
+    bytearray of NUL-padded records, copies of one record template (the
+    separators and JSON keys, with a slot of fixed width for each number),
+    reused for every block of its size. The kernel ``_vector_cells`` writes
+    each field's cells straight into its slots, but an axis's once, for
+    each block to copy; the bytearray's own ``translate`` drops the NUL bytes.
     The kernel certifies each number it writes: every finite number scaled
     by an exact power of ten, that is |v| from about 1e-11 (1e-6 for repr)
     below 10**12 (10**16), in positional notation or, below 1e-4, with an
     exponent. Python's own formatter writes the rest: a number near a
     rounding tie, one smaller or larger, a subnormal, and for repr a power
     of two; and it writes a column of at most ``_SHORT_COLUMN`` (192)
-    values whole, as a short table or a short tail block has. A grid field
-    that is bit for bit constant along one axis (both axes longer than 1)
-    is formatted once per value and copied to its records; its second row
-    or column is compared first, so that a varying field is seen at once.
+    values whole, as a short table or a short tail block has.
     """
     k = len(fieldnames)
-    if not (isinstance(rows, np.ndarray) and np.issubdtype(rows.dtype, np.floating)
-            and rows.ndim in (2, 3) and rows.shape[-1] == k):
-        raise ValueError(f"rows must be a float array of shape (records, {k}) or "
-                         f"(outer, inner, {k}), got {type(rows).__name__} of shape "
-                         f"{np.shape(rows)}")
-    grid = (rows if rows.ndim == 3 else rows[None]).astype(np.float64, copy=False)
-    outer, inner = grid.shape[:2]
-    finite = np.isfinite(grid)
-    if not finite.all():
-        bad = ~finite.all(axis=(0, 1))
-        raise ValueError(f"column {fieldnames[int(bad.argmax())]!r} has a non-finite entry; "
-                         "tables hold finite numbers only")
+    fields = () if isinstance(rows, np.ndarray) else tuple(rows)  # an array is no tuple of fields
+    shapes = [f.shape for f in fields if isinstance(f, np.ndarray) and f.ndim in (1, 2)
+              and np.issubdtype(f.dtype, np.floating)]
+    try:
+        shape = np.broadcast_shapes(*shapes)
+    except ValueError:
+        shape = None
+    # a 1-D field has the records' shape, a 2-D one the grid's or an axis's
+    if (isinstance(rows, np.ndarray) or len(fields) != k or len(shapes) != k or shape is None
+            or any(len(s) == 1 and s != shape for s in shapes)):
+        raise ValueError(f"rows must hold {k} float arrays, one per field, each of the records' "
+                         f"shape (n,) or (outer, inner), or a grid axis of shape (outer, 1) or "
+                         f"(1, inner); got {[np.shape(f) for f in fields]}")
+    outer, inner = (1, 1, *shape)[-2:]
+    fields = [np.atleast_2d(f.astype(np.float64, copy=False)) for f in fields]  # (n,) as (1, n)
+    for name, f in zip(fieldnames, fields):
+        if not np.isfinite(f).all():
+            raise ValueError(f"column {name!r} has a non-finite entry; "
+                             "tables hold finite numbers only")
     if fmt == "csv":
         head = "".join(f"# {comment}\n" for comment in comments) + ",".join(fieldnames) + "\n"
         keys, fsep, sep, tail = [""] * k, ",", "", ""
@@ -385,41 +382,30 @@ def write_table(rows: np.ndarray, path, fmt: str, fieldnames: Sequence[str],
     starts = np.cumsum([len(text) for text in texts[:-1]]) + width * np.arange(k)
     record = np.frombuffer("\0".ljust(width, "\0").join(texts).encode(), np.uint8)
 
-    # Cells of the grid fields constant along one axis, by field: one per
-    # inner index (along) or one per outer row (across). Comparing bits
-    # keeps -0.0, which '%.12g' writes as -0, apart from 0.0.
-    along: dict[int, np.ndarray] = {}
-    across: dict[int, np.ndarray] = {}
-    if outer > 1 and inner > 1:
-        bits = grid.view(np.int64)
-        for j in range(k):
-            # one row or column first: a field that varies fails it at once
-            field = bits[:, :, j]
-            if (field[1] == field[0]).all() and (field == field[:1]).all():
-                along[j] = _cells(grid[0, :, j], shortest)
-            elif (field[:, 1] == field[:, 0]).all() and (field == field[:, :1]).all():
-                across[j] = _cells(grid[:, 0, j], shortest)
-    free = [j for j in range(k) if j not in along and j not in across]
+    # each axis's cells, by field, read by the records as a (outer, inner) view;
+    # a view by shape, as a square grid cannot tell its axes apart by length
+    axes = {j: np.broadcast_to(_items(_cells(f.ravel(), shortest)).reshape(f.shape),
+                               (outer, inner))
+            for j, f in enumerate(fields) if f.shape != (outer, inner)}
     blocks: dict[int, bytearray] = {}  # by size: the full blocks and the tail
 
     def _block(o0: int, o1: int, j0: int, j1: int) -> str:
-        # the kernel writes each free field's cells in place, and the block's
-        # own translate drops the NUL bytes: no copy of the cells or block;
-        # the template fill rewrites every byte of a reused block
+        # the kernel writes each field's cells in place, and the block's own
+        # translate drops the NUL bytes: no copy of the cells or block; the
+        # template fill rewrites every byte of a reused block
         size = (o1 - o0) * (j1 - j0) * record.size
         block = blocks.get(size)
         if block is None:
             block = blocks[size] = bytearray(size)
         out = np.frombuffer(block, np.uint8).reshape(o1 - o0, j1 - j0, record.size)
         _items(out)[...] = _items(record)
-        for j, cells in along.items():
-            _items(out[:, :, starts[j]:starts[j] + width])[...] = _items(cells[j0:j1])
-        for j, cells in across.items():
-            _items(out[:, :, starts[j]:starts[j] + width])[...] = _items(cells[o0:o1, None])
         records = out.reshape(-1, record.size)
-        for j in free:
-            _cells(grid[o0:o1, j0:j1, j].ravel(), shortest,
-                   out=records[:, starts[j]:starts[j] + width])
+        for j, f in enumerate(fields):
+            if j in axes:
+                _items(out[:, :, starts[j]:starts[j] + width])[..., 0] = axes[j][o0:o1, j0:j1]
+            else:
+                _cells(f[o0:o1, j0:j1].ravel(), shortest,
+                       out=records[:, starts[j]:starts[j] + width])
         text = block.translate(None, b"\0").decode("ascii")
         return text if o0 or j0 else text[len(sep):]
 
@@ -549,9 +535,9 @@ def _cmd_scan_eta(args) -> int:
     _require(0 < args.theta_max <= math.pi, "--theta-max", f"must lie in (0, pi], got {args.theta_max}")
     xi = np.linspace(0.0, args.xi_max, args.xi_steps)[:, None]
     theta = np.linspace(0.0, args.theta_max, args.theta_steps)[None, :]
-    grid = np.stack(np.broadcast_arrays(xi, theta, eta_profile(xi, theta)), axis=-1)
     comments = _echo_params(args, ("xi_max", "xi_steps", "theta_steps", "theta_max"))
-    write_table(grid, args.out, args.format, ("xi", "theta", "eta"), comments)
+    write_table((xi, theta, eta_profile(xi, theta)), args.out, args.format, ("xi", "theta", "eta"),
+                comments)
     return 0
 
 
@@ -560,8 +546,8 @@ def _cmd_eta_max(args) -> int:
     _require(args.xi_steps >= 2, "--xi-steps", f"must be >= 2, got {args.xi_steps}")
     xi = np.linspace(0.0, args.xi_max, args.xi_steps)
     opt = eta_max(xi)
-    rows = np.column_stack([xi, opt.eta_max, opt.theta_opt, opt.chi_at_opt])
-    write_table(rows, args.out, args.format, ("xi", "eta_max", "theta_opt", "chi_at_opt"),
+    write_table((xi, opt.eta_max, opt.theta_opt, opt.chi_at_opt), args.out, args.format,
+                ("xi", "eta_max", "theta_opt", "chi_at_opt"),
                 _echo_params(args, ("xi_max", "xi_steps")))
     return 0
 
@@ -573,10 +559,9 @@ def _cmd_offdiag(args) -> int:
     # the boosted case and the case at rest, one stack of two
     pair = Scenario(np.array([[s.xi], [0.0]]), np.array([[s.theta], [0.0]]), gamma=s.gamma)
     boosted, rest = evolve_elementwise(plus_state(), pair, times)[..., 0, 1].real
-    rows = np.column_stack([grid, boosted, rest])
     comments = _echo_params(args, ("xi", "theta", "gamma", "gamma_t2_max", "points"))
-    write_table(rows, args.out, args.format, ("gamma_t2", "rho_ud_boosted", "rho_ud_rest"),
-                comments)
+    write_table((grid, boosted, rest), args.out, args.format,
+                ("gamma_t2", "rho_ud_boosted", "rho_ud_rest"), comments)
     return 0
 
 
@@ -593,6 +578,8 @@ def _cmd_evolve(args) -> int:
     args.theta = s.theta  # echo the resolved angle
     quad = _quadrature_from_args(args)
     try:
+        if not args.bloch.isprintable():  # its echo would break the comment block
+            raise ValueError(f"must be printable text, got {args.bloch!r}")
         bloch = [float(x) for x in args.bloch.split(",")]
         if len(bloch) != 3:
             raise ValueError("need exactly three components")
@@ -610,12 +597,11 @@ def _cmd_evolve(args) -> int:
     num = average_quadrature(rho0, s, times, quad)
     require_valid(num)
     worst = float(np.abs(ana - num).max())
-    rows = np.column_stack([grid, ana[:, 0, 0].real, num[:, 0, 0].real, ana[:, 0, 1].real,
-                            num[:, 0, 1].real, ana[:, 0, 1].imag, num[:, 0, 1].imag])
     comments = _echo_params(args, ("xi", "theta", "phi", "gamma", "gamma_t2_max", "points",
                                    "nodes", "bloch"))
     comments.append(f"max_analytic_oracle_diff = {_fmt(worst)}")
-    write_table(rows, args.out, args.format,
+    write_table((grid, ana[:, 0, 0].real, num[:, 0, 0].real, ana[:, 0, 1].real,
+                 num[:, 0, 1].real, ana[:, 0, 1].imag, num[:, 0, 1].imag), args.out, args.format,
                 ("gamma_t2", "rho_uu_analytic", "rho_uu_oracle", "re_rho_ud_analytic",
                  "re_rho_ud_oracle", "im_rho_ud_analytic", "im_rho_ud_oracle"), comments)
     _warn_unresolved("max_analytic_oracle_diff", worst)
@@ -633,9 +619,8 @@ def _cmd_concurrence(args) -> int:
     values = concurrence(states)
     rest = np.exp(-decay_exponent(4.0 * s.gamma, times))
     boosted = np.exp(-decay_exponent(4.0 * s.gamma_prime, times))
-    rows = np.column_stack([grid, values, rest, boosted])
     comments = _echo_params(args, ("xi", "theta", "gamma", "gamma_t2_max", "points", "nodes"))
-    write_table(rows, args.out, args.format,
+    write_table((grid, values, rest, boosted), args.out, args.format,
                 ("gamma_t2", "concurrence", "reference_rest", "reference_boosted"), comments)
     # at phi = 0 the boosted reference is exact for every theta (see ``entangle``)
     _warn_unresolved("max|concurrence - reference_boosted|",

@@ -203,7 +203,8 @@ def refused_flags(xi, theta, phi, gamma, g_max, points, nodes, bloch):
            "--phi": not 0.0 <= phi < 2.0 * math.pi,
            "--gamma": not gamma >= sys.float_info.min,
            "--nodes": not 2 <= nodes <= cli.MAX_NODES,
-           "--bloch": not np.linalg.norm([float(c) for c in bloch.split(",")]) <= 1.0 + 1e-12,
+           "--bloch": not bloch.isprintable()
+           or not np.linalg.norm([float(c) for c in bloch.split(",")]) <= 1.0 + 1e-12,
            "--gamma-t2-max": not g_max > 0.0 or gamma > 0.0 and not g_max / gamma < math.inf,
            "--points": points < 2}
     if theta is None:
@@ -243,6 +244,9 @@ def evolve_records(xi, theta, phi, gamma, g_max, points, nodes, bloch):
            lambda r: ",".join(map(repr, r))),
        fmt=st.sampled_from(["csv", "json"]))
 @evolve_edges
+# float() strips the line break, but the echo in the comment block would not
+@example(xi=2.5, theta=None, phi=0.0, gamma=None, g_max=4.0, points=2, nodes=201,
+         bloch="1,0,0\n", fmt="csv")
 def test_evolve_writes_the_library_columns_or_names_a_flag(xi, theta, phi, gamma, g_max, points,
                                                           nodes, bloch, fmt):
     argv = ["evolve", f"--xi={xi!r}", f"--phi={phi!r}", f"--gamma-t2-max={g_max!r}",
