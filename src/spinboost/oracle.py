@@ -226,11 +226,20 @@ def _bath_average(m: np.ndarray, s: Scenario, t, q: QuadratureSpec) -> np.ndarra
     k = m.shape[-1].bit_length() - 1  # 2 -> 1 qubit, 4 -> 2 qubits
     z, w = gauss_hermite_nodes(q.nodes)
     shape, rhos, n, rates, sigmas = _cases(m, s, (_quadrature_rates(s, t, z), _field_scale(s)))
+    # on nodes symmetric about 0, z[-1-i] == -z[i], each half angle is the
+    # exact negative of its mirror's, so the trig of the first ceil(n/2)
+    # nodes gives the rest: cos is even, sin odd
+    lo, hi = (len(z) + 1) // 2, len(z) // 2
+    mirrored = np.array_equal(z[:hi], -z[:lo - 1:-1])
+    trig_z = z[:lo] if mirrored else z
     out = np.empty(rhos.shape, dtype=complex)
     for k0 in range(0, len(rates), _QUAD_BLOCK):
         block = slice(k0, k0 + _QUAD_BLOCK)
-        half = rates[block, None] * (sigmas[block, None] * z)
+        half = rates[block, None] * (sigmas[block, None] * trig_z)
         cos_x, sin_x = np.cos(half), np.sin(half)
+        if mirrored:
+            cos_x = np.concatenate((cos_x, cos_x[:, hi - 1::-1]), axis=-1)
+            sin_x = np.concatenate((sin_x, -sin_x[:, hi - 1::-1]), axis=-1)
         # the degree-k monomials c^(k-i) s^i; w c^(2k-j) s^j is w c^k times
         # the first k + 1 of them, then w s^k times the last k
         mono = (cos_x, sin_x) if k == 1 else (cos_x * cos_x, cos_x * sin_x, sin_x * sin_x)

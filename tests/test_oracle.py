@@ -568,6 +568,21 @@ class TestQuadratureStack:
         assert worst <= 1e-15
         assert commutator > 0.1
 
+    @pytest.mark.parametrize("nodes", [201, 402])
+    def test_trig_is_even_and_odd_bit_for_bit_on_the_half_angles(self, cases, nodes):
+        # the kernel takes cos and sin of the first ceil(n/2) nodes only and
+        # mirrors them; that is exact only where numpy's cos is even and its
+        # sin odd, bit for bit, on the half angles it meets
+        _, stack, times = stacked(cases)
+        z = gauss_hermite_nodes(nodes)[0]
+        times = times * np.array([[1.0], [7.0], [30.0]])
+        half = (oracle._quadrature_rates(stack, times, z)[..., None]
+                * (oracle._field_scale(stack)[:, None] * z))
+        pairs = nodes // 2  # the middle node of an odd count is its own mirror
+        assert bits(half[..., -pairs:][..., ::-1]) == bits(-half[..., :pairs])
+        assert bits(np.cos(-half)) == bits(np.cos(half))
+        assert bits(np.sin(-half)) == bits(-np.sin(half))
+
     def test_an_empty_stack(self):
         assert quadrature_stack([]).shape == (0, 2, 2)
 
