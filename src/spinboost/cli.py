@@ -40,9 +40,10 @@ from .relkin import Scenario, eta_max, eta_profile
 from .spinalg import require_valid
 
 USAGE_ERROR = 2
-# Largest --nodes: the Golub-Welsch solve is a dense n x n eigenproblem,
-# which at 2048 nodes takes about 2 s and raises peak RSS by about 170 MB
-# (from 29 to 198 MB) on a 2-core VM.
+# Largest --nodes, the range over which the node solver's fixed Newton step
+# count was checked. Its work grows as n^2 on O(n) memory: at 2048 nodes it
+# takes about 25 ms, and `concurrence --nodes 2048 --points 200` about 50 ms
+# at a peak RSS of 42 MB, on a 2-core VM.
 MAX_NODES = 2048
 
 

@@ -32,11 +32,18 @@ to this one kernel, ``_bath_average``; it takes its cases in blocks of
 fixed size, and a case gets the same bits alone, among others or in
 another order.
 
-Determinism contracts: node/weight generation is the Golub-Welsch
-eigen-solve of the symmetric tridiagonal Jacobi matrix (numpy's dense
-Hermitian solver), whose bits were found equal on one and two BLAS
-threads for n <= 402 nodes but not at n = 1000 or 2048, where LAPACK
-runs threaded.
+Determinism contracts: the nodes and weights (``gauss_hermite_nodes``)
+come from element-wise numpy operations on arrays of about n/2 floats:
+asymptotic starts, a fixed number of Newton steps on the three-term
+recurrence and exact rescaling by powers of two. No step is a BLAS or
+LAPACK call, so their bits do not depend on the BLAS thread count at any
+n. The starts take numpy's ``sin``, ``cos`` and powers, which numpy may
+dispatch to SIMD code; Newton's last step ends at the recurrence's
+rounding, so a different start may move the nodes' last bits between
+machines. The nodes are symmetric about 0 bit for bit, and the kernel
+takes ``cos`` and ``sin`` of the first ceil(n/2) half angles only and
+mirrors them, which holds where numpy's ``cos`` is even and its ``sin``
+odd bit for bit (a tier-1 test checks this on the oracle's half angles).
 
 Monte Carlo is jittered stratified Box-Muller (Owen, *Monte Carlo
 theory, methods and examples*, on stratification): each of
@@ -140,25 +147,118 @@ class McSpec:
         return math.isqrt(max(self.samples, 0) // (2 * MC_RANDOMISATIONS))
 
 
+# The first ten zeros of the Airy function Ai (DLMF table 9.9.1); later
+# ones come from their asymptotic series (DLMF 9.9.6 and 9.9.18).
+_AIRY_ZEROS = (-2.338107410459767, -4.087949444130971, -5.520559828095551,
+               -6.786708090071759, -7.944133587120853, -9.022650853340980,
+               -10.04017434155809, -11.00852430373326, -11.93601556323626,
+               -12.82877675286576)
+# Newton steps on the three-term recurrence. From the asymptotic starts the
+# third step moves no zero x of any n in [2, 2048] by more than 1e-11, so
+# the fourth only moves them within the recurrence's rounding (5e-15).
+_NEWTON_STEPS = 4
+# Recurrence steps between two rescalings by a power of two. One step grows
+# max(|H_(k-1)|, |H_k|) by at most 2|x| + 2k < 4n + 4 (the zeros lie below
+# sqrt(2n + 1)), so 32 steps stay below 2^704 for n up to 10^6.
+_RESCALE_STEPS = 32
+
+
+def _airy_zeros(count: int) -> np.ndarray:
+    """a_1 > a_2 > ... > a_count, the first zeros of Ai."""
+    t = 3.0 * math.pi / 8.0 * (4.0 * np.arange(1, count + 1) - 1.0)
+    u = 1.0 / (t * t)
+    a = -t ** (2.0 / 3.0) * (1.0 + u * (5.0 / 48.0 + u * (-5.0 / 36.0 + u * (
+        77125.0 / 82944.0 + u * (-108056875.0 / 6967296.0
+                                 + u * (162375596875.0 / 334430208.0))))))
+    a[:len(_AIRY_ZEROS)] = _AIRY_ZEROS[:count]
+    return a
+
+
+def _hermite_starts(n: int) -> np.ndarray:
+    """Asymptotic starts for the nonnegative zeros of the physicists' H_n, ascending.
+
+    H_n is L_m^(a)(x^2), or x times it, with m = n // 2 and a = -1/2 for
+    even n, +1/2 for odd n, so Gatteschi's expansions of Laguerre zeros
+    apply, with nu = 2n + 1 (Townsend, Trogdon & Olver, IMA J. Numer.
+    Anal. 36, 337, 2016). In the bulk, Tricomi's form: T - sin T =
+    (4m - 4k + 3) pi / nu, t = cos^2(T/2) and x^2 = nu t -
+    (5/(1-t)^2 - 4/(1-t) - 4 + 12 a^2) / (12 nu) for the k-th zero from 0.
+    Near the edge, the largest ceil(n^(1/3)) - 1 zeros (at least one), the
+    Airy form in the zeros a_k of Ai. An odd n adds the zero 0 itself.
+    """
+    m, a = n // 2, 0.5 if n % 2 else -0.5
+    nu = 2.0 * n + 1.0
+    rhs = (4.0 * np.arange(m, 0, -1) - 1.0) * (math.pi / nu)
+    tau = np.full(m, 0.5 * math.pi)
+    for _ in range(7):  # Newton on T - sin T = rhs, from T = pi/2
+        tau -= (tau - np.sin(tau) - rhs) / (1.0 - np.cos(tau))
+    t = np.cos(0.5 * tau) ** 2
+    x2 = nu * t - (5.0 / (1.0 - t) ** 2 - 4.0 / (1.0 - t) - 4.0 + 12.0 * a * a) / (12.0 * nu)
+    edge = min(m, math.ceil(n ** (1.0 / 3.0)) - 1)
+    ak = _airy_zeros(edge)[::-1]
+    c = 2.0 ** (1.0 / 3.0)
+    x2[m - edge:] = (nu + c * c * ak * nu ** (1.0 / 3.0) + 0.2 * c ** 4 * ak ** 2 * nu ** (-1.0 / 3.0)
+                     + (11.0 / 35.0 - a * a - 12.0 / 175.0 * ak ** 3) / nu
+                     + (16.0 / 1575.0 * ak + 92.0 / 7875.0 * ak ** 4) * c * c * nu ** (-5.0 / 3.0)
+                     - (15152.0 / 3031875.0 * ak ** 5 + 1088.0 / 121275.0 * ak ** 2)
+                     * c * nu ** (-7.0 / 3.0))
+    x = np.sqrt(x2)
+    return np.concatenate(([0.0], x)) if n % 2 else x
+
+
+def _hermite_pair(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """H_(n-1)(x) and H_n(x) per node, both scaled by 2^-e, and the exponents e.
+
+    The recurrence H_(k+1) = 2x H_k - 2k H_(k-1) from H_0 = 1, H_1 = 2x,
+    rescaled by an exact power of two every ``_RESCALE_STEPS`` steps.
+    """
+    prev, cur = np.ones_like(x), 2.0 * x
+    two_x, term = 2.0 * x, np.empty_like(x)
+    scale = np.zeros(x.shape, dtype=np.int64)
+    for k in range(1, n):
+        prev *= -2.0 * k
+        prev += np.multiply(two_x, cur, out=term)
+        prev, cur = cur, prev
+        if k % _RESCALE_STEPS == 0:
+            e = np.frexp(np.abs(prev) + np.abs(cur))[1]
+            np.ldexp(prev, -e, out=prev)
+            np.ldexp(cur, -e, out=cur)
+            scale += e
+    return prev, cur, scale
+
+
 @lru_cache(maxsize=16)
 def gauss_hermite_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes/weights (z, w) for expectations under the standard normal.
 
-    E[f(Z)] ~= sum_i w_i f(z_i). Built from the physicists' Hermite
-    three-term recurrence: eigenvalues of the symmetric tridiagonal
-    Jacobi matrix are the nodes, squared first eigenvector components
-    the weights (Golub-Welsch). Nodes are symmetrised exactly about 0
-    and the weights normalised to sum to 1.
+    E[f(Z)] ~= sum_i w_i f(z_i), with z = sqrt(2) x over the zeros x of
+    the physicists' H_n. The nonnegative zeros start from
+    ``_hermite_starts`` and take ``_NEWTON_STEPS`` Newton steps
+    x -= H_n / H_n' = H_n / (2n H_(n-1)) on the three-term recurrence
+    (Glaser, Liu & Rokhlin, SIAM J. Sci. Comput. 29, 1420, 2007, take
+    such steps on an ODE instead). The weights are proportional to
+    1 / H_(n-1)(x)^2, held as a mantissa and a power of two, so the edge
+    weights at large n underflow to 0 and nothing overflows. The
+    negative half mirrors the nonnegative one exactly, z[-1-i] == -z[i]
+    and w[-1-i] == w[i], and the weights are normalised to sum to 1.
+    Every temporary holds O(n) floats, and each step is an element-wise
+    numpy operation: no BLAS or LAPACK call.
     """
     if _count(n, "nodes") < 2:
         raise ValueError(f"need at least 2 quadrature nodes, got {n!r}")
-    off_diag = np.sqrt(np.arange(1, n) / 2.0)
-    x, vecs = np.linalg.eigh(np.diag(off_diag, 1) + np.diag(off_diag, -1))
-    w = vecs[0] ** 2
-    x = 0.5 * (x - x[::-1])
-    w = 0.5 * (w + w[::-1])
+    x = _hermite_starts(n)
+    for _ in range(_NEWTON_STEPS):
+        prev, cur, _ = _hermite_pair(x, n)
+        x -= cur / ((2.0 * n) * prev)
+    prev, _, scale = _hermite_pair(x, n)
+    mant, exp = np.frexp(prev)
+    exp = exp + scale  # H_(n-1)(x) = mant 2^exp
     z = math.sqrt(2.0) * x
-    w = w / w.sum()
+    z = np.concatenate((-z[::-1][:n // 2], z))
+    with np.errstate(under="ignore"):  # the edge weights of large n go to 0
+        w = np.ldexp(1.0 / (mant * mant), 2 * (exp.min() - exp))
+        w = np.concatenate((w[::-1][:n // 2], w))
+        w = w / w.sum()
     z.setflags(write=False)
     w.setflags(write=False)
     return z, w

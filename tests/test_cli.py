@@ -480,12 +480,13 @@ class TestEvolve:
         assert err == f"error: --nodes: must lie in [2, {cli.MAX_NODES}], got {nodes}\n"
 
     @pytest.mark.parametrize("command", ["evolve", "concurrence"])
-    def test_largest_nodes_accepted(self, monkeypatch, tmp_path, command):
-        # the Golub-Welsch solve at MAX_NODES takes seconds, so 201 nodes stand in
-        nodes = oracle.gauss_hermite_nodes(201)
-        monkeypatch.setattr(oracle, "gauss_hermite_nodes", lambda n: nodes)
+    def test_largest_nodes_accepted(self, tmp_path, command):
+        out = tmp_path / "x.csv"
         assert run_cli([command, "--nodes", str(cli.MAX_NODES), "--points", "3",
-                        "--out", str(tmp_path / "x.csv")]) == 0
+                        "--out", str(out)]) == 0
+        assert oracle.gauss_hermite_nodes(cli.MAX_NODES)[0].shape == (cli.MAX_NODES,)
+        assert len([line for line in out.read_text().splitlines()
+                    if not line.startswith("#")]) == 4  # the header and three rows
 
     def test_bad_bloch_rejected(self, tmp_path, capsys):
         code = run_cli(["evolve", "--bloch", "2,0,0", "--out", str(tmp_path / "x.csv")])

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import bits, draw_cases, pauli_rotation, random_density, scenario, stacked
+from reference import (bits, draw_cases, golub_welsch, pauli_rotation, random_density, scenario,
+                       stacked)
 from spinboost import analysis, oracle, spinalg, verify
 from spinboost.channel import evolve_elementwise, plus_state
 from spinboost.oracle import (
@@ -93,14 +94,79 @@ class TestSpecs:
                                       gauss_hermite_nodes(5)[0])
 
 
+# node counts of the Gauss-Hermite tests: the smallest, odd and even, the
+# default and its double, and the CLI's largest
+NODE_COUNTS = [2, 3, 21, 201, 402, 1000, 2048]
+
+
 class TestGaussHermiteNodes:
-    @pytest.mark.parametrize("n", [2, 21, 201, 402])
+    @pytest.mark.parametrize("n", NODE_COUNTS)
     def test_weights_normalized_and_symmetric(self, n):
         z, w = gauss_hermite_nodes(n)
+        assert z.shape == w.shape == (n,)
         assert abs(w.sum() - 1.0) < 1e-12
         np.testing.assert_array_equal(z, -z[::-1])
         np.testing.assert_array_equal(w, w[::-1])
-        assert (w >= 0).all()
+        assert (w >= 0).all() and (np.diff(z) > 0).all()
+
+    @pytest.mark.parametrize("n", NODE_COUNTS[:-1])
+    def test_matches_golub_welsch(self, n):
+        z, w = gauss_hermite_nodes(n)
+        z_ref, w_ref = golub_welsch(n)
+        assert np.abs(z - z_ref).max() <= 1e-12
+        assert np.abs(w - w_ref).max() <= 1e-14
+
+    @pytest.mark.parametrize("n", NODE_COUNTS)
+    def test_even_moments_exact(self, n):
+        # n nodes integrate z^2k exactly for 2k <= 2n - 1: E[z^2k] = (2k - 1)!!
+        z, w = gauss_hermite_nodes(n)
+        for k in range(1, min(10, n - 1) + 1):
+            exact = math.prod(range(1, 2 * k, 2))
+            assert abs((w * z ** (2 * k)).sum() - exact) <= 1e-13 * exact
+
+    def test_edge_weights_underflow_to_zero_at_the_largest_count(self):
+        # the weights fall like exp(-z^2/2); past z ~ 38.6 they are below the
+        # smallest subnormal, so they are 0, never NaN or noise
+        z, w = gauss_hermite_nodes(2048)
+        assert np.isfinite(z).all() and np.isfinite(w).all()
+        assert (w[np.abs(z) > 39.0] == 0.0).all()
+        assert (w[np.abs(z) < 37.0] > 0.0).all()
+
+    def test_no_lapack_call(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("LAPACK call in the quadrature oracle")
+
+        for name in ("eigh", "eigvalsh", "eig", "svd"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        gauss_hermite_nodes.cache_clear()
+        rng = np.random.default_rng(12)
+        s = scenario(1.5, 0.8, 0.3)
+        times = np.linspace(0.0, 1.0, 5)
+        for nodes in (2, 201, 402):
+            q = QuadratureSpec(nodes)
+            assert np.isfinite(average_quadrature(random_density(rng), s, times, q)).all()
+            assert np.isfinite(two_qubit_average(random_density(rng, 4), s, times, q)).all()
+        assert gauss_hermite_nodes.cache_info().misses == 3
+        tree = ast.parse(inspect.getsource(oracle))
+        assert not [node for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr == "linalg"]
+
+    def test_bits_do_not_depend_on_the_blas_thread_count(self):
+        # a threaded LAPACK eigen-solve gave other bits at 1000 and 2048 nodes
+        script = ("import hashlib, sys\n"
+                  "sys.path.insert(0, sys.argv[1])\n"
+                  "from spinboost.oracle import gauss_hermite_nodes\n"
+                  "for n in (1000, 2048):\n"
+                  "    z, w = gauss_hermite_nodes(n)\n"
+                  "    print(hashlib.sha256(z.tobytes() + w.tobytes()).hexdigest())\n")
+        src = str(Path(oracle.__file__).resolve().parents[1])
+        digests = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            out = subprocess.run([sys.executable, "-c", script, src], env=env,
+                                 capture_output=True, text=True, check=True)
+            digests.add(out.stdout)
+        assert len(digests) == 1
 
     def test_standard_normal_moments(self):
         z, w = gauss_hermite_nodes(201)
@@ -115,6 +181,12 @@ class TestGaussHermiteNodes:
         for g_t2 in np.linspace(0.5, 10.0, 20):
             a = math.sqrt(2.0 * g_t2)
             got = (w * np.exp(-1j * a * z)).sum()
+            assert abs(got - math.exp(-g_t2)) < 1e-12
+
+    def test_gaussian_phase_integral_exact_at_the_largest_count(self):
+        z, w = gauss_hermite_nodes(2048)
+        for g_t2 in np.linspace(0.5, 10.0, 20):
+            got = (w * np.exp(-1j * math.sqrt(2.0 * g_t2) * z)).sum()
             assert abs(got - math.exp(-g_t2)) < 1e-12
 
 
