@@ -154,8 +154,9 @@ _AIRY_ZEROS = (-2.338107410459767, -4.087949444130971, -5.520559828095551,
                -10.04017434155809, -11.00852430373326, -11.93601556323626,
                -12.82877675286576)
 # Newton steps on the three-term recurrence. From the asymptotic starts the
-# third step moves no zero x of any n in [2, 2048] by more than 1e-11, so
-# the fourth only moves them within the recurrence's rounding (5e-15).
+# third step moves no zero x of any n in [2, 2048] by more than 1e-11, which
+# leaves them converged; the fourth is margin, and moves them only within
+# the recurrence's rounding (5e-15).
 _NEWTON_STEPS = 4
 # Recurrence steps between two rescalings by a power of two. One step grows
 # max(|H_(k-1)|, |H_k|) by at most 2|x| + 2k < 4n + 4 (the zeros lie below
@@ -197,7 +198,8 @@ def _hermite_starts(n: int) -> np.ndarray:
     edge = min(m, math.ceil(n ** (1.0 / 3.0)) - 1)
     ak = _airy_zeros(edge)[::-1]
     c = 2.0 ** (1.0 / 3.0)
-    x2[m - edge:] = (nu + c * c * ak * nu ** (1.0 / 3.0) + 0.2 * c ** 4 * ak ** 2 * nu ** (-1.0 / 3.0)
+    x2[m - edge:] = (nu + c * c * ak * nu ** (1.0 / 3.0)
+                     + 0.2 * c ** 4 * ak ** 2 * nu ** (-1.0 / 3.0)
                      + (11.0 / 35.0 - a * a - 12.0 / 175.0 * ak ** 3) / nu
                      + (16.0 / 1575.0 * ak + 92.0 / 7875.0 * ak ** 4) * c * c * nu ** (-5.0 / 3.0)
                      - (15152.0 / 3031875.0 * ak ** 5 + 1088.0 / 121275.0 * ak ** 2)
@@ -326,9 +328,10 @@ def _bath_average(m: np.ndarray, s: Scenario, t, q: QuadratureSpec) -> np.ndarra
     k = m.shape[-1].bit_length() - 1  # 2 -> 1 qubit, 4 -> 2 qubits
     z, w = gauss_hermite_nodes(q.nodes)
     shape, rhos, n, rates, sigmas = _cases(m, s, (_quadrature_rates(s, t, z), _field_scale(s)))
-    # on nodes symmetric about 0, z[-1-i] == -z[i], each half angle is the
-    # exact negative of its mirror's, so the trig of the first ceil(n/2)
-    # nodes gives the rest: cos is even, sin odd
+    # on nodes symmetric about 0, z[-1-i] == -z[i], as gauss_hermite_nodes
+    # makes them, each half angle is the exact negative of its mirror's, so
+    # the trig of the first ceil(n/2) nodes gives the rest: cos is even, sin
+    # odd. Any other node set takes the trig of every node.
     lo, hi = (len(z) + 1) // 2, len(z) // 2
     mirrored = np.array_equal(z[:hi], -z[:lo - 1:-1])
     trig_z = z[:lo] if mirrored else z

@@ -94,9 +94,12 @@ class TestSpecs:
                                       gauss_hermite_nodes(5)[0])
 
 
-# node counts of the Gauss-Hermite tests: the smallest, odd and even, the
-# default and its double, and the CLI's largest
-NODE_COUNTS = [2, 3, 21, 201, 402, 1000, 2048]
+# node counts held to the Golub-Welsch reference: the smallest, odd and
+# even, the default and its double; then the CLI's largest and, for the
+# zero node of an odd count, whose H_(n-1)(0) overflows unless rescaled,
+# the odd count below it
+REFERENCE_COUNTS = [2, 3, 21, 201, 402, 1000]
+NODE_COUNTS = REFERENCE_COUNTS + [2047, 2048]
 
 
 class TestGaussHermiteNodes:
@@ -109,7 +112,7 @@ class TestGaussHermiteNodes:
         np.testing.assert_array_equal(w, w[::-1])
         assert (w >= 0).all() and (np.diff(z) > 0).all()
 
-    @pytest.mark.parametrize("n", NODE_COUNTS[:-1])
+    @pytest.mark.parametrize("n", REFERENCE_COUNTS)
     def test_matches_golub_welsch(self, n):
         z, w = gauss_hermite_nodes(n)
         z_ref, w_ref = golub_welsch(n)
