@@ -1,8 +1,9 @@
 """Decoherence of a relativistically moving spin-1/2 in Gaussian magnetic noise.
 
 Closed-form channel dynamics, independent numerical averaging oracles,
-channel diagnostics (Choi/CPTP/Kraus), two-qubit concurrence under a
-common bath, and a CLI for figure data and cross-validation.
+channel diagnostics (Choi matrices with their CP and TP figures),
+two-qubit concurrence under a common bath, and a CLI for figure data and
+cross-validation.
 
 The API works on stacks. ``Scenario(xi, theta, phi, gamma=...)`` holds
 one case (floats) or a stack of cases (arrays that broadcast) with its
@@ -18,11 +19,10 @@ refuses a case. States are plain arrays: ``plus_state`` and
 ``bell_phi_plus`` return read-only ones.
 ``require_valid`` checks a stack, and raises the ``DensityMatrixError``
 of its first invalid matrix from ``DensityMatrix``, the one-matrix check.
-``choi_stack``, ``choi_diagnostics`` and ``kraus_residuals`` analyse
-stacks of maps.
+``choi_stack`` and ``choi_diagnostics`` analyse stacks of maps.
 """
 
-from .analysis import ChoiDiagnostics, choi_diagnostics, choi_stack, kraus_residuals, kraus_to_choi
+from .analysis import ChoiDiagnostics, choi_diagnostics, choi_stack
 from .channel import (dressed_apply, dressing_transform, evolve_elementwise, operator_sum_apply,
                       plus_state)
 from .entangle import bell_phi_plus, concurrence
@@ -53,8 +53,6 @@ __all__ = [
     "eta_profile",
     "evolve_elementwise",
     "gauss_hermite_nodes",
-    "kraus_residuals",
-    "kraus_to_choi",
     "operator_sum_apply",
     "plus_state",
     "require_valid",

@@ -1,4 +1,4 @@
-"""Channel-level diagnostics: Choi matrices, CPTP checks, Kraus extraction.
+"""Channel-level diagnostics: Choi matrices and their CP and TP figures.
 
 Convention: the Choi matrix of a single-qubit map E is
 
@@ -7,19 +7,15 @@ Convention: the Choi matrix of a single-qubit map E is
 (output factor first, unnormalised, trace 2 for trace-preserving maps).
 E is completely positive iff C is Hermitian and positive-semidefinite,
 and tracing out the output factor of a TP map gives the 2x2 identity.
-Kraus operators are recovered from the eigendecomposition:
-K_k = sqrt(lambda_k) * unvec(v_k) with unvec the row-major (output,
-input) reshape.
+These three figures also bound the canonical Kraus set's completeness
+and reassembly residuals, so no Kraus operator is built here.
 
 The arithmetic works on stacks and broadcasts over leading axes (...):
 ``choi_stack`` takes the images (..., 6, 2, 2) of the six ``PROBES``
 and returns Choi matrices (..., 4, 4) with linearity residuals (..., 2);
 ``choi_diagnostics`` returns per-matrix least eigenvalues, TP and
-Hermiticity residuals (...) and Kraus stacks (..., 4, 2, 2), in which
-dropped eigenvalues leave zero operators under a mask (..., 4) rather
-than a ragged list; ``kraus_residuals`` checks Kraus stacks
-(..., k, 2, 2), and ``kraus_to_choi`` assembles them. Nothing is
-refused here: callers compare the figures with their tolerances.
+Hermiticity residuals (...). Nothing is refused here: callers compare
+the figures with their tolerances.
 """
 
 from __future__ import annotations
@@ -28,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spinalg import _dagger, _eigh, _hermitize, _matmul
+from .spinalg import _dagger, _eigh, _hermitize
 
 # Probe states: |0><0|, |1><1|, |+><+|, |+i><+i| -- a spanning set of
 # genuine density matrices, so maps defined only on physical states can
@@ -43,9 +39,6 @@ PROBES = np.array([
     [[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]],
 ], dtype=complex)
 PROBES.setflags(write=False)
-
-# Kraus operators are kept for eigenvalues above this fraction of the largest.
-_RETAIN_REL = 1e-12
 
 
 def _frobenius(x: np.ndarray) -> np.ndarray:
@@ -79,19 +72,6 @@ def choi_stack(images) -> tuple[np.ndarray, np.ndarray]:
     return c, linearity
 
 
-def kraus_to_choi(kraus_ops) -> np.ndarray:
-    """Choi matrix assembled directly from Kraus operators (brute force).
-
-    ``kraus_ops`` is a sequence of 2x2 operators, or a stack (..., k, 2, 2)
-    that gives Choi matrices (..., 4, 4).
-    """
-    ops = np.asarray(kraus_ops, dtype=complex)
-    if ops.ndim < 3:  # an empty sequence
-        ops = ops.reshape(0, 2, 2)
-    v = ops.reshape(ops.shape[:-2] + (4,))
-    return (v[..., :, None] * v.conj()[..., None, :]).sum(axis=-3)
-
-
 def _trace_out(m: np.ndarray) -> np.ndarray:
     """Trace out the output (first) factor of Choi matrices (..., 4, 4)."""
     m = m.reshape(m.shape[:-2] + (2, 2, 2, 2))
@@ -100,56 +80,30 @@ def _trace_out(m: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ChoiDiagnostics:
-    """CP, TP and Kraus figures of a stack of Choi matrices (..., 4, 4).
-
-    ``min_eigenvalue``, ``tp_residual`` and ``herm_residual`` have the
-    stack's leading shape (...); ``kraus`` is (..., 4, 2, 2) with the
-    operators of dropped eigenvalues set to zero, and ``kept`` (..., 4)
-    marks the retained ones.
-    """
+    """CP and TP figures of a stack of Choi matrices (..., 4, 4), each of the
+    stack's leading shape (...)."""
 
     min_eigenvalue: np.ndarray
     tp_residual: np.ndarray
     herm_residual: np.ndarray
-    kraus: np.ndarray
-    kept: np.ndarray
 
 
 def choi_diagnostics(c) -> ChoiDiagnostics:
-    """Eigen-analysis of each Choi matrix in a stack (..., 4, 4).
+    """Least eigenvalue, TP and Hermiticity residuals of each Choi matrix in a stack (..., 4, 4).
 
-    One Hermitian eigen-solve of (C + C^dag)/2 per matrix gives the least
-    eigenvalue and the canonical Kraus set: K_k = sqrt(lambda_k) *
-    unvec(v_k) for each eigenvalue above ``_RETAIN_REL`` times the largest
-    one (and above 0), in descending order. The TP residual is
-    |tr_out C - I| and the Hermiticity residual |C - C^dag| (Frobenius).
-    Nothing is refused here; the callers compare against a tolerance. A
-    matrix with a NaN or infinite entry gets NaN eigenvalues and no Kraus
-    operator, without a warning (``spinalg._eigh``).
+    The least eigenvalue is that of (C + C^dag)/2, from one stacked
+    Hermitian eigenvalue solve; the TP residual is |tr_out C - I| and the
+    Hermiticity residual |C - C^dag| (Frobenius). Nothing is refused here;
+    the callers compare against a tolerance. A matrix with a NaN or
+    infinite entry gets a NaN eigenvalue, without a warning
+    (``spinalg._eigh``).
     """
     c = np.asarray(c, dtype=complex)
     if c.shape[-2:] != (4, 4):
         raise ValueError(f"Choi matrices must be 4x4, got shape {c.shape}")
     with np.errstate(invalid="ignore"):
-        vals, vecs = _eigh(_hermitize(c))
+        vals = _eigh(_hermitize(c), vectors=False)
         tp_residual = _frobenius(_trace_out(c) - np.eye(2))
         herm_residual = _frobenius(c - _dagger(c))
-    vals, vecs = vals[..., ::-1], vecs[..., ::-1]
-    kept = vals > _RETAIN_REL * np.maximum(vals[..., :1], 0.0)
-    weights = np.sqrt(np.where(kept, vals, 0.0))
-    kraus = (weights[..., None, :] * vecs).swapaxes(-1, -2)
-    return ChoiDiagnostics(
-        min_eigenvalue=vals[..., -1],
-        tp_residual=tp_residual,
-        herm_residual=herm_residual,
-        kraus=kraus.reshape(kraus.shape[:-1] + (2, 2)),
-        kept=kept,
-    )
-
-
-def kraus_residuals(kraus, c) -> tuple[np.ndarray, np.ndarray]:
-    """|sum K^dag K - I| and |Choi(K) - C| (Frobenius) for Kraus stacks (..., k, 2, 2)."""
-    kraus = np.asarray(kraus, dtype=complex)
-    completeness = _matmul(_dagger(kraus), kraus).sum(axis=-3)
-    return (_frobenius(completeness - np.eye(2)),
-            _frobenius(kraus_to_choi(kraus) - np.asarray(c)))
+    return ChoiDiagnostics(min_eigenvalue=vals[..., 0], tp_residual=tp_residual,
+                           herm_residual=herm_residual)

@@ -635,8 +635,11 @@ def _cmd_verify(args) -> int:
     render = verify_mod.format_json if args.format == "json" else verify_mod.format_report
     report = render(results, seed=args.seed)
     if args.out is not sys.stdout:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(report)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(report)
+        except OSError as exc:
+            raise OSError(f"cannot write report to {args.out!r}: {exc}") from exc
     else:
         with contextlib.suppress(BrokenPipeError):  # a closed stdout keeps verify's exit code
             sys.stdout.write(report)

@@ -232,11 +232,8 @@ def check_cptp_grid() -> CheckResult:
     invalid = int(_invalid(images).sum())
     choi, linearity = analysis.choi_stack(images)
     diag = analysis.choi_diagnostics(choi)
-    complete, reassembled = analysis.kraus_residuals(diag.kraus, choi)
     worst_eig = float(diag.min_eigenvalue.min())
     worst_tp = float(diag.tp_residual.max())
-    worst_complete = float(complete.max())
-    worst_reassembled = float(reassembled.max())
     # rules the PASS line leaves out are named when they fail
     notes = [
         f" invalid_probe_images={invalid}" if invalid else "",
@@ -244,19 +241,12 @@ def check_cptp_grid() -> CheckResult:
         f" max_choi_hermiticity={_g(diag.herm_residual.max())} (> 1e-10)"
         if not diag.herm_residual.max() <= tol else "",
     ]
-    ok = (
-        worst_eig >= -tol
-        and worst_tp < 1e-12
-        and worst_complete < 1e-9
-        and worst_reassembled < 1e-9
-        and not any(notes)
-    )
+    ok = worst_eig >= -tol and worst_tp < 1e-12 and not any(notes)
     return CheckResult(
         "cptp_grid",
         ok,
         f"grid=10x10x5 min_choi_eig={_g(worst_eig)} (>= -1e-10) max_tp_residual={_g(worst_tp)} "
-        f"(< 1e-12) kraus_completeness={_g(worst_complete)} reassembly={_g(worst_reassembled)} "
-        f"(< 1e-09){''.join(notes)}",
+        f"(< 1e-12){''.join(notes)}",
     )
 
 
@@ -452,26 +442,54 @@ def check_boost_geometry_identities(seed: int) -> CheckResult:
 
 
 def check_eta_argmax_grid() -> CheckResult:
+    """The grid maximum of eta over 1e5 angles against ``eta_max``, and ``eta_profile``
+    against the grid on every 100th angle.
+
+    The grid's eta is p^2 / (p^2 + q^2) of the boosted field's components
+    p = 2 sinh(xi/2)^2 cos(theta) sin(theta) and q = cos(theta)^2 +
+    cosh(xi) sin(theta)^2, apart from ``relkin``, with cos(theta) as
+    sin(pi/2 - theta), the library's convention, so it is exactly 0 where
+    ``eta_profile`` is. The grid goes in eighths, all rapidities at once,
+    so no temporary is above 0.4 MB.
+    """
     grid = np.linspace(0.0, math.pi / 2.0, 100_000)
     step = grid[1] - grid[0]
     xis = np.array([0.5, 1.0, 2.5, 5.0])
-    # the grid in eighths, all rapidities per call; a later eighth takes
-    # over only with a strictly larger value, as argmax keeps the first
+    excess, cosh = (2.0 * np.sinh(0.5 * xis) ** 2)[:, None], np.cosh(xis)[:, None]
+    # a later eighth takes over only with a strictly larger value, as argmax keeps the first
     best, where = np.full(len(xis), -math.inf), np.zeros(len(xis), dtype=int)
-    for k0 in range(0, len(grid), len(grid) // 8):
-        profile = eta_profile(xis[:, None], grid[k0:k0 + len(grid) // 8])
-        top = profile.max(axis=-1)
-        where = np.where(top > best, k0 + profile.argmax(axis=-1), where)
+    eighth = len(grid) // 8
+    # two buffers for all eighths: a fresh 0.4-MB array per step would be mapped and
+    # faulted in anew each time
+    p, q = np.empty((2, len(xis), eighth))
+    sampled = np.empty((len(xis), len(grid) // 100))
+    for k0 in range(0, len(grid), eighth):
+        theta = grid[k0:k0 + eighth]
+        sin, cos = np.sin(theta), np.sin(0.5 * math.pi - theta)
+        np.multiply(excess, cos * sin, out=p)
+        np.multiply(cosh, sin * sin, out=q)
+        q += cos * cos
+        p *= p  # p^2
+        q *= q
+        q += p  # p^2 + q^2
+        eta = np.divide(p, q, out=p)
+        sampled[:, k0 // 100:(k0 + eighth) // 100] = eta[:, ::100]
+        top = eta.max(axis=-1)
+        where = np.where(top > best, k0 + eta.argmax(axis=-1), where)
         best = np.maximum(best, top)
     opt = eta_max(xis)
     worst_loc = float(np.abs(grid[where] - opt.theta_opt).max())
     worst_val = float(np.abs(best - opt.eta_max).max())
-    ok = worst_loc <= step and worst_val <= 1e-9
+    dist = np.abs(eta_profile(xis[:, None], grid[::100]) - sampled)
+    with np.errstate(divide="ignore", invalid="ignore"):  # inf where only the grid is 0
+        worst_rel = float(np.where(dist == 0.0, 0.0, dist / sampled).max())
+    ok = worst_loc <= step and worst_val <= 1e-9 and worst_rel <= 1e-14
     return CheckResult(
         "eta_argmax_grid",
         ok,
         f"grid=1e5 max|theta_grid-theta_opt|={_g(worst_loc)} (<= step {_g(step)}) "
-        f"max|eta_grid-eta_max|={_g(worst_val)} (tol 1e-09)",
+        f"max|eta_grid-eta_max|={_g(worst_val)} (tol 1e-09) "
+        f"max_rel|eta_profile-eta_grid|={_g(worst_rel)} (every 100th angle, tol 1e-14)",
     )
 
 

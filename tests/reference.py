@@ -2,11 +2,13 @@
 
 The Lorentz transformation of static (E, B) fields, the boosted axis and
 the optimum of eta in 50 digits, the closed-form SU(2) rotation,
-rest-frame dephasing, Golub-Welsch Gauss-Hermite nodes and a random-state
-draw: independent or textbook forms that the tests hold the package's
-kernels to.
+rest-frame dephasing, Golub-Welsch Gauss-Hermite nodes, the canonical
+Kraus set of a Choi matrix and a random-state draw: independent or
+textbook forms that the tests hold the package's kernels to. And
+``assert_same_text``, which compares whole tables without a diff.
 """
 
+import hashlib
 import math
 from decimal import Decimal, localcontext
 
@@ -180,6 +182,36 @@ def golub_welsch(n: int) -> tuple[np.ndarray, np.ndarray]:
     return math.sqrt(2.0) * x, w / w.sum()
 
 
+def kraus_to_choi(ops) -> np.ndarray:
+    """The Choi matrix sum_k vec(K_k) vec(K_k)^dag of a sequence of 2x2 Kraus operators,
+    with vec the row-major (output, input) reshape; 0 for an empty sequence."""
+    c = np.zeros((4, 4), dtype=complex)
+    for k in ops:
+        v = np.asarray(k, dtype=complex).reshape(4)
+        c += np.outer(v, v.conj())
+    return c
+
+
+def kraus_from_choi(c) -> np.ndarray:
+    """The canonical Kraus set (k, 2, 2) of one Choi matrix (4, 4), largest weight first.
+
+    K_k = sqrt(lambda_k) unvec(v_k) over the eigenpairs of (C + C^dag)/2
+    whose eigenvalue lies above 1e-12 times the largest one, and above 0.
+    """
+    c = np.asarray(c, dtype=complex)
+    vals, vecs = np.linalg.eigh(0.5 * (c + c.conj().T))
+    kept = [k for k in range(3, -1, -1) if vals[k] > 1e-12 * max(vals[3], 0.0)]
+    return np.array([math.sqrt(vals[k]) * vecs[:, k].reshape(2, 2) for k in kept]).reshape(-1, 2, 2)
+
+
+def kraus_residuals(c) -> tuple[float, float]:
+    """|sum K^dag K - I| and |Choi(K) - C| (Frobenius) of the canonical Kraus set of ``c``."""
+    ops = kraus_from_choi(c)
+    completeness = sum((k.conj().T @ k for k in ops), np.zeros((2, 2)))
+    return (float(np.linalg.norm(completeness - IDENTITY_2)),
+            float(np.linalg.norm(kraus_to_choi(ops) - c)))
+
+
 def random_density(rng: np.random.Generator, dim: int = 2, pure: bool = False) -> np.ndarray:
     """A random state (dim, dim): ``_random_states`` on the next 2 dim^2 normals of
     ``rng`` (Hilbert-Schmidt), or on the next 2 dim with ``pure`` (Haar)."""
@@ -223,3 +255,25 @@ def stacked(cases) -> tuple:
     """The states (N, 2, 2), one Scenario and the times (N,) of N cases."""
     rhos = np.array([rho for rho, _, _ in cases]).reshape(-1, 2, 2)
     return rhos, stack_of([s for _, s, _ in cases]), np.array([t for _, _, t in cases])
+
+
+def assert_same_text(actual, expected) -> None:
+    """Fail unless two texts (both str or both bytes) are equal, naming the first line
+    where they differ.
+
+    Their digests are compared first; on a mismatch the lines are walked once. No
+    diff of the whole is built: pytest's, on two 300x300 tables, runs for minutes.
+    """
+    def digest(text):
+        return hashlib.sha256(text.encode() if isinstance(text, str) else text).digest()
+
+    if type(actual) is type(expected) and digest(actual) == digest(expected):
+        return
+    got, want = actual.splitlines(True), expected.splitlines(True)
+    for number, (line, ref) in enumerate(zip(got, want), 1):
+        if line != ref:
+            raise AssertionError(f"texts differ first at line {number}:\n"
+                                 f"  actual:   {line!r}\n  expected: {ref!r}")
+    raise AssertionError(f"texts differ: {len(got)} lines ({type(actual).__name__}) against "
+                         f"{len(want)} ({type(expected).__name__}), the first "
+                         f"{min(len(got), len(want))} equal")

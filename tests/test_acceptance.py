@@ -56,8 +56,8 @@ def test_criterion_05_decomposition_equivalence(checks):
 
 
 def test_criterion_06_cptp_grid(checks):
-    # 10x10x5 grid: Choi min eigenvalue >= -1e-10, TP residual < 1e-12,
-    # Kraus completeness and reassembly within 1e-9
+    # 10x10x5 grid: Choi min eigenvalue >= -1e-10, TP residual < 1e-12 (with
+    # Hermiticity, these imply the canonical Kraus identities: test_analysis)
     _assert_and_print(6, checks["cptp_grid"])
 
 

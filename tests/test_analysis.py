@@ -1,18 +1,15 @@
-"""Tests for Choi construction, CPTP figures and Kraus extraction on stacks."""
+"""Tests for Choi construction and CPTP figures on stacks, and for what they imply of the
+canonical Kraus set (built by the test-side reference)."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from reference import scenario
-from spinboost.analysis import (
-    PROBES,
-    choi_diagnostics,
-    choi_stack,
-    kraus_residuals,
-    kraus_to_choi,
-)
+from reference import kraus_from_choi, kraus_residuals, kraus_to_choi, scenario
+from spinboost.analysis import PROBES, choi_diagnostics, choi_stack
 from spinboost.channel import evolve_elementwise, operator_sum_apply
 from spinboost.oracle import average_quadrature
 from spinboost.spinalg import PAULI_X, PAULI_Z, require_valid
@@ -127,26 +124,24 @@ class TestVerifyCptp:
         assert d.tp_residual < 1e-14
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, -math.inf)])
-    def test_non_finite_choi_gives_nan_and_no_kraus(self, bad):
+    def test_non_finite_choi_gives_nan_eigenvalues(self, bad):
         # the finite maps of a stack keep the bits they get alone
         c = choi_of(images_of(dephasing_map(0.7, 0.3)))
         broken = c.copy()
         broken[1, 2] = bad
         d = choi_diagnostics(np.stack([broken, c, np.full((4, 4), bad)]))
         alone = choi_diagnostics(c)
-        assert np.isnan(d.min_eigenvalue[[0, 2]]).all() and not d.kept[[0, 2]].any()
+        assert np.isnan(d.min_eigenvalue[[0, 2]]).all()
+        assert not (d.min_eigenvalue[[0, 2]] >= -TOL).any()  # so no CP verdict passes
         assert d.min_eigenvalue[1] == alone.min_eigenvalue
-        assert np.array_equal(d.kraus[1], alone.kraus)
-
-
-def kept_kraus(d):
-    """The Kraus operators (k, 2, 2) that a ChoiDiagnostics of one map retains."""
-    return d.kraus[d.kept]
+        assert d.tp_residual[1] == alone.tp_residual and d.herm_residual[1] == alone.herm_residual
 
 
 class TestKrausFromChoi:
+    """The test-side Kraus reference on maps whose Kraus sets are known."""
+
     def test_identity_channel_single_kraus(self):
-        ops = kept_kraus(choi_diagnostics(choi_of(images_of(identity_map))))
+        ops = kraus_from_choi(choi_of(images_of(identity_map)))
         assert len(ops) == 1
         k = ops[0]
         phase = k[0, 0] / abs(k[0, 0])
@@ -154,7 +149,7 @@ class TestKrausFromChoi:
 
     def test_dephasing_two_kraus_with_weights(self):
         p0, p1 = 0.8, 0.2
-        ops = kept_kraus(choi_diagnostics(choi_of(images_of(dephasing_map(p0, p1)))))
+        ops = kraus_from_choi(choi_of(images_of(dephasing_map(p0, p1))))
         assert len(ops) == 2
         weights = sorted(float(np.trace(k.conj().T @ k).real) / 2.0 for k in ops)
         np.testing.assert_allclose(weights, [p1, p0], atol=1e-12)
@@ -165,9 +160,8 @@ class TestKrausFromChoi:
             s = scenario(rng.uniform(0, 3), rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
             t = rng.uniform(0.1, 2)
             c = choi_of(boosted_images(s, t))
-            d = choi_diagnostics(c)
-            assert cptp(d)[0]
-            ops = kept_kraus(d)
+            assert cptp(choi_diagnostics(c))[0]
+            ops = kraus_from_choi(c)
             assert len(ops) <= 4
             completeness = sum(k.conj().T @ k for k in ops)
             assert np.linalg.norm(completeness - np.eye(2)) < 1e-9
@@ -213,7 +207,7 @@ class TestDecompositionChoiAgreement:
             signed = choi_of(images)
             d = choi_diagnostics(signed)
             assert cptp(d)[0]
-            canonical = kraus_to_choi(kept_kraus(d))
+            canonical = kraus_to_choi(kraus_from_choi(signed))
             assert np.linalg.norm(signed - canonical) < 1e-10
 
     def test_cptp_on_coarse_grid(self):
@@ -242,10 +236,11 @@ class TestHermiticity:
         assert abs(d.herm_residual - 1.2) < 1e-12
 
     def test_hermitian_control_passes(self):
-        d = choi_diagnostics(choi_of(images_of(dephasing_map(0.75, 0.25))))
+        c = choi_of(images_of(dephasing_map(0.75, 0.25)))
+        d = choi_diagnostics(c)
         assert d.herm_residual == 0.0
         assert cptp(d) == (True, True)
-        assert len(kept_kraus(d)) == 2
+        assert len(kraus_from_choi(c)) == 2
 
     def test_stacked_path_applies_the_same_rule(self):
         images = [[skew_map(p) for p in PROBES], [dephasing_map(0.75, 0.25)(p) for p in PROBES]]
@@ -268,11 +263,11 @@ class TestStackedAgreesWithPerMap:
         return out + [images_of(transpose_map)]
 
     def test_choi_cptp_and_kraus_figures_equal(self):
-        # each map of a stack gets the figures that a stack of one gives it
+        # each map of a stack gets the figures that a stack of one gives it, and the
+        # reference's Kraus set of each CP map is complete and reassembles its Choi matrix
         maps = self.maps()
         c, linearity = choi_stack(maps)
         d = choi_diagnostics(c)
-        complete, reassembled = kraus_residuals(d.kraus, c)
         assert c.shape == (26, 4, 4) and linearity.shape == (26, 2)
         assert (linearity <= 1e-10).all()
         for k, images in enumerate(maps):
@@ -282,26 +277,39 @@ class TestStackedAgreesWithPerMap:
             assert d.min_eigenvalue[k] == alone.min_eigenvalue
             assert d.tp_residual[k] == alone.tp_residual
             assert d.herm_residual[k] == alone.herm_residual
+            complete, reassembled = kraus_residuals(choi)
             if k == len(maps) - 1:  # the transpose map
                 assert not cptp(alone)[0]
                 # the dropped negative eigenvalue leaves the Kraus set incomplete
-                assert complete[k] > 0.5 and reassembled[k] > 0.5
-                continue
-            ops = kept_kraus(alone)
-            assert len(ops) == int(d.kept[k].sum())
-            np.testing.assert_array_equal(ops, d.kraus[k][d.kept[k]])
-            np.testing.assert_array_equal(d.kraus[k][~d.kept[k]], 0.0)
-            # the residuals are norms of the same matrices, summed in another order
-            per_map_complete = np.linalg.norm(sum(op.conj().T @ op for op in ops) - np.eye(2))
-            per_map_reassembled = np.linalg.norm(kraus_to_choi(ops) - choi)
-            assert abs(complete[k] - per_map_complete) <= 1e-15
-            assert abs(reassembled[k] - per_map_reassembled) <= 1e-15
-            assert complete[k] < 1e-9 and reassembled[k] < 1e-9
+                assert complete > 0.5 and reassembled > 0.5
+            else:
+                assert complete < 1e-9 and reassembled < 1e-9
 
-    def test_kraus_to_choi_accepts_stacks_and_empty_sets(self):
-        ops = np.array([[np.eye(2), PAULI_Z], [PAULI_X, PAULI_Z]]) / math.sqrt(2)
-        stacked = kraus_to_choi(ops)
-        assert stacked.shape == (2, 4, 4)
-        for k in range(2):
-            np.testing.assert_array_equal(stacked[k], kraus_to_choi(list(ops[k])))
-        np.testing.assert_array_equal(kraus_to_choi([]), np.zeros((4, 4)))
+
+def rules_pass(d) -> bool:
+    """The three CPTP rules of ``verify``'s cptp_grid, at its tolerances."""
+    return bool(d.min_eigenvalue >= -1e-10 and d.tp_residual < 1e-12 and d.herm_residual <= 1e-10)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(xi=st.floats(0.0, 3.0), theta=st.floats(0.0, math.pi), g=st.floats(0.0, 5.0),
+       scale=st.floats(-16.0, -6.0), hermitian=st.booleans(), trace_free=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+@example(xi=0.0, theta=0.0, g=0.0, scale=-10.0, hermitian=True, trace_free=True, seed=0)
+@example(xi=2.0, theta=0.0, g=1.0, scale=-10.3, hermitian=True, trace_free=True, seed=1)
+def test_three_rules_imply_both_kraus_identities(xi, theta, g, scale, hermitian, trace_free,
+                                                 seed):
+    # A channel's Choi matrix, perturbed at 10**scale (Hermitian, with no trace-out part,
+    # or neither), then held to the eigenvalue, TP and Hermiticity rules. Where all
+    # three pass, the canonical Kraus set is complete and reassembles C within 1e-9:
+    # sum K^dag K is tr_out of the kept part of (C + C^dag)/2, and Choi(K) that part.
+    c = choi_of(boosted_images(scenario(xi, theta, 0.7), math.sqrt(g)))
+    re, im = np.random.default_rng(seed).standard_normal((2, 4, 4))
+    noise = re + 1j * im
+    noise = 0.5 * (noise + noise.conj().T) if hermitian else noise
+    if trace_free:  # tr_out of I (x) M is 2M
+        noise = noise - np.kron(np.eye(2), noise[0::2, 0::2] + noise[1::2, 1::2]) / 2.0
+    c = c + 10.0**scale * noise
+    assume(rules_pass(choi_diagnostics(c)))
+    complete, reassembled = kraus_residuals(c)
+    assert complete < 1e-9 and reassembled < 1e-9

@@ -13,6 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
+from reference import assert_same_text
 from spinboost import cli, oracle, verify
 from spinboost.cli import main, write_table
 from spinboost.relkin import Scenario, eta_max, eta_profile
@@ -62,8 +63,9 @@ class TestWriteTable:
         rows = np.array([[-0.0, 5e-324, 1e22], [math.pi, -1.0 / 3.0, 2.5e-310]])
         buf = io.StringIO()
         write_table(tuple(rows.T), buf, "csv", ("a", "b", "c"))
-        body = buf.getvalue().splitlines()[1:]
-        assert body == [",".join(format(x, ".12g") for x in row) for row in rows.tolist()]
+        body = buf.getvalue().split("\n", 1)[1]
+        assert_same_text(body, "".join(",".join(format(x, ".12g") for x in row) + "\n"
+                                       for row in rows.tolist()))
 
     def test_json_round_trip(self):
         rows = np.array([[0.5, 0.25], [1.0, 0.5]])
@@ -135,7 +137,7 @@ class TestWriteTableBlocks:
         monkeypatch.setattr(cli, "_vector_cells", lambda *a: calls.append(1) or kernel(*a))
         buf = io.StringIO()
         write_table(tuple(rows.T), buf, fmt, self.NAMES)
-        assert buf.getvalue() == reference(rows, self.NAMES)
+        assert_same_text(buf.getvalue(), reference(rows, self.NAMES))
         # a column longer than _SHORT_COLUMN goes through the kernel, a shorter one does not
         sizes = [min(cli._BLOCK_ROWS, n - i) for i in range(0, n, cli._BLOCK_ROWS)]
         assert len(calls) == len(self.NAMES) * sum(size > cli._SHORT_COLUMN for size in sizes)
@@ -151,7 +153,7 @@ class TestWriteTableBlocks:
         rows[cli._BLOCK_ROWS:, 1::2] = 1e-300
         buf = io.StringIO()
         write_table(tuple(rows.T), buf, fmt, self.NAMES)
-        assert buf.getvalue() == reference(rows, self.NAMES)
+        assert_same_text(buf.getvalue(), reference(rows, self.NAMES))
 
     @pytest.mark.parametrize("fmt, reference", [("csv", _reference_csv),
                                                 ("json", _reference_json)])
@@ -159,7 +161,7 @@ class TestWriteTableBlocks:
         # no fields: their broadcast shape is (), one record
         buf = io.StringIO()
         write_table((), buf, fmt, ())
-        assert buf.getvalue() == reference(np.empty((1, 0)), ())
+        assert_same_text(buf.getvalue(), reference(np.empty((1, 0)), ()))
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_comments_precede_csv_header_only(self, fmt):
@@ -167,7 +169,7 @@ class TestWriteTableBlocks:
         write_table((np.ones(2),), buf, fmt, ("a",), ["seed = 1", "100% done"])
         expected = "# seed = 1\n# 100% done\na\n1\n1\n" if fmt == "csv" else \
             _reference_json(np.ones((2, 1)), ("a",))
-        assert buf.getvalue() == expected
+        assert_same_text(buf.getvalue(), expected)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -213,7 +215,7 @@ class TestWriteTableGrid:
         buf = io.StringIO()
         write_table(fields, buf, fmt, self.NAMES)
         records = np.stack(np.broadcast_arrays(*fields), axis=-1).reshape(-1, len(self.NAMES))
-        assert buf.getvalue() == reference(records, self.NAMES)
+        assert_same_text(buf.getvalue(), reference(records, self.NAMES))
 
     @pytest.mark.parametrize("fmt, reference", FORMATS)
     @pytest.mark.parametrize("outer, inner", [
@@ -280,7 +282,7 @@ class TestWriteTableGrid:
         text = out.read_text(encoding="utf-8")
         if fmt == "csv":
             text = "".join(line for line in text.splitlines(True) if not line.startswith("#"))
-        assert text == reference(rows, ("xi", "theta", "eta"))
+        assert_same_text(text, reference(rows, ("xi", "theta", "eta")))
 
 
 def _cell_text(cells):
@@ -343,7 +345,7 @@ class TestCellKernel:
         values = self.FAMILIES[family]
         assert values.size > cli._SHORT_COLUMN  # so the kernel writes it, not the fallback alone
         expected = "".join(spec % v + "\n" for v in values.tolist())
-        assert _cell_text(cli._cells(values, shortest)) == expected
+        assert_same_text(_cell_text(cli._cells(values, shortest)), expected)
 
     @pytest.mark.parametrize("shortest", [False, True])
     def test_certified_share_of_the_figure_tables(self, shortest):
@@ -385,7 +387,7 @@ class TestScanEta:
         for path in (a, b):
             assert run_cli(["scan-eta", "--xi-steps", "10", "--theta-steps", "10",
                             "--out", str(path)]) == 0
-        assert a.read_bytes() == b.read_bytes()
+        assert_same_text(a.read_bytes(), b.read_bytes())
 
 
 class TestOffdiag:
@@ -404,7 +406,7 @@ class TestOffdiag:
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for path in (a, b):
             assert run_cli(["offdiag", "--points", "50", "--out", str(path)]) == 0
-        assert a.read_bytes() == b.read_bytes()
+        assert_same_text(a.read_bytes(), b.read_bytes())
 
 
 class TestEvolve:
@@ -610,7 +612,7 @@ class TestConfigFile:
                         "--bloch", "0,0.6,0.8", "--out", str(from_flags)]) == 0
         comments, _, rows = read_csv(from_config)
         assert len(rows) == 7 and "# bloch = 0,0.6,0.8" in comments
-        assert from_config.read_bytes() == from_flags.read_bytes()
+        assert_same_text(from_config.read_bytes(), from_flags.read_bytes())
 
 
 class TestConfigParsedAsFlags:
@@ -867,6 +869,16 @@ class TestVerifyFormat:
             "PASS first_check: x=1 (tol 2)\n"
             "FAIL second_check: y=3 (tol 2)\n"
             "verify: 1/2 checks passed\n")
+
+    @pytest.mark.parametrize("where", ["missing_dir", "directory"])
+    def test_unwritable_out_names_its_path(self, monkeypatch, capsys, tmp_path, where):
+        # every check passes, so the exit code 1 is the write's
+        monkeypatch.setattr(verify, "run_checks", lambda seed: self.RESULTS[:1])
+        path = str(tmp_path / "no" / "x.txt" if where == "missing_dir" else tmp_path)
+        assert run_cli(["verify", "--out", path]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"error: OSError: cannot write report to {path!r}: ")
 
 
 class TestJsonOutput:

@@ -39,6 +39,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from reference import assert_same_text
 from spinboost import cli
 from spinboost.channel import decay_exponent, evolve_elementwise, plus_state
 from spinboost.entangle import bell_phi_plus, concurrence
@@ -68,6 +69,11 @@ def library_records(command, xi_max, xi_steps, theta_steps, theta_max):
     opt = eta_max(xi)
     return (("xi", "eta_max", "theta_opt", "chi_at_opt"),
             np.column_stack([xi, opt.eta_max, opt.theta_opt, opt.chi_at_opt]))
+
+
+def bit_lines(table) -> str:
+    """A float table's raw 64-bit words, one line per record."""
+    return "".join(f"{row}\n" for row in table.view(np.int64).tolist())
 
 
 def parse(text, fmt):
@@ -112,7 +118,7 @@ def test_every_number_is_the_library_float(command, fmt, xi_max, xi_steps, theta
     assert got_names == names and len(rows) == len(expected)
     got = np.array(rows, dtype=float).reshape(expected.shape)
     if fmt == "json":
-        assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()
+        assert_same_text(bit_lines(got), bit_lines(expected))
     else:
         assert (np.abs(got - expected) <= (5e-12 + 1e-15) * np.abs(expected)).all()
 
@@ -172,7 +178,7 @@ def test_offdiag_writes_the_library_coherence_or_names_a_flag(xi, theta, gamma, 
     assert np.isfinite(got).all()
     expected = offdiag_records(xi, theta, gamma, g_max, points)
     if fmt == "json":
-        assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()
+        assert_same_text(bit_lines(got), bit_lines(expected))
     else:
         assert (np.abs(got - expected) <= (5e-12 + 1e-15) * np.abs(expected)).all()
 
@@ -274,7 +280,7 @@ def test_evolve_writes_the_library_columns_or_names_a_flag(xi, theta, phi, gamma
                      "re_rho_ud_oracle", "im_rho_ud_analytic", "im_rho_ud_oracle")
     got = np.array(rows, dtype=float).reshape(expected.shape)
     if fmt == "json":
-        assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()
+        assert_same_text(bit_lines(got), bit_lines(expected))
     else:
         assert f"# max_analytic_oracle_diff = {worst:.12g}\n" in out
         assert (np.abs(got - expected) <= (5e-12 + 1e-15) * np.abs(expected)).all()
@@ -348,6 +354,6 @@ def test_concurrence_writes_finite_columns_or_names_a_flag(xi, theta, gamma, g_m
     got = np.array(rows, dtype=float).reshape(expected.shape)
     assert np.isfinite(got).all()
     if fmt == "json":
-        assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()
+        assert_same_text(bit_lines(got), bit_lines(expected))
     else:
         assert (np.abs(got - expected) <= (5e-12 + 1e-15) * np.abs(expected)).all()

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from reference import (bits, draw_cases, golub_welsch, pauli_rotation, random_density, scenario,
                        stacked)
-from spinboost import analysis, oracle, spinalg, verify
+from spinboost import oracle, spinalg, verify
 from spinboost.channel import evolve_elementwise, plus_state
 from spinboost.oracle import (
     MC_RANDOMISATIONS,
@@ -710,8 +710,8 @@ def blas_products(func):
             or isinstance(node, ast.Attribute) and node.attr in ("matmul", "dot", "tensordot")]
 
 
-@pytest.mark.parametrize("func", [oracle._bath_average, analysis.kraus_residuals,
-                                  spinalg._random_states, verify._draw_channel_cases])
+@pytest.mark.parametrize("func", [oracle._bath_average, spinalg._random_states,
+                                  verify._draw_channel_cases])
 def test_no_blas_product(func):
     assert blas_products(func) == []
 

@@ -66,8 +66,8 @@ def test_public_api():
         "QuadratureSpec", "Scenario", "average_montecarlo", "average_quadrature",
         "bell_phi_plus", "choi_diagnostics", "choi_stack", "concurrence", "dressed_apply",
         "dressing_transform", "eta_max", "eta_profile", "evolve_elementwise",
-        "gauss_hermite_nodes", "kraus_residuals", "kraus_to_choi", "operator_sum_apply",
-        "plus_state", "require_valid", "two_qubit_average",
+        "gauss_hermite_nodes", "operator_sum_apply", "plus_state", "require_valid",
+        "two_qubit_average",
     ]
 
 

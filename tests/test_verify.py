@@ -7,7 +7,7 @@ import pytest
 
 from spinboost import analysis, oracle, verify
 from spinboost.channel import dressed_apply, evolve_elementwise, operator_sum_apply
-from spinboost.relkin import Scenario, _geometry
+from spinboost.relkin import EtaMax, Scenario, _geometry, eta_max, eta_profile
 
 
 def transposed_kernel(m, s, t):
@@ -48,8 +48,51 @@ def test_cptp_grid_fails_a_map_that_is_not_tp(monkeypatch):
 def test_cptp_grid_figures_stay_finite_on_failure(monkeypatch, kernel):
     monkeypatch.setattr(verify, "evolve_elementwise", kernel)
     detail = verify.check_cptp_grid().detail
-    for key in ("min_choi_eig=", "max_tp_residual=", "kraus_completeness=", "reassembly="):
+    for key in ("min_choi_eig=", "max_tp_residual="):
         assert np.isfinite(float(detail.split(key)[1].split()[0]))
+
+
+GRID_STEP = (math.pi / 2.0) / 99_999
+
+
+def test_eta_argmax_grid_passes():
+    result = verify.check_eta_argmax_grid()
+    assert result.passed, result.line()
+    rel = float(result.detail.split("max_rel|eta_profile-eta_grid|=")[1].split()[0])
+    assert rel <= 1e-14
+
+
+def shifted_eta_max(theta_shift=0.0, eta_shift=0.0):
+    """``eta_max`` with theta_opt and eta_max moved by the given amounts."""
+    def shifted(xi):
+        opt = eta_max(xi)
+        return EtaMax(opt.eta_max + eta_shift, opt.theta_opt + theta_shift, opt.chi_at_opt)
+    return shifted
+
+
+@pytest.mark.parametrize("name, planted", [
+    ("eta_profile", lambda xi, theta: (1.0 + 1e-13) * eta_profile(xi, theta)),
+    ("eta_max", shifted_eta_max(theta_shift=2 * GRID_STEP)),
+    ("eta_max", shifted_eta_max(eta_shift=2e-9)),
+])
+def test_eta_argmax_grid_catches_a_planted_error(monkeypatch, name, planted):
+    # eta_profile 1e-13 relative off, theta_opt two grid steps off, eta_max 2e-9 off
+    monkeypatch.setattr(verify, name, planted)
+    result = verify.check_eta_argmax_grid()
+    assert not result.passed, result.line()
+
+
+def test_eta_argmax_grid_leaves_the_dense_grid_to_its_own_form(monkeypatch):
+    # the 1e5-angle grid never goes through relkin: eta_profile sees every 100th angle only
+    seen = []
+
+    def recorded(xi, theta):
+        seen.append(np.size(theta))
+        return eta_profile(xi, theta)
+
+    monkeypatch.setattr(verify, "eta_profile", recorded)
+    assert verify.check_eta_argmax_grid().passed
+    assert seen and max(seen) <= 1_250
 
 
 @pytest.mark.parametrize("module, name, failing, note", [
