@@ -45,28 +45,39 @@ takes ``cos`` and ``sin`` of the first ceil(n/2) half angles only and
 mirrors them, which holds where numpy's ``cos`` is even and its ``sin``
 odd bit for bit (a tier-1 test checks this on the oracle's half angles).
 
-Monte Carlo is jittered stratified Box-Muller (Owen, *Monte Carlo
-theory, methods and examples*, on stratification): each of
-R = ``MC_RANDOMISATIONS`` independent randomisations puts one uniformly
-jittered point in each of the m x m strata of (u1, u2) and takes both
-normals of each point, 2 R m^2 normals in all (``McSpec.samples``).
-Randomisation r draws its uniforms from an SFC64 stream seeded by
-numpy's ``SeedSequence(seed, spawn_key=(r,))``, and its means are
-accumulated in a fixed order, so identical (seed, samples) produce
-bit-identical results, on one BLAS thread or several. The estimate is
-the average of the R randomisation means, and its standard error their
-spread, with R - 1 degrees of freedom, as for randomised quasi-Monte
-Carlo (Dick, Kuo & Sloan, Acta Numerica 22, 133, 2013): the per-draw
-variance overstates a stratified mean's error. A Monte Carlo call draws
-each randomisation's normals once and rotates every case on them: all
-its cases see one stream, and each case gets the bits it would get
-alone, whatever else is in the stack or in what order.
+Monte Carlo samples a randomly shifted polar lattice: each of
+R = ``MC_RANDOMISATIONS`` independent randomisations draws one jittered
+radius in each stratum of v = exp(-r^2/2), which is uniform for the
+radius r of a standard normal pair (Owen, *Monte Carlo theory, methods
+and examples*, on stratification). The stratum next to v = 0 is split
+into ``MC_TAIL_STRATA`` geometric ones, each weighted by its mass. At
+each radius a lattice of K = ``MC_ANGLES`` equally spaced angles is
+rotated by one uniform shift (a Cranley-Patterson rotation; Cranley &
+Patterson, SIAM J. Numer. Anal. 13, 904, 1976), and its cosines give K
+normals, R K S in all for S radius strata (``McSpec.samples``). The sum
+over angles is a trapezoid rule on a periodic integrand, nearly exact,
+so almost all of a randomisation's variance comes from its radii. K is
+even, so the lattice holds each normal with its negative: the sine
+means cancel exactly, as they do under the normal law, and the kernel
+evaluates the half turn only. Randomisation r draws its uniforms from
+an SFC64 stream seeded by numpy's ``SeedSequence(seed, spawn_key=(r,))``,
+and its means are accumulated in a fixed order, so identical (seed,
+samples) produce bit-identical results, on one BLAS thread or several.
+The estimate is the average of the R randomisation means, and its
+standard error their spread, with R - 1 degrees of freedom, as for
+randomised quasi-Monte Carlo (Dick, Kuo & Sloan, Acta Numerica 22, 133,
+2013): the per-draw variance overstates a stratified mean's error. A
+Monte Carlo call draws each randomisation's normals once and rotates
+every case on them: all its cases see one stream, and each case gets
+the bits it would get alone, whatever else is in the stack or in what
+order.
 
 Monte Carlo trigonometry: every cos/sin pair comes from one tangent of
-the half angle. For the Box-Muller angle, cos 2x = (1 - h^2) w and
-sin 2x = 2 h w with h = tan x and w = 1/(1 + h^2). For the rotation angle
-d of each draw only two means are needed: with h = tan(d/2),
-1 - cos d = 2 h (hw) and sin d = 2hw, two pairwise sums per block.
+the half angle. For a lattice's shift, cos 2x = (1 - h^2) w and
+sin 2x = 2 h w with h = tan x and w = 1/(1 + h^2); the lattice's own
+angles are fixed, and their cosines follow by the addition theorem.
+For the rotation angle d of each draw only one mean is needed: with
+h = tan(d/2), 1 - cos d = 2 h (hw), one pairwise sum per block.
 numpy dispatches float64 ``tan`` to SIMD code on common x86-64 builds,
 where ``cos`` and ``sin`` are scalar libm calls, so one ``tan`` and a
 few multiply-adds cost about a tenth of the pair. The pairs stay within
@@ -92,13 +103,21 @@ from .spinalg import _hermitize, _kron, _matmul, _states, pauli_vector
 # default nodes that ``spinboost verify`` and the CLI accept.
 ORACLE_TOL = 1e-8
 
-# R, the independent randomisations of the stratified Monte Carlo sampler:
-# each gives one estimate, and their spread the standard error, with R - 1
-# degrees of freedom.
+# R, the independent randomisations of the Monte Carlo sampler: each gives
+# one estimate, and their spread the standard error, with R - 1 degrees of
+# freedom.
 MC_RANDOMISATIONS = 16
+# K, the angles of the polar lattice at each radius; even, so that each
+# normal comes with its negative. On verify's cases, at 128-248 radii, the
+# lattice's own error is negligible against the radii's at K >= 14 and
+# dominates at K <= 10; 16 keeps a margin.
+MC_ANGLES = 16
+# T, the geometric strata that split the radius stratum next to v = 0,
+# halving in mass towards 0.
+MC_TAIL_STRATA = 8
 # Floats per temporary of ``_randomisation_means`` (512 KiB): its work array
-# holds a block of rows of strata, and its two (cases x normals) arrays a
-# block of cases; a block holds at least one row and one case.
+# holds a block of radius strata, and its two (cases x normals) arrays a
+# block of cases; a block holds at least one stratum and one case.
 _MC_BLOCK = 1 << 16
 
 
@@ -125,26 +144,27 @@ class QuadratureSpec:
 class McSpec:
     """Monte Carlo normal count and 64-bit seed.
 
-    ``samples`` is the number of normals drawn: 2 R m^2, two normals in
-    each of the m x m strata of each of the R = ``MC_RANDOMISATIONS``
-    randomisations. The default, m = 60, draws 115,200.
+    ``samples`` is the number of normals drawn: R K S, K = ``MC_ANGLES``
+    lattice angles at each of the S radius strata of each of the
+    R = ``MC_RANDOMISATIONS`` randomisations, with S at least
+    ``MC_TAIL_STRATA``. The default, S = 128, draws 32,768.
     """
 
-    samples: int = 2 * MC_RANDOMISATIONS * 60**2
+    samples: int = MC_RANDOMISATIONS * MC_ANGLES * 128
     seed: int = 42
 
     def __post_init__(self):
-        samples = _count(self.samples, "samples")
-        if samples < 1 or 2 * MC_RANDOMISATIONS * self.strata**2 != samples:
-            raise ValueError(f"samples must be 2 R m^2 = {2 * MC_RANDOMISATIONS} m^2 for a "
-                             f"whole number m >= 1 of strata per axis, got {self.samples!r}")
+        samples, per_radius = _count(self.samples, "samples"), MC_RANDOMISATIONS * MC_ANGLES
+        if samples % per_radius or samples // per_radius < MC_TAIL_STRATA:
+            raise ValueError(f"samples must be R K S = {per_radius} S for a whole number "
+                             f"S >= {MC_TAIL_STRATA} of radius strata, got {self.samples!r}")
         if not 0 <= _count(self.seed, "seed") < 2**64:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
 
     @property
     def strata(self) -> int:
-        """m, the strata per axis of each randomisation's m x m grid on (u1, u2)."""
-        return math.isqrt(max(self.samples, 0) // (2 * MC_RANDOMISATIONS))
+        """S, the radius strata of each randomisation."""
+        return max(self.samples, 0) // (MC_RANDOMISATIONS * MC_ANGLES)
 
 
 # The first ten zeros of the Airy function Ai (DLMF table 9.9.1); later
@@ -399,10 +419,45 @@ def _cos_sin_double(x: np.ndarray, cos_out: np.ndarray, scratch: np.ndarray) -> 
     x *= 2.0
 
 
+@lru_cache(maxsize=8)
+def _radius_strata(strata: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Lower edges a and masses b of the ``strata`` radius strata, in units of 1/m of v, and m.
+
+    m = strata - T + 1 equal strata [i/m, (i + 1)/m) cover v in [0, 1],
+    and the one next to 0 is split into T = ``MC_TAIL_STRATA``: [0, 2^(1-T)/m)
+    and [2^-k/m, 2^(1-k)/m) for k = T - 1, ..., 1. Ascending in v; every
+    edge and mass is an exact binary fraction, and the masses sum to m.
+    """
+    tail = 2.0 ** -np.arange(MC_TAIL_STRATA - 1, 0, -1)
+    uniform = strata - MC_TAIL_STRATA
+    lower = np.concatenate(([0.0], tail, np.arange(1.0, uniform + 1)))
+    mass = np.concatenate((tail[:1], tail, np.ones(uniform)))
+    lower.setflags(write=False)
+    mass.setflags(write=False)
+    return lower, mass, uniform + 1
+
+
+def _radius(one_minus_u: np.ndarray, strata: int, block: slice) -> np.ndarray:
+    """Overwrite 1 - U in (0, 1], one per radius stratum of ``block``, with the
+    radius sqrt(-2 log v) at v = (a + b (1 - U))/m (``_radius_strata``)."""
+    lower, mass, m = _radius_strata(strata)
+    v = one_minus_u
+    v *= mass[block]
+    v += lower[block]
+    v /= m
+    np.log(v, out=v)
+    v *= -2.0
+    return np.sqrt(v, out=v)
+
+
 def _normal_bound(strata: int) -> float:
-    """The largest |z| that ``_stratified_normals`` returns at ``strata`` per axis:
-    the radius sqrt(-2 log v) at the smallest v, 2**-53 / strata."""
-    return math.sqrt(2.0 * (53.0 * math.log(2.0) + math.log(strata)))
+    """The largest |z| that ``_lattice_normals`` returns at ``strata`` radius strata.
+
+    The radius at the smallest v, 2^-53 b_0 / m: the stratum next to 0
+    with 1 - U = 2^-53, by the sampler's own steps; |z| is at most the
+    radius, as the lattice's cosines are clipped to [-1, 1].
+    """
+    return float(_radius(np.array([2.0**-53]), strata, slice(0, 1))[0])
 
 
 def _stream(seed: int, r: int) -> np.random.Generator:
@@ -411,61 +466,71 @@ def _stream(seed: int, r: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(r,))))
 
 
-def _stratified_normals(gen: np.random.Generator, strata: int, first: int, rows: int,
-                        work: np.ndarray) -> np.ndarray:
-    """Normals of rows ``first`` to ``first + rows - 1`` of an m x m grid of strata.
+# cos and sin of the half turn's fixed angles pi j / (K/2), j < K/2
+_LATTICE = np.pi / (MC_ANGLES // 2) * np.arange(MC_ANGLES // 2)
+_LATTICE_COS, _LATTICE_SIN = np.cos(_LATTICE), np.sin(_LATTICE)
 
-    Jittered stratified Box-Muller: one point (u1, u2) in each stratum
-    [i/m, (i+1)/m) x [j/m, (j+1)/m), from the pair (U1, U2) of uniforms
-    that ``gen`` draws next for it, stratum by stratum in row-major order.
-    v = (i + (1 - U1))/m in (0, 1] stands for 1 - u1, so the radius
-    sqrt(-2 log v) is finite; the angle is 2 pi u2 with
-    u2 = (j + U2)/m, and each point gives both normals: the cosines of the
-    rows' points, then their sines. ``work``, a float array of at least
-    4 rows m, holds every intermediate; the 2 rows m normals are returned
-    as a view of its start.
+
+def _lattice_normals(gen: np.random.Generator, strata: int, first: int, rows: int,
+                     work: np.ndarray) -> np.ndarray:
+    """Normals of radius strata ``first`` to ``first + rows - 1``, K/2 per stratum.
+
+    Stratum s takes the pair (U1, U2) of uniforms that ``gen`` draws next
+    for it, stratum by stratum. v = (a_s + b_s (1 - U1))/m in (0, 1],
+    with ``_radius_strata``'s edge a_s and mass b_s, gives the radius
+    sqrt(-2 log v). The lattice's half turn, theta_j = pi (j + U2)/(K/2)
+    for j < K/2, is the fixed angles rotated by phi = pi U2/(K/2), so
+    cos theta_j = cos(pi j/(K/2)) cos phi - sin(pi j/(K/2)) sin phi, with
+    cos phi and sin phi from one tangent, clipped to [-1, 1] and scaled by
+    the radius: row-major (stratum, angle). The other half turn holds the
+    negatives. ``work``, a float array of at least rows (K + 4) floats,
+    holds every intermediate; the rows K/2 normals are returned as a view
+    of it.
     """
-    count = rows * strata
-    pairs = gen.random(out=work[:2 * count]).reshape(rows, strata, 2)
-    radius, half = work[2 * count:3 * count], work[3 * count:4 * count]
-    v = np.subtract(1.0, pairs[..., 0], out=radius.reshape(rows, strata))
-    v += np.arange(first, first + rows)[:, None]
-    v /= strata
-    np.log(radius, out=radius)
-    radius *= -2.0
-    np.sqrt(radius, out=radius)
-    np.add(pairs[..., 1], np.arange(strata), out=half.reshape(rows, strata))
-    half *= math.pi / strata  # half of the angle 2 pi u2
-    z = work[:2 * count]  # the uniforms are spent
-    _cos_sin_double(half, z[:count], z[count:])  # half now holds the sines
-    z[:count] *= radius
-    np.multiply(radius, half, out=z[count:])
-    return z
+    half = MC_ANGLES // 2
+    pairs = gen.random(out=work[:2 * rows]).reshape(rows, 2)
+    radius = _radius(np.subtract(1.0, pairs[:, 0], out=work[2 * rows:3 * rows]), strata,
+                     slice(first, first + rows))
+    shift = np.multiply(pairs[:, 1], math.pi / MC_ANGLES, out=work[3 * rows:4 * rows])  # phi/2
+    cos_phi = work[:rows]  # the uniforms are spent
+    _cos_sin_double(shift, cos_phi, work[rows:2 * rows])  # shift now holds sin phi
+    z = work[4 * rows:(4 + half) * rows].reshape(rows, half)
+    rotated = work[(4 + half) * rows:(4 + 2 * half) * rows].reshape(rows, half)
+    np.multiply(cos_phi[:, None], _LATTICE_COS, out=z)
+    z -= np.multiply(shift[:, None], _LATTICE_SIN, out=rotated)
+    np.clip(z, -1.0, 1.0, out=z)
+    z *= radius[:, None]
+    return z.reshape(-1)
 
 
 def _randomisation_means(mc: McSpec, half_scales) -> np.ndarray:
-    """Means of 1 - cos d and of sin d per case and randomisation, (2, cases, R).
+    """Means of 1 - cos d per case and randomisation, (cases, R).
 
-    Case k has d = 2 half_scales[k] z over the 2 m^2 normals z of each
-    randomisation r, whose uniforms come from ``_stream(mc.seed, r)``.
-    The normals are drawn once, in blocks of rows of strata, and seen by
-    every case, so a case does not depend on the others. With
-    h = tan(d/2) and w = 1/(1 + h^2), 1 - cos d = 2 h (hw) and
-    sin d = 2 hw, so two pairwise sums per block give both means;
-    1 - cos d rather than cos d keeps their spread at full relative
-    accuracy at small angles.
+    Case k has d = 2 half_scales[k] z over the K S normals z of each
+    randomisation r, whose uniforms come from ``_stream(mc.seed, r)``,
+    each stratum's terms weighted by its mass. The normals are drawn once,
+    in blocks of radius strata, and seen by every case, so a case does
+    not depend on the others. With h = tan(d/2) and w = 1/(1 + h^2),
+    1 - cos d = 2 h (hw), one pairwise sum per block; 1 - cos d rather
+    than cos d keeps its spread at full relative accuracy at small angles.
+    Only the half turn of ``_lattice_normals`` is evaluated: the other
+    holds -z, with the same 1 - cos d and the opposite sin d, so each
+    randomisation's mean of sin d is 0 and is not returned.
     """
     half_scales = np.asarray(half_scales, dtype=float)
-    m = mc.strata
-    rows = min(m, max(1, _MC_BLOCK // (4 * m)))
-    per_block = max(1, _MC_BLOCK // (2 * rows * m))
-    work = np.empty(4 * rows * m)
-    h_buf, w_buf = np.empty((2, min(per_block, len(half_scales)) * 2 * rows * m))
-    sums = np.zeros((2, len(half_scales), MC_RANDOMISATIONS))
+    strata, half = mc.strata, MC_ANGLES // 2
+    _, mass, m = _radius_strata(strata)
+    rows = min(strata, max(1, _MC_BLOCK // (MC_ANGLES + 4)))
+    per_block = max(1, _MC_BLOCK // (rows * half))
+    work = np.empty((MC_ANGLES + 4) * rows)
+    h_buf, w_buf = np.empty((2, min(per_block, len(half_scales)) * rows * half))
+    sums = np.zeros((len(half_scales), MC_RANDOMISATIONS))
     for r in range(MC_RANDOMISATIONS):
         gen = _stream(mc.seed, r)
-        for first in range(0, m, rows):
-            z = _stratified_normals(gen, m, first, min(rows, m - first), work)
+        for first in range(0, strata, rows):
+            count = min(rows, strata - first)
+            z = _lattice_normals(gen, strata, first, count, work)
+            tail = max(0, min(MC_TAIL_STRATA - first, count))  # strata of mass below 1
             for k0 in range(0, len(half_scales), per_block):
                 scales = half_scales[k0:k0 + per_block, None]
                 h = h_buf[:len(scales) * len(z)].reshape(len(scales), len(z))
@@ -475,16 +540,19 @@ def _randomisation_means(mc: McSpec, half_scales) -> np.ndarray:
                 np.multiply(h, h, out=w)
                 w += 1.0
                 np.divide(1.0, w, out=w)
-                hw = np.multiply(h, w, out=w)
+                vers = np.multiply(np.multiply(h, w, out=w), h, out=h)
+                if tail:  # masses are powers of two: exact
+                    vers.reshape(len(scales), count, half)[:, :tail] *= \
+                        mass[first:first + tail, None]
                 # numpy's pairwise sums, unlike a BLAS dot, do not depend on
                 # the BLAS thread count
-                sums[1, k0:k0 + per_block, r] += hw.sum(axis=-1)
-                sums[0, k0:k0 + per_block, r] += np.multiply(hw, h, out=h).sum(axis=-1)
-    return sums / (m * m)  # 2 h (hw) and 2 hw averaged over 2 m^2 normals
+                sums[k0:k0 + per_block, r] += vers.sum(axis=-1)
+    # 2 h (hw), weighted by mass/m, averaged over each stratum's K/2 angles
+    return 2.0 * sums / (m * half)
 
 
 def average_montecarlo(m, s: Scenario, t, mc: McSpec = McSpec()) -> tuple[np.ndarray, np.ndarray]:
-    """Stratified Monte Carlo estimate of the Gaussian average.
+    """Lattice Monte Carlo estimate of the Gaussian average.
 
     Returns the mean of U(z) rho U(z)^dag over z ~ N(0, 1) and its
     standard error. States ``m`` (..., 2, 2), the cases of ``s`` and
@@ -493,14 +561,15 @@ def average_montecarlo(m, s: Scenario, t, mc: McSpec = McSpec()) -> tuple[np.nda
 
     Each draw rotates the Bloch vector by d = 2 kappa t sigma z about n, so
     (Rodrigues) U rho U^dag = rho - (1 - cos d) B + (sin d) C with fixed
-    matrices B and C. Each of the R = ``MC_RANDOMISATIONS`` randomisations
-    of ``_randomisation_means`` gives a mean M_r, and the estimate is
-    their average M. The standard error is their spread,
+    matrices B and C, and on the lattice's normals the mean of sin d is 0.
+    Each of the R = ``MC_RANDOMISATIONS`` randomisations of
+    ``_randomisation_means`` gives a mean M_r, and the estimate is their
+    average M. The standard error is their spread,
     sqrt(sum_r |M_r - M|^2 / (R (R - 1))) in Frobenius norm, with R - 1
     degrees of freedom. Every case sees the same ``mc.samples`` normals of
     ``mc.seed``, and the means and standard errors of all cases are built
     in one stacked step. A case whose rotation angle is not finite at the
-    largest |z| that ``_stratified_normals`` returns gets NaN.
+    largest |z| that ``_lattice_normals`` returns gets NaN.
     """
     _require_nonneg_time(t)
     m = _states(m, 2, "average_montecarlo")
@@ -508,20 +577,17 @@ def average_montecarlo(m, s: Scenario, t, mc: McSpec = McSpec()) -> tuple[np.nda
     # kappa t sigma, half the rotation angle per draw z: d = 2 kappa t sigma z
     half_scales = _half_angle_rates(s, t, sigma * _normal_bound(mc.strata)) * sigma
     shape, rhos, n, half_scales = _cases(m, s, (half_scales,))
-    vers, sins = _randomisation_means(mc, half_scales)
+    vers = _randomisation_means(mc, half_scales)
     # rho = a0 I + a.sigma with complex a; the rotation acts on a:
     # a -> a - (1 - cos d)(a - (n.a) n) + sin d (n x a)
     a = 0.5 * np.stack([rhos[:, 0, 1] + rhos[:, 1, 0], 1j * (rhos[:, 0, 1] - rhos[:, 1, 0]),
                         rhos[:, 0, 0] - rhos[:, 1, 1]], axis=-1)
     across = a - (n[:, 0] * a[:, 0] + n[:, 1] * a[:, 1] + n[:, 2] * a[:, 2])[:, None] * n
-    turn = np.cross(n, a)
     r = MC_RANDOMISATIONS
-    mean_vers, mean_sin = vers.sum(axis=-1) / r, sins.sum(axis=-1) / r
-    means = _hermitize(rhos + pauli_vector(turn * mean_sin[:, None]
-                                           - across * mean_vers[:, None]))
-    # M_r - M as Pauli vectors (cases, R, 3); |x.sigma|^2 = 2 |x|^2
-    spread = (turn[:, None] * (sins - mean_sin[:, None])[..., None]
-              - across[:, None] * (vers - mean_vers[:, None])[..., None])
-    sq = (spread.real**2 + spread.imag**2).sum(axis=-1).sum(axis=-1)
+    mean_vers = vers.sum(axis=-1) / r
+    means = _hermitize(rhos - pauli_vector(across * mean_vers[:, None]))
+    # M_r - M = -(vers_r - mean) across.sigma; |x.sigma|^2 = 2 |x|^2
+    sq = ((across.real**2 + across.imag**2).sum(axis=-1)
+          * ((vers - mean_vers[:, None]) ** 2).sum(axis=-1))
     stderrs = np.sqrt(2.0 * sq / (r * (r - 1)))
     return means.reshape(shape + (2, 2)), stderrs.reshape(shape)[()]

@@ -356,8 +356,7 @@ def montecarlo_bound(rate: float, cases: int) -> float:
     """
     dof = oracle.MC_RANDOMISATIONS - 1
     lo, hi = 0.0, 1e6
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:  # until no float splits the bracket
         if student_t_tail(mid, dof) > rate / cases:
             lo = mid
         else:
@@ -371,17 +370,18 @@ MC_CASES = 20
 
 
 def check_montecarlo_consistency(pool: CasePool, seed: int) -> CheckResult:
-    """The first 20 pooled cases on one stratified Monte Carlo stream against the quadrature.
+    """The first 20 pooled cases on one lattice Monte Carlo stream against the quadrature.
 
     All 20 cases rotate on the same normals of ``McSpec(seed=seed)``: R
-    randomisations of 2 x 60^2 jittered stratified Box-Muller normals,
-    keyed by (seed, r), so neighbouring verify seeds share no stream. Each
-    case's standard error is the spread of its R randomisation means, and
-    the largest distance/stderr ratio is held to ``montecarlo_bound``:
-    correct code fails with probability at most ``MC_FALSE_FAILURE_RATE``.
-    Two more calls on one case show that one seed gives the same bits
-    twice. A NaN distance or ratio fails; a case the oracle refuses, or
-    whose mean is not a valid state, counts as an invalid image.
+    randomisations of a polar lattice, 128 jittered radii, each with 16
+    angles under one uniform shift, keyed by (seed, r), so neighbouring
+    verify seeds share no stream. Each case's standard error is the
+    spread of its R randomisation means, and the largest distance/stderr
+    ratio is held to ``montecarlo_bound``: correct code fails with
+    probability at most ``MC_FALSE_FAILURE_RATE``. Two more calls on one
+    case show that one seed gives the same bits twice. A NaN distance or
+    ratio fails; a case the oracle refuses, or whose mean is not a valid
+    state, counts as an invalid image.
     """
     mc = oracle.McSpec(seed=seed)
     means, stderrs = oracle.average_montecarlo(pool.rhos[:MC_CASES], pool.scenarios[:MC_CASES],
@@ -392,7 +392,7 @@ def check_montecarlo_consistency(pool: CasePool, seed: int) -> CheckResult:
     bound = montecarlo_bound(MC_FALSE_FAILURE_RATE, MC_CASES)
     bad = _invalid(means)
     rho, s, t = pool.case(0)
-    small = oracle.McSpec(samples=2 * oracle.MC_RANDOMISATIONS * 20**2, seed=seed)
+    small = oracle.McSpec(samples=oracle.MC_RANDOMISATIONS * oracle.MC_ANGLES * 16, seed=seed)
     first, se1 = oracle.average_montecarlo(rho, s, t, small)
     second, se2 = oracle.average_montecarlo(rho, s, t, small)
     bad_pair = _invalid(np.stack([first, second]))
@@ -404,9 +404,10 @@ def check_montecarlo_consistency(pool: CasePool, seed: int) -> CheckResult:
     return CheckResult(
         "montecarlo_consistency",
         ok,
-        f"scenarios={MC_CASES} normals={mc.samples} (R={r} x 2 x {mc.strata}^2 strata) "
-        f"max dist/stderr={_g(worst_ratio)} (<= {bound:.4g}, t_{r - 1} at false-failure rate "
-        f"{MC_FALSE_FAILURE_RATE:.0e}) seed_reproducible={reproducible}{invalid}",
+        f"scenarios={MC_CASES} normals={mc.samples} (R={r} x {mc.strata} radii x "
+        f"{oracle.MC_ANGLES} angles) max dist/stderr={_g(worst_ratio)} (<= {bound:.4g}, "
+        f"t_{r - 1} at false-failure rate {MC_FALSE_FAILURE_RATE:.0e}) "
+        f"seed_reproducible={reproducible}{invalid}",
     )
 
 

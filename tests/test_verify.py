@@ -380,26 +380,86 @@ def test_montecarlo_bound_is_the_bonferroni_t_quantile():
     assert f"(<= {bound:.4g}, t_{dof} at false-failure rate 1e-03)" in detail
 
 
+def bisected_100_steps(rate, cases):
+    """``montecarlo_bound`` by 100 bisection steps, however soon the bracket stops moving."""
+    dof = oracle.MC_RANDOMISATIONS - 1
+    lo, hi = 0.0, 1e6
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if verify.student_t_tail(mid, dof) > rate / cases:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+@pytest.mark.parametrize("rate, cases", [(1e-3, 20), (0.05, 1), (0.2, 1), (1e-3, 1), (0.5, 3),
+                                         (0.01, 1), (1e-9, 1), (0.999, 1)])
+def test_montecarlo_bound_stops_where_the_bracket_does(rate, cases):
+    # once no float lies strictly between lo and hi, a step moves neither
+    assert verify.montecarlo_bound(rate, cases) == bisected_100_steps(rate, cases)
+
+
 def binomial_upper(n, p, tail=1e-6):
-    """The least k with P(X > k) <= tail for X ~ Binomial(n, p)."""
+    """The least k with P(X > k) <= tail for X ~ Binomial(n, p).
+
+    Each term in logarithms, so that no factor overflows or underflows at
+    thousands of trials."""
     cdf, k = 0.0, -1
     while 1.0 - cdf > tail:
         k += 1
-        cdf += math.comb(n, k) * p**k * (1.0 - p) ** (n - k)
+        cdf += math.exp(math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+                        + k * math.log(p) + (n - k) * math.log1p(-p))
     return k
 
 
+def within_binomial_tails(ratios, rate):
+    """Whether the count of ``ratios`` past |T|'s quantile at ``rate`` lies within the
+    1e-6 binomial tails on both sides of Binomial(len(ratios), rate)."""
+    past = int((ratios > verify.montecarlo_bound(rate, 1)).sum())
+    return (past <= binomial_upper(len(ratios), rate)
+            and len(ratios) - past <= binomial_upper(len(ratios), 1.0 - rate))
+
+
+def test_binomial_upper_holds_its_small_count_bounds():
+    # the bounds of the test at rest, and a count whose terms once overflowed
+    assert [binomial_upper(1000, p) for p in (0.2, 0.05, 0.8, 0.95)] == [262, 86, 858, 979]
+    assert binomial_upper(4000, 0.05) == 269 and 4000 - binomial_upper(4000, 0.95) == 138
+
+
+def test_montecarlo_consistency_ratios_follow_student_t():
+    # montecarlo_consistency's per-case ratios dist/stderr on verify seeds
+    # 0-199, 4000 in all: the shares past |T|'s (t_15's) two-sided 5% and 1%
+    # quantiles stay within 1e-6 binomial tails of 5% and 1%. The 20 cases
+    # of a seed share one stream, so their ratios are correlated and the
+    # counts spread wider than the binomial's: seeds 0-99 give 43 past the
+    # 1% quantile against a bound of 44, and seeds 0-199 59 against 73. A
+    # standard error 0.8 times as large crosses a bound.
+    ratios = []
+    for seed in range(200):
+        rhos, scenarios, times = verify._draw_channel_cases(np.random.default_rng(seed),
+                                                            verify.MC_CASES)
+        quad = oracle.average_quadrature(rhos, scenarios, times, oracle.QuadratureSpec(201))
+        means, stderrs = oracle.average_montecarlo(rhos, scenarios, times,
+                                                   oracle.McSpec(seed=seed))
+        ratios.append(np.linalg.norm(means - quad, axis=(-2, -1)) / stderrs)
+    ratios = np.concatenate(ratios)
+    assert all(within_binomial_tails(ratios, rate) for rate in (0.05, 0.01))
+    assert not all(within_binomial_tails(ratios / 0.8, rate) for rate in (0.05, 0.01))
+
+
 def test_montecarlo_bound_is_calibrated_at_rest():
-    # At rest the exact mean scales rho_01 by exp(-gamma t^2). At a small
-    # angle the sine term carries nearly all the error, one Gaussian
-    # direction, where the ratio's law is |T| itself: over 1000 streams the
-    # count past the bound at a rate is Binomial(1000, rate) at most. Both
-    # sides are held to a 1e-6 binomial tail; a stderr off by 20% crosses one.
+    # At rest the exact mean scales rho_01 by exp(-gamma t^2). On the
+    # lattice the sine means vanish and 1 - cos d carries all the error, one
+    # Gaussian direction, where the ratio's law is |T| itself: over 1000
+    # streams the count past the bound at a rate is Binomial(1000, rate) at
+    # most. Both sides are held to a 1e-6 binomial tail; a stderr off by 20%
+    # crosses one. The fewest strata: the tail strata alone.
     rho = np.array([[0.6, 0.3 - 0.2j], [0.3 + 0.2j, 0.4]])
     s = Scenario(0.0, gamma=1.0)
     g_t2, count = 0.05, 1000
     exact = rho * np.array([[1.0, math.exp(-g_t2)], [math.exp(-g_t2), 1.0]])
-    samples = 2 * oracle.MC_RANDOMISATIONS * 4**2
+    samples = oracle.MC_RANDOMISATIONS * oracle.MC_ANGLES * oracle.MC_TAIL_STRATA
     ratios = []
     for seed in range(count):
         mean, stderr = oracle.average_montecarlo(rho, s, math.sqrt(g_t2),
